@@ -17,12 +17,12 @@
 // (the local secondary is dead, so the receiver walks the Section 2.2.1
 // chain to the fallback tier).
 //
-// Measurement now rides the recovery-episode tracker (obs/episode.hpp):
-// each trial's engineered loss produces exactly one episode record whose
+// Measurement rides the recovery-episode tracker (obs/episode.hpp): each
+// trial's engineered loss produces exactly one episode record whose
 // (opened_s, closed_s, tier) give detection and retrieval directly.  The
-// old observer-derived measurement (kLossDetected notice -> delivery
-// record) is kept as the A/B reference: both methods read the same sim
-// instants, so they must agree to float round-off, and a mismatch exits 1.
+// bench exits 1 if a trial yields no episode, a repair lands on the wrong
+// tier or the episode accounting leaks -- and, since episodes are
+// telemetry, refuses to run at all in a LBRM_NO_TELEMETRY build.
 //
 // Headline rows land in BENCH_simcore.json as "sec222_recovery_latency"
 // with config "logging=<variant>,tier=<tier>" -- the tier-resolved repair
@@ -30,11 +30,10 @@
 //
 // Usage: bench_sec222_recovery_latency [--json PATH] [--timestamp ISO8601]
 //                                      [--trials N]
-#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,11 +66,7 @@ const char* tier_name(std::uint8_t tier) {
 }
 
 struct Result {
-    // Episode-tracker measurement (the headline numbers).
     SampleSet detect, retrieve, total;
-    // Legacy observer-derived measurement, kept as the A/B reference.
-    SampleSet retrieve_ab, total_ab;
-    double max_ab_diff = 0.0;  ///< |episode - observer|, worst trial
     int tier_mismatches = 0;
     int samples = 0;
     bool balanced = true;
@@ -115,21 +110,6 @@ Result run(const Variant& variant, int trials) {
                          std::make_unique<BernoulliLoss>(0.0));
         scenario.run_for(secs(5.0));
 
-        // Legacy measurement: pick the instants out of the observer log.
-        std::optional<TimePoint> detected;
-        for (const auto& n : scenario.notices())
-            if (n.node == victim && n.kind == NoticeKind::kLossDetected &&
-                n.arg == seq.value())
-                detected = n.at;
-        std::optional<TimePoint> recovered;
-        for (const auto& d : scenario.deliveries())
-            if (d.node == victim && d.seq == seq) recovered = d.at;
-        if (detected && recovered) {
-            out.retrieve_ab.add(to_seconds(*recovered - *detected));
-            out.total_ab.add(to_seconds(*recovered - sent));
-        }
-
-        // Episode measurement: the tracker recorded the same lifecycle.
         EpisodeTracker& episodes = scenario.metrics().episodes();
         out.balanced = out.balanced && episodes.balanced();
         for (const EpisodeTracker::Record& rec : episodes.records()) {
@@ -141,13 +121,6 @@ Result run(const Variant& variant, int trials) {
             out.retrieve.add(rec.closed_s - rec.opened_s);
             out.total.add(rec.closed_s - sent_s);
             if (rec.tier != variant.expect_tier) ++out.tier_mismatches;
-            if (detected && recovered) {
-                const double d1 = std::abs((rec.closed_s - rec.opened_s) -
-                                           to_seconds(*recovered - *detected));
-                const double d2 = std::abs((rec.closed_s - sent_s) -
-                                           to_seconds(*recovered - sent));
-                out.max_ab_diff = std::max({out.max_ab_diff, d1, d2});
-            }
             ++out.samples;
         }
     }
@@ -174,11 +147,16 @@ int main(int argc, char** argv) {
             trials = static_cast<int>(std::atoll(next("--trials")));
     }
 
+    if (!obs::kTelemetryEnabled) {
+        std::fprintf(stderr, "refusing to measure a telemetry-free build: recovery "
+                             "latency comes from episode records\n");
+        return 2;
+    }
+
     title("Section 2.2.2: recovery latency through the logging hierarchy");
     note("One receiver loses a packet on its LAN drop; the rest of its site");
     note("has it.  Retrieval = NACK -> retransmission (the paper's RTT claim),");
-    note("measured by the recovery-episode tracker and A/B'd against the");
-    note("observer-log method it replaces.");
+    note("measured by the recovery-episode tracker.");
     note("");
 
     const std::vector<Variant> variants = {
@@ -194,25 +172,15 @@ int main(int argc, char** argv) {
                  "total (ms)", "samples"});
     for (std::size_t i = 0; i < variants.size(); ++i) {
         Result& r = results[i];
-        // Compiled-out telemetry leaves no episode records; the observer
-        // measurement still carries the table (and the JSON rows below).
-        SampleSet& retrieve = r.samples > 0 ? r.retrieve : r.retrieve_ab;
-        SampleSet& total = r.samples > 0 ? r.total : r.total_ab;
         table.row({variants[i].name, tier_name(variants[i].expect_tier),
-                   fmt(r.detect.mean() * 1e3, 1), fmt(retrieve.median() * 1e3, 1),
-                   fmt(retrieve.p99() * 1e3, 1), fmt(total.mean() * 1e3, 1),
-                   fmt_int(static_cast<std::uint64_t>(retrieve.count()))});
+                   fmt(r.detect.mean() * 1e3, 1), fmt(r.retrieve.median() * 1e3, 1),
+                   fmt(r.retrieve.p99() * 1e3, 1), fmt(r.total.mean() * 1e3, 1),
+                   fmt_int(static_cast<std::uint64_t>(r.retrieve.count()))});
     }
 
     note("");
-    {
-        SampleSet& local = results[0].samples > 0 ? results[0].retrieve
-                                                  : results[0].retrieve_ab;
-        SampleSet& remote = results[1].samples > 0 ? results[1].retrieve
-                                                   : results[1].retrieve_ab;
-        note("speedup (retrieval, distributed vs centralized): " +
-             fmt(remote.median() / local.median(), 1) + "x");
-    }
+    note("speedup (retrieval, distributed vs centralized): " +
+         fmt(results[1].retrieve.median() / results[0].retrieve.median(), 1) + "x");
     note("");
     note("Expected shape (paper): local retrieval ~3-4 ms RTT vs ~80 ms RTT");
     note("via the remote primary -- an order of magnitude.  Detection time");
@@ -221,38 +189,25 @@ int main(int argc, char** argv) {
     note("row adds the dead-secondary walk: local retries, then the fallback");
     note("tier serves the repair (Section 2.2.1).");
 
-    // A/B gate: the tracker must reproduce the observer-derived instants.
-    if (obs::kTelemetryEnabled) {
-        bool ok = true;
-        for (std::size_t i = 0; i < variants.size(); ++i) {
-            const Result& r = results[i];
-            char buf[160];
-            std::snprintf(buf, sizeof buf,
-                          "A/B %s: %d episode samples vs %d observer samples, "
-                          "max diff %.3g s, tier mismatches %d",
-                          variants[i].name.c_str(), r.samples,
-                          static_cast<int>(r.retrieve_ab.count()),
-                          r.max_ab_diff, r.tier_mismatches);
-            note(buf);
-            if (r.samples == 0 ||
-                r.samples != static_cast<int>(r.retrieve_ab.count()) ||
-                r.max_ab_diff > 1e-9 || r.tier_mismatches > 0 || !r.balanced)
-                ok = false;
-        }
-        if (!ok) {
-            note("ERROR: episode-tracker measurement disagrees with the "
-                 "observer-log measurement");
-            return 1;
-        }
-    } else {
-        note("telemetry compiled out: episode A/B skipped, observer "
-             "measurement only");
+    // Gate: one episode per trial, each repaired by the expected tier, and
+    // the accounting balanced.
+    bool ok = true;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const Result& r = results[i];
+        char buf[160];
+        std::snprintf(buf, sizeof buf, "%s: %d episodes over %d trials, tier mismatches %d",
+                      variants[i].name.c_str(), r.samples, trials, r.tier_mismatches);
+        note(buf);
+        if (r.samples != trials || r.tier_mismatches > 0 || !r.balanced) ok = false;
+    }
+    if (!ok) {
+        note("ERROR: episode measurement incomplete, mis-tiered or unbalanced");
+        return 1;
     }
 
     std::vector<JsonMetric> metrics;
     for (std::size_t i = 0; i < variants.size(); ++i) {
-        Result& r = results[i];
-        SampleSet& retrieve = r.samples > 0 ? r.retrieve : r.retrieve_ab;
+        SampleSet& retrieve = results[i].retrieve;
         const std::string config = "logging=" + variants[i].name +
                                    ",tier=" + tier_name(variants[i].expect_tier);
         metrics.push_back({"sec222_recovery_latency", "repair_p50_ms",

@@ -17,31 +17,12 @@ class Metrics;
 
 namespace lbrm {
 
-/// How finalize() builds the per-site all-pairs routing tables (see
-/// DESIGN.md "Scale engineering").  All three modes produce bit-identical
-/// tables and traffic: rows are a pure function of the finalize-time
-/// adjacency and liveness snapshots, independent of build order or time.
-enum class SimFinalizeMode : std::uint8_t {
-    kSerial = 0,    ///< build every row inline (the baseline)
-    kParallel = 1,  ///< worker pool over sites, pre-sized disjoint row slots
-    kLazy = 2,      ///< border rows + backbone at finalize; rows on first use
-};
-
 /// Simulator-substrate knobs consumed by sim::Network (see DESIGN.md
 /// "Hierarchical routing").  These tune memory/speed trade-offs of the
 /// simulated internetwork, not protocol behaviour.  The cache bounds are
 /// exact: occupancy never changes packet timings, drop decisions or RNG
 /// draw order (routes are a pure function of the last finalize()).
 struct SimConfig {
-    /// Route with the flat O(n^2) next-hop matrices instead of the two-level
-    /// site/backbone tables.  The LBRM_SIM_FLAT_ROUTES environment variable
-    /// forces this on at Network construction (A/B escape hatch).  The two
-    /// schemes are bit-identical on any topology whose shortest paths are
-    /// unique under the hop-penalised metric -- true of every shipped
-    /// scenario; with equal-cost multipaths they may tie-break differently
-    /// (DESIGN.md "Hierarchical routing", tie-breaking).
-    bool flat_routes = false;
-
     /// Bound on the on-demand cache of cross-site node-to-node next hops
     /// (LRU eviction).  0 = unbounded.
     std::size_t path_cache_capacity = 65536;
@@ -51,38 +32,10 @@ struct SimConfig {
     /// join/leave/node-down/finalize is unaffected).  0 = unbounded.
     std::size_t tree_cache_capacity = 0;
 
-    /// Site-table build strategy (ignored under flat_routes).  The
-    /// LBRM_SIM_FINALIZE environment variable (serial|parallel|lazy)
-    /// overrides this at Network construction (A/B escape hatch).
-    SimFinalizeMode finalize_mode = SimFinalizeMode::kSerial;
-
-    /// Worker-pool width for kParallel; 0 = std::thread::hardware_concurrency.
-    unsigned finalize_threads = 0;
-
-    /// Batch same-time multicast fan-out: consecutive tree children whose
-    /// copies arrive at the same instant on idle links (a site router's LAN
-    /// fan-out) share one event instead of one each (DESIGN.md "Memory
-    /// engineering").  Bit-identical to the per-child path; the
-    /// LBRM_SIM_NO_DELIVERY_BATCH environment variable forces it off at
-    /// Network construction (A/B escape hatch).
-    bool delivery_batching = true;
-
-    /// Allocate in-flight delivery records from a burst-scoped bump arena
-    /// (reset when the burst drains) instead of the global heap.
-    /// Bit-identical; LBRM_SIM_NO_DELIVERY_ARENA forces it off at Network
-    /// construction (A/B escape hatch).
-    bool delivery_arena = true;
-
-    /// Shard-invariant determinism mode (DESIGN.md "Sharded execution"):
-    /// equal-time events tie-break by (scheduling node, its own event
-    /// sequence) instead of global insertion order, and loss rolls draw
-    /// from a per-directed-link RNG stream instead of the network-global
-    /// one.  Both replacements depend only on facts local to one node or
-    /// one link, so a run partitioned into shard domains (sim/shard.hpp)
-    /// produces the bit-identical packet trace of a single-process run
-    /// with this flag set.  NOT bit-identical to the default mode (the
-    /// tiebreak and RNG schedule differ), so A/B comparisons must hold the
-    /// flag fixed.  Forced on by sharded execution; off everywhere else.
+    /// Has no effect: shard-invariant ordering (actor-keyed event tiebreaks,
+    /// per-link loss streams -- DESIGN.md "Sharded execution") is the only
+    /// mode.  The field remains for source compatibility and will be
+    /// removed; nothing in the library reads it.
     bool shard_ordering = false;
 
     /// Telemetry registry shared with the network (obs/metrics.hpp).  Null =

@@ -1,9 +1,10 @@
 // Deterministic discrete-event queue.
 //
-// Events at equal timestamps fire in insertion order (a monotonic tiebreak
-// sequence number), which makes whole-network simulations bit-reproducible
-// for a given seed -- essential for regression tests that assert exact
-// packet counts.
+// Events at equal timestamps fire in tiebreak order -- insertion order for
+// schedule(), the caller's key for schedule_key() (the Simulator's actor
+// keys, see simulator.hpp) -- which makes whole-network simulations
+// bit-reproducible for a given seed: essential for regression tests that
+// assert exact packet counts.
 //
 // Layout is allocation-light: the heap itself is a flat binary heap of
 // small POD entries (timestamp, tiebreak, slot), while the callbacks live
@@ -20,9 +21,9 @@
 // Recurring events (create_recurring / arm_recurring) keep their slot and
 // callback across firings, so a self-rescheduling consumer -- the per-link
 // burst drain, see link.hpp -- pays one heap push per firing and nothing
-// else.  Combined with reserve_tiebreak() they can reproduce the exact
-// (timestamp, tiebreak) position an ordinary schedule() would have used,
-// which is what keeps batched and unbatched runs bit-identical.
+// else.  Armed with a key reserved at hand-off (Simulator::reserve_tiebreak)
+// they fire at exactly the (timestamp, tiebreak) position a one-shot event
+// scheduled then would have had.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +52,8 @@ public:
     }
 
     /// Enqueue `fn` at `at` with an explicit tiebreak instead of the global
-    /// insertion counter.  This is the actor-keyed scheduling mode of
-    /// sharded execution (simulator.hpp): the caller owns key uniqueness,
+    /// insertion counter.  The Simulator schedules everything this way, with
+    /// actor keys (simulator.hpp): the caller owns key uniqueness,
     /// and a key reserved on one shard and carried across a shard boundary
     /// reproduces the exact heap position the event would have had in a
     /// single-process run.  Counted like schedule().
@@ -66,13 +67,6 @@ public:
         sift_up(heap_.size() - 1);
         return make_id(s.generation, slot);
     }
-
-    /// Reserve the tiebreak sequence the next schedule() call would have
-    /// used, without scheduling anything.  A recurring event armed later
-    /// with this value fires in exactly the position an ordinary schedule()
-    /// at the reservation point would have -- the mechanism that lets link
-    /// burst batching keep pop order bit-identical to the unbatched path.
-    [[nodiscard]] std::uint64_t reserve_tiebreak() { return next_seq_++; }
 
     /// Create a recurring (self-rescheduling) event: one slot and one
     /// callback, allocated once, fired every time the slot is armed.  The
@@ -89,8 +83,8 @@ public:
         return slot;
     }
 
-    /// Arm a recurring slot to fire at `at` with an explicit tiebreak from
-    /// reserve_tiebreak().  Pre: the slot is not currently armed (at most
+    /// Arm a recurring slot to fire at `at` with an explicit (reserved)
+    /// tiebreak.  Pre: the slot is not currently armed (at most
     /// one heap entry per recurring slot); the callback re-arms on fire.
     void arm_recurring(std::uint32_t slot, TimePoint at, std::uint64_t tiebreak) {
         ++recurring_arms_;

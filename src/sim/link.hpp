@@ -32,7 +32,11 @@
 // one event-queue entry each; a single recurring drain event per link walks
 // the FIFO.  The FIFO stores (arrival time, reserved tiebreak, arrival
 // descriptor) so the drain resumes each delivery at exactly the (time,
-// order) position the unbatched path would have used.
+// order) position a one-shot event per arrival would have had.
+//
+// Loss rolls draw from a per-direction RNG stream (see TxRng), so a link's
+// drop pattern depends only on its own traffic -- the property that keeps
+// sharded runs bit-identical to the single-process run.
 #pragma once
 
 #include <array>
@@ -132,9 +136,9 @@ struct PendingArrival {
 /// -- the overwhelming majority at 10M nodes -- never allocate this.
 struct LinkCold {
     std::unique_ptr<LossModel> loss;
-    /// Per-direction RNG stream for shard-ordering mode (see TxRng):
-    /// seeded from (network seed, from, to) on the first lossy transmit.
-    /// Only directions with a loss model ever materialise one.
+    /// Per-direction RNG stream (see TxRng): seeded from (network seed,
+    /// from, to) on the first lossy transmit.  Only directions with a loss
+    /// model ever materialise one.
     std::unique_ptr<Rng> shard_rng;
     LinkStats stats;
     /// Pending arrivals in FIFO order (arrival times are strictly
@@ -148,16 +152,16 @@ struct LinkCold {
 
 struct Cable;
 
-/// Which RNG a transmit's loss roll draws from.  The default mode passes
-/// the network-global stream (draw order = global transmit order).  In
-/// shard-ordering mode (SimConfig::shard_ordering) every directed link
-/// draws from its own stream seeded by (network seed, from, to): all
-/// transmits on a link happen in events at its from-node, so the
-/// per-link draw sequence is identical however the simulation is
-/// partitioned into shards -- the property that makes sharded loss
-/// patterns bit-identical to the single-process shard-ordering run.
+/// Which RNG a transmit's loss roll draws from.  Network transmits use
+/// per-link streams: every directed link draws from its own stream seeded
+/// by (network seed, from, to).  All transmits on a link happen in events
+/// at its from-node, so the per-link draw sequence is identical however the
+/// simulation is partitioned into shards -- the property that makes
+/// sharded loss patterns bit-identical to the single-process run.  A
+/// caller-owned stream (the Rng& overload of Link::transmit, for driving a
+/// link directly) draws in call order instead.
 struct TxRng {
-    Rng* global = nullptr;       ///< non-null: the network-global stream
+    Rng* global = nullptr;       ///< non-null: a caller-owned stream
     std::uint64_t shard_seed = 0;  ///< else: base seed for the per-link stream
 };
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
-#include <thread>
 
 #include "obs/trace.hpp"
 #include "sim/sim_host.hpp"
@@ -18,10 +15,8 @@ namespace {
 constexpr std::int64_t kInfDist = std::numeric_limits<std::int64_t>::max();
 
 /// Edge weight: propagation + 1 microsecond hop penalty (prefers fewer
-/// hops between equal-latency paths, keeping routes deterministic).  The
-/// flat and hierarchical schemes share this metric exactly, which makes
-/// their paths identical whenever shortest paths are unique under it;
-/// equal-cost multipaths may tie-break differently between the schemes
+/// hops between equal-latency paths, keeping routes deterministic).  Routes
+/// are the true shortest paths under this metric wherever those are unique
 /// (DESIGN.md "Hierarchical routing", tie-breaking).
 [[nodiscard]] std::int64_t edge_weight(const Link* l) {
     return l->spec().propagation.count() + 1000;
@@ -42,16 +37,6 @@ constexpr std::int64_t kInfDist = std::numeric_limits<std::int64_t>::max();
     return (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
 }
 
-[[nodiscard]] SimFinalizeMode resolve_finalize_mode(SimFinalizeMode configured) {
-    const char* env = std::getenv("LBRM_SIM_FINALIZE");
-    if (env == nullptr) return configured;
-    const std::string_view v{env};
-    if (v == "serial") return SimFinalizeMode::kSerial;
-    if (v == "parallel") return SimFinalizeMode::kParallel;
-    if (v == "lazy") return SimFinalizeMode::kLazy;
-    return configured;
-}
-
 }  // namespace
 
 namespace {
@@ -66,21 +51,10 @@ constexpr const char* kSimGaugeNames[] = {
 }  // namespace
 
 Network::Network(Simulator& simulator, std::uint64_t seed, SimConfig config)
-    : simulator_(simulator), rng_(seed), seed_(seed),
-      finalize_mode_(resolve_finalize_mode(config.finalize_mode)),
-      finalize_threads_(config.finalize_threads),
+    : simulator_(simulator), seed_(seed),
       path_cache_capacity_(config.path_cache_capacity),
       tree_cache_capacity_(config.tree_cache_capacity),
-      metrics_(config.metrics ? config.metrics : std::make_shared<obs::Metrics>()),
-      flat_routes_requested_(config.flat_routes ||
-                             std::getenv("LBRM_SIM_FLAT_ROUTES") != nullptr),
-      batching_enabled_(std::getenv("LBRM_SIM_NO_BATCH") == nullptr),
-      delivery_batching_(config.delivery_batching &&
-                         std::getenv("LBRM_SIM_NO_DELIVERY_BATCH") == nullptr),
-      arena_enabled_(config.delivery_arena &&
-                     std::getenv("LBRM_SIM_NO_DELIVERY_ARENA") == nullptr),
-      shard_ordering_(config.shard_ordering) {
-    if (shard_ordering_) simulator_.enable_actor_keys();
+      metrics_(config.metrics ? config.metrics : std::make_shared<obs::Metrics>()) {
     register_metrics();
 }
 
@@ -162,14 +136,10 @@ void Network::destroy(DeliveryBase* d) {
     if (d->prev != nullptr) d->prev->next = d->next;
     if (d->next != nullptr) d->next->prev = d->prev;
     if (deliveries_ == d) deliveries_ = d->next;
-    if (d->arena_backed) {
-        d->~DeliveryBase();
-        // Burst drained: no in-flight record points into the arena any
-        // more, so rewind it (chunks are retained for the next burst).
-        if (deliveries_ == nullptr) delivery_arena_.reset();
-    } else {
-        delete d;
-    }
+    d->~DeliveryBase();
+    // Burst drained: no in-flight record points into the arena any more, so
+    // rewind it (chunks are retained for the next burst).
+    if (deliveries_ == nullptr) delivery_arena_.reset();
 }
 
 void Network::reserve(std::size_t nodes, std::size_t directed_links) {
@@ -255,9 +225,9 @@ void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
     // caches drop immediately -- not just at the next finalize().  In-flight
     // deliveries keep their pinned trees and complete on the pre-change
     // routes, as before.  The CSR snapshot is *not* rebuilt here: routing
-    // (including lazily built rows) keeps reading the finalize-time
-    // adjacency until the required finalize(), exactly as the eagerly
-    // built tables kept serving stale routes.
+    // (including rows built from now on) keeps reading the finalize-time
+    // adjacency until the required finalize() -- stale tables, as in a
+    // network whose routing protocol has not reconverged.
     invalidate_all_trees();
     clear_path_cache();
     finalized_ = false;
@@ -273,11 +243,10 @@ void Network::set_node_down(NodeId node, bool down) {
     const std::size_t i = index(node);
     if ((node_down_[i] != 0) != down) invalidate_all_trees();
     node_down_[i] = down ? 1 : 0;
-    // The path cache is untouched: routes are a pure function of the
-    // tables built at the last finalize() -- the flat matrices bake
-    // liveness into the Dijkstra runs, and every site-table row (built
-    // eagerly or lazily) plus compose_hop consult the route_down_ /
-    // border_down_ snapshots, never the live flags -- so a downed relay
+    // The path cache is untouched: routes are a pure function of the last
+    // finalize() -- every site-table row (whenever it is built) and
+    // compose_hop consult the route_down_ / border_down_ snapshots, never
+    // the live flags -- so a downed relay
     // blackholes until re-finalize, like an unconverged routing protocol,
     // and cache occupancy can never change outcomes.  Trees must drop
     // because membership pruning *does* consult liveness at build time.
@@ -305,9 +274,8 @@ const Link* Network::link(NodeId a, NodeId b) const {
 }
 
 // ---------------------------------------------------------------------------
-// Routing: finalize() builds either the flat matrices or the hierarchical
-// site/backbone tables (DESIGN.md "Hierarchical routing", "Scale
-// engineering").
+// Routing: finalize() builds the site/backbone tables (DESIGN.md
+// "Hierarchical routing", "Scale engineering").
 // ---------------------------------------------------------------------------
 
 void Network::build_adjacency() {
@@ -351,80 +319,17 @@ void Network::finalize() {
         invalidate_all_trees();
         clear_path_cache();
         // Snapshot adjacency and liveness: every table row -- including rows
-        // a lazy finalize materialises mid-run -- is a pure function of
-        // these, so build order/time cannot change a route.
+        // materialised mid-run -- is a pure function of these, so build
+        // order/time cannot change a route.
         build_adjacency();
         route_down_.assign(node_down_.begin(), node_down_.end());
     }
-    built_flat_ = flat_routes_requested_;
-    rows_built_.store(0, std::memory_order_relaxed);
+    rows_built_ = 0;
     {
         LBRM_TRACE_SPAN("finalize.routes");
-        if (built_flat_) {
-            // Release the hierarchical tables (mode may have flipped).
-            std::vector<SiteTable>().swap(site_tables_);
-            std::vector<std::uint32_t>().swap(node_site_);
-            std::vector<std::uint32_t>().swap(node_local_);
-            std::vector<std::uint32_t>().swap(border_nodes_);
-            std::vector<std::uint32_t>().swap(node_border_);
-            std::vector<std::uint8_t>().swap(border_down_);
-            std::vector<std::int64_t>().swap(bb_dist_);
-            std::vector<std::uint32_t>().swap(bb_next_node_);
-            std::vector<Link*>().swap(bb_next_link_);
-            build_flat_routes();
-        } else {
-            std::vector<std::uint32_t>().swap(routes_);
-            std::vector<Link*>().swap(route_links_);
-            build_hierarchical_routes();
-        }
+        build_hierarchical_routes();
     }
     finalized_ = true;
-}
-
-void Network::build_flat_routes() {
-    LBRM_TRACE_SPAN("finalize.flat_routes");
-    const std::size_t n = node_count();
-    routes_.assign(n * n, 0);
-    route_links_.assign(n * n, nullptr);
-
-    // Dijkstra from every node.  A down node may still be an endpoint but
-    // never relays: its edges are not expanded unless it is the source.
-    std::vector<std::int64_t> dist(n);
-    std::vector<std::uint32_t> first_hop(n);
-    std::vector<Link*> first_link(n);
-
-    for (std::size_t src = 0; src < n; ++src) {
-        std::fill(dist.begin(), dist.end(), kInfDist);
-        std::fill(first_hop.begin(), first_hop.end(), 0u);
-        std::fill(first_link.begin(), first_link.end(), nullptr);
-        dist[src] = 0;
-
-        using QE = std::pair<std::int64_t, std::uint32_t>;  // (distance, node index)
-        std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-        pq.emplace(0, static_cast<std::uint32_t>(src));
-
-        while (!pq.empty()) {
-            auto [d, u] = pq.top();
-            pq.pop();
-            if (d != dist[u]) continue;
-            if (u != src && route_down_[u]) continue;  // no transit via dead nodes
-            for (std::uint32_t k = csr_offset_[u]; k != csr_offset_[u + 1]; ++k) {
-                const std::size_t v = csr_to_[k];
-                const std::int64_t w = edge_weight(csr_link_[k]);
-                if (d + w < dist[v]) {
-                    dist[v] = d + w;
-                    first_hop[v] = (u == src) ? static_cast<std::uint32_t>(v + 1)
-                                              : first_hop[u];
-                    first_link[v] = (u == src) ? csr_link_[k] : first_link[u];
-                    pq.emplace(dist[v], static_cast<std::uint32_t>(v));
-                }
-            }
-        }
-        for (std::size_t dst = 0; dst < n; ++dst) {
-            routes_[src * n + dst] = first_hop[dst];
-            route_links_[src * n + dst] = first_link[dst];
-        }
-    }
 }
 
 void Network::build_hierarchical_routes() {
@@ -447,9 +352,8 @@ void Network::build_hierarchical_routes() {
             node_local_[i] = static_cast<std::uint32_t>(table.nodes.size());
             table.nodes.push_back(static_cast<std::uint32_t>(i));
         }
-        // Pre-size every row slot now: the parallel workers below then write
-        // disjoint slots with no shared mutable state, and lazy builds later
-        // fill whichever slot traffic first touches.
+        // Pre-size every row slot; traffic fills whichever slot it first
+        // touches.
         for (SiteTable& table : site_tables_) {
             table.rows.clear();
             table.rows.resize(table.nodes.size());
@@ -472,82 +376,27 @@ void Network::build_hierarchical_routes() {
         }
         // Border projection of the liveness snapshot: compose_hop must see the
         // state the tables were built under, not later set_node_down
-        // transitions (which only take routing effect at the next finalize, in
-        // both schemes).
+        // transitions (which only take routing effect at the next finalize).
         border_down_.assign(border_nodes_.size(), 0);
         for (std::size_t b = 0; b < border_nodes_.size(); ++b)
             border_down_[b] = route_down_[border_nodes_[b]];
     }
 
-    // 3. Per-site all-pairs rows (serial, parallel or lazy -- identical
-    //    bytes either way; see build_site_row).
-    build_site_rows();
+    // 3. Border rows only: the backbone build needs them.  Every other row
+    //    materialises on first touch (ensure_row).
+    {
+        LBRM_TRACE_SPAN("finalize.site_rows");
+        for (std::size_t s = 0; s < site_tables_.size(); ++s)
+            for (const std::uint32_t gb : site_tables_[s].borders)
+                build_site_row(static_cast<std::uint32_t>(s), node_local_[gb]);
+    }
 
-    // 4. Backbone all-pairs over the border nodes (needs the border rows,
-    //    which every mode has built by now).
+    // 4. Backbone all-pairs over the border nodes.
     build_backbone();
 }
 
-void Network::build_site_rows() {
-    LBRM_TRACE_SPAN("finalize.site_rows");
-    const std::size_t sites = site_tables_.size();
-    switch (finalize_mode_) {
-        case SimFinalizeMode::kLazy:
-            // Only the rows the backbone build needs: one per border node.
-            // Everything else materialises on first touch (ensure_row).
-            for (std::size_t s = 0; s < sites; ++s)
-                for (const std::uint32_t gb : site_tables_[s].borders)
-                    build_site_row(static_cast<std::uint32_t>(s), node_local_[gb],
-                                   scratch_);
-            return;
-        case SimFinalizeMode::kParallel: {
-            unsigned workers = finalize_threads_ != 0
-                                   ? finalize_threads_
-                                   : std::thread::hardware_concurrency();
-            if (workers == 0) workers = 1;
-            workers = static_cast<unsigned>(
-                std::min<std::size_t>(workers, std::max<std::size_t>(sites, 1)));
-            if (workers > 1) {
-                // Sites are independent: each worker claims sites off a
-                // shared counter and fills that site's pre-sized row slots.
-                // No two threads ever touch the same row, and all shared
-                // inputs (CSR, route_down_, site indexing) are read-only.
-                std::atomic<std::size_t> next_site{0};
-                auto work = [this, &next_site, sites] {
-                    LBRM_TRACE_SPAN("finalize.site_rows.worker");
-                    DijkstraScratch scratch;
-                    for (;;) {
-                        const std::size_t s =
-                            next_site.fetch_add(1, std::memory_order_relaxed);
-                        if (s >= sites) break;
-                        const std::size_t m = site_tables_[s].size();
-                        for (std::size_t src = 0; src < m; ++src)
-                            build_site_row(static_cast<std::uint32_t>(s),
-                                           static_cast<std::uint32_t>(src), scratch);
-                    }
-                };
-                std::vector<std::thread> pool;
-                pool.reserve(workers - 1);
-                for (unsigned t = 1; t < workers; ++t) pool.emplace_back(work);
-                work();
-                for (std::thread& t : pool) t.join();
-                return;
-            }
-            [[fallthrough]];
-        }
-        case SimFinalizeMode::kSerial:
-            for (std::size_t s = 0; s < sites; ++s) {
-                const std::size_t m = site_tables_[s].size();
-                for (std::size_t src = 0; src < m; ++src)
-                    build_site_row(static_cast<std::uint32_t>(s),
-                                   static_cast<std::uint32_t>(src), scratch_);
-            }
-            return;
-    }
-}
-
-void Network::build_site_row(std::uint32_t site, std::uint32_t src_local,
-                             DijkstraScratch& s) {
+void Network::build_site_row(std::uint32_t site, std::uint32_t src_local) {
+    DijkstraScratch& s = scratch_;
     SiteTable& table = site_tables_[site];
     const std::size_t m = table.size();
     s.dist.assign(m, kInfDist);
@@ -556,10 +405,10 @@ void Network::build_site_row(std::uint32_t site, std::uint32_t src_local,
     s.dist[src_local] = 0;
     s.pq.emplace(0, src_local);
 
-    // Dijkstra over the site's own subgraph (same dead-relay rule as the
-    // flat scheme), against the finalize-time adjacency + liveness
-    // snapshots -- never live state, so a lazily built row is bit-identical
-    // to the same row built eagerly.
+    // Dijkstra over the site's own subgraph -- a down node may end a path
+    // but never relays -- against the finalize-time adjacency + liveness
+    // snapshots, never live state, so a row built mid-run is bit-identical
+    // to the same row built at finalize().
     while (!s.pq.empty()) {
         auto [d, u] = s.pq.top();
         s.pq.pop();
@@ -584,7 +433,7 @@ void Network::build_site_row(std::uint32_t site, std::uint32_t src_local,
     for (std::size_t i = 0; i < m; ++i)
         row[i] = RowCell{s.dist[i], s.first_hop[i], s.first_link[i]};
     table.rows[src_local] = std::move(row);
-    rows_built_.fetch_add(1, std::memory_order_relaxed);
+    ++rows_built_;
 }
 
 void Network::build_backbone() {
@@ -619,7 +468,7 @@ void Network::build_backbone() {
             const std::uint32_t gu = border_nodes_[u];
             if (u != src && route_down_[gu]) continue;
 
-            // Real inter-site links (adjacency order, as in the flat scheme).
+            // Real inter-site links (adjacency order).
             for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
                 const std::uint32_t gv = csr_to_[k];
                 if (node_site_[gv] == node_site_[gu]) continue;
@@ -685,9 +534,9 @@ Network::Hop Network::compose_hop(std::uint32_t from, std::uint32_t to) {
     // Borders down *at the last finalize* never relay, but may still be
     // the endpoint itself; liveness comes from the border_down_ snapshot,
     // never the live flags, so a mid-run set_node_down leaves routing
-    // untouched until re-finalize (matching the flat matrices).  Every row
-    // consulted here is either `from`'s own (ensured above) or a border
-    // row, which every finalize mode builds eagerly.
+    // untouched until re-finalize.  Every row consulted here is either
+    // `from`'s own (ensured above) or a border row, which finalize() builds
+    // eagerly.
     for (const std::uint32_t b1 : stu.borders) {
         if (border_down_[node_border_[b1]] && b1 != from) continue;
         const std::int64_t du = (b1 == from) ? 0 : ru[node_local_[b1]].dist;
@@ -721,14 +570,8 @@ Network::Hop Network::compose_hop(std::uint32_t from, std::uint32_t to) {
 Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
     // No finalized_ check here: the traffic entry points enforce it, and
     // in-flight deliveries must keep forwarding on the (stale) tables after
-    // a mid-run add_link, exactly as the flat matrices kept serving.
+    // a mid-run add_link.
     if (from == to) return Hop{};
-    if (built_flat_) {
-        const std::size_t n = node_count();
-        const std::uint32_t hop = routes_[from * n + to];
-        if (hop == 0) return Hop{};
-        return Hop{hop - 1, route_links_[from * n + to]};
-    }
     // Same-site next hops come straight from the intra-site rows; only
     // cross-site compositions go through the LRU path cache.
     if (node_site_[from] == node_site_[to]) return compose_hop(from, to);
@@ -769,12 +612,6 @@ std::uint64_t Network::routing_table_hash() {
                                l->to().value()
                          : 0);
     };
-    if (built_flat_) {
-        mix(routes_.size());
-        for (const std::uint32_t v : routes_) mix(v);
-        for (const Link* l : route_links_) mix_link(l);
-        return h;
-    }
     for (std::size_t s = 0; s < site_tables_.size(); ++s) {
         SiteTable& t = site_tables_[s];
         const std::size_t m = t.size();
@@ -974,16 +811,12 @@ struct Network::UnicastDelivery final : DeliveryBase {
     std::uint32_t hops_left;  ///< loop guard (see forward_unicast)
 };
 
-// Delivery records come from the burst-scoped bump arena when enabled (the
-// flag is sampled per record, so a mid-run toggle leaves in-flight records
-// on their original backing).
+// Delivery records come from the burst-scoped bump arena; destroy() runs
+// the destructor and rewinds the arena once the in-flight list empties.
 template <typename T, typename... Args>
 T* Network::make_delivery(Args&&... args) {
-    if (!arena_enabled_) return new T(std::forward<Args>(args)...);
     void* p = delivery_arena_.allocate(sizeof(T), alignof(T));
-    T* d = new (p) T(std::forward<Args>(args)...);
-    d->arena_backed = true;
-    return d;
+    return new (p) T(std::forward<Args>(args)...);
 }
 
 void Network::unicast(NodeId from, NodeId to, const Packet& packet) {
@@ -1018,7 +851,7 @@ void Network::forward_unicast(UnicastDelivery* d, std::uint32_t at) {
         destroy(d);
         return;
     }
-    const bool was_busy = batching_enabled_ && h.link->busy(simulator_.now());
+    const bool was_busy = h.link->busy(simulator_.now());
     auto arrival = h.link->transmit(tx_rng(), simulator_.now(), d->bytes, d->type);
     if (tap_) tap_(simulator_.now(), *h.link, d->packet, arrival.has_value());
     if (!arrival) {
@@ -1267,26 +1100,10 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
     };
     auto flush_run = [&] {
         if (run_len == 0) return;
-        if (!shard_ordering_) {
-            d->pending += run_len;
-            if (run_len == 1) {
-                const std::uint32_t hop = d->tree->children[run_begin].entry;
-                simulator_.schedule_at(run_at, [d, hop] {
-                    dispatch_arrival(d, hop, ArrivalKind::kMulticast);
-                });
-            } else {
-                batched_runs_->inc();
-                simulator_.schedule_at(run_at, [d, c0 = run_begin, n = run_len] {
-                    d->net.multicast_arrive_run(d, c0, n);
-                });
-            }
-            run_len = 0;
-            return;
-        }
-        // Shard-ordering mode: runs form ownership-blind (so the key stream
-        // matches the single-process run exactly -- ONE key per run), then
-        // split at flush into maximal per-shard contiguous segments that all
-        // share that key.  Same-instant segments with equal keys are
+        // Runs form ownership-blind (so the key stream matches the
+        // single-process run exactly -- ONE key per run), then split at
+        // flush into maximal per-shard contiguous segments that all share
+        // that key.  Same-instant segments with equal keys are
         // causally independent -- they arrive at distinct nodes, so their
         // follow-on transmits touch disjoint links and distinct actor key
         // streams -- which makes their relative pop order irrelevant.
@@ -1318,13 +1135,10 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
             flush_run();  // a dropped child splits the contiguous run
             continue;
         }
-        if (!delivery_batching_ || busy) {
-            // A busy link always splits the run and takes the per-child
-            // path, whether or not FIFO parking is on -- run formation must
-            // not depend on the FIFO mode, or the two modes stop being
-            // event-count-identical (BurstBatching tests).  FIFO parking
-            // reserves the next tiebreak, so the run is emitted first to
-            // keep tiebreak consumption in child order.
+        if (busy) {
+            // A busy link splits the run: the child's arrival parks in the
+            // link's FIFO, which reserves the next tiebreak, so the run is
+            // emitted first to keep tiebreak consumption in child order.
             flush_run();
             const std::uint32_t target = d->tree->nodes[child.entry].node;
             if (!owns_node(target)) {
@@ -1333,7 +1147,7 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
                 continue;
             }
             ++d->pending;
-            schedule_arrival(child.link, batching_enabled_ && busy, *arrival, d,
+            schedule_arrival(child.link, /*was_busy=*/true, *arrival, d,
                              child.entry, ArrivalKind::kMulticast);
             continue;
         }
@@ -1375,7 +1189,7 @@ void Network::unref(TreeDelivery* d) {
 
 // Defined here, after both delivery types are complete.  The ActorScope
 // makes the arriving node the actor for everything the arrival handler
-// schedules (actor-keyed mode; a cheap int save/restore otherwise).
+// schedules.
 void Network::dispatch_arrival(DeliveryBase* d, std::uint32_t hop, ArrivalKind kind) {
     if (kind == ArrivalKind::kMulticast) {
         auto* td = static_cast<TreeDelivery*>(d);
@@ -1479,10 +1293,6 @@ void Network::inject_remote(const RemoteEvent& ev) {
 // ---------------------------------------------------------------------------
 
 std::size_t Network::routing_table_bytes() const {
-    if (built_flat_)
-        return routes_.capacity() * sizeof(std::uint32_t) +
-               route_links_.capacity() * sizeof(Link*);
-
     std::size_t total = 0;
     for (const SiteTable& t : site_tables_) {
         total += t.nodes.capacity() * sizeof(std::uint32_t) +

@@ -16,34 +16,32 @@
 // membership is sorted flat vectors (ascending node id -- the same
 // iteration order std::set gave).
 //
-// Routing is hierarchical by default (see DESIGN.md "Hierarchical
-// routing"), mirroring the paper's two-level site/backbone topology:
-// per-site intra-site shortest-path tables compose with an inter-site
-// backbone table over the border nodes, for O(sites^2 + sum site_size^2)
-// memory instead of the flat O(n^2) matrices.  Cross-site next hops are
-// resolved on demand through an LRU-bounded path cache.  The flat matrices
-// remain available behind SimConfig::flat_routes / LBRM_SIM_FLAT_ROUTES and
-// produce identical paths, delivery times and RNG draw order on any
-// topology whose shortest paths are unique under the hop-penalised metric
-// (true of every shipped scenario; with equal-cost multipaths the two
-// schemes may tie-break differently -- see DESIGN.md "Hierarchical
-// routing", tie-breaking).
+// Routing is hierarchical (see DESIGN.md "Hierarchical routing"), mirroring
+// the paper's two-level site/backbone topology: per-site intra-site
+// shortest-path tables compose with an inter-site backbone table over the
+// border nodes, for O(sites^2 + sum site_size^2) memory instead of flat
+// O(n^2) matrices.  Cross-site next hops are resolved on demand through an
+// LRU-bounded path cache.
 //
-// The per-site tables build serially, in parallel (sites are independent;
-// a worker pool fills pre-sized disjoint row slots) or lazily on first
-// touch, selected by SimConfig::finalize_mode / LBRM_SIM_FINALIZE.  All
-// three modes are bit-identical: every row is a pure function of the
-// adjacency CSR and liveness snapshot taken at finalize(), so neither build
-// order nor build *time* can change a route (a lazily built row never sees
-// a post-finalize set_node_down or add_link).
+// finalize() builds only the border rows and the backbone; every other
+// site-table row materialises on first touch.  Each row is a pure function
+// of the adjacency CSR and liveness snapshot taken at finalize(), so build
+// *time* can never change a route (a lazily built row never sees a
+// post-finalize set_node_down or add_link).
 //
 // Delivery trees are cached per (group, sender, scope) behind an optional
 // LRU bound (SimConfig::tree_cache_capacity) and invalidated on membership
-// or topology change; per-send state is a single record -- bump-allocated
-// from a burst-scoped arena by default (DESIGN.md "Memory engineering") --
-// whose event closures fit std::function's small-buffer size.  Same-time
-// multicast fan-out to idle links is additionally batched: one event per
-// contiguous run of tree children, not one per child.
+// or topology change; per-send state is a single record, bump-allocated
+// from a burst-scoped arena (DESIGN.md "Memory engineering"), whose event
+// closures fit std::function's small-buffer size.  Same-time multicast
+// fan-out to idle links shares one event per contiguous run of tree
+// children, and arrivals queued behind a busy link park in that link's
+// FIFO under one recurring drain event (DESIGN.md "Link burst batching").
+//
+// Ordering is shard-invariant (DESIGN.md "Sharded execution"): events
+// tie-break by (actor, per-actor sequence) and every lossy link rolls from
+// its own RNG stream, so a run split into shard domains reproduces the
+// single-process packet trace bit for bit.
 //
 // Protocol endpoints attach as SimHost objects (see sim_host.hpp); the
 // network delivers decoded packets to them and provides their timers via
@@ -51,7 +49,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -64,7 +61,6 @@
 #include "common/arena.hpp"
 #include "common/ids.hpp"
 #include "common/pool.hpp"
-#include "common/rng.hpp"
 #include "common/stable_vector.hpp"
 #include "core/actions.hpp"
 #include "core/config.hpp"
@@ -114,10 +110,10 @@ public:
     /// (so re-finalizing after downing a router routes around it).  Until
     /// then routes keep forwarding into it and packets die there, exactly
     /// as a real network blackholes until the routing protocol reconverges:
-    /// both schemes route purely from finalize-time state (the flat
-    /// matrices and every site-table row -- even a lazily built one --
-    /// read the route_down_ snapshot; compose_hop reads border_down_), so a
-    /// down transition never changes routing until the next finalize().
+    /// routing reads only finalize-time state (every site-table row -- even
+    /// one built after the transition -- reads the route_down_ snapshot;
+    /// compose_hop reads border_down_), so a down transition never changes
+    /// routing until the next finalize().
     void set_node_down(NodeId node, bool down);
 
     /// Compute routing tables.  Must be called after the last add_link and
@@ -179,27 +175,18 @@ public:
     /// Re-bound the tree cache at runtime (evicts LRU down to the new cap).
     void set_tree_cache_capacity(std::size_t capacity);
 
-    /// Bytes held by the routing tables of the active scheme (flat matrices
-    /// or hierarchical site/backbone tables + path cache).  Under lazy
-    /// finalize only materialised rows count.
+    /// Bytes held by the routing tables: site/backbone tables (materialised
+    /// rows only) plus the path cache.
     [[nodiscard]] std::size_t routing_table_bytes() const;
-    /// Entries currently held by the cross-site path cache (0 in flat mode).
+    /// Entries currently held by the cross-site path cache.
     [[nodiscard]] std::size_t path_cache_entries() const { return path_cache_.size(); }
-    /// Whether finalize() built the flat matrices (escape hatch active).
-    [[nodiscard]] bool flat_routes() const { return built_flat_; }
-    /// The resolved site-table build strategy (config or LBRM_SIM_FINALIZE).
-    [[nodiscard]] SimFinalizeMode finalize_mode() const { return finalize_mode_; }
-    /// Site-table rows currently materialised (== every row after a serial
-    /// or parallel finalize; grows on demand under lazy).
-    [[nodiscard]] std::size_t site_rows_built() const {
-        return rows_built_.load(std::memory_order_relaxed);
-    }
+    /// Site-table rows currently materialised (the border rows after
+    /// finalize(); grows on demand as traffic touches the rest).
+    [[nodiscard]] std::size_t site_rows_built() const { return rows_built_; }
 
-    /// FNV-1a digest of the active routing tables: every site row (dist,
-    /// next hop, link endpoints), border set and backbone entry -- or the
-    /// flat matrices.  Forces lazy rows to materialise first, so equal
-    /// hashes mean bit-identical tables across build modes (the
-    /// serial/parallel/lazy A/B in tests/scale_engine_test.cpp).
+    /// FNV-1a digest of the routing tables: every site row (dist, next hop,
+    /// link endpoints), border set and backbone entry.  Materialises every
+    /// row first, so equal hashes mean bit-identical tables.
     [[nodiscard]] std::uint64_t routing_table_hash();
 
     /// Observation tap invoked for every packet put on any link (after the
@@ -222,36 +209,11 @@ public:
 
     void reset_link_stats();
 
-    /// Link burst batching (see DESIGN.md): on by default, disabled by the
-    /// LBRM_SIM_NO_BATCH environment variable at construction or by this
-    /// setter (the bench A/Bs both paths in-process).  Both paths produce
-    /// bit-identical delivery times, drop decisions and RNG draw order.
-    void set_batching(bool enabled) { batching_enabled_ = enabled; }
-    [[nodiscard]] bool batching_enabled() const { return batching_enabled_; }
-
-    /// Per-(site, packet) delivery batching (see DESIGN.md "Memory
-    /// engineering"): on by default, disabled by LBRM_SIM_NO_DELIVERY_BATCH
-    /// at construction or by this setter.  Bit-identical either way
-    /// (memory_diet_test A/Bs the trace hash).
-    void set_delivery_batching(bool enabled) { delivery_batching_ = enabled; }
-    [[nodiscard]] bool delivery_batching() const { return delivery_batching_; }
-
-    /// Burst-scoped bump arena for delivery records: on by default,
-    /// disabled by LBRM_SIM_NO_DELIVERY_ARENA at construction or by this
-    /// setter (records allocated before a toggle keep their original
-    /// backing).  Bit-identical either way.
-    void set_delivery_arena(bool enabled) { arena_enabled_ = enabled; }
-    [[nodiscard]] bool delivery_arena_enabled() const { return arena_enabled_; }
-    /// The arena itself, for introspection (tests, memory accounting).
+    /// The burst-scoped arena backing delivery records, for introspection
+    /// (tests, memory accounting).
     [[nodiscard]] const BumpArena& delivery_arena() const { return delivery_arena_; }
 
     // --- sharded execution (DESIGN.md "Sharded execution") ----------------
-    /// Whether SimConfig::shard_ordering is active: actor-keyed event
-    /// tiebreaks and per-link RNG streams (the shard-invariant determinism
-    /// mode).  Every network of a sharded run -- including the N=1 and the
-    /// single-process A/B baseline -- must run with it on.
-    [[nodiscard]] bool shard_ordering() const { return shard_ordering_; }
-
     /// A packet arrival crossing a shard boundary.  The sending shard did
     /// the transmit (link accounting, loss roll, tap) and reserved the
     /// event key; the owning shard replays the arrival at exactly
@@ -325,11 +287,10 @@ private:
         Link* link;
     };
 
-    /// Per-site routing table (hierarchical scheme): all-pairs shortest
-    /// paths over the site's own subgraph, plus the site's border nodes
-    /// (nodes with at least one inter-site link).  Rows are one slab each,
-    /// so lazy finalize materialises only the rows traffic touches and a
-    /// parallel build writes disjoint pre-sized slots.
+    /// Per-site routing table: all-pairs shortest paths over the site's own
+    /// subgraph, plus the site's border nodes (nodes with at least one
+    /// inter-site link).  Rows are one slab each, so only the rows traffic
+    /// touches ever materialise.
     struct SiteTable {
         std::vector<std::uint32_t> nodes;    ///< global node indices, in site order
         std::vector<std::uint32_t> borders;  ///< global node indices, ascending
@@ -372,17 +333,13 @@ private:
         Network& net;
         DeliveryBase* prev = nullptr;
         DeliveryBase* next = nullptr;
-        /// True when the record lives in delivery_arena_: destroy() runs the
-        /// destructor only, and resets the arena once the in-flight list
-        /// empties (the burst has drained).
-        bool arena_backed = false;
         virtual ~DeliveryBase() = default;
     };
     struct UnicastDelivery;
     struct TreeDelivery;
 
-    /// Allocate a delivery record: from the burst arena when enabled, the
-    /// heap otherwise.  Defined in network.cpp (needs the complete types).
+    /// Allocate a delivery record from the burst arena.  Defined in
+    /// network.cpp (needs the complete types).
     template <typename T, typename... Args>
     T* make_delivery(Args&&... args);
 
@@ -396,8 +353,7 @@ private:
 
     [[nodiscard]] std::size_t index(NodeId id) const { return id.value() - 1; }
 
-    /// Dijkstra scratch shared across row builds (each worker thread and
-    /// the lazy path carry their own instance).
+    /// Dijkstra scratch reused across row builds.
     struct DijkstraScratch {
         std::vector<std::int64_t> dist;
         std::vector<std::uint32_t> first_hop;
@@ -410,30 +366,27 @@ private:
 
     // --- routing ---------------------------------------------------------
     /// Flatten the edge arena into the CSR adjacency snapshot.  Routing
-    /// reads only the snapshot, so rows built lazily after a post-finalize
+    /// reads only the snapshot, so rows built after a post-finalize
     /// add_link still see the finalize-time adjacency (stale-table
-    /// semantics, identical to the eagerly built matrices).
+    /// semantics, as if every row had been built at finalize()).
     void build_adjacency();
     /// Make the construction-time edge lists live again: size head/tail to
     /// the current node count and, when build_adjacency() freed the cells,
     /// rebuild them from the CSR snapshot (identical per-source order).
     void ensure_edge_lists();
     [[nodiscard]] Link* find_link(std::uint64_t key) const;
-    void build_flat_routes();
     void build_hierarchical_routes();
-    void build_site_rows();
     /// Build one site-table row (all shortest paths out of local index
     /// `src_local` within site `site`).  Pure function of the CSR snapshot
     /// and route_down_; writes only rows[src_local].
-    void build_site_row(std::uint32_t site, std::uint32_t src_local,
-                        DijkstraScratch& scratch);
+    void build_site_row(std::uint32_t site, std::uint32_t src_local);
     void ensure_row(std::uint32_t site, std::uint32_t local) {
-        if (!site_tables_[site].rows[local]) build_site_row(site, local, scratch_);
+        if (!site_tables_[site].rows[local]) build_site_row(site, local);
     }
     void build_backbone();
 
-    /// Next forwarding step from node index `from` toward `to`; consults
-    /// the flat matrices or the hierarchical tables + path cache.
+    /// Next forwarding step from node index `from` toward `to`, from the
+    /// site/backbone tables + path cache.
     [[nodiscard]] Hop hop_toward(std::uint32_t from, std::uint32_t to);
     /// Uncached hierarchical composition: intra-site candidate vs the best
     /// (exit border, entry border) pair through the backbone.
@@ -446,10 +399,10 @@ private:
     void deliver_local(NodeId node, const Packet& packet);
 
     /// Schedule the arrival of `d` at hop `hop` for time `arrival`.  When
-    /// the packet queued behind earlier traffic on `l` (was_busy) and
-    /// batching is on, the arrival is parked in the link's pending FIFO
-    /// under a reserved tiebreak and a single recurring drain event walks
-    /// the FIFO; otherwise it is an ordinary one-shot event.
+    /// the packet queued behind earlier traffic on `l` (was_busy), the
+    /// arrival is parked in the link's pending FIFO under a reserved
+    /// tiebreak and a single recurring drain event walks the FIFO;
+    /// otherwise it is an ordinary one-shot event.
     void schedule_arrival(Link* l, bool was_busy, TimePoint arrival, DeliveryBase* d,
                           std::uint32_t hop, ArrivalKind kind);
     void drain_link(Link* l);
@@ -477,18 +430,15 @@ private:
                               std::uint32_t count);
     void unref(TreeDelivery* d);
 
-    /// The loss-roll source for transmits: the global stream by default,
-    /// per-link streams (seeded from seed_) under shard ordering.
-    [[nodiscard]] TxRng tx_rng() {
-        return shard_ordering_ ? TxRng{nullptr, seed_} : TxRng{&rng_, 0};
-    }
+    /// The loss-roll source for transmits: per-link streams seeded from
+    /// seed_ (shard-invariant; see TxRng).
+    [[nodiscard]] TxRng tx_rng() const { return TxRng{nullptr, seed_}; }
     /// Hand a multicast segment owned by another shard to the runner.
     void emit_remote_mcast(TreeDelivery* d, std::uint32_t shard, TimePoint at,
                            std::uint64_t key, std::uint32_t child_begin,
                            std::uint32_t count);
 
     Simulator& simulator_;
-    Rng rng_;
     std::uint64_t seed_;  ///< construction seed (per-link RNG derivation)
 
     // --- nodes (struct-of-arrays; hot fields only) ------------------------
@@ -546,23 +496,15 @@ private:
     std::vector<GroupRec> groups_;
     [[nodiscard]] GroupRec* find_group(GroupId group);
 
-    // --- flat routing (escape hatch) -------------------------------------
-    /// routes_[src_index * n + dst_index] = next hop id value (0 = none);
-    /// route_links_ holds the link toward that hop.  Only populated when
-    /// finalize() built the flat scheme.
-    std::vector<std::uint32_t> routes_;
-    std::vector<Link*> route_links_;
-
     // --- hierarchical routing --------------------------------------------
     std::vector<SiteTable> site_tables_;
     std::vector<std::uint32_t> node_site_;   ///< dense site index per node
     std::vector<std::uint32_t> node_local_;  ///< index within the site
     std::vector<std::uint32_t> border_nodes_;  ///< global node index per border
     std::vector<std::uint32_t> node_border_;   ///< border index; kNoIndex = interior
-    /// Liveness snapshot taken at finalize().  Every row build -- eager or
-    /// lazy -- consults this, never the live node_down_ flags, so routes
-    /// stay a pure function of the last finalize() no matter when a row
-    /// materialises.  Live liveness is applied at delivery time instead.
+    /// Liveness snapshot taken at finalize().  Every row build consults
+    /// this, never the live node_down_ flags, so routes stay a pure function
+    /// of the last finalize() no matter when a row materialises.  Live liveness is applied at delivery time instead.
     std::vector<std::uint8_t> route_down_;
     /// Border projection of route_down_ (compose_hop's inner loop).
     std::vector<std::uint8_t> border_down_;
@@ -573,11 +515,8 @@ private:
     std::vector<std::uint32_t> bb_next_node_;
     std::vector<Link*> bb_next_link_;
 
-    SimFinalizeMode finalize_mode_;
-    unsigned finalize_threads_;
-    /// Materialised-row count (atomic: parallel workers all increment it).
-    std::atomic<std::size_t> rows_built_{0};
-    DijkstraScratch scratch_;  ///< serial + lazy row builds
+    std::size_t rows_built_ = 0;  ///< materialised site-table rows
+    DijkstraScratch scratch_;
 
     /// Cross-site next-hop cache: key (from << 32 | to) -> resolved hop,
     /// LRU-bounded by SimConfig::path_cache_capacity (0 = unbounded).
@@ -641,12 +580,6 @@ private:
     /// steady-state traffic recycles the same chunks malloc-free.
     BumpArena delivery_arena_;
     bool finalized_ = false;
-    bool flat_routes_requested_;
-    bool built_flat_ = false;
-    bool batching_enabled_ = true;
-    bool delivery_batching_ = true;
-    bool arena_enabled_ = true;
-    bool shard_ordering_ = false;
     Tap tap_;
 
     // --- shard view (empty node_shard_ = every node owned) ----------------

@@ -5,19 +5,9 @@
 
 namespace lbrm::sim {
 
-namespace {
-/// Sharded scenarios require the shard-invariant determinism mode whether
-/// or not the caller remembered to set it.
-[[nodiscard]] SimConfig effective_sim(const ScenarioConfig& c) {
-    SimConfig sim = c.sim;
-    if (!c.site_shard.empty()) sim.shard_ordering = true;
-    return sim;
-}
-}  // namespace
-
 DisScenario::DisScenario(ScenarioConfig config)
     : config_(std::move(config)), simulator_(),
-      network_(simulator_, config_.seed, effective_sim(config_)),
+      network_(simulator_, config_.seed, config_.sim),
       observer_(config_.observer ? config_.observer
                                  : std::make_shared<RecordingObserver>()),
       recorder_(dynamic_cast<RecordingObserver*>(observer_.get())),
@@ -28,7 +18,6 @@ DisScenario::DisScenario(ScenarioConfig config)
     config_.logger_defaults.initial_seq = config_.initial_seq;
 
     if (!config_.site_shard.empty()) {
-        config_.sim.shard_ordering = true;  // keep config() consistent
         if (config_.site_shard.size() != topology_.sites.size())
             throw std::invalid_argument("scenario: site_shard size != site count");
         if (config_.shard_self >=

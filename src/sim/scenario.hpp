@@ -115,8 +115,7 @@ struct ScenarioConfig {
     /// site.  This scenario instance then wires protocol hosts only for
     /// nodes owned by `shard_self` -- topology, routing and group
     /// membership stay global so every shard resolves identical routes and
-    /// delivery trees -- and sim.shard_ordering is forced on.  Empty = the
-    /// ordinary single-domain scenario.
+    /// delivery trees.  Empty = the ordinary single-domain scenario.
     std::vector<std::uint32_t> site_shard;
     std::uint32_t shard_self = 0;
 };

@@ -1,4 +1,5 @@
-// The simulation executive: a virtual clock over an EventQueue.
+// The simulation executive: a virtual clock over an EventQueue whose
+// equal-time events tie-break by actor keys (shard-invariant; see below).
 #pragma once
 
 #include <array>
@@ -16,17 +17,15 @@ class Simulator {
 public:
     [[nodiscard]] TimePoint now() const { return now_; }
 
-    // --- actor-keyed event ordering (sharded execution) ------------------
-    // Default mode orders equal-time events by global insertion sequence.
-    // Actor-keyed mode (SimConfig::shard_ordering, DESIGN.md "Sharded
-    // execution") replaces that tiebreak with (actor << 32 | per-actor
-    // sequence), where the actor is the node whose event body is executing.
-    // Both facts are local to the scheduling node, so the key an event gets
-    // is identical no matter how the simulation is partitioned into shards
-    // -- a key reserved on one shard can cross a shard boundary and
-    // reproduce the exact heap position the event would have had in a
-    // single-process actor-keyed run.  The two modes tie-break equal-time
-    // events differently, so A/B comparisons must hold the mode fixed.
+    // --- actor-keyed event ordering ----------------------------------------
+    // Equal-time events tie-break by (actor << 32 | per-actor sequence),
+    // where the actor is the node whose event body is executing (DESIGN.md
+    // "Sharded execution").  Both facts are local to the scheduling node, so
+    // the key an event gets is identical no matter how the simulation is
+    // partitioned into shards -- a key reserved on one shard can cross a
+    // shard boundary and reproduce the exact heap position the event has in
+    // a single-process run.  Events scheduled outside any actor scope share
+    // the scenario actor, so among themselves they fire in insertion order.
     //
     // Reserved actors for scenario-level machinery (dormant sweep, sampler
     // ticks, chaos arms): each gets its own sequence counter so per-shard
@@ -36,16 +35,13 @@ public:
     static constexpr std::uint32_t kSweepActor = 0xFFFFFFFEu;
     static constexpr std::uint32_t kScenarioActor = 0xFFFFFFFFu;
 
-    void enable_actor_keys() { actor_keys_ = true; }
-    [[nodiscard]] bool actor_keys() const { return actor_keys_; }
     /// Pre-size the per-actor sequence table (actor = node index).
     void reserve_actors(std::size_t n) { actor_seq_.reserve(n); }
     [[nodiscard]] std::uint32_t current_actor() const { return current_actor_; }
 
     /// RAII actor context: Network arrival dispatch, SimHost timer firings
     /// and scenario entry points scope the executing node so everything the
-    /// event body schedules is keyed to it.  Cheap no-op outside actor-keyed
-    /// mode (an int save/restore).
+    /// event body schedules is keyed to it (an int save/restore).
     class ActorScope {
     public:
         ActorScope(Simulator& sim, std::uint32_t actor)
@@ -63,12 +59,11 @@ public:
 
     std::uint64_t schedule_at(TimePoint at, EventQueue::Callback fn) {
         if (at < now_) at = now_;  // clamp: never schedule into the past
-        if (actor_keys_) return queue_.schedule_key(at, next_key(), std::move(fn));
-        return queue_.schedule(at, std::move(fn));
+        return queue_.schedule_key(at, next_key(), std::move(fn));
     }
 
     /// Schedule with an explicit key reserved elsewhere -- the cross-shard
-    /// injection path (Network::inject_remote).  Pre: actor-keyed mode.
+    /// injection path and batched multicast runs (Network).
     std::uint64_t schedule_at_key(TimePoint at, std::uint64_t key,
                                   EventQueue::Callback fn) {
         if (at < now_) at = now_;
@@ -83,10 +78,8 @@ public:
 
     // --- recurring events (link burst batching, see event_queue.hpp) -----
     /// Reserve the tiebreak an immediate schedule_at() would have used (the
-    /// current actor's next key in actor-keyed mode).
-    [[nodiscard]] std::uint64_t reserve_tiebreak() {
-        return actor_keys_ ? next_key() : queue_.reserve_tiebreak();
-    }
+    /// current actor's next key).
+    [[nodiscard]] std::uint64_t reserve_tiebreak() { return next_key(); }
     /// Create a persistent self-rescheduling event; starts disarmed.
     std::uint32_t create_recurring(EventQueue::Callback fn) {
         return queue_.create_recurring(std::move(fn));
@@ -168,7 +161,6 @@ private:
     EventQueue queue_;
     TimePoint now_ = time_zero();
     std::uint64_t events_ = 0;
-    bool actor_keys_ = false;
     std::uint32_t current_actor_ = kScenarioActor;
     std::vector<std::uint32_t> actor_seq_;
     std::array<std::uint32_t, 4> reserved_seq_{};

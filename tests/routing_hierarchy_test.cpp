@@ -1,26 +1,27 @@
-// A/B identity tests for the two routing schemes (DESIGN.md "Hierarchical
-// routing"): the hierarchical site/backbone tables must produce exactly the
-// paths, delivery times, drop decisions and RNG draw order of the flat
-// O(n^2) matrices on every workload here -- all on topologies with unique
-// shortest paths, the scope of the identity guarantee (see DESIGN.md,
-// tie-breaking).  Each test runs the identical scenario
-// under both schemes (SimConfig::flat_routes, the LBRM_SIM_FLAT_ROUTES
-// escape hatch's programmatic form) and compares full fingerprints --
-// per-packet tap traces or end-to-end protocol records -- for equality.
+// Routing tests (DESIGN.md "Hierarchical routing"): the site/backbone
+// tables must route every packet along the true shortest path.  The RoutingAB
+// tests compare the hops packets actually take (through the tap) with a
+// test-only Dijkstra oracle over the public topology (tests/route_oracle.hpp)
+// -- on topologies with unique shortest paths, the scope of the guarantee
+// (see DESIGN.md, tie-breaking) -- including after a router goes down, with
+// and without a re-finalize.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
 
-#include "sim/loss_model.hpp"
 #include "sim/network.hpp"
-#include "sim/scenario.hpp"
 #include "sim/topology.hpp"
+#include "tests/route_oracle.hpp"
 
 namespace {
 
 using namespace lbrm;
 using namespace lbrm::sim;
+using lbrm::test::oracle_path;
+using lbrm::test::traced_unicast;
 
 /// One tap observation, exact to the nanosecond: enough to detect any
 /// divergence in path choice, timing, ordering or loss decisions.
@@ -45,15 +46,54 @@ void record_taps(Network& net, std::vector<TapEvent>& out) {
     });
 }
 
-// --- raw-network A/B: scoped multicast + unicast on the DIS topology --------
+Packet query_from(NodeId from) {
+    return Packet{Header{GroupId{1}, from, from}, PrimaryQueryBody{}};
+}
 
-/// Fire a mixed workload (global/site/region multicast from several senders
-/// plus cross-site unicasts) and return the full tap trace.
-std::vector<TapEvent> run_network_workload(bool flat, std::uint32_t sites_per_region) {
+using LinkSet = std::set<std::pair<NodeId, NodeId>>;
+
+/// The links one multicast crosses, from the tap.
+LinkSet traced_multicast(Network& net, Simulator& sim, NodeId from, McastScope scope) {
+    LinkSet links;
+    net.set_tap([&links](TimePoint, const Link& l, const Packet&, bool) {
+        links.emplace(l.from(), l.to());
+    });
+    net.multicast(from,
+                  Packet{Header{GroupId{1}, from, from},
+                         DataBody{SeqNum{1}, EpochId{0}, {1, 2, 3}}},
+                  scope);
+    sim.run_for(secs(1.0));
+    net.set_tap(nullptr);
+    return links;
+}
+
+/// The links the oracle says that multicast must cross: the union of the
+/// oracle paths to every member in scope -- same site (and never leaving
+/// it) for site scope, at most 4 hops for region scope.
+LinkSet oracle_multicast(const Network& net, NodeId from, const std::vector<NodeId>& members,
+                         McastScope scope) {
+    LinkSet links;
+    for (const NodeId m : members) {
+        if (m == from) continue;
+        const std::vector<NodeId> path = oracle_path(net, from, m);
+        bool in_scope = !path.empty();
+        if (scope == McastScope::kSite)
+            for (const NodeId n : path) in_scope = in_scope && net.site_of(n) == net.site_of(from);
+        if (scope == McastScope::kRegion) in_scope = in_scope && path.size() - 1 <= 4;
+        if (!in_scope) continue;
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) links.emplace(path[i], path[i + 1]);
+    }
+    return links;
+}
+
+// --- oracle checks on the 6-site DIS topology -------------------------------
+
+/// Unicasts from a spread of senders to every node, then a global, a
+/// site-scoped and a region-scoped multicast: every hop must be the
+/// oracle's.
+void expect_routes_match_oracle(std::uint32_t sites_per_region) {
     Simulator sim;
-    SimConfig config;
-    config.flat_routes = flat;
-    Network net{sim, 1234, config};
+    Network net{sim, 1234};
     DisTopologySpec spec;
     spec.sites = 6;
     spec.receivers_per_site = 4;
@@ -61,114 +101,43 @@ std::vector<TapEvent> run_network_workload(bool flat, std::uint32_t sites_per_re
     const DisTopology topo = make_dis_topology(net, spec);
     net.finalize();
 
-    // Light Bernoulli loss on one tail so RNG draw order is part of the
-    // fingerprint, not just the deterministic paths.  Site 2's upstream is
-    // the backbone, or its region's router when the regional tier exists.
-    const NodeId upstream = sites_per_region > 0
-                                ? topo.regions[2 / sites_per_region].router
-                                : topo.backbone;
-    net.set_loss(upstream, topo.sites[2].router, std::make_unique<BernoulliLoss>(0.2));
-
-    const GroupId group{1};
-    for (NodeId r : topo.all_receivers()) net.join(group, r);
+    std::vector<NodeId> members = topo.all_receivers();
     for (const auto& site : topo.sites)
-        if (site.secondary != kNoNode) net.join(group, site.secondary);
+        if (site.secondary != kNoNode) members.push_back(site.secondary);
+    for (const NodeId m : members) net.join(GroupId{1}, m);
 
-    std::vector<TapEvent> taps;
-    record_taps(net, taps);
+    const std::vector<NodeId> senders = {topo.source, topo.sites[0].secondary,
+                                         topo.sites[1].receivers[2],
+                                         topo.sites[4].receivers[1]};
+    for (const NodeId from : senders) {
+        for (std::uint32_t id = 1; id <= net.node_count(); ++id) {
+            const NodeId to{id};
+            if (to == from) continue;
+            EXPECT_EQ(traced_unicast(net, sim, from, to, query_from(from)),
+                      oracle_path(net, from, to))
+                << "unicast " << from << " -> " << to;
+        }
+    }
 
-    std::uint32_t seq = 0;
-    auto send = [&](NodeId from, McastScope scope) {
-        net.multicast(from,
-                      Packet{Header{group, topo.source, from},
-                             DataBody{SeqNum{++seq}, EpochId{0}, {1, 2, 3}}},
-                      scope);
-        sim.run_for(millis(50));
-    };
-    send(topo.source, McastScope::kGlobal);
-    send(topo.sites[0].secondary, McastScope::kSite);
-    send(topo.sites[3].secondary, McastScope::kRegion);
-    send(topo.sites[5].receivers[0], McastScope::kGlobal);
-    net.unicast(topo.sites[1].receivers[2], topo.sites[4].receivers[3],
-                Packet{Header{group, topo.source, topo.sites[1].receivers[2]},
-                       PrimaryQueryBody{}});
-    net.unicast(topo.sites[4].receivers[1], topo.source,
-                Packet{Header{group, topo.source, topo.sites[4].receivers[1]},
-                       PrimaryQueryBody{}});
-    sim.run_for(secs(1.0));
-    return taps;
+    const std::pair<NodeId, McastScope> sends[] = {
+        {topo.source, McastScope::kGlobal},
+        {topo.sites[0].secondary, McastScope::kSite},
+        {topo.sites[3].secondary, McastScope::kRegion},
+        {topo.sites[5].receivers[0], McastScope::kGlobal}};
+    for (const auto& [from, scope] : sends) {
+        const LinkSet want = oracle_multicast(net, from, members, scope);
+        EXPECT_FALSE(want.empty());
+        EXPECT_EQ(traced_multicast(net, sim, from, scope), want)
+            << "multicast from " << from << ", scope " << static_cast<int>(scope);
+    }
 }
 
 TEST(RoutingAB, ScopedMulticastAndUnicastTraceIdentical) {
-    const auto hier = run_network_workload(/*flat=*/false, /*sites_per_region=*/0);
-    const auto flat = run_network_workload(/*flat=*/true, /*sites_per_region=*/0);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
+    expect_routes_match_oracle(/*sites_per_region=*/0);
 }
 
 TEST(RoutingAB, RegionalTierTraceIdentical) {
-    const auto hier = run_network_workload(/*flat=*/false, /*sites_per_region=*/2);
-    const auto flat = run_network_workload(/*flat=*/true, /*sites_per_region=*/2);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
-}
-
-// --- full-protocol A/B: the 20-site scenario ---------------------------------
-
-struct ScenarioFingerprint {
-    std::vector<std::string> deliveries;
-    std::vector<std::string> notices;
-    std::uint64_t events_processed = 0;
-};
-
-ScenarioFingerprint run_scenario(bool flat) {
-    ScenarioConfig config;
-    config.topology.sites = 20;
-    config.topology.receivers_per_site = 5;
-    config.sim.flat_routes = flat;
-    config.seed = 99;
-    DisScenario scenario(config);
-
-    // Loss on two tails so the whole recovery machinery (NACKs, repairs,
-    // heartbeats, stat-acks) runs and its RNG draws enter the fingerprint.
-    scenario.network().set_loss(scenario.topology().backbone,
-                                scenario.topology().sites[4].router,
-                                std::make_unique<BernoulliLoss>(0.3));
-    scenario.network().set_loss(scenario.topology().backbone,
-                                scenario.topology().sites[11].router,
-                                std::make_unique<BernoulliLoss>(0.3));
-
-    scenario.start();
-    for (int i = 0; i < 20; ++i) {
-        scenario.send_update(128);
-        scenario.run_for(millis(37));
-    }
-    scenario.run_for(secs(10.0));
-
-    ScenarioFingerprint fp;
-    for (const auto& d : scenario.deliveries())
-        fp.deliveries.push_back(std::to_string(d.node.value()) + ":" +
-                                std::to_string(d.seq.value()) + "@" +
-                                std::to_string(d.at.time_since_epoch().count()) +
-                                (d.recovered ? "r" : ""));
-    for (const auto& n : scenario.notices())
-        fp.notices.push_back(std::to_string(n.node.value()) + ":" +
-                             std::to_string(static_cast<int>(n.kind)) + ":" +
-                             std::to_string(n.arg) + "@" +
-                             std::to_string(n.at.time_since_epoch().count()));
-    fp.events_processed = scenario.simulator().events_processed();
-    return fp;
-}
-
-TEST(RoutingAB, TwentySiteScenarioBitIdentical) {
-    const ScenarioFingerprint hier = run_scenario(/*flat=*/false);
-    const ScenarioFingerprint flat = run_scenario(/*flat=*/true);
-    EXPECT_EQ(hier.events_processed, flat.events_processed);
-    ASSERT_EQ(hier.deliveries.size(), flat.deliveries.size());
-    EXPECT_EQ(hier.deliveries, flat.deliveries);
-    EXPECT_EQ(hier.notices, flat.notices);
+    expect_routes_match_oracle(/*sites_per_region=*/2);
 }
 
 // --- downed router forcing a backbone detour ---------------------------------
@@ -179,17 +148,15 @@ TEST(RoutingAB, TwentySiteScenarioBitIdentical) {
 ///        \___ a_r2 ---- b_r2 ___/
 ///
 /// The r1 corridor is faster, so traffic prefers it; downing a_r1 and
-/// re-finalizing must detour everything over the r2 corridor, in both
-/// schemes, with identical traces.
+/// re-finalizing must detour everything over the r2 corridor.
 struct DetourNet {
     Simulator sim;
     Network net;
     NodeId a_host, a_r1, a_r2, b_host, b_r1, b_r2;
 
-    explicit DetourNet(bool flat, std::size_t path_cache_capacity = 65536)
+    explicit DetourNet(std::size_t path_cache_capacity = 65536)
         : net(sim, 7, [&] {
               SimConfig c;
-              c.flat_routes = flat;
               c.path_cache_capacity = path_cache_capacity;
               return c;
           }()) {
@@ -211,42 +178,33 @@ struct DetourNet {
     }
 };
 
-std::vector<TapEvent> run_detour(bool flat) {
-    DetourNet d(flat);
-    const GroupId group{1};
-    d.net.join(group, d.b_host);
-
-    std::vector<TapEvent> taps;
-    record_taps(d.net, taps);
-
-    auto send = [&](std::uint32_t seq) {
-        d.net.multicast(d.a_host,
-                        Packet{Header{group, d.a_host, d.a_host},
-                               DataBody{SeqNum{seq}, EpochId{0}, {9}}},
-                        McastScope::kGlobal);
-        d.net.unicast(d.b_host, d.a_host,
-                      Packet{Header{group, d.a_host, d.b_host}, PrimaryQueryBody{}});
-        d.sim.run_for(secs(1.0));
-    };
-    send(1);  // via the r1 corridor
-
-    d.net.set_node_down(d.a_r1, true);
-    d.net.finalize();  // reconverge: a_r1 no longer relays
-    send(2);  // must detour via r2
-
-    return taps;
+/// Every node pair of the detour net, both directions.
+std::vector<std::pair<NodeId, NodeId>> detour_pairs(const DetourNet& d) {
+    const NodeId nodes[] = {d.a_host, d.a_r1, d.a_r2, d.b_host, d.b_r1, d.b_r2};
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (const NodeId from : nodes)
+        for (const NodeId to : nodes)
+            if (from != to) pairs.emplace_back(from, to);
+    return pairs;
 }
 
 TEST(RoutingAB, DownedRouterForcesIdenticalBackboneDetour) {
-    const auto hier = run_detour(/*flat=*/false);
-    const auto flat = run_detour(/*flat=*/true);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
+    DetourNet d;
+    d.net.set_node_down(d.a_r1, true);
+    d.net.finalize();  // reconverge: a_r1 no longer relays
+    const std::set<NodeId> down = {d.a_r1};
+    for (const auto& [from, to] : detour_pairs(d)) {
+        if (from == d.a_r1 || to == d.a_r1) continue;  // a dead node neither sends nor receives
+        EXPECT_EQ(traced_unicast(d.net, d.sim, from, to, query_from(from)),
+                  oracle_path(d.net, from, to, down))
+            << from << " -> " << to;
+    }
+    EXPECT_EQ(oracle_path(d.net, d.a_host, d.b_host, down),
+              (std::vector<NodeId>{d.a_host, d.a_r2, d.b_r2, d.b_host}));
 }
 
 TEST(Routing, DownedRouterDetourUsesBackupCorridor) {
-    DetourNet d(/*flat=*/false);
+    DetourNet d;
     const GroupId group{1};
     d.net.join(group, d.b_host);
     auto send = [&](std::uint32_t seq) {
@@ -277,13 +235,13 @@ TEST(Routing, DownedRouterDetourUsesBackupCorridor) {
 
 // --- set_node_down without re-finalize: blackhole semantics ------------------
 
-/// Routes must be a pure function of the last finalize() in both schemes:
-/// a mid-run set_node_down changes nothing (packets blackhole into the
-/// downed border) until finalize() reconverges.  Regression for a bug
-/// where compose_hop read live down flags, so hierarchical routes shifted
-/// immediately -- and differently for cached vs freshly-composed hops.
-std::vector<TapEvent> run_down_no_refinalize(bool flat, std::size_t path_cache_cap) {
-    DetourNet d(flat, path_cache_cap);
+/// Routes must be a pure function of the last finalize(): a mid-run
+/// set_node_down changes nothing (packets blackhole into the downed border)
+/// until finalize() reconverges.  Regression for a bug where compose_hop
+/// read live down flags, so routes shifted immediately -- and differently
+/// for cached vs freshly-composed hops.
+std::vector<TapEvent> run_down_no_refinalize(std::size_t path_cache_cap) {
+    DetourNet d(path_cache_cap);
     const GroupId group{1};
     d.net.join(group, d.b_host);
 
@@ -311,26 +269,48 @@ std::vector<TapEvent> run_down_no_refinalize(bool flat, std::size_t path_cache_c
 }
 
 TEST(RoutingAB, DownWithoutRefinalizeTraceIdentical) {
-    const auto hier = run_down_no_refinalize(/*flat=*/false, 65536);
-    const auto flat = run_down_no_refinalize(/*flat=*/true, 65536);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
+    // A roomy path cache serves the primed hops after the down transition;
+    // a one-entry cache composes nearly every hop afresh.
+    for (const std::size_t cap : {std::size_t{65536}, std::size_t{1}}) {
+        SCOPED_TRACE(cap);
+        DetourNet d(cap);
+        // Prime the path cache: every route runs through the r1 corridor.
+        for (const auto& [from, to] : detour_pairs(d))
+            EXPECT_EQ(traced_unicast(d.net, d.sim, from, to, query_from(from)),
+                      oracle_path(d.net, from, to));
+
+        // Down a_r1 without re-finalizing: cached and freshly composed hops
+        // alike still follow the finalize-time routes, so a path through
+        // a_r1 ends there.
+        d.net.set_node_down(d.a_r1, true);
+        for (const auto& [from, to] : detour_pairs(d)) {
+            if (from == d.a_r1) continue;  // a dead node sends nothing
+            std::vector<NodeId> want = oracle_path(d.net, from, to);
+            const auto dead = std::find(want.begin(), want.end(), d.a_r1);
+            if (dead != want.end()) want.erase(dead + 1, want.end());
+            EXPECT_EQ(traced_unicast(d.net, d.sim, from, to, query_from(from)), want)
+                << from << " -> " << to;
+        }
+
+        d.net.finalize();  // reconverged: the detour via r2
+        EXPECT_EQ(traced_unicast(d.net, d.sim, d.a_host, d.b_host, query_from(d.a_host)),
+                  oracle_path(d.net, d.a_host, d.b_host, {d.a_r1}));
+    }
 }
 
 TEST(Routing, PathCacheCapacityNeverChangesOutcomes) {
     // Unbounded, single-entry (every lookup evicts) and default-sized
     // caches must produce the same trace, even across a down transition
     // that is not yet finalized -- cached and freshly-composed hops agree.
-    const auto unbounded = run_down_no_refinalize(/*flat=*/false, 0);
-    const auto tiny = run_down_no_refinalize(/*flat=*/false, 1);
-    const auto roomy = run_down_no_refinalize(/*flat=*/false, 65536);
+    const auto unbounded = run_down_no_refinalize(0);
+    const auto tiny = run_down_no_refinalize(1);
+    const auto roomy = run_down_no_refinalize(65536);
     EXPECT_EQ(unbounded, tiny);
     EXPECT_EQ(unbounded, roomy);
 }
 
 TEST(Routing, DownedRouterBlackholesUntilRefinalize) {
-    DetourNet d(/*flat=*/false);
+    DetourNet d;
     const GroupId group{1};
     d.net.join(group, d.b_host);
     auto send = [&](std::uint32_t seq) {
@@ -363,15 +343,8 @@ TEST(Routing, HierarchicalIsDefaultAndReportsTables) {
     spec.receivers_per_site = 2;
     make_dis_topology(net, spec);
     net.finalize();
-    EXPECT_FALSE(net.flat_routes());
     EXPECT_GT(net.routing_table_bytes(), 0u);
-
-    SimConfig config;
-    config.flat_routes = true;
-    Network flat_net{sim, 1, config};
-    make_dis_topology(flat_net, spec);
-    flat_net.finalize();
-    EXPECT_TRUE(flat_net.flat_routes());
+    EXPECT_GT(net.site_rows_built(), 0u);
 }
 
 }  // namespace

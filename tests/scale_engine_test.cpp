@@ -1,11 +1,11 @@
 // Scale-engine tests (DESIGN.md "Scale engineering"): the struct-of-arrays
-// node store, the serial/parallel/lazy finalize modes and the pluggable
-// scenario observer must all be invisible to results -- every mode and every
-// observer produces bit-identical routing tables and protocol traces.
+// node store, lazy finalize and the pluggable scenario observer must all be
+// invisible to results -- rows built on first touch equal the rows an eager
+// build produced, follow the finalize-time routes, and every observer leaves
+// the protocol trace bit-identical.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/stable_vector.hpp"
@@ -14,6 +14,7 @@
 #include "sim/observer.hpp"
 #include "sim/scenario.hpp"
 #include "sim/topology.hpp"
+#include "tests/route_oracle.hpp"
 
 namespace {
 
@@ -97,44 +98,34 @@ TEST(NetworkLink, SiteAndRouterFlagsSurviveSoAStorage) {
     EXPECT_EQ(net.link_count(), 2u);  // one cable = two directed links
 }
 
-// --- finalize-mode determinism ----------------------------------------------
+// --- lazy finalize -----------------------------------------------------------
 
-std::uint64_t table_hash(SimFinalizeMode mode, unsigned threads,
-                         std::uint32_t sites_per_region = 0) {
+std::uint64_t table_hash(std::uint32_t sites_per_region) {
     Simulator sim;
-    SimConfig config;
-    config.finalize_mode = mode;
-    config.finalize_threads = threads;
-    Network net{sim, 5, config};
+    Network net{sim, 5};
     DisTopologySpec spec;
     spec.sites = 12;
     spec.receivers_per_site = 6;
     spec.sites_per_region = sites_per_region;
     make_dis_topology(net, spec);
     net.finalize();
-    EXPECT_EQ(net.finalize_mode(), mode);
     return net.routing_table_hash();
 }
 
+// The pinned hashes are what the eager serial and parallel builds (since
+// retired) produced for these topologies: rows materialised on demand are
+// the same bytes.
 TEST(FinalizeModes, TableHashIdenticalAcrossSerialParallelLazy) {
-    const std::uint64_t serial = table_hash(SimFinalizeMode::kSerial, 0);
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 1));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 2));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 8));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kLazy, 0));
+    EXPECT_EQ(table_hash(0), 12607537629962816793ull);
 }
 
 TEST(FinalizeModes, TableHashIdenticalWithRegionalTier) {
-    const std::uint64_t serial = table_hash(SimFinalizeMode::kSerial, 0, 3);
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 8, 3));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kLazy, 0, 3));
+    EXPECT_EQ(table_hash(3), 10528010979986328073ull);
 }
 
 TEST(FinalizeModes, LazyMaterialisesRowsOnDemand) {
     Simulator sim;
-    SimConfig config;
-    config.finalize_mode = SimFinalizeMode::kLazy;
-    Network net{sim, 5, config};
+    Network net{sim, 5};
     DisTopologySpec spec;
     spec.sites = 8;
     spec.receivers_per_site = 10;
@@ -155,81 +146,56 @@ TEST(FinalizeModes, LazyMaterialisesRowsOnDemand) {
                   McastScope::kGlobal);
     sim.run_for(secs(1.0));
     EXPECT_GT(net.site_rows_built(), after_finalize);
+    EXPECT_LT(net.site_rows_built(), net.node_count());
 
-    // Hashing forces the rest; a serial build of the same topology ends at
-    // the same row count and the same bytes.
+    // Hashing forces the rest: one row per node of each site, so the count
+    // ends at the sum of the site sizes -- every node.
     (void)net.routing_table_hash();
-    Simulator sim2;
-    Network serial_net{sim2, 5};
-    make_dis_topology(serial_net, spec);
-    serial_net.finalize();
-    EXPECT_EQ(net.site_rows_built(), serial_net.site_rows_built());
-}
-
-// --- finalize-mode full-protocol trace A/B -----------------------------------
-
-struct ScenarioFingerprint {
-    std::vector<std::string> deliveries;
-    std::vector<std::string> notices;
-    std::uint64_t events_processed = 0;
-
-    bool operator==(const ScenarioFingerprint&) const = default;
-};
-
-ScenarioFingerprint run_scenario(SimFinalizeMode mode, unsigned threads) {
-    ScenarioConfig config;
-    config.topology.sites = 20;
-    config.topology.receivers_per_site = 5;
-    config.sim.finalize_mode = mode;
-    config.sim.finalize_threads = threads;
-    config.seed = 99;
-    DisScenario scenario(config);
-
-    // Loss on two tails so the whole recovery machinery (NACKs, repairs,
-    // heartbeats, stat-acks) runs and its RNG draws enter the fingerprint.
-    scenario.network().set_loss(scenario.topology().backbone,
-                                scenario.topology().sites[4].router,
-                                std::make_unique<BernoulliLoss>(0.3));
-    scenario.network().set_loss(scenario.topology().backbone,
-                                scenario.topology().sites[11].router,
-                                std::make_unique<BernoulliLoss>(0.3));
-
-    scenario.start();
-    for (int i = 0; i < 20; ++i) {
-        scenario.send_update(128);
-        scenario.run_for(millis(37));
-    }
-    scenario.run_for(secs(10.0));
-
-    ScenarioFingerprint fp;
-    for (const auto& d : scenario.deliveries())
-        fp.deliveries.push_back(std::to_string(d.node.value()) + ":" +
-                                std::to_string(d.seq.value()) + "@" +
-                                std::to_string(d.at.time_since_epoch().count()) +
-                                (d.recovered ? "r" : ""));
-    for (const auto& n : scenario.notices())
-        fp.notices.push_back(std::to_string(n.node.value()) + ":" +
-                             std::to_string(static_cast<int>(n.kind)) + ":" +
-                             std::to_string(n.arg) + "@" +
-                             std::to_string(n.at.time_since_epoch().count()));
-    fp.events_processed = scenario.simulator().events_processed();
-    return fp;
-}
-
-TEST(FinalizeModes, TwentySiteScenarioBitIdenticalAcrossModes) {
-    const ScenarioFingerprint serial = run_scenario(SimFinalizeMode::kSerial, 0);
-    const ScenarioFingerprint parallel = run_scenario(SimFinalizeMode::kParallel, 8);
-    const ScenarioFingerprint lazy = run_scenario(SimFinalizeMode::kLazy, 0);
-    ASSERT_GT(serial.deliveries.size(), 0u);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_EQ(serial, lazy);
+    EXPECT_EQ(net.site_rows_built(), net.node_count());
 }
 
 // --- lazy rows vs mid-run liveness/topology changes --------------------------
 
-/// Mid-run set_node_down must not leak into rows built lazily afterwards:
-/// they read the finalize-time snapshot, so serial and lazy traces agree
-/// even when a row materialises after the down transition.
+TEST(FinalizeModes, LazyRowsUseFinalizeTimeLivenessSnapshot) {
+    // Site A's interior host leaves through an interior relay: the fast way
+    // is a_host -> a_relay -> a_r1, the slow way a_host -> a_r2.
+    Simulator sim;
+    Network net{sim, 7};
+    const NodeId a_host = net.add_node(SiteId{1});
+    const NodeId a_relay = net.add_node(SiteId{1});
+    const NodeId a_r1 = net.add_node(SiteId{1}, true);
+    const NodeId a_r2 = net.add_node(SiteId{1}, true);
+    const NodeId b_host = net.add_node(SiteId{2});
+    const NodeId b_r = net.add_node(SiteId{2}, true);
+    const LinkSpec fast{millis(1), 0.0, Duration::zero()};
+    const LinkSpec slow{millis(3), 0.0, Duration::zero()};
+    net.add_link(a_host, a_relay, fast);
+    net.add_link(a_relay, a_r1, fast);
+    net.add_link(a_host, a_r2, slow);
+    net.add_link(a_r1, b_r, fast);
+    net.add_link(a_r2, b_r, fast);
+    net.add_link(b_host, b_r, fast);
+    net.finalize();
+    const std::vector<NodeId> finalize_time = lbrm::test::oracle_path(net, a_host, b_host);
+    ASSERT_EQ(finalize_time, (std::vector<NodeId>{a_host, a_relay, a_r1, b_r, b_host}));
+
+    // a_host's row is first built by this unicast, after the relay went
+    // down: it must still follow the finalize-time route and die in the
+    // relay, not detour around it.
+    const std::size_t rows_before = net.site_rows_built();
+    net.set_node_down(a_relay, true);
+    const Packet query{Header{GroupId{1}, a_host, a_host}, PrimaryQueryBody{}};
+    EXPECT_EQ(lbrm::test::traced_unicast(net, sim, a_host, b_host, query),
+              (std::vector<NodeId>{a_host, a_relay}));
+    EXPECT_GT(net.site_rows_built(), rows_before);
+
+    net.finalize();  // reconverge: the oracle's detour
+    EXPECT_EQ(lbrm::test::traced_unicast(net, sim, a_host, b_host, query),
+              lbrm::test::oracle_path(net, a_host, b_host, {a_relay}));
+}
+
+/// Mid-run set_node_down must not leak into rows built afterwards: c's rows
+/// are first built after the down transition.
 struct TapEvent {
     std::int64_t at_ns;
     std::uint32_t from;
@@ -238,11 +204,9 @@ struct TapEvent {
     bool operator==(const TapEvent&) const = default;
 };
 
-std::vector<TapEvent> run_down_then_touch(SimFinalizeMode mode,
-                                          std::size_t path_cache_cap) {
+std::vector<TapEvent> run_down_then_touch(std::size_t path_cache_cap) {
     Simulator sim;
     SimConfig config;
-    config.finalize_mode = mode;
     config.path_cache_capacity = path_cache_cap;
     Network net{sim, 7, config};
     // Two sites, two corridors; c_host sits in a third site whose rows are
@@ -283,12 +247,11 @@ std::vector<TapEvent> run_down_then_touch(SimFinalizeMode mode,
                       McastScope::kGlobal);
         sim.run_for(secs(1.0));
     };
-    send(a_host, 1);  // builds a's rows (lazy) and primes the path cache
+    send(a_host, 1);  // builds a's rows and primes the path cache
 
     net.set_node_down(a_r1, true);
-    // c's rows have never been touched: under lazy they are built *now*,
-    // after the down transition -- and must still route via a_r1/b_r1
-    // exactly like the serial tables built at finalize().
+    // c's rows have never been touched: they are built *now*, after the
+    // down transition, from the finalize-time snapshot.
     net.unicast(c_host, b_host,
                 Packet{Header{group, a_host, c_host}, PrimaryQueryBody{}});
     sim.run_for(secs(1.0));
@@ -302,17 +265,9 @@ std::vector<TapEvent> run_down_then_touch(SimFinalizeMode mode,
     return taps;
 }
 
-TEST(FinalizeModes, LazyRowsUseFinalizeTimeLivenessSnapshot) {
-    const auto serial = run_down_then_touch(SimFinalizeMode::kSerial, 65536);
-    const auto lazy = run_down_then_touch(SimFinalizeMode::kLazy, 65536);
-    ASSERT_EQ(serial.size(), lazy.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        ASSERT_TRUE(serial[i] == lazy[i]) << "trace diverges at event " << i;
-}
-
 TEST(FinalizeModes, PathCacheCapacityNeverChangesLazyOutcomes) {
-    const auto unbounded = run_down_then_touch(SimFinalizeMode::kLazy, 0);
-    const auto tiny = run_down_then_touch(SimFinalizeMode::kLazy, 1);
+    const auto unbounded = run_down_then_touch(0);
+    const auto tiny = run_down_then_touch(1);
     EXPECT_EQ(unbounded, tiny);
 }
 

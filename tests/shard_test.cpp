@@ -4,14 +4,15 @@
 // across N shard domains -- synced by conservative time windows and a
 // cross-shard batch exchange -- must put exactly the same packets on the
 // same links at the same times as the single-process run.  These tests pin
-// that with the order-independent packet-trace digest across the inline,
-// threaded and multi-process drivers, plus the edge cases the window
+// that with the order-independent packet-trace digest across the inline
+// and multi-process drivers, plus the edge cases the window
 // protocol makes delicate: an event landing exactly on the lookahead
 // horizon, a lossy cut link whose NACK/retransmission exchange round-trips
 // across the boundary, and a chaos SitePartition whose cut coincides with
 // the shard cut (receiver reliability must survive both partitions at
-// once).  The memory-satellite containers (SmallVec, BlockPool) get their
-// units here too.
+// once).  A pinned digest holds the single-process trace itself fixed, and
+// the memory-satellite containers (SmallVec, BlockPool) get their units
+// here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,18 +229,6 @@ TEST(ShardEquivalence, InlineMatchesBaselineAcrossShardCounts) {
     }
 }
 
-TEST(ShardEquivalence, ThreadsMatchBaseline) {
-    const ShardResult base = run_unsharded(shard_config(1));
-    for (const std::uint32_t n : {2u, 4u}) {
-        const ShardResult r = run_sharded_threads(shard_config(n));
-        EXPECT_TRUE(r.digest.same(base.digest)) << n << " shards";
-        EXPECT_EQ(r.deliveries, base.deliveries) << n << " shards";
-        EXPECT_EQ(r.remote_drops, 0u) << n << " shards";
-        EXPECT_GE(r.stall_fraction, 0.0);
-        EXPECT_LE(r.stall_fraction, 1.0);
-    }
-}
-
 TEST(ShardEquivalence, ProcessesMatchBaseline) {
     const ShardResult base = run_unsharded(shard_config(1));
     for (const std::uint32_t n : {2u, 4u}) {
@@ -250,6 +239,44 @@ TEST(ShardEquivalence, ProcessesMatchBaseline) {
         EXPECT_EQ(r.peak_rss_kb.size(), n);
         for (const std::uint64_t kb : r.peak_rss_kb) EXPECT_GT(kb, 0u);
     }
+}
+
+// --- pinned single-process trace ---------------------------------------------
+
+/// Run `cfg`'s scenario as a plain DisScenario -- default SimConfig, no
+/// shard runner -- and digest every packet put on a link.
+TraceDigest plain_digest(const ShardRunConfig& cfg) {
+    DisScenario scenario{cfg.scenario};
+    TraceDigest digest;
+    scenario.network().set_tap([&digest](TimePoint t, const Link& l, const Packet& p,
+                                         bool delivered) { digest.add(t, l, p, delivered); });
+    cfg.setup(scenario, 0);
+    scenario.start();
+    scenario.run_for(cfg.run_for);
+    return digest;
+}
+
+TEST(PinnedTrace, DefaultConfigMatchesRecordedDigests) {
+    // The literals are the digests the shard-ordering baseline recorded
+    // before that ordering became the only one, so they guard every
+    // mechanism on the delivery path at once: routing, link and delivery
+    // batching, the delivery arena, event tiebreaks and loss streams.
+    const TraceDigest lossless = plain_digest(shard_config(1));
+    EXPECT_EQ(lossless.sum, 15242194079324855073ull);
+    EXPECT_EQ(lossless.packets, 1894u);
+
+    ShardRunConfig lossy = shard_config(1);
+    lossy.run_for = secs(3.0);
+    lossy.setup = [](DisScenario& s, std::uint32_t) {
+        for (const std::size_t site : {4u, 11u})
+            s.network().set_loss(s.topology().backbone, s.topology().sites[site].router,
+                                 std::make_unique<BernoulliLoss>(0.3));
+        for (int i = 0; i < 12; ++i)
+            s.schedule_update(at(0.1 + 0.05 * i), 64 + static_cast<std::size_t>(i));
+    };
+    const TraceDigest digest = plain_digest(lossy);
+    EXPECT_EQ(digest.sum, 292938054687096977ull);
+    EXPECT_EQ(digest.packets, 2352u);
 }
 
 // --- window-boundary edge cases ---------------------------------------------
@@ -276,8 +303,6 @@ TEST(ShardWindow, EventExactlyAtLookaheadHorizonAndDeadline) {
     EXPECT_TRUE(r.digest.same(base.digest));
     EXPECT_EQ(r.deliveries, base.deliveries);
     EXPECT_EQ(r.windows, 200u);  // 1.0 s / 5 ms
-    const ShardResult t = run_sharded_threads(cfg(2));
-    EXPECT_TRUE(t.digest.same(base.digest));
 }
 
 // --- recovery across the cut ------------------------------------------------
