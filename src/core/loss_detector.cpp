@@ -13,7 +13,6 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
         // it as the starting point rather than retroactively missing.
         started_ = true;
         highest_ = seq;
-        if (!is_heartbeat) received_[seq] = true;
         return obs;
     }
 
@@ -29,7 +28,7 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
             gap_start = seq.plus(-max_gap_);
         }
         for (SeqNum s = gap_start; s < seq; ++s) {
-            if (!received_.contains(s) && !missing_.contains(s)) {
+            if (!missing_.contains(s)) {
                 missing_.emplace(s, now);
                 obs.newly_missing.push_back(s);
             }
@@ -39,14 +38,11 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
             // The heartbeat proves `seq` itself was transmitted as data but
             // carries no payload; if we never received the data packet it is
             // missing as well.
-            if (!received_.contains(seq) && !missing_.contains(seq)) {
+            if (!missing_.contains(seq)) {
                 missing_.emplace(seq, now);
                 obs.newly_missing.push_back(seq);
             }
-        } else {
-            received_[seq] = true;
         }
-        trim_received();
         obs_->gaps_opened->inc(obs.newly_missing.size());
         return obs;
     }
@@ -56,17 +52,11 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
 
     if (auto it = missing_.find(seq); it != missing_.end()) {
         missing_.erase(it);
-        received_[seq] = true;
         obs.fills_gap = true;
         return obs;
     }
 
-    if (received_.contains(seq)) {
-        obs.duplicate = true;
-        return obs;
-    }
-
-    // Old seq outside both sets: beyond the reorder window; count duplicate.
+    // Not missing: received, abandoned, or older than the first packet.
     obs.duplicate = true;
     return obs;
 }
@@ -85,16 +75,6 @@ std::optional<TimePoint> LossDetector::detected_at(SeqNum seq) const {
     auto it = missing_.find(seq);
     if (it == missing_.end()) return std::nullopt;
     return it->second;
-}
-
-void LossDetector::trim_received() {
-    while (!received_.empty()) {
-        auto oldest = serial_begin(received_);
-        if (oldest->first.distance_to(highest_) > kReceivedWindow)
-            received_.erase(oldest);
-        else
-            break;
-    }
 }
 
 }  // namespace lbrm

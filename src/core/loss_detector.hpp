@@ -16,6 +16,12 @@
 // most recent `max_gap` numbers -- anything older is unrecoverable at that
 // point anyway -- the overflow is counted, and the stream position resyncs
 // to the observed number.
+//
+// State is the stream position plus the missing set; received numbers are
+// never stored.  A number at or below `highest_seen()` that is not missing
+// was received, abandoned, or predates the first packet, so data carrying
+// it is a duplicate; nothing above `highest_seen()` can have been received
+// yet.  An in-order packet costs a comparison and no allocation.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +52,8 @@ public:
         std::vector<SeqNum> newly_missing;
         /// True when `seq` itself fills a known gap (it was missing).
         bool fills_gap = false;
-        /// True when `seq` is a duplicate of something already received.
+        /// True when `seq` is data at or below highest_seen() that is not
+        /// missing (see file comment).
         bool duplicate = false;
     };
 
@@ -98,13 +105,6 @@ private:
     const obs::LossDetectorMetrics* obs_ = &obs::LossDetectorMetrics::disabled();
     /// missing seq -> time the gap was detected (WireOrder: see seqnum.hpp)
     std::map<SeqNum, TimePoint, SeqNum::WireOrder> missing_;
-    /// received data seqs within the reorder horizon (duplicate detection);
-    /// trimmed to a bounded window behind `highest_`.
-    std::map<SeqNum, bool, SeqNum::WireOrder> received_;
-
-    static constexpr std::int32_t kReceivedWindow = 4096;
-
-    void trim_received();
 };
 
 }  // namespace lbrm

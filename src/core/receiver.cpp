@@ -65,8 +65,8 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         if (config_.retrans_channel != kNoGroup &&
             packet.header.group == config_.retrans_channel) {
             if (const auto* rt = std::get_if<RetransmissionBody>(&packet.body))
-                return accept_payload(now, rt->seq, rt->epoch, rt->payload,
-                                      /*recovered=*/true);
+                accept_payload(now, rt->seq, rt->epoch, rt->payload,
+                               /*recovered=*/true, actions);
         }
         return actions;
     }
@@ -80,9 +80,10 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         expected_gap_ = repeat ? std::min(config_.heartbeat.h_max,
                                           scale(expected_gap_, config_.heartbeat.backoff))
                                : config_.heartbeat.h_min;
+        actions.reserve(2);  // the watchdog re-arm and the delivery
         note_live_traffic(now, expected_gap_, actions);
-        append(actions, accept_payload(now, data->seq, data->epoch, data->payload,
-                                       /*recovered=*/false));
+        accept_payload(now, data->seq, data->epoch, data->payload,
+                       /*recovered=*/false, actions);
         return actions;
     }
 
@@ -106,8 +107,8 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         // Repairs come from loggers, not the source: they fill gaps but do
         // not prove the live stream is healthy, so the idle watchdog is
         // deliberately not re-armed here.
-        append(actions, accept_payload(now, rt->seq, rt->epoch, rt->payload,
-                                       /*recovered=*/true));
+        accept_payload(now, rt->seq, rt->epoch, rt->payload, /*recovered=*/true,
+                       actions);
         return actions;
     }
 
@@ -138,17 +139,16 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
     return actions;
 }
 
-Actions ReceiverCore::accept_payload(TimePoint now, SeqNum seq, EpochId epoch,
-                                     const std::vector<std::uint8_t>& payload,
-                                     bool recovered) {
+void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, EpochId epoch,
+                                  const std::vector<std::uint8_t>& payload,
+                                  bool recovered, Actions& actions) {
     (void)epoch;
-    Actions actions;
     auto obs = detector_.observe(now, seq, /*is_heartbeat=*/false);
 
     if (obs.duplicate) {
         ++duplicates_;
         obs_->duplicates->inc();
-        return actions;
+        return;
     }
 
     for (SeqNum s : obs.newly_missing)
@@ -177,7 +177,6 @@ Actions ReceiverCore::accept_payload(TimePoint now, SeqNum seq, EpochId epoch,
     ++delivered_;
     obs_->delivered->inc();
     actions.push_back(DeliverData{seq, payload, recovered || obs.fills_gap});
-    return actions;
 }
 
 Duration ReceiverCore::gap_after_heartbeat(std::uint32_t index) const {

@@ -93,8 +93,11 @@ private:
         return Packet{Header{config_.group, config_.source, config_.self}, std::move(body)};
     }
 
-    Actions accept_payload(TimePoint now, SeqNum seq, EpochId epoch,
-                           const std::vector<std::uint8_t>& payload, bool recovered);
+    /// Run one payload-carrying packet through the detector, appending the
+    /// resulting actions to the caller's `actions`.
+    void accept_payload(TimePoint now, SeqNum seq, EpochId epoch,
+                        const std::vector<std::uint8_t>& payload, bool recovered,
+                        Actions& actions);
     /// Route newly-detected losses into recovery: NACK scheduling, or the
     /// retransmission channel when configured.
     void begin_recovery(TimePoint now, Actions& actions);

@@ -137,8 +137,7 @@ public:
     [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
     /// One-shot events ever scheduled (slab allocations; recurring arms are
-    /// counted separately).  The batching bench reports this per delivered
-    /// packet.
+    /// counted separately).
     [[nodiscard]] std::uint64_t scheduled_total() const { return scheduled_; }
     [[nodiscard]] std::uint64_t recurring_arms() const { return recurring_arms_; }
 

@@ -1,5 +1,6 @@
 #include "sim/sim_host.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -20,7 +21,7 @@ SimHost::~SimHost() {
 void SimHost::grow_timers() {
     static_assert(std::is_trivially_copyable_v<TimerEnt>,
                   "pooled timer table relies on memcpy relocation");
-    const auto cap = static_cast<std::uint16_t>(timer_cap_ == 0 ? 2 : timer_cap_ * 2);
+    const std::uint32_t cap = timer_cap_ == 0 ? 2 : timer_cap_ * 2;
     auto* fresh =
         static_cast<TimerEnt*>(network_.timer_pool().alloc(cap * sizeof(TimerEnt)));
     if (timer_count_ > 0)
@@ -53,23 +54,7 @@ std::size_t SimHost::find_timer(std::uint32_t tag, TimerId id) const {
     return timer_count_;
 }
 
-void SimHost::erase_timer(std::uint32_t tag, TimerId id) {
-    const std::size_t i = find_timer(tag, id);
-    if (i == timer_count_) return;
-    timers_[i] = timers_[timer_count_ - 1];
-    --timer_count_;
-}
-
-void SimHost::arm(std::uint32_t core_tag, TimerId id, TimePoint deadline) {
-    // Re-arm in place: cancel the old event first, then schedule -- the
-    // same Simulator call order the previous map-based table used, so event
-    // ids (and hence tiebreak order) are unchanged.
-    const std::size_t i = find_timer(core_tag, id);
-    if (i != timer_count_) {
-        simulator_.cancel(timers_[i].event);
-        timers_[i] = timers_[timer_count_ - 1];
-        --timer_count_;
-    }
+std::uint64_t SimHost::schedule_fire(std::uint32_t tag, TimerId id, TimePoint at) {
     // Pack the closure into std::function's 16-byte small buffer when the
     // timer fits: [this (8) | arg32 (4) | tag24|kind8 (4)].  The naive
     // [this, core_tag, id] capture is 28 bytes and heap-allocates -- at
@@ -77,39 +62,57 @@ void SimHost::arm(std::uint32_t core_tag, TimerId id, TimePoint deadline) {
     // timer has arg < 2^32 (sequence numbers) and tag < 2^24, but the fat
     // fallback keeps exotic values correct.  The closure's shape cannot
     // affect simulation order: same schedule call, same deadline.
-    std::uint64_t event;
-    if (id.arg <= 0xFFFFFFFFull && core_tag < (1u << 24)) {
+    if (id.arg <= 0xFFFFFFFFull && tag < (1u << 24)) {
         const auto arg32 = static_cast<std::uint32_t>(id.arg);
-        const std::uint32_t tk =
-            (core_tag << 8) | static_cast<std::uint32_t>(id.kind);
-        event = simulator_.schedule_at(deadline, [this, arg32, tk] {
-            const std::uint32_t tag = tk >> 8;
-            const TimerId tid{static_cast<TimerKind>(tk & 0xFFu), arg32};
-            erase_timer(tag, tid);
-            // The firing host is the actor for whatever the handler
-            // schedules (actor-keyed mode; int save/restore otherwise).
-            Simulator::ActorScope scope(
-                simulator_, static_cast<std::uint32_t>(self_.value() - 1));
-            protocol_.on_timer(simulator_.now(), tag, tid);
-        });
-    } else {
-        event = simulator_.schedule_at(deadline, [this, core_tag, id] {
-            erase_timer(core_tag, id);
-            Simulator::ActorScope scope(
-                simulator_, static_cast<std::uint32_t>(self_.value() - 1));
-            protocol_.on_timer(simulator_.now(), core_tag, id);
+        const std::uint32_t tk = (tag << 8) | static_cast<std::uint32_t>(id.kind);
+        return simulator_.schedule_at(at, [this, arg32, tk] {
+            fire(tk >> 8, TimerId{static_cast<TimerKind>(tk & 0xFFu), arg32});
         });
     }
-    if (timer_count_ == timer_cap_) grow_timers();
-    timers_[timer_count_++] = TimerEnt{core_tag, id, event};
+    return simulator_.schedule_at(at, [this, tag, id] { fire(tag, id); });
+}
+
+void SimHost::fire(std::uint32_t tag, TimerId id) {
+    // Every armed entry owns exactly one live event, so the entry is here.
+    const std::size_t i = find_timer(tag, id);
+    // The firing host is the actor for whatever the handler schedules,
+    // including the re-queued event of a moved deadline.
+    Simulator::ActorScope scope(simulator_,
+                                static_cast<std::uint32_t>(self_.value() - 1));
+    TimerEnt& t = timers_[i];
+    if (t.deadline > t.fire_at) {
+        // Fired early: a lazy re-arm moved the deadline later.
+        t.fire_at = t.deadline;
+        t.event = schedule_fire(tag, id, t.deadline);
+        return;
+    }
+    timers_[i] = timers_[--timer_count_];
+    protocol_.on_timer(simulator_.now(), tag, id);
+}
+
+void SimHost::arm(std::uint32_t core_tag, TimerId id, TimePoint deadline) {
+    std::size_t i = find_timer(core_tag, id);
+    if (i != timer_count_) {
+        if (deadline >= timers_[i].fire_at) {
+            // Lazy move: the queued event fires first and re-queues itself.
+            timers_[i].deadline = deadline;
+            return;
+        }
+        simulator_.cancel(timers_[i].event);  // earlier: replace the event
+    } else {
+        if (timer_count_ == timer_cap_) grow_timers();
+        i = timer_count_++;
+    }
+    // schedule_at clamps a past deadline to now.
+    timers_[i] = TimerEnt{core_tag, id, schedule_fire(core_tag, id, deadline),
+                          std::max(deadline, simulator_.now()), deadline};
 }
 
 void SimHost::cancel(std::uint32_t core_tag, TimerId id) {
     const std::size_t i = find_timer(core_tag, id);
     if (i == timer_count_) return;
     simulator_.cancel(timers_[i].event);
-    timers_[i] = timers_[timer_count_ - 1];
-    --timer_count_;
+    timers_[i] = timers_[--timer_count_];
 }
 
 }  // namespace lbrm::sim

@@ -11,6 +11,14 @@
 // scenarios never arm a timer (watchdogs are deferred until first
 // traffic), and the handle undercuts even an empty std::vector while the
 // pool recycles the blocks of hosts that do arm.
+//
+// Re-arms are lazy (DESIGN.md "Simulator performance"): each entry keeps
+// the time its queued event fires and the time the timer is really due.
+// Moving an armed timer later -- the receiver idle watchdog on every live
+// packet, the sender heartbeat on every send -- only stores the new
+// deadline; the event, when it fires early, re-queues itself at that
+// deadline instead of reaching the core.  Only an earlier deadline cancels
+// and reschedules.
 #pragma once
 
 #include <cstdint>
@@ -49,14 +57,21 @@ public:
     void cancel(std::uint32_t core_tag, TimerId id) override;
 
 private:
-    /// One armed timer: (core tag, timer id) -> event-queue id.
+    /// One armed timer: (core tag, timer id) -> its queued event, which
+    /// fires at `fire_at`, no later than the timer's `deadline`.
     struct TimerEnt {
         std::uint32_t tag;
         TimerId id;
         std::uint64_t event;
+        TimePoint fire_at;
+        TimePoint deadline;
     };
     [[nodiscard]] std::size_t find_timer(std::uint32_t tag, TimerId id) const;
-    void erase_timer(std::uint32_t tag, TimerId id);
+    /// Queue the event that fires timer (tag, id) at `at`.
+    std::uint64_t schedule_fire(std::uint32_t tag, TimerId id, TimePoint at);
+    /// The queued event of (tag, id) fired: re-queue at a moved deadline,
+    /// or hand the timer to the core.
+    void fire(std::uint32_t tag, TimerId id);
     void grow_timers();
 
     Network& network_;
@@ -66,8 +81,8 @@ private:
     /// Armed timers, unordered; erased by swap-with-back.  The block comes
     /// from Network's BlockPool; null until the first arm.
     TimerEnt* timers_ = nullptr;
-    std::uint16_t timer_count_ = 0;
-    std::uint16_t timer_cap_ = 0;
+    std::uint32_t timer_count_ = 0;
+    std::uint32_t timer_cap_ = 0;
 };
 
 }  // namespace lbrm::sim

@@ -136,7 +136,7 @@ public:
 
     [[nodiscard]] std::uint64_t events_processed() const { return events_; }
     [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-    /// One-shot events ever scheduled (the batching bench's numerator).
+    /// One-shot events ever scheduled (cancelled ones included).
     [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.scheduled_total(); }
     [[nodiscard]] std::uint64_t recurring_arms() const { return queue_.recurring_arms(); }
     /// Peak-pending proxy: heap capacity never shrinks (bench observability).

@@ -17,11 +17,17 @@
 //    the network.respec_loss_resets counter.
 //  - SimHost timer packing: oversized timer args survive the fat-closure
 //    fallback intact.
+//  - SimHost lazy re-arm: moving an armed timer later costs no event-queue
+//    traffic and still fires the core exactly once, at the last deadline;
+//    earlier re-arms and cancels behave as before, on both closure shapes.
+//  - SimHost timer table: one host can hold more than 2^15 armed timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -316,6 +322,175 @@ TEST(TimerPacking, OversizedArgSurvivesFatPath) {
     EXPECT_EQ(raw->fires, 1);
     EXPECT_EQ(raw->fired.kind, TimerKind::kIdle);
     EXPECT_EQ(raw->fired.arg, std::uint64_t{1} << 40);
+}
+
+// --- SimHost lazy timer re-arm --------------------------------------------
+
+/// Records every timer the host hands it; arms nothing itself.
+struct ProbeCore final : CoreBase {
+    std::vector<std::pair<TimePoint, TimerId>> fired;
+    Actions start(TimePoint) override { return {}; }
+    Actions on_packet(TimePoint, const Packet&) override { return {}; }
+    Actions on_timer(TimePoint now, TimerId id) override {
+        fired.emplace_back(now, id);
+        return {};
+    }
+};
+
+/// One host carrying a ProbeCore.  arm()/cancel() go through the host's
+/// TimerService exactly as a core's StartTimer/CancelTimer actions do.
+struct ProbeHost {
+    Simulator simulator;
+    Network net{simulator, 1};
+    SimHost* host = nullptr;
+    ProbeCore* core = nullptr;
+
+    ProbeHost() {
+        host = &net.attach_host(net.add_node(SiteId{1}));
+        auto owned = std::make_unique<ProbeCore>();
+        core = owned.get();
+        host->protocol().add_core(std::move(owned));
+        host->protocol().start(simulator.now());
+    }
+    void arm(TimerId id, TimePoint deadline) {
+        Actions actions;
+        actions.push_back(StartTimer{id, deadline});
+        host->protocol().inject(simulator.now(), *core, std::move(actions));
+    }
+    void cancel(TimerId id) {
+        Actions actions;
+        actions.push_back(CancelTimer{id});
+        host->protocol().inject(simulator.now(), *core, std::move(actions));
+    }
+};
+
+/// Packed closure (arg < 2^32) and the fat fallback (arg >= 2^32).
+constexpr std::uint64_t kTimerArgs[] = {7, std::uint64_t{1} << 40};
+
+TEST(LazyRearm, LaterRearmsFireOnceAtLastDeadline) {
+    for (const std::uint64_t arg : kTimerArgs) {
+        SCOPED_TRACE(arg);
+        ProbeHost p;
+        const TimerId id{TimerKind::kIdle, arg};
+        const std::uint64_t scheduled_before = p.simulator.events_scheduled();
+        p.arm(id, at(1.0));
+        // 10,000 moves later, made while the clock runs (as live packets
+        // re-arm an idle watchdog), all before the queued event is due.
+        TimePoint last{};
+        for (int i = 1; i <= 10'000; ++i) {
+            p.simulator.run_until(at(i * 50e-6));
+            last = at(1.0) + micros(i);
+            p.arm(id, last);
+        }
+        EXPECT_LE(p.simulator.events_scheduled() - scheduled_before, 2u);
+        EXPECT_LE(p.simulator.slab_slots(), 4u);
+        p.simulator.run_for(secs(2.0));
+        ASSERT_EQ(p.core->fired.size(), 1u);
+        EXPECT_EQ(p.core->fired[0].first, last);
+        EXPECT_EQ(p.core->fired[0].second, id);
+        // The early firing re-queued itself once; nothing else was queued.
+        EXPECT_EQ(p.simulator.events_scheduled() - scheduled_before, 2u);
+        EXPECT_LE(p.simulator.slab_slots(), 4u);
+    }
+}
+
+TEST(LazyRearm, EarlierRearmFiresAtEarlierDeadline) {
+    for (const std::uint64_t arg : kTimerArgs) {
+        SCOPED_TRACE(arg);
+        const TimerId id{TimerKind::kNackRetry, arg};
+        {
+            // Moved later, then earlier than the queued event: fires early.
+            ProbeHost p;
+            p.arm(id, at(0.5));
+            p.arm(id, at(0.8));
+            p.arm(id, at(0.2));
+            p.simulator.run_for(secs(2.0));
+            ASSERT_EQ(p.core->fired.size(), 1u);
+            EXPECT_EQ(p.core->fired[0].first, at(0.2));
+        }
+        {
+            // Moved later, then back between the queued event and the
+            // later deadline: fires at the final deadline.
+            ProbeHost p;
+            p.arm(id, at(0.5));
+            p.arm(id, at(0.8));
+            p.arm(id, at(0.6));
+            p.simulator.run_for(secs(2.0));
+            ASSERT_EQ(p.core->fired.size(), 1u);
+            EXPECT_EQ(p.core->fired[0].first, at(0.6));
+        }
+        {
+            // Earlier than the re-queued event after an early firing.
+            ProbeHost p;
+            p.arm(id, at(0.5));
+            p.arm(id, at(0.9));
+            p.simulator.run_until(at(0.6));  // fired early, re-queued at 0.9
+            EXPECT_TRUE(p.core->fired.empty());
+            p.arm(id, at(0.7));
+            p.simulator.run_for(secs(2.0));
+            ASSERT_EQ(p.core->fired.size(), 1u);
+            EXPECT_EQ(p.core->fired[0].first, at(0.7));
+        }
+    }
+}
+
+TEST(LazyRearm, CancelAfterLazyMoveNeverReachesCore) {
+    for (const std::uint64_t arg : kTimerArgs) {
+        SCOPED_TRACE(arg);
+        const TimerId id{TimerKind::kRetxLinger, arg};
+        {
+            // Cancelled while the original event is still queued.
+            ProbeHost p;
+            p.arm(id, at(0.5));
+            p.arm(id, at(0.8));
+            p.cancel(id);
+            p.simulator.run_for(secs(2.0));
+            EXPECT_TRUE(p.core->fired.empty());
+        }
+        {
+            // Cancelled after the early firing re-queued it.
+            ProbeHost p;
+            p.arm(id, at(0.5));
+            p.arm(id, at(0.8));
+            p.simulator.run_until(at(0.6));
+            p.cancel(id);
+            p.simulator.run_for(secs(2.0));
+            EXPECT_TRUE(p.core->fired.empty());
+            // The key is free again: a fresh arm fires normally.
+            p.arm(id, p.simulator.now() + millis(10));
+            p.simulator.run_for(secs(1.0));
+            EXPECT_EQ(p.core->fired.size(), 1u);
+        }
+    }
+}
+
+// --- SimHost timer table capacity -------------------------------------------
+
+TEST(TimerTable, HostHoldsMoreThan32768ArmedTimers) {
+    // One host arms 33,000 distinct timers: the table grows past 2^15
+    // entries, and every timer fires exactly once, at its own deadline.
+    // Timer 0 fires first, then the rest from the last armed down, so each
+    // firing finds its entry at the front of the table (erase is
+    // swap-with-back) and the test stays fast under sanitizers.
+    ProbeHost p;
+    constexpr std::uint64_t kTimers = 33'000;
+    const auto deadline = [](std::uint64_t seq) {
+        return at(0.5) + micros(seq == 0 ? 0 : static_cast<std::int64_t>(kTimers - seq));
+    };
+    Actions actions;
+    for (std::uint64_t seq = 0; seq < kTimers; ++seq)
+        actions.push_back(StartTimer{{TimerKind::kAckWait, seq}, deadline(seq)});
+    p.host->protocol().inject(p.simulator.now(), *p.core, std::move(actions));
+    p.simulator.run_for(secs(1.0));
+    ASSERT_EQ(p.core->fired.size(), kTimers);
+    std::vector<int> fires(kTimers, 0);
+    for (const auto& [when, id] : p.core->fired) {
+        ASSERT_EQ(id.kind, TimerKind::kAckWait);
+        ASSERT_LT(id.arg, kTimers);
+        EXPECT_EQ(when, deadline(id.arg));
+        ++fires[id.arg];
+    }
+    EXPECT_EQ(std::count(fires.begin(), fires.end(), 1), static_cast<long>(kTimers));
 }
 
 }  // namespace
