@@ -265,7 +265,6 @@ int main(int argc, char** argv) {
               ")");
         ScenarioConfig cfg;
         cfg.topology = scale_spec(full_sites, full_receivers);
-        cfg.sim.path_cache_capacity = 1u << 16;
         cfg.dormant_receivers = full_dormant;
         cfg.active_receivers_per_site = active_per_site;
         auto counter = std::make_shared<CountingObserver>();

@@ -237,7 +237,6 @@ ShardRunConfig full_config(const FullArgs& a) {
     ShardRunConfig cfg;
     cfg.scenario.topology.sites = a.sites;
     cfg.scenario.topology.receivers_per_site = a.receivers;
-    cfg.scenario.sim.path_cache_capacity = 1u << 16;
     cfg.scenario.dormant_receivers = a.dormant;
     cfg.scenario.active_receivers_per_site = a.active_per_site;
     cfg.shards = a.shards;

@@ -19,14 +19,10 @@ namespace lbrm {
 
 /// Simulator-substrate knobs consumed by sim::Network (see DESIGN.md
 /// "Hierarchical routing").  These tune memory/speed trade-offs of the
-/// simulated internetwork, not protocol behaviour.  The cache bounds are
+/// simulated internetwork, not protocol behaviour.  The tree-cache bound is
 /// exact: occupancy never changes packet timings, drop decisions or RNG
 /// draw order (routes are a pure function of the last finalize()).
 struct SimConfig {
-    /// Bound on the on-demand cache of cross-site node-to-node next hops
-    /// (LRU eviction).  0 = unbounded.
-    std::size_t path_cache_capacity = 65536;
-
     /// Bound on the number of cached multicast delivery trees across all
     /// (group, sender, scope) keys (LRU eviction; invalidation on
     /// join/leave/node-down/finalize is unaffected).  0 = unbounded.

@@ -76,11 +76,10 @@ ProtocolHost::ReceiverSlot& ProtocolHost::wake_dormant(std::size_t i) {
     ReceiverSlot& slot =
         receivers_.emplace_back(rec.tag, std::move(config), std::move(handlers));
     // The constructor is pure; restore the two flags start() would have set
-    // (the idle watchdog it arms is armed at ProtocolHost::start, and fired
-    // timers are recorded in rec.fresh).
+    // (a fired idle watchdog is recorded in rec.fresh).
     slot.core.restore_started(rec.fresh);
-    if (defer_dormant_watchdogs_ && started_ && rec.fresh) {
-        // Deferred mode never armed this record's idle watchdog, and once
+    if (started_ && rec.fresh) {
+        // No timer was ever armed for this record's idle watchdog, and once
         // the core is live the sweep no longer covers it.  If the wake
         // packet carries stream activity the core's on_packet re-arms kIdle
         // anyway (replacing this); but a wake by a packet the receiver
@@ -132,9 +131,10 @@ void ProtocolHost::fire_dormant_watchdogs(TimePoint now) {
                 ReceiverCore::initial_idle_threshold(dormant_[i].tmpl->config) >
             now)
             continue;
-        // Mirror the on_timer kIdle branch for a dormant record: flip
-        // freshness, notify, no re-arm (see on_timer below).  Flip before
-        // executing so a reentrant sweep never double-fires this record.
+        // Mirror ReceiverCore::on_timer's kIdle branch: flip freshness,
+        // notify, no re-arm.  The record stays dormant -- losing freshness
+        // accumulates no other state.  Flip before executing so a
+        // reentrant sweep never double-fires this record.
         dormant_[i].fresh = false;
         const std::uint32_t tag = dormant_[i].tag;
         const NodeId self = dormant_[i].self;
@@ -156,20 +156,10 @@ void ProtocolHost::start(TimePoint now) {
     if (sender_) execute(now, 0, sender_->handlers, sender_->core.start(now));
     for (auto& slot : receivers_)
         execute(now, slot.tag, slot.handlers, slot.core.start(now));
+    // Dormant records arm nothing: their idle watchdogs fire from the
+    // owner's sweep (fire_dormant_watchdogs), anchored at this instant.
     started_at_ = now;
     started_ = true;
-    if (!defer_dormant_watchdogs_) {
-        for (DormantReceiver& rec : dormant_) {
-            // Exactly what ReceiverCore::start() returns for a statically
-            // configured logger: one idle-watchdog StartTimer.  Handlers are
-            // not consulted for StartTimer, so the factory stays uncalled.
-            Actions actions;
-            actions.push_back(StartTimer{
-                {TimerKind::kIdle, 0},
-                now + ReceiverCore::initial_idle_threshold(rec.tmpl->config)});
-            execute(now, rec.tag, AppHandlers{}, std::move(actions));
-        }
-    }
     for (auto& slot : loggers_)
         execute(now, slot.tag, slot.handlers, slot.core.start(now));
     for (auto& slot : generics_)
@@ -222,22 +212,6 @@ void ProtocolHost::on_timer(TimePoint now, std::uint32_t core_tag, TimerId id) {
             execute(now, slot.tag, slot.handlers, slot.core.on_timer(now, id));
             return;
         }
-    }
-    for (DormantReceiver& rec : dormant_) {
-        if (rec.tag != core_tag) continue;
-        // The only timer a dormant receiver owns is the idle watchdog armed
-        // at start().  Mirror ReceiverCore::on_timer's kIdle branch: flip
-        // freshness, notify, no re-arm.  The core stays dormant -- losing
-        // freshness accumulates no other state.
-        if (!rec.fresh) return;
-        rec.fresh = false;
-        Actions actions;
-        actions.push_back(Notice{NoticeKind::kFreshnessLost, 0});
-        const AppHandlers handlers = rec.tmpl->make_handlers
-                                         ? rec.tmpl->make_handlers(rec.self)
-                                         : AppHandlers{};
-        execute(now, core_tag, handlers, std::move(actions));
-        return;
     }
     for (auto& slot : loggers_) {
         if (slot.tag == core_tag) {

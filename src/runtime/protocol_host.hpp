@@ -60,33 +60,34 @@ public:
     /// ReceiverCore slot (DESIGN.md "Memory engineering").  Bit-identical
     /// to add_receiver() on an idle group member because ReceiverCore's
     /// constructor is pure, start() with a static logger only arms the
-    /// idle watchdog (replicated here via initial_idle_threshold), and
-    /// on_packet() mutates nothing unless the packet's group matches the
-    /// receiver's group or retransmission channel -- exactly the wake
-    /// predicate.  Requires a statically configured logger (discovery
-    /// would send probes at start); throws std::invalid_argument on
-    /// logger == kNoNode.  Dormant records process after live receivers
-    /// and before loggers on every host entry point.
+    /// idle watchdog (served here by the owner's fire_dormant_watchdogs()
+    /// sweep), and on_packet() mutates nothing unless the packet's group
+    /// matches the receiver's group or retransmission channel -- exactly
+    /// the wake predicate.  Requires a statically configured logger
+    /// (discovery would send probes at start); throws
+    /// std::invalid_argument on logger == kNoNode.  Dormant records process
+    /// after live receivers and before loggers on every host entry point.
     void add_dormant_receiver(std::shared_ptr<const DormantReceiverTemplate> tmpl,
                               NodeId self, NodeId logger,
                               NodeId fallback_logger = kNoNode);
 
-    /// Opt out of arming one idle-watchdog timer per dormant record at
-    /// start().  At 10^7 dormant receivers those timers dominate RSS (a
-    /// slab closure plus a per-host timer-table allocation each); a
-    /// scenario whose dormant receivers share one deadline replaces them
-    /// with a single scheduled sweep that calls fire_dormant_watchdogs()
-    /// on every host.  The caller owns the obligation: without a sweep at
-    /// (or after) each record's deadline, freshness-lost notices for
-    /// never-woken receivers are simply lost.
-    void defer_dormant_watchdogs() { defer_dormant_watchdogs_ = true; }
+    /// Has no effect: the sweep is the only dormant-watchdog mode (start()
+    /// arms no timer for a dormant record; see fire_dormant_watchdogs).
+    /// Kept for source compatibility only and will be removed.
+    void defer_dormant_watchdogs() {}
 
-    /// Deferred-watchdog sweep: fire the freshness-lost notice for every
+    /// Dormant-watchdog sweep: fire the freshness-lost notice for every
     /// still-dormant record whose idle deadline (start time + the
-    /// template's initial_idle_threshold) has passed.  Mirrors the
-    /// per-record on_timer kIdle branch, in dormant-record order, so a
-    /// sweep at the shared deadline is trace-identical to the per-record
-    /// timers it replaces.  No-op for woken (erased) or stale records.
+    /// template's initial_idle_threshold) has passed.  start() arms no
+    /// per-record timer -- at 10^7 dormant receivers those would dominate
+    /// RSS -- so the owner must call this on every host at (or after) the
+    /// records' deadline; a scenario whose dormant receivers share one
+    /// template schedules a single sweep event.  Without a sweep,
+    /// freshness-lost notices for never-woken receivers are simply lost.
+    /// Mirrors ReceiverCore::on_timer's kIdle branch, in dormant-record
+    /// order, so a sweep at the shared deadline is trace-identical to the
+    /// idle timers eager cores arm at start().  No-op for woken (erased)
+    /// or stale records.
     void fire_dormant_watchdogs(TimePoint now);
 
     /// Receivers still dormant on this host (tests / introspection).
@@ -213,8 +214,7 @@ private:
     SmallVec<DormantReceiver, 1> dormant_;
     std::uint64_t dormant_wakes_ = 0;
     std::uint32_t next_tag_ = 1;
-    bool defer_dormant_watchdogs_ = false;
-    TimePoint started_at_{};  ///< set by start(); anchors deferred sweeps
+    TimePoint started_at_{};  ///< set by start(); anchors watchdog sweeps
     bool started_ = false;    ///< start() ran (pre-start wakes skip the
                               ///< watchdog arm: start() handles it)
 };

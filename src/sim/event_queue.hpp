@@ -17,13 +17,6 @@
 // a per-slot generation counter.  Cancelling marks the slot; an id whose
 // generation no longer matches (the event already fired, or the slot was
 // recycled) is a no-op, so there is no ever-growing cancelled-id set.
-//
-// Recurring events (create_recurring / arm_recurring) keep their slot and
-// callback across firings, so a self-rescheduling consumer -- the per-link
-// burst drain, see link.hpp -- pays one heap push per firing and nothing
-// else.  Armed with a key reserved at hand-off (Simulator::reserve_tiebreak)
-// they fire at exactly the (timestamp, tiebreak) position a one-shot event
-// scheduled then would have had.
 #pragma once
 
 #include <cstdint>
@@ -68,30 +61,6 @@ public:
         return make_id(s.generation, slot);
     }
 
-    /// Create a recurring (self-rescheduling) event: one slot and one
-    /// callback, allocated once, fired every time the slot is armed.  The
-    /// slot is never recycled and the callback is invoked by copy, so
-    /// re-arming does no slab or std::function churn (callers keep captures
-    /// within the small-buffer size).  Returns a slot handle for
-    /// arm_recurring(); the event starts disarmed.
-    std::uint32_t create_recurring(Callback fn) {
-        const std::uint32_t slot = acquire_slot();
-        Slot& s = slots_[slot];
-        s.fn = std::move(fn);
-        s.cancelled = false;
-        s.recurring = true;
-        return slot;
-    }
-
-    /// Arm a recurring slot to fire at `at` with an explicit (reserved)
-    /// tiebreak.  Pre: the slot is not currently armed (at most
-    /// one heap entry per recurring slot); the callback re-arms on fire.
-    void arm_recurring(std::uint32_t slot, TimePoint at, std::uint64_t tiebreak) {
-        ++recurring_arms_;
-        heap_.push_back(Entry{at, tiebreak, slot});
-        sift_up(heap_.size() - 1);
-    }
-
     /// Cancel a scheduled event.  Ids of events that already fired (or were
     /// already cancelled) are ignored; repeated cancels are harmless.
     void cancel(std::uint64_t id) {
@@ -121,13 +90,7 @@ public:
     Popped pop() {
         purge();
         const Entry top = heap_.front();
-        Slot& s = slots_[top.slot];
-        if (s.recurring) {
-            // The slot stays live (and keeps its callback) for re-arming.
-            pop_heap();
-            return Popped{top.at, s.fn};
-        }
-        Popped out{top.at, std::move(s.fn)};
+        Popped out{top.at, std::move(slots_[top.slot].fn)};
         release_slot(top.slot);
         pop_heap();
         return out;
@@ -136,10 +99,8 @@ public:
     /// Scheduled (possibly cancelled) entries still in the heap.
     [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-    /// One-shot events ever scheduled (slab allocations; recurring arms are
-    /// counted separately).
+    /// Events ever scheduled (cancelled ones included).
     [[nodiscard]] std::uint64_t scheduled_total() const { return scheduled_; }
-    [[nodiscard]] std::uint64_t recurring_arms() const { return recurring_arms_; }
 
     /// Callback slots ever allocated (bounded by the peak number of
     /// simultaneously pending events, NOT by the total scheduled or
@@ -157,7 +118,6 @@ private:
         Callback fn;
         std::uint32_t generation = 0;  ///< bumped on release; 0 is never live
         bool cancelled = false;
-        bool recurring = false;  ///< slot persists across pops (never recycled)
     };
 
     [[nodiscard]] static std::uint64_t make_id(std::uint32_t generation, std::uint32_t slot) {
@@ -184,7 +144,6 @@ private:
         Slot& s = slots_[slot];
         s.fn = nullptr;
         s.cancelled = false;
-        s.recurring = false;
         ++s.generation;  // invalidates any outstanding id for this slot
         free_.push_back(slot);
     }
@@ -234,7 +193,6 @@ private:
     std::vector<std::uint32_t> free_;
     std::uint64_t next_seq_ = 1;
     std::uint64_t scheduled_ = 0;
-    std::uint64_t recurring_arms_ = 0;
 };
 
 }  // namespace lbrm::sim

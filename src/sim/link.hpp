@@ -7,12 +7,12 @@
 // directed Link objects in place plus their *shared* spec, so the per-cable
 // footprint is one record instead of two ~250-byte directed links.  Each
 // Link keeps only the hot transmit state inline -- the busy horizon and two
-// pointers -- and lazily allocates a LinkCold block (stats, loss model,
-// pending-arrival FIFO, drain bookkeeping) on first use.  A 10M-node
-// topology has ~10M cables but only the few hundred thousand directions on
-// active paths ever pay for cold state.  Link addresses stay stable for the
-// network's lifetime (Cables live in a StableVector and never move), so
-// routing tables and cached trees keep raw Link* as before.
+// pointers -- and lazily allocates a LinkCold block (stats, loss model and
+// its RNG stream) on first use.  A 10M-node topology has ~10M cables but
+// only the few hundred thousand directions on active paths ever pay for
+// cold state.  Link addresses stay stable for the network's lifetime
+// (Cables live in a StableVector and never move), so routing tables and
+// cached trees keep raw Link* as before.
 //
 // Per-link, per-packet-type statistics feed the paper's bandwidth
 // arguments: the Section 2.2.2 experiments count exactly how many NACKs and
@@ -26,13 +26,8 @@
 //     lost in flight.  Loss is rolled *after* bandwidth accounting so lossy
 //     tail circuits show their true congestion.
 //
-// Burst batching (see DESIGN.md "Link burst batching"): when a burst hits a
-// link whose busy horizon is already in the future, the network layer parks
-// the per-packet arrivals in this link's pending FIFO instead of scheduling
-// one event-queue entry each; a single recurring drain event per link walks
-// the FIFO.  The FIFO stores (arrival time, reserved tiebreak, arrival
-// descriptor) so the drain resumes each delivery at exactly the (time,
-// order) position a one-shot event per arrival would have had.
+// A link holds no arrivals: the network layer schedules every arrival,
+// queued or not, as its own event (see DESIGN.md "Queued arrivals").
 //
 // Loss rolls draw from a per-direction RNG stream (see TxRng), so a link's
 // drop pattern depends only on its own traffic -- the property that keeps
@@ -43,7 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -118,22 +112,9 @@ private:
     }
 };
 
-/// One parked arrival in a link's pending FIFO (drained by
-/// Network::drain_link).  Entries are PODs -- (delivery record, hop, kind)
-/// rather than a std::function -- so a parked burst costs 32 bytes per
-/// packet and zero allocation/indirection churn; Network::dispatch_arrival
-/// resumes them.
-struct PendingArrival {
-    TimePoint at;            ///< arrival time at the far end
-    std::uint64_t tiebreak;  ///< reserved event-queue tiebreak
-    void* delivery;          ///< Network delivery record (opaque here)
-    std::uint32_t hop;       ///< arriving node index
-    std::uint8_t kind;       ///< Network::ArrivalKind
-};
-
 /// Cold per-direction state: everything a directed link only needs once it
-/// has actually carried (or dropped, or parked) traffic.  Idle directions
-/// -- the overwhelming majority at 10M nodes -- never allocate this.
+/// has actually carried (or dropped) traffic.  Idle directions -- the
+/// overwhelming majority at 10M nodes -- never allocate this.
 struct LinkCold {
     std::unique_ptr<LossModel> loss;
     /// Per-direction RNG stream (see TxRng): seeded from (network seed,
@@ -141,13 +122,6 @@ struct LinkCold {
     /// model ever materialise one.
     std::unique_ptr<Rng> shard_rng;
     LinkStats stats;
-    /// Pending arrivals in FIFO order (arrival times are strictly
-    /// non-decreasing: the busy horizon only moves forward).  Flat ring:
-    /// head index + tail pushes, buffer reused once drained.
-    std::vector<PendingArrival> pending;
-    std::size_t head = 0;
-    std::uint32_t drain_slot = 0;
-    bool drain_armed = false;
 };
 
 struct Cable;
@@ -170,8 +144,6 @@ public:
     Link(const Link&) = delete;
     Link& operator=(const Link&) = delete;
 
-    using PendingArrival = sim::PendingArrival;
-
     /// Null means lossless -- the default costs no allocation per link, and
     /// transmit() skips the virtual call entirely (NoLoss draws no RNG, so
     /// the skip is bit-identical).
@@ -192,42 +164,9 @@ public:
     }
 
     /// True when a packet handed over at `now` would queue behind earlier
-    /// traffic -- the condition under which the network batches its arrival
-    /// into the pending FIFO instead of scheduling an event.
+    /// traffic -- the condition under which a multicast child gets its own
+    /// arrival event instead of joining a same-instant delivery run.
     [[nodiscard]] bool busy(TimePoint now) const { return busy_until_ > now; }
-
-    // --- pending-arrival FIFO (drained by Network::drain_link) ----------
-    void push_pending(TimePoint at, std::uint64_t tiebreak, void* delivery,
-                      std::uint32_t hop, std::uint8_t kind) {
-        cold().pending.push_back(PendingArrival{at, tiebreak, delivery, hop, kind});
-    }
-
-    [[nodiscard]] bool has_pending() const {
-        return cold_ && cold_->head < cold_->pending.size();
-    }
-
-    [[nodiscard]] const PendingArrival& front_pending() const {
-        return cold_->pending[cold_->head];
-    }
-
-    PendingArrival pop_pending() {
-        LinkCold& c = *cold_;
-        PendingArrival out = c.pending[c.head++];
-        if (c.head == c.pending.size()) {  // drained: reuse the buffer
-            c.pending.clear();
-            c.head = 0;
-        }
-        return out;
-    }
-
-    /// Recurring drain-event slot handle (0 = not created yet) and whether
-    /// the drain is currently armed.  Owned by the Network layer.
-    [[nodiscard]] std::uint32_t drain_slot() const {
-        return cold_ ? cold_->drain_slot : 0;
-    }
-    void set_drain_slot(std::uint32_t slot) { cold().drain_slot = slot; }
-    [[nodiscard]] bool drain_armed() const { return cold_ && cold_->drain_armed; }
-    void set_drain_armed(bool armed) { cold().drain_armed = armed; }
 
     [[nodiscard]] NodeId from() const;
     [[nodiscard]] NodeId to() const;
@@ -274,16 +213,15 @@ struct Cable {
     Cable& operator=(const Cable&) = delete;
 
     /// Re-spec this cable in place (Network::add_link over an existing
-    /// pair).  Live traffic state survives -- the busy horizons, parked
-    /// pending arrivals and the recurring-drain bookkeeping all belong to
-    /// packets already handed to the wire, which must complete exactly as
-    /// scheduled -- and accumulated stats are kept (it is the same cable,
-    /// re-provisioned).  CAUTION: any installed loss model resets to
-    /// NoLoss, as for a newly added link; lossy-rewire scenarios must call
-    /// Network::set_loss again afterwards.  Returns how many directions had
-    /// a loss model discarded (0..2) -- Network feeds the count into the
-    /// `network.respec_loss_resets` counter so such scenarios can detect
-    /// the silent reset.
+    /// pair).  Live traffic state survives -- the busy horizons belong to
+    /// packets already handed to the wire, whose arrival events must
+    /// complete exactly as scheduled -- and accumulated stats are kept (it
+    /// is the same cable, re-provisioned).  CAUTION: any installed loss
+    /// model resets to NoLoss, as for a newly added link; lossy-rewire
+    /// scenarios must call Network::set_loss again afterwards.  Returns how
+    /// many directions had a loss model discarded (0..2) -- Network feeds
+    /// the count into the `network.respec_loss_resets` counter so such
+    /// scenarios can detect the silent reset.
     unsigned respec(const LinkSpec& new_spec) {
         spec = new_spec;
         unsigned resets = 0;

@@ -27,11 +27,6 @@ constexpr std::int64_t kInfDist = std::numeric_limits<std::int64_t>::max();
     return (static_cast<std::uint64_t>(group.value()) << 32) | sender.value();
 }
 
-/// Path-cache key: (from node index, to node index) packed into 64 bits.
-[[nodiscard]] std::uint64_t path_key(std::uint32_t from, std::uint32_t to) {
-    return (static_cast<std::uint64_t>(from) << 32) | to;
-}
-
 /// Link-index key: (from node index, to node index) packed into 64 bits.
 [[nodiscard]] std::uint64_t pair_key(std::size_t from, std::size_t to) {
     return (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
@@ -44,15 +39,14 @@ namespace {
 /// removes exactly this list (the registry can outlive the network).
 constexpr const char* kSimGaugeNames[] = {
     "sim.cached_trees",     "sim.tree_cache_bytes",   "sim.site_rows_built",
-    "sim.routing_table_bytes", "sim.path_cache_entries", "sim.drops_queue",
-    "sim.drops_loss",       "sim.link_packets",       "sim.link_bytes",
-    "sim.queue_pending",    "sim.events_processed",   "sim.events_scheduled",
+    "sim.routing_table_bytes", "sim.drops_queue",     "sim.drops_loss",
+    "sim.link_packets",     "sim.link_bytes",         "sim.queue_pending",
+    "sim.events_processed", "sim.events_scheduled",
 };
 }  // namespace
 
 Network::Network(Simulator& simulator, std::uint64_t seed, SimConfig config)
     : simulator_(simulator), seed_(seed),
-      path_cache_capacity_(config.path_cache_capacity),
       tree_cache_capacity_(config.tree_cache_capacity),
       metrics_(config.metrics ? config.metrics : std::make_shared<obs::Metrics>()) {
     register_metrics();
@@ -70,10 +64,6 @@ void Network::register_metrics() {
     deliveries_made_ = &m.counter("sim.deliveries");
     tree_cache_hits_ = &m.counter("sim.tree_cache_hits");
     tree_builds_ = &m.counter("sim.tree_builds");
-    path_cache_hits_ = &m.counter("sim.path_cache_hits");
-    path_cache_misses_ = &m.counter("sim.path_cache_misses");
-    batched_arrivals_ = &m.counter("sim.batched_arrivals");
-    batch_drains_ = &m.counter("sim.batch_drains");
     batched_runs_ = &m.counter("sim.batched_delivery_runs");
     respec_loss_resets_ = &m.counter("network.respec_loss_resets");
     remote_emits_ = &m.counter("sim.remote_emits");
@@ -91,8 +81,6 @@ void Network::register_metrics() {
                [this] { return static_cast<std::uint64_t>(site_rows_built()); });
     m.gauge_fn("sim.routing_table_bytes",
                [this] { return static_cast<std::uint64_t>(routing_table_bytes()); });
-    m.gauge_fn("sim.path_cache_entries",
-               [this] { return static_cast<std::uint64_t>(path_cache_.size()); });
     m.gauge_fn("sim.drops_queue", [this] { return drop_breakdown().queue; });
     m.gauge_fn("sim.drops_loss", [this] { return drop_breakdown().loss; });
     m.gauge_fn("sim.link_packets", [this] {
@@ -146,10 +134,7 @@ void Network::reserve(std::size_t nodes, std::size_t directed_links) {
     node_site_id_.reserve(nodes);
     node_is_router_.reserve(nodes);
     node_down_.reserve(nodes);
-    edge_head_.reserve(nodes);
-    edge_tail_.reserve(nodes);
     node_host_.reserve(nodes);
-    edge_cells_.reserve(directed_links);
     link_index_.reserve(directed_links);
 }
 
@@ -157,38 +142,8 @@ NodeId Network::add_node(SiteId site, bool is_router) {
     node_site_id_.push_back(site);
     node_is_router_.push_back(is_router ? 1 : 0);
     node_down_.push_back(0);
-    // Edge lists are grown on demand by ensure_edge_lists(): finalize()
-    // frees the construction arena once the CSR snapshot exists, so a
-    // node addition must not assume the lists are live.
     finalized_ = false;
     return NodeId{static_cast<std::uint32_t>(node_site_id_.size())};
-}
-
-void Network::ensure_edge_lists() {
-    const std::size_t n = node_count();
-    if (edge_head_.size() == n && (!edge_cells_.empty() || csr_to_.empty()))
-        return;
-    edge_head_.resize(n, kNoIndex);
-    edge_tail_.resize(n, kNoIndex);
-    // Rehydrate the per-node linked lists from the CSR snapshot after
-    // finalize() freed them.  CSR row order *is* the original per-source
-    // insertion order, and build_adjacency() only ever walks the lists
-    // per source, so the next snapshot comes out identical.
-    if (edge_cells_.empty() && !csr_to_.empty()) {
-        const std::size_t csr_nodes = csr_offset_.size() - 1;
-        edge_cells_.reserve(csr_to_.size());
-        for (std::size_t i = 0; i < csr_nodes; ++i) {
-            for (std::uint32_t e = csr_offset_[i]; e < csr_offset_[i + 1]; ++e) {
-                const std::uint32_t cell = static_cast<std::uint32_t>(edge_cells_.size());
-                edge_cells_.push_back(EdgeCell{csr_to_[e], kNoIndex, csr_link_[e]});
-                if (edge_head_[i] == kNoIndex)
-                    edge_head_[i] = cell;
-                else
-                    edge_cells_[edge_tail_[i]].next = cell;
-                edge_tail_[i] = cell;
-            }
-        }
-    }
 }
 
 void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
@@ -203,33 +158,18 @@ void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
         const unsigned resets = existing->cable().respec(spec);
         if (resets != 0) respec_loss_resets_->inc(resets);
     } else {
-        ensure_edge_lists();
         Cable& c = cables_.emplace_back(a, b, spec);
-        auto wire = [this](Link& l, NodeId from, NodeId to) {
-            const std::size_t fi = index(from);
-            const std::size_t ti = index(to);
-            const std::uint32_t cell = static_cast<std::uint32_t>(edge_cells_.size());
-            edge_cells_.push_back(
-                EdgeCell{static_cast<std::uint32_t>(ti), kNoIndex, &l});
-            if (edge_head_[fi] == kNoIndex)
-                edge_head_[fi] = cell;
-            else
-                edge_cells_[edge_tail_[fi]].next = cell;
-            edge_tail_[fi] = cell;
-            link_index_.emplace(pair_key(fi, ti), &l);
-        };
-        wire(c.dir[0], a, b);
-        wire(c.dir[1], b, a);
+        link_index_.emplace(pair_key(index(a), index(b)), &c.dir[0]);
+        link_index_.emplace(pair_key(index(b), index(a)), &c.dir[1]);
     }
-    // A changed edge can invalidate any cached tree or cached path, so both
-    // caches drop immediately -- not just at the next finalize().  In-flight
+    // A changed edge can invalidate any cached tree, so the tree cache
+    // drops immediately -- not just at the next finalize().  In-flight
     // deliveries keep their pinned trees and complete on the pre-change
     // routes, as before.  The CSR snapshot is *not* rebuilt here: routing
     // (including rows built from now on) keeps reading the finalize-time
     // adjacency until the required finalize() -- stale tables, as in a
     // network whose routing protocol has not reconverged.
     invalidate_all_trees();
-    clear_path_cache();
     finalized_ = false;
 }
 
@@ -243,13 +183,12 @@ void Network::set_node_down(NodeId node, bool down) {
     const std::size_t i = index(node);
     if ((node_down_[i] != 0) != down) invalidate_all_trees();
     node_down_[i] = down ? 1 : 0;
-    // The path cache is untouched: routes are a pure function of the last
-    // finalize() -- every site-table row (whenever it is built) and
-    // compose_hop consult the route_down_ / border_down_ snapshots, never
-    // the live flags -- so a downed relay
-    // blackholes until re-finalize, like an unconverged routing protocol,
-    // and cache occupancy can never change outcomes.  Trees must drop
-    // because membership pruning *does* consult liveness at build time.
+    // Routes are untouched: they are a pure function of the last finalize()
+    // -- every site-table row (whenever it is built) and hop_toward consult
+    // the route_down_ / border_down_ snapshots, never the live flags -- so
+    // a downed relay blackholes until re-finalize, like an unconverged
+    // routing protocol.  Trees must drop because membership pruning *does*
+    // consult liveness at build time.
 }
 
 Link* Network::find_link(std::uint64_t key) const {
@@ -279,28 +218,32 @@ const Link* Network::link(NodeId a, NodeId b) const {
 // ---------------------------------------------------------------------------
 
 void Network::build_adjacency() {
+    // Counting sort of the directed links by source node.  Row sizes first,
+    // prefix-summed into row starts.
     const std::size_t n = node_count();
-    ensure_edge_lists();  // rehydrates from the old CSR if finalize() freed them
     csr_offset_.assign(n + 1, 0);
-    csr_to_.clear();
-    csr_link_.clear();
-    csr_to_.reserve(edge_cells_.size());
-    csr_link_.reserve(edge_cells_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        csr_offset_[i] = static_cast<std::uint32_t>(csr_to_.size());
-        for (std::uint32_t c = edge_head_[i]; c != kNoIndex; c = edge_cells_[c].next) {
-            csr_to_.push_back(edge_cells_[c].to);
-            csr_link_.push_back(edge_cells_[c].link);
-        }
+    for (const Cable& c : cables_) {
+        ++csr_offset_[index(c.a) + 1];
+        ++csr_offset_[index(c.b) + 1];
     }
-    csr_offset_[n] = static_cast<std::uint32_t>(csr_to_.size());
-    // The CSR snapshot now carries everything routing needs, and it can
-    // regenerate the lists if a link is ever added afterwards
-    // (ensure_edge_lists above) -- so drop the construction arena: at 10^7
-    // nodes the cells plus head/tail pointers are ~400 MB of dead weight.
-    std::vector<EdgeCell>().swap(edge_cells_);
-    std::vector<std::uint32_t>().swap(edge_head_);
-    std::vector<std::uint32_t>().swap(edge_tail_);
+    for (std::size_t i = 0; i < n; ++i) csr_offset_[i + 1] += csr_offset_[i];
+    csr_to_.resize(csr_offset_[n]);
+    csr_link_.resize(csr_offset_[n]);
+    // Walking the cables in creation order puts each node's out-edges in
+    // add_link order.  Filling advances csr_offset_[i] from the start of
+    // row i to its end, which is the start of row i + 1, so one shift
+    // restores the row starts afterwards.
+    auto place = [this](std::size_t from, std::size_t to, Link& l) {
+        const std::uint32_t k = csr_offset_[from]++;
+        csr_to_[k] = static_cast<std::uint32_t>(to);
+        csr_link_[k] = &l;
+    };
+    for (Cable& c : cables_) {
+        place(index(c.a), index(c.b), c.dir[0]);
+        place(index(c.b), index(c.a), c.dir[1]);
+    }
+    std::copy_backward(csr_offset_.begin(), csr_offset_.end() - 1, csr_offset_.end());
+    csr_offset_[0] = 0;
 
     // Drain the construction-time hash map into the sorted flat index and
     // free its buckets (see the member comment for the memory math).
@@ -317,7 +260,6 @@ void Network::finalize() {
     {
         LBRM_TRACE_SPAN("finalize.prep");
         invalidate_all_trees();
-        clear_path_cache();
         // Snapshot adjacency and liveness: every table row -- including rows
         // materialised mid-run -- is a pure function of these, so build
         // order/time cannot change a route.
@@ -374,7 +316,7 @@ void Network::build_hierarchical_routes() {
                 }
             }
         }
-        // Border projection of the liveness snapshot: compose_hop must see the
+        // Border projection of the liveness snapshot: hop_toward must see the
         // state the tables were built under, not later set_node_down
         // transitions (which only take routing effect at the next finalize).
         border_down_.assign(border_nodes_.size(), 0);
@@ -505,7 +447,11 @@ void Network::build_backbone() {
     }
 }
 
-Network::Hop Network::compose_hop(std::uint32_t from, std::uint32_t to) {
+Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
+    // No finalized_ check here: the traffic entry points enforce it, and
+    // in-flight deliveries must keep forwarding on the (stale) tables after
+    // a mid-run add_link.
+    if (from == to) return Hop{};
     const std::uint32_t su = node_site_[from];
     const std::uint32_t sv = node_site_[to];
     SiteTable& stu = site_tables_[su];
@@ -565,38 +511,6 @@ Network::Hop Network::compose_hop(std::uint32_t from, std::uint32_t to) {
         }
     }
     return choice;
-}
-
-Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
-    // No finalized_ check here: the traffic entry points enforce it, and
-    // in-flight deliveries must keep forwarding on the (stale) tables after
-    // a mid-run add_link.
-    if (from == to) return Hop{};
-    // Same-site next hops come straight from the intra-site rows; only
-    // cross-site compositions go through the LRU path cache.
-    if (node_site_[from] == node_site_[to]) return compose_hop(from, to);
-
-    const std::uint64_t key = path_key(from, to);
-    auto it = path_cache_.find(key);
-    if (it != path_cache_.end()) {
-        path_cache_hits_->inc();
-        path_lru_.splice(path_lru_.begin(), path_lru_, it->second.lru);
-        return it->second.hop;
-    }
-    path_cache_misses_->inc();
-    const Hop hop = compose_hop(from, to);
-    path_lru_.push_front(key);
-    path_cache_.emplace(key, PathEntry{hop, path_lru_.begin()});
-    if (path_cache_capacity_ != 0 && path_cache_.size() > path_cache_capacity_) {
-        path_cache_.erase(path_lru_.back());
-        path_lru_.pop_back();
-    }
-    return hop;
-}
-
-void Network::clear_path_cache() {
-    path_cache_.clear();
-    path_lru_.clear();
 }
 
 std::uint64_t Network::routing_table_hash() {
@@ -751,51 +665,6 @@ void Network::deliver_local(NodeId node, const Packet& packet) {
 }
 
 // ---------------------------------------------------------------------------
-// Link burst batching (DESIGN.md "Link burst batching")
-// ---------------------------------------------------------------------------
-
-void Network::schedule_arrival(Link* l, bool was_busy, TimePoint arrival,
-                               DeliveryBase* d, std::uint32_t hop, ArrivalKind kind) {
-    if (!was_busy) {
-        simulator_.schedule_at(arrival,
-                               [d, hop, kind] { dispatch_arrival(d, hop, kind); });
-        return;
-    }
-    // The packet queued behind earlier traffic: park the arrival in the
-    // link's FIFO under the tiebreak an immediate schedule would have used,
-    // so the drain event fires it at the exact (time, order) position of
-    // the unbatched path.
-    batched_arrivals_->inc();
-    const std::uint64_t tiebreak = simulator_.reserve_tiebreak();
-    if (l->drain_slot() == 0)
-        l->set_drain_slot(simulator_.create_recurring([this, l] { drain_link(l); }));
-    l->push_pending(arrival, tiebreak, d, hop, static_cast<std::uint8_t>(kind));
-    if (!l->drain_armed()) {
-        l->set_drain_armed(true);
-        simulator_.arm_recurring(l->drain_slot(), arrival, tiebreak);
-    }
-}
-
-void Network::drain_link(Link* l) {
-    if (!l->drain_armed() || !l->has_pending()) return;
-    batch_drains_->inc();
-    const Link::PendingArrival entry = l->pop_pending();
-    // Re-arm for the next pending arrival *before* resuming the delivery:
-    // it may transmit on this same link, and any arrival it parks is later
-    // than everything already in the FIFO (the busy horizon only moves
-    // forward), so the FIFO stays sorted and the armed entry is always the
-    // head.
-    if (l->has_pending()) {
-        const Link::PendingArrival& next = l->front_pending();
-        simulator_.arm_recurring(l->drain_slot(), next.at, next.tiebreak);
-    } else {
-        l->set_drain_armed(false);
-    }
-    dispatch_arrival(static_cast<DeliveryBase*>(entry.delivery), entry.hop,
-                     static_cast<ArrivalKind>(entry.kind));
-}
-
-// ---------------------------------------------------------------------------
 // Unicast
 // ---------------------------------------------------------------------------
 
@@ -851,7 +720,6 @@ void Network::forward_unicast(UnicastDelivery* d, std::uint32_t at) {
         destroy(d);
         return;
     }
-    const bool was_busy = h.link->busy(simulator_.now());
     auto arrival = h.link->transmit(tx_rng(), simulator_.now(), d->bytes, d->type);
     if (tap_) tap_(simulator_.now(), *h.link, d->packet, arrival.has_value());
     if (!arrival) {
@@ -863,8 +731,6 @@ void Network::forward_unicast(UnicastDelivery* d, std::uint32_t at) {
         // local half (link accounting, loss roll, tap -- the link belongs
         // to the sending node's shard), so ship the arrival with the key an
         // immediate schedule would have used and retire the local record.
-        // Busy-parking is irrelevant here: every arrival on this link
-        // targets the same (remote) node, so nothing local interleaves.
         RemoteEvent ev;
         ev.at = *arrival;
         ev.key = simulator_.reserve_tiebreak();
@@ -879,7 +745,7 @@ void Network::forward_unicast(UnicastDelivery* d, std::uint32_t at) {
         destroy(d);
         return;
     }
-    schedule_arrival(h.link, was_busy, *arrival, d, h.next, ArrivalKind::kUnicast);
+    schedule_arrival(*arrival, d, h.next, ArrivalKind::kUnicast);
 }
 
 void Network::unicast_arrive(UnicastDelivery* d, std::uint32_t at) {
@@ -1074,7 +940,7 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
     // identical, idle links) share ONE event that replays the run in child
     // order, instead of one event each.  Bit-identity argument: the
     // per-child events would receive consecutive tiebreaks with nothing
-    // interleaved (only this loop consumes tiebreaks, and parked/dropped
+    // interleaved (only this loop consumes tiebreaks, and busy/dropped
     // children flush the run first), so they would pop back to back at the
     // same instant; multicast_arrive_run processes the same children in the
     // same order at that instant.  Consuming one tiebreak instead of k
@@ -1136,9 +1002,9 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
             continue;
         }
         if (busy) {
-            // A busy link splits the run: the child's arrival parks in the
-            // link's FIFO, which reserves the next tiebreak, so the run is
-            // emitted first to keep tiebreak consumption in child order.
+            // A busy link splits the run: the child gets its own event,
+            // which draws the next key, so the run is emitted first to keep
+            // key consumption in child order.
             flush_run();
             const std::uint32_t target = d->tree->nodes[child.entry].node;
             if (!owns_node(target)) {
@@ -1147,8 +1013,7 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
                 continue;
             }
             ++d->pending;
-            schedule_arrival(child.link, /*was_busy=*/true, *arrival, d,
-                             child.entry, ArrivalKind::kMulticast);
+            schedule_arrival(*arrival, d, child.entry, ArrivalKind::kMulticast);
             continue;
         }
         if (run_len != 0 && *arrival == run_at) {
@@ -1185,6 +1050,11 @@ void Network::multicast_arrive(TreeDelivery* d, std::uint32_t at) {
 
 void Network::unref(TreeDelivery* d) {
     if (--d->pending == 0) destroy(d);
+}
+
+void Network::schedule_arrival(TimePoint arrival, DeliveryBase* d, std::uint32_t hop,
+                               ArrivalKind kind) {
+    simulator_.schedule_at(arrival, [d, hop, kind] { dispatch_arrival(d, hop, kind); });
 }
 
 // Defined here, after both delivery types are complete.  The ActorScope
@@ -1311,9 +1181,6 @@ std::size_t Network::routing_table_bytes() const {
     total += bb_dist_.capacity() * sizeof(std::int64_t) +
              bb_next_node_.capacity() * sizeof(std::uint32_t) +
              bb_next_link_.capacity() * sizeof(Link*);
-    // Path cache: entry + key + list node + hash-table overhead estimate.
-    total += path_cache_.size() *
-             (sizeof(std::uint64_t) * 2 + sizeof(PathEntry) + 2 * sizeof(void*) + 16);
     return total;
 }
 

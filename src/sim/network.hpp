@@ -10,18 +10,18 @@
 //
 // Node storage is struct-of-arrays (see DESIGN.md "Scale engineering"): the
 // hot routing fields (site, router flag, liveness) live in dense per-node
-// vectors, adjacency is a linked edge arena flattened into a CSR snapshot
-// at finalize(), and the cold protocol endpoints (SimHost) live by value in
-// a chunked arena behind a sparse node -> host pointer table.  Group
-// membership is sorted flat vectors (ascending node id -- the same
-// iteration order std::set gave).
+// vectors, adjacency is a CSR snapshot that finalize() counting-sorts
+// straight out of the cables, and the cold protocol endpoints (SimHost)
+// live by value in a chunked arena behind a sparse node -> host pointer
+// table.  Group membership is sorted flat vectors (ascending node id -- the
+// same iteration order std::set gave).
 //
 // Routing is hierarchical (see DESIGN.md "Hierarchical routing"), mirroring
 // the paper's two-level site/backbone topology: per-site intra-site
 // shortest-path tables compose with an inter-site backbone table over the
 // border nodes, for O(sites^2 + sum site_size^2) memory instead of flat
-// O(n^2) matrices.  Cross-site next hops are resolved on demand through an
-// LRU-bounded path cache.
+// O(n^2) matrices.  Every next hop is composed from those tables on demand:
+// one site row, one backbone cell and one border row per candidate pair.
 //
 // finalize() builds only the border rows and the backbone; every other
 // site-table row materialises on first touch.  Each row is a pure function
@@ -35,8 +35,8 @@
 // from a burst-scoped arena (DESIGN.md "Memory engineering"), whose event
 // closures fit std::function's small-buffer size.  Same-time multicast
 // fan-out to idle links shares one event per contiguous run of tree
-// children, and arrivals queued behind a busy link park in that link's
-// FIFO under one recurring drain event (DESIGN.md "Link burst batching").
+// children; an arrival queued behind a busy link is an ordinary one-shot
+// event (DESIGN.md "Queued arrivals").
 //
 // Ordering is shard-invariant (DESIGN.md "Sharded execution"): events
 // tie-break by (actor, per-actor sequence) and every lossy link rolls from
@@ -96,9 +96,8 @@ public:
     /// Re-adding an existing pair re-specs the cable in place (live traffic
     /// state survives, installed loss models reset -- see Cable::respec;
     /// the resets feed the `network.respec_loss_resets` counter) and, like a new
-    /// link, drops every cached tree and cached path -- a changed edge may
-    /// invalidate any of them -- and requires finalize() before new
-    /// traffic.
+    /// link, drops every cached tree -- a changed edge may invalidate any
+    /// of them -- and requires finalize() before new traffic.
     void add_link(NodeId a, NodeId b, const LinkSpec& spec);
 
     /// Replace the loss model of the directed link a -> b.
@@ -112,7 +111,7 @@ public:
     /// as a real network blackholes until the routing protocol reconverges:
     /// routing reads only finalize-time state (every site-table row -- even
     /// one built after the transition -- reads the route_down_ snapshot;
-    /// compose_hop reads border_down_), so a down transition never changes
+    /// hop_toward reads border_down_), so a down transition never changes
     /// routing until the next finalize().
     void set_node_down(NodeId node, bool down);
 
@@ -176,10 +175,8 @@ public:
     void set_tree_cache_capacity(std::size_t capacity);
 
     /// Bytes held by the routing tables: site/backbone tables (materialised
-    /// rows only) plus the path cache.
+    /// rows only).
     [[nodiscard]] std::size_t routing_table_bytes() const;
-    /// Entries currently held by the cross-site path cache.
-    [[nodiscard]] std::size_t path_cache_entries() const { return path_cache_.size(); }
     /// Site-table rows currently materialised (the border rows after
     /// finalize(); grows on demand as traffic touches the rest).
     [[nodiscard]] std::size_t site_rows_built() const { return rows_built_; }
@@ -269,7 +266,7 @@ public:
     void inject_remote(const RemoteEvent& ev);
 
 private:
-    /// "No node index" sentinel for the routing tables and edge arena.
+    /// "No node index" sentinel for the routing tables.
     static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
 
     /// A resolved forwarding step: the next node index on the shortest path
@@ -343,11 +340,11 @@ private:
     template <typename T, typename... Args>
     T* make_delivery(Args&&... args);
 
-    /// What an in-flight arrival is: enough to resume the delivery without
-    /// a per-arrival std::function.  A (delivery, hop, kind) triple is what
-    /// both the one-shot event closure and the link FIFO store.  For
-    /// unicast `hop` is the arriving node index; for multicast it is the
-    /// arriving CachedTree entry index.
+    /// What an in-flight arrival is: enough to resume the delivery from a
+    /// (delivery, hop, kind) triple, which keeps the one-shot event closure
+    /// inside std::function's small buffer.  For unicast `hop` is the
+    /// arriving node index; for multicast it is the arriving CachedTree
+    /// entry index.
     enum class ArrivalKind : std::uint8_t { kUnicast = 0, kMulticast = 1 };
     static void dispatch_arrival(DeliveryBase* d, std::uint32_t hop, ArrivalKind kind);
 
@@ -365,15 +362,11 @@ private:
     };
 
     // --- routing ---------------------------------------------------------
-    /// Flatten the edge arena into the CSR adjacency snapshot.  Routing
+    /// Counting-sort the cables into the CSR adjacency snapshot.  Routing
     /// reads only the snapshot, so rows built after a post-finalize
     /// add_link still see the finalize-time adjacency (stale-table
     /// semantics, as if every row had been built at finalize()).
     void build_adjacency();
-    /// Make the construction-time edge lists live again: size head/tail to
-    /// the current node count and, when build_adjacency() freed the cells,
-    /// rebuild them from the CSR snapshot (identical per-source order).
-    void ensure_edge_lists();
     [[nodiscard]] Link* find_link(std::uint64_t key) const;
     void build_hierarchical_routes();
     /// Build one site-table row (all shortest paths out of local index
@@ -385,27 +378,21 @@ private:
     }
     void build_backbone();
 
-    /// Next forwarding step from node index `from` toward `to`, from the
-    /// site/backbone tables + path cache.
+    /// Next forwarding step from node index `from` toward `to`: the
+    /// intra-site candidate vs the best (exit border, entry border) pair
+    /// through the backbone.
     [[nodiscard]] Hop hop_toward(std::uint32_t from, std::uint32_t to);
-    /// Uncached hierarchical composition: intra-site candidate vs the best
-    /// (exit border, entry border) pair through the backbone.
-    [[nodiscard]] Hop compose_hop(std::uint32_t from, std::uint32_t to);
-    void clear_path_cache();
 
     void track(DeliveryBase* d);
     void destroy(DeliveryBase* d);
 
     void deliver_local(NodeId node, const Packet& packet);
 
-    /// Schedule the arrival of `d` at hop `hop` for time `arrival`.  When
-    /// the packet queued behind earlier traffic on `l` (was_busy), the
-    /// arrival is parked in the link's pending FIFO under a reserved
-    /// tiebreak and a single recurring drain event walks the FIFO;
-    /// otherwise it is an ordinary one-shot event.
-    void schedule_arrival(Link* l, bool was_busy, TimePoint arrival, DeliveryBase* d,
-                          std::uint32_t hop, ArrivalKind kind);
-    void drain_link(Link* l);
+    /// Schedule the arrival of `d` at hop `hop` for time `arrival`: one
+    /// one-shot event, whether or not the packet queued behind earlier
+    /// traffic.
+    void schedule_arrival(TimePoint arrival, DeliveryBase* d, std::uint32_t hop,
+                          ArrivalKind kind);
 
     void forward_unicast(UnicastDelivery* d, std::uint32_t at);
     void unicast_arrive(UnicastDelivery* d, std::uint32_t at);
@@ -449,23 +436,10 @@ private:
     std::vector<std::uint8_t> node_down_;
 
     // --- adjacency --------------------------------------------------------
-    /// Directed edges as per-node linked lists through one arena, appended
-    /// in add_link order (head/tail per node).  finalize() flattens them
-    /// into the CSR snapshot below; insertion order is preserved because
-    /// Dijkstra's tie-breaking depends on edge relaxation order.  The
-    /// arena is construction-time-only: build_adjacency() frees it after
-    /// snapshotting (~40 B/node) and ensure_edge_lists() rehydrates it
-    /// from the CSR -- whose row order equals the per-source insertion
-    /// order -- if a link is added post-finalize.
-    struct EdgeCell {
-        std::uint32_t to;    ///< target node index
-        std::uint32_t next;  ///< next cell of the same source; kNoIndex = end
-        Link* link;
-    };
-    std::vector<EdgeCell> edge_cells_;
-    std::vector<std::uint32_t> edge_head_;
-    std::vector<std::uint32_t> edge_tail_;
-    /// CSR snapshot: out-edges of node i are [csr_offset_[i], csr_offset_[i+1]).
+    /// CSR snapshot: out-edges of node i are [csr_offset_[i], csr_offset_[i+1]),
+    /// in add_link order (Dijkstra's tie-breaking depends on edge
+    /// relaxation order).  build_adjacency() rebuilds it from cables_ at
+    /// every finalize().
     std::vector<std::uint32_t> csr_offset_;
     std::vector<std::uint32_t> csr_to_;
     std::vector<Link*> csr_link_;
@@ -506,7 +480,7 @@ private:
     /// this, never the live node_down_ flags, so routes stay a pure function
     /// of the last finalize() no matter when a row materialises.  Live liveness is applied at delivery time instead.
     std::vector<std::uint8_t> route_down_;
-    /// Border projection of route_down_ (compose_hop's inner loop).
+    /// Border projection of route_down_ (hop_toward's inner loop).
     std::vector<std::uint8_t> border_down_;
     /// Backbone all-pairs tables over the border nodes (B x B): distance,
     /// plus the first *physical* hop (node + link) toward each border --
@@ -517,16 +491,6 @@ private:
 
     std::size_t rows_built_ = 0;  ///< materialised site-table rows
     DijkstraScratch scratch_;
-
-    /// Cross-site next-hop cache: key (from << 32 | to) -> resolved hop,
-    /// LRU-bounded by SimConfig::path_cache_capacity (0 = unbounded).
-    struct PathEntry {
-        Hop hop;
-        std::list<std::uint64_t>::iterator lru;
-    };
-    std::unordered_map<std::uint64_t, PathEntry> path_cache_;
-    std::list<std::uint64_t> path_lru_;  ///< most-recent first; values = keys
-    std::size_t path_cache_capacity_;
 
     // --- multicast tree cache --------------------------------------------
     /// Key packs (group << 32 | sender id); the array is indexed by
@@ -564,10 +528,6 @@ private:
     obs::Counter* tree_cache_hits_;    ///< sim.tree_cache_hits
     obs::Counter* tree_builds_;            ///< sim.tree_builds
     std::uint64_t tree_build_ns_ = 0;      ///< wall time; kept out of the registry
-    obs::Counter* path_cache_hits_;    ///< sim.path_cache_hits
-    obs::Counter* path_cache_misses_;  ///< sim.path_cache_misses
-    obs::Counter* batched_arrivals_;   ///< sim.batched_arrivals (FIFO-parked)
-    obs::Counter* batch_drains_;       ///< sim.batch_drains (drain firings)
     obs::Counter* batched_runs_;       ///< sim.batched_delivery_runs (>=2 children)
     obs::Counter* respec_loss_resets_; ///< network.respec_loss_resets
     obs::Counter* remote_emits_;       ///< sim.remote_emits (boundary crossings out)

@@ -269,9 +269,8 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                 dormant_template_ = std::move(tmpl);
             }
             // One shared watchdog deadline for every dormant receiver in
-            // the scenario, so start() schedules a single sweep event in
-            // place of one armed timer per record (~100 B each at 10^7).
-            host.protocol().defer_dormant_watchdogs();
+            // the scenario: start() schedules a single sweep event in place
+            // of one armed timer per record (~100 B each at 10^7).
             host.protocol().add_dormant_receiver(
                 dormant_template_, node,
                 local_logger != kNoNode ? local_logger : topology_.primary,
@@ -340,10 +339,10 @@ void DisScenario::start() {
         host->protocol().start(now);
     }
     if (dormant_template_) {
-        // Deferred idle watchdogs (see defer_dormant_watchdogs): every
+        // Dormant idle watchdogs (see fire_dormant_watchdogs): every
         // dormant receiver shares one template, hence one deadline.  One
         // sweep event walks the hosts in start() order, which is exactly
-        // the order the per-record timers would have fired in.  The sweep
+        // the order eager cores' start()-armed idle timers fire in.  The sweep
         // is scenario machinery: it draws its key from the reserved sweep
         // actor, and everything a woken receiver schedules is keyed to
         // that receiver's own node.

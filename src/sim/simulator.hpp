@@ -76,19 +76,10 @@ public:
 
     void cancel(std::uint64_t id) { queue_.cancel(id); }
 
-    // --- recurring events (link burst batching, see event_queue.hpp) -----
     /// Reserve the tiebreak an immediate schedule_at() would have used (the
-    /// current actor's next key).
+    /// current actor's next key), for a later schedule_at_key() -- possibly
+    /// on another shard.
     [[nodiscard]] std::uint64_t reserve_tiebreak() { return next_key(); }
-    /// Create a persistent self-rescheduling event; starts disarmed.
-    std::uint32_t create_recurring(EventQueue::Callback fn) {
-        return queue_.create_recurring(std::move(fn));
-    }
-    /// Arm a recurring event at (at, tiebreak).  Pre: at >= now() and the
-    /// slot is not currently armed.
-    void arm_recurring(std::uint32_t slot, TimePoint at, std::uint64_t tiebreak) {
-        queue_.arm_recurring(slot, at, tiebreak);
-    }
 
     /// Run one event; returns false when the queue is empty.
     bool step() {
@@ -136,9 +127,8 @@ public:
 
     [[nodiscard]] std::uint64_t events_processed() const { return events_; }
     [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-    /// One-shot events ever scheduled (cancelled ones included).
+    /// Events ever scheduled (cancelled ones included).
     [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.scheduled_total(); }
-    [[nodiscard]] std::uint64_t recurring_arms() const { return queue_.recurring_arms(); }
     /// Peak-pending proxy: heap capacity never shrinks (bench observability).
     [[nodiscard]] std::size_t slab_slots() const { return queue_.slab_slots(); }
 

@@ -218,7 +218,6 @@ TEST(DormantSweep, ReentrantWakeDuringSweepNeitherSkipsNorDoubles) {
         return handlers;
     };
 
-    host.defer_dormant_watchdogs();
     for (std::uint32_t node = 10; node <= 13; ++node)
         host.add_dormant_receiver(tmpl, NodeId{node}, kPrimary);
     host.start(at(0.0));
@@ -776,7 +775,7 @@ TEST(NodeRevival, MidRunFlapRestoresDeliveryAndRecovery) {
 // --- dormant wake vs watchdog sweep under blackout (satellite) ---------------
 
 Trace run_sweep_overlap(bool dormant) {
-    // The deferred-watchdog sweep fires at the shared idle deadline
+    // The dormant-watchdog sweep fires at the shared idle deadline
     // (~0.5s); the blackout [0.02s, 0.8s] straddles it and starts *before*
     // the sender's stat-ack probe (~0.04s), so site 1's receivers are still
     // dormant when the sweep runs while their site is dark, and their wakes

@@ -191,8 +191,8 @@ TEST(DormantReceivers, LossyRunBitIdenticalToEagerCores) {
     EXPECT_EQ(dormant_before, 24u);
     // Identical deliveries, notices (including FreshnessLost fired while
     // still dormant), NACK counts and event schedule -- except for exactly
-    // one event: the deferred-watchdog sweep that replaces the per-record
-    // idle timers (DisScenario::start).
+    // one event: the dormant-watchdog sweep that stands in for the eager
+    // cores' idle timers (DisScenario::start).
     EXPECT_EQ(eager, dormant);
     EXPECT_EQ(eager.events_processed + 1, dormant.events_processed);
     EXPECT_GT(eager.nacks_sent, 0u);  // recovery ran on woken cores
@@ -260,7 +260,6 @@ TEST(CableColdState, ReverseDirectionKeepsZeroStats) {
     EXPECT_EQ(cable.dir[1].stats().packets, 0u);
     EXPECT_EQ(cable.dir[1].stats().bytes, 0u);
     EXPECT_FALSE(cable.dir[1].has_loss_model());
-    EXPECT_FALSE(cable.dir[1].has_pending());
 }
 
 TEST(CableRespec, LossModelResetsFeedTheCounter) {

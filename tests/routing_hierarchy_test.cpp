@@ -4,10 +4,12 @@
 // test-only Dijkstra oracle over the public topology (tests/route_oracle.hpp)
 // -- on topologies with unique shortest paths, the scope of the guarantee
 // (see DESIGN.md, tie-breaking) -- including after a router goes down, with
-// and without a re-finalize.
+// and without a re-finalize, and after cables are added to a finalized
+// network.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 #include <vector>
@@ -22,29 +24,6 @@ using namespace lbrm;
 using namespace lbrm::sim;
 using lbrm::test::oracle_path;
 using lbrm::test::traced_unicast;
-
-/// One tap observation, exact to the nanosecond: enough to detect any
-/// divergence in path choice, timing, ordering or loss decisions.
-struct TapEvent {
-    std::int64_t at_ns;
-    std::uint32_t from;
-    std::uint32_t to;
-    std::uint8_t type;
-    bool delivered;
-
-    bool operator==(const TapEvent& o) const {
-        return at_ns == o.at_ns && from == o.from && to == o.to && type == o.type &&
-               delivered == o.delivered;
-    }
-};
-
-void record_taps(Network& net, std::vector<TapEvent>& out) {
-    net.set_tap([&out](TimePoint t, const Link& link, const Packet& p, bool delivered) {
-        out.push_back(TapEvent{t.time_since_epoch().count(), link.from().value(),
-                               link.to().value(), static_cast<std::uint8_t>(p.type()),
-                               delivered});
-    });
-}
 
 Packet query_from(NodeId from) {
     return Packet{Header{GroupId{1}, from, from}, PrimaryQueryBody{}};
@@ -154,12 +133,7 @@ struct DetourNet {
     Network net;
     NodeId a_host, a_r1, a_r2, b_host, b_r1, b_r2;
 
-    explicit DetourNet(std::size_t path_cache_capacity = 65536)
-        : net(sim, 7, [&] {
-              SimConfig c;
-              c.path_cache_capacity = path_cache_capacity;
-              return c;
-          }()) {
+    DetourNet() : net(sim, 7) {
         a_host = net.add_node(SiteId{1});
         a_r1 = net.add_node(SiteId{1}, /*is_router=*/true);
         a_r2 = net.add_node(SiteId{1}, /*is_router=*/true);
@@ -235,78 +209,33 @@ TEST(Routing, DownedRouterDetourUsesBackupCorridor) {
 
 // --- set_node_down without re-finalize: blackhole semantics ------------------
 
-/// Routes must be a pure function of the last finalize(): a mid-run
-/// set_node_down changes nothing (packets blackhole into the downed border)
-/// until finalize() reconverges.  Regression for a bug where compose_hop
-/// read live down flags, so routes shifted immediately -- and differently
-/// for cached vs freshly-composed hops.
-std::vector<TapEvent> run_down_no_refinalize(std::size_t path_cache_cap) {
-    DetourNet d(path_cache_cap);
-    const GroupId group{1};
-    d.net.join(group, d.b_host);
-
-    std::vector<TapEvent> taps;
-    record_taps(d.net, taps);
-
-    auto send = [&](std::uint32_t seq) {
-        d.net.multicast(d.a_host,
-                        Packet{Header{group, d.a_host, d.a_host},
-                               DataBody{SeqNum{seq}, EpochId{0}, {9}}},
-                        McastScope::kGlobal);
-        d.net.unicast(d.b_host, d.a_host,
-                      Packet{Header{group, d.a_host, d.b_host}, PrimaryQueryBody{}});
-        d.sim.run_for(secs(1.0));
-    };
-    send(1);  // primes the path cache with routes through the r1 corridor
-
-    d.net.set_node_down(d.a_r1, true);
-    send(2);  // no re-finalize: still routed into a_r1, dying on arrival
-
-    d.net.finalize();
-    send(3);  // reconverged: detour via r2
-
-    return taps;
-}
-
 TEST(RoutingAB, DownWithoutRefinalizeTraceIdentical) {
-    // A roomy path cache serves the primed hops after the down transition;
-    // a one-entry cache composes nearly every hop afresh.
-    for (const std::size_t cap : {std::size_t{65536}, std::size_t{1}}) {
-        SCOPED_TRACE(cap);
-        DetourNet d(cap);
-        // Prime the path cache: every route runs through the r1 corridor.
-        for (const auto& [from, to] : detour_pairs(d))
-            EXPECT_EQ(traced_unicast(d.net, d.sim, from, to, query_from(from)),
-                      oracle_path(d.net, from, to));
+    // Routes must be a pure function of the last finalize(): a mid-run
+    // set_node_down changes nothing (packets blackhole into the downed
+    // border) until finalize() reconverges.  Regression for a bug where
+    // next-hop composition read live down flags, so routes shifted
+    // immediately.
+    DetourNet d;
+    // Every route runs through the r1 corridor.
+    for (const auto& [from, to] : detour_pairs(d))
+        EXPECT_EQ(traced_unicast(d.net, d.sim, from, to, query_from(from)),
+                  oracle_path(d.net, from, to));
 
-        // Down a_r1 without re-finalizing: cached and freshly composed hops
-        // alike still follow the finalize-time routes, so a path through
-        // a_r1 ends there.
-        d.net.set_node_down(d.a_r1, true);
-        for (const auto& [from, to] : detour_pairs(d)) {
-            if (from == d.a_r1) continue;  // a dead node sends nothing
-            std::vector<NodeId> want = oracle_path(d.net, from, to);
-            const auto dead = std::find(want.begin(), want.end(), d.a_r1);
-            if (dead != want.end()) want.erase(dead + 1, want.end());
-            EXPECT_EQ(traced_unicast(d.net, d.sim, from, to, query_from(from)), want)
-                << from << " -> " << to;
-        }
-
-        d.net.finalize();  // reconverged: the detour via r2
-        EXPECT_EQ(traced_unicast(d.net, d.sim, d.a_host, d.b_host, query_from(d.a_host)),
-                  oracle_path(d.net, d.a_host, d.b_host, {d.a_r1}));
+    // Down a_r1 without re-finalizing: hops still follow the finalize-time
+    // routes, so a path through a_r1 ends there.
+    d.net.set_node_down(d.a_r1, true);
+    for (const auto& [from, to] : detour_pairs(d)) {
+        if (from == d.a_r1) continue;  // a dead node sends nothing
+        std::vector<NodeId> want = oracle_path(d.net, from, to);
+        const auto dead = std::find(want.begin(), want.end(), d.a_r1);
+        if (dead != want.end()) want.erase(dead + 1, want.end());
+        EXPECT_EQ(traced_unicast(d.net, d.sim, from, to, query_from(from)), want)
+            << from << " -> " << to;
     }
-}
 
-TEST(Routing, PathCacheCapacityNeverChangesOutcomes) {
-    // Unbounded, single-entry (every lookup evicts) and default-sized
-    // caches must produce the same trace, even across a down transition
-    // that is not yet finalized -- cached and freshly-composed hops agree.
-    const auto unbounded = run_down_no_refinalize(0);
-    const auto tiny = run_down_no_refinalize(1);
-    const auto roomy = run_down_no_refinalize(65536);
-    EXPECT_EQ(unbounded, tiny);
-    EXPECT_EQ(unbounded, roomy);
+    d.net.finalize();  // reconverged: the detour via r2
+    EXPECT_EQ(traced_unicast(d.net, d.sim, d.a_host, d.b_host, query_from(d.a_host)),
+              oracle_path(d.net, d.a_host, d.b_host, {d.a_r1}));
 }
 
 TEST(Routing, DownedRouterBlackholesUntilRefinalize) {
@@ -333,6 +262,86 @@ TEST(Routing, DownedRouterBlackholesUntilRefinalize) {
     send(3);
     EXPECT_EQ(d.net.link(d.a_host, d.a_r1)->stats().packets, 2u);  // unchanged
     EXPECT_EQ(d.net.link(d.a_r2, d.b_r2)->stats().packets, 1u);  // detour taken
+}
+
+// --- cables added after finalize ---------------------------------------------
+
+/// Three sites hung off one backbone router:
+///
+///   h1a, h1b -- r1 --- bb --- r2 -- h2a, h2b
+///                 \    |
+///                  \-- r3 -- h3a [, h3b]
+///
+/// The r1 -- r3 shortcut and the h3b leaf are the late cables: the shortcut
+/// takes every r1 <-> r3 route off the backbone.
+struct LateCableNet {
+    enum : std::uint32_t { kH1a = 1, kH1b, kR1, kH2a, kH2b, kR2, kH3a, kR3, kBb, kH3b };
+    static constexpr std::uint32_t kSite[] = {0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 3};  // by id
+    static constexpr std::pair<std::uint32_t, std::uint32_t> kCables[] = {
+        {kH1a, kR1}, {kH1b, kR1}, {kH2a, kR2}, {kH2b, kR2}, {kH3a, kR3},
+        {kR1, kBb},  {kR2, kBb},  {kR3, kBb},
+        {kR1, kR3},  {kH3b, kR3},  // late: the shortcut, then a new leaf
+    };
+    static constexpr std::size_t kEarlyCables = 8;
+
+    Simulator sim;
+    Network net{sim, 5};
+
+    /// Add the nodes up to id `last`, then cables [begin, end).
+    void grow(std::uint32_t last, std::size_t begin, std::size_t end) {
+        for (auto id = static_cast<std::uint32_t>(net.node_count()) + 1; id <= last; ++id)
+            net.add_node(SiteId{kSite[id]}, id == kR1 || id == kR2 || id == kR3 || id == kBb);
+        for (std::size_t i = begin; i < end; ++i)
+            net.add_link(NodeId{kCables[i].first}, NodeId{kCables[i].second}, LinkSpec{});
+    }
+};
+
+TEST(RoutingAB, RefinalizeAfterNewCablesMatchesOneShotBuild) {
+    constexpr std::size_t kAll = std::size(LateCableNet::kCables);
+    constexpr std::size_t kShortcut = LateCableNet::kEarlyCables;
+    const NodeId h1a{LateCableNet::kH1a}, h3a{LateCableNet::kH3a};
+    const NodeId r1{LateCableNet::kR1}, r3{LateCableNet::kR3}, bb{LateCableNet::kBb};
+    auto expect_oracle_routes = [](LateCableNet& n) {
+        for (std::uint32_t a = 1; a <= n.net.node_count(); ++a) {
+            for (std::uint32_t b = 1; b <= n.net.node_count(); ++b) {
+                if (a == b) continue;
+                EXPECT_EQ(traced_unicast(n.net, n.sim, NodeId{a}, NodeId{b},
+                                         query_from(NodeId{a})),
+                          oracle_path(n.net, NodeId{a}, NodeId{b}))
+                    << a << " -> " << b;
+            }
+        }
+    };
+
+    LateCableNet one_shot;
+    one_shot.grow(LateCableNet::kH3b, 0, kAll);
+    one_shot.net.finalize();
+
+    // Finalize the early topology and carry traffic over it, then add the
+    // shortcut between existing routers, then a new leaf, finalizing after
+    // each step.
+    LateCableNet grown;
+    grown.grow(LateCableNet::kBb, 0, kShortcut);
+    grown.net.finalize();
+    const GroupId group{1};
+    for (std::uint32_t id = 1; id <= LateCableNet::kBb; ++id) grown.net.join(group, NodeId{id});
+    grown.net.multicast(
+        h1a, Packet{Header{group, h1a, h1a}, DataBody{SeqNum{1}, EpochId{0}, {7}}},
+        McastScope::kGlobal);
+    grown.sim.run_for(secs(1.0));
+    EXPECT_EQ(traced_unicast(grown.net, grown.sim, h1a, h3a, query_from(h1a)),
+              (std::vector<NodeId>{h1a, r1, bb, r3, h3a}));
+
+    grown.grow(LateCableNet::kBb, kShortcut, kShortcut + 1);
+    grown.net.finalize();
+    EXPECT_EQ(traced_unicast(grown.net, grown.sim, h1a, h3a, query_from(h1a)),
+              (std::vector<NodeId>{h1a, r1, r3, h3a}));
+    expect_oracle_routes(grown);
+
+    grown.grow(LateCableNet::kH3b, kShortcut + 1, kAll);
+    grown.net.finalize();
+    EXPECT_EQ(grown.net.routing_table_hash(), one_shot.net.routing_table_hash());
+    expect_oracle_routes(grown);
 }
 
 TEST(Routing, HierarchicalIsDefaultAndReportsTables) {

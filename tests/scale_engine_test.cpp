@@ -194,83 +194,6 @@ TEST(FinalizeModes, LazyRowsUseFinalizeTimeLivenessSnapshot) {
               lbrm::test::oracle_path(net, a_host, b_host, {a_relay}));
 }
 
-/// Mid-run set_node_down must not leak into rows built afterwards: c's rows
-/// are first built after the down transition.
-struct TapEvent {
-    std::int64_t at_ns;
-    std::uint32_t from;
-    std::uint32_t to;
-    bool delivered;
-    bool operator==(const TapEvent&) const = default;
-};
-
-std::vector<TapEvent> run_down_then_touch(std::size_t path_cache_cap) {
-    Simulator sim;
-    SimConfig config;
-    config.path_cache_capacity = path_cache_cap;
-    Network net{sim, 7, config};
-    // Two sites, two corridors; c_host sits in a third site whose rows are
-    // only touched after the down transition.
-    const NodeId a_host = net.add_node(SiteId{1});
-    const NodeId a_r1 = net.add_node(SiteId{1}, true);
-    const NodeId a_r2 = net.add_node(SiteId{1}, true);
-    const NodeId b_host = net.add_node(SiteId{2});
-    const NodeId b_r1 = net.add_node(SiteId{2}, true);
-    const NodeId b_r2 = net.add_node(SiteId{2}, true);
-    const NodeId c_host = net.add_node(SiteId{3});
-    const NodeId c_r = net.add_node(SiteId{3}, true);
-    const LinkSpec fast{millis(1), 0.0, Duration::zero()};
-    const LinkSpec slow{millis(3), 0.0, Duration::zero()};
-    net.add_link(a_host, a_r1, fast);
-    net.add_link(a_host, a_r2, fast);
-    net.add_link(b_host, b_r1, fast);
-    net.add_link(b_host, b_r2, fast);
-    net.add_link(a_r1, b_r1, fast);  // preferred corridor
-    net.add_link(a_r2, b_r2, slow);  // detour corridor
-    net.add_link(c_host, c_r, fast);
-    net.add_link(c_r, b_r1, slow);
-    net.add_link(c_r, a_r1, slow);
-    net.finalize();
-
-    std::vector<TapEvent> taps;
-    net.set_tap([&taps](TimePoint t, const Link& link, const Packet&, bool delivered) {
-        taps.push_back(TapEvent{t.time_since_epoch().count(), link.from().value(),
-                                link.to().value(), delivered});
-    });
-
-    const GroupId group{1};
-    net.join(group, b_host);
-    auto send = [&](NodeId from, std::uint32_t seq) {
-        net.multicast(from,
-                      Packet{Header{group, a_host, from},
-                             DataBody{SeqNum{seq}, EpochId{0}, {9}}},
-                      McastScope::kGlobal);
-        sim.run_for(secs(1.0));
-    };
-    send(a_host, 1);  // builds a's rows and primes the path cache
-
-    net.set_node_down(a_r1, true);
-    // c's rows have never been touched: they are built *now*, after the
-    // down transition, from the finalize-time snapshot.
-    net.unicast(c_host, b_host,
-                Packet{Header{group, a_host, c_host}, PrimaryQueryBody{}});
-    sim.run_for(secs(1.0));
-    send(a_host, 2);  // still into the blackhole
-
-    net.finalize();  // reconverge
-    send(a_host, 3);
-    net.unicast(c_host, b_host,
-                Packet{Header{group, a_host, c_host}, PrimaryQueryBody{}});
-    sim.run_for(secs(1.0));
-    return taps;
-}
-
-TEST(FinalizeModes, PathCacheCapacityNeverChangesLazyOutcomes) {
-    const auto unbounded = run_down_then_touch(0);
-    const auto tiny = run_down_then_touch(1);
-    EXPECT_EQ(unbounded, tiny);
-}
-
 // --- observer A/B ------------------------------------------------------------
 
 ScenarioConfig observer_scenario_config(std::shared_ptr<ScenarioObserver> observer) {

@@ -1,4 +1,4 @@
-// Sequence-number wraparound regression suite plus link-batching tests.
+// Sequence-number wraparound regression suite plus link queueing tests.
 //
 // Every SeqNum-keyed container in the protocol cores is ordered by
 // SeqNum::WireOrder (raw uint32) with wrap-aware oldest-first walks via
@@ -8,10 +8,12 @@
 // release, sender retention anchors, and statistical-ACK bookkeeping.
 //
 // The link tests pin the transmit() accounting order (queue drop before any
-// loss roll; lost packets burn wire time) and check that bursts actually
-// take the batched path.
+// loss roll; lost packets burn wire time) and the order in which arrivals
+// queued behind a busy link pop.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 
 #include "core/log_store.hpp"
 #include "core/loss_detector.hpp"
@@ -357,9 +359,9 @@ TEST(LinkAccounting, QueueDropNeverConsultsLossModel) {
     EXPECT_EQ(rolls, 2);
 }
 
-// --- burst batching ------------------------------------------------------
+// --- queued arrivals keep their order --------------------------------------
 
-TEST(BurstBatching, BatchingReducesHeapScheduling) {
+TEST(PinnedTrace, BurstQueueingMatchesRecordedHash) {
     ScenarioConfig config;
     config.topology.sites = 3;
     config.topology.receivers_per_site = 5;
@@ -368,20 +370,45 @@ TEST(BurstBatching, BatchingReducesHeapScheduling) {
     scenario.network().set_loss(scenario.topology().backbone,
                                 scenario.topology().sites[1].router,
                                 std::make_unique<BernoulliLoss>(0.2));
+
+    // Order-sensitive FNV-1a chain over every tap, so two same-instant
+    // arrivals that swap places change the hash (the PinnedTrace digests in
+    // shard_test are order-independent sums).
+    std::uint64_t hash = 14695981039346656037ULL;
+    auto mix = [&hash](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xFFu;
+            hash *= 1099511628211ULL;
+        }
+    };
+    std::uint64_t packets = 0;
+    std::uint64_t same_instant = 0;  // transmits right behind one at the same time
+    std::map<const Link*, TimePoint> last_tx;
+    scenario.network().set_tap([&](TimePoint t, const Link& l, const Packet& p,
+                                   bool delivered) {
+        mix(static_cast<std::uint64_t>(t.time_since_epoch().count()));
+        mix((static_cast<std::uint64_t>(l.from().value()) << 32) | l.to().value());
+        mix((static_cast<std::uint64_t>(p.type()) << 1) | (delivered ? 1u : 0u));
+        ++packets;
+        const auto [it, first] = last_tx.try_emplace(&l, t);
+        if (!first && it->second == t) ++same_instant;
+        it->second = t;
+    });
+
     scenario.start();
-    // Bursts of back-to-back sends force queueing on every tail circuit.
+    // Bursts of back-to-back sends force queueing on every tail circuit:
+    // each queued arrival is its own event under the key drawn at
+    // transmit, and must pop exactly where the recorded trace has it.
     for (int burst = 0; burst < 4; ++burst) {
         for (int i = 0; i < 12; ++i) scenario.send_update(std::size_t{400});
         scenario.run_for(millis(250));
     }
     scenario.run_for(secs(5.0));
 
-    // Queued arrivals park in per-link FIFOs, drained by one recurring
-    // event per busy link, instead of taking a slab slot + std::function
-    // each through the schedule path.
     EXPECT_FALSE(scenario.deliveries().empty());
-    EXPECT_GT(scenario.simulator().recurring_arms(), 0u);
-    EXPECT_GT(scenario.metrics().value("sim.batched_arrivals"), 0u);
+    EXPECT_GT(same_instant, 0u);  // the scenario still queues behind busy links
+    EXPECT_EQ(hash, 0xf8c25e52b403f746ull);
+    EXPECT_EQ(packets, 2166u);
 }
 
 // --- end-to-end wraparound integration -----------------------------------
