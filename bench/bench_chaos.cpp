@@ -43,21 +43,6 @@ using namespace lbrm;
 using namespace lbrm::bench;
 using namespace lbrm::sim;
 
-struct Fnv1a {
-    std::uint64_t h = 14695981039346656037ULL;
-    void feed(const void* data, std::size_t n) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ULL;
-        }
-    }
-    template <typename T>
-    void feed_value(T v) {
-        feed(&v, sizeof v);
-    }
-};
-
 struct Options {
     std::string json_path = "BENCH_simcore.json";
     std::string timestamp = "unspecified";

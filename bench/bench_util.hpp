@@ -1,9 +1,11 @@
-// Small formatting helpers shared by the reproduction benches.  Each bench
-// binary prints the paper artifact it regenerates (figure series or table
-// rows) in a fixed-width layout plus a machine-readable CSV block.
+// Small helpers shared by the reproduction benches: formatting and a trace
+// hash.  Each bench binary prints the paper artifact it regenerates (figure
+// series or table rows) in a fixed-width layout plus a machine-readable CSV
+// block.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,6 +32,22 @@ inline std::size_t peak_rss_bytes() {
     return 0;
 #endif
 }
+
+/// 64-bit FNV-1a over raw bytes (feed_value feeds in host byte order).
+struct Fnv1a {
+    std::uint64_t h = 14695981039346656037ULL;  // offset basis
+    void feed(const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 1099511628211ULL;  // FNV prime
+        }
+    }
+    template <typename T>
+    void feed_value(T v) {
+        feed(&v, sizeof v);
+    }
+};
 
 inline void title(const std::string& text) {
     std::printf("\n=== %s ===\n\n", text.c_str());

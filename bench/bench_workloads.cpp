@@ -52,21 +52,6 @@ using namespace lbrm;
 using namespace lbrm::bench;
 using namespace lbrm::sim;
 
-struct Fnv1a {
-    std::uint64_t h = 14695981039346656037ULL;
-    void feed(const void* data, std::size_t n) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ULL;
-        }
-    }
-    template <typename T>
-    void feed_value(T v) {
-        feed(&v, sizeof v);
-    }
-};
-
 struct BenchOpts {
     std::size_t sites = 1000;
     std::size_t receivers = 100;  ///< per site; 1000 x 100 = 10^5 receivers

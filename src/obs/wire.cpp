@@ -1,193 +1,99 @@
 #include "obs/wire.hpp"
 
-namespace lbrm::obs::wire {
+namespace lbrm::obs {
 
-void encode_registry(ByteWriter& w, const RegistrySnapshot& snap) {
-    w.u32(static_cast<std::uint32_t>(snap.scalars.size()));
-    for (const auto& [name, v] : snap.scalars) {
-        w.str16(name);
-        w.f64(v);
-    }
-    w.u32(static_cast<std::uint32_t>(snap.histograms.size()));
-    for (const auto& [name, h] : snap.histograms) {
-        w.str16(name);
-        w.u32(static_cast<std::uint32_t>(h.bounds.size()));
-        for (double b : h.bounds) w.f64(b);
-        // counts always carries bounds+1 slots (the +inf bucket).
-        for (std::uint64_t c : h.counts) w.u64(c);
-        w.u64(h.count);
-        w.f64(h.sum);
-    }
+// Field lists of the REPORT payloads (see common/bytes.hpp).  Telemetry
+// lists and maps carry u32 counts.
+
+void fields(auto& a, MaybeConst<RegistrySnapshot> auto& s) {
+    a(counted<std::uint32_t>(s.scalars), counted<std::uint32_t>(s.histograms));
 }
+
+void fields(auto& a, MaybeConst<RegistrySnapshot::Hist> auto& h) {
+    a(counted<std::uint32_t>(h.bounds));
+    // One count per bound plus the +inf bucket; no count on the wire.
+    a(implied(h.counts, h.bounds.size() + 1), h.count, h.sum);
+}
+
+void fields(auto& a, MaybeConst<SamplerSnapshot> auto& s) {
+    a(s.interval_s, counted<std::uint32_t>(s.t));
+    // Every series holds one value per row, so its length is the row count.
+    a(counted<std::uint32_t>(s.series, [&s](auto& w, auto& series) {
+        w(series.name, series.rate, implied(series.values, s.t.size()));
+    }));
+}
+
+void fields(auto& a, MaybeConst<EpisodeTracker::Record> auto& r) {
+    a(r.node, r.seq, r.opened_s, r.closed_s, r.nacks, r.cold_restarts, r.kind, r.tier,
+      r.reason);
+}
+
+void fields(auto& a, MaybeConst<PortableSpan> auto& s) { a(s.name, s.tid, s.start_ns, s.dur_ns); }
+
+namespace wire {
+
+namespace {
+
+template <typename T>
+std::optional<T> read_value(ByteReader& r) {
+    T value;
+    if (!read_fields(r, value)) return std::nullopt;
+    return value;
+}
+
+/// A u32-counted list of `T`.
+template <typename T>
+std::optional<std::vector<T>> read_list(ByteReader& r) {
+    std::vector<T> list;
+    if (!read_fields(r, counted<std::uint32_t>(list))) return std::nullopt;
+    return list;
+}
+
+}  // namespace
+
+void encode_registry(ByteWriter& w, const RegistrySnapshot& snap) { write_fields(w, snap); }
 
 std::optional<RegistrySnapshot> decode_registry(ByteReader& r) {
-    RegistrySnapshot snap;
-    auto nscalars = r.u32();
-    if (!nscalars) return std::nullopt;
-    for (std::uint32_t i = 0; i < *nscalars; ++i) {
-        auto name = r.str16();
-        auto v = r.f64();
-        if (!name || !v) return std::nullopt;
-        snap.scalars.emplace(std::move(*name), *v);
-    }
-    auto nhists = r.u32();
-    if (!nhists) return std::nullopt;
-    for (std::uint32_t i = 0; i < *nhists; ++i) {
-        auto name = r.str16();
-        auto nbounds = r.u32();
-        if (!name || !nbounds) return std::nullopt;
-        RegistrySnapshot::Hist h;
-        for (std::uint32_t b = 0; b < *nbounds; ++b) {
-            auto bound = r.f64();
-            if (!bound) return std::nullopt;
-            h.bounds.push_back(*bound);
-        }
-        for (std::uint32_t c = 0; c < *nbounds + 1; ++c) {
-            auto count = r.u64();
-            if (!count) return std::nullopt;
-            h.counts.push_back(*count);
-        }
-        auto count = r.u64();
-        auto sum = r.f64();
-        if (!count || !sum) return std::nullopt;
-        h.count = *count;
-        h.sum = *sum;
-        snap.histograms.emplace(std::move(*name), std::move(h));
-    }
-    return snap;
+    return read_value<RegistrySnapshot>(r);
 }
 
-void encode_sampler(ByteWriter& w, const SamplerSnapshot& snap) {
-    w.f64(snap.interval_s);
-    w.u32(static_cast<std::uint32_t>(snap.t.size()));
-    for (double t : snap.t) w.f64(t);
-    w.u32(static_cast<std::uint32_t>(snap.series.size()));
-    for (const auto& s : snap.series) {
-        w.str16(s.name);
-        w.u8(s.rate ? 1 : 0);
-        // values.size() == t.size() by construction; encoded implicitly.
-        for (std::uint64_t v : s.values) w.u64(v);
-    }
-}
+void encode_sampler(ByteWriter& w, const SamplerSnapshot& snap) { write_fields(w, snap); }
 
 std::optional<SamplerSnapshot> decode_sampler(ByteReader& r) {
-    SamplerSnapshot snap;
-    auto interval = r.f64();
-    auto nrows = r.u32();
-    if (!interval || !nrows) return std::nullopt;
-    snap.interval_s = *interval;
-    for (std::uint32_t i = 0; i < *nrows; ++i) {
-        auto t = r.f64();
-        if (!t) return std::nullopt;
-        snap.t.push_back(*t);
-    }
-    auto nseries = r.u32();
-    if (!nseries) return std::nullopt;
-    for (std::uint32_t i = 0; i < *nseries; ++i) {
-        auto name = r.str16();
-        auto rate = r.u8();
-        if (!name || !rate) return std::nullopt;
-        SamplerSnapshot::Series s;
-        s.name = std::move(*name);
-        s.rate = *rate != 0;
-        for (std::uint32_t v = 0; v < *nrows; ++v) {
-            auto val = r.u64();
-            if (!val) return std::nullopt;
-            s.values.push_back(*val);
-        }
-        snap.series.push_back(std::move(s));
-    }
-    return snap;
+    return read_value<SamplerSnapshot>(r);
 }
 
 void encode_episodes(ByteWriter& w, const std::vector<EpisodeTracker::Record>& recs) {
-    w.u32(static_cast<std::uint32_t>(recs.size()));
-    for (const auto& rec : recs) {
-        w.u32(rec.node);
-        w.u32(rec.seq);
-        w.f64(rec.opened_s);
-        w.f64(rec.closed_s);
-        w.u32(rec.nacks);
-        w.u32(rec.cold_restarts);
-        w.u8(static_cast<std::uint8_t>(rec.kind));
-        w.u8(rec.tier);
-        w.u8(static_cast<std::uint8_t>(rec.reason));
-    }
+    write_fields(w, counted<std::uint32_t>(recs));
 }
 
 std::optional<std::vector<EpisodeTracker::Record>> decode_episodes(ByteReader& r) {
-    auto n = r.u32();
-    if (!n) return std::nullopt;
-    std::vector<EpisodeTracker::Record> recs;
-    for (std::uint32_t i = 0; i < *n; ++i) {
-        EpisodeTracker::Record rec;
-        auto node = r.u32();
-        auto seq = r.u32();
-        auto opened = r.f64();
-        auto closed = r.f64();
-        auto nacks = r.u32();
-        auto cold = r.u32();
-        auto kind = r.u8();
-        auto tier = r.u8();
-        auto reason = r.u8();
-        if (!node || !seq || !opened || !closed || !nacks || !cold || !kind ||
-            !tier || !reason)
+    auto recs = read_list<EpisodeTracker::Record>(r);
+    if (!recs) return std::nullopt;
+    // Any byte reads into a u8-backed enum, so the range check follows the
+    // read: an out-of-range kind, tier or reason fails the whole list.
+    for (const EpisodeTracker::Record& rec : *recs)
+        if (rec.kind > EpisodeTracker::Kind::kFetch || rec.tier > EpisodeTracker::kTierPrimary ||
+            rec.reason > EpisodeTracker::Reason::kAbandoned)
             return std::nullopt;
-        if (*kind > 1 || *tier > 2 || *reason > 1) return std::nullopt;
-        rec.node = *node;
-        rec.seq = *seq;
-        rec.opened_s = *opened;
-        rec.closed_s = *closed;
-        rec.nacks = *nacks;
-        rec.cold_restarts = *cold;
-        rec.kind = static_cast<EpisodeTracker::Kind>(*kind);
-        rec.tier = *tier;
-        rec.reason = static_cast<EpisodeTracker::Reason>(*reason);
-        recs.push_back(rec);
-    }
     return recs;
 }
 
 void encode_spans(ByteWriter& w, const std::vector<PortableSpan>& spans) {
-    w.u32(static_cast<std::uint32_t>(spans.size()));
-    for (const auto& s : spans) {
-        w.str16(s.name);
-        w.u32(s.tid);
-        w.u64(s.start_ns);
-        w.u64(s.dur_ns);
-    }
+    write_fields(w, counted<std::uint32_t>(spans));
 }
 
 std::optional<std::vector<PortableSpan>> decode_spans(ByteReader& r) {
-    auto n = r.u32();
-    if (!n) return std::nullopt;
-    std::vector<PortableSpan> spans;
-    for (std::uint32_t i = 0; i < *n; ++i) {
-        auto name = r.str16();
-        auto tid = r.u32();
-        auto start = r.u64();
-        auto dur = r.u64();
-        if (!name || !tid || !start || !dur) return std::nullopt;
-        spans.push_back({std::move(*name), *tid, *start, *dur});
-    }
-    return spans;
+    return read_list<PortableSpan>(r);
 }
 
 void encode_u64s(ByteWriter& w, const std::vector<std::uint64_t>& vals) {
-    w.u32(static_cast<std::uint32_t>(vals.size()));
-    for (std::uint64_t v : vals) w.u64(v);
+    write_fields(w, counted<std::uint32_t>(vals));
 }
 
 std::optional<std::vector<std::uint64_t>> decode_u64s(ByteReader& r) {
-    auto n = r.u32();
-    if (!n) return std::nullopt;
-    std::vector<std::uint64_t> vals;
-    for (std::uint32_t i = 0; i < *n; ++i) {
-        auto v = r.u64();
-        if (!v) return std::nullopt;
-        vals.push_back(*v);
-    }
-    return vals;
+    return read_list<std::uint64_t>(r);
 }
 
-}  // namespace lbrm::obs::wire
+}  // namespace wire
+}  // namespace lbrm::obs

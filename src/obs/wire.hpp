@@ -4,10 +4,11 @@
 // Shard children ship their full observability state -- structured registry
 // snapshots with histogram buckets intact, sampler series, completed
 // recovery episodes, wall-time trace spans, and per-window wait profiles --
-// inside the REPORT frame (sim/shard_proc.cpp).  These codecs ride the same
-// big-endian ByteWriter/ByteReader substrate as the protocol packets, and
-// every decoder is optional-on-failure so a truncated or malformed frame
-// surfaces as std::nullopt, never UB.
+// inside the REPORT frame (sim/shard_proc.cpp).  Each payload's layout is
+// one field list in wire.cpp, walked by the same encoder, decoder and
+// big-endian substrate as the protocol packets (common/bytes.hpp); lists
+// and maps carry u32 counts.  Every decoder is optional-on-failure so a
+// truncated or malformed frame surfaces as std::nullopt, never UB.
 #pragma once
 
 #include <cstdint>

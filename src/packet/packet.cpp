@@ -1,386 +1,78 @@
 #include "packet/packet.hpp"
 
-#include <limits>
+#include <utility>
 
 namespace lbrm {
 
+// Field lists, one per PROTOCOL.md §1 row (see common/bytes.hpp): encode,
+// encoded_size and decode all walk these.  WireLayout pins every one.
+
+void fields(auto& a, MaybeConst<Header> auto& h) { a(h.group, h.source, h.sender); }
+
+void fields(auto& a, MaybeConst<DataBody> auto& b) { a(b.seq, b.epoch, b.payload); }
+void fields(auto& a, MaybeConst<HeartbeatBody> auto& b) { a(b.last_seq, b.index); }
+void fields(auto& a, MaybeConst<NackBody> auto& b) { a(counted<std::uint16_t>(b.missing)); }
+void fields(auto& a, MaybeConst<RetransmissionBody> auto& b) {
+    a(b.seq, b.epoch, b.multicast, b.payload);
+}
+void fields(auto& a, MaybeConst<LogStoreBody> auto& b) { a(b.seq, b.epoch, b.payload); }
+void fields(auto& a, MaybeConst<LogAckBody> auto& b) {
+    a(b.primary_seq, b.replica_seq, b.has_replica);
+}
+void fields(auto& a, MaybeConst<ReplicaUpdateBody> auto& b) { a(b.seq, b.epoch, b.payload); }
+void fields(auto& a, MaybeConst<ReplicaAckBody> auto& b) { a(b.cumulative_seq); }
+void fields(auto& a, MaybeConst<AckerSelectionBody> auto& b) { a(b.epoch, b.p_ack); }
+void fields(auto& a, MaybeConst<AckerResponseBody> auto& b) { a(b.epoch); }
+void fields(auto& a, MaybeConst<AckBody> auto& b) { a(b.epoch, b.seq); }
+void fields(auto& a, MaybeConst<ProbeRequestBody> auto& b) { a(b.round, b.p_ack); }
+void fields(auto& a, MaybeConst<ProbeReplyBody> auto& b) { a(b.round); }
+void fields(auto& a, MaybeConst<DiscoveryQueryBody> auto& b) { a(b.ttl, b.nonce); }
+void fields(auto& a, MaybeConst<DiscoveryReplyBody> auto& b) {
+    a(b.nonce, b.logger, b.is_primary);
+}
+void fields(auto&, MaybeConst<PrimaryQueryBody> auto&) {}
+void fields(auto& a, MaybeConst<PrimaryReplyBody> auto& b) { a(b.primary); }
+void fields(auto&, MaybeConst<PromoteRequestBody> auto&) {}
+void fields(auto& a, MaybeConst<PromoteReplyBody> auto& b) { a(b.log_high_water, b.accepted); }
+
+/// The whole datagram: the fixed header, then the body.
+void fields(auto& a, const Packet& p) {
+    std::visit([&](const auto& body) { a(kMagic, kVersion, p.type(), p.header, body); },
+               p.body);
+}
+
 namespace {
 
-// --- per-body encoders -----------------------------------------------------
-
-void encode_body(ByteWriter& w, const DataBody& b) {
-    w.u32(b.seq.value());
-    w.u32(b.epoch.value());
-    w.blob16(b.payload);
-}
-
-void encode_body(ByteWriter& w, const HeartbeatBody& b) {
-    w.u32(b.last_seq.value());
-    w.u32(b.index);
-}
-
-void encode_body(ByteWriter& w, const NackBody& b) {
-    if (b.missing.size() > std::numeric_limits<std::uint16_t>::max())
-        throw std::length_error("NackBody: too many missing sequence numbers");
-    w.u16(static_cast<std::uint16_t>(b.missing.size()));
-    for (SeqNum s : b.missing) w.u32(s.value());
-}
-
-void encode_body(ByteWriter& w, const RetransmissionBody& b) {
-    w.u32(b.seq.value());
-    w.u32(b.epoch.value());
-    w.u8(b.multicast ? 1 : 0);
-    w.blob16(b.payload);
-}
-
-void encode_body(ByteWriter& w, const LogStoreBody& b) {
-    w.u32(b.seq.value());
-    w.u32(b.epoch.value());
-    w.blob16(b.payload);
-}
-
-void encode_body(ByteWriter& w, const LogAckBody& b) {
-    w.u32(b.primary_seq.value());
-    w.u32(b.replica_seq.value());
-    w.u8(b.has_replica ? 1 : 0);
-}
-
-void encode_body(ByteWriter& w, const ReplicaUpdateBody& b) {
-    w.u32(b.seq.value());
-    w.u32(b.epoch.value());
-    w.blob16(b.payload);
-}
-
-void encode_body(ByteWriter& w, const ReplicaAckBody& b) { w.u32(b.cumulative_seq.value()); }
-
-void encode_body(ByteWriter& w, const AckerSelectionBody& b) {
-    w.u32(b.epoch.value());
-    w.f64(b.p_ack);
-}
-
-void encode_body(ByteWriter& w, const AckerResponseBody& b) { w.u32(b.epoch.value()); }
-
-void encode_body(ByteWriter& w, const AckBody& b) {
-    w.u32(b.epoch.value());
-    w.u32(b.seq.value());
-}
-
-void encode_body(ByteWriter& w, const ProbeRequestBody& b) {
-    w.u32(b.round);
-    w.f64(b.p_ack);
-}
-
-void encode_body(ByteWriter& w, const ProbeReplyBody& b) { w.u32(b.round); }
-
-void encode_body(ByteWriter& w, const DiscoveryQueryBody& b) {
-    w.u8(b.ttl);
-    w.u32(b.nonce);
-}
-
-void encode_body(ByteWriter& w, const DiscoveryReplyBody& b) {
-    w.u32(b.nonce);
-    w.u32(b.logger.value());
-    w.u8(b.is_primary ? 1 : 0);
-}
-
-void encode_body(ByteWriter&, const PrimaryQueryBody&) {}
-
-void encode_body(ByteWriter& w, const PrimaryReplyBody& b) { w.u32(b.primary.value()); }
-
-void encode_body(ByteWriter&, const PromoteRequestBody&) {}
-
-void encode_body(ByteWriter& w, const PromoteReplyBody& b) {
-    w.u32(b.log_high_water.value());
-    w.u8(b.accepted ? 1 : 0);
-}
-
-// --- per-body encoded sizes --------------------------------------------------
-//
-// Must mirror the encoders above field for field; packet_test asserts
-// encoded_size(p) == encode(p).size() for every packet type.
-
-std::size_t body_size(const DataBody& b) { return 4 + 4 + 2 + b.payload.size(); }
-std::size_t body_size(const HeartbeatBody&) { return 4 + 4; }
-std::size_t body_size(const NackBody& b) { return 2 + 4 * b.missing.size(); }
-std::size_t body_size(const RetransmissionBody& b) { return 4 + 4 + 1 + 2 + b.payload.size(); }
-std::size_t body_size(const LogStoreBody& b) { return 4 + 4 + 2 + b.payload.size(); }
-std::size_t body_size(const LogAckBody&) { return 4 + 4 + 1; }
-std::size_t body_size(const ReplicaUpdateBody& b) { return 4 + 4 + 2 + b.payload.size(); }
-std::size_t body_size(const ReplicaAckBody&) { return 4; }
-std::size_t body_size(const AckerSelectionBody&) { return 4 + 8; }
-std::size_t body_size(const AckerResponseBody&) { return 4; }
-std::size_t body_size(const AckBody&) { return 4 + 4; }
-std::size_t body_size(const ProbeRequestBody&) { return 4 + 8; }
-std::size_t body_size(const ProbeReplyBody&) { return 4; }
-std::size_t body_size(const DiscoveryQueryBody&) { return 1 + 4; }
-std::size_t body_size(const DiscoveryReplyBody&) { return 4 + 4 + 1; }
-std::size_t body_size(const PrimaryQueryBody&) { return 0; }
-std::size_t body_size(const PrimaryReplyBody&) { return 4; }
-std::size_t body_size(const PromoteRequestBody&) { return 0; }
-std::size_t body_size(const PromoteReplyBody&) { return 4 + 1; }
-
-// --- per-body decoders -----------------------------------------------------
-
-template <typename T>
-std::optional<Body> decode_as(ByteReader& r);
-
-template <>
-std::optional<Body> decode_as<DataBody>(ByteReader& r) {
-    auto seq = r.u32();
-    auto epoch = r.u32();
-    auto payload = r.blob16();
-    if (!seq || !epoch || !payload) return std::nullopt;
-    return DataBody{SeqNum{*seq}, EpochId{*epoch}, std::move(*payload)};
-}
-
-template <>
-std::optional<Body> decode_as<HeartbeatBody>(ByteReader& r) {
-    auto seq = r.u32();
-    auto index = r.u32();
-    if (!seq || !index) return std::nullopt;
-    return HeartbeatBody{SeqNum{*seq}, *index};
-}
-
-template <>
-std::optional<Body> decode_as<NackBody>(ByteReader& r) {
-    auto count = r.u16();
-    if (!count) return std::nullopt;
-    NackBody b;
-    b.missing.reserve(*count);
-    for (std::uint16_t i = 0; i < *count; ++i) {
-        auto s = r.u32();
-        if (!s) return std::nullopt;
-        b.missing.push_back(SeqNum{*s});
-    }
-    return b;
-}
-
-template <>
-std::optional<Body> decode_as<RetransmissionBody>(ByteReader& r) {
-    auto seq = r.u32();
-    auto epoch = r.u32();
-    auto mc = r.u8();
-    auto payload = r.blob16();
-    if (!seq || !epoch || !mc || !payload) return std::nullopt;
-    return RetransmissionBody{SeqNum{*seq}, EpochId{*epoch}, *mc != 0, std::move(*payload)};
-}
-
-template <>
-std::optional<Body> decode_as<LogStoreBody>(ByteReader& r) {
-    auto seq = r.u32();
-    auto epoch = r.u32();
-    auto payload = r.blob16();
-    if (!seq || !epoch || !payload) return std::nullopt;
-    return LogStoreBody{SeqNum{*seq}, EpochId{*epoch}, std::move(*payload)};
-}
-
-template <>
-std::optional<Body> decode_as<LogAckBody>(ByteReader& r) {
-    auto p = r.u32();
-    auto rep = r.u32();
-    auto has = r.u8();
-    if (!p || !rep || !has) return std::nullopt;
-    return LogAckBody{SeqNum{*p}, SeqNum{*rep}, *has != 0};
-}
-
-template <>
-std::optional<Body> decode_as<ReplicaUpdateBody>(ByteReader& r) {
-    auto seq = r.u32();
-    auto epoch = r.u32();
-    auto payload = r.blob16();
-    if (!seq || !epoch || !payload) return std::nullopt;
-    return ReplicaUpdateBody{SeqNum{*seq}, EpochId{*epoch}, std::move(*payload)};
-}
-
-template <>
-std::optional<Body> decode_as<ReplicaAckBody>(ByteReader& r) {
-    auto seq = r.u32();
-    if (!seq) return std::nullopt;
-    return ReplicaAckBody{SeqNum{*seq}};
-}
-
-template <>
-std::optional<Body> decode_as<AckerSelectionBody>(ByteReader& r) {
-    auto epoch = r.u32();
-    auto p = r.f64();
-    if (!epoch || !p) return std::nullopt;
-    return AckerSelectionBody{EpochId{*epoch}, *p};
-}
-
-template <>
-std::optional<Body> decode_as<AckerResponseBody>(ByteReader& r) {
-    auto epoch = r.u32();
-    if (!epoch) return std::nullopt;
-    return AckerResponseBody{EpochId{*epoch}};
-}
-
-template <>
-std::optional<Body> decode_as<AckBody>(ByteReader& r) {
-    auto epoch = r.u32();
-    auto seq = r.u32();
-    if (!epoch || !seq) return std::nullopt;
-    return AckBody{EpochId{*epoch}, SeqNum{*seq}};
-}
-
-template <>
-std::optional<Body> decode_as<ProbeRequestBody>(ByteReader& r) {
-    auto round = r.u32();
-    auto p = r.f64();
-    if (!round || !p) return std::nullopt;
-    return ProbeRequestBody{*round, *p};
-}
-
-template <>
-std::optional<Body> decode_as<ProbeReplyBody>(ByteReader& r) {
-    auto round = r.u32();
-    if (!round) return std::nullopt;
-    return ProbeReplyBody{*round};
-}
-
-template <>
-std::optional<Body> decode_as<DiscoveryQueryBody>(ByteReader& r) {
-    auto ttl = r.u8();
-    auto nonce = r.u32();
-    if (!ttl || !nonce) return std::nullopt;
-    return DiscoveryQueryBody{*ttl, *nonce};
-}
-
-template <>
-std::optional<Body> decode_as<DiscoveryReplyBody>(ByteReader& r) {
-    auto nonce = r.u32();
-    auto logger = r.u32();
-    auto primary = r.u8();
-    if (!nonce || !logger || !primary) return std::nullopt;
-    return DiscoveryReplyBody{*nonce, NodeId{*logger}, *primary != 0};
-}
-
-template <>
-std::optional<Body> decode_as<PrimaryQueryBody>(ByteReader&) {
-    return PrimaryQueryBody{};
-}
-
-template <>
-std::optional<Body> decode_as<PrimaryReplyBody>(ByteReader& r) {
-    auto primary = r.u32();
-    if (!primary) return std::nullopt;
-    return PrimaryReplyBody{NodeId{*primary}};
-}
-
-template <>
-std::optional<Body> decode_as<PromoteRequestBody>(ByteReader&) {
-    return PromoteRequestBody{};
-}
-
-template <>
-std::optional<Body> decode_as<PromoteReplyBody>(ByteReader& r) {
-    auto hw = r.u32();
-    auto accepted = r.u8();
-    if (!hw || !accepted) return std::nullopt;
-    return PromoteReplyBody{SeqNum{*hw}, *accepted != 0};
-}
-
-std::optional<Body> decode_body(PacketType type, ByteReader& r) {
-    switch (type) {
-        case PacketType::kData: return decode_as<DataBody>(r);
-        case PacketType::kHeartbeat: return decode_as<HeartbeatBody>(r);
-        case PacketType::kNack: return decode_as<NackBody>(r);
-        case PacketType::kRetransmission: return decode_as<RetransmissionBody>(r);
-        case PacketType::kLogStore: return decode_as<LogStoreBody>(r);
-        case PacketType::kLogAck: return decode_as<LogAckBody>(r);
-        case PacketType::kReplicaUpdate: return decode_as<ReplicaUpdateBody>(r);
-        case PacketType::kReplicaAck: return decode_as<ReplicaAckBody>(r);
-        case PacketType::kAckerSelection: return decode_as<AckerSelectionBody>(r);
-        case PacketType::kAckerResponse: return decode_as<AckerResponseBody>(r);
-        case PacketType::kAck: return decode_as<AckBody>(r);
-        case PacketType::kProbeRequest: return decode_as<ProbeRequestBody>(r);
-        case PacketType::kProbeReply: return decode_as<ProbeReplyBody>(r);
-        case PacketType::kDiscoveryQuery: return decode_as<DiscoveryQueryBody>(r);
-        case PacketType::kDiscoveryReply: return decode_as<DiscoveryReplyBody>(r);
-        case PacketType::kPrimaryQuery: return decode_as<PrimaryQueryBody>(r);
-        case PacketType::kPrimaryReply: return decode_as<PrimaryReplyBody>(r);
-        case PacketType::kPromoteRequest: return decode_as<PromoteRequestBody>(r);
-        case PacketType::kPromoteReply: return decode_as<PromoteReplyBody>(r);
-    }
-    return std::nullopt;
+/// A default-constructed body of variant index `index` (the type byte - 1),
+/// ready for its field list to be read into.
+template <std::size_t... I>
+Body body_at(std::size_t index, std::index_sequence<I...>) {
+    static constexpr Body (*kMake[])() = {[] { return Body{std::in_place_index<I>}; }...};
+    return kMake[index]();
 }
 
 }  // namespace
 
-PacketType Packet::type() const {
-    struct Visitor {
-        PacketType operator()(const DataBody&) const { return PacketType::kData; }
-        PacketType operator()(const HeartbeatBody&) const { return PacketType::kHeartbeat; }
-        PacketType operator()(const NackBody&) const { return PacketType::kNack; }
-        PacketType operator()(const RetransmissionBody&) const {
-            return PacketType::kRetransmission;
-        }
-        PacketType operator()(const LogStoreBody&) const { return PacketType::kLogStore; }
-        PacketType operator()(const LogAckBody&) const { return PacketType::kLogAck; }
-        PacketType operator()(const ReplicaUpdateBody&) const {
-            return PacketType::kReplicaUpdate;
-        }
-        PacketType operator()(const ReplicaAckBody&) const { return PacketType::kReplicaAck; }
-        PacketType operator()(const AckerSelectionBody&) const {
-            return PacketType::kAckerSelection;
-        }
-        PacketType operator()(const AckerResponseBody&) const {
-            return PacketType::kAckerResponse;
-        }
-        PacketType operator()(const AckBody&) const { return PacketType::kAck; }
-        PacketType operator()(const ProbeRequestBody&) const { return PacketType::kProbeRequest; }
-        PacketType operator()(const ProbeReplyBody&) const { return PacketType::kProbeReply; }
-        PacketType operator()(const DiscoveryQueryBody&) const {
-            return PacketType::kDiscoveryQuery;
-        }
-        PacketType operator()(const DiscoveryReplyBody&) const {
-            return PacketType::kDiscoveryReply;
-        }
-        PacketType operator()(const PrimaryQueryBody&) const { return PacketType::kPrimaryQuery; }
-        PacketType operator()(const PrimaryReplyBody&) const { return PacketType::kPrimaryReply; }
-        PacketType operator()(const PromoteRequestBody&) const {
-            return PacketType::kPromoteRequest;
-        }
-        PacketType operator()(const PromoteReplyBody&) const { return PacketType::kPromoteReply; }
-    };
-    return std::visit(Visitor{}, body);
-}
-
 std::vector<std::uint8_t> encode(const Packet& packet) {
     ByteWriter w{kHeaderSize + 64};
-    w.u16(kMagic);
-    w.u8(kVersion);
-    w.u8(static_cast<std::uint8_t>(packet.type()));
-    w.u32(packet.header.group.value());
-    w.u32(packet.header.source.value());
-    w.u32(packet.header.sender.value());
-    std::visit([&w](const auto& b) { encode_body(w, b); }, packet.body);
+    write_fields(w, packet);
     return w.take();
 }
 
-std::size_t encoded_size(const Packet& packet) {
-    return kHeaderSize + std::visit([](const auto& b) { return body_size(b); }, packet.body);
-}
+std::size_t encoded_size(const Packet& packet) { return fields_size(packet); }
 
 std::optional<Packet> decode(std::span<const std::uint8_t> datagram) {
     ByteReader r{datagram};
-    auto magic = r.u16();
-    auto version = r.u8();
-    auto type_raw = r.u8();
-    auto group = r.u32();
-    auto source = r.u32();
-    auto sender = r.u32();
-    if (!magic || !version || !type_raw || !group || !source || !sender) return std::nullopt;
-    if (*magic != kMagic || *version != kVersion) return std::nullopt;
-    if (*type_raw < static_cast<std::uint8_t>(PacketType::kData) ||
-        *type_raw > static_cast<std::uint8_t>(PacketType::kPromoteReply))
-        return std::nullopt;
-
-    auto body = decode_body(static_cast<PacketType>(*type_raw), r);
-    if (!body || !r.ok()) return std::nullopt;
-
+    std::uint16_t magic = 0;
+    std::uint8_t version = 0;
+    std::uint8_t type = 0;
     Packet p;
-    p.header = Header{GroupId{*group}, NodeId{*source}, NodeId{*sender}};
-    p.body = std::move(*body);
+    if (!read_fields(r, magic, version, type, p.header)) return std::nullopt;
+    if (magic != kMagic || version != kVersion) return std::nullopt;
+    if (type < 1 || type > std::variant_size_v<Body>) return std::nullopt;
+    p.body = body_at(type - 1u, std::make_index_sequence<std::variant_size_v<Body>>{});
+    if (!std::visit([&r](auto& body) { return read_fields(r, body); }, p.body))
+        return std::nullopt;
     return p;
 }
 

@@ -13,14 +13,17 @@
 //   DiscoveryQuery / DiscoveryReply  scoped-multicast logger discovery (S2.2.1)
 //   PrimaryQuery / PrimaryReply      primary-logger address refresh (S2.2.3)
 //
-// Encoding is explicit big-endian via ByteWriter/ByteReader; decode never
-// trusts input (truncated or corrupt packets yield decode errors, not UB).
+// Encoding is explicit big-endian: each body's layout is one field list in
+// packet.cpp (PROTOCOL.md §1; common/bytes.hpp walks it to encode, size and
+// decode).  Decode never trusts input (truncated or corrupt packets yield
+// decode errors, not UB).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -232,10 +235,20 @@ struct Packet {
     Header header;
     Body body;
 
-    [[nodiscard]] PacketType type() const;
+    /// The body's variant index is its type tag, minus one.
+    [[nodiscard]] PacketType type() const {
+        return static_cast<PacketType>(body.index() + 1);
+    }
 
     friend bool operator==(const Packet&, const Packet&) = default;
 };
+
+static_assert(std::variant_size_v<Body> == static_cast<std::size_t>(PacketType::kPromoteReply) &&
+                  std::is_same_v<std::variant_alternative_t<0, Body>, DataBody> &&
+                  static_cast<std::size_t>(PacketType::kData) == 1 &&
+                  std::is_same_v<std::variant_alternative_t<std::variant_size_v<Body> - 1, Body>,
+                                 PromoteReplyBody>,
+              "Body lists the alternatives in PacketType order, DATA (1) first");
 
 /// Serialize to network byte order.  Throws std::length_error only if a
 /// variable-length field exceeds its 16-bit length prefix.

@@ -118,7 +118,7 @@ std::size_t ProtocolHost::next_dormant_after(std::uint64_t last_tag) const {
 void ProtocolHost::fire_dormant_watchdogs(TimePoint now) {
     // Tag-cursor loop, not indices or references: execute() routes notices
     // through observer callbacks that may re-enter this host and wake (=
-    // erase) another dormant record -- e.g. a chaos hook or a test poking
+    // erase) another dormant record -- e.g. a chaos fault or a test poking
     // scenario.receiver(node) from on_notice.  An index held across that
     // erase would skip the shifted record; a reference would dangle.
     std::uint64_t last_tag = 0;  // tags start at 1, so 0 = "before the first"

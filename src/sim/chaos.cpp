@@ -38,10 +38,8 @@ ChaosEngine::ChaosEngine(DisScenario& scenario, ChaosSchedule schedule)
 }
 
 ChaosEngine::~ChaosEngine() {
-    // Release the scenario hooks so a scenario outliving the engine never
-    // calls into freed state.
-    if (hooked_delivery_) scenario_.set_delivery_hook(nullptr);
-    if (hooked_send_) scenario_.set_send_hook(nullptr);
+    // Detach so a scenario outliving the engine never calls into freed state.
+    if (observing_) scenario_.remove_observer(this);
 }
 
 void ChaosEngine::arm() {
@@ -97,17 +95,9 @@ void ChaosEngine::arm() {
             event);
     }
 
-    if (!receive_triggers_.empty()) {
-        hooked_delivery_ = true;
-        scenario_.set_delivery_hook(
-            [this](TimePoint at, NodeId node, const DeliverData& d) {
-                on_delivery(at, node, d.seq);
-            });
-    }
-    if (!send_triggers_.empty()) {
-        hooked_send_ = true;
-        scenario_.set_send_hook(
-            [this](TimePoint at, SeqNum seq) { on_send(at, seq); });
+    if (!receive_triggers_.empty() || !send_triggers_.empty()) {
+        observing_ = true;
+        scenario_.add_observer(this);
     }
 }
 
@@ -171,27 +161,25 @@ void ChaosEngine::record(TimePoint at, std::string what) {
     log_.push_back({at, std::move(what)});
 }
 
-void ChaosEngine::on_delivery(TimePoint at, NodeId node, SeqNum seq) {
+void ChaosEngine::on_delivery(TimePoint, NodeId node, const DeliverData& data) {
     for (std::size_t i = 0; i < receive_triggers_.size(); ++i) {
-        if (receive_triggers_[i].node != node || receive_triggers_[i].seq != seq)
+        if (receive_triggers_[i].node != node || receive_triggers_[i].seq != data.seq)
             continue;
         const CrashOnReceive trig = receive_triggers_[i];
         receive_triggers_.erase(receive_triggers_.begin() +
                                 static_cast<std::ptrdiff_t>(i));
         c_crash_on_receive_->inc();
-        (void)at;
         crash_node(node, trig.revive_after, "crash-on-receive");
         return;
     }
 }
 
-void ChaosEngine::on_send(TimePoint at, SeqNum seq) {
+void ChaosEngine::on_send(TimePoint, SeqNum seq) {
     for (std::size_t i = 0; i < send_triggers_.size(); ++i) {
         if (send_triggers_[i].seq != seq) continue;
         const SendAndCrash trig = send_triggers_[i];
         send_triggers_.erase(send_triggers_.begin() + static_cast<std::ptrdiff_t>(i));
         c_send_and_crash_->inc();
-        (void)at;
         crash_node(scenario_.topology().source, trig.revive_after, "send-and-crash");
         return;
     }

@@ -5,8 +5,8 @@
 // without any receiver permanently losing a packet.  ChaosEngine stresses
 // exactly that: a declarative ChaosSchedule names faults and when they
 // strike; arm() turns each into ordinary simulator events (node down/up,
-// re-finalize) plus packet-triggered crashes driven by the scenario's
-// delivery/send hooks.
+// re-finalize) plus packet-triggered crashes, which the engine applies as
+// one of the scenario's added observers (DisScenario::add_observer).
 //
 // Determinism rules:
 //   * Injection draws no randomness.  Applying a fault is set_node_down()
@@ -15,9 +15,10 @@
 //   * Randomized *schedules* (correlated_blackouts) consume only the Rng
 //     the caller passes in -- never the scenario's stream -- so generating
 //     a schedule cannot perturb non-fault packet outcomes.
-//   * An idle engine (empty schedule) installs no hooks and schedules no
-//     events: fault-free runs are bit-identical with the chaos layer
-//     compiled in (chaos_test pins this with a packet-trace hash).
+//   * An idle engine (empty schedule) attaches no observer and schedules
+//     no events: fault-free runs are bit-identical with the chaos layer
+//     compiled in (chaos_test pins this with a packet-trace hash).  Nor
+//     does an engine without packet-triggered faults attach one.
 //
 // Crash semantics: a "crashed" node is network-silent -- it neither sends
 // nor receives -- but keeps its core state and timers, modelling a
@@ -113,8 +114,8 @@ struct ChaosSchedule {
 /// Applies a ChaosSchedule to a running DisScenario.  Construct after the
 /// scenario, arm() after scenario.start() (or at any later sim time); keep
 /// the engine alive for the run -- it owns the scheduled closures' state
-/// and the scenario hooks.
-class ChaosEngine {
+/// and, with packet-triggered faults, observes the scenario.
+class ChaosEngine : private ScenarioObserver {
 public:
     ChaosEngine(DisScenario& scenario, ChaosSchedule schedule);
     ~ChaosEngine();
@@ -123,8 +124,8 @@ public:
     ChaosEngine& operator=(const ChaosEngine&) = delete;
 
     /// Anchor the schedule at the current simulation time and queue every
-    /// fault.  Packet-triggered faults install the scenario hooks.  May be
-    /// called once; an empty schedule arms nothing at all.
+    /// fault.  Packet-triggered faults attach the engine as a scenario
+    /// observer.  May be called once; an empty schedule arms nothing at all.
     void arm();
 
     // --- applied-fault log (the evidence trail) -------------------------
@@ -150,8 +151,8 @@ private:
     void set_node(NodeId node, bool down, bool refinalize);
     void record(TimePoint at, std::string what);
     void crash_node(NodeId node, Duration revive_after, const char* what);
-    void on_delivery(TimePoint at, NodeId node, SeqNum seq);
-    void on_send(TimePoint at, SeqNum seq);
+    void on_delivery(TimePoint at, NodeId node, const DeliverData& data) override;
+    void on_send(TimePoint at, SeqNum seq) override;
 
     DisScenario& scenario_;
     ChaosSchedule schedule_;
@@ -161,8 +162,7 @@ private:
     /// Pending packet triggers; consumed (erased) when they fire.
     std::vector<CrashOnReceive> receive_triggers_;
     std::vector<SendAndCrash> send_triggers_;
-    bool hooked_delivery_ = false;
-    bool hooked_send_ = false;
+    bool observing_ = false;
 
     std::vector<Applied> log_;
     std::vector<Window> windows_;

@@ -29,9 +29,10 @@
 // A link holds no arrivals: the network layer schedules every arrival,
 // queued or not, as its own event (see DESIGN.md "Queued arrivals").
 //
-// Loss rolls draw from a per-direction RNG stream (see TxRng), so a link's
-// drop pattern depends only on its own traffic -- the property that keeps
-// sharded runs bit-identical to the single-process run.
+// Loss rolls draw from a per-direction RNG stream seeded by (stream seed,
+// from, to), so a link's drop pattern depends only on its own traffic --
+// the property that keeps sharded runs bit-identical to the single-process
+// run.
 #pragma once
 
 #include <array>
@@ -117,27 +118,14 @@ private:
 /// overwhelming majority at 10M nodes -- never allocate this.
 struct LinkCold {
     std::unique_ptr<LossModel> loss;
-    /// Per-direction RNG stream (see TxRng): seeded from (network seed,
-    /// from, to) on the first lossy transmit.  Only directions with a loss
-    /// model ever materialise one.
-    std::unique_ptr<Rng> shard_rng;
+    /// Per-direction RNG stream (see Link::transmit): seeded from (stream
+    /// seed, from, to) on the first lossy transmit.  Only directions with a
+    /// loss model ever materialise one.
+    std::unique_ptr<Rng> loss_rng;
     LinkStats stats;
 };
 
 struct Cable;
-
-/// Which RNG a transmit's loss roll draws from.  Network transmits use
-/// per-link streams: every directed link draws from its own stream seeded
-/// by (network seed, from, to).  All transmits on a link happen in events
-/// at its from-node, so the per-link draw sequence is identical however the
-/// simulation is partitioned into shards -- the property that makes
-/// sharded loss patterns bit-identical to the single-process run.  A
-/// caller-owned stream (the Rng& overload of Link::transmit, for driving a
-/// link directly) draws in call order instead.
-struct TxRng {
-    Rng* global = nullptr;       ///< non-null: a caller-owned stream
-    std::uint64_t shard_seed = 0;  ///< else: base seed for the per-link stream
-};
 
 class Link {
 public:
@@ -156,12 +144,14 @@ public:
     /// Returns the arrival time at the far end, or std::nullopt if the
     /// packet was dropped (queue overflow or loss model; see file comment
     /// for the ordering and its accounting consequences).
-    std::optional<TimePoint> transmit(TxRng rng, TimePoint now, std::size_t bytes,
-                                      PacketType type);
-    std::optional<TimePoint> transmit(Rng& rng, TimePoint now, std::size_t bytes,
-                                      PacketType type) {
-        return transmit(TxRng{&rng, 0}, now, bytes, type);
-    }
+    ///
+    /// A loss roll draws from this direction's own stream, seeded by
+    /// (`stream_seed`, from, to) on first use; Network passes its
+    /// construction seed.  All transmits on a link happen in events at its
+    /// from-node, so the per-link draw sequence is identical however the
+    /// simulation is partitioned into shards.
+    std::optional<TimePoint> transmit(std::uint64_t stream_seed, TimePoint now,
+                                      std::size_t bytes, PacketType type);
 
     /// True when a packet handed over at `now` would queue behind earlier
     /// traffic -- the condition under which a multicast child gets its own
@@ -244,7 +234,7 @@ inline NodeId Link::from() const { return this == &cable_->dir[0] ? cable_->a : 
 inline NodeId Link::to() const { return this == &cable_->dir[0] ? cable_->b : cable_->a; }
 inline const LinkSpec& Link::spec() const { return cable_->spec; }
 
-inline std::optional<TimePoint> Link::transmit(TxRng rng, TimePoint now,
+inline std::optional<TimePoint> Link::transmit(std::uint64_t stream_seed, TimePoint now,
                                                std::size_t bytes, PacketType type) {
     LinkCold& c = cold();  // transmit always accounts: materialise cold state
     const LinkSpec& s = cable_->spec;
@@ -262,18 +252,14 @@ inline std::optional<TimePoint> Link::transmit(TxRng rng, TimePoint now,
     }
 
     if (c.loss) {
-        // Resolve the stream only when a roll actually happens: lossless
+        // Seed the stream only when a roll actually happens: lossless
         // links never allocate a per-link Rng (~2.5 kB of mt19937_64 state).
-        Rng* r = rng.global;
-        if (r == nullptr) {
-            if (!c.shard_rng)
-                c.shard_rng = std::make_unique<Rng>(splitmix64(
-                    rng.shard_seed ^
-                    splitmix64((static_cast<std::uint64_t>(from().value()) << 32) |
-                               to().value())));
-            r = c.shard_rng.get();
-        }
-        if (c.loss->drop(*r, now)) {
+        if (!c.loss_rng)
+            c.loss_rng = std::make_unique<Rng>(splitmix64(
+                stream_seed ^
+                splitmix64((static_cast<std::uint64_t>(from().value()) << 32) |
+                           to().value())));
+        if (c.loss->drop(*c.loss_rng, now)) {
             ++c.stats.drops_loss;
             return std::nullopt;
         }

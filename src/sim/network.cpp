@@ -124,10 +124,13 @@ void Network::destroy(DeliveryBase* d) {
     if (d->prev != nullptr) d->prev->next = d->next;
     if (d->next != nullptr) d->next->prev = d->prev;
     if (deliveries_ == d) deliveries_ = d->next;
-    d->~DeliveryBase();
-    // Burst drained: no in-flight record points into the arena any more, so
-    // rewind it (chunks are retained for the next burst).
-    if (deliveries_ == nullptr) delivery_arena_.reset();
+    delete d;
+}
+
+std::size_t Network::deliveries_in_flight() const {
+    std::size_t n = 0;
+    for (const DeliveryBase* d = deliveries_; d != nullptr; d = d->next) ++n;
+    return n;
 }
 
 void Network::reserve(std::size_t nodes, std::size_t directed_links) {
@@ -680,21 +683,12 @@ struct Network::UnicastDelivery final : DeliveryBase {
     std::uint32_t hops_left;  ///< loop guard (see forward_unicast)
 };
 
-// Delivery records come from the burst-scoped bump arena; destroy() runs
-// the destructor and rewinds the arena once the in-flight list empties.
-template <typename T, typename... Args>
-T* Network::make_delivery(Args&&... args) {
-    void* p = delivery_arena_.allocate(sizeof(T), alignof(T));
-    return new (p) T(std::forward<Args>(args)...);
-}
-
 void Network::unicast(NodeId from, NodeId to, const Packet& packet) {
     if (node_down_[index(from)] != 0) return;
     if (from != to && !finalized_)
         throw std::logic_error("Network: finalize() before sending traffic");
     unicast_sends_->inc();
-    auto* d = make_delivery<UnicastDelivery>(*this, packet,
-                                             static_cast<std::uint32_t>(index(to)));
+    auto* d = new UnicastDelivery(*this, packet, static_cast<std::uint32_t>(index(to)));
     track(d);
     if (from == to) {  // local delivery without touching the network
         simulator_.schedule_in(Duration::zero(), [d, at = d->to] {
@@ -720,7 +714,7 @@ void Network::forward_unicast(UnicastDelivery* d, std::uint32_t at) {
         destroy(d);
         return;
     }
-    auto arrival = h.link->transmit(tx_rng(), simulator_.now(), d->bytes, d->type);
+    auto arrival = h.link->transmit(seed_, simulator_.now(), d->bytes, d->type);
     if (tap_) tap_(simulator_.now(), *h.link, d->packet, arrival.has_value());
     if (!arrival) {
         destroy(d);
@@ -926,7 +920,7 @@ void Network::multicast(NodeId from, const Packet& packet, McastScope scope) {
     multicast_sends_->inc();
     if (!tree->any_members) return;
 
-    auto* d = make_delivery<TreeDelivery>(*this, tree, packet, scope);
+    auto* d = new TreeDelivery(*this, tree, packet, scope);
     track(d);
     multicast_step(d, 0);  // entry 0 = the sender
     unref(d);  // drop the sending frame's reference
@@ -995,7 +989,7 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
     for (std::uint32_t c = node.child_begin; c != node.child_end; ++c) {
         const CachedTree::Child& child = d->tree->children[c];
         const bool busy = child.link->busy(simulator_.now());
-        auto arrival = child.link->transmit(tx_rng(), simulator_.now(), d->bytes, d->type);
+        auto arrival = child.link->transmit(seed_, simulator_.now(), d->bytes, d->type);
         if (tap_) tap_(simulator_.now(), *child.link, d->packet, arrival.has_value());
         if (!arrival) {
             flush_run();  // a dropped child splits the contiguous run
@@ -1115,7 +1109,7 @@ void Network::emit_remote_mcast(TreeDelivery* d, std::uint32_t shard, TimePoint 
 void Network::inject_remote(const RemoteEvent& ev) {
     remote_injects_->inc();
     if (ev.kind == RemoteEvent::kUnicast) {
-        auto* d = make_delivery<UnicastDelivery>(*this, ev.packet, ev.to);
+        auto* d = new UnicastDelivery(*this, ev.packet, ev.to);
         d->hops_left = ev.hops_left;
         track(d);
         simulator_.schedule_at_key(ev.at, ev.key, [d, at = ev.entry_node] {
@@ -1141,7 +1135,7 @@ void Network::inject_remote(const RemoteEvent& ev) {
         remote_drops_->inc();
         return;
     }
-    auto* d = make_delivery<TreeDelivery>(*this, tree, ev.packet, scope);
+    auto* d = new TreeDelivery(*this, tree, ev.packet, scope);
     track(d);
     d->pending = ev.entry_count;  // no sending frame: one reference per child
     if (ev.entry_count == 1) {

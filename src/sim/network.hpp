@@ -31,9 +31,9 @@
 //
 // Delivery trees are cached per (group, sender, scope) behind an optional
 // LRU bound (SimConfig::tree_cache_capacity) and invalidated on membership
-// or topology change; per-send state is a single record, bump-allocated
-// from a burst-scoped arena (DESIGN.md "Memory engineering"), whose event
-// closures fit std::function's small-buffer size.  Same-time multicast
+// or topology change; per-send state is a single heap record (DESIGN.md
+// "Delivery records"), whose event closures fit std::function's
+// small-buffer size.  Same-time multicast
 // fan-out to idle links shares one event per contiguous run of tree
 // children; an arrival queued behind a busy link is an ordinary one-shot
 // event (DESIGN.md "Queued arrivals").
@@ -58,7 +58,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/ids.hpp"
 #include "common/pool.hpp"
 #include "common/stable_vector.hpp"
@@ -206,9 +205,9 @@ public:
 
     void reset_link_stats();
 
-    /// The burst-scoped arena backing delivery records, for introspection
-    /// (tests, memory accounting).
-    [[nodiscard]] const BumpArena& delivery_arena() const { return delivery_arena_; }
+    /// Per-send delivery records still in flight (a walk of the intrusive
+    /// list; tests check that every record is destroyed once traffic drains).
+    [[nodiscard]] std::size_t deliveries_in_flight() const;
 
     // --- sharded execution (DESIGN.md "Sharded execution") ----------------
     /// A packet arrival crossing a shard boundary.  The sending shard did
@@ -335,11 +334,6 @@ private:
     struct UnicastDelivery;
     struct TreeDelivery;
 
-    /// Allocate a delivery record from the burst arena.  Defined in
-    /// network.cpp (needs the complete types).
-    template <typename T, typename... Args>
-    T* make_delivery(Args&&... args);
-
     /// What an in-flight arrival is: enough to resume the delivery from a
     /// (delivery, hop, kind) triple, which keeps the one-shot event closure
     /// inside std::function's small buffer.  For unicast `hop` is the
@@ -417,16 +411,13 @@ private:
                               std::uint32_t count);
     void unref(TreeDelivery* d);
 
-    /// The loss-roll source for transmits: per-link streams seeded from
-    /// seed_ (shard-invariant; see TxRng).
-    [[nodiscard]] TxRng tx_rng() const { return TxRng{nullptr, seed_}; }
     /// Hand a multicast segment owned by another shard to the runner.
     void emit_remote_mcast(TreeDelivery* d, std::uint32_t shard, TimePoint at,
                            std::uint64_t key, std::uint32_t child_begin,
                            std::uint32_t count);
 
     Simulator& simulator_;
-    std::uint64_t seed_;  ///< construction seed (per-link RNG derivation)
+    std::uint64_t seed_;  ///< construction seed: every link's loss-stream seed
 
     // --- nodes (struct-of-arrays; hot fields only) ------------------------
     std::vector<SiteId> node_site_id_;
@@ -535,10 +526,6 @@ private:
     obs::Counter* remote_drops_;       ///< sim.remote_drops (stale-tree segments)
 
     DeliveryBase* deliveries_ = nullptr;  ///< intrusive list of in-flight sends
-    /// Burst-scoped storage for delivery records (DESIGN.md "Memory
-    /// engineering"): reset whenever the in-flight list drains, so
-    /// steady-state traffic recycles the same chunks malloc-free.
-    BumpArena delivery_arena_;
     bool finalized_ = false;
     Tap tap_;
 

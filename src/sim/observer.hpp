@@ -1,14 +1,16 @@
 // Pluggable scenario observation (DESIGN.md "Scale engineering").
 //
 // DisScenario reports every application-visible event -- data deliveries,
-// protocol notices, source sends -- to one ScenarioObserver.  The default
-// RecordingObserver keeps the full per-event record vectors the integration
-// tests and benches introspect (payloads included), which is O(events *
-// payload) memory: exactly right at test scale and fatal at a million
-// receivers.  CountingObserver is the scale-mode alternative: O(1) memory
-// per node (a per-node delivery counter plus global tallies), so a
-// million-node scenario can run real protocol traffic without the
-// observation dwarfing the simulation itself.
+// protocol notices, source sends -- to its configured ScenarioObserver, then
+// to every observer attached with DisScenario::add_observer (the chaos and
+// workload engines), in attach order.  The default RecordingObserver keeps
+// the full per-event record vectors the integration tests and benches
+// introspect (payloads included), which is O(events * payload) memory:
+// exactly right at test scale and fatal at a million receivers.
+// CountingObserver is the scale-mode alternative: O(1) memory per node (a
+// per-node delivery counter plus global tallies), so a million-node
+// scenario can run real protocol traffic without the observation dwarfing
+// the simulation itself.
 #pragma once
 
 #include <algorithm>
@@ -41,16 +43,21 @@ struct SendRecord {
     TimePoint at{};
 };
 
-/// Receives every application-visible scenario event.  Implementations
-/// must not re-enter the scenario (they run inside core action execution).
+/// Receives every application-visible scenario event.  Reports run inside
+/// core action execution.  An observer may change simulator state (node
+/// liveness, link loss, routing), as ChaosEngine does when a fault
+/// triggers; it must not send through the scenario, and must not add or
+/// remove observers from inside a report.  Every method does nothing by
+/// default, so an observer overrides only the events it uses.
 class ScenarioObserver {
 public:
     virtual ~ScenarioObserver() = default;
-    virtual void on_delivery(TimePoint at, NodeId node, const DeliverData& data) = 0;
-    virtual void on_notice(TimePoint at, NodeId node, const Notice& notice) = 0;
-    virtual void on_send(TimePoint at, SeqNum seq) = 0;
-    /// Forget everything observed so far (DisScenario::clear_records).
-    virtual void clear() = 0;
+    virtual void on_delivery(TimePoint /*at*/, NodeId /*node*/, const DeliverData& /*data*/) {}
+    virtual void on_notice(TimePoint /*at*/, NodeId /*node*/, const Notice& /*notice*/) {}
+    virtual void on_send(TimePoint /*at*/, SeqNum /*seq*/) {}
+    /// Forget everything observed so far (DisScenario::clear_records, which
+    /// clears the configured observer only).
+    virtual void clear() {}
 };
 
 /// The default observer: full per-event records, payloads included.

@@ -89,8 +89,8 @@ void DisScenario::wire_region(const DisTopology::Region& region, std::size_t reg
 
     AppHandlers handlers;
     const NodeId id = region.logger;
-    handlers.on_notice = [obs = observer_.get(), id](TimePoint at, const Notice& n) {
-        obs->on_notice(at, id, n);
+    handlers.on_notice = [this, id](TimePoint at, const Notice& n) {
+        report_notice(at, id, n);
     };
     regional_cores_.push_back(&host.protocol().add_logger(
         std::move(logger_config), config_.seed * 433 + region_index, handlers));
@@ -124,9 +124,9 @@ void DisScenario::wire_source() {
         }
 
         AppHandlers sender_handlers;
-        sender_handlers.on_notice = [obs = observer_.get(),
-                                     id = topology_.source](TimePoint at, const Notice& n) {
-            obs->on_notice(at, id, n);
+        sender_handlers.on_notice = [this, id = topology_.source](TimePoint at,
+                                                                  const Notice& n) {
+            report_notice(at, id, n);
         };
         sender_core_ =
             &source_host.protocol().add_sender(std::move(sender_config), sender_handlers);
@@ -147,9 +147,9 @@ void DisScenario::wire_source() {
         primary_config.remulticast_request_threshold = config_.remulticast_request_threshold;
 
         AppHandlers primary_handlers;
-        primary_handlers.on_notice = [obs = observer_.get(),
-                                      id = topology_.primary](TimePoint at, const Notice& n) {
-            obs->on_notice(at, id, n);
+        primary_handlers.on_notice = [this, id = topology_.primary](TimePoint at,
+                                                                   const Notice& n) {
+            report_notice(at, id, n);
         };
         primary_core_ = &primary_host.protocol().add_logger(std::move(primary_config),
                                                             config_.seed * 7919 + 1,
@@ -175,9 +175,8 @@ void DisScenario::wire_source() {
         replica_config.upstream = topology_.primary;
 
         AppHandlers handlers;
-        handlers.on_notice = [obs = observer_.get(), replica](TimePoint at,
-                                                              const Notice& n) {
-            obs->on_notice(at, replica, n);
+        handlers.on_notice = [this, replica](TimePoint at, const Notice& n) {
+            report_notice(at, replica, n);
         };
         host.protocol().add_logger(std::move(replica_config),
                                    config_.seed * 104729 + replica_salt, handlers);
@@ -211,9 +210,8 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
 
             AppHandlers handlers;
             const NodeId id = site.secondary;
-            handlers.on_notice = [obs = observer_.get(), id](TimePoint at,
-                                                             const Notice& n) {
-                obs->on_notice(at, id, n);
+            handlers.on_notice = [this, id](TimePoint at, const Notice& n) {
+                report_notice(at, id, n);
             };
             secondary_cores_.push_back(&host.protocol().add_logger(
                 std::move(logger_config), config_.seed * 31 + site_index, handlers));
@@ -258,11 +256,10 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                 tmpl->make_handlers = [this](NodeId self) {
                     AppHandlers h;
                     h.on_data = [this, self](TimePoint at, const DeliverData& d) {
-                        observer_->on_delivery(at, self, d);
-                        if (delivery_hook_) delivery_hook_(at, self, d);
+                        report_delivery(at, self, d);
                     };
                     h.on_notice = [this, self](TimePoint at, const Notice& n) {
-                        observer_->on_notice(at, self, n);
+                        report_notice(at, self, n);
                     };
                     return h;
                 };
@@ -316,11 +313,10 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
 
         AppHandlers handlers;
         handlers.on_data = [this, node](TimePoint at, const DeliverData& d) {
-            observer_->on_delivery(at, node, d);
-            if (delivery_hook_) delivery_hook_(at, node, d);
+            report_delivery(at, node, d);
         };
         handlers.on_notice = [this, node](TimePoint at, const Notice& n) {
-            observer_->on_notice(at, node, n);
+            report_notice(at, node, n);
         };
         receiver_cores_.emplace_back(
             node, &host.protocol().add_receiver(std::move(receiver_config), handlers));
@@ -367,8 +363,7 @@ void DisScenario::send_update(std::vector<std::uint8_t> payload) {
     Simulator::ActorScope scope(
         simulator_, static_cast<std::uint32_t>(topology_.source.value() - 1));
     host->protocol().send(simulator_.now(), payload);
-    observer_->on_send(simulator_.now(), sender().last_seq());
-    if (send_hook_) send_hook_(simulator_.now(), sender().last_seq());
+    report_send(simulator_.now(), sender().last_seq());
 }
 
 void DisScenario::schedule_update(TimePoint at, std::size_t size) {
@@ -519,5 +514,28 @@ void DisScenario::schedule_sample_tick() {
 }
 
 void DisScenario::clear_records() { observer_->clear(); }
+
+void DisScenario::add_observer(ScenarioObserver* observer) {
+    added_observers_.push_back(observer);
+}
+
+void DisScenario::remove_observer(ScenarioObserver* observer) {
+    std::erase(added_observers_, observer);
+}
+
+void DisScenario::report_delivery(TimePoint at, NodeId node, const DeliverData& data) {
+    observer_->on_delivery(at, node, data);
+    for (ScenarioObserver* o : added_observers_) o->on_delivery(at, node, data);
+}
+
+void DisScenario::report_notice(TimePoint at, NodeId node, const Notice& notice) {
+    observer_->on_notice(at, node, notice);
+    for (ScenarioObserver* o : added_observers_) o->on_notice(at, node, notice);
+}
+
+void DisScenario::report_send(TimePoint at, SeqNum seq) {
+    observer_->on_send(at, seq);
+    for (ScenarioObserver* o : added_observers_) o->on_send(at, seq);
+}
 
 }  // namespace lbrm::sim

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -32,8 +31,9 @@ struct ScenarioConfig {
     GroupId group{1};
     std::uint64_t seed = 42;
 
-    /// Simulator-substrate knobs (routing scheme, cache bounds).  Purely a
-    /// memory/speed trade-off: results are identical for every setting.
+    /// Simulator-substrate knobs (the delivery-tree cache bound, a shared
+    /// telemetry registry).  Purely a memory/speed trade-off: results are
+    /// identical for every setting.
     SimConfig sim;
 
     /// Where scenario events go.  Null = a private RecordingObserver (the
@@ -196,16 +196,13 @@ public:
                node_shard_[node.value() - 1] == config_.shard_self;
     }
 
-    // --- chaos hooks -----------------------------------------------------
-    // Fault-injection taps (sim/chaos.hpp).  Invoked *after* the observer
-    // for every receiver delivery / every source send, so installing one
-    // never reorders observation; a null hook costs one branch.  Hooks only
-    // observe -- any faults they apply (node down, loss, re-finalize) are
-    // ordinary simulator state changes, applied at the current event.
-    using DeliveryHook = std::function<void(TimePoint, NodeId, const DeliverData&)>;
-    using SendHook = std::function<void(TimePoint, SeqNum)>;
-    void set_delivery_hook(DeliveryHook hook) { delivery_hook_ = std::move(hook); }
-    void set_send_hook(SendHook hook) { send_hook_ = std::move(hook); }
+    // --- added observers -------------------------------------------------
+    /// Report every event to `observer` too, after the configured observer
+    /// and every observer added before it (the chaos and workload engines
+    /// attach here, so any number of them compose).  Not owned: remove it
+    /// before it dies.  Neither call may be made from inside a report.
+    void add_observer(ScenarioObserver* observer);
+    void remove_observer(ScenarioObserver* observer);
 
     // --- recorded observations -------------------------------------------
     // Record types live in observer.hpp; the aliases keep existing
@@ -219,7 +216,7 @@ public:
 
     /// Keep `obj` alive for the scenario's lifetime, destroyed *before* the
     /// scenario's own members (simulator, network, metrics).  Lets a driver
-    /// layer (e.g. workload::WorkloadEngine) that registers hooks and pull
+    /// layer (e.g. workload::WorkloadEngine) that adds an observer and pull
     /// gauges against this scenario be owned by it -- required inside
     /// ShardRunConfig::setup, where nothing else outlives the run.
     void retain(std::shared_ptr<void> obj) { retained_.push_back(std::move(obj)); }
@@ -263,8 +260,11 @@ private:
     /// Shared blueprint for every dormant receiver (null in eager mode).
     std::shared_ptr<const ProtocolHost::DormantReceiverTemplate> dormant_template_;
 
-    DeliveryHook delivery_hook_;  ///< null unless a chaos engine is attached
-    SendHook send_hook_;
+    /// Every event goes to observer_ first, then to each of these in order.
+    void report_delivery(TimePoint at, NodeId node, const DeliverData& data);
+    void report_notice(TimePoint at, NodeId node, const Notice& notice);
+    void report_send(TimePoint at, SeqNum seq);
+    std::vector<ScenarioObserver*> added_observers_;
 
     void schedule_sample_tick();
     obs::Sampler sampler_;           ///< initialised over network_.metrics()
@@ -273,7 +273,8 @@ private:
     bool sample_series_added_ = false;
 
     /// Declared last so retained objects are destroyed first, while the
-    /// members their hooks/gauges reference are still alive (see retain()).
+    /// members their observers/gauges reference are still alive (see
+    /// retain()).
     std::vector<std::shared_ptr<void>> retained_;
 };
 

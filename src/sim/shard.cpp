@@ -13,7 +13,10 @@ namespace lbrm::sim {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+/// Seed of every per-packet digest hash.  Not the FNV-1a offset basis
+/// (14695981039346656037, one digit longer) but an arbitrary constant; the
+/// PinnedTrace digests depend on it, so it stays.
+constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
@@ -84,7 +87,7 @@ ShardPlan ShardPlan::contiguous(std::size_t sites, std::uint32_t shards) {
 
 void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
                       bool delivered) {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = kDigestSeed;
     h = fnv_u64(h, static_cast<std::uint64_t>(at.time_since_epoch().count()));
     h = fnv_u64(h, link.from().value());
     h = fnv_u64(h, link.to().value());
@@ -236,21 +239,30 @@ ShardResult run_sharded_inline(const ShardRunConfig& cfg) {
 // RemoteEvent wire codec (multi-process runner)
 // ---------------------------------------------------------------------------
 
+/// The event's own fields, in wire order; the packet follows them as a
+/// u32-length-prefixed encode().
+void fields(auto& a, MaybeConst<Network::RemoteEvent> auto& ev) {
+    a(ev.at, ev.key, ev.kind, ev.scope, ev.target_shard, ev.to, ev.entry_node, ev.hops_left,
+      ev.tree_root, ev.entry_begin, ev.entry_count);
+}
+
 void encode_remote(ByteWriter& w, const Network::RemoteEvent& ev) {
-    w.i64(ev.at.time_since_epoch().count());
-    w.u64(ev.key);
-    w.u8(ev.kind);
-    w.u8(ev.scope);
-    w.u32(ev.target_shard);
-    w.u32(ev.to);
-    w.u32(ev.entry_node);
-    w.u32(ev.hops_left);
-    w.u32(ev.tree_root);
-    w.u32(ev.entry_begin);
-    w.u32(ev.entry_count);
+    write_fields(w, ev);
     const std::vector<std::uint8_t> pkt = encode(ev.packet);
     w.u32(static_cast<std::uint32_t>(pkt.size()));
     w.bytes(pkt);
+}
+
+std::optional<Network::RemoteEvent> decode_remote(ByteReader& r) {
+    Network::RemoteEvent ev;
+    std::uint32_t pkt_len = 0;
+    if (!read_fields(r, ev, pkt_len)) return std::nullopt;
+    const auto pkt_bytes = r.bytes(pkt_len);
+    if (!pkt_bytes) return std::nullopt;
+    std::optional<Packet> pkt = decode(*pkt_bytes);
+    if (!pkt) return std::nullopt;
+    ev.packet = std::move(*pkt);
+    return ev;
 }
 
 // ---------------------------------------------------------------------------
@@ -366,40 +378,6 @@ std::string shard_observability_json(const ShardResult& r) {
     }
     json += "]}}";
     return json;
-}
-
-std::optional<Network::RemoteEvent> decode_remote(ByteReader& r) {
-    Network::RemoteEvent ev;
-    const auto at = r.i64();
-    const auto key = r.u64();
-    const auto kind = r.u8();
-    const auto scope = r.u8();
-    const auto target = r.u32();
-    const auto to = r.u32();
-    const auto entry_node = r.u32();
-    const auto hops_left = r.u32();
-    const auto tree_root = r.u32();
-    const auto entry_begin = r.u32();
-    const auto entry_count = r.u32();
-    const auto pkt_len = r.u32();
-    if (!pkt_len) return std::nullopt;
-    const auto pkt_bytes = r.bytes(*pkt_len);
-    if (!pkt_bytes || !r.ok()) return std::nullopt;
-    std::optional<Packet> pkt = decode(*pkt_bytes);
-    if (!pkt) return std::nullopt;
-    ev.at = TimePoint{Duration{*at}};
-    ev.key = *key;
-    ev.kind = *kind;
-    ev.scope = *scope;
-    ev.target_shard = *target;
-    ev.to = *to;
-    ev.entry_node = *entry_node;
-    ev.hops_left = *hops_left;
-    ev.tree_root = *tree_root;
-    ev.entry_begin = *entry_begin;
-    ev.entry_count = *entry_count;
-    ev.packet = std::move(*pkt);
-    return ev;
 }
 
 }  // namespace lbrm::sim

@@ -46,10 +46,7 @@ WorkloadEngine::~WorkloadEngine() {
         m.remove_gauge_fn("workload.staleness_p50_us");
         m.remove_gauge_fn("workload.staleness_p99_us");
     }
-    if (started_) {
-        scenario_.set_delivery_hook({});
-        if (!config_.governed) scenario_.set_send_hook({});
-    }
+    if (started_) scenario_.remove_observer(this);
 }
 
 void WorkloadEngine::add_stream(std::unique_ptr<Workload> stream) {
@@ -98,10 +95,7 @@ void WorkloadEngine::start() {
     // Observation is installed on every shard: each shard records staleness
     // for the receivers it owns (lookups miss harmlessly off the source
     // shard, where nothing was sent).
-    scenario_.set_delivery_hook(
-        [this](TimePoint at, NodeId, const DeliverData& data) {
-            on_delivery(at, data);
-        });
+    scenario_.add_observer(this);
 
     // Scheduling and sending happen only where the source lives.
     if (!scenario_.owns(scenario_.topology().source)) return;
@@ -110,7 +104,7 @@ void WorkloadEngine::start() {
         // Open loop: pre-schedule everything, stream-major -- the exact
         // calls (order, times, payload bytes) a driver with no engine
         // would make, so the packet trace is bit-identical to a no-engine
-        // baseline.  The send hook only maps protocol seqs back to items.
+        // baseline.  on_send only maps protocol seqs back to items.
         for (std::size_t i = 0; i < streams_.size(); ++i)
             for (const Planned& p : streams_[i].plan)
                 scenario_.schedule_update(p.at, streams_[i].workload->render(p.item));
@@ -122,13 +116,6 @@ void WorkloadEngine::start() {
                              return streams_[a.first].plan[a.second].at <
                                     streams_[b.first].plan[b.second].at;
                          });
-        scenario_.set_send_hook([this](TimePoint at, SeqNum seq) {
-            if (exec_cursor_ >= exec_order_.size()) return;
-            const auto [si, pi] = exec_order_[exec_cursor_++];
-            const Planned& p = streams_[si].plan[pi];
-            record_send(si, p.item, seq, at,
-                        streams_[si].workload->render(p.item).size());
-        });
     } else {
         for (std::size_t i = 0; i < streams_.size(); ++i)
             if (!streams_[i].plan.empty()) schedule_fire(i, streams_[i].plan[0].at);
@@ -186,7 +173,15 @@ void WorkloadEngine::record_send(std::size_t stream, const WorkloadItem& item,
     streams_[stream].last_send = at;
 }
 
-void WorkloadEngine::on_delivery(TimePoint at, const DeliverData& data) {
+void WorkloadEngine::on_send(TimePoint at, SeqNum seq) {
+    // Governed sends are recorded by fire(); exec_order_ stays empty then.
+    if (exec_cursor_ >= exec_order_.size()) return;
+    const auto [si, pi] = exec_order_[exec_cursor_++];
+    const Planned& p = streams_[si].plan[pi];
+    record_send(si, p.item, seq, at, streams_[si].workload->render(p.item).size());
+}
+
+void WorkloadEngine::on_delivery(TimePoint at, NodeId, const DeliverData& data) {
     const auto it = sent_.find(data.seq.value());
     if (it == sent_.end()) return;  // not ours (or sent on another shard)
     const SentRec& rec = it->second;

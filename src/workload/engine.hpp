@@ -9,7 +9,8 @@
 //     exactly the payload bytes a driver with no engine at all would use --
 //     so the packet trace of an engine-off run is bit-identical to a
 //     no-engine baseline (bench_workloads gates this in CI).  The engine
-//     only *observes* (send/delivery hooks) to compute staleness.
+//     only *observes* sends and deliveries, as one of the scenario's added
+//     observers (DisScenario::add_observer), to compute staleness.
 //
 //   * governed = true (closed loop): each stream runs a lazy pacer event
 //     chain.  Before every send the pacer consults the sender's real
@@ -27,10 +28,10 @@
 //     (same plan draws); only the shard owning the source schedules or
 //     sends, so the 2-shard digest equals the unsharded shard-ordering run.
 //
-// Lifetime: the engine installs scenario hooks and pull gauges, so it must
-// be destroyed before its scenario -- declare it after the scenario, or
-// hand ownership over with DisScenario::retain() (required inside
-// ShardRunConfig::setup, where nothing else outlives the run).
+// Lifetime: the engine observes its scenario and registers pull gauges, so
+// it must be destroyed before its scenario -- declare it after the
+// scenario, or hand ownership over with DisScenario::retain() (required
+// inside ShardRunConfig::setup, where nothing else outlives the run).
 #pragma once
 
 #include <array>
@@ -55,7 +56,7 @@ struct EngineConfig {
     std::uint64_t seed = 1;
 };
 
-class WorkloadEngine {
+class WorkloadEngine : private sim::ScenarioObserver {
 public:
     WorkloadEngine(sim::DisScenario& scenario, EngineConfig config);
     ~WorkloadEngine();
@@ -136,7 +137,8 @@ private:
     void schedule_fire(std::size_t stream, TimePoint at);
     void record_send(std::size_t stream, const WorkloadItem& item, SeqNum seq,
                      TimePoint at, std::size_t bytes);
-    void on_delivery(TimePoint at, const DeliverData& data);
+    void on_delivery(TimePoint at, NodeId node, const DeliverData& data) override;
+    void on_send(TimePoint at, SeqNum seq) override;
     void observe_staleness(double seconds);
 
     sim::DisScenario& scenario_;
@@ -147,7 +149,7 @@ private:
 
     /// Ungoverned mode: flat (stream, plan index) pairs in execution order
     /// -- stable-sorted by time over the stream-major schedule order -- so
-    /// the k-th send hook invocation maps back to its item.
+    /// the k-th reported send maps back to its item.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> exec_order_;
     std::size_t exec_cursor_ = 0;
 

@@ -32,6 +32,7 @@ namespace lbrm::sim {
 namespace {
 
 using lbrm::test::at;
+using lbrm::test::Fnv1a;
 using lbrm::test::count_sent;
 using lbrm::test::find_timer;
 using lbrm::test::notices;
@@ -283,21 +284,6 @@ struct Trace {
     std::uint64_t packet_hash = 0;  ///< FNV-1a over every link transmission
 
     friend bool operator==(const Trace& a, const Trace& b) = default;
-};
-
-struct Fnv1a {
-    std::uint64_t h = 14695981039346656037ULL;
-    void feed(const void* data, std::size_t n) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ULL;
-        }
-    }
-    template <typename T>
-    void feed_value(T v) {
-        feed(&v, sizeof v);
-    }
 };
 
 /// Human-readable first divergence between two traces (failure diagnostics:

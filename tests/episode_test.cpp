@@ -37,12 +37,14 @@
 #include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
 #include "tests/test_util.hpp"
+#include "tests/wire_fixtures.hpp"
 
 namespace {
 
 using namespace lbrm;
 using namespace lbrm::sim;
 using lbrm::test::at;
+using lbrm::test::make_snap;
 using obs::EpisodeTracker;
 
 // --- tracker lifecycle ------------------------------------------------------
@@ -223,19 +225,6 @@ TEST(EpisodeTracker, ChromeJsonEmitsAsyncSpanPairs) {
 
 // --- registry / sampler snapshot merges -------------------------------------
 
-obs::RegistrySnapshot make_snap(double c, std::uint64_t b0, std::uint64_t b1,
-                                std::uint64_t binf, double sum) {
-    obs::RegistrySnapshot s;
-    s.scalars["proto.count"] = c;
-    obs::RegistrySnapshot::Hist h;
-    h.bounds = {0.1, 1.0};
-    h.counts = {b0, b1, binf};
-    h.count = b0 + b1 + binf;
-    h.sum = sum;
-    s.histograms["proto.lat"] = h;
-    return s;
-}
-
 TEST(RegistrySnapshot, MergeSumsScalarsAndHistogramBuckets) {
     obs::RegistrySnapshot a = make_snap(3, 1, 2, 0, 0.5);
     const obs::RegistrySnapshot b = make_snap(4, 0, 1, 5, 9.5);
@@ -299,7 +288,7 @@ TEST(SamplerSnapshot, MergeSumsLockstepSeries) {
 // --- REPORT-frame wire codecs -----------------------------------------------
 
 TEST(ObsWire, RegistryRoundTripsAndFailsOnTruncation) {
-    const obs::RegistrySnapshot snap = make_snap(5, 2, 3, 4, 1.75);
+    const obs::RegistrySnapshot snap = test::sample_registry();
     ByteWriter w;
     obs::wire::encode_registry(w, snap);
     {
@@ -323,11 +312,7 @@ TEST(ObsWire, RegistryRoundTripsAndFailsOnTruncation) {
 }
 
 TEST(ObsWire, SamplerRoundTrips) {
-    obs::SamplerSnapshot snap;
-    snap.interval_s = 0.05;
-    snap.t = {0.05, 0.1, 0.15};
-    snap.series.push_back({"rate.x", true, {1, 2, 3}});
-    snap.series.push_back({"level.y", false, {7, 7, 8}});
+    const obs::SamplerSnapshot snap = test::sample_sampler();
     ByteWriter w;
     obs::wire::encode_sampler(w, snap);
     ByteReader r(w.data());
@@ -343,11 +328,7 @@ TEST(ObsWire, SamplerRoundTrips) {
 }
 
 TEST(ObsWire, EpisodesRoundTripAndRejectOutOfRangeEnums) {
-    std::vector<EpisodeTracker::Record> eps(2);
-    eps[0] = {7, 42, 1.0, 1.25, 3, 1, EpisodeTracker::Kind::kRecovery,
-              EpisodeTracker::kTierFallback, EpisodeTracker::Reason::kRepaired};
-    eps[1] = {9, 43, 2.0, 2.5, 0, 0, EpisodeTracker::Kind::kFetch,
-              EpisodeTracker::kTierPrimary, EpisodeTracker::Reason::kAbandoned};
+    const std::vector<EpisodeTracker::Record> eps = test::sample_episodes();
     ByteWriter w;
     obs::wire::encode_episodes(w, eps);
     {
@@ -370,11 +351,9 @@ TEST(ObsWire, EpisodesRoundTripAndRejectOutOfRangeEnums) {
 }
 
 TEST(ObsWire, SpansAndU64sRoundTrip) {
-    std::vector<obs::PortableSpan> spans;
-    spans.push_back({"event_drain", 3, 100, 250});
     ByteWriter w;
-    obs::wire::encode_spans(w, spans);
-    obs::wire::encode_u64s(w, {5, 6, 7});
+    obs::wire::encode_spans(w, test::sample_spans());
+    obs::wire::encode_u64s(w, test::sample_u64s());
     ByteReader r(w.data());
     const auto back = obs::wire::decode_spans(r);
     ASSERT_TRUE(back.has_value());

@@ -3,44 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "packet/packet.hpp"
+#include "tests/wire_fixtures.hpp"
 
 namespace lbrm {
 namespace {
 
-Header header() { return Header{GroupId{7}, NodeId{3}, NodeId{12}}; }
-
-std::vector<std::uint8_t> bytes(std::initializer_list<int> values) {
-    std::vector<std::uint8_t> out;
-    for (int v : values) out.push_back(static_cast<std::uint8_t>(v));
-    return out;
-}
-
-/// Every packet type once, with non-trivial field values.
-std::vector<Packet> all_packets() {
-    return {
-        {header(), DataBody{SeqNum{42}, EpochId{3}, bytes({1, 2, 3, 255})}},
-        {header(), HeartbeatBody{SeqNum{42}, 7}},
-        {header(), NackBody{{SeqNum{1}, SeqNum{5}, SeqNum{0xFFFFFFFF}}}},
-        {header(), RetransmissionBody{SeqNum{9}, EpochId{2}, true, bytes({9})}},
-        {header(), LogStoreBody{SeqNum{10}, EpochId{1}, bytes({})}},
-        {header(), LogAckBody{SeqNum{10}, SeqNum{8}, true}},
-        {header(), ReplicaUpdateBody{SeqNum{11}, EpochId{1}, bytes({4, 5})}},
-        {header(), ReplicaAckBody{SeqNum{11}}},
-        {header(), AckerSelectionBody{EpochId{4}, 0.04}},
-        {header(), AckerResponseBody{EpochId{4}}},
-        {header(), AckBody{EpochId{4}, SeqNum{42}}},
-        {header(), ProbeRequestBody{2, 0.2}},
-        {header(), ProbeReplyBody{2}},
-        {header(), DiscoveryQueryBody{16, 0xCAFE}},
-        {header(), DiscoveryReplyBody{0xCAFE, NodeId{55}, true}},
-        {header(), PrimaryQueryBody{}},
-        {header(), PrimaryReplyBody{NodeId{55}}},
-        {header(), PromoteRequestBody{}},
-        {header(), PromoteReplyBody{SeqNum{99}, true}},
-    };
-}
+using test::all_packets;
+using test::header;
 
 class PacketRoundTrip : public ::testing::TestWithParam<Packet> {};
 
@@ -143,6 +115,14 @@ TEST(PacketEncode, NackSizeScalesWithMissingList) {
     const auto s = encode({header(), small});
     const auto l = encode({header(), large});
     EXPECT_EQ(l.size() - s.size(), 4u * 4u);
+}
+
+TEST(PacketEncode, NackCountPastU16Throws) {
+    NackBody b;
+    b.missing.assign(65535, SeqNum{1});
+    EXPECT_NO_THROW((void)encode({header(), b}));
+    b.missing.push_back(SeqNum{2});
+    EXPECT_THROW((void)encode({header(), b}), std::length_error);
 }
 
 TEST(PacketEncode, EncodedSizeTracksVariableLengthFields) {

@@ -30,6 +30,7 @@
 #include "sim/loss_model.hpp"
 #include "sim/shard.hpp"
 #include "tests/test_util.hpp"
+#include "tests/wire_fixtures.hpp"
 #include "workload/engine.hpp"
 #include "workload/stock_ticker.hpp"
 
@@ -37,6 +38,7 @@ namespace lbrm::sim {
 namespace {
 
 using lbrm::test::at;
+using lbrm::test::sample_remote;
 
 // --- ShardPlan --------------------------------------------------------------
 
@@ -137,21 +139,6 @@ TEST(BlockPool, OversizeFallsThroughToOperatorNew) {
 }
 
 // --- RemoteEvent wire codec -------------------------------------------------
-
-Network::RemoteEvent sample_remote() {
-    Network::RemoteEvent ev;
-    ev.at = at(0.125);
-    ev.key = (std::uint64_t{17} << 32) | 4242;
-    ev.kind = Network::RemoteEvent::kMulticastRun;
-    ev.scope = 1;
-    ev.target_shard = 3;
-    ev.packet = Packet{Header{GroupId{1}, NodeId{2}, NodeId{2}},
-                       DataBody{SeqNum{7}, EpochId{1}, lbrm::test::payload(16)}};
-    ev.tree_root = 9;
-    ev.entry_begin = 2;
-    ev.entry_count = 5;
-    return ev;
-}
 
 TEST(RemoteCodec, RoundTrips) {
     const Network::RemoteEvent ev = sample_remote();
@@ -361,7 +348,7 @@ TEST(ShardEquivalence, WorkloadEngineMatchesBaselineAcrossShards) {
             tc.mean_gap = millis(25);
             engine->add_stream(std::make_unique<workload::StockTickerWorkload>(tc));
             engine->start();
-            // The engine's destructor unhooks from the scenario, so the
+            // The engine's destructor detaches from the scenario, so the
             // scenario must own it: retain() keeps it alive for the run and
             // destroys it first.
             s.retain(std::move(engine));
@@ -410,7 +397,7 @@ TEST(ShardChaos, SitePartitionCoincidingWithShardCut) {
             s.schedule_update(at(0.2 + 0.1 * i), 64 + static_cast<std::size_t>(i));
         ChaosSchedule schedule;
         schedule.events.push_back(SitePartition{4, secs(1.0), secs(1.5)});
-        // SitePartition installs no scenario hooks, so the engines may
+        // SitePartition attaches no scenario observer, so the engines may
         // safely outlive the shard domains (their dtor touches nothing).
         engines.push_back(std::make_unique<ChaosEngine>(s, std::move(schedule)));
         engines.back()->arm();

@@ -118,8 +118,8 @@ TEST(Simulator, PastSchedulingClampsToNow) {
 TEST(Link, PropagationOnlyForInfiniteBandwidth) {
     Cable cable{NodeId{1}, NodeId{2}, LinkSpec{millis(10), 0.0, Duration::zero()}};
     Link& link = cable.dir[0];
-    Rng rng{1};
-    auto arrival = link.transmit(rng, at(1.0), 1000, PacketType::kData);
+    const std::uint64_t seed = 1;
+    auto arrival = link.transmit(seed, at(1.0), 1000, PacketType::kData);
     ASSERT_TRUE(arrival.has_value());
     EXPECT_EQ(*arrival, at(1.0) + millis(10));
 }
@@ -128,8 +128,8 @@ TEST(Link, SerializationDelayFromBandwidth) {
     // 1000 bytes at 1 Mb/s = 8 ms serialization + 1 ms propagation.
     Cable cable{NodeId{1}, NodeId{2}, LinkSpec{millis(1), 1e6, Duration::zero()}};
     Link& link = cable.dir[0];
-    Rng rng{1};
-    auto arrival = link.transmit(rng, at(0.0), 1000, PacketType::kData);
+    const std::uint64_t seed = 1;
+    auto arrival = link.transmit(seed, at(0.0), 1000, PacketType::kData);
     ASSERT_TRUE(arrival.has_value());
     EXPECT_EQ(*arrival, at(0.009));
 }
@@ -137,9 +137,9 @@ TEST(Link, SerializationDelayFromBandwidth) {
 TEST(Link, FifoQueueingAccumulates) {
     Cable cable{NodeId{1}, NodeId{2}, LinkSpec{Duration::zero(), 1e6, Duration::zero()}};
     Link& link = cable.dir[0];
-    Rng rng{1};
-    auto first = link.transmit(rng, at(0.0), 1000, PacketType::kData);
-    auto second = link.transmit(rng, at(0.0), 1000, PacketType::kData);
+    const std::uint64_t seed = 1;
+    auto first = link.transmit(seed, at(0.0), 1000, PacketType::kData);
+    auto second = link.transmit(seed, at(0.0), 1000, PacketType::kData);
     EXPECT_EQ(*first, at(0.008));
     EXPECT_EQ(*second, at(0.016));  // waited behind the first
 }
@@ -147,21 +147,21 @@ TEST(Link, FifoQueueingAccumulates) {
 TEST(Link, DropTailWhenQueueDelayExceeded) {
     Cable cable{NodeId{1}, NodeId{2}, LinkSpec{Duration::zero(), 1e6, millis(10)}};
     Link& link = cable.dir[0];
-    Rng rng{1};
+    const std::uint64_t seed = 1;
     // Each packet occupies 8 ms of line time; the third would wait 16 ms.
-    EXPECT_TRUE(link.transmit(rng, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_TRUE(link.transmit(rng, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_FALSE(link.transmit(rng, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_FALSE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
     EXPECT_EQ(link.stats().drops_queue, 1u);
 }
 
 TEST(Link, StatsCountByType) {
     Cable cable{NodeId{1}, NodeId{2}, LinkSpec{}};
     Link& link = cable.dir[0];
-    Rng rng{1};
-    link.transmit(rng, at(0.0), 100, PacketType::kData);
-    link.transmit(rng, at(0.1), 50, PacketType::kNack);
-    link.transmit(rng, at(0.2), 50, PacketType::kNack);
+    const std::uint64_t seed = 1;
+    link.transmit(seed, at(0.0), 100, PacketType::kData);
+    link.transmit(seed, at(0.1), 50, PacketType::kNack);
+    link.transmit(seed, at(0.2), 50, PacketType::kNack);
     EXPECT_EQ(link.stats().packets, 3u);
     EXPECT_EQ(link.stats().bytes, 200u);
     EXPECT_EQ(link.stats().packets_of(PacketType::kNack), 2u);

@@ -1,7 +1,9 @@
-// Shared helpers for unit-testing sans-IO cores: pick apart Action vectors
-// and build canned packets.
+// Shared helpers for unit-testing sans-IO cores: pick apart Action vectors,
+// build canned packets and hash packet traces.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -83,5 +85,21 @@ inline std::vector<std::uint8_t> payload(std::size_t n, std::uint8_t salt = 0) {
 }
 
 inline TimePoint at(double seconds) { return time_zero() + secs(seconds); }
+
+/// 64-bit FNV-1a over raw bytes (feed_value feeds in host byte order).
+struct Fnv1a {
+    std::uint64_t h = 14695981039346656037ULL;  // offset basis
+    void feed(const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 1099511628211ULL;  // FNV prime
+        }
+    }
+    template <typename T>
+    void feed_value(T v) {
+        feed(&v, sizeof v);
+    }
+};
 
 }  // namespace lbrm::test

@@ -15,9 +15,11 @@
 #include <vector>
 
 #include "packet/packet.hpp"
+#include "sim/chaos.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/observer.hpp"
 #include "sim/scenario.hpp"
+#include "tests/test_util.hpp"
 #include "workload/engine.hpp"
 #include "workload/stock_ticker.hpp"
 #include "workload/web_invalidation.hpp"
@@ -148,17 +150,6 @@ TEST(WwwInvalidation, RendersAppendixATransLines) {
 
 // --- engine determinism on a live scenario ----------------------------------
 
-struct TraceHash {
-    std::uint64_t h = 14695981039346656037ULL;
-    void feed(const void* data, std::size_t n) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ULL;
-        }
-    }
-};
-
 struct RunOutput {
     std::uint64_t trace = 0;
     std::uint64_t deliveries = 0;
@@ -187,7 +178,7 @@ RunOutput run_scenario(bool use_engine, bool governed, std::uint64_t seed) {
     auto& counting = static_cast<CountingObserver&>(scenario.observer());
 
     RunOutput out;
-    TraceHash trace;
+    test::Fnv1a trace;
     scenario.network().set_tap([&trace](TimePoint at, const sim::Link& link,
                                         const Packet& packet, bool delivered) {
         const auto t = at.time_since_epoch().count();
@@ -297,6 +288,73 @@ TEST(WorkloadEngine, ObservesStalenessAndFairness) {
     // Two same-config streams: Jain index near 1, never above it.
     EXPECT_GT(r.fairness, 0.9);
     EXPECT_LE(r.fairness, 1.0);
+}
+
+// --- composing with the chaos engine -----------------------------------------
+
+/// A 4-site x 3-receiver scenario observed by a crash-on-receive chaos
+/// schedule and a one-stream ticker engine at once.
+struct ComposedScenario {
+    DisScenario scenario;
+    std::unique_ptr<sim::ChaosEngine> chaos;
+    std::unique_ptr<WorkloadEngine> engine;
+
+    ComposedScenario() : scenario(config()) {
+        scenario.start();
+        sim::ChaosSchedule schedule;
+        schedule.events.push_back(sim::CrashOnReceive{
+            scenario.topology().sites[1].receivers[0], SeqNum{3}, millis(400)});
+        chaos = std::make_unique<sim::ChaosEngine>(scenario, std::move(schedule));
+        engine = std::make_unique<WorkloadEngine>(
+            scenario, EngineConfig{false, millis(100), secs(2), 1});
+        engine->add_stream(std::make_unique<StockTickerWorkload>(StockTickerConfig{}));
+    }
+
+    static ScenarioConfig config() {
+        ScenarioConfig c;
+        c.topology.sites = 4;
+        c.topology.receivers_per_site = 3;
+        return c;
+    }
+};
+
+TEST(ChaosWithWorkload, BothEnginesObserveInEitherAttachOrder) {
+    std::uint64_t stale_samples[2] = {};
+    for (const bool chaos_first : {true, false}) {
+        ComposedScenario s;
+        if (chaos_first) {
+            s.chaos->arm();
+            s.engine->start();
+        } else {
+            s.engine->start();
+            s.chaos->arm();
+        }
+        s.scenario.run_for(secs(3));
+        const char* order = chaos_first ? "chaos first" : "engine first";
+        EXPECT_EQ(s.chaos->faults_applied(), 1u) << order;
+        EXPECT_GT(s.engine->staleness_samples(), 0u) << order;
+        stale_samples[chaos_first ? 0 : 1] = s.engine->staleness_samples();
+    }
+    EXPECT_EQ(stale_samples[0], stale_samples[1]);
+}
+
+TEST(ChaosWithWorkload, DestroyingEitherEngineLeavesTheOtherWorking) {
+    {
+        ComposedScenario s;
+        s.engine->start();
+        s.chaos->arm();
+        s.chaos.reset();  // before its trigger: nothing was applied
+        s.scenario.run_for(secs(3));
+        EXPECT_GT(s.engine->staleness_samples(), 0u);
+    }
+    {
+        ComposedScenario s;
+        s.chaos->arm();
+        s.engine->start();
+        s.engine.reset();  // its planned sends stay queued in the scenario
+        s.scenario.run_for(secs(3));
+        EXPECT_EQ(s.chaos->faults_applied(), 1u);
+    }
 }
 
 }  // namespace

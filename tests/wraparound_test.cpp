@@ -309,21 +309,21 @@ const LinkSpec kT1{millis(1), 1e6, Duration::zero()};  // 1000 B = 8 ms serializ
 TEST(LinkAccounting, LostPacketStillBurnsWireTime) {
     Cable cable{NodeId{1}, NodeId{2}, kT1};
     Link& link = cable.dir[0];
-    Rng rng{1};
+    const std::uint64_t seed = 1;
 
-    auto a = link.transmit(rng, at(0.0), 1000, PacketType::kData);
+    auto a = link.transmit(seed, at(0.0), 1000, PacketType::kData);
     ASSERT_TRUE(a.has_value());
     EXPECT_EQ(*a, at(0.0) + millis(8) + millis(1));
 
     // Packet B is lost in flight -- but it was serialized first, so it
     // occupies its slot of the busy horizon.
     link.set_loss_model(std::make_unique<BernoulliLoss>(1.0));
-    EXPECT_FALSE(link.transmit(rng, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_FALSE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
     EXPECT_EQ(link.stats().drops_loss, 1u);
 
     // Packet C queues behind BOTH predecessors, including the lost one.
     link.set_loss_model(std::make_unique<NoLoss>());
-    auto c = link.transmit(rng, at(0.0), 1000, PacketType::kData);
+    auto c = link.transmit(seed, at(0.0), 1000, PacketType::kData);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(*c, at(0.0) + 3 * millis(8) + millis(1));
     EXPECT_TRUE(link.busy(at(0.020)));
@@ -345,16 +345,16 @@ TEST(LinkAccounting, QueueDropNeverConsultsLossModel) {
     Link& link = cable.dir[0];
     int rolls = 0;
     link.set_loss_model(std::make_unique<CountingLoss>(rolls));
-    Rng rng{1};
+    const std::uint64_t seed = 1;
 
-    EXPECT_TRUE(link.transmit(rng, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_TRUE(link.transmit(rng, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
     EXPECT_EQ(rolls, 2);
 
     // Third packet would queue 16 ms > 10 ms: dropped at the tail without
     // ever reaching the wire, so the loss model must not be rolled (RNG
     // draw order stays identical whether or not the queue overflows).
-    EXPECT_FALSE(link.transmit(rng, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_FALSE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
     EXPECT_EQ(link.stats().drops_queue, 1u);
     EXPECT_EQ(rolls, 2);
 }
