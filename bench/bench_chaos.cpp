@@ -236,8 +236,7 @@ std::uint64_t fault_free_hash(const Options& opt, bool with_idle_engine) {
         hash.feed_value(link.from().value());
         hash.feed_value(link.to().value());
         hash.feed_value(static_cast<std::uint8_t>(delivered));
-        const auto bytes = encode(packet);
-        hash.feed(bytes.data(), bytes.size());
+        hash.h = fnv1a(hash.h, packet);
     });
 
     std::unique_ptr<ChaosEngine> engine;

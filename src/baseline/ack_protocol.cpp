@@ -13,14 +13,14 @@ Actions AckSenderCore::start(TimePoint) { return {}; }
 Actions AckSenderCore::send(TimePoint now, std::vector<std::uint8_t> payload) {
     Actions actions;
     const SeqNum seq = next_seq_++;
-    log_.insert(now, seq, EpochId{0}, payload);
+    const Payload shared{payload};  // the log entry and the packet share it
+    log_.insert(now, seq, EpochId{0}, shared);
 
     Pending pending;
     for (NodeId r : config_.receivers) pending.missing.insert(r);
     pending_.emplace(seq, std::move(pending));
 
-    actions.push_back(
-        SendMulticast{make_packet(DataBody{seq, EpochId{0}, std::move(payload)})});
+    actions.push_back(SendMulticast{make_packet(DataBody{seq, EpochId{0}, shared})});
     actions.push_back(StartTimer{{TimerKind::kAckWait, seq.value()},
                                  now + config_.retransmit_timeout});
     return actions;
@@ -87,7 +87,7 @@ Actions AckReceiverCore::on_packet(TimePoint now, const Packet& packet) {
     if (packet.header.group != config_.group) return actions;
 
     SeqNum seq;
-    const std::vector<std::uint8_t>* payload = nullptr;
+    const Payload* payload = nullptr;
     bool repair = false;
     if (const auto* data = std::get_if<DataBody>(&packet.body)) {
         seq = data->seq;

@@ -28,9 +28,9 @@ Actions SrmSenderCore::start(TimePoint now) {
 Actions SrmSenderCore::send(TimePoint now, std::vector<std::uint8_t> payload) {
     Actions actions;
     const SeqNum seq = next_seq_++;
-    log_.insert(now, seq, EpochId{0}, payload);
-    actions.push_back(
-        SendMulticast{make_packet(DataBody{seq, EpochId{0}, std::move(payload)})});
+    const Payload shared{payload};  // the log entry and the packet share it
+    log_.insert(now, seq, EpochId{0}, shared);
+    actions.push_back(SendMulticast{make_packet(DataBody{seq, EpochId{0}, shared})});
     return actions;
 }
 
@@ -121,8 +121,7 @@ void SrmMemberCore::schedule_request(TimePoint now, SeqNum seq, bool backoff,
 }
 
 Actions SrmMemberCore::accept_data(TimePoint now, SeqNum seq, EpochId epoch,
-                                   const std::vector<std::uint8_t>& payload,
-                                   bool is_repair) {
+                                   const Payload& payload, bool is_repair) {
     Actions actions;
     auto obs = detector_.observe(now, seq);
     // Cache everything: any member can serve any repair.

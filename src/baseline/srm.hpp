@@ -106,8 +106,8 @@ private:
 
     [[nodiscard]] double jitter();  // uniform [0,1), deterministic stream
     void schedule_request(TimePoint now, SeqNum seq, bool backoff, Actions& actions);
-    Actions accept_data(TimePoint now, SeqNum seq, EpochId epoch,
-                        const std::vector<std::uint8_t>& payload, bool is_repair);
+    Actions accept_data(TimePoint now, SeqNum seq, EpochId epoch, const Payload& payload,
+                        bool is_repair);
 
     SrmConfig config_;
     LossDetector detector_;

@@ -12,12 +12,12 @@ void ByteWriter::blob16(std::span<const std::uint8_t> data) {
     bytes(data);
 }
 
-std::optional<std::vector<std::uint8_t>> ByteReader::blob16() {
+std::optional<Payload> ByteReader::blob16() {
     auto len = u16();
     if (!len) return std::nullopt;
     auto body = bytes(*len);
     if (!body) return std::nullopt;
-    return std::vector<std::uint8_t>(body->begin(), body->end());
+    return Payload{*body};
 }
 
 std::optional<std::string> ByteReader::str16() {

@@ -18,13 +18,15 @@
 //
 // write_fields() walks it into a ByteWriter (encode), fields_size() walks the
 // same writer into a ByteCounter (encoded size), and read_fields() walks it
-// out of a ByteReader (decode), so the three cannot disagree.  Leaves:
+// out of a ByteReader (decode), so the three cannot disagree.  The same
+// writer walked into an Fnv1aSink hashes an encoding without building it.
+// Leaves:
 //
 //   u8, u16, u32, u64, i64, f64      as themselves
 //   bool, u8-backed enums            one byte; a nonzero bool byte reads true
 //   SeqNum, u32 strong ids           u32
 //   TimePoint                        i64 nanosecond ticks
-//   std::vector<u8>, std::string     u16 length, then the bytes
+//   Payload, std::string             u16 length, then the bytes
 //   std::pair                        first, then second (map entries)
 //
 // A sequence says how its length travels: counted<Count>(seq) puts a
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/payload.hpp"
 #include "common/seqnum.hpp"
 #include "common/time.hpp"
 
@@ -165,8 +168,9 @@ public:
         return out;
     }
 
-    /// u16-length-prefixed byte string (see ByteWriter::blob16).
-    std::optional<std::vector<std::uint8_t>> blob16();
+    /// u16-length-prefixed byte string (see ByteWriter::blob16), copied
+    /// straight from the input into a fresh Payload buffer.
+    std::optional<Payload> blob16();
 
     /// u16-length-prefixed UTF-8 string.
     std::optional<std::string> str16();
@@ -212,6 +216,50 @@ public:
 
 private:
     std::size_t n_ = 0;
+};
+
+/// Folds the bytes a ByteWriter would append into a 64-bit FNV-1a hash,
+/// without writing them: the sink that hashes an encoding in place.  Like
+/// ByteCounter it never throws.
+class Fnv1aSink {
+public:
+    static constexpr std::uint64_t kOffsetBasis = 14695981039346656037ull;
+    static constexpr std::uint64_t kPrime = 1099511628211ull;
+
+    explicit Fnv1aSink(std::uint64_t h) : h_(h) {}
+
+    void u8(std::uint8_t v) { h_ = (h_ ^ v) * kPrime; }
+    void u16(std::uint16_t v) {
+        u8(static_cast<std::uint8_t>(v >> 8));
+        u8(static_cast<std::uint8_t>(v));
+    }
+    void u32(std::uint32_t v) {
+        for (int shift = 24; shift >= 0; shift -= 8) u8(static_cast<std::uint8_t>(v >> shift));
+    }
+    void u64(std::uint64_t v) {
+        for (int shift = 56; shift >= 0; shift -= 8) u8(static_cast<std::uint8_t>(v >> shift));
+    }
+    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+    void f64(double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        u64(bits);
+    }
+    void bytes(std::span<const std::uint8_t> data) {
+        for (const std::uint8_t b : data) u8(b);
+    }
+    void blob16(std::span<const std::uint8_t> data) {
+        u16(static_cast<std::uint16_t>(data.size()));
+        bytes(data);
+    }
+    void str16(std::string_view s) {
+        blob16({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+    }
+
+    [[nodiscard]] std::uint64_t hash() const { return h_; }
+
+private:
+    std::uint64_t h_;
 };
 
 // --- field lists ---------------------------------------------------------------
@@ -272,7 +320,7 @@ private:
     void field(bool v) { sink_.u8(v ? 1 : 0); }
     void field(SeqNum s) { sink_.u32(s.value()); }
     void field(TimePoint t) { sink_.i64(t.time_since_epoch().count()); }
-    void field(const std::vector<std::uint8_t>& blob) { sink_.blob16(blob); }
+    void field(const Payload& blob) { sink_.blob16(blob); }
     void field(const std::string& s) { sink_.str16(s); }
 
     template <typename Tag>
@@ -340,7 +388,7 @@ private:
     void field(bool& v) { if (auto x = r_.u8()) v = *x != 0; }
     void field(SeqNum& s) { if (auto x = r_.u32()) s = SeqNum{*x}; }
     void field(TimePoint& t) { if (auto x = r_.i64()) t = TimePoint{Duration{*x}}; }
-    void field(std::vector<std::uint8_t>& blob) { if (auto x = r_.blob16()) blob = std::move(*x); }
+    void field(Payload& blob) { if (auto x = r_.blob16()) blob = std::move(*x); }
     void field(std::string& s) { if (auto x = r_.str16()) s = std::move(*x); }
 
     template <typename Tag>

@@ -1,12 +1,15 @@
 // SmallVec: a vector with small-buffer optimisation.
 //
 // The first N elements live inline in the object; growth beyond N spills to
-// the heap like an ordinary vector.  Motivation (DESIGN.md "Memory
-// engineering"): per-host collections that almost always hold one or two
-// elements -- a receiver host's armed timers, its dormant-receiver records
-// -- each cost a separate ~48-byte heap chunk as std::vector, and at 10M
-// hosts those chunks dominate RSS.  Inline storage folds them into the
-// host's own arena slot.
+// the heap like an ordinary vector.  Two uses (DESIGN.md "Memory
+// engineering"):
+//   * per-host collections that almost always hold one or two elements -- a
+//     receiver host's armed timers, its dormant-receiver records -- each cost
+//     a separate ~48-byte heap chunk as std::vector, and at 10M hosts those
+//     chunks dominate RSS.  Inline storage folds them into the host's own
+//     arena slot.
+//   * the action list every core call returns (core/actions.hpp), which
+//     lives in the caller's stack frame, so a live delivery allocates none.
 //
 // Supports non-trivial element types (move-constructed into place,
 // destroyed on erase).  Iterators are raw pointers and follow vector
@@ -150,8 +153,8 @@ private:
         return std::align_val_t{alignof(T)};
     }
 
-    // u32 counts keep the header at 16 bytes -- the whole point is per-host
-    // footprint, and no per-host collection approaches 2^32 elements.
+    // u32 counts keep the header at 16 bytes -- per-host footprint matters
+    // at 10M hosts, and no collection here approaches 2^32 elements.
     T* heap_ = nullptr;  ///< null = elements live in inline_storage_
     std::uint32_t size_ = 0;
     std::uint32_t cap_ = N;

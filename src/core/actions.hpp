@@ -13,10 +13,11 @@
 #include <cstdint>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "common/ids.hpp"
+#include "common/payload.hpp"
 #include "common/seqnum.hpp"
+#include "common/small_vec.hpp"
 #include "common/time.hpp"
 #include "packet/packet.hpp"
 
@@ -87,7 +88,7 @@ struct CancelTimer {
 /// application-level concern").
 struct DeliverData {
     SeqNum seq;
-    std::vector<std::uint8_t> payload;
+    Payload payload;  ///< shares the update's one buffer (common/payload.hpp)
     bool recovered = false;  ///< true when served from a log, not the live stream
 };
 
@@ -134,7 +135,12 @@ struct Notice {
 using Action = std::variant<SendUnicast, SendMulticast, StartTimer, CancelTimer,
                             DeliverData, Notice, JoinGroup, LeaveGroup>;
 
-using Actions = std::vector<Action>;
+/// An action list lives in the caller's stack frame: the first four actions
+/// are inline (a receiver's data packet makes two or three, the sender's send
+/// four without statistical acks), and a longer list spills to the heap as a
+/// vector would.  DESIGN.md "Action lists and payload buffers" says why the
+/// lists are per call rather than one reused buffer per host.
+using Actions = SmallVec<Action, 4>;
 
 /// Append all of `src` to `dst` (helper for cores composing sub-engines).
 inline void append(Actions& dst, Actions&& src) {

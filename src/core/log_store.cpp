@@ -2,10 +2,8 @@
 
 namespace lbrm {
 
-bool LogStore::insert(TimePoint now, SeqNum seq, EpochId epoch,
-                      std::span<const std::uint8_t> payload) {
-    auto [it, inserted] = entries_.try_emplace(
-        seq, Entry{seq, epoch, {payload.begin(), payload.end()}, now});
+bool LogStore::insert(TimePoint now, SeqNum seq, EpochId epoch, Payload payload) {
+    auto [it, inserted] = entries_.try_emplace(seq, Entry{seq, epoch, std::move(payload), now});
     if (!inserted) return false;
     payload_bytes_ += it->second.payload.size();
     enforce_bounds();

@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/payload.hpp"
 #include "common/seqnum.hpp"
 #include "common/time.hpp"
 #include "core/config.hpp"
@@ -25,16 +25,16 @@ public:
     struct Entry {
         SeqNum seq;
         EpochId epoch;
-        std::vector<std::uint8_t> payload;
+        Payload payload;  ///< shared with the packets and deliveries that carry it
         TimePoint stored_at{};
     };
 
     LogStore() = default;
     explicit LogStore(RetentionPolicy policy) : policy_(policy) {}
 
-    /// Insert (idempotently) a packet.  Returns true if newly stored.
-    bool insert(TimePoint now, SeqNum seq, EpochId epoch,
-                std::span<const std::uint8_t> payload);
+    /// Insert (idempotently) a packet.  Returns true if newly stored.  The
+    /// entry shares `payload`'s buffer rather than copying it.
+    bool insert(TimePoint now, SeqNum seq, EpochId epoch, Payload payload);
 
     [[nodiscard]] const Entry* find(SeqNum seq) const;
     [[nodiscard]] bool contains(SeqNum seq) const { return entries_.contains(seq); }
@@ -58,6 +58,8 @@ public:
     [[nodiscard]] std::optional<SeqNum> highest() const;
 
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
+    /// Sum of every entry's own payload size: what this log would hold on
+    /// a node of its own, however many entries share one buffer in-process.
     [[nodiscard]] std::size_t payload_bytes() const { return payload_bytes_; }
     [[nodiscard]] bool empty() const { return entries_.empty(); }
     [[nodiscard]] const RetentionPolicy& policy() const { return policy_; }

@@ -164,8 +164,7 @@ void LoggerCore::watch_stream_seq(TimePoint now, SeqNum seq, bool is_heartbeat,
     schedule_fetch(now, actions);
 }
 
-void LoggerCore::ingest(TimePoint now, SeqNum seq, EpochId epoch,
-                        const std::vector<std::uint8_t>& payload,
+void LoggerCore::ingest(TimePoint now, SeqNum seq, EpochId epoch, const Payload& payload,
                         bool from_live_stream, Actions& actions) {
     store_.expire(now);
     const bool fresh = store_.insert(now, seq, epoch, payload);

@@ -91,9 +91,8 @@ private:
     /// replica update) and run everything that hangs off a new packet:
     /// contiguous high-water advance, pending local requester service,
     /// designated-acker duty, replica fan-out.
-    void ingest(TimePoint now, SeqNum seq, EpochId epoch,
-                const std::vector<std::uint8_t>& payload, bool from_live_stream,
-                Actions& actions);
+    void ingest(TimePoint now, SeqNum seq, EpochId epoch, const Payload& payload,
+                bool from_live_stream, Actions& actions);
 
     void advance_contiguous();
     void serve_nack(TimePoint now, NodeId from, const NackBody& nack, Actions& actions);

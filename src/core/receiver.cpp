@@ -65,8 +65,7 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         if (config_.retrans_channel != kNoGroup &&
             packet.header.group == config_.retrans_channel) {
             if (const auto* rt = std::get_if<RetransmissionBody>(&packet.body))
-                accept_payload(now, rt->seq, rt->epoch, rt->payload,
-                               /*recovered=*/true, actions);
+                accept_payload(now, rt->seq, rt->payload, /*recovered=*/true, actions);
         }
         return actions;
     }
@@ -80,10 +79,8 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         expected_gap_ = repeat ? std::min(config_.heartbeat.h_max,
                                           scale(expected_gap_, config_.heartbeat.backoff))
                                : config_.heartbeat.h_min;
-        actions.reserve(2);  // the watchdog re-arm and the delivery
         note_live_traffic(now, expected_gap_, actions);
-        accept_payload(now, data->seq, data->epoch, data->payload,
-                       /*recovered=*/false, actions);
+        accept_payload(now, data->seq, data->payload, /*recovered=*/false, actions);
         return actions;
     }
 
@@ -107,8 +104,7 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         // Repairs come from loggers, not the source: they fill gaps but do
         // not prove the live stream is healthy, so the idle watchdog is
         // deliberately not re-armed here.
-        accept_payload(now, rt->seq, rt->epoch, rt->payload, /*recovered=*/true,
-                       actions);
+        accept_payload(now, rt->seq, rt->payload, /*recovered=*/true, actions);
         return actions;
     }
 
@@ -139,10 +135,8 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
     return actions;
 }
 
-void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, EpochId epoch,
-                                  const std::vector<std::uint8_t>& payload,
+void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, const Payload& payload,
                                   bool recovered, Actions& actions) {
-    (void)epoch;
     auto obs = detector_.observe(now, seq, /*is_heartbeat=*/false);
 
     if (obs.duplicate) {

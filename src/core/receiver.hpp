@@ -94,9 +94,9 @@ private:
     }
 
     /// Run one payload-carrying packet through the detector, appending the
-    /// resulting actions to the caller's `actions`.
-    void accept_payload(TimePoint now, SeqNum seq, EpochId epoch,
-                        const std::vector<std::uint8_t>& payload, bool recovered,
+    /// resulting actions to the caller's `actions`.  The delivery shares
+    /// `payload`'s buffer.
+    void accept_payload(TimePoint now, SeqNum seq, const Payload& payload, bool recovered,
                         Actions& actions);
     /// Route newly-detected losses into recovery: NACK scheduling, or the
     /// retransmission channel when configured.

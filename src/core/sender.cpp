@@ -81,19 +81,21 @@ void SenderCore::flush_retained() {
     retained_.release_through(releasable);
 }
 
-Actions SenderCore::send(TimePoint now, std::span<const std::uint8_t> payload) {
+Actions SenderCore::send(TimePoint now, std::span<const std::uint8_t> bytes) {
     Actions actions;
     const SeqNum seq = next_seq_++;
     const EpochId epoch = stat_ack_.current_epoch();
     ++data_sent_;
     obs_->data_sent->inc();
 
+    // The update's one buffer: the retained entry, the heartbeat copy, the
+    // data packet and the LogStore handoff all share it.
+    const Payload payload{bytes};
     retained_.insert(now, seq, epoch, payload);
-    last_payload_.assign(payload.begin(), payload.end());
+    last_payload_ = payload;
     last_epoch_ = epoch;
 
-    actions.push_back(SendMulticast{make_packet(
-        DataBody{seq, epoch, {payload.begin(), payload.end()}})});
+    actions.push_back(SendMulticast{make_packet(DataBody{seq, epoch, payload})});
 
     if (config_.retrans_channel != kNoGroup) {
         // Section 7: schedule the packet's copies on the retransmission
@@ -104,9 +106,8 @@ Actions SenderCore::send(TimePoint now, std::span<const std::uint8_t> payload) {
     }
 
     if (!is_self_primary()) {
-        actions.push_back(SendUnicast{
-            primary_,
-            make_packet(LogStoreBody{seq, epoch, {payload.begin(), payload.end()}})});
+        actions.push_back(
+            SendUnicast{primary_, make_packet(LogStoreBody{seq, epoch, payload})});
         actions.push_back(StartTimer{{TimerKind::kLogStoreRetry, 0},
                                      now + config_.log_store_retry});
     } else {

@@ -39,8 +39,9 @@ public:
     /// Arm heartbeats, begin group-size probing / first epoch.
     Actions start(TimePoint now);
 
-    /// Multicast one application payload.
-    Actions send(TimePoint now, std::span<const std::uint8_t> payload);
+    /// Multicast one application payload.  Copies `bytes` once into the
+    /// buffer every packet and log entry of this update shares.
+    Actions send(TimePoint now, std::span<const std::uint8_t> bytes);
 
     Actions on_packet(TimePoint now, const Packet& packet);
     Actions on_timer(TimePoint now, TimerId id);
@@ -52,6 +53,8 @@ public:
     /// Payload bytes retained pending replica safety.
     [[nodiscard]] std::size_t retained_bytes() const { return retained_.payload_bytes(); }
     [[nodiscard]] std::size_t retained_count() const { return retained_.size(); }
+    /// The retained log itself (entries pending replica safety).
+    [[nodiscard]] const LogStore& retained() const { return retained_; }
     [[nodiscard]] const StatAckEngine& stat_ack() const { return stat_ack_; }
     [[nodiscard]] StatAckEngine& stat_ack() { return stat_ack_; }
     [[nodiscard]] const HeartbeatScheduler& heartbeat() const { return heartbeat_; }
@@ -107,7 +110,7 @@ private:
     std::uint32_t log_store_retries_ = 0;
 
     /// Most recent payload (for data-carrying heartbeats, Section 7).
-    std::vector<std::uint8_t> last_payload_;
+    Payload last_payload_;
     EpochId last_epoch_{0};
 
     /// Retransmission-channel progress: seq -> copies already sent.

@@ -61,6 +61,12 @@ std::vector<std::uint8_t> encode(const Packet& packet) {
 
 std::size_t encoded_size(const Packet& packet) { return fields_size(packet); }
 
+std::uint64_t fnv1a(std::uint64_t h, const Packet& packet) {
+    Fnv1aSink sink{h};
+    FieldWriter<Fnv1aSink>{sink}(packet);
+    return sink.hash();
+}
+
 std::optional<Packet> decode(std::span<const std::uint8_t> datagram) {
     ByteReader r{datagram};
     std::uint16_t magic = 0;

@@ -17,6 +17,9 @@
 // packet.cpp (PROTOCOL.md §1; common/bytes.hpp walks it to encode, size and
 // decode).  Decode never trusts input (truncated or corrupt packets yield
 // decode errors, not UB).
+//
+// The four payload-carrying bodies hold a shared Payload (common/payload.hpp):
+// copying a packet shares its payload's bytes instead of copying them.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "common/payload.hpp"
 #include "common/seqnum.hpp"
 
 namespace lbrm {
@@ -71,7 +75,7 @@ struct Header {
 struct DataBody {
     SeqNum seq;
     EpochId epoch;
-    std::vector<std::uint8_t> payload;
+    Payload payload;
 
     friend bool operator==(const DataBody&, const DataBody&) = default;
 };
@@ -99,7 +103,7 @@ struct RetransmissionBody {
     SeqNum seq;
     EpochId epoch;
     bool multicast = false;
-    std::vector<std::uint8_t> payload;
+    Payload payload;
 
     friend bool operator==(const RetransmissionBody&, const RetransmissionBody&) = default;
 };
@@ -108,7 +112,7 @@ struct RetransmissionBody {
 struct LogStoreBody {
     SeqNum seq;
     EpochId epoch;
-    std::vector<std::uint8_t> payload;
+    Payload payload;
 
     friend bool operator==(const LogStoreBody&, const LogStoreBody&) = default;
 };
@@ -129,7 +133,7 @@ struct LogAckBody {
 struct ReplicaUpdateBody {
     SeqNum seq;
     EpochId epoch;
-    std::vector<std::uint8_t> payload;
+    Payload payload;
 
     friend bool operator==(const ReplicaUpdateBody&, const ReplicaUpdateBody&) = default;
 };
@@ -261,8 +265,13 @@ static_assert(std::variant_size_v<Body> == static_cast<std::size_t>(PacketType::
 [[nodiscard]] std::size_t encoded_size(const Packet& packet);
 
 /// Parse a datagram.  Returns std::nullopt (never throws, never reads out
-/// of bounds) for short, corrupt, wrong-magic or wrong-version input.
+/// of bounds) for short, corrupt, wrong-magic or wrong-version input.  The
+/// packet's payload is a fresh buffer, independent of `datagram`.
 [[nodiscard]] std::optional<Packet> decode(std::span<const std::uint8_t> datagram);
+
+/// The 64-bit FNV-1a state `h` advanced over the bytes of `encode(packet)`,
+/// without building them: packet-trace hash taps call this per packet.
+[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, const Packet& packet);
 
 /// Wire constants, exposed for tests.
 inline constexpr std::uint16_t kMagic = 0x4C42;  // "LB"

@@ -5,8 +5,9 @@
 // to every observer attached with DisScenario::add_observer (the chaos and
 // workload engines), in attach order.  The default RecordingObserver keeps
 // the full per-event record vectors the integration tests and benches
-// introspect (payloads included), which is O(events * payload) memory:
-// exactly right at test scale and fatal at a million receivers.
+// introspect (payloads included, as shared references to each update's one
+// buffer), which is O(events) memory: exactly right at test scale and fatal
+// at a million receivers.
 // CountingObserver is the scale-mode alternative: O(1) memory per node (a
 // per-node delivery counter plus global tallies), so a million-node
 // scenario can run real protocol traffic without the observation dwarfing
@@ -30,7 +31,7 @@ struct DeliveryRecord {
     SeqNum seq;
     TimePoint at{};
     bool recovered = false;
-    std::vector<std::uint8_t> payload;
+    Payload payload;  ///< shares the delivered update's buffer
 };
 struct NoticeRecord {
     NodeId node;

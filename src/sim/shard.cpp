@@ -17,12 +17,11 @@ namespace {
 /// (14695981039346656037, one digit longer) but an arbitrary constant; the
 /// PinnedTrace digests depend on it, so it stays.
 constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
         h ^= (v >> (i * 8)) & 0xFFu;
-        h *= kFnvPrime;
+        h *= Fnv1aSink::kPrime;
     }
     return h;
 }
@@ -92,12 +91,8 @@ void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
     h = fnv_u64(h, link.from().value());
     h = fnv_u64(h, link.to().value());
     h = fnv_u64(h, delivered ? 1 : 0);
-    const std::vector<std::uint8_t> bytes = encode(packet);
-    h = fnv_u64(h, bytes.size());
-    for (std::uint8_t b : bytes) {
-        h ^= b;
-        h *= kFnvPrime;
-    }
+    h = fnv_u64(h, encoded_size(packet));
+    h = fnv1a(h, packet);
     sum += h;
     ++packets;
     chained = fnv_u64(chained ^ h, packets);

@@ -1,5 +1,6 @@
-// Unit tests for the foundation library: byte codec, serial sequence
-// numbers, EWMA, statistics and the deterministic RNG.
+// Unit tests for the foundation library: byte codec, shared payload
+// buffers, serial sequence numbers, EWMA, statistics and the deterministic
+// RNG.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,6 +8,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ewma.hpp"
+#include "common/payload.hpp"
 #include "common/rng.hpp"
 #include "common/seqnum.hpp"
 #include "common/stats.hpp"
@@ -92,6 +94,35 @@ TEST(Bytes, F64SpecialValues) {
     EXPECT_EQ(r.f64(), 0.0);
     EXPECT_EQ(r.f64(), -0.0);
     EXPECT_EQ(r.f64(), std::numeric_limits<double>::infinity());
+}
+
+// --- payload ---------------------------------------------------------------
+
+TEST(Payload, SeparatelyBuiltEqualPayloadsCompareEqual) {
+    const std::vector<std::uint8_t> bytes{1, 2, 3, 255};
+    const Payload a{bytes};
+    const Payload b{std::span<const std::uint8_t>{bytes}};
+    EXPECT_NE(a.data(), b.data());
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, bytes);
+    EXPECT_EQ(bytes, b);
+    EXPECT_NE(a, (Payload{1, 2, 3}));
+    EXPECT_NE(a, (Payload{1, 2, 3, 254}));
+    const Payload empty{std::vector<std::uint8_t>{}};
+    EXPECT_EQ(empty, Payload{});
+    EXPECT_TRUE(empty.empty());
+    EXPECT_EQ(empty.begin(), empty.end());
+}
+
+TEST(Payload, CopiesShareOneBuffer) {
+    const Payload a{7, 8, 9};
+    const Payload copy = a;
+    EXPECT_EQ(copy.data(), a.data());
+    ASSERT_EQ(copy.size(), 3u);
+    EXPECT_EQ(copy[2], 9);
+    const std::span<const std::uint8_t> view = copy;
+    EXPECT_EQ(view.data(), a.data());
+    EXPECT_EQ(view.size(), 3u);
 }
 
 // --- seqnum ----------------------------------------------------------------

@@ -18,10 +18,14 @@
 //    traffic and still fires the core exactly once, at the last deadline;
 //    earlier re-arms and cancels behave as before, on both closure shapes.
 //  - SimHost timer table: one host can hold more than 2^15 armed timers.
+//  - Shared payloads: the source's retained entry, every logger's log entry
+//    and every delivery record of one update point at one buffer, repairs
+//    included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -402,6 +406,51 @@ TEST(LazyRearm, CancelAfterLazyMoveNeverReachesCore) {
             p.arm(id, p.simulator.now() + millis(10));
             p.simulator.run_for(secs(1.0));
             EXPECT_EQ(p.core->fired.size(), 1u);
+        }
+    }
+}
+
+// --- shared payload buffers -------------------------------------------------
+
+TEST(SharedPayload, EveryHolderOfAnUpdateSharesOneBuffer) {
+    ScenarioConfig config;
+    config.topology.sites = 3;
+    config.topology.receivers_per_site = 4;
+    DisScenario scenario{config};
+    const DisTopology& topo = scenario.topology();
+    // Site 1's feed misses seq 2: its secondary fetches it from the primary
+    // and repairs the site, so repaired copies are checked too.
+    scenario.network().set_loss(
+        topo.backbone, topo.sites[1].router,
+        std::make_unique<BurstSchedule>(
+            std::vector<BurstSchedule::Window>{{at(0.1), at(0.2)}}));
+
+    scenario.start();
+    std::map<SeqNum, const std::uint8_t*> buffer;  // seq -> the source's bytes
+    for (std::uint32_t i = 1; i <= 3; ++i) {
+        scenario.run_until(at(0.001 + 0.1 * (i - 1)));
+        scenario.send_update(std::size_t{200});
+        const LogStore::Entry* entry = scenario.sender().retained().find(SeqNum{i});
+        ASSERT_NE(entry, nullptr);
+        buffer[SeqNum{i}] = entry->payload.data();
+    }
+    scenario.run_until(at(3.0));
+
+    ASSERT_EQ(scenario.deliveries().size(), 3u * 3 * 4);
+    std::size_t recovered = 0;
+    for (const auto& rec : scenario.deliveries()) {
+        EXPECT_EQ(rec.payload.data(), buffer[rec.seq]) << "seq " << rec.seq.value();
+        if (rec.recovered) ++recovered;
+    }
+    EXPECT_EQ(recovered, 4u);
+    for (const auto& [seq, bytes] : buffer) {
+        const LogStore::Entry* primary = scenario.primary_logger().store().find(seq);
+        ASSERT_NE(primary, nullptr);
+        EXPECT_EQ(primary->payload.data(), bytes);
+        for (std::size_t site = 0; site < topo.sites.size(); ++site) {
+            const LogStore::Entry* entry = scenario.secondary_logger(site).store().find(seq);
+            ASSERT_NE(entry, nullptr);
+            EXPECT_EQ(entry->payload.data(), bytes) << "site " << site;
         }
     }
 }

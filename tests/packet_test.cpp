@@ -2,6 +2,7 @@
 // to nullopt without UB.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 
@@ -28,6 +29,13 @@ TEST_P(PacketRoundTrip, EncodeDecodeIsIdentity) {
 TEST_P(PacketRoundTrip, EncodedSizeMatchesEncode) {
     const Packet& packet = GetParam();
     EXPECT_EQ(encoded_size(packet), encode(packet).size()) << to_string(packet.type());
+}
+
+TEST_P(PacketRoundTrip, Fnv1aMatchesHashOfEncode) {
+    const Packet& packet = GetParam();
+    std::uint64_t expected = Fnv1aSink::kOffsetBasis;
+    for (const std::uint8_t b : encode(packet)) expected = (expected ^ b) * Fnv1aSink::kPrime;
+    EXPECT_EQ(fnv1a(Fnv1aSink::kOffsetBasis, packet), expected) << to_string(packet.type());
 }
 
 TEST_P(PacketRoundTrip, AnyTruncationFailsCleanly) {
@@ -137,6 +145,29 @@ TEST(PacketEncode, EncodedSizeTracksVariableLengthFields) {
         const Packet p{header(), std::move(b)};
         EXPECT_EQ(encoded_size(p), encode(p).size()) << "missing " << count;
     }
+}
+
+// --- shared payload buffers ---------------------------------------------------
+
+TEST(PacketPayload, CopiedPacketSharesPayloadBytes) {
+    const Packet original{header(), DataBody{SeqNum{1}, EpochId{0}, test::payload(200)}};
+    const Packet copy = original;
+    EXPECT_EQ(std::get<DataBody>(copy.body).payload.data(),
+              std::get<DataBody>(original.body).payload.data());
+    EXPECT_EQ(copy, original);
+}
+
+TEST(PacketPayload, DecodedPayloadIsIndependentOfTheDatagram) {
+    const std::vector<std::uint8_t> sent = test::payload(64);
+    auto wire = encode({header(), RetransmissionBody{SeqNum{5}, EpochId{1}, true, sent}});
+    const auto decoded = decode(wire);
+    ASSERT_TRUE(decoded.has_value());
+    const Payload& payload = std::get<RetransmissionBody>(decoded->body).payload;
+    // Overwrite, then free, the datagram: the payload must not notice.
+    std::fill(wire.begin(), wire.end(), std::uint8_t{0xEE});
+    wire.clear();
+    wire.shrink_to_fit();
+    EXPECT_EQ(payload, sent);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(UdpEndpoint, EndToEndDeliveryOverRealSockets) {
     receiver_config.group = LoopbackDeployment::kGroup;
     receiver_config.source = LoopbackDeployment::kSourceId;
     receiver_config.logger = LoopbackDeployment::kPrimaryId;
-    std::vector<std::vector<std::uint8_t>> delivered;
+    std::vector<Payload> delivered;
     AppHandlers handlers;
     handlers.on_data = [&](TimePoint, const DeliverData& d) {
         delivered.push_back(d.payload);
