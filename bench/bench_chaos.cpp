@@ -211,7 +211,7 @@ std::vector<ClassSpec> fault_classes(const Options& opt) {
              // Section 2.2.1 alternative: every receiver host doubles as a
              // secondary and NACK targets rotate each second.
              config.rotate_site_loggers = true;
-             config.rotation_slot = secs(1.0);
+             config.receiver_defaults.rotation_slot = secs(1.0);
          },
          [](const DisScenario&) {
              ChaosSchedule schedule;

@@ -188,7 +188,7 @@ int run_gate(const std::string& json_path, const std::string& timestamp) {
             obs_ok = false;
         }
         const auto lat =
-            mono.merged_snapshot.histograms.find("proto.receiver.recovery_latency_s");
+            mono.merged_snapshot.histograms.find("recovery.latency_s.local");
         if (lat == mono.merged_snapshot.histograms.end() || lat->second.count == 0) {
             note("telemetry gate: lossy run produced no recovery latencies");
             obs_ok = false;

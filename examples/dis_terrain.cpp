@@ -33,7 +33,7 @@ int main() {
     config.stat_ack.k = 5;
     config.stat_ack.initial_probe_p = 0.4;
     config.stat_ack.probe_target_replies = 3;
-    config.max_idle = secs(0.25);  // the paper's terrain freshness bound
+    config.receiver_defaults.max_idle = secs(0.25);  // the paper's terrain freshness bound
 
     DisScenario scenario(config);
     scenario.start();

@@ -26,7 +26,7 @@ int main() {
     config.topology.sites = 1;
     config.topology.receivers_per_site = 4;  // receiver[3] plays the mobile
     config.stat_ack.enabled = false;
-    config.max_idle = secs(0.25);
+    config.receiver_defaults.max_idle = secs(0.25);
     DisScenario scenario(config);
     auto& network = scenario.network();
     const auto& topo = scenario.topology();

@@ -66,7 +66,7 @@ int main() {
     config.topology.sites = 2;
     config.topology.receivers_per_site = 3;
     config.stat_ack.enabled = false;
-    config.max_idle = secs(0.25);
+    config.receiver_defaults.max_idle = secs(0.25);
     DisScenario scenario(config);
     const auto& topo = scenario.topology();
     auto& network = scenario.network();

@@ -29,7 +29,7 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
         }
         for (SeqNum s = gap_start; s < seq; ++s) {
             if (!missing_.contains(s)) {
-                missing_.emplace(s, now);
+                missing_.emplace(s, Gap{now});
                 obs.newly_missing.push_back(s);
             }
         }
@@ -39,7 +39,7 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
             // carries no payload; if we never received the data packet it is
             // missing as well.
             if (!missing_.contains(seq)) {
-                missing_.emplace(seq, now);
+                missing_.emplace(seq, Gap{now});
                 obs.newly_missing.push_back(seq);
             }
         }
@@ -74,7 +74,7 @@ std::vector<SeqNum> LossDetector::missing() const {
 std::optional<TimePoint> LossDetector::detected_at(SeqNum seq) const {
     auto it = missing_.find(seq);
     if (it == missing_.end()) return std::nullopt;
-    return it->second;
+    return it->second.detected_at;
 }
 
 }  // namespace lbrm

@@ -22,6 +22,12 @@
 // was received, abandoned, or predates the first packet, so data carrying
 // it is a duplicate; nothing above `highest_seen()` can have been received
 // yet.  An in-order packet costs a comparison and no allocation.
+//
+// Each missing number has one Gap record: its detection time plus the
+// retry counters of whoever repairs it.  ReceiverCore keeps its per-gap
+// recovery state there, through gaps(), so a receiver holds exactly one
+// record per lost packet; a secondary logger leaves the counters at zero.
+// The detector never reads them.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +69,19 @@ public:
     /// if we have not received that data packet it becomes missing too.
     Observation observe(TimePoint now, SeqNum seq, bool is_heartbeat = false);
 
+    /// One missing sequence number.
+    struct Gap {
+        TimePoint detected_at{};
+        std::uint32_t attempts = 0;     ///< receiver: NACK rounds at the current tier
+        std::uint32_t cold_cycles = 0;  ///< receiver: escalation walks survived
+    };
+    /// Missing numbers in WireOrder (numeric, not serial: see seqnum.hpp).
+    using Gaps = std::map<SeqNum, Gap, SeqNum::WireOrder>;
+
+    /// The open gaps, for the owner's retry bookkeeping.  Erasing an entry
+    /// abandons that sequence number.
+    [[nodiscard]] Gaps& gaps() { return missing_; }
+
     /// Sequence numbers currently known missing, oldest first.
     [[nodiscard]] std::vector<SeqNum> missing() const;
 
@@ -103,8 +122,7 @@ private:
     std::int32_t max_gap_ = kDefaultMaxGap;
     std::uint64_t gap_overflows_ = 0;
     const obs::LossDetectorMetrics* obs_ = &obs::LossDetectorMetrics::disabled();
-    /// missing seq -> time the gap was detected (WireOrder: see seqnum.hpp)
-    std::map<SeqNum, TimePoint, SeqNum::WireOrder> missing_;
+    Gaps missing_;
 };
 
 }  // namespace lbrm

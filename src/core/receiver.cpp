@@ -88,15 +88,7 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         expected_gap_ = gap_after_heartbeat(hb->index);
         note_live_traffic(now, expected_gap_, actions);
         auto obs = detector_.observe(now, hb->last_seq, /*is_heartbeat=*/true);
-        if (!obs.newly_missing.empty()) {
-            for (SeqNum s : obs.newly_missing)
-                actions.push_back(Notice{NoticeKind::kLossDetected, s.value()});
-            for (SeqNum s : obs.newly_missing) {
-                pending_.emplace(s, PendingRecovery{now, 0});
-                episodes_->open(now, config_.self, s);
-            }
-            begin_recovery(now, actions);
-        }
+        begin_recovery(now, obs.newly_missing, actions);
         return actions;
     }
 
@@ -115,7 +107,7 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
             level_ = RecoveryLevel::kLocal;
             actions.push_back(CancelTimer{{TimerKind::kDiscovery, 0}});
             actions.push_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
-            if (!pending_.empty()) schedule_nack(now, actions);
+            if (detector_.missing_count() != 0) schedule_nack(now, actions);
         }
         return actions;
     }
@@ -125,9 +117,9 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
             primary_query_outstanding_ = false;
             logger_ = reply->primary;
             level_ = RecoveryLevel::kLocal;
-            for (auto& [seq, rec] : pending_) rec.attempts_at_level = 0;
+            for (auto& [seq, gap] : detector_.gaps()) gap.attempts = 0;
             actions.push_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
-            if (!pending_.empty()) schedule_nack(now, actions);
+            if (detector_.missing_count() != 0) schedule_nack(now, actions);
         }
         return actions;
     }
@@ -145,26 +137,12 @@ void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, const Payload& payl
         return;
     }
 
-    for (SeqNum s : obs.newly_missing)
-        actions.push_back(Notice{NoticeKind::kLossDetected, s.value()});
-    for (SeqNum s : obs.newly_missing) {
-        pending_.emplace(s, PendingRecovery{now, 0});
-        episodes_->open(now, config_.self, s);
-    }
-    if (!obs.newly_missing.empty()) begin_recovery(now, actions);
+    begin_recovery(now, obs.newly_missing, actions);
 
     if (obs.fills_gap) {
-        if (auto pit = pending_.find(seq); pit != pending_.end()) {
-            obs_->recovery_latency->observe(
-                to_seconds(now - pit->second.first_detected));
-            pending_.erase(pit);
-        }
         episodes_->close_repaired(now, config_.self, seq);
         ++recovered_;
         obs_->recovered->inc();
-        if (pending_.empty()) {
-            actions.push_back(CancelTimer{{TimerKind::kNackRetry, 0}});
-        }
         if (detector_.missing_count() == 0) recovery_complete(now, actions);
     }
 
@@ -201,7 +179,13 @@ void ReceiverCore::note_live_traffic(TimePoint now, Duration expected_gap,
         StartTimer{{TimerKind::kIdle, 0}, now + idle_threshold(expected_gap)});
 }
 
-void ReceiverCore::begin_recovery(TimePoint now, Actions& actions) {
+void ReceiverCore::begin_recovery(TimePoint now, const std::vector<SeqNum>& newly_missing,
+                                  Actions& actions) {
+    if (newly_missing.empty()) return;
+    for (SeqNum s : newly_missing) {
+        actions.push_back(Notice{NoticeKind::kLossDetected, s.value()});
+        episodes_->open(now, config_.self, s);
+    }
     if (config_.retrans_channel == kNoGroup) {
         schedule_nack(now, actions);
         return;
@@ -218,6 +202,7 @@ void ReceiverCore::begin_recovery(TimePoint now, Actions& actions) {
 }
 
 void ReceiverCore::recovery_complete(TimePoint now, Actions& actions) {
+    actions.push_back(CancelTimer{{TimerKind::kNackRetry, 0}});
     if (!retx_joined_) return;
     actions.push_back(CancelTimer{{TimerKind::kRetxFallback, 0}});
     actions.push_back(StartTimer{{TimerKind::kRetxLinger, 0},
@@ -234,20 +219,12 @@ void ReceiverCore::schedule_nack(TimePoint now, Actions& actions) {
 
 Actions ReceiverCore::fire_nack(TimePoint now) {
     Actions actions;
-    // Drop entries the detector no longer considers missing (recovered while
-    // the delay timer was pending).
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        if (!detector_.is_missing(it->first)) {
-            episodes_->close_repaired(now, config_.self, it->first);
-            it = pending_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    if (pending_.empty()) return actions;
+    if (detector_.missing_count() == 0) return actions;
 
+    // Wire (numeric) order, not missing()'s serial order: the two differ
+    // across the 2^32 wrap, and the pinned packet traces use this one.
     NackBody nack;
-    for (const auto& [seq, rec] : pending_) {
+    for (const auto& [seq, gap] : detector_.gaps()) {
         nack.missing.push_back(seq);
         episodes_->nack(config_.self, seq);
     }
@@ -279,18 +256,10 @@ Actions ReceiverCore::on_timer(TimePoint now, TimerId id) {
             nack_timer_armed_ = false;
             return fire_nack(now);
         case TimerKind::kNackRetry: {
-            for (auto it = pending_.begin(); it != pending_.end();) {
-                if (!detector_.is_missing(it->first)) {
-                    episodes_->close_repaired(now, config_.self, it->first);
-                    it = pending_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            if (pending_.empty()) return actions;
+            if (detector_.missing_count() == 0) return actions;
             bool exhausted = false;
-            for (auto& [seq, rec] : pending_) {
-                if (++rec.attempts_at_level >= config_.nack_max_retries) exhausted = true;
+            for (auto& [seq, gap] : detector_.gaps()) {
+                if (++gap.attempts >= config_.nack_max_retries) exhausted = true;
             }
             if (exhausted) return escalate(now);
             append(actions, fire_nack(now));
@@ -303,15 +272,7 @@ Actions ReceiverCore::on_timer(TimePoint now, TimerId id) {
             // fall back to the logging hierarchy (Section 7: "logging
             // servers would provide retransmissions of packets that were no
             // longer being transmitted on the retransmission channel").
-            for (auto it = pending_.begin(); it != pending_.end();) {
-                if (!detector_.is_missing(it->first)) {
-                    episodes_->close_repaired(now, config_.self, it->first);
-                    it = pending_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            if (!pending_.empty()) schedule_nack(now, actions);
+            if (detector_.missing_count() != 0) schedule_nack(now, actions);
             return actions;
         }
         case TimerKind::kRetxLinger:
@@ -332,8 +293,8 @@ Actions ReceiverCore::escalate(TimePoint now) {
             if (config_.fallback_logger != kNoNode &&
                 config_.fallback_logger != current_logger()) {
                 level_ = RecoveryLevel::kFallback;
-                for (auto& [seq, rec] : pending_) {
-                    rec.attempts_at_level = 0;
+                for (auto& [seq, gap] : detector_.gaps()) {
+                    gap.attempts = 0;
                     episodes_->escalate(config_.self, seq,
                                         obs::EpisodeTracker::kTierFallback);
                 }
@@ -346,7 +307,7 @@ Actions ReceiverCore::escalate(TimePoint now) {
         case RecoveryLevel::kFallback:
             // Ask the source who the current primary is (Section 2.2.3).
             level_ = RecoveryLevel::kPrimary;
-            for (const auto& [seq, rec] : pending_)
+            for (const auto& [seq, gap] : detector_.gaps())
                 episodes_->escalate(config_.self, seq,
                                     obs::EpisodeTracker::kTierPrimary);
             primary_query_outstanding_ = true;
@@ -363,22 +324,21 @@ Actions ReceiverCore::escalate(TimePoint now) {
             // after a cold pause.  Only packets that have outlived
             // recovery_cold_cycles whole walks are abandoned.
             bool parked = false;
-            for (auto it = pending_.begin(); it != pending_.end();) {
-                PendingRecovery& rec = it->second;
-                if (rec.cold_cycles < config_.recovery_cold_cycles) {
-                    ++rec.cold_cycles;
-                    rec.attempts_at_level = 0;
+            LossDetector::Gaps& gaps = detector_.gaps();
+            for (auto it = gaps.begin(); it != gaps.end();) {
+                LossDetector::Gap& gap = it->second;
+                if (gap.cold_cycles < config_.recovery_cold_cycles) {
+                    ++gap.cold_cycles;
+                    gap.attempts = 0;
                     episodes_->cold_restart(config_.self, it->first);
                     parked = true;
                     ++it;
                 } else {
-                    detector_.abandon(it->first);
                     ++recovery_failures_;
-                    obs_->recovery_failures->inc();
                     episodes_->close_abandoned(now, config_.self, it->first);
                     actions.push_back(
                         Notice{NoticeKind::kRecoveryFailed, it->first.value()});
-                    it = pending_.erase(it);
+                    it = gaps.erase(it);  // abandons the sequence number
                 }
             }
             level_ = RecoveryLevel::kLocal;

@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "core/actions.hpp"
 #include "core/config.hpp"
@@ -83,12 +83,6 @@ private:
         kPrimary = 2,   ///< primary learned from the source via PrimaryQuery
     };
 
-    struct PendingRecovery {
-        TimePoint first_detected{};
-        std::uint32_t attempts_at_level = 0;
-        std::uint32_t cold_cycles = 0;  ///< full escalation walks exhausted
-    };
-
     [[nodiscard]] Packet make_packet(Body body) const {
         return Packet{Header{config_.group, config_.source, config_.self}, std::move(body)};
     }
@@ -98,9 +92,10 @@ private:
     /// `payload`'s buffer.
     void accept_payload(TimePoint now, SeqNum seq, const Payload& payload, bool recovered,
                         Actions& actions);
-    /// Route newly-detected losses into recovery: NACK scheduling, or the
-    /// retransmission channel when configured.
-    void begin_recovery(TimePoint now, Actions& actions);
+    /// Route newly-detected losses into recovery: notices and episodes,
+    /// then NACK scheduling, or the retransmission channel when configured.
+    void begin_recovery(TimePoint now, const std::vector<SeqNum>& newly_missing,
+                        Actions& actions);
     /// All gaps just closed: wind recovery down.
     void recovery_complete(TimePoint now, Actions& actions);
     /// Live-stream packet heard: restore freshness and re-arm the idle
@@ -119,13 +114,14 @@ private:
     [[nodiscard]] Duration nack_jitter();
 
     ReceiverConfig config_;
+    /// Also the recovery state: each open gap's record carries its NACK
+    /// rounds and cold cycles (LossDetector::Gap).
     LossDetector detector_;
 
     NodeId logger_;  ///< cached logging-server address (kNoNode = unknown)
     RecoveryLevel level_ = RecoveryLevel::kLocal;
     bool primary_query_outstanding_ = false;
 
-    std::map<SeqNum, PendingRecovery, SeqNum::WireOrder> pending_;
     bool nack_timer_armed_ = false;
 
     bool fresh_ = true;
@@ -153,8 +149,8 @@ private:
     std::uint64_t duplicates_ = 0;
     std::uint64_t recovery_failures_ = 0;
     const obs::ReceiverMetrics* obs_ = &obs::ReceiverMetrics::disabled();
-    /// Per-loss lifecycle tracer (obs/episode.hpp); hooks mirror pending_:
-    /// open when a gap enters recovery, close when it leaves.
+    /// Per-loss lifecycle tracer (obs/episode.hpp); hooks follow the
+    /// detector's gaps: open when a gap enters recovery, close when it leaves.
     obs::EpisodeTracker* episodes_ = &obs::EpisodeTracker::disabled();
 };
 

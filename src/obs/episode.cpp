@@ -7,8 +7,9 @@ namespace lbrm::obs {
 
 namespace {
 
-/// Same bucket layout as proto.receiver.recovery_latency_s so the per-tier
-/// histograms merge bucket-wise against the aggregate in cross-shard exports.
+/// Latency buckets in seconds, shared by the tier and fetch histograms:
+/// NACK-path repairs land around the nack_delay + RTT scale (milliseconds);
+/// the tail covers retry escalation.
 std::vector<double> tier_latency_bounds() {
     return {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0};
 }
@@ -57,7 +58,6 @@ EpisodeTracker& EpisodeTracker::disabled() {
 void EpisodeTracker::record_close(std::uint64_t k, const OpenEpisode& ep,
                                   double closed_s, Kind kind, Reason reason) {
     if (records_.size() >= record_capacity_) {
-        ++records_dropped_n_;
         c_records_dropped_->inc();
         return;
     }
@@ -80,7 +80,6 @@ void EpisodeTracker::open(TimePoint now, NodeId node, SeqNum seq) {
     auto [it, inserted] = open_.try_emplace(key(node, seq));
     if (!inserted) return;
     it->second.opened_s = to_seconds(now);
-    ++opened_n_;
     c_opened_->inc();
 #else
     (void)now; (void)node; (void)seq;
@@ -132,7 +131,6 @@ void EpisodeTracker::close_repaired(TimePoint now, NodeId node, SeqNum seq) {
     h_latency_[it->second.tier]->observe(closed_s - it->second.opened_s);
     record_close(it->first, it->second, closed_s, Kind::kRecovery, Reason::kRepaired);
     open_.erase(it);
-    ++repaired_n_;
     c_repaired_->inc();
 #else
     (void)now; (void)node; (void)seq;
@@ -147,7 +145,6 @@ void EpisodeTracker::close_abandoned(TimePoint now, NodeId node, SeqNum seq) {
     record_close(it->first, it->second, to_seconds(now), Kind::kRecovery,
                  Reason::kAbandoned);
     open_.erase(it);
-    ++abandoned_n_;
     c_abandoned_->inc();
 #else
     (void)now; (void)node; (void)seq;
@@ -161,7 +158,6 @@ void EpisodeTracker::fetch_open(TimePoint now, NodeId node, SeqNum seq) {
     if (!inserted) return;
     it->second.opened_s = to_seconds(now);
     it->second.tier = kTierPrimary;  // fetches always target the primary log
-    ++fetch_opened_n_;
     c_fetch_opened_->inc();
 #else
     (void)now; (void)node; (void)seq;
@@ -202,13 +198,7 @@ void EpisodeTracker::fetch_close(TimePoint now, NodeId node, SeqNum seq, bool se
     record_close(it->first, it->second, closed_s, Kind::kFetch,
                  served ? Reason::kRepaired : Reason::kAbandoned);
     fetch_open_.erase(it);
-    if (served) {
-        ++fetch_served_n_;
-        c_fetch_served_->inc();
-    } else {
-        ++fetch_abandoned_n_;
-        c_fetch_abandoned_->inc();
-    }
+    (served ? c_fetch_served_ : c_fetch_abandoned_)->inc();
 #else
     (void)now; (void)node; (void)seq; (void)served;
 #endif

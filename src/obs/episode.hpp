@@ -72,7 +72,7 @@ public:
     EpisodeTracker& operator=(const EpisodeTracker&) = delete;
 
     /// Shared no-op instance for unbound cores: mutators return immediately,
-    /// accounting stays trivially balanced.
+    /// and the accounting reads zero, so it stays trivially balanced.
     [[nodiscard]] static EpisodeTracker& disabled();
 
     // --- receiver-side lifecycle (ReceiverCore) -------------------------
@@ -81,8 +81,7 @@ public:
     /// Tier hop; the recorded tier is the max ever reached.
     void escalate(NodeId node, SeqNum seq, std::uint8_t tier);
     void cold_restart(NodeId node, SeqNum seq);
-    /// Close hooks are idempotent: closing an unknown episode is a no-op,
-    /// so defensive cleanup paths can never unbalance the accounting.
+    /// Close hooks are idempotent: closing an unknown episode is a no-op.
     void close_repaired(TimePoint now, NodeId node, SeqNum seq);
     void close_abandoned(TimePoint now, NodeId node, SeqNum seq);
 
@@ -92,27 +91,26 @@ public:
     void fetch_cold_restart(NodeId node, SeqNum seq);
     void fetch_close(TimePoint now, NodeId node, SeqNum seq, bool served);
 
-    // --- accounting -----------------------------------------------------
-    [[nodiscard]] std::uint64_t opened() const { return opened_n_; }
-    [[nodiscard]] std::uint64_t repaired() const { return repaired_n_; }
-    [[nodiscard]] std::uint64_t abandoned() const { return abandoned_n_; }
+    // --- accounting (the registry counters) -----------------------------
+    [[nodiscard]] std::uint64_t opened() const { return count(c_opened_); }
+    [[nodiscard]] std::uint64_t repaired() const { return count(c_repaired_); }
+    [[nodiscard]] std::uint64_t abandoned() const { return count(c_abandoned_); }
     [[nodiscard]] std::uint64_t open_count() const { return open_.size(); }
-    [[nodiscard]] std::uint64_t fetch_opened() const { return fetch_opened_n_; }
-    [[nodiscard]] std::uint64_t fetch_served() const { return fetch_served_n_; }
-    [[nodiscard]] std::uint64_t fetch_abandoned() const { return fetch_abandoned_n_; }
+    [[nodiscard]] std::uint64_t fetch_opened() const { return count(c_fetch_opened_); }
+    [[nodiscard]] std::uint64_t fetch_served() const { return count(c_fetch_served_); }
+    [[nodiscard]] std::uint64_t fetch_abandoned() const { return count(c_fetch_abandoned_); }
     [[nodiscard]] std::uint64_t fetch_open_count() const { return fetch_open_.size(); }
     /// opened == repaired + abandoned + open, for both kinds.
     [[nodiscard]] bool balanced() const {
-        return opened_n_ == repaired_n_ + abandoned_n_ + open_.size() &&
-               fetch_opened_n_ ==
-                   fetch_served_n_ + fetch_abandoned_n_ + fetch_open_.size();
+        return opened() == repaired() + abandoned() + open_count() &&
+               fetch_opened() == fetch_served() + fetch_abandoned() + fetch_open_count();
     }
 
     // --- export ---------------------------------------------------------
     /// Completed episodes in close order (deterministic).  Bounded: once
     /// record_capacity records exist, further closes only count.
     [[nodiscard]] const std::vector<Record>& records() const { return records_; }
-    [[nodiscard]] std::uint64_t records_dropped() const { return records_dropped_n_; }
+    [[nodiscard]] std::uint64_t records_dropped() const { return count(c_records_dropped_); }
     void set_record_capacity(std::size_t cap) { record_capacity_ = cap; }
 
     /// Chrome trace_event async spans ("ph":"b"/"e", sim-time microseconds),
@@ -133,6 +131,12 @@ private:
         return (static_cast<std::uint64_t>(node.value()) << 32) | seq.value();
     }
 
+    /// A registry counter's value; 0 in the disabled instance, whose
+    /// handles are the shared sinks every unbound core writes to.
+    [[nodiscard]] std::uint64_t count(const Counter* c) const {
+        return enabled_ ? c->value() : 0;
+    }
+
     void record_close(std::uint64_t k, const OpenEpisode& ep, double closed_s,
                       Kind kind, Reason reason);
 
@@ -145,12 +149,6 @@ private:
     std::unordered_map<std::uint64_t, OpenEpisode> open_;
     std::unordered_map<std::uint64_t, OpenEpisode> fetch_open_;
     std::vector<Record> records_;
-
-    // Plain mirrors of the registry counters: balanced() must work even in
-    // the disabled instance, whose Counter* handles are the shared sinks.
-    std::uint64_t opened_n_ = 0, repaired_n_ = 0, abandoned_n_ = 0;
-    std::uint64_t fetch_opened_n_ = 0, fetch_served_n_ = 0, fetch_abandoned_n_ = 0;
-    std::uint64_t records_dropped_n_ = 0;
 
     // Registry handles ("recovery.*").
     Counter* c_opened_;

@@ -224,12 +224,6 @@ bool Metrics::write_json(const std::string& path) const {
 
 namespace {
 
-/// Recovery-latency buckets in seconds: NACK-path repairs land around the
-/// nack_delay + RTT scale (milliseconds); the tail covers retry escalation.
-std::vector<double> recovery_latency_bounds() {
-    return {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0};
-}
-
 /// Wire-type names for the "host.send.<TYPE>" rows, indexed by the
 /// PacketType numeric value.  Must match packet/packet.cpp to_string()
 /// (telemetry_test cross-checks the two).
@@ -245,11 +239,11 @@ const Block& disabled_block() {
     static const Block block = [] {
         Block b;
         auto* c = &Counter::sink();
-        // Every Counter* member points at the sink; Histogram* likewise.
+        // Every Counter* member points at the sink; the Gauge* likewise.
         if constexpr (std::is_same_v<Block, SenderMetrics>)
             b = {c, c, c, c, c, c, &Gauge::sink(), c, c};
         else if constexpr (std::is_same_v<Block, ReceiverMetrics>)
-            b = {c, c, c, c, c, &Histogram::sink()};
+            b = {c, c, c, c};
         else if constexpr (std::is_same_v<Block, LoggerMetrics>)
             b = {c, c, c, c, c};
         else if constexpr (std::is_same_v<Block, StatAckMetrics>)
@@ -312,10 +306,7 @@ const ProtocolMetrics& Metrics::protocol() {
         pm->receiver = {&counter("proto.receiver.delivered"),
                         &counter("proto.receiver.recovered"),
                         &counter("proto.receiver.nacks_sent"),
-                        &counter("proto.receiver.duplicates"),
-                        &counter("proto.receiver.recovery_failures"),
-                        &histogram("proto.receiver.recovery_latency_s",
-                                   recovery_latency_bounds())};
+                        &counter("proto.receiver.duplicates")};
         pm->logger = {&counter("proto.logger.nacks_received"),
                       &counter("proto.logger.served_unicast"),
                       &counter("proto.logger.served_multicast"),

@@ -226,8 +226,6 @@ struct ReceiverMetrics {
     Counter* recovered;
     Counter* nacks_sent;
     Counter* duplicates;
-    Counter* recovery_failures;
-    Histogram* recovery_latency;  ///< seconds, gap detected -> gap filled
     [[nodiscard]] static const ReceiverMetrics& disabled();
 };
 

@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/pool.hpp"
 #include "common/stable_vector.hpp"
 #include "core/actions.hpp"
 #include "core/config.hpp"
@@ -146,8 +145,6 @@ public:
     [[nodiscard]] std::size_t node_count() const { return node_site_id_.size(); }
     [[nodiscard]] std::size_t link_count() const { return cables_.size() * 2; }
     [[nodiscard]] Simulator& simulator() { return simulator_; }
-    /// Pool backing per-host timer tables (SimHost alloc/free path).
-    [[nodiscard]] BlockPool& timer_pool() { return host_pool_; }
 
     /// The telemetry registry (created by the network unless SimConfig
     /// supplied one).  All "sim.*" rows live here; protocol hosts bind their
@@ -445,9 +442,6 @@ private:
     std::unordered_map<std::uint64_t, Link*> link_index_;
 
     // --- hosts (cold; sparse side table over a by-value arena) ------------
-    /// Declared above the arena: host destructors return their timer blocks
-    /// here, so the pool must outlive the hosts.
-    BlockPool host_pool_;
     StableVector<SimHost> host_arena_;
     std::vector<SimHost*> node_host_;
 

@@ -14,8 +14,11 @@ DisScenario::DisScenario(ScenarioConfig config)
       topology_(make_dis_topology(network_, config_.topology)),
       sampler_(network_.metrics()) {
     network_.finalize();
-    // Every logger copy made below inherits the stream's sequence anchor.
+    // Every logger copy made below inherits the stream's sequence anchor
+    // and the re-multicast threshold, whatever role it plays.
     config_.logger_defaults.initial_seq = config_.initial_seq;
+    config_.logger_defaults.remulticast_request_threshold =
+        config_.remulticast_request_threshold;
 
     if (!config_.site_shard.empty()) {
         if (config_.site_shard.size() != topology_.sites.size())
@@ -144,7 +147,6 @@ void DisScenario::wire_source() {
         primary_config.role = LoggerRole::kPrimary;
         primary_config.upstream = kNoNode;
         primary_config.replicas = topology_.replicas;
-        primary_config.remulticast_request_threshold = config_.remulticast_request_threshold;
 
         AppHandlers primary_handlers;
         primary_handlers.on_notice = [this, id = topology_.primary](TimePoint at,
@@ -205,8 +207,6 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                 if (const auto* region = topology_.region_of_site(site_index))
                     logger_config.upstream = region->logger;
             }
-            logger_config.remulticast_request_threshold =
-                config_.remulticast_request_threshold;
 
             AppHandlers handlers;
             const NodeId id = site.secondary;
@@ -248,7 +248,6 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                 ReceiverConfig cfg = config_.receiver_defaults;
                 cfg.group = group;
                 cfg.source = topology_.source;
-                cfg.max_idle = config_.max_idle;
                 cfg.heartbeat = config_.heartbeat;
                 if (config_.use_retrans_channel)
                     cfg.retrans_channel = retrans_group();
@@ -296,7 +295,6 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
         receiver_config.self = node;
         receiver_config.group = group;
         receiver_config.source = topology_.source;
-        receiver_config.max_idle = config_.max_idle;
         receiver_config.heartbeat = config_.heartbeat;
         if (config_.discover_loggers) {
             receiver_config.logger = kNoNode;
@@ -305,10 +303,7 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                 local_logger != kNoNode ? local_logger : topology_.primary;
         }
         receiver_config.fallback_logger = topology_.primary;
-        if (config_.rotate_site_loggers) {
-            receiver_config.rotating_loggers = site.receivers;
-            receiver_config.rotation_slot = config_.rotation_slot;
-        }
+        if (config_.rotate_site_loggers) receiver_config.rotating_loggers = site.receivers;
         if (config_.use_retrans_channel) receiver_config.retrans_channel = retrans_group();
 
         AppHandlers handlers;

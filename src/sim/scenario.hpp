@@ -49,7 +49,6 @@ struct ScenarioConfig {
     /// and maintain recommended_spacing(); a driver that *obeys* the
     /// advice (workload::WorkloadEngine in governed mode) closes the loop.
     FlowControlConfig flow_control;
-    Duration max_idle = secs(0.25);
 
     /// First sequence number of the stream (propagated to the sender and to
     /// every logger's contiguity anchor).  Tests set this near 2^32 to
@@ -65,7 +64,9 @@ struct ScenarioConfig {
     /// instead of static configuration (Section 2.2.1).
     bool discover_loggers = false;
 
-    /// Secondary re-multicast threshold (LoggerConfig default otherwise).
+    /// Re-multicast threshold for every logger: requests for one packet
+    /// within a window before a repair is multicast instead of unicast.
+    /// Overrides logger_defaults.remulticast_request_threshold.
     std::uint32_t remulticast_request_threshold = 3;
 
     /// Section 7 extension: heartbeats repeat the last (small) data packet.
@@ -79,9 +80,9 @@ struct ScenarioConfig {
 
     /// Section 2.2.1 alternative: instead of one dedicated secondary per
     /// site, every receiver host doubles as a secondary logger and receivers
-    /// rotate their NACK target among them each `rotation_slot`.
+    /// rotate their NACK target among them each
+    /// `receiver_defaults.rotation_slot`.
     bool rotate_site_loggers = false;
-    Duration rotation_slot = secs(2.0);
 
     /// Section 7 extension: when the topology has a regional tier
     /// (topology.sites_per_region > 0), run a logging server per region:
@@ -105,8 +106,14 @@ struct ScenarioConfig {
     /// CHANGES TRAFFIC -- scale benches only, never A/B comparisons.
     std::uint32_t active_receivers_per_site = 0;
 
-    ReceiverConfig receiver_defaults;  ///< timing knobs (nack delays etc.)
-    LoggerConfig logger_defaults;      ///< retention, fetch timing
+    /// Timing knobs every receiver starts from (NACK delays, the MaxIT
+    /// freshness bound max_idle, rotation_slot ...).  The scenario fills in
+    /// identities, loggers, channels and the heartbeat schedule.
+    ReceiverConfig receiver_defaults;
+    /// Retention and fetch timing every logger starts from; the scenario
+    /// fills in identities and roles, and overrides initial_seq and
+    /// remulticast_request_threshold with the fields above.
+    LoggerConfig logger_defaults;
 
     /// Sharded execution (DESIGN.md "Sharded execution"): when non-empty,
     /// site_shard[s] names the shard that owns site s's nodes; the

@@ -57,10 +57,7 @@ void collect_shard(ShardResult& r, const ShardDomain& dom) {
     r.remote_emits += m.value("sim.remote_emits");
     r.remote_drops += m.value("sim.remote_drops");
     obs::RegistrySnapshot snap = m.export_snapshot();
-    std::map<std::string, double> flat;
-    for (const obs::Metrics::Sample& s : snap.flatten()) flat.emplace(s.name, s.value);
-    for (const auto& [name, value] : flat) r.counters[name] += value;
-    r.shard_counters.push_back(std::move(flat));
+    for (const obs::Metrics::Sample& s : snap.flatten()) r.counters[s.name] += s.value;
     r.merged_snapshot.merge(snap);
     r.shard_snapshots.push_back(std::move(snap));
     r.sampler.merge(dom.scenario->sampler().export_snapshot());

@@ -131,9 +131,8 @@ struct ShardResult {
     /// once every shard has a core of its own, which wall time on a
     /// timesharing box cannot show.
     double cpu_seconds_max_shard = 0.0;
-    /// Full metrics snapshot per shard, and the by-name sum (counters add;
-    /// summed gauges read as fleet totals).
-    std::vector<std::map<std::string, double>> shard_counters;
+    /// By-name sum of every shard's flattened metrics snapshot (counters
+    /// add; summed gauges read as fleet totals).
     std::map<std::string, double> counters;
     /// Per-shard peak RSS in kB (multi-process runner only).
     std::vector<std::uint64_t> peak_rss_kb;

@@ -279,13 +279,10 @@ ShardResult run_sharded_processes(const ShardRunConfig& cfg) {
                 if (!snap || !sampler || !episodes || !waits || !has_spans ||
                     !rd.ok())
                     throw std::runtime_error("shard: malformed child report");
-                // Rebuild the legacy flat maps from the structured snapshot,
+                // Rebuild the legacy flat map from the structured snapshot,
                 // so existing consumers see identical rows.
-                std::map<std::string, double> flat;
                 for (const obs::Metrics::Sample& row : snap->flatten())
-                    flat.emplace(row.name, row.value);
-                for (const auto& [name, value] : flat) r.counters[name] += value;
-                r.shard_counters.push_back(std::move(flat));
+                    r.counters[row.name] += row.value;
                 r.merged_snapshot.merge(*snap);
                 r.shard_snapshots.push_back(std::move(*snap));
                 r.sampler.merge(*sampler);

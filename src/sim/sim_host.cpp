@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 #include <type_traits>
 
 #include "sim/network.hpp"
@@ -13,21 +14,16 @@ SimHost::SimHost(Network& network, Simulator& simulator, NodeId self)
     protocol_.bind_metrics(network.metrics());
 }
 
-SimHost::~SimHost() {
-    if (timers_ != nullptr)
-        network_.timer_pool().free(timers_, timer_cap_ * sizeof(TimerEnt));
-}
+SimHost::~SimHost() { ::operator delete(timers_); }
 
 void SimHost::grow_timers() {
     static_assert(std::is_trivially_copyable_v<TimerEnt>,
-                  "pooled timer table relies on memcpy relocation");
+                  "raw timer table relies on memcpy relocation");
     const std::uint32_t cap = timer_cap_ == 0 ? 2 : timer_cap_ * 2;
-    auto* fresh =
-        static_cast<TimerEnt*>(network_.timer_pool().alloc(cap * sizeof(TimerEnt)));
+    auto* fresh = static_cast<TimerEnt*>(::operator new(cap * sizeof(TimerEnt)));
     if (timer_count_ > 0)
         std::memcpy(fresh, timers_, timer_count_ * sizeof(TimerEnt));
-    if (timers_ != nullptr)
-        network_.timer_pool().free(timers_, timer_cap_ * sizeof(TimerEnt));
+    ::operator delete(timers_);
     timers_ = fresh;
     timer_cap_ = cap;
 }

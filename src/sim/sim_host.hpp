@@ -7,10 +7,9 @@
 // in a small flat table instead of a std::map: a host arms a handful of
 // timers (heartbeat, ack, retransmit...), so linear scans beat tree nodes
 // on both memory and locality at million-host scale.  The table itself is
-// a 16-byte handle into the Network's BlockPool: most hosts in the big
+// a 16-byte handle to a block from operator new: most hosts in the big
 // scenarios never arm a timer (watchdogs are deferred until first
-// traffic), and the handle undercuts even an empty std::vector while the
-// pool recycles the blocks of hosts that do arm.
+// traffic), and the handle is 8 bytes smaller than an empty std::vector.
 //
 // Re-arms are lazy (DESIGN.md "Simulator performance"): each entry keeps
 // the time its queued event fires and the time the timer is really due.
@@ -78,8 +77,8 @@ private:
     Simulator& simulator_;
     NodeId self_;
     ProtocolHost protocol_;
-    /// Armed timers, unordered; erased by swap-with-back.  The block comes
-    /// from Network's BlockPool; null until the first arm.
+    /// Armed timers, unordered; erased by swap-with-back.  Null until the
+    /// first arm.
     TimerEnt* timers_ = nullptr;
     std::uint32_t timer_count_ = 0;
     std::uint32_t timer_cap_ = 0;

@@ -679,7 +679,7 @@ TEST(ChaosRotation, BlackoutUnderLoggerRotationStaysReliable) {
     // they can serve their peers.
     ScenarioConfig config = chaos_config();
     config.rotate_site_loggers = true;
-    config.rotation_slot = secs(1.0);
+    config.receiver_defaults.rotation_slot = secs(1.0);
     ChaosSchedule schedule;
     schedule.events.push_back(SiteBlackout{1, secs(1.3), millis(700)});
 

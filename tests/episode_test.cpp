@@ -117,8 +117,7 @@ TEST(EpisodeTracker, TierIsTheMaxEverReachedAndAbandonCloses) {
 TEST(EpisodeTracker, ClosesAreIdempotentAndUnknownKeysAreNoOps) {
     obs::Metrics m;
     EpisodeTracker t{m};
-    // Operating on a never-opened episode must be harmless: the receiver's
-    // defensive cleanup loops close whatever they sweep.
+    // Operating on a never-opened episode must be harmless.
     t.close_repaired(at(1.0), NodeId{1}, SeqNum{5});
     t.nack(NodeId{1}, SeqNum{5});
     t.escalate(NodeId{1}, SeqNum{5}, EpisodeTracker::kTierPrimary);
@@ -419,7 +418,7 @@ TEST(EpisodeChaosMatrix, AccountingBalancesAcrossEveryFaultClass) {
         config.seed = 77;
         if (cls.rotate) {
             config.rotate_site_loggers = true;
-            config.rotation_slot = secs(1.0);
+            config.receiver_defaults.rotation_slot = secs(1.0);
         }
         DisScenario scenario{config};
         for (const auto& site : scenario.topology().sites)

@@ -340,7 +340,7 @@ ScenarioConfig rotation_config() {
     config.topology.secondary_logger_per_site = false;  // no dedicated logger
     config.stat_ack.enabled = false;
     config.rotate_site_loggers = true;
-    config.rotation_slot = secs(2.0);
+    config.receiver_defaults.rotation_slot = secs(2.0);
     return config;
 }
 
@@ -379,9 +379,10 @@ TEST(RotatingLoggers, TargetRotatesAcrossSlots) {
 
     std::set<NodeId> owners;
     for (int slot = 0; slot < 4; ++slot) {
-        const TimePoint when = time_zero() + scale(config.rotation_slot,
-                                                   static_cast<double>(slot)) +
-                               millis(10);
+        const TimePoint when =
+            time_zero() +
+            scale(config.receiver_defaults.rotation_slot, static_cast<double>(slot)) +
+            millis(10);
         owners.insert(receiver.current_logger(when));
     }
     EXPECT_EQ(owners.size(), 4u);  // all four hosts took a turn
@@ -389,6 +390,38 @@ TEST(RotatingLoggers, TargetRotatesAcrossSlots) {
         EXPECT_NE(std::find(topo.sites[0].receivers.begin(),
                             topo.sites[0].receivers.end(), owner),
                   topo.sites[0].receivers.end());
+}
+
+TEST(RotatingLoggers, ScenarioRemulticastThresholdReachesTheSlotOwner) {
+    // ScenarioConfig::remulticast_request_threshold applies to every logger,
+    // rotating site loggers included: at 1 the slot owner answers the first
+    // NACK for a packet with a site multicast instead of a unicast.
+    ScenarioConfig config = rotation_config();
+    config.remulticast_request_threshold = 1;
+    DisScenario scenario(config);
+    auto& network = scenario.network();
+    const auto& topo = scenario.topology();
+    const auto& hosts = topo.sites[0].receivers;
+    scenario.start();
+    scenario.send_update(std::size_t{64});
+    scenario.run_for(millis(500));  // inside slot 0: hosts[0] owns it
+
+    // hosts[1] alone loses seq 2; the owner logged it.
+    network.set_loss(topo.sites[0].router, hosts[1], std::make_unique<BernoulliLoss>(1.0));
+    scenario.send_update(std::size_t{64});
+    scenario.run_for(millis(50));
+    network.set_loss(topo.sites[0].router, hosts[1], std::make_unique<BernoulliLoss>(0.0));
+    scenario.run_for(secs(1.0));
+
+    EXPECT_EQ(scenario.delivery_times(SeqNum{2}).size(), 4u);
+    // The repair reached the whole site: the hosts that already had seq 2
+    // received it again.
+    EXPECT_EQ(scenario.receiver(hosts[2]).duplicates(), 1u);
+    EXPECT_EQ(scenario.receiver(hosts[3]).duplicates(), 1u);
+    if constexpr (obs::kTelemetryEnabled) {
+        EXPECT_EQ(scenario.metrics().value("proto.logger.served_multicast"), 1u);
+        EXPECT_EQ(scenario.metrics().value("proto.logger.served_unicast"), 0u);
+    }
 }
 
 TEST(RotatingLoggers, EscalationStillReachesThePrimary) {

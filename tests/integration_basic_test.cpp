@@ -116,7 +116,7 @@ TEST(IntegrationBasic, HeartbeatBoundsDetectionOfLastPacketLoss) {
 
 TEST(IntegrationBasic, FreshnessLostWhenSourceGoesSilent) {
     ScenarioConfig config = small_config();
-    config.max_idle = secs(0.25);
+    config.receiver_defaults.max_idle = secs(0.25);
     DisScenario scenario(config);
     scenario.start();
     scenario.send_update(64);
@@ -127,6 +127,25 @@ TEST(IntegrationBasic, FreshnessLostWhenSourceGoesSilent) {
     scenario.network().set_node_down(scenario.topology().source, true);
     scenario.run_for(secs(2.0));
     EXPECT_GE(scenario.notice_count(NoticeKind::kFreshnessLost), 12u);
+}
+
+TEST(IntegrationBasic, ReceiverDefaultsSetTheFreshnessBound) {
+    // receiver_defaults.max_idle is the MaxIT bound every receiver, eager or
+    // dormant, starts its watchdog with.  With the source cut off from the
+    // start no packet ever arrives, so none may go stale before 3 s.
+    for (const bool dormant : {false, true}) {
+        SCOPED_TRACE(dormant ? "dormant" : "eager");
+        ScenarioConfig config = small_config();
+        config.dormant_receivers = dormant;
+        config.receiver_defaults.max_idle = secs(3.0);
+        DisScenario scenario(config);
+        scenario.network().set_node_down(scenario.topology().source, true);
+        scenario.start();
+        scenario.run_for(secs(2.9));
+        EXPECT_EQ(scenario.notice_count(NoticeKind::kFreshnessLost), 0u);
+        scenario.run_for(secs(0.2));
+        EXPECT_EQ(scenario.notice_count(NoticeKind::kFreshnessLost), 12u);
+    }
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 // escalation through the logger hierarchy, freshness watchdog, discovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
+#include "common/rng.hpp"
 #include "core/receiver.hpp"
+#include "obs/metrics.hpp"
 #include "tests/test_util.hpp"
 
 namespace lbrm {
@@ -199,6 +205,62 @@ TEST(Receiver, FinalEscalationQueriesSourceForPrimary) {
     EXPECT_EQ(nacks[0].to, NodeId{77});
 }
 
+TEST(Receiver, RetryBudgetIsPerGapAndEveryTierChangeResetsIt) {
+    // Each gap gets nack_max_retries NACK rounds per tier.  A gap opened
+    // mid-recovery starts its own count, and both escalating to the
+    // fallback and a PrimaryReply restart every gap's count.
+    ReceiverConfig c = base_config();
+    c.nack_max_retries = 3;
+    ReceiverCore r{c};
+    std::optional<StartTimer> retry;
+    auto track = [&retry](Actions actions) {
+        if (auto t = find_timer(actions, TimerKind::kNackRetry)) retry = t;
+        return actions;
+    };
+    auto fire_retry = [&] { return track(r.on_timer(retry->deadline, retry->id)); };
+    auto nack_to = [](const Actions& actions) {
+        const auto nacks = sent_of_type(actions, PacketType::kNack);
+        return nacks.size() == 1 ? nacks[0].to : kNoNode;
+    };
+
+    r.start(at(0.0));
+    r.on_packet(at(1.0), data(SeqNum{1}));
+    auto gap = r.on_packet(at(1.1), data(SeqNum{3}));
+    auto delay = find_timer(gap, TimerKind::kNackDelay);
+    EXPECT_EQ(nack_to(track(r.on_timer(delay->deadline, delay->id))), kSecondary);
+    EXPECT_EQ(nack_to(fire_retry()), kSecondary);  // seq 2: round 1
+
+    // Seq 4 goes missing mid-recovery; one round covers both gaps (seq 2:
+    // round 2, seq 4: round 1), then seq 2 is repaired.
+    auto gap4 = r.on_packet(retry->deadline - millis(100), data(SeqNum{5}));
+    delay = find_timer(gap4, TimerKind::kNackDelay);
+    track(r.on_timer(delay->deadline, delay->id));
+    EXPECT_EQ(nack_to(fire_retry()), kSecondary);
+    r.on_packet(retry->deadline - millis(100), retransmission(kSecondary, SeqNum{2}));
+
+    // Seq 4's budget is its own: round 2 at the secondary, its third
+    // exhausts the tier, and at the fallback the count starts over.
+    EXPECT_EQ(nack_to(fire_retry()), kSecondary);
+    auto escalated = fire_retry();
+    EXPECT_EQ(nack_to(escalated), kPrimary);
+    EXPECT_EQ(test::notices(escalated, NoticeKind::kLoggerChanged).size(), 1u);
+    EXPECT_EQ(nack_to(fire_retry()), kPrimary);
+    EXPECT_EQ(nack_to(fire_retry()), kPrimary);
+    auto query = fire_retry();
+    ASSERT_EQ(count_sent(query, PacketType::kPrimaryQuery), 1u);
+
+    // The source names a new primary: the count starts over there too.
+    auto reply = r.on_packet(retry->deadline - millis(100),
+                             Packet{Header{kGroup, kSource, kSource},
+                                    PrimaryReplyBody{NodeId{77}}});
+    delay = find_timer(reply, TimerKind::kNackDelay);
+    ASSERT_TRUE(delay.has_value());
+    EXPECT_EQ(nack_to(track(r.on_timer(delay->deadline, delay->id))), NodeId{77});
+    EXPECT_EQ(nack_to(fire_retry()), NodeId{77});
+    EXPECT_EQ(nack_to(fire_retry()), NodeId{77});
+    EXPECT_EQ(r.recovery_failures(), 0u);
+}
+
 TEST(Receiver, RecoveryEventuallyAbandons) {
     ReceiverConfig c = base_config();
     c.nack_max_retries = 1;
@@ -386,6 +448,129 @@ TEST(Receiver, IgnoresForeignGroup) {
                    DataBody{SeqNum{1}, EpochId{0}, payload(8)}};
     EXPECT_TRUE(r.on_packet(at(1.0), foreign).empty());
     EXPECT_EQ(r.delivered(), 0u);
+}
+
+// --- property: one gap record per lost packet -------------------------------
+
+// Seeded random streams drive a bare core whose timers fire in deadline
+// order: DATA with loss, reordering and duplicates, heartbeats, unsolicited
+// repairs, and a logger answering part of every NACK (one number in 16 it
+// never holds, so some gaps are abandoned); even seeds start within 64 of
+// 2^32, every third recovers through the retransmission channel.  Every
+// NACK must name exactly the detector's missing set, in wire order, and the
+// episode tracker must hold one open episode per gap.
+TEST(ReceiverGapRecord, NacksNameTheDetectorsGapsOnRandomStreams) {
+    constexpr GroupId kChannel{6};
+    std::size_t nacks_checked = 0;
+    std::uint64_t abandoned = 0;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng{seed};
+        ReceiverConfig c = base_config();
+        c.recovery_cold_cycles = 1;
+        c.recovery_cold_retry = millis(300);
+        const bool channel = seed % 3 == 0;
+        if (channel) c.retrans_channel = kChannel;
+        ReceiverCore r{c};
+        obs::Metrics m;
+        r.bind_metrics(m.protocol());
+
+        auto held = [seed](SeqNum s) { return splitmix64(seed ^ s.value()) % 16 != 0; };
+        auto repair = [&](SeqNum s) {
+            return channel ? Packet{Header{kChannel, kSource, kSource},
+                                    RetransmissionBody{s, EpochId{0}, true, payload(8)}}
+                           : retransmission(kSecondary, s);
+        };
+
+        // The source's schedule, pre-planned; repairs join it as NACKs go out.
+        std::multimap<TimePoint, Packet> inbox;
+        SeqNum next{seed % 2 == 0
+                        ? static_cast<std::uint32_t>(0xFFFFFFFFu - rng.uniform_int(0, 63))
+                        : static_cast<std::uint32_t>(1 + rng.uniform_int(0, 1000))};
+        TimePoint t = at(1.0);
+        for (int i = 0; i < 300; ++i) {
+            t += rng.uniform_duration(millis(2), millis(25));
+            const double u = rng.uniform();
+            if (u < 0.85) {
+                const SeqNum s = next;
+                ++next;
+                if (rng.bernoulli(0.15)) continue;  // lost
+                const TimePoint arrive =
+                    t + (rng.bernoulli(0.1) ? rng.uniform_duration(millis(1), millis(60))
+                                            : Duration::zero());
+                inbox.emplace(arrive, data(s));
+                if (rng.bernoulli(0.05)) inbox.emplace(arrive + millis(3), data(s));
+            } else if (u < 0.95) {
+                inbox.emplace(t, heartbeat(next.plus(-1)));
+            } else {
+                const auto back = static_cast<std::int32_t>(rng.uniform_int(1, 64));
+                if (held(next.plus(-back))) inbox.emplace(t, repair(next.plus(-back)));
+            }
+        }
+
+        std::map<TimerId, TimePoint> armed;
+        auto apply = [&](TimePoint now, const Actions& actions) {
+            for (const Action& a : actions) {
+                if (const auto* st = std::get_if<StartTimer>(&a)) {
+                    armed[st->id] = st->deadline;
+                } else if (const auto* ct = std::get_if<CancelTimer>(&a)) {
+                    armed.erase(ct->id);
+                } else if (const auto* u = std::get_if<SendUnicast>(&a)) {
+                    if (const auto* nack = std::get_if<NackBody>(&u->packet.body)) {
+                        std::vector<SeqNum> want = r.detector().missing();
+                        std::sort(want.begin(), want.end(), SeqNum::WireOrder{});
+                        EXPECT_EQ(nack->missing, want);
+                        ++nacks_checked;
+                        for (SeqNum s : nack->missing)
+                            if (held(s) && rng.bernoulli(0.5))
+                                inbox.emplace(
+                                    now + rng.uniform_duration(millis(5), millis(60)),
+                                    retransmission(u->to, s));
+                    } else if (std::holds_alternative<PrimaryQueryBody>(u->packet.body) &&
+                               rng.bernoulli(0.7)) {
+                        inbox.emplace(now + millis(30),
+                                      Packet{Header{kGroup, kSource, kSource},
+                                             PrimaryReplyBody{kPrimary}});
+                    }
+                }
+            }
+            if constexpr (obs::kTelemetryEnabled)
+                EXPECT_EQ(m.value("recovery.episodes_open"), r.detector().missing_count());
+        };
+
+        apply(at(0.0), r.start(at(0.0)));
+        for (int step = 0; step < 100000 && (!armed.empty() || !inbox.empty()); ++step) {
+            const auto timer = std::min_element(
+                armed.begin(), armed.end(),
+                [](const auto& a, const auto& b) { return a.second < b.second; });
+            if (timer != armed.end() &&
+                (inbox.empty() || timer->second <= inbox.begin()->first)) {
+                const auto [id, when] = *timer;
+                armed.erase(timer);
+                apply(when, r.on_timer(when, id));
+            } else {
+                const auto [when, packet] = *inbox.begin();
+                inbox.erase(inbox.begin());
+                apply(when, r.on_packet(when, packet));
+            }
+        }
+
+        // Drained: every gap was repaired or abandoned, and each episode
+        // closed the same way.
+        EXPECT_TRUE(armed.empty());
+        EXPECT_EQ(r.detector().missing_count(), 0u);
+        const obs::EpisodeTracker& episodes = m.episodes();
+        EXPECT_TRUE(episodes.balanced());
+        if constexpr (obs::kTelemetryEnabled) {
+            EXPECT_GT(episodes.opened(), 0u);
+            EXPECT_EQ(episodes.open_count(), 0u);
+            EXPECT_EQ(episodes.repaired(), r.recovered());
+            EXPECT_EQ(episodes.abandoned(), r.recovery_failures());
+        }
+        abandoned += r.recovery_failures();
+    }
+    EXPECT_GT(nacks_checked, 100u);
+    EXPECT_GT(abandoned, 0u);
 }
 
 }  // namespace

@@ -11,8 +11,7 @@
 // across the boundary, and a chaos SitePartition whose cut coincides with
 // the shard cut (receiver reliability must survive both partitions at
 // once).  A pinned digest holds the single-process trace itself fixed, and
-// the memory-satellite containers (SmallVec, BlockPool) get their units
-// here too.
+// the memory-satellite container SmallVec gets its units here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/pool.hpp"
 #include "common/small_vec.hpp"
 #include "sim/chaos.hpp"
 #include "sim/loss_model.hpp"
@@ -112,30 +110,6 @@ TEST(SmallVec, MoveStealsHeapAndMovesInline) {
     b = std::move(a);  // move-assign over a heap buffer
     ASSERT_EQ(b.size(), 1u);
     EXPECT_EQ(b[0], "solo");
-}
-
-// --- BlockPool --------------------------------------------------------------
-
-TEST(BlockPool, RecyclesFreedBlocks) {
-    BlockPool pool;
-    void* a = pool.alloc(48);  // 64-byte class
-    void* b = pool.alloc(48);
-    EXPECT_NE(a, b);
-    EXPECT_GT(pool.slab_bytes(), 0u);
-    pool.free(a, 48);
-    void* c = pool.alloc(40);  // same class: the freed block comes back
-    EXPECT_EQ(c, a);
-    pool.free(b, 48);
-    pool.free(c, 40);
-}
-
-TEST(BlockPool, OversizeFallsThroughToOperatorNew) {
-    BlockPool pool;
-    const std::size_t before = pool.slab_bytes();
-    void* big = pool.alloc(100 * 1024);
-    EXPECT_NE(big, nullptr);
-    EXPECT_EQ(pool.slab_bytes(), before);  // no slab carved
-    pool.free(big, 100 * 1024);
 }
 
 // --- RemoteEvent wire codec -------------------------------------------------
@@ -514,9 +488,6 @@ TEST(ShardTelemetry, LossyMergedSnapshotMatchesMonolith) {
     if (obs::kTelemetryEnabled) {
         // The loss actually exercised the recovery path, so the latency
         // histogram the old flat merge dropped is non-trivial here.
-        const auto& lat =
-            base.merged_snapshot.histograms.at("proto.receiver.recovery_latency_s");
-        ASSERT_GT(lat.count, 0u);
         ASSERT_GT(
             base.merged_snapshot.histograms.at("recovery.latency_s.local").count,
             0u);

@@ -105,10 +105,8 @@ TEST(MetricsRegistry, DisabledBlocksPointAtSinks) {
     // same object for every disabled block (no per-core allocation).
     const obs::ProtocolMetrics& d = obs::ProtocolMetrics::disabled();
     d.sender.data_sent->inc();
-    d.receiver.recovery_latency->observe(0.01);
     d.host.send_by_type[1]->inc();
     EXPECT_EQ(d.sender.data_sent, &obs::Counter::sink());
-    EXPECT_EQ(d.receiver.recovery_latency, &obs::Histogram::sink());
     EXPECT_EQ(obs::SenderMetrics::disabled().data_sent, d.sender.data_sent);
     EXPECT_EQ(obs::HostMetrics::disabled().notices, &obs::Counter::sink());
 }
