@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
           " updates at " + fmt(loss * 100.0, 1) + "% site-feed loss");
     Table table({"metric", "value"});
     table.row({"delivered", fmt_int(count("proto.receiver.delivered"))});
-    table.row({"recovered", fmt_int(count("proto.receiver.recovered"))});
+    table.row({"recovered", fmt_int(count("recovery.episodes_repaired"))});
     table.row({"nacks_sent", fmt_int(count("proto.receiver.nacks_sent"))});
     table.row({"heartbeats", fmt_int(count("proto.sender.heartbeats_sent"))});
     table.row({"served_mcast", fmt_int(count("proto.logger.served_multicast"))});
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
                        static_cast<double>(count("proto.receiver.nacks_sent")),
                        timestamp});
     metrics.push_back({"protocol_health", "recovered",
-                       static_cast<double>(count("proto.receiver.recovered")),
+                       static_cast<double>(count("recovery.episodes_repaired")),
                        timestamp});
     metrics.push_back({"protocol_health", "drops_total",
                        static_cast<double>(drops.total()), timestamp});

@@ -27,7 +27,6 @@
 #include <optional>
 #include <string>
 
-#include "common/log.hpp"
 #include "transport/udp_endpoint.hpp"
 
 namespace {

@@ -22,21 +22,4 @@ double SampleSet::quantile(double q) {
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-    if (buckets == 0 || hi <= lo)
-        throw std::invalid_argument("Histogram: need hi > lo and at least one bucket");
-}
-
-void Histogram::add(double x) {
-    double rel = (x - lo_) / width_;
-    std::size_t i = 0;
-    if (rel > 0) {
-        i = static_cast<std::size_t>(rel);
-        if (i >= counts_.size()) i = counts_.size() - 1;
-    }
-    ++counts_[i];
-    ++total_;
-}
-
 }  // namespace lbrm

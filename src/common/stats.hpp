@@ -85,26 +85,4 @@ private:
     bool sorted_ = false;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.  Used for recovery-latency distributions in the benches.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x);
-
-    [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-    [[nodiscard]] std::size_t count_at(std::size_t i) const { return counts_.at(i); }
-    [[nodiscard]] double bucket_low(std::size_t i) const {
-        return lo_ + width_ * static_cast<double>(i);
-    }
-    [[nodiscard]] std::size_t total() const { return total_; }
-
-private:
-    double lo_;
-    double width_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
-
 }  // namespace lbrm

@@ -157,10 +157,7 @@ void LoggerCore::watch_stream_seq(TimePoint now, SeqNum seq, bool is_heartbeat,
     // Call back to the primary for everything the site lost (Section 2.2.1),
     // after the configured delay that gives the source's own statistical
     // re-multicast a chance to repair first (Section 2.3.2).
-    for (SeqNum s : obs.newly_missing) {
-        if (fetch_pending_.try_emplace(s).second)
-            episodes_->fetch_open(now, config_.self, s);
-    }
+    for (SeqNum s : obs.newly_missing) open_fetch(now, s);
     schedule_fetch(now, actions);
 }
 
@@ -189,8 +186,8 @@ void LoggerCore::ingest(TimePoint now, SeqNum seq, EpochId epoch, const Payload&
         detector_.observe(now, seq);  // keep the gap tracker consistent
         const bool self_missed = !from_live_stream;
         const auto requesters = std::move(pending->second.requesters);
+        close_fetch(now, seq, pending->second, obs::EpisodeTracker::Reason::kRepaired);
         fetch_pending_.erase(pending);
-        episodes_->fetch_close(now, config_.self, seq, /*served=*/true);
         if (const LogStore::Entry* entry = store_.find(seq)) {
             if (self_missed && !requesters.empty() && config_.site_multicast_repairs) {
                 // The secondary itself lost the packet: the whole site most
@@ -240,9 +237,7 @@ void LoggerCore::serve_one(TimePoint now, NodeId from, SeqNum seq, Actions& acti
         if (role_ == LoggerRole::kSecondary && upstream_ != kNoNode) {
             // We do not have it either: remember the requester and call back
             // to the primary.
-            auto [it, inserted] = fetch_pending_.try_emplace(seq);
-            if (inserted) episodes_->fetch_open(now, config_.self, seq);
-            it->second.requesters.insert(from);
+            open_fetch(now, seq).requesters.insert(from);
             schedule_fetch(now, actions);
         }
         // A primary without the packet (expired from the log) cannot help;
@@ -284,6 +279,29 @@ void LoggerCore::serve_one(TimePoint now, NodeId from, SeqNum seq, Actions& acti
 // Upstream fetch (secondary -> primary callback)
 // ---------------------------------------------------------------------------
 
+LoggerCore::FetchState& LoggerCore::open_fetch(TimePoint now, SeqNum seq) {
+    auto [it, inserted] = fetch_pending_.try_emplace(seq);
+    if (inserted) {
+        it->second.opened_at = now;
+        episodes_->fetch_open();
+    }
+    return it->second;
+}
+
+void LoggerCore::close_fetch(TimePoint now, SeqNum seq, const FetchState& state,
+                             obs::EpisodeTracker::Reason reason) const {
+    episodes_->close({.node = config_.self.value(),
+                      .seq = seq.value(),
+                      .opened_s = to_seconds(state.opened_at),
+                      .closed_s = to_seconds(now),
+                      .nacks = state.requests,
+                      .cold_restarts = state.cold_cycles,
+                      .kind = obs::EpisodeTracker::Kind::kFetch,
+                      // Fetches always target the primary log.
+                      .tier = obs::EpisodeTracker::kTierPrimary,
+                      .reason = reason});
+}
+
 void LoggerCore::schedule_fetch(TimePoint now, Actions& actions) {
     if (fetch_delay_armed_ || fetch_pending_.empty()) return;
     fetch_delay_armed_ = true;
@@ -299,7 +317,7 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
         FetchState& state = it->second;
         if (store_.contains(it->first)) {
             // Arrived while we waited.
-            episodes_->fetch_close(now, config_.self, it->first, /*served=*/true);
+            close_fetch(now, it->first, state, obs::EpisodeTracker::Reason::kRepaired);
             it = fetch_pending_.erase(it);
             continue;
         }
@@ -308,8 +326,7 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
                 actions.push_back(
                     Notice{NoticeKind::kRecoveryFailed, it->first.value()});
                 detector_.abandon(it->first);
-                episodes_->fetch_close(now, config_.self, it->first,
-                                       /*served=*/false);
+                close_fetch(now, it->first, state, obs::EpisodeTracker::Reason::kAbandoned);
                 it = fetch_pending_.erase(it);
                 continue;
             }
@@ -321,7 +338,7 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
             ++state.cold_cycles;
             state.attempts = 0;
             state.cold_until = now + config_.fetch_cold_retry;
-            episodes_->fetch_cold_restart(config_.self, it->first);
+            episodes_->fetch_cold_restart();
             budget_exhausted = true;
         }
         // Pace per sequence: a request fired less than fetch_retry ago is
@@ -331,8 +348,9 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
         if (now >= state.cold_until &&
             (state.attempts == 0 || now - state.last_request >= config_.fetch_retry)) {
             ++state.attempts;
+            ++state.requests;
             state.last_request = now;
-            episodes_->fetch_attempt(config_.self, it->first);
+            episodes_->fetch_attempt();
             nack.missing.push_back(it->first);
         }
         ++it;

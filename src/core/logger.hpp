@@ -69,9 +69,13 @@ public:
     }
 
 private:
+    /// One packet to obtain from upstream; also its open fetch episode
+    /// (obs/episode.hpp).
     struct FetchState {
         std::set<NodeId> requesters;  ///< local receivers waiting for this seq
-        std::uint32_t attempts = 0;
+        std::uint32_t attempts = 0;   ///< upstream requests in the current budget
+        std::uint32_t requests = 0;   ///< upstream requests, all budgets
+        TimePoint opened_at{};        ///< when the fetch was opened
         TimePoint last_request{};  ///< when the last upstream NACK named this seq
         std::uint32_t cold_cycles = 0;  ///< attempt budgets exhausted so far
         TimePoint cold_until{};         ///< no requests before this instant
@@ -97,6 +101,11 @@ private:
     void advance_contiguous();
     void serve_nack(TimePoint now, NodeId from, const NackBody& nack, Actions& actions);
     void serve_one(TimePoint now, NodeId from, SeqNum seq, Actions& actions);
+    /// The pending fetch for `seq`, opened (with its episode) if new.
+    FetchState& open_fetch(TimePoint now, SeqNum seq);
+    /// Close the fetch episode whose record is `state` (obs/episode.hpp).
+    void close_fetch(TimePoint now, SeqNum seq, const FetchState& state,
+                     obs::EpisodeTracker::Reason reason) const;
     void schedule_fetch(TimePoint now, Actions& actions);
     Actions fire_fetch(TimePoint now);
     void watch_stream_seq(TimePoint now, SeqNum seq, bool is_heartbeat, Actions& actions);
@@ -119,7 +128,7 @@ private:
     /// Secondary: stream-gap detection for proactive primary callbacks.
     LossDetector detector_;
 
-    /// Secondary: packets we must obtain from upstream.
+    /// Secondary: packets we must obtain from upstream, one record each.
     std::map<SeqNum, FetchState, SeqNum::WireOrder> fetch_pending_;
     bool fetch_delay_armed_ = false;
     /// Current fetch target: starts at config_.upstream, refreshed from the
@@ -146,8 +155,9 @@ private:
     std::uint64_t acks_sent_ = 0;
     std::uint64_t nacks_received_ = 0;
     const obs::LoggerMetrics* obs_ = &obs::LoggerMetrics::disabled();
-    /// Upstream-fetch lifecycle tracer (obs/episode.hpp); hooks mirror
-    /// fetch_pending_: open on insert, close on erase.
+    /// Upstream-fetch lifecycle tracer (obs/episode.hpp); it holds no
+    /// per-fetch state: open on insert into fetch_pending_, close from the
+    /// record on erase.
     obs::EpisodeTracker* episodes_ = &obs::EpisodeTracker::disabled();
 };
 

@@ -51,6 +51,7 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
     if (is_heartbeat) return obs;  // heartbeat for an old seq adds nothing new
 
     if (auto it = missing_.find(seq); it != missing_.end()) {
+        obs.filled = it->second;
         missing_.erase(it);
         obs.fills_gap = true;
         return obs;

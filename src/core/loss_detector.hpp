@@ -26,8 +26,10 @@
 // Each missing number has one Gap record: its detection time plus the
 // retry counters of whoever repairs it.  ReceiverCore keeps its per-gap
 // recovery state there, through gaps(), so a receiver holds exactly one
-// record per lost packet; a secondary logger leaves the counters at zero.
-// The detector never reads them.
+// record per lost packet, and that record is also the loss's open
+// recovery episode (obs/episode.hpp): observe() hands a filled gap's
+// record back so the episode can close from it.  A secondary logger leaves
+// the counters at zero.  The detector never reads them.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,15 @@ public:
     explicit LossDetector(std::int32_t max_gap)
         : max_gap_(max_gap > 0 ? max_gap : kDefaultMaxGap) {}
 
+    /// One missing sequence number.
+    struct Gap {
+        TimePoint detected_at{};
+        std::uint32_t attempts = 0;     ///< receiver: NACK rounds at the current tier
+        std::uint32_t cold_cycles = 0;  ///< receiver: escalation walks survived
+        std::uint32_t nacks = 0;        ///< receiver: NACKs that named it, all tiers
+        std::uint8_t tier = 0;          ///< receiver: highest escalation tier reached
+    };
+
     /// Outcome of observing one sequence number.
     struct Observation {
         /// Sequence numbers that just became missing (gap opened).
@@ -61,6 +72,8 @@ public:
         /// True when `seq` is data at or below highest_seen() that is not
         /// missing (see file comment).
         bool duplicate = false;
+        /// When fills_gap: the gap's record, already erased from gaps().
+        Gap filled{};
     };
 
     /// Record that a packet carrying `seq` was received at `now`.
@@ -68,13 +81,6 @@ public:
     /// the heartbeat proves `seq` was transmitted but carries no payload, so
     /// if we have not received that data packet it becomes missing too.
     Observation observe(TimePoint now, SeqNum seq, bool is_heartbeat = false);
-
-    /// One missing sequence number.
-    struct Gap {
-        TimePoint detected_at{};
-        std::uint32_t attempts = 0;     ///< receiver: NACK rounds at the current tier
-        std::uint32_t cold_cycles = 0;  ///< receiver: escalation walks survived
-    };
     /// Missing numbers in WireOrder (numeric, not serial: see seqnum.hpp).
     using Gaps = std::map<SeqNum, Gap, SeqNum::WireOrder>;
 

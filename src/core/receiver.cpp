@@ -140,9 +140,8 @@ void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, const Payload& payl
     begin_recovery(now, obs.newly_missing, actions);
 
     if (obs.fills_gap) {
-        episodes_->close_repaired(now, config_.self, seq);
+        close_episode(now, seq, obs.filled, obs::EpisodeTracker::Reason::kRepaired);
         ++recovered_;
-        obs_->recovered->inc();
         if (detector_.missing_count() == 0) recovery_complete(now, actions);
     }
 
@@ -184,8 +183,12 @@ void ReceiverCore::begin_recovery(TimePoint now, const std::vector<SeqNum>& newl
     if (newly_missing.empty()) return;
     for (SeqNum s : newly_missing) {
         actions.push_back(Notice{NoticeKind::kLossDetected, s.value()});
-        episodes_->open(now, config_.self, s);
+        // A gap opened mid-escalation is NACKed at the current tier from
+        // its first round, so that is the lowest tier its episode reaches.
+        if (level_ != RecoveryLevel::kLocal)
+            detector_.gaps().find(s)->second.tier = static_cast<std::uint8_t>(level_);
     }
+    episodes_->open(newly_missing.size());
     if (config_.retrans_channel == kNoGroup) {
         schedule_nack(now, actions);
         return;
@@ -224,10 +227,11 @@ Actions ReceiverCore::fire_nack(TimePoint now) {
     // Wire (numeric) order, not missing()'s serial order: the two differ
     // across the 2^32 wrap, and the pinned packet traces use this one.
     NackBody nack;
-    for (const auto& [seq, gap] : detector_.gaps()) {
+    for (auto& [seq, gap] : detector_.gaps()) {
         nack.missing.push_back(seq);
-        episodes_->nack(config_.self, seq);
+        ++gap.nacks;
     }
+    episodes_->nack(nack.missing.size());
     ++nacks_sent_;
     obs_->nacks_sent->inc();
     actions.push_back(SendUnicast{current_logger(now), make_packet(std::move(nack))});
@@ -295,9 +299,9 @@ Actions ReceiverCore::escalate(TimePoint now) {
                 level_ = RecoveryLevel::kFallback;
                 for (auto& [seq, gap] : detector_.gaps()) {
                     gap.attempts = 0;
-                    episodes_->escalate(config_.self, seq,
-                                        obs::EpisodeTracker::kTierFallback);
+                    gap.tier = std::max(gap.tier, obs::EpisodeTracker::kTierFallback);
                 }
+                episodes_->escalate(detector_.missing_count());
                 actions.push_back(
                     Notice{NoticeKind::kLoggerChanged, config_.fallback_logger.value()});
                 append(actions, fire_nack(now));
@@ -307,9 +311,9 @@ Actions ReceiverCore::escalate(TimePoint now) {
         case RecoveryLevel::kFallback:
             // Ask the source who the current primary is (Section 2.2.3).
             level_ = RecoveryLevel::kPrimary;
-            for (const auto& [seq, gap] : detector_.gaps())
-                episodes_->escalate(config_.self, seq,
-                                    obs::EpisodeTracker::kTierPrimary);
+            for (auto& [seq, gap] : detector_.gaps())
+                gap.tier = obs::EpisodeTracker::kTierPrimary;
+            episodes_->escalate(detector_.missing_count());
             primary_query_outstanding_ = true;
             actions.push_back(
                 SendUnicast{config_.source, make_packet(PrimaryQueryBody{})});
@@ -330,12 +334,13 @@ Actions ReceiverCore::escalate(TimePoint now) {
                 if (gap.cold_cycles < config_.recovery_cold_cycles) {
                     ++gap.cold_cycles;
                     gap.attempts = 0;
-                    episodes_->cold_restart(config_.self, it->first);
+                    episodes_->cold_restart();
                     parked = true;
                     ++it;
                 } else {
                     ++recovery_failures_;
-                    episodes_->close_abandoned(now, config_.self, it->first);
+                    close_episode(now, it->first, gap,
+                                  obs::EpisodeTracker::Reason::kAbandoned);
                     actions.push_back(
                         Notice{NoticeKind::kRecoveryFailed, it->first.value()});
                     it = gaps.erase(it);  // abandons the sequence number
@@ -349,6 +354,19 @@ Actions ReceiverCore::escalate(TimePoint now) {
         }
     }
     return actions;
+}
+
+void ReceiverCore::close_episode(TimePoint now, SeqNum seq, const LossDetector::Gap& gap,
+                                 obs::EpisodeTracker::Reason reason) const {
+    episodes_->close({.node = config_.self.value(),
+                      .seq = seq.value(),
+                      .opened_s = to_seconds(gap.detected_at),
+                      .closed_s = to_seconds(now),
+                      .nacks = gap.nacks,
+                      .cold_restarts = gap.cold_cycles,
+                      .kind = obs::EpisodeTracker::Kind::kRecovery,
+                      .tier = gap.tier,
+                      .reason = reason});
 }
 
 Actions ReceiverCore::discovery_round(TimePoint now) {

@@ -105,6 +105,9 @@ private:
     [[nodiscard]] Duration gap_after_heartbeat(std::uint32_t index) const;
     [[nodiscard]] Duration idle_threshold(Duration expected_gap) const;
     void schedule_nack(TimePoint now, Actions& actions);
+    /// Close the recovery episode whose record is `gap` (obs/episode.hpp).
+    void close_episode(TimePoint now, SeqNum seq, const LossDetector::Gap& gap,
+                       obs::EpisodeTracker::Reason reason) const;
     Actions fire_nack(TimePoint now);
     Actions escalate(TimePoint now);
     Actions discovery_round(TimePoint now);
@@ -115,7 +118,8 @@ private:
 
     ReceiverConfig config_;
     /// Also the recovery state: each open gap's record carries its NACK
-    /// rounds and cold cycles (LossDetector::Gap).
+    /// rounds, cold cycles, NACK total and highest tier, and is the loss's
+    /// open recovery episode (LossDetector::Gap).
     LossDetector detector_;
 
     NodeId logger_;  ///< cached logging-server address (kNoNode = unknown)
@@ -149,8 +153,9 @@ private:
     std::uint64_t duplicates_ = 0;
     std::uint64_t recovery_failures_ = 0;
     const obs::ReceiverMetrics* obs_ = &obs::ReceiverMetrics::disabled();
-    /// Per-loss lifecycle tracer (obs/episode.hpp); hooks follow the
-    /// detector's gaps: open when a gap enters recovery, close when it leaves.
+    /// Per-loss lifecycle tracer (obs/episode.hpp).  It holds no per-loss
+    /// state: each step bumps its counters, and a gap's record closes the
+    /// episode when the gap is filled or abandoned.
     obs::EpisodeTracker* episodes_ = &obs::EpisodeTracker::disabled();
 };
 

@@ -1,6 +1,5 @@
 #include "obs/episode.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace lbrm::obs {
@@ -35,10 +34,8 @@ EpisodeTracker::EpisodeTracker(Metrics& m) {
         h_latency_[t] = &m.histogram(
             std::string("recovery.latency_s.") + kTierNames[t], tier_latency_bounds());
     h_fetch_latency_ = &m.histogram("recovery.fetch_latency_s", tier_latency_bounds());
-    m.gauge_fn("recovery.episodes_open",
-               [this] { return static_cast<std::uint64_t>(open_.size()); });
-    m.gauge_fn("recovery.fetch_open",
-               [this] { return static_cast<std::uint64_t>(fetch_open_.size()); });
+    m.gauge_fn("recovery.episodes_open", [this] { return open_count(); });
+    m.gauge_fn("recovery.fetch_open", [this] { return fetch_open_count(); });
 }
 
 EpisodeTracker::EpisodeTracker() : enabled_(false) {
@@ -55,152 +52,24 @@ EpisodeTracker& EpisodeTracker::disabled() {
     return tracker;
 }
 
-void EpisodeTracker::record_close(std::uint64_t k, const OpenEpisode& ep,
-                                  double closed_s, Kind kind, Reason reason) {
+void EpisodeTracker::close(const Record& rec) {
+#if !defined(LBRM_NO_TELEMETRY)
+    if (!enabled_) return;
+    const bool repaired = rec.reason == Reason::kRepaired;
+    if (rec.kind == Kind::kRecovery) {
+        if (repaired) h_latency_[rec.tier]->observe(rec.closed_s - rec.opened_s);
+        (repaired ? c_repaired_ : c_abandoned_)->inc();
+    } else {
+        if (repaired) h_fetch_latency_->observe(rec.closed_s - rec.opened_s);
+        (repaired ? c_fetch_served_ : c_fetch_abandoned_)->inc();
+    }
     if (records_.size() >= record_capacity_) {
         c_records_dropped_->inc();
         return;
     }
-    Record rec;
-    rec.node = static_cast<std::uint32_t>(k >> 32);
-    rec.seq = static_cast<std::uint32_t>(k & 0xffffffffu);
-    rec.opened_s = ep.opened_s;
-    rec.closed_s = closed_s;
-    rec.nacks = ep.nacks;
-    rec.cold_restarts = ep.cold_restarts;
-    rec.kind = kind;
-    rec.tier = ep.tier;
-    rec.reason = reason;
     records_.push_back(rec);
-}
-
-void EpisodeTracker::open(TimePoint now, NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto [it, inserted] = open_.try_emplace(key(node, seq));
-    if (!inserted) return;
-    it->second.opened_s = to_seconds(now);
-    c_opened_->inc();
 #else
-    (void)now; (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::nack(NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = open_.find(key(node, seq));
-    if (it == open_.end()) return;
-    ++it->second.nacks;
-    c_nacks_->inc();
-#else
-    (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::escalate(NodeId node, SeqNum seq, std::uint8_t tier) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = open_.find(key(node, seq));
-    if (it == open_.end()) return;
-    it->second.tier = std::max(it->second.tier, tier);
-    c_escalations_->inc();
-#else
-    (void)node; (void)seq; (void)tier;
-#endif
-}
-
-void EpisodeTracker::cold_restart(NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = open_.find(key(node, seq));
-    if (it == open_.end()) return;
-    ++it->second.cold_restarts;
-    c_cold_restarts_->inc();
-#else
-    (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::close_repaired(TimePoint now, NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = open_.find(key(node, seq));
-    if (it == open_.end()) return;
-    const double closed_s = to_seconds(now);
-    h_latency_[it->second.tier]->observe(closed_s - it->second.opened_s);
-    record_close(it->first, it->second, closed_s, Kind::kRecovery, Reason::kRepaired);
-    open_.erase(it);
-    c_repaired_->inc();
-#else
-    (void)now; (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::close_abandoned(TimePoint now, NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = open_.find(key(node, seq));
-    if (it == open_.end()) return;
-    record_close(it->first, it->second, to_seconds(now), Kind::kRecovery,
-                 Reason::kAbandoned);
-    open_.erase(it);
-    c_abandoned_->inc();
-#else
-    (void)now; (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::fetch_open(TimePoint now, NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto [it, inserted] = fetch_open_.try_emplace(key(node, seq));
-    if (!inserted) return;
-    it->second.opened_s = to_seconds(now);
-    it->second.tier = kTierPrimary;  // fetches always target the primary log
-    c_fetch_opened_->inc();
-#else
-    (void)now; (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::fetch_attempt(NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = fetch_open_.find(key(node, seq));
-    if (it == fetch_open_.end()) return;
-    ++it->second.nacks;
-    c_fetch_attempts_->inc();
-#else
-    (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::fetch_cold_restart(NodeId node, SeqNum seq) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = fetch_open_.find(key(node, seq));
-    if (it == fetch_open_.end()) return;
-    ++it->second.cold_restarts;
-    c_fetch_cold_restarts_->inc();
-#else
-    (void)node; (void)seq;
-#endif
-}
-
-void EpisodeTracker::fetch_close(TimePoint now, NodeId node, SeqNum seq, bool served) {
-#if !defined(LBRM_NO_TELEMETRY)
-    if (!enabled_) return;
-    auto it = fetch_open_.find(key(node, seq));
-    if (it == fetch_open_.end()) return;
-    const double closed_s = to_seconds(now);
-    if (served) h_fetch_latency_->observe(closed_s - it->second.opened_s);
-    record_close(it->first, it->second, closed_s, Kind::kFetch,
-                 served ? Reason::kRepaired : Reason::kAbandoned);
-    fetch_open_.erase(it);
-    (served ? c_fetch_served_ : c_fetch_abandoned_)->inc();
-#else
-    (void)now; (void)node; (void)seq; (void)served;
+    (void)rec;
 #endif
 }
 

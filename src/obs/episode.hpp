@@ -9,6 +9,13 @@
 // second episode kind, so a repair that rode the hierarchy end to end shows
 // up as nested spans.
 //
+// The tracker holds no per-episode state.  An open episode *is* the record
+// its core already keeps for the loss -- LossDetector::Gap at a receiver,
+// LoggerCore::FetchState at a secondary -- which carries the open time and
+// the NACK, tier and cold-cycle tallies.  The step hooks only bump
+// counters; close() takes the finished record and feeds the tier
+// histogram, the bounded record buffer and the close counters.
+//
 // Everything here is keyed to *sim time* only, preserving the PR 5
 // determinism rule: the tracker is written by the deterministic simulation
 // and only ever read by exporters, so identical runs produce identical
@@ -17,6 +24,8 @@
 //
 // Accounting invariant (asserted by tests and gated in CI):
 //   opened == repaired + abandoned + still-open,  for both episode kinds.
+// The still-open counts derive from the counters, so they are right as
+// long as each core closes every record it opened exactly once.
 //
 // The tracker feeds three export surfaces:
 //   * fixed-bucket latency histograms keyed by the highest escalation tier
@@ -28,12 +37,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/ids.hpp"
-#include "common/seqnum.hpp"
-#include "common/time.hpp"
 #include "obs/metrics.hpp"
 
 namespace lbrm::obs {
@@ -71,39 +76,46 @@ public:
     EpisodeTracker(const EpisodeTracker&) = delete;
     EpisodeTracker& operator=(const EpisodeTracker&) = delete;
 
-    /// Shared no-op instance for unbound cores: mutators return immediately,
-    /// and the accounting reads zero, so it stays trivially balanced.
+    /// Shared no-op instance for unbound cores: its handles are the shared
+    /// sinks, close() keeps nothing, and the accounting reads zero, so it
+    /// stays trivially balanced.
     [[nodiscard]] static EpisodeTracker& disabled();
 
-    // --- receiver-side lifecycle (ReceiverCore) -------------------------
-    void open(TimePoint now, NodeId node, SeqNum seq);
-    void nack(NodeId node, SeqNum seq);
-    /// Tier hop; the recorded tier is the max ever reached.
-    void escalate(NodeId node, SeqNum seq, std::uint8_t tier);
-    void cold_restart(NodeId node, SeqNum seq);
-    /// Close hooks are idempotent: closing an unknown episode is a no-op.
-    void close_repaired(TimePoint now, NodeId node, SeqNum seq);
-    void close_abandoned(TimePoint now, NodeId node, SeqNum seq);
+    // --- steps of an open episode: counter bumps -------------------------
+    // Receiver side (ReceiverCore); each takes the number of episodes.
+    void open(std::uint64_t n = 1) { c_opened_->inc(n); }
+    void nack(std::uint64_t n = 1) { c_nacks_->inc(n); }
+    void escalate(std::uint64_t n = 1) { c_escalations_->inc(n); }
+    void cold_restart(std::uint64_t n = 1) { c_cold_restarts_->inc(n); }
+    // Logger side (LoggerCore upstream fetches).
+    void fetch_open() { c_fetch_opened_->inc(); }
+    void fetch_attempt() { c_fetch_attempts_->inc(); }
+    void fetch_cold_restart() { c_fetch_cold_restarts_->inc(); }
 
-    // --- logger-side fetch lifecycle (LoggerCore) -----------------------
-    void fetch_open(TimePoint now, NodeId node, SeqNum seq);
-    void fetch_attempt(NodeId node, SeqNum seq);
-    void fetch_cold_restart(NodeId node, SeqNum seq);
-    void fetch_close(TimePoint now, NodeId node, SeqNum seq, bool served);
+    /// Close one episode: `rec` is the core's record of it, finished.
+    /// Counts the close by kind and reason, observes a repair's latency in
+    /// its tier's histogram (fetches: recovery.fetch_latency_s), and keeps
+    /// the record while the buffer has room.
+    void close(const Record& rec);
 
     // --- accounting (the registry counters) -----------------------------
     [[nodiscard]] std::uint64_t opened() const { return count(c_opened_); }
     [[nodiscard]] std::uint64_t repaired() const { return count(c_repaired_); }
     [[nodiscard]] std::uint64_t abandoned() const { return count(c_abandoned_); }
-    [[nodiscard]] std::uint64_t open_count() const { return open_.size(); }
+    [[nodiscard]] std::uint64_t open_count() const {
+        return opened() - repaired() - abandoned();
+    }
     [[nodiscard]] std::uint64_t fetch_opened() const { return count(c_fetch_opened_); }
     [[nodiscard]] std::uint64_t fetch_served() const { return count(c_fetch_served_); }
     [[nodiscard]] std::uint64_t fetch_abandoned() const { return count(c_fetch_abandoned_); }
-    [[nodiscard]] std::uint64_t fetch_open_count() const { return fetch_open_.size(); }
-    /// opened == repaired + abandoned + open, for both kinds.
+    [[nodiscard]] std::uint64_t fetch_open_count() const {
+        return fetch_opened() - fetch_served() - fetch_abandoned();
+    }
+    /// opened == repaired + abandoned + open with open >= 0, for both
+    /// kinds: no episode was closed that was not opened.
     [[nodiscard]] bool balanced() const {
-        return opened() == repaired() + abandoned() + open_count() &&
-               fetch_opened() == fetch_served() + fetch_abandoned() + fetch_open_count();
+        return repaired() + abandoned() <= opened() &&
+               fetch_served() + fetch_abandoned() <= fetch_opened();
     }
 
     // --- export ---------------------------------------------------------
@@ -120,34 +132,14 @@ public:
 private:
     EpisodeTracker();  ///< the disabled() instance: sink handles, enabled_=false
 
-    struct OpenEpisode {
-        double opened_s = 0.0;
-        std::uint32_t nacks = 0;
-        std::uint32_t cold_restarts = 0;
-        std::uint8_t tier = kTierLocal;
-    };
-
-    [[nodiscard]] static std::uint64_t key(NodeId node, SeqNum seq) {
-        return (static_cast<std::uint64_t>(node.value()) << 32) | seq.value();
-    }
-
     /// A registry counter's value; 0 in the disabled instance, whose
     /// handles are the shared sinks every unbound core writes to.
     [[nodiscard]] std::uint64_t count(const Counter* c) const {
         return enabled_ ? c->value() : 0;
     }
 
-    void record_close(std::uint64_t k, const OpenEpisode& ep, double closed_s,
-                      Kind kind, Reason reason);
-
     bool enabled_ = true;
     std::size_t record_capacity_ = 1u << 16;
-
-    // Open episodes by (node, seq); the two kinds keep separate maps -- under
-    // rotating site loggers one node can run both a recovery and a fetch for
-    // the same sequence.
-    std::unordered_map<std::uint64_t, OpenEpisode> open_;
-    std::unordered_map<std::uint64_t, OpenEpisode> fetch_open_;
     std::vector<Record> records_;
 
     // Registry handles ("recovery.*").

@@ -243,7 +243,7 @@ const Block& disabled_block() {
         if constexpr (std::is_same_v<Block, SenderMetrics>)
             b = {c, c, c, c, c, c, &Gauge::sink(), c, c};
         else if constexpr (std::is_same_v<Block, ReceiverMetrics>)
-            b = {c, c, c, c};
+            b = {c, c, c};
         else if constexpr (std::is_same_v<Block, LoggerMetrics>)
             b = {c, c, c, c, c};
         else if constexpr (std::is_same_v<Block, StatAckMetrics>)
@@ -304,7 +304,6 @@ const ProtocolMetrics& Metrics::protocol() {
                       &counter("proto.sender.flow.slowdowns"),
                       &counter("proto.sender.flow.cleared")};
         pm->receiver = {&counter("proto.receiver.delivered"),
-                        &counter("proto.receiver.recovered"),
                         &counter("proto.receiver.nacks_sent"),
                         &counter("proto.receiver.duplicates")};
         pm->logger = {&counter("proto.logger.nacks_received"),

@@ -223,7 +223,6 @@ struct SenderMetrics {
 
 struct ReceiverMetrics {
     Counter* delivered;
-    Counter* recovered;
     Counter* nacks_sent;
     Counter* duplicates;
     [[nodiscard]] static const ReceiverMetrics& disabled();

@@ -36,17 +36,6 @@ void ProtocolHost::bind_metrics(obs::Metrics& metrics) {
     for (auto& slot : loggers_) slot.core.bind_metrics(*metrics_);
 }
 
-std::uint64_t ProtocolHost::gap_overflows() const {
-    std::uint64_t total = 0;
-    for (const auto& slot : receivers_) total += slot.core.detector().gap_overflows();
-    for (const auto& slot : loggers_) total += slot.core.detector().gap_overflows();
-    return total;
-}
-
-std::uint64_t ProtocolHost::zero_volunteer_resolicits() const {
-    return sender_ ? sender_->core.stat_ack().empty_epoch_resolicits() : 0;
-}
-
 CoreBase& ProtocolHost::add_core(std::unique_ptr<CoreBase> core, AppHandlers handlers) {
     return *generics_.emplace_back(next_tag_++, std::move(core), std::move(handlers))
                 .core;

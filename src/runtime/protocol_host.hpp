@@ -130,14 +130,6 @@ public:
     /// far.  Cores attached later are bound at attach time.  Idempotent.
     void bind_metrics(obs::Metrics& metrics);
 
-    // --- aggregated protocol health ------------------------------------
-    /// Gap-table clamp events summed across every attached receiver *and*
-    /// secondary-logger loss detector (LossDetector::gap_overflows).
-    [[nodiscard]] std::uint64_t gap_overflows() const;
-    /// Zero-volunteer acker epochs the sender's statistical-ACK engine had
-    /// to re-solicit (StatAckEngine::empty_epoch_resolicits).
-    [[nodiscard]] std::uint64_t zero_volunteer_resolicits() const;
-
 private:
     // Tagged slots: tag 0 = sender; receivers and loggers get tags 1..N in
     // attach order.

@@ -461,7 +461,6 @@ void DisScenario::start_sampling(Duration interval) {
         // The paper's health curves: delivered pps (Figure 8), heartbeat
         // bandwidth (Figure 4), NACK/repair rate (Figure 5)...
         sampler_.add_rate("proto.receiver.delivered");
-        sampler_.add_rate("proto.receiver.recovered");
         sampler_.add_rate("proto.receiver.nacks_sent");
         sampler_.add_rate("proto.sender.data_sent");
         sampler_.add_rate("proto.sender.heartbeats_sent");

@@ -52,14 +52,8 @@ std::uint64_t cpu_ns_now() {
 void collect_shard(ShardResult& r, const ShardDomain& dom) {
     r.digest.merge(dom.digest);
     obs::Metrics& m = dom.scenario->metrics();
-    m.episodes();  // materialise the recovery.* rows on every shard alike
-    r.deliveries += m.value("sim.deliveries");
-    r.remote_emits += m.value("sim.remote_emits");
-    r.remote_drops += m.value("sim.remote_drops");
-    obs::RegistrySnapshot snap = m.export_snapshot();
-    for (const obs::Metrics::Sample& s : snap.flatten()) r.counters[s.name] += s.value;
-    r.merged_snapshot.merge(snap);
-    r.shard_snapshots.push_back(std::move(snap));
+    (void)m.episodes();  // materialise the recovery.* rows on every shard alike
+    add_shard_snapshot(r, m.export_snapshot());
     r.sampler.merge(dom.scenario->sampler().export_snapshot());
     r.shard_episodes.push_back(m.episodes().records());
     r.shard_window_wait_ns.push_back(dom.window_wait_ns);
@@ -93,6 +87,19 @@ void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
     sum += h;
     ++packets;
     chained = fnv_u64(chained ^ h, packets);
+}
+
+void add_shard_snapshot(ShardResult& r, obs::RegistrySnapshot snap) {
+    const auto scalar = [&snap](const char* name) {
+        const auto it = snap.scalars.find(name);
+        return it == snap.scalars.end() ? 0 : static_cast<std::uint64_t>(it->second);
+    };
+    r.deliveries += scalar("sim.deliveries");
+    r.remote_emits += scalar("sim.remote_emits");
+    r.remote_drops += scalar("sim.remote_drops");
+    for (const obs::Metrics::Sample& s : snap.flatten()) r.counters[s.name] += s.value;
+    r.merged_snapshot.merge(snap);
+    r.shard_snapshots.push_back(std::move(snap));
 }
 
 std::vector<std::uint32_t> resolve_site_shard(const ShardRunConfig& cfg) {
@@ -161,6 +168,7 @@ ShardResult run_unsharded(const ShardRunConfig& cfg) {
     r.cpu_seconds_max_shard = static_cast<double>(cpu_ns_now() - c0) * 1e-9;
     r.wall_seconds = static_cast<double>(wall_ns_now() - w0) * 1e-9;
     collect_shard(r, dom);
+    r.digest.chained = dom.digest.chained;
     return r;
 }
 
@@ -224,6 +232,7 @@ ShardResult run_sharded_inline(const ShardRunConfig& cfg) {
         r.cpu_seconds_max_shard = std::max(
             r.cpu_seconds_max_shard, static_cast<double>(d.cpu_ns) * 1e-9);
     }
+    if (n == 1) r.digest.chained = doms[0].digest.chained;
     return r;
 }
 

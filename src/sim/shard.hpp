@@ -64,11 +64,13 @@ struct ShardPlan {
 /// same packets on the same links at the same times with the same outcomes.
 /// `chained` additionally folds the records in tap order; it is only
 /// comparable between runs with identical event interleaving (the N=1
-/// vs. baseline test), never across a merge.
+/// vs. baseline test), never across a merge.  A one-domain ShardResult
+/// (run_unsharded, or one shard on either driver) keeps its domain's
+/// chain; a multi-shard result carries none.
 struct TraceDigest {
     std::uint64_t sum = 0;
     std::uint64_t packets = 0;
-    std::uint64_t chained = 0;  ///< order-sensitive; not merged
+    std::uint64_t chained = 0;  ///< order-sensitive; merge() drops it
 
     void add(TimePoint at, const Link& link, const Packet& packet, bool delivered);
     void merge(const TraceDigest& o) {
@@ -184,6 +186,11 @@ struct ShardDomain {
     /// Per-window deltas of wait_ns (the window-protocol profile).
     std::vector<std::uint64_t> window_wait_ns;
 };
+
+/// Fold one shard's registry snapshot into `r`: the headline counts
+/// (deliveries, remote_emits, remote_drops) read from its sim.* rows, the
+/// flat `counters` map, merged_snapshot and shard_snapshots.
+void add_shard_snapshot(ShardResult& r, obs::RegistrySnapshot snap);
 
 /// Resolve the site->shard map (explicit or contiguous) for `cfg`.
 [[nodiscard]] std::vector<std::uint32_t> resolve_site_shard(

@@ -144,7 +144,7 @@ std::uint64_t wall_ns_now() {
         const std::uint64_t cpu_ns = (tv_ns(ru.ru_utime) + tv_ns(ru.ru_stime)) -
                                      (tv_ns(ru0.ru_utime) + tv_ns(ru0.ru_stime));
         obs::Metrics& m = dom.scenario->metrics();
-        m.episodes();  // materialise the recovery.* rows on every shard alike
+        (void)m.episodes();  // materialise the recovery.* rows on every shard alike
         ByteWriter rep;
         rep.u8(kReport);
         rep.u64(dom.digest.sum);
@@ -156,9 +156,6 @@ std::uint64_t wall_ns_now() {
         rep.u64(wall);
         rep.u64(cpu_ns);
         rep.u64(static_cast<std::uint64_t>(ru.ru_maxrss));  // kB on Linux
-        rep.u64(m.value("sim.deliveries"));
-        rep.u64(m.value("sim.remote_emits"));
-        rep.u64(m.value("sim.remote_drops"));
         // REPORT v2 payload: typed sections instead of flattened rows, so
         // histogram buckets, sampler series and episodes survive the hop.
         obs::wire::encode_registry(rep, m.export_snapshot());
@@ -254,6 +251,7 @@ ShardResult run_sharded_processes(const ShardRunConfig& cfg) {
                 d.packets = rd.u64().value_or(0);
                 d.chained = rd.u64().value_or(0);
                 r.digest.merge(d);
+                if (n == 1) r.digest.chained = d.chained;
                 r.window = Duration{rd.i64().value_or(0)};
                 r.windows = std::max(r.windows, rd.u64().value_or(0));
                 wait_total += rd.u64().value_or(0);
@@ -262,9 +260,6 @@ ShardResult run_sharded_processes(const ShardRunConfig& cfg) {
                     r.cpu_seconds_max_shard,
                     static_cast<double>(rd.u64().value_or(0)) * 1e-9);
                 r.peak_rss_kb.push_back(rd.u64().value_or(0));
-                r.deliveries += rd.u64().value_or(0);
-                r.remote_emits += rd.u64().value_or(0);
-                r.remote_drops += rd.u64().value_or(0);
                 auto snap = obs::wire::decode_registry(rd);
                 auto sampler = obs::wire::decode_sampler(rd);
                 auto episodes = obs::wire::decode_episodes(rd);
@@ -279,12 +274,7 @@ ShardResult run_sharded_processes(const ShardRunConfig& cfg) {
                 if (!snap || !sampler || !episodes || !waits || !has_spans ||
                     !rd.ok())
                     throw std::runtime_error("shard: malformed child report");
-                // Rebuild the legacy flat map from the structured snapshot,
-                // so existing consumers see identical rows.
-                for (const obs::Metrics::Sample& row : snap->flatten())
-                    r.counters[row.name] += row.value;
-                r.merged_snapshot.merge(*snap);
-                r.shard_snapshots.push_back(std::move(*snap));
+                add_shard_snapshot(r, std::move(*snap));
                 r.sampler.merge(*sampler);
                 r.shard_episodes.push_back(std::move(*episodes));
                 r.shard_window_wait_ns.push_back(std::move(*waits));

@@ -354,7 +354,7 @@ Trace collect(DisScenario& scenario, const Fnv1a& hash) {
     for (const auto& n : scenario.notices())
         out.notices.emplace_back(n.node.value(), n.kind, n.at);
     out.nacks_sent = scenario.metrics().value("proto.receiver.nacks_sent");
-    out.recovered = scenario.metrics().value("proto.receiver.recovered");
+    out.recovered = scenario.metrics().value("recovery.episodes_repaired");
     out.packet_hash = hash.h;
     return out;
 }
@@ -479,7 +479,7 @@ TEST(ChaosBlackout, SiteBlackoutHealsWithNothingLostForever) {
     EXPECT_GT(audit.expected, 0u);
     EXPECT_EQ(audit.lost_forever, 0u);
     // Blacked-out receivers closed their gaps through recovery, not luck.
-    EXPECT_GT(scenario.metrics().value("proto.receiver.recovered"), 0u);
+    EXPECT_GT(scenario.metrics().value("recovery.episodes_repaired"), 0u);
 
     const RecoveryStats stats =
         settle_latency(scenario, TimePoint{}, scenario.simulator().now());

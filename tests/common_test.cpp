@@ -214,17 +214,6 @@ TEST(SampleSet, QuantileValidatesRange) {
     EXPECT_THROW((void)s.quantile(1.5), std::invalid_argument);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-    Histogram h{0.0, 10.0, 10};
-    h.add(0.5);    // bucket 0
-    h.add(9.99);   // bucket 9
-    h.add(-5.0);   // clamps to 0
-    h.add(50.0);   // clamps to 9
-    EXPECT_EQ(h.count_at(0), 2u);
-    EXPECT_EQ(h.count_at(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
 // --- rng ---------------------------------------------------------------------
 
 TEST(Rng, DeterministicForSeed) {

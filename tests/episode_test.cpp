@@ -3,26 +3,31 @@
 // SamplerSnapshot merges).
 //
 // Three layers:
-//   * EpisodeTracker units: the open/nack/escalate/cold-restart/close
-//     lifecycle, idempotent closes (defensive cleanup paths must never
-//     unbalance the accounting), the logger-side fetch kind, the record
-//     buffer bound, and the disabled() instance.
+//   * EpisodeTracker units: the step counters, close() feeding the tier
+//     histograms, records and close counters, open counts derived from the
+//     counters, the logger-side fetch kind, the record buffer bound, and
+//     the disabled() instance.  The per-loss state (open time, NACKs,
+//     highest tier, cold cycles) lives in the cores' records; the receiver
+//     tests pin it.
 //   * Snapshot merge + wire units: bucket-preserving registry merges (the
 //     histogram loss the flat counter merge suffered), lockstep sampler
 //     merges, and the REPORT-frame codecs with truncation fuzzing.
 //   * Scenario level: the accounting invariant (opened == repaired +
-//     abandoned + open) across the full chaos fault matrix of PR 7, and
-//     the PR 5 determinism rule extended to the tracker -- identical runs
-//     produce byte-identical snapshots, and tracing leaves the link-level
-//     packet trace bit-identical.
+//     abandoned + open) across the full chaos fault matrix (sim/chaos.hpp),
+//     with each class's records and recovery.* rows pinned by digest, and
+//     the telemetry determinism rule extended to the tracker -- identical
+//     runs produce byte-identical snapshots, and tracing leaves the
+//     link-level packet trace bit-identical.
 //
 // Counter-dependent assertions are guarded by obs::kTelemetryEnabled so the
 // suite compiles (and the determinism half still runs) under
 // -DLBRM_NO_TELEMETRY.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -49,95 +54,83 @@ using obs::EpisodeTracker;
 
 // --- tracker lifecycle ------------------------------------------------------
 
+/// A finished record, as a core hands it to EpisodeTracker::close.
+EpisodeTracker::Record closed(std::uint32_t node, std::uint32_t seq, double opened_s,
+                              double closed_s, std::uint8_t tier,
+                              EpisodeTracker::Kind kind = EpisodeTracker::Kind::kRecovery,
+                              EpisodeTracker::Reason reason =
+                                  EpisodeTracker::Reason::kRepaired) {
+    return {.node = node, .seq = seq, .opened_s = opened_s, .closed_s = closed_s,
+            .nacks = 2, .cold_restarts = 1, .kind = kind, .tier = tier, .reason = reason};
+}
+
 TEST(EpisodeTracker, RecoveryLifecycleFeedsCountersAndTierHistogram) {
     obs::Metrics m;
     EpisodeTracker t{m};
-    t.open(at(1.0), NodeId{7}, SeqNum{42});
-    t.nack(NodeId{7}, SeqNum{42});
-    t.nack(NodeId{7}, SeqNum{42});
-    t.escalate(NodeId{7}, SeqNum{42}, EpisodeTracker::kTierFallback);
-    t.close_repaired(at(1.25), NodeId{7}, SeqNum{42});
+    t.open(3);
+    t.nack(2);
+    t.escalate();
+    t.cold_restart();
+    if constexpr (obs::kTelemetryEnabled) {
+        // Still-open episodes derive from the counters.
+        EXPECT_EQ(t.open_count(), 3u);
+        EXPECT_EQ(m.value("recovery.episodes_open"), 3u);
+    }
+    t.close(closed(7, 42, 1.0, 1.25, EpisodeTracker::kTierFallback));
+    t.close(closed(7, 43, 1.0, 4.0, EpisodeTracker::kTierPrimary,
+                   EpisodeTracker::Kind::kRecovery, EpisodeTracker::Reason::kAbandoned));
 
     if constexpr (obs::kTelemetryEnabled) {
-        EXPECT_EQ(t.opened(), 1u);
+        EXPECT_EQ(t.opened(), 3u);
         EXPECT_EQ(t.repaired(), 1u);
-        EXPECT_EQ(t.abandoned(), 0u);
-        EXPECT_EQ(t.open_count(), 0u);
-        EXPECT_EQ(m.value("recovery.episodes_opened"), 1u);
+        EXPECT_EQ(t.abandoned(), 1u);
+        EXPECT_EQ(t.open_count(), 1u);
+        EXPECT_EQ(m.value("recovery.episodes_opened"), 3u);
         EXPECT_EQ(m.value("recovery.episodes_repaired"), 1u);
+        EXPECT_EQ(m.value("recovery.episodes_abandoned"), 1u);
         EXPECT_EQ(m.value("recovery.nack_sends"), 2u);
         EXPECT_EQ(m.value("recovery.escalations"), 1u);
-        EXPECT_EQ(m.value("recovery.episodes_open"), 0u);
-        // The latency lands in the *highest-tier* histogram, not local's.
+        EXPECT_EQ(m.value("recovery.cold_restarts"), 1u);
+        EXPECT_EQ(m.value("recovery.episodes_open"), 1u);
+        // The latency lands in the record's tier histogram, not local's;
+        // abandonments observe none -- the distributions answer "how long
+        // did a *repair* take".
         EXPECT_EQ(m.histogram("recovery.latency_s.local", {}).count(), 0u);
+        EXPECT_EQ(m.histogram("recovery.latency_s.primary", {}).count(), 0u);
         const obs::Histogram& h = m.histogram("recovery.latency_s.fallback", {});
         ASSERT_EQ(h.count(), 1u);
         EXPECT_DOUBLE_EQ(h.sum(), 0.25);
 
-        ASSERT_EQ(t.records().size(), 1u);
+        // Records are kept as closed, in close order.
+        ASSERT_EQ(t.records().size(), 2u);
         const EpisodeTracker::Record& rec = t.records().front();
         EXPECT_EQ(rec.node, 7u);
         EXPECT_EQ(rec.seq, 42u);
         EXPECT_DOUBLE_EQ(rec.opened_s, 1.0);
         EXPECT_DOUBLE_EQ(rec.closed_s, 1.25);
         EXPECT_EQ(rec.nacks, 2u);
+        EXPECT_EQ(rec.cold_restarts, 1u);
         EXPECT_EQ(rec.tier, EpisodeTracker::kTierFallback);
         EXPECT_EQ(rec.kind, EpisodeTracker::Kind::kRecovery);
         EXPECT_EQ(rec.reason, EpisodeTracker::Reason::kRepaired);
+        EXPECT_EQ(t.records().back().reason, EpisodeTracker::Reason::kAbandoned);
     }
     EXPECT_TRUE(t.balanced());
 }
 
-TEST(EpisodeTracker, TierIsTheMaxEverReachedAndAbandonCloses) {
+TEST(EpisodeTracker, BalancedFailsWhenMoreEpisodesCloseThanOpened) {
     obs::Metrics m;
     EpisodeTracker t{m};
-    t.open(at(0.5), NodeId{3}, SeqNum{9});
-    t.escalate(NodeId{3}, SeqNum{9}, EpisodeTracker::kTierPrimary);
-    t.cold_restart(NodeId{3}, SeqNum{9});
-    // The restart walks the chain from kLocal again -- the recorded tier
-    // must stay at the high-water mark.
-    t.escalate(NodeId{3}, SeqNum{9}, EpisodeTracker::kTierFallback);
-    t.close_abandoned(at(4.0), NodeId{3}, SeqNum{9});
-
-    if constexpr (obs::kTelemetryEnabled) {
-        EXPECT_EQ(t.abandoned(), 1u);
-        EXPECT_EQ(m.value("recovery.episodes_abandoned"), 1u);
-        EXPECT_EQ(m.value("recovery.cold_restarts"), 1u);
-        ASSERT_EQ(t.records().size(), 1u);
-        EXPECT_EQ(t.records().front().tier, EpisodeTracker::kTierPrimary);
-        EXPECT_EQ(t.records().front().cold_restarts, 1u);
-        EXPECT_EQ(t.records().front().reason, EpisodeTracker::Reason::kAbandoned);
-        // Abandonments observe no latency histogram -- the distributions
-        // answer "how long did a *repair* take".
-        EXPECT_EQ(m.histogram("recovery.latency_s.primary", {}).count(), 0u);
-    }
+    t.open();
+    t.close(closed(1, 5, 1.0, 2.0, EpisodeTracker::kTierLocal));
     EXPECT_TRUE(t.balanced());
-}
-
-TEST(EpisodeTracker, ClosesAreIdempotentAndUnknownKeysAreNoOps) {
-    obs::Metrics m;
-    EpisodeTracker t{m};
-    // Operating on a never-opened episode must be harmless.
-    t.close_repaired(at(1.0), NodeId{1}, SeqNum{5});
-    t.nack(NodeId{1}, SeqNum{5});
-    t.escalate(NodeId{1}, SeqNum{5}, EpisodeTracker::kTierPrimary);
-    t.cold_restart(NodeId{1}, SeqNum{5});
-    EXPECT_TRUE(t.balanced());
-    if constexpr (obs::kTelemetryEnabled) EXPECT_EQ(t.opened(), 0u);
-
-    t.open(at(2.0), NodeId{1}, SeqNum{5});
-    t.open(at(2.5), NodeId{1}, SeqNum{5});  // double-open: first wins
-    t.close_repaired(at(3.0), NodeId{1}, SeqNum{5});
-    t.close_repaired(at(3.5), NodeId{1}, SeqNum{5});   // already closed
-    t.close_abandoned(at(4.0), NodeId{1}, SeqNum{5});  // likewise
+    t.fetch_open();
+    t.close(closed(1, 6, 1.0, 2.0, EpisodeTracker::kTierPrimary,
+                   EpisodeTracker::Kind::kFetch));
     EXPECT_TRUE(t.balanced());
     if constexpr (obs::kTelemetryEnabled) {
-        EXPECT_EQ(t.opened(), 1u);
-        EXPECT_EQ(t.repaired(), 1u);
-        EXPECT_EQ(t.abandoned(), 0u);
-        ASSERT_EQ(t.records().size(), 1u);
-        EXPECT_DOUBLE_EQ(t.records().front().opened_s, 2.0);
-        EXPECT_DOUBLE_EQ(t.records().front().closed_s, 3.0);
+        t.close(closed(1, 5, 2.0, 3.0, EpisodeTracker::kTierLocal));
+        EXPECT_FALSE(t.balanced());
     }
 }
 
@@ -146,14 +139,16 @@ TEST(EpisodeTracker, FetchLifecycleIsIndependentOfRecovery) {
     EpisodeTracker t{m};
     // Same (node, seq) runs both kinds at once -- rotating site loggers
     // make a host a receiver and a secondary simultaneously.
-    t.open(at(1.0), NodeId{4}, SeqNum{8});
-    t.fetch_open(at(1.1), NodeId{4}, SeqNum{8});
-    t.fetch_attempt(NodeId{4}, SeqNum{8});
-    t.fetch_cold_restart(NodeId{4}, SeqNum{8});
-    t.fetch_close(at(1.4), NodeId{4}, SeqNum{8}, /*served=*/true);
-    t.fetch_open(at(2.0), NodeId{4}, SeqNum{9});
-    t.fetch_close(at(2.2), NodeId{4}, SeqNum{9}, /*served=*/false);
-    t.close_repaired(at(1.5), NodeId{4}, SeqNum{8});
+    t.open();
+    t.fetch_open();
+    t.fetch_attempt();
+    t.fetch_cold_restart();
+    t.close(closed(4, 8, 1.1, 1.4, EpisodeTracker::kTierPrimary,
+                   EpisodeTracker::Kind::kFetch));
+    t.fetch_open();
+    t.close(closed(4, 9, 2.0, 2.2, EpisodeTracker::kTierPrimary,
+                   EpisodeTracker::Kind::kFetch, EpisodeTracker::Reason::kAbandoned));
+    t.close(closed(4, 8, 1.0, 1.5, EpisodeTracker::kTierLocal));
 
     EXPECT_TRUE(t.balanced());
     if constexpr (obs::kTelemetryEnabled) {
@@ -161,10 +156,16 @@ TEST(EpisodeTracker, FetchLifecycleIsIndependentOfRecovery) {
         EXPECT_EQ(t.fetch_served(), 1u);
         EXPECT_EQ(t.fetch_abandoned(), 1u);
         EXPECT_EQ(t.fetch_open_count(), 0u);
+        EXPECT_EQ(m.value("recovery.fetch_open"), 0u);
+        EXPECT_EQ(t.repaired(), 1u);
+        EXPECT_EQ(t.open_count(), 0u);
         EXPECT_EQ(m.value("recovery.fetch_attempts"), 1u);
         EXPECT_EQ(m.value("recovery.fetch_cold_restarts"), 1u);
-        // Only the served fetch observes latency.
-        EXPECT_EQ(m.histogram("recovery.fetch_latency_s", {}).count(), 1u);
+        // Only the served fetch observes latency, in the fetch histogram.
+        const obs::Histogram& h = m.histogram("recovery.fetch_latency_s", {});
+        ASSERT_EQ(h.count(), 1u);
+        EXPECT_NEAR(h.sum(), 0.3, 1e-12);
+        EXPECT_EQ(m.histogram("recovery.latency_s.primary", {}).count(), 0u);
         ASSERT_EQ(t.records().size(), 3u);
         EXPECT_EQ(t.records()[0].kind, EpisodeTracker::Kind::kFetch);
         EXPECT_EQ(t.records()[1].kind, EpisodeTracker::Kind::kFetch);
@@ -177,8 +178,8 @@ TEST(EpisodeTracker, RecordBufferIsBoundedAndDropsAreCounted) {
     EpisodeTracker t{m};
     t.set_record_capacity(2);
     for (std::uint32_t s = 0; s < 5; ++s) {
-        t.open(at(1.0 + s), NodeId{2}, SeqNum{s});
-        t.close_repaired(at(1.5 + s), NodeId{2}, SeqNum{s});
+        t.open();
+        t.close(closed(2, s, 1.0 + s, 1.5 + s, EpisodeTracker::kTierLocal));
     }
     EXPECT_TRUE(t.balanced());
     if constexpr (obs::kTelemetryEnabled) {
@@ -188,17 +189,20 @@ TEST(EpisodeTracker, RecordBufferIsBoundedAndDropsAreCounted) {
         // Accounting keeps counting past the buffer bound.
         EXPECT_EQ(t.opened(), 5u);
         EXPECT_EQ(t.repaired(), 5u);
+        EXPECT_EQ(m.histogram("recovery.latency_s.local", {}).count(), 5u);
     }
 }
 
 TEST(EpisodeTracker, DisabledInstanceIsInert) {
     EpisodeTracker& t = EpisodeTracker::disabled();
-    t.open(at(1.0), NodeId{1}, SeqNum{1});
-    t.nack(NodeId{1}, SeqNum{1});
-    t.close_repaired(at(2.0), NodeId{1}, SeqNum{1});
-    t.fetch_open(at(1.0), NodeId{2}, SeqNum{2});
-    t.fetch_close(at(2.0), NodeId{2}, SeqNum{2}, true);
+    t.open();
+    t.nack();
+    t.close(closed(1, 1, 1.0, 2.0, EpisodeTracker::kTierLocal));
+    t.fetch_open();
+    t.close(closed(2, 2, 1.0, 2.0, EpisodeTracker::kTierPrimary,
+                   EpisodeTracker::Kind::kFetch));
     EXPECT_EQ(t.opened(), 0u);
+    EXPECT_EQ(t.open_count(), 0u);
     EXPECT_EQ(t.fetch_opened(), 0u);
     EXPECT_TRUE(t.records().empty());
     EXPECT_TRUE(t.balanced());
@@ -207,9 +211,8 @@ TEST(EpisodeTracker, DisabledInstanceIsInert) {
 TEST(EpisodeTracker, ChromeJsonEmitsAsyncSpanPairs) {
     obs::Metrics m;
     EpisodeTracker t{m};
-    t.open(at(1.0), NodeId{7}, SeqNum{3});
-    t.escalate(NodeId{7}, SeqNum{3}, EpisodeTracker::kTierFallback);
-    t.close_repaired(at(1.5), NodeId{7}, SeqNum{3});
+    t.open();
+    t.close(closed(7, 3, 1.0, 1.5, EpisodeTracker::kTierFallback));
     const std::string json = t.to_chrome_json(/*pid=*/2);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     if constexpr (obs::kTelemetryEnabled) {
@@ -371,7 +374,40 @@ struct MatrixClass {
     std::string name;
     bool rotate = false;
     std::function<ChaosSchedule(const DisScenario&)> schedule;
+    /// Pinned FNV-1a digests of the class's episode records and of its
+    /// registry's recovery.* rows (records_digest, recovery_rows_digest).
+    std::uint64_t records_fnv = 0;
+    std::uint64_t rows_fnv = 0;
 };
+
+/// FNV-1a over every record, field by field (Record has padding bytes).
+std::uint64_t records_digest(const std::vector<EpisodeTracker::Record>& recs) {
+    test::Fnv1a h;
+    for (const EpisodeTracker::Record& r : recs) {
+        h.feed_value(r.node);
+        h.feed_value(r.seq);
+        h.feed_value(r.opened_s);
+        h.feed_value(r.closed_s);
+        h.feed_value(r.nacks);
+        h.feed_value(r.cold_restarts);
+        h.feed_value(r.kind);
+        h.feed_value(r.tier);
+        h.feed_value(r.reason);
+    }
+    return h.h;
+}
+
+/// FNV-1a over the names and values of the registry's recovery.* rows
+/// (counters, the open gauges and every latency-histogram row).
+std::uint64_t recovery_rows_digest(const obs::Metrics& m) {
+    test::Fnv1a h;
+    for (const obs::Metrics::Sample& row : m.snapshot()) {
+        if (!row.name.starts_with("recovery.")) continue;
+        h.feed(row.name.data(), row.name.size());
+        h.feed_value(row.value);
+    }
+    return h.h;
+}
 
 /// Scaled-down mirror of bench_chaos's five fault classes (same shapes,
 /// smaller topology and traffic so the matrix stays unit-test-fast).
@@ -381,18 +417,21 @@ std::vector<MatrixClass> matrix() {
                            Rng rng{20250809};
                            return ChaosSchedule::correlated_blackouts(
                                rng, 8, 2, secs(1.2), millis(250), millis(500));
-                       }});
+                       },
+                       0x007332608a2f81e3ull, 0xb3c43f74358a6033ull});
     classes.push_back({"failover_storm", false, [](const DisScenario&) {
                            ChaosSchedule s;
                            s.events.push_back(PrimaryCrash{secs(0.8), secs(2.0)});
                            s.events.push_back(ReplicaCrash{0, secs(0.8), secs(2.5)});
                            return s;
-                       }});
+                       },
+                       0x1effdc305b07e361ull, 0xa9bbc4d4413c8cf9ull});
     classes.push_back({"partition", false, [](const DisScenario&) {
                            ChaosSchedule s;
                            s.events.push_back(SitePartition{1, secs(0.8), secs(1.2)});
                            return s;
-                       }});
+                       },
+                       0x7557a4303c4872a8ull, 0xf948492a96d8081eull});
     classes.push_back({"crash_churn", false, [](const DisScenario& scenario) {
                            ChaosSchedule s;
                            s.events.push_back(
@@ -400,16 +439,20 @@ std::vector<MatrixClass> matrix() {
                                               SeqNum{6}, millis(400)});
                            s.events.push_back(SendAndCrash{SeqNum{12}, millis(100)});
                            return s;
-                       }});
+                       },
+                       0xe6f1f0157cac524full, 0x44f35991ccb61e70ull});
     classes.push_back({"rotation", true, [](const DisScenario&) {
                            ChaosSchedule s;
                            s.events.push_back(SiteBlackout{1, secs(0.8), millis(500)});
                            return s;
-                       }});
+                       },
+                       0xdf3ddeee20a4a021ull, 0x7ad4eb2a076198c1ull});
     return classes;
 }
 
 TEST(EpisodeChaosMatrix, AccountingBalancesAcrossEveryFaultClass) {
+    std::set<std::uint8_t> tiers;
+    std::uint64_t fetch_cold_restarts = 0;
     for (const MatrixClass& cls : matrix()) {
         ScenarioConfig config;
         config.topology.sites = 8;
@@ -451,16 +494,42 @@ TEST(EpisodeChaosMatrix, AccountingBalancesAcrossEveryFaultClass) {
                           m.value("recovery.episodes_abandoned") +
                           m.value("recovery.episodes_open"))
                 << cls.name;
-            if (audit.lost_forever == 0) EXPECT_EQ(t.abandoned(), 0u) << cls.name;
+            if (audit.lost_forever == 0) {
+                EXPECT_EQ(t.abandoned(), 0u) << cls.name;
+            }
             // Records mirror the counters (no drops at this scale).
             EXPECT_EQ(t.records_dropped(), 0u) << cls.name;
             std::uint64_t repaired = 0;
-            for (const auto& rec : t.records())
-                if (rec.kind == EpisodeTracker::Kind::kRecovery &&
-                    rec.reason == EpisodeTracker::Reason::kRepaired)
-                    ++repaired;
+            std::set<std::pair<std::uint32_t, std::uint32_t>> recovered, fetched;
+            for (const auto& rec : t.records()) {
+                if (rec.kind == EpisodeTracker::Kind::kRecovery) {
+                    tiers.insert(rec.tier);
+                    recovered.insert({rec.node, rec.seq});
+                    if (rec.reason == EpisodeTracker::Reason::kRepaired) ++repaired;
+                } else {
+                    fetch_cold_restarts += rec.cold_restarts;
+                    fetched.insert({rec.node, rec.seq});
+                }
+            }
             EXPECT_EQ(repaired, t.repaired()) << cls.name;
+            // Rotating site loggers make a host a receiver and a secondary
+            // at once: one (node, seq) can run both episode kinds.
+            if (cls.rotate) {
+                EXPECT_TRUE(std::any_of(recovered.begin(), recovered.end(),
+                                        [&](const auto& k) { return fetched.contains(k); }))
+                    << cls.name;
+            }
+            // The records and every recovery.* row are pinned per class.
+            EXPECT_EQ(records_digest(t.records()), cls.records_fnv) << cls.name;
+            EXPECT_EQ(recovery_rows_digest(m), cls.rows_fnv) << cls.name;
         }
+    }
+    if constexpr (obs::kTelemetryEnabled) {
+        // Together the classes reach every tier and park fetches.
+        EXPECT_EQ(tiers, (std::set<std::uint8_t>{EpisodeTracker::kTierLocal,
+                                                 EpisodeTracker::kTierFallback,
+                                                 EpisodeTracker::kTierPrimary}));
+        EXPECT_GT(fetch_cold_restarts, 0u);
     }
 }
 

@@ -89,7 +89,7 @@ Trace run_lossy(ScenarioConfig config, Tweak&& tweak) {
     for (const auto& n : scenario.notices())
         out.notices.emplace_back(n.node.value(), n.kind, n.at);
     out.nacks_sent = scenario.metrics().value("proto.receiver.nacks_sent");
-    out.recovered = scenario.metrics().value("proto.receiver.recovered");
+    out.recovered = scenario.metrics().value("recovery.episodes_repaired");
     out.events_processed = scenario.simulator().events_processed();
     return out;
 }

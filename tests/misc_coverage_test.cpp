@@ -1,10 +1,9 @@
-// Coverage for smaller seams: the logging facility, the SRM sender's
-// repair suppression (Section 6 model fidelity), the receiver's adaptive
-// idle gap under data-carrying heartbeats, and sender buffering floors.
+// Coverage for smaller seams: the SRM sender's repair suppression
+// (Section 6 model fidelity), the receiver's adaptive idle gap under
+// data-carrying heartbeats, and sender buffering floors.
 #include <gtest/gtest.h>
 
 #include "baseline/srm.hpp"
-#include "common/log.hpp"
 #include "core/receiver.hpp"
 #include "core/sender.hpp"
 #include "tests/test_util.hpp"
@@ -17,38 +16,6 @@ using test::count_sent;
 using test::find_timer;
 using test::payload;
 using test::sent_of_type;
-
-// --- logging facility --------------------------------------------------------
-
-struct SinkCapture {
-    std::vector<std::string> lines;
-};
-
-TEST(Logging, LevelGateSuppressesBelowThreshold) {
-    SinkCapture capture;
-    logging::set_sink([&](logging::Level level, std::string_view component,
-                          std::string_view message) {
-        capture.lines.push_back(std::string(logging::level_name(level)) + " " +
-                                std::string(component) + ": " + std::string(message));
-    });
-    logging::set_level(logging::Level::kWarn);
-
-    LBRM_LOG(Debug, "test") << "invisible " << 42;
-    LBRM_LOG(Warn, "test") << "visible " << 43;
-    LBRM_LOG(Error, "test") << "also visible";
-
-    ASSERT_EQ(capture.lines.size(), 2u);
-    EXPECT_EQ(capture.lines[0], "WARN test: visible 43");
-    EXPECT_EQ(capture.lines[1], "ERROR test: also visible");
-
-    logging::set_sink(nullptr);
-    logging::set_level(logging::Level::kInfo);
-}
-
-TEST(Logging, LevelNames) {
-    EXPECT_EQ(logging::level_name(logging::Level::kTrace), "TRACE");
-    EXPECT_EQ(logging::level_name(logging::Level::kOff), "OFF");
-}
 
 // --- SRM sender repair suppression (Section 6 model) ---------------------------
 

@@ -534,8 +534,9 @@ TEST(ReceiverGapRecord, NacksNameTheDetectorsGapsOnRandomStreams) {
                     }
                 }
             }
-            if constexpr (obs::kTelemetryEnabled)
+            if constexpr (obs::kTelemetryEnabled) {
                 EXPECT_EQ(m.value("recovery.episodes_open"), r.detector().missing_count());
+            }
         };
 
         apply(at(0.0), r.start(at(0.0)));
@@ -571,6 +572,96 @@ TEST(ReceiverGapRecord, NacksNameTheDetectorsGapsOnRandomStreams) {
     }
     EXPECT_GT(nacks_checked, 100u);
     EXPECT_GT(abandoned, 0u);
+}
+
+// The record a gap closes with carries the highest tier it ever reached:
+// a cold restart walks the chain from the local logger again, and the
+// abandoned record still says primary.
+TEST(ReceiverGapRecord, TierIsTheMaxEverReachedAndAbandonCloses) {
+    ReceiverConfig c = base_config();
+    c.nack_max_retries = 1;
+    c.recovery_cold_cycles = 1;
+    ReceiverCore r{c};
+    obs::Metrics m;
+    r.bind_metrics(m.protocol());
+    r.start(at(0.0));
+    r.on_packet(at(1.0), data(SeqNum{1}));
+    auto gap = r.on_packet(at(1.1), data(SeqNum{3}));
+    auto delay = find_timer(gap, TimerKind::kNackDelay);
+    TimePoint now = delay->deadline;
+    Actions last = r.on_timer(now, delay->id);
+    std::size_t nacks = count_sent(last, PacketType::kNack);
+    // Two walks of local -> fallback -> PrimaryQuery: the first parks the
+    // gap, the second abandons it.
+    for (int i = 0; i < 30 && test::notices(last, NoticeKind::kRecoveryFailed).empty(); ++i) {
+        auto t = find_timer(last, TimerKind::kNackRetry);
+        ASSERT_TRUE(t.has_value());
+        now = t->deadline;
+        last = r.on_timer(now, t->id);
+        nacks += count_sent(last, PacketType::kNack);
+    }
+    ASSERT_EQ(r.recovery_failures(), 1u);
+
+    const obs::EpisodeTracker& episodes = m.episodes();
+    EXPECT_TRUE(episodes.balanced());
+    if constexpr (obs::kTelemetryEnabled) {
+        ASSERT_EQ(episodes.records().size(), 1u);
+        const obs::EpisodeTracker::Record& rec = episodes.records().front();
+        EXPECT_EQ(rec.seq, 2u);
+        EXPECT_EQ(rec.tier, obs::EpisodeTracker::kTierPrimary);
+        EXPECT_EQ(rec.reason, obs::EpisodeTracker::Reason::kAbandoned);
+        EXPECT_EQ(rec.cold_restarts, 1u);
+        EXPECT_EQ(rec.nacks, nacks);
+        EXPECT_DOUBLE_EQ(rec.opened_s, 1.1);
+        EXPECT_DOUBLE_EQ(rec.closed_s, to_seconds(now));
+        EXPECT_EQ(m.value("recovery.escalations"), 4u);  // fallback, primary; twice
+        EXPECT_EQ(m.value("recovery.cold_restarts"), 1u);
+        EXPECT_EQ(m.value("recovery.nack_sends"), nacks);
+        EXPECT_EQ(episodes.abandoned(), 1u);
+        EXPECT_EQ(episodes.open_count(), 0u);
+        EXPECT_EQ(m.histogram("recovery.latency_s.primary", {}).count(), 0u);
+    }
+}
+
+// A gap opened while the receiver already NACKs its fallback starts at the
+// fallback tier: its only NACK went there, so its repair is a fallback one.
+TEST(ReceiverGapRecord, GapOpenedMidEscalationStartsAtTheCurrentTier) {
+    ReceiverCore r{base_config()};  // nack_max_retries = 2
+    obs::Metrics m;
+    r.bind_metrics(m.protocol());
+    std::optional<StartTimer> retry;
+    auto track = [&retry](Actions actions) {
+        if (auto t = find_timer(actions, TimerKind::kNackRetry)) retry = t;
+        return actions;
+    };
+    r.start(at(0.0));
+    r.on_packet(at(1.0), data(SeqNum{1}));
+    auto gap = r.on_packet(at(1.1), data(SeqNum{3}));
+    auto delay = find_timer(gap, TimerKind::kNackDelay);
+    track(r.on_timer(delay->deadline, delay->id));
+    track(r.on_timer(retry->deadline, retry->id));
+    auto escalated = track(r.on_timer(retry->deadline, retry->id));
+    ASSERT_EQ(sent_of_type(escalated, PacketType::kNack).at(0).to, kPrimary);
+
+    // Seq 4 is lost after the escalation; its one NACK goes to the fallback.
+    const TimePoint lost = retry->deadline - millis(100);
+    auto gap4 = r.on_packet(lost, data(SeqNum{5}));
+    delay = find_timer(gap4, TimerKind::kNackDelay);
+    const auto nacks = sent_of_type(r.on_timer(delay->deadline, delay->id), PacketType::kNack);
+    ASSERT_EQ(nacks.size(), 1u);
+    EXPECT_EQ(nacks[0].to, kPrimary);
+    r.on_packet(delay->deadline + millis(20), retransmission(kPrimary, SeqNum{4}));
+
+    if constexpr (obs::kTelemetryEnabled) {
+        const obs::EpisodeTracker& episodes = m.episodes();
+        ASSERT_EQ(episodes.records().size(), 1u);
+        const obs::EpisodeTracker::Record& rec = episodes.records().front();
+        EXPECT_EQ(rec.seq, 4u);
+        EXPECT_EQ(rec.nacks, 1u);
+        EXPECT_EQ(rec.tier, obs::EpisodeTracker::kTierFallback);
+        EXPECT_EQ(m.histogram("recovery.latency_s.local", {}).count(), 0u);
+        EXPECT_EQ(m.histogram("recovery.latency_s.fallback", {}).count(), 1u);
+    }
 }
 
 }  // namespace

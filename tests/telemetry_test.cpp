@@ -340,17 +340,18 @@ TEST(ProtocolHostHealth, GapOverflowsSurfaceThroughHost) {
 
     std::uint64_t total = 0;
     for (NodeId node : topo.sites[0].receivers)
-        total += net.host(node)->protocol().gap_overflows();
-    total += net.host(topo.sites[0].secondary)->protocol().gap_overflows();
+        total += scenario.receiver(node).detector().gap_overflows();
+    total += scenario.secondary_logger(0).detector().gap_overflows();
     EXPECT_GT(total, 0u);
     if constexpr (obs::kTelemetryEnabled) {
-        EXPECT_GT(scenario.metrics().value("proto.loss.gap_overflows"), 0u);
+        // The registry row sums every detector, and only site 0's clamped.
+        EXPECT_EQ(scenario.metrics().value("proto.loss.gap_overflows"), total);
     }
 
     // An untouched site saw a contiguous stream: no overflows there.
-    std::uint64_t clean = 0;
+    std::uint64_t clean = scenario.secondary_logger(1).detector().gap_overflows();
     for (NodeId node : topo.sites[1].receivers)
-        clean += net.host(node)->protocol().gap_overflows();
+        clean += scenario.receiver(node).detector().gap_overflows();
     EXPECT_EQ(clean, 0u);
 }
 
@@ -368,13 +369,11 @@ TEST(ProtocolHostHealth, ZeroVolunteerResolicitsSurfaceThroughHost) {
     scenario.send_update(64);
     scenario.run_for(secs(5.0));
 
-    ProtocolHost& sender_host =
-        scenario.network().host(scenario.topology().source)->protocol();
-    EXPECT_GT(sender_host.zero_volunteer_resolicits(), 0u);
-    EXPECT_EQ(sender_host.gap_overflows(), 0u);  // no receivers on this host
+    const std::uint64_t resolicits = scenario.sender().stat_ack().empty_epoch_resolicits();
+    EXPECT_GT(resolicits, 0u);
     if constexpr (obs::kTelemetryEnabled) {
         EXPECT_EQ(scenario.metrics().value("proto.stat_ack.empty_epoch_resolicits"),
-                  sender_host.zero_volunteer_resolicits());
+                  resolicits);
         EXPECT_GT(scenario.metrics().value("host.notices"), 0u);
     }
 }
