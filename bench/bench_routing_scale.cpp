@@ -1,25 +1,29 @@
 // Routing-scale bench (perf trajectory, not a paper artifact).
 //
 // Measures the million-node scenario engine (DESIGN.md "Scale
-// engineering"): the hierarchical site/backbone routing tables built by the
-// lazy finalize, and a full protocol run -- sender, loggers, a receiver
-// core per host, real multicast traffic -- at a million nodes under the
-// constant-memory CountingObserver.
+// engineering"): the hierarchical site/backbone routing tables, whose rows
+// build on first touch after a finalize() that builds only the border rows
+// and the border graph, and a full protocol run -- sender, loggers, a
+// receiver core per host, real multicast traffic -- at a million nodes
+// under the constant-memory CountingObserver.
 //
 // Scenarios:
 //
 //   routing_100k   -- 1,000 sites x 97 receivers (~100k nodes).  Builds the
 //                     routing tables and reports finalize() wall time, the
 //                     site-table rows finalize() materialised (the border
-//                     rows; the rest build on first touch), routing-table
-//                     bytes, bytes per node and peak RSS.  Flat O(n^2)
+//                     rows; the rest build on first touch), the backbone
+//                     rows the sanity multicasts then built (finalize()
+//                     builds none), routing-table bytes after finalize(),
+//                     bytes per node and peak RSS.  Flat O(n^2)
 //                     matrices at this size would need n^2 x 12 bytes
 //                     (~120 GB), so their footprint is computed analytically
 //                     and reported as the ratio.
 //   full_protocol  -- 2,000 sites x 499 receivers (>= 1M nodes) wired as a
 //                     complete DisScenario (CountingObserver), driven with
 //                     real sends + protocol timers; reports build/traffic
-//                     seconds, deliveries, peak RSS and RSS bytes per node.
+//                     seconds, deliveries, site and backbone rows built,
+//                     peak RSS and RSS bytes per node.
 //
 // The headline finalize additionally runs under a TraceRecorder and exports
 // Chrome trace_event JSON (--trace PATH, open in chrome://tracing or
@@ -73,6 +77,7 @@ struct BuildStats {
     double finalize_seconds = 0.0;
     std::size_t nodes = 0;
     std::size_t rows_built = 0;  ///< site-table rows materialised by finalize()
+    std::size_t backbone_rows = 0;  ///< backbone rows the sanity multicasts built
     std::size_t table_bytes = 0;
     std::uint64_t delivered = 0;
 };
@@ -103,6 +108,7 @@ BuildStats run_build(std::uint32_t sites, std::uint32_t receivers) {
                                       std::vector<std::uint8_t>(64, 0xEE)}},
                       scope);
     simulator.run_for(secs(5.0));
+    out.backbone_rows = net.backbone_rows_built();
     for (const auto& site : topo.sites)
         for (NodeId r : site.receivers)
             out.delivered += net.link(site.router, r)->stats().packets_of(PacketType::kData);
@@ -209,9 +215,10 @@ int main(int argc, char** argv) {
         const double ratio = flat_bytes / static_cast<double>(big.table_bytes);
         const double rss_mib = static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
 
-        Table table({"nodes", "finalize s", "rows built", "table MiB", "B/node", "flat MiB",
-                     "ratio"});
+        Table table({"nodes", "finalize s", "rows built", "backbone rows", "table MiB",
+                     "B/node", "flat MiB", "ratio"});
         table.row({fmt_int(big.nodes), fmt(big.finalize_seconds, 3), fmt_int(big.rows_built),
+                   fmt_int(big.backbone_rows),
                    fmt(static_cast<double>(big.table_bytes) / (1024.0 * 1024.0), 1),
                    fmt(static_cast<double>(big.table_bytes) / static_cast<double>(big.nodes), 1),
                    fmt(flat_bytes / (1024.0 * 1024.0), 0), fmt(ratio, 0) + "x"});
@@ -225,6 +232,8 @@ int main(int argc, char** argv) {
             {"routing_scale", "finalize_seconds_hier", big.finalize_seconds, timestamp});
         metrics.push_back({"routing_scale", "site_rows_built",
                            static_cast<double>(big.rows_built), timestamp});
+        metrics.push_back({"routing_scale", "backbone_rows_built",
+                           static_cast<double>(big.backbone_rows), timestamp});
         metrics.push_back({"routing_scale", "routing_table_bytes_hier",
                            static_cast<double>(big.table_bytes), timestamp});
         metrics.push_back({"routing_scale", "routing_table_bytes_per_node",
@@ -289,10 +298,11 @@ int main(int argc, char** argv) {
         const std::size_t nodes = scenario.network().node_count();
         const double rss = static_cast<double>(peak_rss_bytes());
         Table full({"nodes", "build s", "traffic s", "deliveries", "rows built",
-                    "RSS MiB", "RSS B/node"});
+                    "backbone rows", "RSS MiB", "RSS B/node"});
         full.row({fmt_int(nodes), fmt(build_seconds, 1), fmt(traffic_seconds, 1),
                   fmt_int(counter->deliveries()),
                   fmt_int(scenario.network().site_rows_built()),
+                  fmt_int(scenario.network().backbone_rows_built()),
                   fmt(rss / (1024.0 * 1024.0), 0),
                   fmt(rss / static_cast<double>(nodes), 0)});
         const double delivered_pps =
@@ -320,6 +330,9 @@ int main(int argc, char** argv) {
             {full_name, "traffic_seconds", traffic_seconds, timestamp});
         metrics.push_back({full_name, "deliveries",
                            static_cast<double>(counter->deliveries()), timestamp});
+        metrics.push_back({full_name, "backbone_rows_built",
+                           static_cast<double>(scenario.network().backbone_rows_built()),
+                           timestamp});
         metrics.push_back(
             {full_name, "delivered_packets_per_sec", delivered_pps, timestamp});
         metrics.push_back({full_name, "peak_rss_bytes", rss, timestamp});

@@ -105,8 +105,9 @@ struct JsonMetric {
     /// Execution configuration, e.g. "shards=8,driver=threads" -- sharded
     /// and single-process runs of the same scenario record distinct rows.
     /// Empty keeps the legacy three-field line format (existing history
-    /// rows keep matching byte-for-byte).
-    std::string config;
+    /// rows keep matching byte-for-byte).  The default initializer lets a
+    /// row leave it out without a missing-initializer warning.
+    std::string config{};
 };
 
 /// Serialize one metric as a JSON object (no trailing newline).

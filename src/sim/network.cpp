@@ -216,8 +216,9 @@ const Link* Network::link(NodeId a, NodeId b) const {
 }
 
 // ---------------------------------------------------------------------------
-// Routing: finalize() builds the site/backbone tables (DESIGN.md
-// "Hierarchical routing", "Scale engineering").
+// Routing: finalize() snapshots what the site/backbone tables are built
+// from; rows build on first touch (DESIGN.md "Hierarchical routing",
+// "Scale engineering").
 // ---------------------------------------------------------------------------
 
 void Network::build_adjacency() {
@@ -270,6 +271,7 @@ void Network::finalize() {
         route_down_.assign(node_down_.begin(), node_down_.end());
     }
     rows_built_ = 0;
+    bb_rows_built_ = 0;
     {
         LBRM_TRACE_SPAN("finalize.routes");
         build_hierarchical_routes();
@@ -327,7 +329,7 @@ void Network::build_hierarchical_routes() {
             border_down_[b] = route_down_[border_nodes_[b]];
     }
 
-    // 3. Border rows only: the backbone build needs them.  Every other row
+    // 3. Border rows only: the border graph needs them.  Every other row
     //    materialises on first touch (ensure_row).
     {
         LBRM_TRACE_SPAN("finalize.site_rows");
@@ -336,118 +338,103 @@ void Network::build_hierarchical_routes() {
                 build_site_row(static_cast<std::uint32_t>(s), node_local_[gb]);
     }
 
-    // 4. Backbone all-pairs over the border nodes.
-    build_backbone();
+    // 4. The border graph; backbone rows materialise on first touch
+    //    (backbone_row).
+    build_border_graph();
+}
+
+template <class Relays, class ForEachEdge>
+std::unique_ptr<Network::RowCell[]> Network::dijkstra_row(std::uint32_t src, std::size_t n,
+                                                          Relays relays,
+                                                          ForEachEdge for_each_edge) {
+    auto row = std::make_unique_for_overwrite<RowCell[]>(n);
+    std::fill_n(row.get(), n, RowCell{kInfDist, kNoIndex, nullptr});
+    row[src].dist = 0;
+    auto& pq = scratch_.pq;
+    pq.emplace(0, src);
+    while (!pq.empty()) {
+        const auto [d, u] = pq.top();
+        pq.pop();
+        if (d != row[u].dist) continue;
+        if (u != src && !relays(u)) continue;  // a down node may end a path only
+        for_each_edge(u, [&, d = d, u = u](std::uint32_t v, std::int64_t w,
+                                           std::uint32_t first_node, Link* first_link) {
+            if (d + w >= row[v].dist) return;
+            row[v] = (u == src) ? RowCell{d + w, first_node, first_link}
+                                : RowCell{d + w, row[u].next, row[u].link};
+            pq.emplace(d + w, v);
+        });
+    }
+    return row;
 }
 
 void Network::build_site_row(std::uint32_t site, std::uint32_t src_local) {
-    DijkstraScratch& s = scratch_;
+    // Dijkstra over the site's own subgraph against the finalize-time
+    // adjacency + liveness snapshots, never live state, so a row built
+    // mid-run is bit-identical to the same row built at finalize().
     SiteTable& table = site_tables_[site];
-    const std::size_t m = table.size();
-    s.dist.assign(m, kInfDist);
-    s.first_hop.assign(m, kNoIndex);
-    s.first_link.assign(m, nullptr);
-    s.dist[src_local] = 0;
-    s.pq.emplace(0, src_local);
-
-    // Dijkstra over the site's own subgraph -- a down node may end a path
-    // but never relays -- against the finalize-time adjacency + liveness
-    // snapshots, never live state, so a row built mid-run is bit-identical
-    // to the same row built at finalize().
-    while (!s.pq.empty()) {
-        auto [d, u] = s.pq.top();
-        s.pq.pop();
-        if (d != s.dist[u]) continue;
-        const std::uint32_t gu = table.nodes[u];
-        if (u != src_local && route_down_[gu]) continue;
-        for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
-            const std::uint32_t gv = csr_to_[k];
-            if (node_site_[gv] != site) continue;  // intra only
-            const std::uint32_t v = node_local_[gv];
-            const std::int64_t w = edge_weight(csr_link_[k]);
-            if (d + w < s.dist[v]) {
-                s.dist[v] = d + w;
-                s.first_hop[v] = (u == src_local) ? gv : s.first_hop[u];
-                s.first_link[v] = (u == src_local) ? csr_link_[k] : s.first_link[u];
-                s.pq.emplace(s.dist[v], v);
+    table.rows[src_local] = dijkstra_row(
+        src_local, table.size(),
+        [&](std::uint32_t u) { return route_down_[table.nodes[u]] == 0; },
+        [&](std::uint32_t u, auto&& relax) {
+            const std::uint32_t gu = table.nodes[u];
+            for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
+                const std::uint32_t gv = csr_to_[k];
+                if (node_site_[gv] != site) continue;  // intra only
+                relax(node_local_[gv], edge_weight(csr_link_[k]), gv, csr_link_[k]);
             }
-        }
-    }
-
-    auto row = std::make_unique<RowCell[]>(m);
-    for (std::size_t i = 0; i < m; ++i)
-        row[i] = RowCell{s.dist[i], s.first_hop[i], s.first_link[i]};
-    table.rows[src_local] = std::move(row);
+        });
     ++rows_built_;
 }
 
-void Network::build_backbone() {
-    LBRM_TRACE_SPAN("finalize.backbone");
-    // Backbone all-pairs over the border nodes.  Edges: real inter-site
-    // links, plus one virtual edge per same-site border pair weighted by
-    // the intra-site distance -- so inter-border travel *through* a site's
-    // interior is represented and the composed metric is exact.  The first
-    // physical hop of each virtual edge is resolved through the intra-site
-    // rows at build time, making descent O(1).
+void Network::build_border_graph() {
+    LBRM_TRACE_SPAN("finalize.border_graph");
+    // Edges: real inter-site links, plus one virtual edge per same-site
+    // border pair weighted by the intra-site distance -- so inter-border
+    // travel *through* a site's interior is represented and the composed
+    // metric is exact.  A virtual edge's first physical hop is resolved
+    // through the border rows here, making descent O(1).  Per border, real
+    // links come first in adjacency order and virtual edges follow in
+    // site-border order: the relaxation order backbone rows tie-break on.
     const std::size_t nb = border_nodes_.size();
-    bb_dist_.assign(nb * nb, kInfDist);
-    bb_next_node_.assign(nb * nb, kNoIndex);
-    bb_next_link_.assign(nb * nb, nullptr);
-
-    std::vector<std::int64_t> bdist(nb);
-    std::vector<std::uint32_t> bfirst_node(nb);
-    std::vector<Link*> bfirst_link(nb);
-    for (std::size_t src = 0; src < nb; ++src) {
-        std::fill(bdist.begin(), bdist.end(), kInfDist);
-        std::fill(bfirst_node.begin(), bfirst_node.end(), kNoIndex);
-        std::fill(bfirst_link.begin(), bfirst_link.end(), nullptr);
-        bdist[src] = 0;
-
-        using QE = std::pair<std::int64_t, std::uint32_t>;  // (distance, border index)
-        std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-        pq.emplace(0, static_cast<std::uint32_t>(src));
-        while (!pq.empty()) {
-            auto [d, u] = pq.top();
-            pq.pop();
-            if (d != bdist[u]) continue;
-            const std::uint32_t gu = border_nodes_[u];
-            if (u != src && route_down_[gu]) continue;
-
-            // Real inter-site links (adjacency order).
-            for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
-                const std::uint32_t gv = csr_to_[k];
-                if (node_site_[gv] == node_site_[gu]) continue;
-                const std::uint32_t v = node_border_[gv];  // inter-site => border
-                const std::int64_t w = edge_weight(csr_link_[k]);
-                if (d + w < bdist[v]) {
-                    bdist[v] = d + w;
-                    bfirst_node[v] = (u == src) ? gv : bfirst_node[u];
-                    bfirst_link[v] = (u == src) ? csr_link_[k] : bfirst_link[u];
-                    pq.emplace(bdist[v], v);
-                }
-            }
-            // Virtual intra-site edges to the site's other borders.
-            const SiteTable& table = site_tables_[node_site_[gu]];
-            const RowCell* row = table.rows[node_local_[gu]].get();
-            for (const std::uint32_t gv : table.borders) {
-                if (gv == gu) continue;
-                const RowCell& cell = row[node_local_[gv]];
-                if (cell.dist == kInfDist) continue;
-                const std::uint32_t v = node_border_[gv];
-                if (d + cell.dist < bdist[v]) {
-                    bdist[v] = d + cell.dist;
-                    bfirst_node[v] = (u == src) ? cell.next : bfirst_node[u];
-                    bfirst_link[v] = (u == src) ? cell.link : bfirst_link[u];
-                    pq.emplace(bdist[v], v);
-                }
-            }
+    bg_offset_.assign(nb + 1, 0);
+    bg_edges_.clear();
+    for (std::size_t b = 0; b < nb; ++b) {
+        const std::uint32_t gu = border_nodes_[b];
+        for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
+            const std::uint32_t gv = csr_to_[k];
+            if (node_site_[gv] == node_site_[gu]) continue;
+            // inter-site => gv is a border
+            bg_edges_.push_back(
+                BorderEdge{edge_weight(csr_link_[k]), node_border_[gv], gv, csr_link_[k]});
         }
-        for (std::size_t dst = 0; dst < nb; ++dst) {
-            bb_dist_[src * nb + dst] = bdist[dst];
-            bb_next_node_[src * nb + dst] = bfirst_node[dst];
-            bb_next_link_[src * nb + dst] = bfirst_link[dst];
+        const SiteTable& table = site_tables_[node_site_[gu]];
+        const RowCell* row = table.rows[node_local_[gu]].get();
+        for (const std::uint32_t gv : table.borders) {
+            if (gv == gu) continue;
+            const RowCell& cell = row[node_local_[gv]];
+            if (cell.dist == kInfDist) continue;
+            bg_edges_.push_back(BorderEdge{cell.dist, node_border_[gv], cell.next, cell.link});
         }
+        bg_offset_[b + 1] = static_cast<std::uint32_t>(bg_edges_.size());
     }
+    bb_rows_.clear();
+    bb_rows_.resize(nb);
+}
+
+const Network::RowCell* Network::backbone_row(std::uint32_t b) {
+    if (!bb_rows_[b]) {
+        bb_rows_[b] = dijkstra_row(
+            b, border_nodes_.size(), [this](std::uint32_t u) { return border_down_[u] == 0; },
+            [this](std::uint32_t u, auto&& relax) {
+                for (std::uint32_t k = bg_offset_[u]; k != bg_offset_[u + 1]; ++k) {
+                    const BorderEdge& e = bg_edges_[k];
+                    relax(e.to, e.weight, e.first_node, e.first_link);
+                }
+            });
+        ++bb_rows_built_;
+    }
+    return bb_rows_[b].get();
 }
 
 Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
@@ -461,7 +448,6 @@ Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
     SiteTable& stv = site_tables_[sv];
     const std::size_t lu = node_local_[from];
     const std::size_t lv = node_local_[to];
-    const std::size_t nb = border_nodes_.size();
 
     ensure_row(su, static_cast<std::uint32_t>(lu));
     const RowCell* ru = stu.rows[lu].get();
@@ -479,37 +465,38 @@ Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
     }
 
     // Candidate 2: exit via border b1, cross the backbone, enter via b2.
-    // (For same-site pairs this also covers leave-and-return paths.)
-    // Borders down *at the last finalize* never relay, but may still be
-    // the endpoint itself; liveness comes from the border_down_ snapshot,
-    // never the live flags, so a mid-run set_node_down leaves routing
-    // untouched until re-finalize.  Every row consulted here is either
-    // `from`'s own (ensured above) or a border row, which finalize() builds
-    // eagerly.
+    // For same-site pairs this also covers leave-and-return paths, except
+    // through one border b (b1 == b2): b relays (it is alive, or it would
+    // be skipped), so intra(from, b) + intra(b, to) is itself an intra-site
+    // walk and can never beat candidate 1.  Borders down *at the last
+    // finalize* never relay, but may still be the endpoint itself;
+    // liveness comes from the border_down_ snapshot, never the live flags,
+    // so a mid-run set_node_down leaves routing untouched until
+    // re-finalize.  Every row consulted here is `from`'s own (ensured
+    // above), a border row (finalize() builds those eagerly) or b1's
+    // backbone row, fetched only once a pair could beat `best`.
     for (const std::uint32_t b1 : stu.borders) {
         if (border_down_[node_border_[b1]] && b1 != from) continue;
         const std::int64_t du = (b1 == from) ? 0 : ru[node_local_[b1]].dist;
         if (du == kInfDist || du >= best) continue;
-        const std::size_t row = static_cast<std::size_t>(node_border_[b1]) * nb;
+        const RowCell* bb = nullptr;
         for (const std::uint32_t b2 : stv.borders) {
+            if (b2 == b1) continue;
             if (border_down_[node_border_[b2]] && b2 != to) continue;
-            const std::int64_t bb = bb_dist_[row + node_border_[b2]];
-            if (bb == kInfDist) continue;
             const std::int64_t dv =
                 (b2 == to) ? 0 : stv.rows[node_local_[b2]][lv].dist;
-            if (dv == kInfDist) continue;
-            const std::int64_t total = du + bb + dv;
+            if (dv == kInfDist || du + dv >= best) continue;
+            if (bb == nullptr) bb = backbone_row(node_border_[b1]);
+            const RowCell& cell = bb[node_border_[b2]];
+            if (cell.dist == kInfDist) continue;
+            const std::int64_t total = du + cell.dist + dv;
             if (total >= best) continue;
             best = total;
             if (from != b1) {
                 const RowCell& c = ru[node_local_[b1]];
                 choice = Hop{c.next, c.link};
-            } else if (b1 != b2) {
-                const std::size_t idx = row + node_border_[b2];
-                choice = Hop{bb_next_node_[idx], bb_next_link_[idx]};
-            } else {  // from is both exit and entry border: pure intra tail
-                const RowCell& c = stv.rows[node_local_[b2]][lv];
-                choice = Hop{c.next, c.link};
+            } else {
+                choice = Hop{cell.next, cell.link};
             }
         }
     }
@@ -547,9 +534,16 @@ std::uint64_t Network::routing_table_hash() {
     }
     for (const std::uint32_t v : border_nodes_) mix(v);
     for (const std::uint8_t v : border_down_) mix(v);
-    for (const std::int64_t v : bb_dist_) mix(static_cast<std::uint64_t>(v));
-    for (const std::uint32_t v : bb_next_node_) mix(v);
-    for (const Link* l : bb_next_link_) mix_link(l);
+    // The backbone in row-major order, a field at a time: every distance,
+    // then every next node, then every link.
+    const auto nb = static_cast<std::uint32_t>(border_nodes_.size());
+    for (std::uint32_t b = 0; b < nb; ++b) (void)backbone_row(b);
+    for (const auto& row : bb_rows_)
+        for (std::uint32_t j = 0; j < nb; ++j) mix(static_cast<std::uint64_t>(row[j].dist));
+    for (const auto& row : bb_rows_)
+        for (std::uint32_t j = 0; j < nb; ++j) mix(row[j].next);
+    for (const auto& row : bb_rows_)
+        for (std::uint32_t j = 0; j < nb; ++j) mix_link(row[j].link);
     return h;
 }
 
@@ -792,13 +786,18 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
         tree_epoch_ = 1;
     }
 
-    std::vector<std::pair<std::uint32_t, std::uint8_t>> entries;  // (node, member)
+    struct Entry {
+        std::uint32_t node;
+        std::uint8_t member = 0;
+        std::uint32_t parent = kNoIndex;  ///< first parent entry to adopt it
+    };
+    std::vector<Entry> entries;
     std::vector<std::vector<CachedTree::Child>> kids;  // per entry, insertion order
     auto slot_of = [&](std::uint32_t node) {
         if (tree_mark_[node] != tree_epoch_) {
             tree_mark_[node] = tree_epoch_;
             tree_slot_[node] = static_cast<std::uint32_t>(entries.size());
-            entries.emplace_back(node, 0);
+            entries.push_back(Entry{node});
             kids.emplace_back();
         }
         return tree_slot_[node];
@@ -850,17 +849,26 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
             if (!stays) continue;
         }
 
-        entries[slot_of(member_index)].second = 1;
+        entries[slot_of(member_index)].member = 1;
         tree->any_members = true;
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
             const std::uint32_t parent = slot_of(path[i]);
             const std::uint32_t child = slot_of(path[i + 1]);
+            // O(1) against the child's first parent; only a child already
+            // hanging under a different parent (two members' routes that
+            // diverge and re-join) scans the new parent's children.
+            std::uint32_t& first_parent = entries[child].parent;
+            if (first_parent == parent) continue;
             auto& siblings = kids[parent];
-            if (std::find_if(siblings.begin(), siblings.end(),
-                             [child](const CachedTree::Child& c) {
-                                 return c.entry == child;
-                             }) == siblings.end())
-                siblings.push_back(CachedTree::Child{child, path_links[i]});
+            if (first_parent == kNoIndex) {
+                first_parent = parent;
+            } else if (std::find_if(siblings.begin(), siblings.end(),
+                                    [child](const CachedTree::Child& c) {
+                                        return c.entry == child;
+                                    }) != siblings.end()) {
+                continue;
+            }
+            siblings.push_back(CachedTree::Child{child, path_links[i]});
         }
     }
 
@@ -872,8 +880,8 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
     tree->children.reserve(child_count);
     for (std::size_t i = 0; i < entries.size(); ++i) {
         CachedTree::Node node;
-        node.node = entries[i].first;
-        node.member = entries[i].second;
+        node.node = entries[i].node;
+        node.member = entries[i].member;
         node.child_begin = static_cast<std::uint32_t>(tree->children.size());
         tree->children.insert(tree->children.end(), kids[i].begin(), kids[i].end());
         node.child_end = static_cast<std::uint32_t>(tree->children.size());
@@ -1172,9 +1180,10 @@ std::size_t Network::routing_table_bytes() const {
              node_border_.capacity() * sizeof(std::uint32_t) +
              route_down_.capacity() * sizeof(std::uint8_t) +
              border_down_.capacity() * sizeof(std::uint8_t);
-    total += bb_dist_.capacity() * sizeof(std::int64_t) +
-             bb_next_node_.capacity() * sizeof(std::uint32_t) +
-             bb_next_link_.capacity() * sizeof(Link*);
+    total += bg_offset_.capacity() * sizeof(std::uint32_t) +
+             bg_edges_.capacity() * sizeof(BorderEdge) +
+             bb_rows_.capacity() * sizeof(std::unique_ptr<RowCell[]>) +
+             bb_rows_built_ * border_nodes_.size() * sizeof(RowCell);
     return total;
 }
 

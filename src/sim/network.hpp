@@ -19,15 +19,18 @@
 // Routing is hierarchical (see DESIGN.md "Hierarchical routing"), mirroring
 // the paper's two-level site/backbone topology: per-site intra-site
 // shortest-path tables compose with an inter-site backbone table over the
-// border nodes, for O(sites^2 + sum site_size^2) memory instead of flat
-// O(n^2) matrices.  Every next hop is composed from those tables on demand:
-// one site row, one backbone cell and one border row per candidate pair.
+// border nodes, instead of flat O(n^2) matrices.  Every next hop is
+// composed from those tables on demand: one site row, one backbone cell
+// and one border row per candidate pair.
 //
-// finalize() builds only the border rows and the backbone; every other
-// site-table row materialises on first touch.  Each row is a pure function
-// of the adjacency CSR and liveness snapshot taken at finalize(), so build
-// *time* can never change a route (a lazily built row never sees a
-// post-finalize set_node_down or add_link).
+// finalize() builds only the border rows and a compact border graph (each
+// border's inter-site links, then its virtual same-site edges); every other
+// site-table row, and every backbone row, materialises on first touch, so
+// memory grows with the rows traffic reads, not with B^2.  Each row is a
+// pure function of snapshots taken at finalize() -- the adjacency CSR, the
+// liveness flags and the border graph -- so build *time* can never change a
+// route (a lazily built row never sees a post-finalize set_node_down or
+// add_link).
 //
 // Delivery trees are cached per (group, sender, scope) behind an optional
 // LRU bound (SimConfig::tree_cache_capacity) and invalidated on membership
@@ -109,8 +112,8 @@ public:
     /// as a real network blackholes until the routing protocol reconverges:
     /// routing reads only finalize-time state (every site-table row -- even
     /// one built after the transition -- reads the route_down_ snapshot;
-    /// hop_toward reads border_down_), so a down transition never changes
-    /// routing until the next finalize().
+    /// backbone rows and hop_toward read border_down_), so a down
+    /// transition never changes routing until the next finalize().
     void set_node_down(NodeId node, bool down);
 
     /// Compute routing tables.  Must be called after the last add_link and
@@ -171,11 +174,14 @@ public:
     void set_tree_cache_capacity(std::size_t capacity);
 
     /// Bytes held by the routing tables: site/backbone tables (materialised
-    /// rows only).
+    /// rows only) and the border graph.
     [[nodiscard]] std::size_t routing_table_bytes() const;
     /// Site-table rows currently materialised (the border rows after
     /// finalize(); grows on demand as traffic touches the rest).
     [[nodiscard]] std::size_t site_rows_built() const { return rows_built_; }
+    /// Backbone rows currently materialised (none after finalize(); grows
+    /// as routes first need an exit border's backbone distances).
+    [[nodiscard]] std::size_t backbone_rows_built() const { return bb_rows_built_; }
 
     /// FNV-1a digest of the routing tables: every site row (dist, next hop,
     /// link endpoints), border set and backbone entry.  Materialises every
@@ -272,8 +278,9 @@ private:
         Link* link = nullptr;
     };
 
-    /// One cell of a per-site routing row: distance, first hop (global node
-    /// index, so descent never translates) and the link reaching it.
+    /// One cell of a site or backbone routing row: distance, first hop
+    /// (global node index, so descent never translates) and the link
+    /// reaching it.
     struct RowCell {
         std::int64_t dist;
         std::uint32_t next;
@@ -341,15 +348,23 @@ private:
 
     [[nodiscard]] std::size_t index(NodeId id) const { return id.value() - 1; }
 
-    /// Dijkstra scratch reused across row builds.
+    /// Dijkstra scratch reused across row builds: the (distance, vertex)
+    /// frontier, min-first with ties to the lower vertex.
     struct DijkstraScratch {
-        std::vector<std::int64_t> dist;
-        std::vector<std::uint32_t> first_hop;
-        std::vector<Link*> first_link;
         std::priority_queue<std::pair<std::int64_t, std::uint32_t>,
                             std::vector<std::pair<std::int64_t, std::uint32_t>>,
                             std::greater<>>
             pq;
+    };
+
+    /// One edge of the border graph, with its first physical hop resolved:
+    /// a real inter-site link (the hop is the link itself) or a virtual
+    /// same-site edge (the hop is the first link of the intra-site path).
+    struct BorderEdge {
+        std::int64_t weight;
+        std::uint32_t to;          ///< border index
+        std::uint32_t first_node;  ///< global node index of the first hop
+        Link* first_link;
     };
 
     // --- routing ---------------------------------------------------------
@@ -360,6 +375,15 @@ private:
     void build_adjacency();
     [[nodiscard]] Link* find_link(std::uint64_t key) const;
     void build_hierarchical_routes();
+    /// One routing row: Dijkstra from vertex `src` over `n` vertices.
+    /// `relays(u)` says whether u may carry transit traffic (the source
+    /// always may); `for_each_edge(u, relax)` calls relax(v, weight,
+    /// first_node, first_link) per out-edge of u, in the order that fixes
+    /// tie-breaking.
+    template <class Relays, class ForEachEdge>
+    [[nodiscard]] std::unique_ptr<RowCell[]> dijkstra_row(std::uint32_t src, std::size_t n,
+                                                          Relays relays,
+                                                          ForEachEdge for_each_edge);
     /// Build one site-table row (all shortest paths out of local index
     /// `src_local` within site `site`).  Pure function of the CSR snapshot
     /// and route_down_; writes only rows[src_local].
@@ -367,11 +391,16 @@ private:
     void ensure_row(std::uint32_t site, std::uint32_t local) {
         if (!site_tables_[site].rows[local]) build_site_row(site, local);
     }
-    void build_backbone();
+    /// Snapshot the border graph from the CSR and the border rows.
+    void build_border_graph();
+    /// Border `b`'s backbone row (indexed by border), built on first touch
+    /// from the border graph and border_down_ -- never live state.
+    [[nodiscard]] const RowCell* backbone_row(std::uint32_t b);
 
     /// Next forwarding step from node index `from` toward `to`: the
     /// intra-site candidate vs the best (exit border, entry border) pair
-    /// through the backbone.
+    /// through the backbone.  Builds `from`'s site row and an exit
+    /// border's backbone row on first need.
     [[nodiscard]] Hop hop_toward(std::uint32_t from, std::uint32_t to);
 
     void track(DeliveryBase* d);
@@ -465,16 +494,20 @@ private:
     /// this, never the live node_down_ flags, so routes stay a pure function
     /// of the last finalize() no matter when a row materialises.  Live liveness is applied at delivery time instead.
     std::vector<std::uint8_t> route_down_;
-    /// Border projection of route_down_ (hop_toward's inner loop).
+    /// Border projection of route_down_ (hop_toward's inner loop and the
+    /// backbone row builds).
     std::vector<std::uint8_t> border_down_;
-    /// Backbone all-pairs tables over the border nodes (B x B): distance,
-    /// plus the first *physical* hop (node + link) toward each border --
-    /// virtual intra-site backbone edges are pre-descended at build time.
-    std::vector<std::int64_t> bb_dist_;
-    std::vector<std::uint32_t> bb_next_node_;
-    std::vector<Link*> bb_next_link_;
+    /// Border graph in CSR form: border b's edges are
+    /// [bg_offset_[b], bg_offset_[b + 1]), its inter-site links in
+    /// adjacency order, then its virtual edges in site-border order.
+    std::vector<std::uint32_t> bg_offset_;
+    std::vector<BorderEdge> bg_edges_;
+    /// Backbone rows, one slot per border (null = unbuilt): distance, plus
+    /// the first *physical* hop (node + link) toward each border.
+    std::vector<std::unique_ptr<RowCell[]>> bb_rows_;
 
-    std::size_t rows_built_ = 0;  ///< materialised site-table rows
+    std::size_t rows_built_ = 0;     ///< materialised site-table rows
+    std::size_t bb_rows_built_ = 0;  ///< materialised backbone rows
     DijkstraScratch scratch_;
 
     // --- multicast tree cache --------------------------------------------

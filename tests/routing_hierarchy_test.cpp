@@ -177,6 +177,31 @@ TEST(RoutingAB, DownedRouterForcesIdenticalBackboneDetour) {
               (std::vector<NodeId>{d.a_host, d.a_r2, d.b_r2, d.b_host}));
 }
 
+TEST(RoutingAB, LeaveAndReturnThroughAnotherSite) {
+    // With a_host down, site A's interior cannot relay between its two
+    // borders: the only a_r1 -> a_r2 path leaves the site and comes back
+    // through site B.
+    DetourNet d;
+    d.net.set_node_down(d.a_host, true);
+    d.net.finalize();
+    const std::vector<NodeId> want = oracle_path(d.net, d.a_r1, d.a_r2, {d.a_host});
+    ASSERT_EQ(want, (std::vector<NodeId>{d.a_r1, d.b_r1, d.b_host, d.b_r2, d.a_r2}));
+    EXPECT_EQ(traced_unicast(d.net, d.sim, d.a_r1, d.a_r2, query_from(d.a_r1)), want);
+}
+
+TEST(Routing, CrossSiteUnicastBuildsOnlyTheSendingSitesBackboneRows) {
+    // Backbone rows build on first touch: a_host weighs both of its site's
+    // exit borders, while each later hop's candidates are settled by site
+    // rows alone.
+    DetourNet d;
+    EXPECT_EQ(d.net.backbone_rows_built(), 0u);
+    EXPECT_EQ(traced_unicast(d.net, d.sim, d.a_host, d.b_host, query_from(d.a_host)),
+              oracle_path(d.net, d.a_host, d.b_host));
+    EXPECT_EQ(d.net.backbone_rows_built(), 2u);  // a_r1's and a_r2's
+    (void)d.net.routing_table_hash();
+    EXPECT_EQ(d.net.backbone_rows_built(), 4u);  // every border's
+}
+
 TEST(Routing, DownedRouterDetourUsesBackupCorridor) {
     DetourNet d;
     const GroupId group{1};

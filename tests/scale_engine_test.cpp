@@ -194,6 +194,124 @@ TEST(FinalizeModes, LazyRowsUseFinalizeTimeLivenessSnapshot) {
               lbrm::test::oracle_path(net, a_host, b_host, {a_relay}));
 }
 
+// --- lazy backbone rows ------------------------------------------------------
+
+TEST(FinalizeModes, BackboneRowsBuildOnFirstTouch) {
+    Simulator sim;
+    Network net{sim, 5};
+    DisTopologySpec spec;
+    spec.sites = 8;
+    spec.receivers_per_site = 4;
+    const DisTopology topo = make_dis_topology(net, spec);
+    net.finalize();
+    EXPECT_EQ(net.backbone_rows_built(), 0u);
+
+    // Every site has one border (its router), so same-site routes never
+    // leave the site and never read the backbone.
+    const auto& site = topo.sites[2];
+    const Packet query{Header{GroupId{1}, site.receivers[0], site.receivers[0]},
+                       PrimaryQueryBody{}};
+    EXPECT_EQ(lbrm::test::traced_unicast(net, sim, site.receivers[0], site.secondary, query),
+              (std::vector<NodeId>{site.receivers[0], site.router, site.secondary}));
+    const GroupId group{1};
+    for (const NodeId r : site.receivers) net.join(group, r);
+    for (const McastScope scope : {McastScope::kSite, McastScope::kGlobal})
+        net.multicast(site.secondary,
+                      Packet{Header{group, site.secondary, site.secondary},
+                             DataBody{SeqNum{1}, EpochId{0}, {1}}},
+                      scope);
+    sim.run_for(secs(1.0));
+    EXPECT_EQ(net.link(site.router, site.receivers[3])->stats().packets, 2u);
+    EXPECT_EQ(net.backbone_rows_built(), 0u);
+
+    // Hashing builds every row: one per border -- each site router, the
+    // source router and the backbone hub.
+    (void)net.routing_table_hash();
+    EXPECT_EQ(net.backbone_rows_built(), spec.sites + 2u);
+}
+
+/// Site A reaches site C across one of two single-node transit sites:
+///
+///   a_host -- a_r --- t1 --- c_r -- c_host
+///                \--- t2 ---/
+///
+/// The t1 corridor is faster, so every A -> C route crosses t1.
+struct TransitNet {
+    Simulator sim;
+    Network net{sim, 7};
+    NodeId a_host, a_r, t1, t2, c_r, c_host;
+
+    TransitNet() {
+        a_host = net.add_node(SiteId{1});
+        a_r = net.add_node(SiteId{1}, true);
+        t1 = net.add_node(SiteId{2}, true);
+        t2 = net.add_node(SiteId{3}, true);
+        c_r = net.add_node(SiteId{4}, true);
+        c_host = net.add_node(SiteId{4});
+        const LinkSpec fast{millis(1), 0.0, Duration::zero()};
+        const LinkSpec slow{millis(3), 0.0, Duration::zero()};
+        net.add_link(a_host, a_r, fast);
+        net.add_link(a_r, t1, fast);
+        net.add_link(t1, c_r, fast);
+        net.add_link(a_r, t2, slow);
+        net.add_link(t2, c_r, slow);
+        net.add_link(c_r, c_host, fast);
+        net.finalize();
+    }
+
+    [[nodiscard]] Packet query() const {
+        return Packet{Header{GroupId{1}, a_host, a_host}, PrimaryQueryBody{}};
+    }
+};
+
+TEST(FinalizeModes, LazyBackboneRowsUseFinalizeTimeLivenessSnapshot) {
+    TransitNet n;
+    ASSERT_EQ(lbrm::test::oracle_path(n.net, n.a_host, n.c_host),
+              (std::vector<NodeId>{n.a_host, n.a_r, n.t1, n.c_r, n.c_host}));
+
+    // a_r's backbone row is first built by this unicast, after the transit
+    // border t1 went down: it must still follow the finalize-time route and
+    // die in t1, not detour through t2.
+    n.net.set_node_down(n.t1, true);
+    EXPECT_EQ(n.net.backbone_rows_built(), 0u);
+    EXPECT_EQ(lbrm::test::traced_unicast(n.net, n.sim, n.a_host, n.c_host, n.query()),
+              (std::vector<NodeId>{n.a_host, n.a_r, n.t1}));
+    EXPECT_EQ(n.net.backbone_rows_built(), 1u);
+
+    n.net.finalize();  // reconverge: the oracle's detour
+    EXPECT_EQ(lbrm::test::traced_unicast(n.net, n.sim, n.a_host, n.c_host, n.query()),
+              lbrm::test::oracle_path(n.net, n.a_host, n.c_host, {n.t1}));
+}
+
+TEST(FinalizeModes, LazyBackboneRowsUseFinalizeTimeBorderGraph) {
+    TransitNet n;
+    std::vector<NodeId> path{n.a_host};
+    n.net.set_tap([&path](TimePoint, const Link& l, const Packet&, bool) {
+        if (l.from() != path.back()) path.push_back(kNoNode);
+        path.push_back(l.to());
+    });
+    n.net.unicast(n.a_host, n.c_host, n.query());
+    n.sim.run_for(micros(1500));  // in flight on a_r -> t1
+    ASSERT_EQ(path, (std::vector<NodeId>{n.a_host, n.a_r, n.t1}));
+    EXPECT_EQ(n.net.backbone_rows_built(), 1u);  // a_r's
+
+    // A shortcut from t1 into site C.  t1's backbone row is first built when
+    // the packet arrives there, after the new cable: it must still follow
+    // the finalize-time route through c_r.
+    const LinkSpec fast{millis(1), 0.0, Duration::zero()};
+    n.net.add_link(n.t1, n.c_host, fast);
+    n.sim.run_for(secs(1.0));
+    n.net.set_tap(nullptr);
+    EXPECT_EQ(path, (std::vector<NodeId>{n.a_host, n.a_r, n.t1, n.c_r, n.c_host}));
+    EXPECT_EQ(n.net.backbone_rows_built(), 2u);  // a_r's and t1's
+
+    n.net.finalize();  // reconverge: the shortcut
+    EXPECT_EQ(lbrm::test::traced_unicast(n.net, n.sim, n.a_host, n.c_host, n.query()),
+              (std::vector<NodeId>{n.a_host, n.a_r, n.t1, n.c_host}));
+    EXPECT_EQ(lbrm::test::oracle_path(n.net, n.a_host, n.c_host),
+              (std::vector<NodeId>{n.a_host, n.a_r, n.t1, n.c_host}));
+}
+
 // --- observer A/B ------------------------------------------------------------
 
 ScenarioConfig observer_scenario_config(std::shared_ptr<ScenarioObserver> observer) {

@@ -133,7 +133,9 @@ TEST(WwwInvalidation, FlashCrowdMultipliesRateAndFocusesHotPages) {
         const bool in_crowd = t >= secs(1.0) && t < secs(2.0);
         t += item.gap;
         (in_crowd ? crowd : calm)++;
-        if (in_crowd) EXPECT_LT(item.key, 4u);  // focused on the hottest pages
+        if (in_crowd) {
+            EXPECT_LT(item.key, 4u);  // focused on the hottest pages
+        }
     }
     // Two calm seconds vs one crowd second at 10x: the crowd window must
     // clearly out-produce both calm seconds together.
