@@ -10,7 +10,8 @@
 // Scenarios:
 //
 //   routing_100k   -- 1,000 sites x 97 receivers (~100k nodes).  Builds the
-//                     routing tables and reports finalize() wall time, the
+//                     topology and the routing tables and reports the
+//                     make_dis_topology() and finalize() wall times, the
 //                     site-table rows finalize() materialised (the border
 //                     rows; the rest build on first touch), the backbone
 //                     rows the sanity multicasts then built (finalize()
@@ -39,11 +40,13 @@
 //                       [--full-only] [--full-name NAME]
 //                       [--full-dormant 0|1] [--active-per-site N]
 //
-// --repeat N reruns the finalize measurement N times and reports the
-// minimum (the least noisy estimator for wall time on a shared machine).
+// --repeat N reruns the topology build and finalize N times and reports
+// the minimum of each (the least noisy estimator for wall time on a shared
+// machine).
 // --full-only skips the routing phase and runs just the full-protocol
 // scenario -- with --full-sites/--full-receivers/--active-per-site this is
 // how the 10M-node memory-diet run is recorded (see BENCH_simcore.json).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -74,6 +77,7 @@ double now_seconds_since(const std::chrono::steady_clock::time_point& t0) {
 }
 
 struct BuildStats {
+    double topology_seconds = 0.0;  ///< make_dis_topology() wall time
     double finalize_seconds = 0.0;
     std::size_t nodes = 0;
     std::size_t rows_built = 0;  ///< site-table rows materialised by finalize()
@@ -87,12 +91,13 @@ struct BuildStats {
 BuildStats run_build(std::uint32_t sites, std::uint32_t receivers) {
     Simulator simulator;
     Network net{simulator, 42};
+    BuildStats out;
+    const auto build_start = std::chrono::steady_clock::now();
     const DisTopology topo = make_dis_topology(net, scale_spec(sites, receivers));
+    out.topology_seconds = now_seconds_since(build_start);
 
     const auto start = std::chrono::steady_clock::now();
     net.finalize();
-
-    BuildStats out;
     out.finalize_seconds = now_seconds_since(start);
     out.nodes = net.node_count();
     out.rows_built = net.site_rows_built();
@@ -201,11 +206,12 @@ int main(int argc, char** argv) {
         BuildStats big = run_build(sites, receivers);
         trace_rec.uninstall();
         // Only the first run is traced; extra --repeat runs refine the
-        // min-of-N finalize time (other fields are identical across runs --
-        // the builds are deterministic).
+        // min-of-N topology and finalize times (other fields are identical
+        // across runs -- the builds are deterministic).
         for (unsigned r = 1; r < repeat; ++r) {
             const BuildStats again = run_build(sites, receivers);
-            if (again.finalize_seconds < big.finalize_seconds) big = again;
+            big.topology_seconds = std::min(big.topology_seconds, again.topology_seconds);
+            big.finalize_seconds = std::min(big.finalize_seconds, again.finalize_seconds);
         }
         // The flat matrices would hold n^2 next-hop entries (4B) + n^2 link
         // pointers (8B); computed analytically because at 100k nodes that is
@@ -215,9 +221,10 @@ int main(int argc, char** argv) {
         const double ratio = flat_bytes / static_cast<double>(big.table_bytes);
         const double rss_mib = static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
 
-        Table table({"nodes", "finalize s", "rows built", "backbone rows", "table MiB",
-                     "B/node", "flat MiB", "ratio"});
-        table.row({fmt_int(big.nodes), fmt(big.finalize_seconds, 3), fmt_int(big.rows_built),
+        Table table({"nodes", "topology s", "finalize s", "rows built", "backbone rows",
+                     "table MiB", "B/node", "flat MiB", "ratio"});
+        table.row({fmt_int(big.nodes), fmt(big.topology_seconds, 3),
+                   fmt(big.finalize_seconds, 3), fmt_int(big.rows_built),
                    fmt_int(big.backbone_rows),
                    fmt(static_cast<double>(big.table_bytes) / (1024.0 * 1024.0), 1),
                    fmt(static_cast<double>(big.table_bytes) / static_cast<double>(big.nodes), 1),
@@ -228,6 +235,8 @@ int main(int argc, char** argv) {
 
         metrics.push_back({"routing_scale", "nodes",
                            static_cast<double>(big.nodes), timestamp});
+        metrics.push_back(
+            {"routing_scale", "topology_seconds", big.topology_seconds, timestamp});
         metrics.push_back(
             {"routing_scale", "finalize_seconds_hier", big.finalize_seconds, timestamp});
         metrics.push_back({"routing_scale", "site_rows_built",

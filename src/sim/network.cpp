@@ -18,18 +18,13 @@ constexpr std::int64_t kInfDist = std::numeric_limits<std::int64_t>::max();
 /// hops between equal-latency paths, keeping routes deterministic).  Routes
 /// are the true shortest paths under this metric wherever those are unique
 /// (DESIGN.md "Hierarchical routing", tie-breaking).
-[[nodiscard]] std::int64_t edge_weight(const Link* l) {
-    return l->spec().propagation.count() + 1000;
+[[nodiscard]] std::int64_t edge_weight(const LinkSpec& spec) {
+    return spec.propagation.count() + 1000;
 }
 
 /// Multicast-tree cache key: (group id, sender id) packed into 64 bits.
 [[nodiscard]] std::uint64_t tree_key(GroupId group, NodeId sender) {
     return (static_cast<std::uint64_t>(group.value()) << 32) | sender.value();
-}
-
-/// Link-index key: (from node index, to node index) packed into 64 bits.
-[[nodiscard]] std::uint64_t pair_key(std::size_t from, std::size_t to) {
-    return (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
 }
 
 }  // namespace
@@ -138,13 +133,17 @@ void Network::reserve(std::size_t nodes, std::size_t directed_links) {
     node_is_router_.reserve(nodes);
     node_down_.reserve(nodes);
     node_host_.reserve(nodes);
-    link_index_.reserve(directed_links);
+    cable_head_.reserve(nodes);
+    cable_tail_.reserve(nodes);
+    end_next_.reserve(directed_links);  // two cable ends per cable
 }
 
 NodeId Network::add_node(SiteId site, bool is_router) {
     node_site_id_.push_back(site);
     node_is_router_.push_back(is_router ? 1 : 0);
     node_down_.push_back(0);
+    cable_head_.push_back(kNoIndex);
+    cable_tail_.push_back(kNoIndex);
     finalized_ = false;
     return NodeId{static_cast<std::uint32_t>(node_site_id_.size())};
 }
@@ -161,17 +160,25 @@ void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
         const unsigned resets = existing->cable().respec(spec);
         if (resets != 0) respec_loss_resets_->inc(resets);
     } else {
-        Cable& c = cables_.emplace_back(a, b, spec);
-        link_index_.emplace(pair_key(index(a), index(b)), &c.dir[0]);
-        link_index_.emplace(pair_key(index(b), index(a)), &c.dir[1]);
+        // Append the cable's two ends to their nodes' lists (add order).
+        auto append = [this](std::size_t node, std::uint32_t e) {
+            end_next_.push_back(kNoIndex);
+            std::uint32_t& tail = cable_tail_[node];
+            (tail == kNoIndex ? cable_head_[node] : end_next_[tail]) = e;
+            tail = e;
+        };
+        const auto end = static_cast<std::uint32_t>(2 * cables_.size());
+        cables_.emplace_back(a, b, spec);
+        append(index(a), end);
+        append(index(b), end + 1);
     }
     // A changed edge can invalidate any cached tree, so the tree cache
     // drops immediately -- not just at the next finalize().  In-flight
     // deliveries keep their pinned trees and complete on the pre-change
     // routes, as before.  The CSR snapshot is *not* rebuilt here: routing
     // (including rows built from now on) keeps reading the finalize-time
-    // adjacency until the required finalize() -- stale tables, as in a
-    // network whose routing protocol has not reconverged.
+    // adjacency and weights until the required finalize() -- stale tables,
+    // as in a network whose routing protocol has not reconverged.
     invalidate_all_trees();
     finalized_ = false;
 }
@@ -194,25 +201,33 @@ void Network::set_node_down(NodeId node, bool down) {
     // consult liveness at build time.
 }
 
-Link* Network::find_link(std::uint64_t key) const {
-    const auto it = std::lower_bound(
-        link_flat_.begin(), link_flat_.end(), key,
-        [](const std::pair<std::uint64_t, Link*>& e, std::uint64_t k) {
-            return e.first < k;
-        });
-    if (it != link_flat_.end() && it->first == key) return it->second;
-    const auto mit = link_index_.find(key);
-    return mit != link_index_.end() ? mit->second : nullptr;
+std::uint32_t Network::find_link(NodeId a, NodeId b) const {
+    const std::size_t ia = index(a);
+    const std::size_t ib = index(b);
+    if (ia >= node_count() || ib >= node_count() || ia == ib) return kNoIndex;
+    // The cable a-b sits on both lists, so walk them in lockstep: whichever
+    // reaches it first ends the walk, and the shorter list's end proves it
+    // absent.  Add order puts a host's LAN cable and a site router's tail
+    // circuit first on their lists.
+    std::uint32_t ea = cable_head_[ia];
+    std::uint32_t eb = cable_head_[ib];
+    while (ea != kNoIndex && eb != kNoIndex) {
+        if (far_node(ea) == ib) return ea;      // a -> b leaves from end ea
+        if (far_node(eb) == ia) return eb ^ 1;  // ... from the other end of eb's cable
+        ea = end_next_[ea];
+        eb = end_next_[eb];
+    }
+    return kNoIndex;
 }
 
 Link* Network::link(NodeId a, NodeId b) {
-    if (index(a) >= node_count() || index(b) >= node_count()) return nullptr;
-    return find_link(pair_key(index(a), index(b)));
+    const std::uint32_t e = find_link(a, b);
+    return e == kNoIndex ? nullptr : &directed_link(e);
 }
 
 const Link* Network::link(NodeId a, NodeId b) const {
-    if (index(a) >= node_count() || index(b) >= node_count()) return nullptr;
-    return find_link(pair_key(index(a), index(b)));
+    const std::uint32_t e = find_link(a, b);
+    return e == kNoIndex ? nullptr : &directed_link(e);
 }
 
 // ---------------------------------------------------------------------------
@@ -233,30 +248,24 @@ void Network::build_adjacency() {
     for (std::size_t i = 0; i < n; ++i) csr_offset_[i + 1] += csr_offset_[i];
     csr_to_.resize(csr_offset_[n]);
     csr_link_.resize(csr_offset_[n]);
+    cable_weight_.resize(cables_.size());
     // Walking the cables in creation order puts each node's out-edges in
     // add_link order.  Filling advances csr_offset_[i] from the start of
     // row i to its end, which is the start of row i + 1, so one shift
     // restores the row starts afterwards.
-    auto place = [this](std::size_t from, std::size_t to, Link& l) {
+    auto place = [this](std::size_t from, std::size_t to, std::uint32_t e) {
         const std::uint32_t k = csr_offset_[from]++;
         csr_to_[k] = static_cast<std::uint32_t>(to);
-        csr_link_[k] = &l;
+        csr_link_[k] = e;
     };
-    for (Cable& c : cables_) {
-        place(index(c.a), index(c.b), c.dir[0]);
-        place(index(c.b), index(c.a), c.dir[1]);
+    std::uint32_t e = 0;  // cable c's ends are 2c and 2c + 1
+    for (const Cable& c : cables_) {
+        cable_weight_[e >> 1] = edge_weight(c.spec);
+        place(index(c.a), index(c.b), e++);
+        place(index(c.b), index(c.a), e++);
     }
     std::copy_backward(csr_offset_.begin(), csr_offset_.end() - 1, csr_offset_.end());
     csr_offset_[0] = 0;
-
-    // Drain the construction-time hash map into the sorted flat index and
-    // free its buckets (see the member comment for the memory math).
-    if (!link_index_.empty()) {
-        link_flat_.reserve(link_flat_.size() + link_index_.size());
-        for (const auto& [key, l] : link_index_) link_flat_.emplace_back(key, l);
-        std::sort(link_flat_.begin(), link_flat_.end());
-        std::unordered_map<std::uint64_t, Link*>{}.swap(link_index_);
-    }
 }
 
 void Network::finalize() {
@@ -288,14 +297,22 @@ void Network::build_hierarchical_routes() {
         site_tables_.clear();
         node_site_.assign(n, 0);
         node_local_.assign(n, 0);
+        // Nodes of one site are usually added together, so the hash is
+        // consulted once per run of same-site nodes, not once per node.
         std::unordered_map<std::uint32_t, std::uint32_t> site_index;
+        std::uint32_t run_key = 0;
+        std::uint32_t run_site = kNoIndex;
         for (std::size_t i = 0; i < n; ++i) {
             const std::uint32_t key = node_site_id_[i].value();
-            auto [it, inserted] = site_index.emplace(
-                key, static_cast<std::uint32_t>(site_tables_.size()));
-            if (inserted) site_tables_.emplace_back();
-            SiteTable& table = site_tables_[it->second];
-            node_site_[i] = it->second;
+            if (run_site == kNoIndex || key != run_key) {
+                auto [it, inserted] = site_index.emplace(
+                    key, static_cast<std::uint32_t>(site_tables_.size()));
+                if (inserted) site_tables_.emplace_back();
+                run_key = key;
+                run_site = it->second;
+            }
+            SiteTable& table = site_tables_[run_site];
+            node_site_[i] = run_site;
             node_local_[i] = static_cast<std::uint32_t>(table.nodes.size());
             table.nodes.push_back(static_cast<std::uint32_t>(i));
         }
@@ -381,7 +398,8 @@ void Network::build_site_row(std::uint32_t site, std::uint32_t src_local) {
             for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
                 const std::uint32_t gv = csr_to_[k];
                 if (node_site_[gv] != site) continue;  // intra only
-                relax(node_local_[gv], edge_weight(csr_link_[k]), gv, csr_link_[k]);
+                const std::uint32_t e = csr_link_[k];
+                relax(node_local_[gv], cable_weight_[e >> 1], gv, &directed_link(e));
             }
         });
     ++rows_built_;
@@ -405,8 +423,9 @@ void Network::build_border_graph() {
             const std::uint32_t gv = csr_to_[k];
             if (node_site_[gv] == node_site_[gu]) continue;
             // inter-site => gv is a border
-            bg_edges_.push_back(
-                BorderEdge{edge_weight(csr_link_[k]), node_border_[gv], gv, csr_link_[k]});
+            const std::uint32_t e = csr_link_[k];
+            bg_edges_.push_back(BorderEdge{cable_weight_[e >> 1], node_border_[gv], gv,
+                                           &directed_link(e)});
         }
         const SiteTable& table = site_tables_[node_site_[gu]];
         const RowCell* row = table.rows[node_local_[gu]].get();

@@ -13,8 +13,10 @@
 // vectors, adjacency is a CSR snapshot that finalize() counting-sorts
 // straight out of the cables, and the cold protocol endpoints (SimHost)
 // live by value in a chunked arena behind a sparse node -> host pointer
-// table.  Group membership is sorted flat vectors (ascending node id -- the
-// same iteration order std::set gave).
+// table.  Each node also keeps the list of cables that touch it, in add
+// order; link(a, b) walks the two endpoints' lists (DESIGN.md "Cable
+// lists"), so no pair index exists.  Group membership is sorted flat
+// vectors (ascending node id -- the same iteration order std::set gave).
 //
 // Routing is hierarchical (see DESIGN.md "Hierarchical routing"), mirroring
 // the paper's two-level site/backbone topology: per-site intra-site
@@ -27,10 +29,10 @@
 // border's inter-site links, then its virtual same-site edges); every other
 // site-table row, and every backbone row, materialises on first touch, so
 // memory grows with the rows traffic reads, not with B^2.  Each row is a
-// pure function of snapshots taken at finalize() -- the adjacency CSR, the
-// liveness flags and the border graph -- so build *time* can never change a
-// route (a lazily built row never sees a post-finalize set_node_down or
-// add_link).
+// pure function of snapshots taken at finalize() -- the adjacency CSR and
+// the cable weights, the liveness flags and the border graph -- so build
+// *time* can never change a route (a lazily built row never sees a
+// post-finalize set_node_down, new cable or cable re-spec).
 //
 // Delivery trees are cached per (group, sender, scope) behind an optional
 // LRU bound (SimConfig::tree_cache_capacity) and invalidated on membership
@@ -136,7 +138,10 @@ public:
 
     // --- introspection -------------------------------------------------------
     /// The directed link a -> b, or nullptr when absent (including self
-    /// pairs and out-of-range ids).  O(1) via the endpoint-pair index.
+    /// pairs and out-of-range ids).  Walks a's and b's cable lists in
+    /// lockstep: O(min degree), one step for a host's LAN cable or a
+    /// site's tail circuit.  Cables added after finalize() are found at
+    /// once.
     [[nodiscard]] Link* link(NodeId a, NodeId b);
     [[nodiscard]] const Link* link(NodeId a, NodeId b) const;
     [[nodiscard]] SiteId site_of(NodeId node) const {
@@ -368,12 +373,25 @@ private:
     };
 
     // --- routing ---------------------------------------------------------
-    /// Counting-sort the cables into the CSR adjacency snapshot.  Routing
-    /// reads only the snapshot, so rows built after a post-finalize
-    /// add_link still see the finalize-time adjacency (stale-table
-    /// semantics, as if every row had been built at finalize()).
+    /// Counting-sort the cables into the CSR adjacency snapshot and take
+    /// their weights.  Routing reads only the snapshot, so rows built after a
+    /// post-finalize add_link -- a new cable or a re-spec -- still see the
+    /// finalize-time adjacency (stale-table semantics, as if every row had
+    /// been built at finalize()).
     void build_adjacency();
-    [[nodiscard]] Link* find_link(std::uint64_t key) const;
+    /// The directed link a -> b as a directed-link index (see cable_head_),
+    /// or kNoIndex.
+    [[nodiscard]] std::uint32_t find_link(NodeId a, NodeId b) const;
+    /// The directed link with index `e` (see cable_head_).
+    [[nodiscard]] Link& directed_link(std::uint32_t e) { return cables_[e >> 1].dir[e & 1]; }
+    [[nodiscard]] const Link& directed_link(std::uint32_t e) const {
+        return cables_[e >> 1].dir[e & 1];
+    }
+    /// Node index at the far side of cable end `e`.
+    [[nodiscard]] std::size_t far_node(std::uint32_t e) const {
+        const Cable& c = cables_[e >> 1];
+        return index((e & 1) != 0 ? c.a : c.b);
+    }
     void build_hierarchical_routes();
     /// One routing row: Dijkstra from vertex `src` over `n` vertices.
     /// `relays(u)` says whether u may carry transit traffic (the source
@@ -455,20 +473,27 @@ private:
     // --- adjacency --------------------------------------------------------
     /// CSR snapshot: out-edges of node i are [csr_offset_[i], csr_offset_[i+1]),
     /// in add_link order (Dijkstra's tie-breaking depends on edge
-    /// relaxation order).  build_adjacency() rebuilds it from cables_ at
-    /// every finalize().
+    /// relaxation order); an edge is its far node and its directed-link
+    /// index.  cable_weight_ holds each cable's routing weight as of the
+    /// snapshot, so a post-finalize re-spec never reaches a row built
+    /// before the next finalize().  build_adjacency() rebuilds all four
+    /// from cables_ at every finalize(): 8 bytes per directed edge plus 8
+    /// per cable.
     std::vector<std::uint32_t> csr_offset_;
     std::vector<std::uint32_t> csr_to_;
-    std::vector<Link*> csr_link_;
+    std::vector<std::uint32_t> csr_link_;
+    std::vector<std::int64_t> cable_weight_;
 
     StableVector<Cable> cables_;  ///< creation order; adjacency points into dir[]
-    /// link(a, b) lookup, keyed (from index << 32 | to index).  During
-    /// construction every entry lives in the hash map; finalize() drains it
-    /// into the sorted flat array -- two million directed links cost 32 MB
-    /// there versus ~110 MB as hash nodes -- and links added afterwards
-    /// collect in the (then near-empty) map until the next finalize().
-    std::vector<std::pair<std::uint64_t, Link*>> link_flat_;
-    std::unordered_map<std::uint64_t, Link*> link_index_;
+    /// Per-node cable lists for link(a, b), in add order.  Cable c has two
+    /// ends, 2c (its `a` node) and 2c + 1 (its `b` node); an end doubles as
+    /// the directed-link index of the link leaving it (directed_link()).
+    /// Node i's ends run from cable_head_[i] along end_next_ to
+    /// cable_tail_[i]; kNoIndex ends a list.  Nothing is rebuilt at
+    /// finalize(): 8 bytes per node plus 8 per cable, always current.
+    std::vector<std::uint32_t> cable_head_;
+    std::vector<std::uint32_t> cable_tail_;
+    std::vector<std::uint32_t> end_next_;
 
     // --- hosts (cold; sparse side table over a by-value arena) ------------
     StableVector<SimHost> host_arena_;

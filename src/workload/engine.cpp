@@ -17,6 +17,14 @@ double bucket_bound(std::size_t i) {
     return kStaleFloor * std::pow(10.0, static_cast<double>(i) / kStalePerDecade);
 }
 
+/// The histogram bucket a staleness of `seconds` falls in (kStaleBuckets =
+/// overflow).
+std::size_t stale_bucket(double seconds, std::size_t buckets) {
+    if (seconds <= kStaleFloor) return 0;
+    const double exact = std::ceil(kStalePerDecade * std::log10(seconds / kStaleFloor));
+    return exact >= static_cast<double>(buckets) ? buckets : static_cast<std::size_t>(exact);
+}
+
 }  // namespace
 
 WorkloadEngine::WorkloadEngine(sim::DisScenario& scenario, EngineConfig config)
@@ -171,6 +179,7 @@ void WorkloadEngine::record_send(std::size_t stream, const WorkloadItem& item,
     auto [it, inserted] = newest_sent_.try_emplace(key, item.update);
     if (!inserted && item.update > it->second) it->second = item.update;
     streams_[stream].last_send = at;
+    memo_.valid = false;  // a send may supersede the memoised delivery
 }
 
 void WorkloadEngine::on_send(TimePoint at, SeqNum seq) {
@@ -182,31 +191,25 @@ void WorkloadEngine::on_send(TimePoint at, SeqNum seq) {
 }
 
 void WorkloadEngine::on_delivery(TimePoint at, NodeId, const DeliverData& data) {
-    const auto it = sent_.find(data.seq.value());
-    if (it == sent_.end()) return;  // not ours (or sent on another shard)
-    const SentRec& rec = it->second;
-    observe_staleness(to_seconds(at - rec.at));
+    if (!memo_.valid || memo_.seq != data.seq || memo_.at != at) {
+        const auto it = sent_.find(data.seq.value());
+        if (it == sent_.end()) return;  // not ours (or sent on another shard)
+        const SentRec& rec = it->second;
+        const double seconds = to_seconds(at - rec.at);
+        stale_max_ = std::max(stale_max_, seconds);
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(rec.stream) << 32) | rec.key;
+        const auto newest = newest_sent_.find(key);
+        memo_ = DeliveryMemo{true, data.seq, at, stale_bucket(seconds, kStaleBuckets),
+                             newest != newest_sent_.end() && newest->second > rec.update};
+    }
+    ++stale_count_;
+    ++stale_counts_[memo_.bucket];
     obs_stale_samples_->inc();
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(rec.stream) << 32) | rec.key;
-    const auto newest = newest_sent_.find(key);
-    if (newest != newest_sent_.end() && newest->second > rec.update) {
+    if (memo_.superseded) {
         ++superseded_;
         obs_superseded_->inc();
     }
-}
-
-void WorkloadEngine::observe_staleness(double seconds) {
-    ++stale_count_;
-    stale_max_ = std::max(stale_max_, seconds);
-    std::size_t i = 0;
-    if (seconds > kStaleFloor) {
-        const double exact = std::ceil(kStalePerDecade * std::log10(seconds / kStaleFloor));
-        i = exact >= static_cast<double>(kStaleBuckets)
-                ? kStaleBuckets
-                : static_cast<std::size_t>(exact);
-    }
-    ++stale_counts_[i];
 }
 
 double WorkloadEngine::staleness_quantile(double q) const {

@@ -139,7 +139,6 @@ private:
                      TimePoint at, std::size_t bytes);
     void on_delivery(TimePoint at, NodeId node, const DeliverData& data) override;
     void on_send(TimePoint at, SeqNum seq) override;
-    void observe_staleness(double seconds);
 
     sim::DisScenario& scenario_;
     EngineConfig config_;
@@ -166,6 +165,19 @@ private:
 
     std::uint64_t superseded_ = 0;
     bool gauges_registered_ = false;
+
+    /// The last delivery's outcome.  A multicast hands one (seq, arrival
+    /// time) to every receiver of a site, so consecutive deliveries repeat
+    /// it; a hit skips both map lookups and the bucket's log10.
+    /// record_send invalidates it (a send changes both maps).
+    struct DeliveryMemo {
+        bool valid = false;
+        SeqNum seq{};
+        TimePoint at{};
+        std::size_t bucket = 0;  ///< stale_counts_ index
+        bool superseded = false;
+    };
+    DeliveryMemo memo_;
 
     // Registry handles (sink-backed when telemetry is compiled out).
     obs::Counter* obs_sends_ = nullptr;

@@ -5,9 +5,12 @@
 // the protocol trace bit-identical.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/stable_vector.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/network.hpp"
@@ -83,6 +86,136 @@ TEST(NetworkLink, MissingSelfAndOutOfRangePairsReturnNull) {
     EXPECT_EQ(net.link(a, a), nullptr);         // self pair
     EXPECT_EQ(net.link(a, NodeId{999}), nullptr);  // out of range
     EXPECT_EQ(net.link(NodeId{999}, a), nullptr);
+}
+
+/// link(a, b) against a std::map oracle of every directed link, on seeded
+/// random multi-site networks: a hub of degree > 1,000, duplicate add_link
+/// calls in either orientation (re-specs), cables added after finalize(),
+/// lookups before and after finalize(), absent pairs and ids out of range.
+/// A pair must resolve to the Link* its cable got when it was added, for
+/// the network's lifetime.
+TEST(NetworkLink, RandomTopologiesMatchMapOracle) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        Rng rng{seed};
+        Simulator sim;
+        Network net{sim, seed};
+        std::map<std::pair<std::uint32_t, std::uint32_t>, Link*> oracle;
+        std::vector<NodeId> nodes;
+        std::uint64_t expected_resets = 0;
+
+        auto random_node = [&] { return nodes[rng.uniform_int(0, nodes.size() - 1)]; };
+        auto random_link = [&] {
+            auto it = oracle.begin();
+            std::advance(it, static_cast<long>(rng.uniform_int(0, oracle.size() - 1)));
+            return it;
+        };
+        // Adds the cable a-b, or re-specs it when it exists; true if new.
+        auto connect = [&](NodeId a, NodeId b) {
+            const LinkSpec spec{micros(static_cast<std::int64_t>(rng.uniform_int(10, 5000))),
+                                0.0, Duration::zero()};
+            const auto it = oracle.find({a.value(), b.value()});
+            if (it == oracle.end()) {
+                net.add_link(a, b, spec);
+                oracle[{a.value(), b.value()}] = net.link(a, b);
+                oracle[{b.value(), a.value()}] = net.link(b, a);
+                return true;
+            }
+            // Re-spec in place: same links, stats kept, loss models reset.
+            Link* ab = it->second;
+            Link* ba = oracle.at({b.value(), a.value()});
+            const std::uint64_t packets = ab->stats().packets;
+            const std::uint64_t bytes = ab->stats().bytes;
+            expected_resets += (ab->has_loss_model() ? 1 : 0) + (ba->has_loss_model() ? 1 : 0);
+            net.add_link(a, b, spec);
+            EXPECT_EQ(net.link(a, b), ab);
+            EXPECT_EQ(net.link(b, a), ba);
+            EXPECT_EQ(ab->spec().propagation, spec.propagation);
+            EXPECT_EQ(ab->stats().packets, packets);
+            EXPECT_EQ(ab->stats().bytes, bytes);
+            EXPECT_FALSE(ab->has_loss_model());
+            EXPECT_FALSE(ba->has_loss_model());
+            return false;
+        };
+
+        const NodeId hub = nodes.emplace_back(net.add_node(SiteId{0}, true));
+        auto check = [&] {
+            ASSERT_EQ(net.link_count(), oracle.size());
+            for (const auto& [pair, l] : oracle) {
+                const NodeId a{pair.first};
+                const NodeId b{pair.second};
+                ASSERT_EQ(net.link(a, b), l);
+                EXPECT_EQ(l->from(), a);
+                EXPECT_EQ(l->to(), b);
+                EXPECT_EQ(&net.link(b, a)->cable(), &l->cable());
+            }
+            const Network& cnet = net;
+            for (int i = 0; i < 20'000; ++i) {  // mostly absent pairs
+                const NodeId a = random_node();
+                const NodeId b = i % 4 == 0 ? hub : random_node();
+                const auto it = oracle.find({a.value(), b.value()});
+                ASSERT_EQ(cnet.link(a, b), it == oracle.end() ? nullptr : it->second);
+            }
+            const NodeId past{static_cast<std::uint32_t>(net.node_count() + 1)};
+            for (const NodeId bad : {NodeId{0}, past, NodeId{0xFFFFFFFFu}}) {
+                EXPECT_EQ(net.link(hub, bad), nullptr);
+                EXPECT_EQ(net.link(bad, hub), nullptr);
+                EXPECT_EQ(net.link(bad, bad), nullptr);
+            }
+        };
+
+        // Sites: a router on the hub, hosts on the router.
+        for (std::uint32_t s = 1; s <= 20; ++s) {
+            const NodeId router = nodes.emplace_back(net.add_node(SiteId{s}, true));
+            connect(router, hub);
+            const auto hosts = rng.uniform_int(40, 100);
+            for (std::uint64_t h = 0; h < hosts; ++h)
+                connect(nodes.emplace_back(net.add_node(SiteId{s})), router);
+        }
+        // Spokes until the hub's degree passes 1,000, then random cables;
+        // a repeated pair re-specs.
+        std::size_t hub_degree = 20;
+        while (hub_degree < 1'100) {
+            const NodeId b = random_node();
+            if (b != hub && connect(hub, b)) ++hub_degree;
+        }
+        for (int i = 0; i < 3'000; ++i) {
+            const NodeId a = random_node();
+            const NodeId b = random_node();
+            if (a != b) connect(a, b);
+        }
+        check();
+
+        // Load and arm some links, then re-add existing cables in either
+        // orientation.
+        for (int i = 0; i < 300; ++i) {
+            Link* l = random_link()->second;
+            (void)l->transmit(seed, sim.now(), 100, PacketType::kData);
+            if (i % 2 == 0) net.set_loss(l->from(), l->to(), std::make_unique<BernoulliLoss>(0.1));
+        }
+        for (int i = 0; i < 500; ++i) {
+            const auto [a, b] = random_link()->first;
+            EXPECT_FALSE(i % 2 == 0 ? connect(NodeId{a}, NodeId{b}) : connect(NodeId{b}, NodeId{a}));
+        }
+        if constexpr (obs::kTelemetryEnabled) {
+            EXPECT_EQ(net.metrics().value("network.respec_loss_resets"), expected_resets);
+        }
+        EXPECT_GT(expected_resets, 0u);
+        check();
+
+        net.finalize();
+        check();
+
+        // Cables and nodes added after finalize() are found at once.
+        for (int i = 0; i < 200; ++i) {
+            const NodeId a = i % 10 == 0 ? nodes.emplace_back(net.add_node(SiteId{21})) : random_node();
+            const NodeId b = i % 3 == 0 ? hub : random_node();
+            if (a != b) connect(a, b);
+        }
+        check();
+        net.finalize();
+        check();
+    }
 }
 
 TEST(NetworkLink, SiteAndRouterFlagsSurviveSoAStorage) {
@@ -310,6 +443,34 @@ TEST(FinalizeModes, LazyBackboneRowsUseFinalizeTimeBorderGraph) {
               (std::vector<NodeId>{n.a_host, n.a_r, n.t1, n.c_host}));
     EXPECT_EQ(lbrm::test::oracle_path(n.net, n.a_host, n.c_host),
               (std::vector<NodeId>{n.a_host, n.a_r, n.t1, n.c_host}));
+}
+
+TEST(FinalizeModes, LazyRowsUseFinalizeTimeLinkWeights) {
+    // Two identical finalized 2-site networks; one re-specs a LAN cable
+    // without re-finalizing.  Every row that first builds afterwards (the
+    // hash builds them all) must still weigh the cable as finalize() did.
+    DisTopologySpec spec;
+    spec.sites = 2;
+    spec.receivers_per_site = 4;
+    Simulator sim_a;
+    Simulator sim_b;
+    Network untouched{sim_a, 5};
+    Network respecced{sim_b, 5};
+    (void)make_dis_topology(untouched, spec);
+    const DisTopology topo = make_dis_topology(respecced, spec);
+    untouched.finalize();
+    respecced.finalize();
+
+    const NodeId host = topo.sites[1].receivers[2];
+    const NodeId router = topo.sites[1].router;
+    const Link* lan = respecced.link(host, router);
+    respecced.add_link(host, router,
+                       LinkSpec{spec.lan_delay * 7, spec.lan_bandwidth_bps, Duration::zero()});
+    EXPECT_EQ(respecced.link(host, router), lan);  // re-spec in place
+    EXPECT_EQ(respecced.routing_table_hash(), untouched.routing_table_hash());
+
+    respecced.finalize();  // reconverge: the new weight
+    EXPECT_NE(respecced.routing_table_hash(), untouched.routing_table_hash());
 }
 
 // --- observer A/B ------------------------------------------------------------

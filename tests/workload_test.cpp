@@ -158,6 +158,7 @@ struct RunOutput {
     std::uint64_t sends = 0;
     std::uint64_t deferrals = 0;
     std::uint64_t stale_samples = 0;
+    std::uint64_t superseded = 0;
     double fairness = 0.0;
     double p50 = 0.0;
     double p99 = 0.0;
@@ -247,6 +248,7 @@ RunOutput run_scenario(bool use_engine, bool governed, std::uint64_t seed) {
     if (use_engine) {
         out.deferrals = engine.deferrals();
         out.stale_samples = engine.staleness_samples();
+        out.superseded = engine.superseded_deliveries();
         out.fairness = engine.fairness_jain();
         out.p50 = engine.staleness_quantile(0.5);
         out.p99 = engine.staleness_quantile(0.99);
@@ -290,6 +292,20 @@ TEST(WorkloadEngine, ObservesStalenessAndFairness) {
     // Two same-config streams: Jain index near 1, never above it.
     EXPECT_GT(r.fairness, 0.9);
     EXPECT_LE(r.fairness, 1.0);
+}
+
+// The seeded run's staleness statistics, pinned to the values the engine
+// produced when every delivery did its own lookups and bucket math: a
+// multicast hands one (seq, arrival time) to a whole site, and reusing that
+// work must not move a single sample.
+TEST(WorkloadEngine, StalenessStatisticsArePinned) {
+    for (const bool governed : {false, true}) {
+        const RunOutput r = run_scenario(true, governed, 21);
+        EXPECT_EQ(r.stale_samples, 852u) << "governed=" << governed;
+        EXPECT_EQ(r.superseded, 28u) << "governed=" << governed;
+        EXPECT_DOUBLE_EQ(r.p50, 0.036517412725483776) << "governed=" << governed;
+        EXPECT_DOUBLE_EQ(r.p99, 0.36517412725483772) << "governed=" << governed;
+    }
 }
 
 // --- composing with the chaos engine -----------------------------------------
