@@ -6,17 +6,21 @@
 // Chunks double in size (1, 2, 4, 8, ...), so a container holding a single
 // element costs one exact-size allocation -- unlike std::deque, whose empty
 // footprint is a block map plus a full fixed-size block -- while a million
-// elements cost only ~20 allocations.  Elements need not be movable or
-// copyable.  Index math: chunk c covers indices [2^c - 1, 2^(c+1) - 1).
+// elements cost only ~20 allocations.  Chunk 0's pointer lives in the
+// container itself and the table of later chunks is allocated with the
+// second element, so an empty container is 24 bytes and a one-element one
+// (a receiver host's core slot) costs its chunk alone.  Elements need not
+// be movable or copyable.  Index math: chunk c covers indices
+// [2^c - 1, 2^(c+1) - 1).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace lbrm {
 
@@ -33,10 +37,30 @@ public:
         static_assert(alignof(T) <= alignof(std::max_align_t),
                       "chunk storage is max_align_t-aligned");
         const std::size_t chunk = chunk_of(size_);
-        if (chunk == chunks_.size())
-            chunks_.push_back(std::make_unique<std::byte[]>(
-                sizeof(T) * (std::size_t{1} << chunk)));
-        T* obj = new (slot(size_)) T(std::forward<Args>(args)...);
+        if (size_ + 1 != std::size_t{1} << chunk) {  // room in the last chunk
+            T* obj = new (slot(size_)) T(std::forward<Args>(args)...);
+            ++size_;
+            return *obj;
+        }
+        // First element of a new chunk.  The later-chunk table is
+        // re-allocated at its exact size, a copy of at most ~60 pointers
+        // once per doubling.  Both allocations precede the construction
+        // and nothing is installed until it succeeds, so a throwing
+        // constructor leaves the container as it was.
+        std::unique_ptr<std::byte[]> bytes(new std::byte[sizeof(T) << chunk]);
+        std::unique_ptr<std::byte*[]> table;
+        if (chunk > 0) {
+            table = std::make_unique<std::byte*[]>(chunk);
+            std::copy_n(later_.get(), chunk - 1, table.get());
+            table[chunk - 1] = bytes.get();
+        }
+        T* obj = new (bytes.get()) T(std::forward<Args>(args)...);
+        if (chunk == 0) {
+            first_ = std::move(bytes);
+        } else {
+            later_ = std::move(table);
+            bytes.release();  // owned through later_ from here on
+        }
         ++size_;
         return *obj;
     }
@@ -57,8 +81,11 @@ public:
     /// Destroy every element and release all chunks.
     void clear() {
         for (std::size_t i = size_; i > 0; --i) (*this)[i - 1].~T();
+        const std::size_t chunks = size_ == 0 ? 0 : chunk_of(size_ - 1) + 1;
+        for (std::size_t c = 1; c < chunks; ++c) delete[] later_[c - 1];
         size_ = 0;
-        chunks_.clear();
+        first_.reset();
+        later_.reset();
     }
 
     // Minimal forward iteration (enough for range-for).
@@ -92,12 +119,14 @@ private:
     }
 
     [[nodiscard]] std::byte* slot(std::size_t i) {
+        if (i == 0) return first_.get();
         const std::size_t chunk = chunk_of(i);
         const std::size_t offset = i + 1 - (std::size_t{1} << chunk);
-        return chunks_[chunk].get() + offset * sizeof(T);
+        return later_[chunk - 1] + offset * sizeof(T);
     }
 
-    std::vector<std::unique_ptr<std::byte[]>> chunks_;
+    std::unique_ptr<std::byte[]> first_;   ///< chunk 0
+    std::unique_ptr<std::byte*[]> later_;  ///< chunks 1..; each freed by clear()
     std::size_t size_ = 0;
 };
 

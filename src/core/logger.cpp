@@ -61,7 +61,7 @@ Actions LoggerCore::on_packet(TimePoint now, const Packet& packet) {
         if (role_ == LoggerRole::kReplica) {
             ingest(now, ru->seq, ru->epoch, ru->payload, /*from_live_stream=*/false,
                    actions);
-            actions.push_back(
+            actions.emplace_back(
                 SendUnicast{from, make_packet(ReplicaAckBody{contiguous_})});
         }
         return actions;
@@ -102,9 +102,9 @@ Actions LoggerCore::on_packet(TimePoint now, const Packet& packet) {
                 designated_epochs_[sel->epoch] = true;
                 while (designated_epochs_.size() > 2)
                     designated_epochs_.erase(designated_epochs_.begin());
-                actions.push_back(SendUnicast{
+                actions.emplace_back(SendUnicast{
                     config_.source, make_packet(AckerResponseBody{sel->epoch})});
-                actions.push_back(
+                actions.emplace_back(
                     Notice{NoticeKind::kDesignatedAcker, sel->epoch.value()});
             }
         }
@@ -114,7 +114,7 @@ Actions LoggerCore::on_packet(TimePoint now, const Packet& packet) {
     if (const auto* probe = std::get_if<ProbeRequestBody>(&packet.body)) {
         if (config_.participate_in_acking && role_ == LoggerRole::kSecondary &&
             rng_.bernoulli(probe->p_ack)) {
-            actions.push_back(
+            actions.emplace_back(
                 SendUnicast{config_.source, make_packet(ProbeReplyBody{probe->round})});
         }
         return actions;
@@ -123,7 +123,7 @@ Actions LoggerCore::on_packet(TimePoint now, const Packet& packet) {
     // --- control plane ---------------------------------------------------
     if (const auto* dq = std::get_if<DiscoveryQueryBody>(&packet.body)) {
         if (config_.answer_discovery) {
-            actions.push_back(SendUnicast{
+            actions.emplace_back(SendUnicast{
                 from, make_packet(DiscoveryReplyBody{
                           dq->nonce, config_.self, role_ == LoggerRole::kPrimary})});
         }
@@ -133,10 +133,10 @@ Actions LoggerCore::on_packet(TimePoint now, const Packet& packet) {
     if (std::holds_alternative<PromoteRequestBody>(packet.body)) {
         if (role_ == LoggerRole::kReplica) {
             role_ = LoggerRole::kPrimary;
-            actions.push_back(Notice{NoticeKind::kPrimaryFailover, config_.self.value()});
+            actions.emplace_back(Notice{NoticeKind::kPrimaryFailover, config_.self.value()});
         }
         // Idempotent: an already-promoted primary re-confirms.
-        actions.push_back(SendUnicast{
+        actions.emplace_back(SendUnicast{
             from, make_packet(PromoteReplyBody{contiguous_,
                                                role_ == LoggerRole::kPrimary})});
         return actions;
@@ -177,7 +177,7 @@ void LoggerCore::ingest(TimePoint now, SeqNum seq, EpochId epoch, const Payload&
     if (fresh && designated_epochs_.contains(epoch)) {
         ++acks_sent_;
         obs_->acks_sent->inc();
-        actions.push_back(SendUnicast{config_.source, make_packet(AckBody{epoch, seq})});
+        actions.emplace_back(SendUnicast{config_.source, make_packet(AckBody{epoch, seq})});
     }
 
     // Satisfy receivers that were waiting for this packet.
@@ -195,16 +195,16 @@ void LoggerCore::ingest(TimePoint now, SeqNum seq, EpochId epoch, const Payload&
                 // (Section 2.2.1).
                 ++served_multicast_;
                 obs_->served_multicast->inc();
-                actions.push_back(SendMulticast{
+                actions.emplace_back(SendMulticast{
                     make_packet(RetransmissionBody{entry->seq, entry->epoch, true,
                                                    entry->payload}),
                     McastScope::kSite});
-                actions.push_back(Notice{NoticeKind::kRemulticast, seq.value()});
+                actions.emplace_back(Notice{NoticeKind::kRemulticast, seq.value()});
             } else {
                 for (NodeId r : requesters) {
                     ++served_unicast_;
                     obs_->served_unicast->inc();
-                    actions.push_back(SendUnicast{
+                    actions.emplace_back(SendUnicast{
                         r, make_packet(RetransmissionBody{entry->seq, entry->epoch, false,
                                                           entry->payload})});
                 }
@@ -247,7 +247,7 @@ void LoggerCore::serve_one(TimePoint now, NodeId from, SeqNum seq, Actions& acti
 
     RequestWindow& window = windows_[seq];
     if (window.count == 0)
-        actions.push_back(StartTimer{{TimerKind::kRemcastWindow, seq.value()},
+        actions.emplace_back(StartTimer{{TimerKind::kRemcastWindow, seq.value()},
                                      now + config_.remulticast_window});
     ++window.count;
 
@@ -261,15 +261,15 @@ void LoggerCore::serve_one(TimePoint now, NodeId from, SeqNum seq, Actions& acti
         obs_->served_multicast->inc();
         const McastScope scope = role_ == LoggerRole::kSecondary ? McastScope::kSite
                                                                  : McastScope::kGlobal;
-        actions.push_back(SendMulticast{
+        actions.emplace_back(SendMulticast{
             make_packet(RetransmissionBody{entry->seq, entry->epoch, true,
                                            entry->payload}),
             scope});
-        actions.push_back(Notice{NoticeKind::kRemulticast, seq.value()});
+        actions.emplace_back(Notice{NoticeKind::kRemulticast, seq.value()});
     } else {
         ++served_unicast_;
         obs_->served_unicast->inc();
-        actions.push_back(SendUnicast{
+        actions.emplace_back(SendUnicast{
             from, make_packet(RetransmissionBody{entry->seq, entry->epoch, false,
                                                  entry->payload})});
     }
@@ -305,7 +305,7 @@ void LoggerCore::close_fetch(TimePoint now, SeqNum seq, const FetchState& state,
 void LoggerCore::schedule_fetch(TimePoint now, Actions& actions) {
     if (fetch_delay_armed_ || fetch_pending_.empty()) return;
     fetch_delay_armed_ = true;
-    actions.push_back(
+    actions.emplace_back(
         StartTimer{{TimerKind::kNackDelay, 0}, now + config_.fetch_delay});
 }
 
@@ -323,7 +323,7 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
         }
         if (state.attempts >= config_.fetch_max_retries) {
             if (state.cold_cycles >= config_.fetch_cold_cycles) {
-                actions.push_back(
+                actions.emplace_back(
                     Notice{NoticeKind::kRecoveryFailed, it->first.value()});
                 detector_.abandon(it->first);
                 close_fetch(now, it->first, state, obs::EpisodeTracker::Reason::kAbandoned);
@@ -362,16 +362,16 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
          now - last_primary_query_ >= config_.fetch_cold_retry)) {
         primary_query_sent_ = true;
         last_primary_query_ = now;
-        actions.push_back(
+        actions.emplace_back(
             SendUnicast{config_.source, make_packet(PrimaryQueryBody{})});
     }
     if (!nack.missing.empty()) {
         ++upstream_fetches_;
         obs_->upstream_fetches->inc();
-        actions.push_back(SendUnicast{upstream_, make_packet(std::move(nack))});
+        actions.emplace_back(SendUnicast{upstream_, make_packet(std::move(nack))});
     }
     if (!fetch_pending_.empty())
-        actions.push_back(
+        actions.emplace_back(
             StartTimer{{TimerKind::kNackRetry, 0}, now + config_.fetch_retry});
     return actions;
 }
@@ -388,7 +388,7 @@ SeqNum LoggerCore::best_replica_seq() const {
 }
 
 void LoggerCore::primary_ack_source(Actions& actions) {
-    actions.push_back(SendUnicast{
+    actions.emplace_back(SendUnicast{
         config_.source,
         make_packet(LogAckBody{contiguous_, best_replica_seq(),
                                !config_.replicas.empty()})});
@@ -396,13 +396,13 @@ void LoggerCore::primary_ack_source(Actions& actions) {
 
 void LoggerCore::fan_out_to_replicas(const LogStore::Entry& entry, Actions& actions) {
     for (NodeId replica : config_.replicas) {
-        actions.push_back(SendUnicast{
+        actions.emplace_back(SendUnicast{
             replica,
             make_packet(ReplicaUpdateBody{entry.seq, entry.epoch, entry.payload})});
     }
     if (!replica_retry_armed_) {
         replica_retry_armed_ = true;
-        actions.push_back(StartTimer{{TimerKind::kReplicaRetry, 0},
+        actions.emplace_back(StartTimer{{TimerKind::kReplicaRetry, 0},
                                      TimePoint{entry.stored_at + config_.replica_retry}});
     }
 }
@@ -438,14 +438,14 @@ Actions LoggerCore::on_timer(TimePoint now, TimerId id) {
                     const LogStore::Entry* entry = store_.find(s);
                     if (entry == nullptr) continue;
                     outstanding = true;
-                    actions.push_back(SendUnicast{
+                    actions.emplace_back(SendUnicast{
                         replica, make_packet(ReplicaUpdateBody{entry->seq, entry->epoch,
                                                                entry->payload})});
                 }
             }
             if (outstanding) {
                 replica_retry_armed_ = true;
-                actions.push_back(StartTimer{{TimerKind::kReplicaRetry, 0},
+                actions.emplace_back(StartTimer{{TimerKind::kReplicaRetry, 0},
                                              now + config_.replica_retry});
             }
             return actions;

@@ -5,17 +5,33 @@
 namespace lbrm {
 
 ReceiverCore::ReceiverCore(ReceiverConfig config)
-    : config_(std::move(config)), detector_(config_.max_detector_gap),
-      logger_(config_.logger), expected_gap_(config_.heartbeat.h_min),
-      jitter_state_(0x9E3779B97F4A7C15ull ^ config_.self.value()) {}
+    : ReceiverCore(std::make_shared<const ReceiverConfig>(std::move(config))) {}
+
+ReceiverCore::ReceiverCore(const std::shared_ptr<const ReceiverConfig>& owned)
+    : ReceiverCore(owned, owned->self, owned->logger, owned->fallback_logger) {}
+
+ReceiverCore::ReceiverCore(std::shared_ptr<const ReceiverConfig> policy, NodeId self,
+                           NodeId logger, NodeId fallback_logger)
+    : self_(self), configured_logger_(logger), fallback_(fallback_logger),
+      policy_(std::move(policy)), detector_(policy_->max_detector_gap), logger_(logger),
+      expected_gap_(policy_->heartbeat.h_min),
+      jitter_state_(0x9E3779B97F4A7C15ull ^ self.value()) {}
+
+ReceiverConfig ReceiverCore::config() const {
+    ReceiverConfig config = *policy_;
+    config.self = self_;
+    config.logger = configured_logger_;
+    config.fallback_logger = fallback_;
+    return config;
+}
 
 NodeId ReceiverCore::current_logger(TimePoint now) const {
-    if (level_ == RecoveryLevel::kLocal && !config_.rotating_loggers.empty() &&
-        config_.rotation_slot > Duration::zero()) {
-        const auto slots = now.time_since_epoch() / config_.rotation_slot;
+    if (level_ == RecoveryLevel::kLocal && !policy_->rotating_loggers.empty() &&
+        policy_->rotation_slot > Duration::zero()) {
+        const auto slots = now.time_since_epoch() / policy_->rotation_slot;
         const std::size_t owner = static_cast<std::size_t>(
-            static_cast<std::uint64_t>(slots) % config_.rotating_loggers.size());
-        return config_.rotating_loggers[owner];
+            static_cast<std::uint64_t>(slots) % policy_->rotating_loggers.size());
+        return policy_->rotating_loggers[owner];
     }
     return current_logger();
 }
@@ -26,12 +42,12 @@ NodeId ReceiverCore::current_logger() const {
             if (logger_ != kNoNode) return logger_;
             [[fallthrough]];
         case RecoveryLevel::kFallback:
-            if (config_.fallback_logger != kNoNode) return config_.fallback_logger;
+            if (fallback_ != kNoNode) return fallback_;
             [[fallthrough]];
         case RecoveryLevel::kPrimary:
-            return config_.source;
+            return policy_->source;
     }
-    return config_.source;
+    return policy_->source;
 }
 
 Duration ReceiverCore::nack_jitter() {
@@ -41,15 +57,15 @@ Duration ReceiverCore::nack_jitter() {
     jitter_state_ ^= jitter_state_ >> 27;
     const std::uint64_t r = jitter_state_ * 0x2545F4914F6CDD1Dull;
     const double frac = static_cast<double>(r >> 11) / 9007199254740992.0;  // [0,1)
-    const Duration span = config_.nack_delay_max - config_.nack_delay_min;
-    return config_.nack_delay_min + scale(span, frac);
+    const Duration span = policy_->nack_delay_max - policy_->nack_delay_min;
+    return policy_->nack_delay_min + scale(span, frac);
 }
 
 Actions ReceiverCore::start(TimePoint now) {
     Actions actions;
     started_ = true;
-    actions.push_back(StartTimer{
-        {TimerKind::kIdle, 0}, now + idle_threshold(config_.heartbeat.h_min)});
+    actions.emplace_back(StartTimer{
+        {TimerKind::kIdle, 0}, now + idle_threshold(policy_->heartbeat.h_min)});
     if (logger_ == kNoNode) {
         discovering_ = true;
         discovery_round_ = 0;
@@ -60,10 +76,10 @@ Actions ReceiverCore::start(TimePoint now) {
 
 Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
     Actions actions;
-    if (packet.header.group != config_.group) {
+    if (packet.header.group != policy_->group) {
         // Retransmission-channel copies arrive on their own group.
-        if (config_.retrans_channel != kNoGroup &&
-            packet.header.group == config_.retrans_channel) {
+        if (policy_->retrans_channel != kNoGroup &&
+            packet.header.group == policy_->retrans_channel) {
             if (const auto* rt = std::get_if<RetransmissionBody>(&packet.body))
                 accept_payload(now, rt->seq, rt->payload, /*recovered=*/true, actions);
         }
@@ -76,9 +92,9 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
         // whose successor follows the grown backoff schedule.
         const bool repeat =
             detector_.highest_seen() && data->seq <= *detector_.highest_seen();
-        expected_gap_ = repeat ? std::min(config_.heartbeat.h_max,
-                                          scale(expected_gap_, config_.heartbeat.backoff))
-                               : config_.heartbeat.h_min;
+        expected_gap_ = repeat ? std::min(policy_->heartbeat.h_max,
+                                          scale(expected_gap_, policy_->heartbeat.backoff))
+                               : policy_->heartbeat.h_min;
         note_live_traffic(now, expected_gap_, actions);
         accept_payload(now, data->seq, data->payload, /*recovered=*/false, actions);
         return actions;
@@ -105,8 +121,8 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
             discovering_ = false;
             logger_ = reply->logger;
             level_ = RecoveryLevel::kLocal;
-            actions.push_back(CancelTimer{{TimerKind::kDiscovery, 0}});
-            actions.push_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
+            actions.emplace_back(CancelTimer{{TimerKind::kDiscovery, 0}});
+            actions.emplace_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
             if (detector_.missing_count() != 0) schedule_nack(now, actions);
         }
         return actions;
@@ -118,7 +134,7 @@ Actions ReceiverCore::on_packet(TimePoint now, const Packet& packet) {
             logger_ = reply->primary;
             level_ = RecoveryLevel::kLocal;
             for (auto& [seq, gap] : detector_.gaps()) gap.attempts = 0;
-            actions.push_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
+            actions.emplace_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
             if (detector_.missing_count() != 0) schedule_nack(now, actions);
         }
         return actions;
@@ -147,34 +163,34 @@ void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, const Payload& payl
 
     ++delivered_;
     obs_->delivered->inc();
-    actions.push_back(DeliverData{seq, payload, recovered || obs.fills_gap});
+    actions.emplace_back(DeliverData{seq, payload, recovered || obs.fills_gap});
 }
 
 Duration ReceiverCore::gap_after_heartbeat(std::uint32_t index) const {
     // After the heartbeat with index k the sender's interval has been grown
     // k+1 times: h_min * backoff^(k+1), saturating at h_max.
-    Duration gap = config_.heartbeat.h_min;
-    if (config_.heartbeat.fixed) return gap;
+    Duration gap = policy_->heartbeat.h_min;
+    if (policy_->heartbeat.fixed) return gap;
     const std::uint32_t steps = std::min<std::uint32_t>(index + 1, 64);
     for (std::uint32_t i = 0; i < steps; ++i) {
-        gap = scale(gap, config_.heartbeat.backoff);
-        if (gap >= config_.heartbeat.h_max) return config_.heartbeat.h_max;
+        gap = scale(gap, policy_->heartbeat.backoff);
+        if (gap >= policy_->heartbeat.h_max) return policy_->heartbeat.h_max;
     }
     return gap;
 }
 
 Duration ReceiverCore::idle_threshold(Duration expected_gap) const {
-    const Duration scaled = scale(expected_gap, config_.idle_safety);
-    return scaled > config_.max_idle ? scaled : config_.max_idle;
+    const Duration scaled = scale(expected_gap, policy_->idle_safety);
+    return scaled > policy_->max_idle ? scaled : policy_->max_idle;
 }
 
 void ReceiverCore::note_live_traffic(TimePoint now, Duration expected_gap,
                                      Actions& actions) {
     if (!fresh_) {
         fresh_ = true;
-        actions.push_back(Notice{NoticeKind::kFreshnessRestored, 0});
+        actions.emplace_back(Notice{NoticeKind::kFreshnessRestored, 0});
     }
-    actions.push_back(
+    actions.emplace_back(
         StartTimer{{TimerKind::kIdle, 0}, now + idle_threshold(expected_gap)});
 }
 
@@ -182,14 +198,14 @@ void ReceiverCore::begin_recovery(TimePoint now, const std::vector<SeqNum>& newl
                                   Actions& actions) {
     if (newly_missing.empty()) return;
     for (SeqNum s : newly_missing) {
-        actions.push_back(Notice{NoticeKind::kLossDetected, s.value()});
+        actions.emplace_back(Notice{NoticeKind::kLossDetected, s.value()});
         // A gap opened mid-escalation is NACKed at the current tier from
         // its first round, so that is the lowest tier its episode reaches.
         if (level_ != RecoveryLevel::kLocal)
             detector_.gaps().find(s)->second.tier = static_cast<std::uint8_t>(level_);
     }
     episodes_->open(newly_missing.size());
-    if (config_.retrans_channel == kNoGroup) {
+    if (policy_->retrans_channel == kNoGroup) {
         schedule_nack(now, actions);
         return;
     }
@@ -197,19 +213,19 @@ void ReceiverCore::begin_recovery(TimePoint now, const std::vector<SeqNum>& newl
     // for the sender's exponentially-spaced copies; NACKs only as fallback.
     if (!retx_joined_) {
         retx_joined_ = true;
-        actions.push_back(JoinGroup{config_.retrans_channel});
+        actions.emplace_back(JoinGroup{policy_->retrans_channel});
     }
-    actions.push_back(CancelTimer{{TimerKind::kRetxLinger, 0}});
-    actions.push_back(StartTimer{{TimerKind::kRetxFallback, 0},
-                                 now + config_.retrans_channel_window});
+    actions.emplace_back(CancelTimer{{TimerKind::kRetxLinger, 0}});
+    actions.emplace_back(StartTimer{{TimerKind::kRetxFallback, 0},
+                                 now + policy_->retrans_channel_window});
 }
 
 void ReceiverCore::recovery_complete(TimePoint now, Actions& actions) {
-    actions.push_back(CancelTimer{{TimerKind::kNackRetry, 0}});
+    actions.emplace_back(CancelTimer{{TimerKind::kNackRetry, 0}});
     if (!retx_joined_) return;
-    actions.push_back(CancelTimer{{TimerKind::kRetxFallback, 0}});
-    actions.push_back(StartTimer{{TimerKind::kRetxLinger, 0},
-                                 now + config_.retrans_channel_linger});
+    actions.emplace_back(CancelTimer{{TimerKind::kRetxFallback, 0}});
+    actions.emplace_back(StartTimer{{TimerKind::kRetxLinger, 0},
+                                 now + policy_->retrans_channel_linger});
 }
 
 void ReceiverCore::schedule_nack(TimePoint now, Actions& actions) {
@@ -217,7 +233,7 @@ void ReceiverCore::schedule_nack(TimePoint now, Actions& actions) {
     nack_timer_armed_ = true;
     // Short randomized delay lets reordered packets land before we NACK
     // (Appendix A: "this delay allows out-of-order packets to arrive").
-    actions.push_back(StartTimer{{TimerKind::kNackDelay, 0}, now + nack_jitter()});
+    actions.emplace_back(StartTimer{{TimerKind::kNackDelay, 0}, now + nack_jitter()});
 }
 
 Actions ReceiverCore::fire_nack(TimePoint now) {
@@ -234,9 +250,9 @@ Actions ReceiverCore::fire_nack(TimePoint now) {
     episodes_->nack(nack.missing.size());
     ++nacks_sent_;
     obs_->nacks_sent->inc();
-    actions.push_back(SendUnicast{current_logger(now), make_packet(std::move(nack))});
-    actions.push_back(
-        StartTimer{{TimerKind::kNackRetry, 0}, now + config_.nack_retry});
+    actions.emplace_back(SendUnicast{current_logger(now), make_packet(std::move(nack))});
+    actions.emplace_back(
+        StartTimer{{TimerKind::kNackRetry, 0}, now + policy_->nack_retry});
     return actions;
 }
 
@@ -250,7 +266,7 @@ Actions ReceiverCore::on_timer(TimePoint now, TimerId id) {
             (void)now;
             if (fresh_) {
                 fresh_ = false;
-                actions.push_back(Notice{NoticeKind::kFreshnessLost, 0});
+                actions.emplace_back(Notice{NoticeKind::kFreshnessLost, 0});
             }
             // No re-arm: the next live packet restores freshness and the
             // watchdog with it.
@@ -263,7 +279,7 @@ Actions ReceiverCore::on_timer(TimePoint now, TimerId id) {
             if (detector_.missing_count() == 0) return actions;
             bool exhausted = false;
             for (auto& [seq, gap] : detector_.gaps()) {
-                if (++gap.attempts >= config_.nack_max_retries) exhausted = true;
+                if (++gap.attempts >= policy_->nack_max_retries) exhausted = true;
             }
             if (exhausted) return escalate(now);
             append(actions, fire_nack(now));
@@ -282,7 +298,7 @@ Actions ReceiverCore::on_timer(TimePoint now, TimerId id) {
         case TimerKind::kRetxLinger:
             if (retx_joined_ && detector_.missing_count() == 0) {
                 retx_joined_ = false;
-                actions.push_back(LeaveGroup{config_.retrans_channel});
+                actions.emplace_back(LeaveGroup{policy_->retrans_channel});
             }
             return actions;
         default:
@@ -294,16 +310,16 @@ Actions ReceiverCore::escalate(TimePoint now) {
     Actions actions;
     switch (level_) {
         case RecoveryLevel::kLocal:
-            if (config_.fallback_logger != kNoNode &&
-                config_.fallback_logger != current_logger()) {
+            if (fallback_ != kNoNode &&
+                fallback_ != current_logger()) {
                 level_ = RecoveryLevel::kFallback;
                 for (auto& [seq, gap] : detector_.gaps()) {
                     gap.attempts = 0;
                     gap.tier = std::max(gap.tier, obs::EpisodeTracker::kTierFallback);
                 }
                 episodes_->escalate(detector_.missing_count());
-                actions.push_back(
-                    Notice{NoticeKind::kLoggerChanged, config_.fallback_logger.value()});
+                actions.emplace_back(
+                    Notice{NoticeKind::kLoggerChanged, fallback_.value()});
                 append(actions, fire_nack(now));
                 return actions;
             }
@@ -315,10 +331,10 @@ Actions ReceiverCore::escalate(TimePoint now) {
                 gap.tier = obs::EpisodeTracker::kTierPrimary;
             episodes_->escalate(detector_.missing_count());
             primary_query_outstanding_ = true;
-            actions.push_back(
-                SendUnicast{config_.source, make_packet(PrimaryQueryBody{})});
-            actions.push_back(
-                StartTimer{{TimerKind::kNackRetry, 0}, now + config_.nack_retry});
+            actions.emplace_back(
+                SendUnicast{policy_->source, make_packet(PrimaryQueryBody{})});
+            actions.emplace_back(
+                StartTimer{{TimerKind::kNackRetry, 0}, now + policy_->nack_retry});
             return actions;
         case RecoveryLevel::kPrimary: {
             // Already tried the refreshed primary.  One walk of the chain
@@ -331,7 +347,7 @@ Actions ReceiverCore::escalate(TimePoint now) {
             LossDetector::Gaps& gaps = detector_.gaps();
             for (auto it = gaps.begin(); it != gaps.end();) {
                 LossDetector::Gap& gap = it->second;
-                if (gap.cold_cycles < config_.recovery_cold_cycles) {
+                if (gap.cold_cycles < policy_->recovery_cold_cycles) {
                     ++gap.cold_cycles;
                     gap.attempts = 0;
                     episodes_->cold_restart();
@@ -341,15 +357,15 @@ Actions ReceiverCore::escalate(TimePoint now) {
                     ++recovery_failures_;
                     close_episode(now, it->first, gap,
                                   obs::EpisodeTracker::Reason::kAbandoned);
-                    actions.push_back(
+                    actions.emplace_back(
                         Notice{NoticeKind::kRecoveryFailed, it->first.value()});
                     it = gaps.erase(it);  // abandons the sequence number
                 }
             }
             level_ = RecoveryLevel::kLocal;
             if (parked)
-                actions.push_back(StartTimer{{TimerKind::kNackRetry, 0},
-                                             now + config_.recovery_cold_retry});
+                actions.emplace_back(StartTimer{{TimerKind::kNackRetry, 0},
+                                             now + policy_->recovery_cold_retry});
             return actions;
         }
     }
@@ -358,7 +374,7 @@ Actions ReceiverCore::escalate(TimePoint now) {
 
 void ReceiverCore::close_episode(TimePoint now, SeqNum seq, const LossDetector::Gap& gap,
                                  obs::EpisodeTracker::Reason reason) const {
-    episodes_->close({.node = config_.self.value(),
+    episodes_->close({.node = self_.value(),
                       .seq = seq.value(),
                       .opened_s = to_seconds(gap.detected_at),
                       .closed_s = to_seconds(now),
@@ -372,12 +388,12 @@ void ReceiverCore::close_episode(TimePoint now, SeqNum seq, const LossDetector::
 Actions ReceiverCore::discovery_round(TimePoint now) {
     Actions actions;
     if (!discovering_) return actions;
-    if (discovery_round_ >= config_.discovery_max_rounds) {
+    if (discovery_round_ >= policy_->discovery_max_rounds) {
         // Give up: fall back to the static chain (fallback logger / source).
         discovering_ = false;
-        if (config_.fallback_logger != kNoNode) {
-            logger_ = config_.fallback_logger;
-            actions.push_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
+        if (fallback_ != kNoNode) {
+            logger_ = fallback_;
+            actions.emplace_back(Notice{NoticeKind::kLoggerChanged, logger_.value()});
         }
         return actions;
     }
@@ -393,10 +409,10 @@ Actions ReceiverCore::discovery_round(TimePoint now) {
         scope = McastScope::kRegion;
         ttl = 16;
     }
-    actions.push_back(SendMulticast{
+    actions.emplace_back(SendMulticast{
         make_packet(DiscoveryQueryBody{ttl, discovery_nonce_}), scope});
-    actions.push_back(StartTimer{{TimerKind::kDiscovery, 0},
-                                 now + config_.discovery_interval});
+    actions.emplace_back(StartTimer{{TimerKind::kDiscovery, 0},
+                                 now + policy_->discovery_interval});
     return actions;
 }
 

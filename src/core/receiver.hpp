@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -27,7 +28,14 @@ namespace lbrm {
 
 class ReceiverCore {
 public:
+    /// A receiver with a policy of its own: `config` moves into one heap
+    /// block that only this core holds.
     explicit ReceiverCore(ReceiverConfig config);
+    /// A receiver sharing `policy` with others: every field but the three
+    /// ids comes from it, and the core never reads the policy's own self,
+    /// logger or fallback_logger.  Holds a reference, copies nothing.
+    ReceiverCore(std::shared_ptr<const ReceiverConfig> policy, NodeId self, NodeId logger,
+                 NodeId fallback_logger);
 
     /// Arm the freshness watchdog and start logger discovery if needed.
     Actions start(TimePoint now);
@@ -47,7 +55,10 @@ public:
     [[nodiscard]] std::uint64_t nacks_sent() const { return nacks_sent_; }
     [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
     [[nodiscard]] std::uint64_t recovery_failures() const { return recovery_failures_; }
-    [[nodiscard]] const ReceiverConfig& config() const { return config_; }
+    [[nodiscard]] NodeId self() const { return self_; }
+    /// This receiver's full configuration: the shared policy with its own
+    /// ids.
+    [[nodiscard]] ReceiverConfig config() const;
 
     /// Bind the family-aggregate telemetry block (obs/metrics.hpp); the
     /// per-instance accessors above are unaffected.
@@ -83,8 +94,10 @@ private:
         kPrimary = 2,   ///< primary learned from the source via PrimaryQuery
     };
 
+    explicit ReceiverCore(const std::shared_ptr<const ReceiverConfig>& owned);
+
     [[nodiscard]] Packet make_packet(Body body) const {
-        return Packet{Header{config_.group, config_.source, config_.self}, std::move(body)};
+        return Packet{Header{policy_->group, policy_->source, self_}, std::move(body)};
     }
 
     /// Run one payload-carrying packet through the detector, appending the
@@ -116,7 +129,15 @@ private:
     /// keeping the core free of hidden RNG state.
     [[nodiscard]] Duration nack_jitter();
 
-    ReceiverConfig config_;
+    /// Identity: the only configuration that differs between the
+    /// receivers of one group (the configured logger is kept for config();
+    /// logger_ below is the cached, live one).
+    NodeId self_;
+    NodeId configured_logger_;
+    NodeId fallback_;
+    /// Everything else, immutable and shared: a scenario's receivers, or a
+    /// dormant template's woken ones, hold one object between them.
+    std::shared_ptr<const ReceiverConfig> policy_;
     /// Also the recovery state: each open gap's record carries its NACK
     /// rounds, cold cycles, NACK total and highest tier, and is the loss's
     /// open recovery episode (LossDetector::Gap).

@@ -21,7 +21,7 @@ Actions SenderCore::start(TimePoint now) {
     Actions actions;
     // MaxIT guarantee holds from the start: arm the first heartbeat even
     // before any data has been sent.
-    actions.push_back(
+    actions.emplace_back(
         StartTimer{{TimerKind::kHeartbeat, 0}, heartbeat_.on_data_sent(now)});
     if (config_.stat_ack.enabled) merge(actions, stat_ack_.start(now), now);
     return actions;
@@ -42,7 +42,7 @@ void SenderCore::merge(Actions& dst, StatAckEngine::Result&& result, TimePoint n
             const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                                 flow_.recommended_spacing())
                                 .count();
-            dst.push_back(Notice{NoticeKind::kCongestionSlowdown,
+            dst.emplace_back(Notice{NoticeKind::kCongestionSlowdown,
                                  static_cast<std::uint64_t>(us)});
             obs_->flow_slowdowns->inc();
         }
@@ -50,7 +50,7 @@ void SenderCore::merge(Actions& dst, StatAckEngine::Result&& result, TimePoint n
         for (std::size_t i = 0; i < result.completed.size(); ++i)
             cleared = flow_.on_clean_packet() || cleared;
         if (cleared) {
-            dst.push_back(Notice{NoticeKind::kCongestionCleared, 0});
+            dst.emplace_back(Notice{NoticeKind::kCongestionCleared, 0});
             obs_->flow_cleared->inc();
         }
         if (slowed || cleared || !result.completed.empty())
@@ -95,20 +95,20 @@ Actions SenderCore::send(TimePoint now, std::span<const std::uint8_t> bytes) {
     last_payload_ = payload;
     last_epoch_ = epoch;
 
-    actions.push_back(SendMulticast{make_packet(DataBody{seq, epoch, payload})});
+    actions.emplace_back(SendMulticast{make_packet(DataBody{seq, epoch, payload})});
 
     if (config_.retrans_channel != kNoGroup) {
         // Section 7: schedule the packet's copies on the retransmission
         // channel (exponentially spaced, like heartbeats).
         retx_copies_.emplace(seq, 0);
-        actions.push_back(StartTimer{{TimerKind::kRetxChannel, seq.value()},
+        actions.emplace_back(StartTimer{{TimerKind::kRetxChannel, seq.value()},
                                      now + config_.retrans_channel_first_delay});
     }
 
     if (!is_self_primary()) {
-        actions.push_back(
+        actions.emplace_back(
             SendUnicast{primary_, make_packet(LogStoreBody{seq, epoch, payload})});
-        actions.push_back(StartTimer{{TimerKind::kLogStoreRetry, 0},
+        actions.emplace_back(StartTimer{{TimerKind::kLogStoreRetry, 0},
                                      now + config_.log_store_retry});
     } else {
         // Source doubles as primary: the packet is logged by `retained_`
@@ -119,7 +119,7 @@ Actions SenderCore::send(TimePoint now, std::span<const std::uint8_t> bytes) {
         }
     }
 
-    actions.push_back(
+    actions.emplace_back(
         StartTimer{{TimerKind::kHeartbeat, 0}, heartbeat_.on_data_sent(now)});
 
     if (config_.stat_ack.enabled) merge(actions, stat_ack_.on_data_sent(now, seq), now);
@@ -137,7 +137,7 @@ Actions SenderCore::on_packet(TimePoint now, const Packet& packet) {
         return handle_nack(now, packet.header.sender, *nack);
 
     if (std::holds_alternative<PrimaryQueryBody>(packet.body)) {
-        actions.push_back(
+        actions.emplace_back(
             SendUnicast{packet.header.sender, make_packet(PrimaryReplyBody{primary_})});
         return actions;
     }
@@ -163,13 +163,13 @@ Actions SenderCore::on_timer(TimePoint now, TimerId id) {
                 // Section 7: repeat the (small) data packet instead of an
                 // empty heartbeat -- a receiver that lost it is repaired
                 // without any retransmission request.
-                actions.push_back(SendMulticast{
+                actions.emplace_back(SendMulticast{
                     make_packet(DataBody{last_seq(), last_epoch_, last_payload_})});
             } else {
-                actions.push_back(SendMulticast{make_packet(
+                actions.emplace_back(SendMulticast{make_packet(
                     HeartbeatBody{last_seq(), heartbeat_.heartbeat_index()})});
             }
-            actions.push_back(
+            actions.emplace_back(
                 StartTimer{{TimerKind::kHeartbeat, 0}, heartbeat_.on_heartbeat_sent(now)});
             return actions;
         }
@@ -182,7 +182,7 @@ Actions SenderCore::on_timer(TimePoint now, TimerId id) {
                 Packet copy{Header{config_.retrans_channel, config_.self, config_.self},
                             RetransmissionBody{entry->seq, entry->epoch, true,
                                                entry->payload}};
-                actions.push_back(SendMulticast{std::move(copy)});
+                actions.emplace_back(SendMulticast{std::move(copy)});
             }
             const std::uint32_t done = ++it->second;
             if (done >= config_.retrans_channel_copies || entry == nullptr) {
@@ -193,7 +193,7 @@ Actions SenderCore::on_timer(TimePoint now, TimerId id) {
                 const Duration next =
                     scale(config_.retrans_channel_first_delay,
                           static_cast<double>(1u << done));
-                actions.push_back(
+                actions.emplace_back(
                     StartTimer{{TimerKind::kRetxChannel, seq.value()}, now + next});
             }
             return actions;
@@ -225,9 +225,9 @@ Actions SenderCore::handle_log_ack(TimePoint now, const LogAckBody& ack) {
     flush_retained();
 
     if (primary_acked_ == last_seq()) {
-        actions.push_back(CancelTimer{{TimerKind::kLogStoreRetry, 0}});
+        actions.emplace_back(CancelTimer{{TimerKind::kLogStoreRetry, 0}});
     } else {
-        actions.push_back(StartTimer{{TimerKind::kLogStoreRetry, 0},
+        actions.emplace_back(StartTimer{{TimerKind::kLogStoreRetry, 0},
                                      now + config_.log_store_retry});
     }
     return actions;
@@ -241,7 +241,7 @@ Actions SenderCore::handle_nack(TimePoint now, NodeId from, const NackBody& nack
     Actions actions;
     for (SeqNum seq : nack.missing) {
         if (const LogStore::Entry* entry = retained_.find(seq)) {
-            actions.push_back(SendUnicast{
+            actions.emplace_back(SendUnicast{
                 from, make_packet(RetransmissionBody{
                           entry->seq, entry->epoch, false, entry->payload})});
         }
@@ -275,11 +275,11 @@ Actions SenderCore::retry_log_store(TimePoint now) {
     for (SeqNum seq = primary_acked_.next(); seq <= last_seq(); ++seq) {
         const LogStore::Entry* entry = retained_.find(seq);
         if (entry == nullptr) continue;  // already replica-safe and released
-        actions.push_back(SendUnicast{
+        actions.emplace_back(SendUnicast{
             primary_,
             make_packet(LogStoreBody{entry->seq, entry->epoch, entry->payload})});
     }
-    actions.push_back(
+    actions.emplace_back(
         StartTimer{{TimerKind::kLogStoreRetry, 0}, now + config_.log_store_retry});
     return actions;
 }
@@ -297,15 +297,15 @@ Actions SenderCore::begin_failover(TimePoint now) {
         primary_ = config_.self;
         primary_acked_ = last_seq();
         obs_->failover_exhausted->inc();
-        actions.push_back(Notice{NoticeKind::kFailoverExhausted,
+        actions.emplace_back(Notice{NoticeKind::kFailoverExhausted,
                                  static_cast<std::uint64_t>(config_.replicas.size())});
-        actions.push_back(Notice{NoticeKind::kPrimaryFailover, config_.self.value()});
+        actions.emplace_back(Notice{NoticeKind::kPrimaryFailover, config_.self.value()});
         return actions;
     }
 
     const NodeId candidate = config_.replicas[failover_candidate_];
-    actions.push_back(SendUnicast{candidate, make_packet(PromoteRequestBody{})});
-    actions.push_back(
+    actions.emplace_back(SendUnicast{candidate, make_packet(PromoteRequestBody{})});
+    actions.emplace_back(
         StartTimer{{TimerKind::kFailover, 0}, now + config_.log_store_retry * 2});
     return actions;
 }
@@ -320,8 +320,8 @@ Actions SenderCore::handle_promote_reply(TimePoint now, NodeId from,
 
     failing_over_ = false;
     primary_ = from;
-    actions.push_back(CancelTimer{{TimerKind::kFailover, 0}});
-    actions.push_back(Notice{NoticeKind::kPrimaryFailover, from.value()});
+    actions.emplace_back(CancelTimer{{TimerKind::kFailover, 0}});
+    actions.emplace_back(Notice{NoticeKind::kPrimaryFailover, from.value()});
 
     // Replay everything the new primary might be missing from the retained
     // buffer (Section 2.2.3: "the source reliably transmits to the replica
@@ -330,11 +330,11 @@ Actions SenderCore::handle_promote_reply(TimePoint now, NodeId from,
     for (SeqNum seq = reply.log_high_water.next(); seq <= last_seq(); ++seq) {
         const LogStore::Entry* entry = retained_.find(seq);
         if (entry == nullptr) continue;
-        actions.push_back(SendUnicast{
+        actions.emplace_back(SendUnicast{
             from, make_packet(LogStoreBody{entry->seq, entry->epoch, entry->payload})});
     }
     if (primary_acked_ != last_seq())
-        actions.push_back(StartTimer{{TimerKind::kLogStoreRetry, 0},
+        actions.emplace_back(StartTimer{{TimerKind::kLogStoreRetry, 0},
                                      now + config_.log_store_retry});
     return actions;
 }
@@ -348,7 +348,7 @@ void SenderCore::remulticast(TimePoint now, const std::vector<SeqNum>& seqs,
         // Re-multicast as a fresh copy of the data packet (Figure 8); the
         // designated ackers acknowledge it again and receivers dedup by seq.
         obs_->remulticasts->inc();
-        actions.push_back(SendMulticast{make_packet(
+        actions.emplace_back(SendMulticast{make_packet(
             DataBody{entry->seq, entry->epoch, entry->payload})});
     }
 }

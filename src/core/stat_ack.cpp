@@ -35,9 +35,9 @@ StatAckEngine::Result StatAckEngine::start(TimePoint now) {
 StatAckEngine::Result StatAckEngine::send_probe(TimePoint now) {
     Result result;
     auto spec = estimator_.current_round();
-    result.actions.push_back(
+    result.actions.emplace_back(
         SendMulticast{make_packet(ProbeRequestBody{spec.round, spec.p})});
-    result.actions.push_back(
+    result.actions.emplace_back(
         StartTimer{{TimerKind::kProbeRound, 0}, now + response_window()});
     return result;
 }
@@ -57,9 +57,9 @@ StatAckEngine::Result StatAckEngine::open_epoch(TimePoint now) {
     // epoch for ACK overlap across the transition (Section 2.3.1).
     while (epochs_.size() > 3) epochs_.erase(epochs_.begin());
 
-    result.actions.push_back(SendMulticast{
+    result.actions.emplace_back(SendMulticast{
         make_packet(AckerSelectionBody{opening_epoch_, epochs_[opening_epoch_].p_ack})});
-    result.actions.push_back(
+    result.actions.emplace_back(
         StartTimer{{TimerKind::kEpochOpen, 0}, now + response_window()});
     return result;
 }
@@ -84,14 +84,14 @@ void StatAckEngine::close_epoch_window(TimePoint now, Actions& actions) {
         // group dark.  Surface the outage and re-solicit soon.
         ++empty_epoch_resolicits_;
         obs_->empty_epoch_resolicits->inc();
-        actions.push_back(Notice{NoticeKind::kAckerOutage, active_epoch_.value()});
-        actions.push_back(
+        actions.emplace_back(Notice{NoticeKind::kAckerOutage, active_epoch_.value()});
+        actions.emplace_back(
             StartTimer{{TimerKind::kEpochRotate, 0}, now + config_.empty_epoch_retry});
         return;
     }
 
-    actions.push_back(Notice{NoticeKind::kEpochStarted, active_epoch_.value()});
-    actions.push_back(
+    actions.emplace_back(Notice{NoticeKind::kEpochStarted, active_epoch_.value()});
+    actions.emplace_back(
         StartTimer{{TimerKind::kEpochRotate, 0}, now + config_.epoch_interval});
 }
 
@@ -105,7 +105,7 @@ StatAckEngine::Result StatAckEngine::on_data_sent(TimePoint now, SeqNum seq) {
     pending.expected = active_expected_;
     pending_.emplace(seq, std::move(pending));
 
-    result.actions.push_back(
+    result.actions.emplace_back(
         StartTimer{{TimerKind::kAckWait, seq.value()}, now + t_wait()});
     return result;
 }
@@ -151,7 +151,7 @@ StatAckEngine::Result StatAckEngine::on_packet(TimePoint now, const Packet& pack
         // Complete before t_wait: settle immediately.
         finalize(now, ack->seq, pending);
         Result done;
-        done.actions.push_back(CancelTimer{{TimerKind::kAckWait, ack->seq.value()}});
+        done.actions.emplace_back(CancelTimer{{TimerKind::kAckWait, ack->seq.value()}});
         done.completed.push_back(ack->seq);
         obs_->packets_completed->inc();
         pending_.erase(pending_it);
@@ -185,7 +185,7 @@ StatAckEngine::Result StatAckEngine::on_timer(TimePoint now, TimerId id) {
                 if (pending_.contains(seq)) {
                     // Keep listening for late ACKs until 2 * t_wait so the
                     // RTT estimator can observe stragglers (Section 2.3.2).
-                    result.actions.push_back(StartTimer{
+                    result.actions.emplace_back(StartTimer{
                         {TimerKind::kAckWait, seq.value()}, now + t_wait()});
                 }
             } else {
@@ -228,7 +228,7 @@ void StatAckEngine::decide(TimePoint now, SeqNum seq, PendingAck& pending,
         pending.sent_at = now;
         pending.got.clear();
         result.remulticast.push_back(seq);
-        result.actions.push_back(Notice{NoticeKind::kRemulticast, seq.value()});
+        result.actions.emplace_back(Notice{NoticeKind::kRemulticast, seq.value()});
     }
     (void)now;
 }

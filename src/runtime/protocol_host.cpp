@@ -4,40 +4,58 @@
 
 namespace lbrm {
 
+ProtocolHost::Roles& ProtocolHost::roles() {
+    if (!roles_) roles_ = std::make_unique<Roles>();
+    return *roles_;
+}
+
 SenderCore& ProtocolHost::add_sender(SenderConfig config, AppHandlers handlers) {
-    sender_ = std::make_unique<SenderSlot>(std::move(config), std::move(handlers));
-    if (metrics_ != nullptr) sender_->core.bind_metrics(*metrics_);
-    return sender_->core;
+    auto& slot = roles().sender =
+        std::make_unique<SenderSlot>(std::move(config), std::move(handlers));
+    slot->core.bind_metrics(*metrics_);
+    return slot->core;
 }
 
 ReceiverCore& ProtocolHost::add_receiver(ReceiverConfig config, AppHandlers handlers) {
     ReceiverCore& core =
-        receivers_.emplace_back(next_tag_++, std::move(config), std::move(handlers))
-            .core;
-    if (metrics_ != nullptr) core.bind_metrics(*metrics_);
+        receivers_.emplace_back(next_tag_++, std::move(handlers), std::move(config)).core;
+    core.bind_metrics(*metrics_);
+    return core;
+}
+
+ReceiverCore& ProtocolHost::add_receiver(std::shared_ptr<const ReceiverConfig> policy,
+                                         NodeId self, NodeId logger,
+                                         NodeId fallback_logger, AppHandlers handlers) {
+    ReceiverCore& core = receivers_
+                             .emplace_back(next_tag_++, std::move(handlers),
+                                           std::move(policy), self, logger, fallback_logger)
+                             .core;
+    core.bind_metrics(*metrics_);
     return core;
 }
 
 LoggerCore& ProtocolHost::add_logger(LoggerConfig config, std::uint64_t rng_seed,
                                      AppHandlers handlers) {
     LoggerCore& core =
-        loggers_
+        roles()
+            .loggers
             .emplace_back(next_tag_++, std::move(config), rng_seed, std::move(handlers))
             .core;
-    if (metrics_ != nullptr) core.bind_metrics(*metrics_);
+    core.bind_metrics(*metrics_);
     return core;
 }
 
 void ProtocolHost::bind_metrics(obs::Metrics& metrics) {
     metrics_ = &metrics.protocol();
-    host_ = &metrics_->host;
-    if (sender_) sender_->core.bind_metrics(*metrics_);
     for (auto& slot : receivers_) slot.core.bind_metrics(*metrics_);
-    for (auto& slot : loggers_) slot.core.bind_metrics(*metrics_);
+    if (!roles_) return;
+    if (SenderSlot* sender = sender_slot()) sender->core.bind_metrics(*metrics_);
+    for (auto& slot : roles_->loggers) slot.core.bind_metrics(*metrics_);
 }
 
 CoreBase& ProtocolHost::add_core(std::unique_ptr<CoreBase> core, AppHandlers handlers) {
-    return *generics_.emplace_back(next_tag_++, std::move(core), std::move(handlers))
+    return *roles()
+                .generics.emplace_back(next_tag_++, std::move(core), std::move(handlers))
                 .core;
 }
 
@@ -56,14 +74,16 @@ void ProtocolHost::add_dormant_receiver(
 ProtocolHost::ReceiverSlot& ProtocolHost::wake_dormant(std::size_t i) {
     DormantReceiver rec = std::move(dormant_[i]);
     dormant_.erase(dormant_.begin() + static_cast<std::ptrdiff_t>(i));
-    ReceiverConfig config = rec.tmpl->config;
-    config.self = rec.self;
-    config.logger = rec.logger;
-    config.fallback_logger = rec.fallback;
     AppHandlers handlers =
         rec.tmpl->make_handlers ? rec.tmpl->make_handlers(rec.self) : AppHandlers{};
-    ReceiverSlot& slot =
-        receivers_.emplace_back(rec.tag, std::move(config), std::move(handlers));
+    const Duration idle_threshold = ReceiverCore::initial_idle_threshold(rec.tmpl->config);
+    // The core's policy aliases the template's config: it shares the
+    // template's ownership, so the wake copies and allocates nothing.
+    const ReceiverConfig* policy = &rec.tmpl->config;
+    ReceiverSlot& slot = receivers_.emplace_back(
+        rec.tag, std::move(handlers),
+        std::shared_ptr<const ReceiverConfig>(std::move(rec.tmpl), policy), rec.self,
+        rec.logger, rec.fallback);
     // The constructor is pure; restore the two flags start() would have set
     // (a fired idle watchdog is recorded in rec.fresh).
     slot.core.restore_started(rec.fresh);
@@ -77,18 +97,16 @@ ProtocolHost::ReceiverSlot& ProtocolHost::wake_dormant(std::size_t i) {
         // diverge from an eager core, whose start()-armed timer still
         // fires.  Stale (!fresh) records carry no pending watchdog: the
         // eager equivalent already fired it, with no re-arm.
-        timers_.arm(rec.tag, {TimerKind::kIdle, 0},
-                    started_at_ + ReceiverCore::initial_idle_threshold(
-                                      slot.core.config()));
+        timers_.arm(rec.tag, {TimerKind::kIdle, 0}, started_at_ + idle_threshold);
     }
-    if (metrics_ != nullptr) slot.core.bind_metrics(*metrics_);
+    slot.core.bind_metrics(*metrics_);
     ++dormant_wakes_;
     return slot;
 }
 
 ReceiverCore* ProtocolHost::receiver_for(NodeId self) {
     for (auto& slot : receivers_)
-        if (slot.core.config().self == self) return &slot.core;
+        if (slot.core.self() == self) return &slot.core;
     for (std::size_t i = 0; i < dormant_.size(); ++i)
         if (dormant_[i].self == self) return &wake_dormant(i).core;
     return nullptr;
@@ -131,27 +149,32 @@ void ProtocolHost::fire_dormant_watchdogs(TimePoint now) {
                                          ? dormant_[i].tmpl->make_handlers(self)
                                          : AppHandlers{};
         Actions actions;
-        actions.push_back(Notice{NoticeKind::kFreshnessLost, 0});
+        actions.emplace_back(Notice{NoticeKind::kFreshnessLost, 0});
         execute(now, tag, handlers, std::move(actions));
     }
 }
 
 std::size_t ProtocolHost::core_count() const {
-    return (sender_ ? 1u : 0u) + receivers_.size() + loggers_.size() +
-           generics_.size() + dormant_.size();
+    std::size_t count = receivers_.size() + dormant_.size();
+    if (roles_)
+        count += (sender_slot() ? 1u : 0u) + roles_->loggers.size() +
+                 roles_->generics.size();
+    return count;
 }
 
 void ProtocolHost::start(TimePoint now) {
-    if (sender_) execute(now, 0, sender_->handlers, sender_->core.start(now));
+    if (SenderSlot* sender = sender_slot())
+        execute(now, 0, sender->handlers, sender->core.start(now));
     for (auto& slot : receivers_)
         execute(now, slot.tag, slot.handlers, slot.core.start(now));
     // Dormant records arm nothing: their idle watchdogs fire from the
     // owner's sweep (fire_dormant_watchdogs), anchored at this instant.
     started_at_ = now;
     started_ = true;
-    for (auto& slot : loggers_)
+    if (!roles_) return;
+    for (auto& slot : roles_->loggers)
         execute(now, slot.tag, slot.handlers, slot.core.start(now));
-    for (auto& slot : generics_)
+    for (auto& slot : roles_->generics)
         execute(now, slot.tag, slot.handlers, slot.core->start(now));
 }
 
@@ -159,7 +182,8 @@ void ProtocolHost::on_packet(TimePoint now, const Packet& packet) {
     // Every core sees every packet; each filters by group and type.  This
     // mirrors a host process demultiplexing one socket to its protocol
     // entities.
-    if (sender_) execute(now, 0, sender_->handlers, sender_->core.on_packet(now, packet));
+    if (SenderSlot* sender = sender_slot())
+        execute(now, 0, sender->handlers, sender->core.on_packet(now, packet));
     for (auto& slot : receivers_)
         execute(now, slot.tag, slot.handlers, slot.core.on_packet(now, packet));
     // Tag-cursor loop (see fire_dormant_watchdogs): the execute() after a
@@ -181,9 +205,12 @@ void ProtocolHost::on_packet(TimePoint now, const Packet& packet) {
         ReceiverSlot& slot = wake_dormant(i);  // erases dormant_[i]
         execute(now, slot.tag, slot.handlers, slot.core.on_packet(now, packet));
     }
-    for (auto& slot : loggers_)
+    // Re-read roles_ after the cores ran: an observer callback may have
+    // attached a logger or generic core.
+    if (!roles_) return;
+    for (auto& slot : roles_->loggers)
         execute(now, slot.tag, slot.handlers, slot.core.on_packet(now, packet));
-    for (auto& slot : generics_)
+    for (auto& slot : roles_->generics)
         execute(now, slot.tag, slot.handlers, slot.core->on_packet(now, packet));
 }
 
@@ -193,7 +220,8 @@ void ProtocolHost::on_datagram(TimePoint now, std::span<const std::uint8_t> data
 
 void ProtocolHost::on_timer(TimePoint now, std::uint32_t core_tag, TimerId id) {
     if (core_tag == 0) {
-        if (sender_) execute(now, 0, sender_->handlers, sender_->core.on_timer(now, id));
+        if (SenderSlot* sender = sender_slot())
+            execute(now, 0, sender->handlers, sender->core.on_timer(now, id));
         return;
     }
     for (auto& slot : receivers_) {
@@ -202,13 +230,14 @@ void ProtocolHost::on_timer(TimePoint now, std::uint32_t core_tag, TimerId id) {
             return;
         }
     }
-    for (auto& slot : loggers_) {
+    if (!roles_) return;
+    for (auto& slot : roles_->loggers) {
         if (slot.tag == core_tag) {
             execute(now, slot.tag, slot.handlers, slot.core.on_timer(now, id));
             return;
         }
     }
-    for (auto& slot : generics_) {
+    for (auto& slot : roles_->generics) {
         if (slot.tag == core_tag) {
             execute(now, slot.tag, slot.handlers, slot.core->on_timer(now, id));
             return;
@@ -217,12 +246,13 @@ void ProtocolHost::on_timer(TimePoint now, std::uint32_t core_tag, TimerId id) {
 }
 
 void ProtocolHost::send(TimePoint now, std::span<const std::uint8_t> payload) {
-    if (!sender_) return;
-    execute(now, 0, sender_->handlers, sender_->core.send(now, payload));
+    if (SenderSlot* sender = sender_slot())
+        execute(now, 0, sender->handlers, sender->core.send(now, payload));
 }
 
 void ProtocolHost::inject(TimePoint now, const CoreBase& core, Actions actions) {
-    for (auto& slot : generics_) {
+    if (!roles_) return;
+    for (auto& slot : roles_->generics) {
         if (slot.core.get() == &core) {
             execute(now, slot.tag, slot.handlers, std::move(actions));
             return;
@@ -232,25 +262,26 @@ void ProtocolHost::inject(TimePoint now, const CoreBase& core, Actions actions) 
 
 void ProtocolHost::execute(TimePoint now, std::uint32_t tag, const AppHandlers& handlers,
                            Actions&& actions) {
+    const obs::HostMetrics& host = metrics_->host;
     for (Action& action : actions) {
         if (auto* send = std::get_if<SendUnicast>(&action)) {
-            host_->send_by_type[static_cast<std::size_t>(send->packet.type())]
+            host.send_by_type[static_cast<std::size_t>(send->packet.type())]
                 ->inc();
             network_.send_unicast(send->to, send->packet);
         } else if (auto* mcast = std::get_if<SendMulticast>(&action)) {
-            host_->send_by_type[static_cast<std::size_t>(mcast->packet.type())]
+            host.send_by_type[static_cast<std::size_t>(mcast->packet.type())]
                 ->inc();
             network_.send_multicast(mcast->packet, mcast->scope);
         } else if (auto* start = std::get_if<StartTimer>(&action)) {
-            host_->timers_armed->inc();
+            host.timers_armed->inc();
             timers_.arm(tag, start->id, start->deadline);
         } else if (auto* cancel = std::get_if<CancelTimer>(&action)) {
-            host_->timers_cancelled->inc();
+            host.timers_cancelled->inc();
             timers_.cancel(tag, cancel->id);
         } else if (auto* deliver = std::get_if<DeliverData>(&action)) {
             if (handlers.on_data) handlers.on_data(now, *deliver);
         } else if (auto* notice = std::get_if<Notice>(&action)) {
-            host_->notices->inc();
+            host.notices->inc();
             if (handlers.on_notice) handlers.on_notice(now, *notice);
         } else if (auto* join = std::get_if<JoinGroup>(&action)) {
             network_.join_group(join->group);

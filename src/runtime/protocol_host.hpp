@@ -13,7 +13,11 @@
 // allocations instead of one heap node per core, which matters when a
 // million-node scenario attaches a million receiver slots (DESIGN.md
 // "Scale engineering").  The attach methods still hand out references that
-// stay valid for the host's lifetime.
+// stay valid for the host's lifetime.  A host carries only what its own
+// node needs (DESIGN.md "Memory engineering"): the sender, logger and
+// generic slots share one block allocated on the first such attach, since
+// nearly every host in a large scenario is receiver-only, and receivers of
+// one group share one immutable ReceiverConfig.
 #pragma once
 
 #include <functional>
@@ -42,15 +46,21 @@ public:
     /// Attach cores.  References remain valid for the host's lifetime.
     SenderCore& add_sender(SenderConfig config, AppHandlers handlers = {});
     ReceiverCore& add_receiver(ReceiverConfig config, AppHandlers handlers = {});
+    /// A receiver sharing `policy` with the group's other receivers (see
+    /// ReceiverCore's shared-policy constructor).
+    ReceiverCore& add_receiver(std::shared_ptr<const ReceiverConfig> policy, NodeId self,
+                               NodeId logger, NodeId fallback_logger,
+                               AppHandlers handlers = {});
     LoggerCore& add_logger(LoggerConfig config, std::uint64_t rng_seed,
                            AppHandlers handlers = {});
     /// Attach an arbitrary sans-IO core (baseline protocols).
     CoreBase& add_core(std::unique_ptr<CoreBase> core, AppHandlers handlers = {});
 
     /// Shared blueprint for dormant receivers: the identity-independent
-    /// config (self/logger/fallback_logger are overridden per record) plus
-    /// a handler factory invoked only when a core actually wakes.  One
-    /// template is shared by every dormant receiver in a scenario.
+    /// config (self/logger/fallback_logger come from each record) plus a
+    /// handler factory invoked only when a core actually wakes.  One
+    /// template is shared by every dormant receiver in a scenario, and a
+    /// woken core keeps `config` as its policy: no copy, no allocation.
     struct DormantReceiverTemplate {
         ReceiverConfig config;
         std::function<AppHandlers(NodeId self)> make_handlers;
@@ -122,7 +132,10 @@ public:
     /// so its sends/timers/notifications run through the host services.
     void inject(TimePoint now, const CoreBase& core, Actions actions);
 
-    [[nodiscard]] SenderCore* sender() { return sender_ ? &sender_->core : nullptr; }
+    [[nodiscard]] SenderCore* sender() {
+        SenderSlot* slot = sender_slot();
+        return slot != nullptr ? &slot->core : nullptr;
+    }
     [[nodiscard]] std::size_t core_count() const;
 
     /// Bind a metrics registry: resolves the shared protocol handle block
@@ -143,8 +156,9 @@ private:
         std::uint32_t tag;
         ReceiverCore core;
         AppHandlers handlers;
-        ReceiverSlot(std::uint32_t t, ReceiverConfig c, AppHandlers h)
-            : tag(t), core(std::move(c)), handlers(std::move(h)) {}
+        template <class... CoreArgs>
+        ReceiverSlot(std::uint32_t t, AppHandlers h, CoreArgs&&... core_args)
+            : tag(t), core(std::forward<CoreArgs>(core_args)...), handlers(std::move(h)) {}
     };
     struct LoggerSlot {
         std::uint32_t tag;
@@ -161,9 +175,23 @@ private:
             : tag(t), core(std::move(c)), handlers(std::move(h)) {}
     };
 
+    /// The slots a receiver-only host never fills, in one block that the
+    /// first add_sender, add_logger or add_core allocates.  At most one
+    /// host in a scenario carries a sender, so it stays behind its own
+    /// pointer here too.
+    struct Roles {
+        std::unique_ptr<SenderSlot> sender;
+        StableVector<LoggerSlot> loggers;
+        StableVector<GenericSlot> generics;
+    };
+    Roles& roles();
+    [[nodiscard]] SenderSlot* sender_slot() const {
+        return roles_ ? roles_->sender.get() : nullptr;
+    }
+
     /// Dormant receiver: identity + freshness is all the state an idle,
     /// statically-configured group member accumulates (see
-    /// add_dormant_receiver).  48 bytes vs ~1.3 kB for a ReceiverSlot.
+    /// add_dormant_receiver).  40 bytes vs 296 for a ReceiverSlot.
     struct DormantReceiver {
         std::uint32_t tag;
         NodeId self;
@@ -189,22 +217,18 @@ private:
 
     NetworkService& network_;
     TimerService& timers_;
-    const obs::ProtocolMetrics* metrics_ = nullptr;  ///< null until bound
-    const obs::HostMetrics* host_ = &obs::HostMetrics::disabled();
+    /// The disabled block until bind_metrics(); host counters are its
+    /// `host` member.
+    const obs::ProtocolMetrics* metrics_ = &obs::ProtocolMetrics::disabled();
 
-    /// Behind a pointer on purpose: at most one host in a whole scenario
-    /// carries a sender, so inlining the slot would cost sizeof(SenderCore)
-    /// in every one of a million senderless hosts.
-    std::unique_ptr<SenderSlot> sender_;
+    std::unique_ptr<Roles> roles_;  ///< null on a receiver-only host
     StableVector<ReceiverSlot> receivers_;
-    StableVector<LoggerSlot> loggers_;
-    StableVector<GenericSlot> generics_;
     /// Inline slot of 1: the dominant population (dormant-receiver sites)
     /// holds exactly one record per host, which std::vector would put in
     /// its own ~48-byte malloc chunk -- at 100k+ hosts those chunks are
     /// the RSS floor (bench/rss_gate.bound).
     SmallVec<DormantReceiver, 1> dormant_;
-    std::uint64_t dormant_wakes_ = 0;
+    std::uint32_t dormant_wakes_ = 0;
     std::uint32_t next_tag_ = 1;
     TimePoint started_at_{};  ///< set by start(); anchors watchdog sweeps
     bool started_ = false;    ///< start() ran (pre-start wakes skip the

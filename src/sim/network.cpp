@@ -461,6 +461,14 @@ Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
     // in-flight deliveries must keep forwarding on the (stale) tables after
     // a mid-run add_link.
     if (from == to) return Hop{};
+    if (const std::uint32_t k = sole_edge(from); k != kNoIndex) {
+        // A single-cable node routes everything through its cable, and
+        // reaches what the far end reaches -- so it never needs a row.
+        const Hop via{csr_to_[k], &directed_link(csr_link_[k])};
+        const bool reaches = to == via.next || (far_end_relays(via.next) &&
+                                                hop_toward(via.next, to).link != nullptr);
+        return reaches ? via : Hop{};
+    }
     const std::uint32_t su = node_site_[from];
     const std::uint32_t sv = node_site_[to];
     SiteTable& stu = site_tables_[su];
@@ -661,7 +669,7 @@ SimHost& Network::attach_host(NodeId node) {
     const std::size_t i = index(node);
     if (node_host_.size() < node_count()) node_host_.resize(node_count(), nullptr);
     if (node_host_[i] == nullptr)
-        node_host_[i] = &host_arena_.emplace_back(*this, simulator_, node);
+        node_host_[i] = &host_arena_.emplace_back(*this, node);
     return *node_host_[i];
 }
 
@@ -834,6 +842,13 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
                                       ? 4u
                                       : std::numeric_limits<std::size_t>::max();
 
+    // A single-cable root's first hop is its cable whatever the member
+    // (hop_toward's single-cable rule), so walks start at the far end and
+    // pay one hop_toward there instead of two.
+    const std::uint32_t root_edge = sole_edge(from_index);
+    const std::uint32_t root_far = root_edge != kNoIndex ? csr_to_[root_edge] : kNoIndex;
+    const bool root_far_relays = root_edge != kNoIndex && far_end_relays(root_far);
+
     std::vector<std::uint32_t> path;
     std::vector<Link*> path_links;
     for (NodeId member : members) {
@@ -845,6 +860,12 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
         path.assign(1, from_index);
         path_links.clear();
         std::uint32_t at = from_index;
+        if (root_edge != kNoIndex) {
+            if (member_index != root_far && !root_far_relays) continue;
+            path.push_back(root_far);
+            path_links.push_back(&directed_link(csr_link_[root_edge]));
+            at = root_far;
+        }
         bool reachable = true;
         while (at != member_index) {
             const Hop h = hop_toward(at, member_index);

@@ -28,7 +28,9 @@
 // finalize() builds only the border rows and a compact border graph (each
 // border's inter-site links, then its virtual same-site edges); every other
 // site-table row, and every backbone row, materialises on first touch, so
-// memory grows with the rows traffic reads, not with B^2.  Each row is a
+// memory grows with the rows traffic reads, not with B^2.  A node with one
+// cable (every host of a DIS topology) never builds a row: it routes
+// through that cable and reaches what the far end reaches.  Each row is a
 // pure function of snapshots taken at finalize() -- the adjacency CSR and
 // the cable weights, the liveness flags and the border graph -- so build
 // *time* can never change a route (a lazily built row never sees a
@@ -418,8 +420,21 @@ private:
     /// Next forwarding step from node index `from` toward `to`: the
     /// intra-site candidate vs the best (exit border, entry border) pair
     /// through the backbone.  Builds `from`'s site row and an exit
-    /// border's backbone row on first need.
+    /// border's backbone row on first need -- except for a single-cable
+    /// `from`, which answers from its far end and never builds a row of
+    /// its own.
     [[nodiscard]] Hop hop_toward(std::uint32_t from, std::uint32_t to);
+    /// The CSR index of node `i`'s only out-edge, or kNoIndex unless `i`
+    /// had exactly one cable at finalize().
+    [[nodiscard]] std::uint32_t sole_edge(std::uint32_t i) const {
+        return csr_offset_[i + 1] - csr_offset_[i] == 1 ? csr_offset_[i] : kNoIndex;
+    }
+    /// Whether `far`, the far end of a single-cable node's cable, carries
+    /// that node's traffic beyond itself: it was up at finalize() and has
+    /// another cable (a single one would lead only back).
+    [[nodiscard]] bool far_end_relays(std::uint32_t far) const {
+        return route_down_[far] == 0 && sole_edge(far) == kNoIndex;
+    }
 
     void track(DeliveryBase* d);
     void destroy(DeliveryBase* d);

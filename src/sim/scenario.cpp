@@ -185,6 +185,15 @@ void DisScenario::wire_source() {
     }
 }
 
+ReceiverConfig DisScenario::receiver_policy() const {
+    ReceiverConfig policy = config_.receiver_defaults;
+    policy.group = config_.group;
+    policy.source = topology_.source;
+    policy.heartbeat = config_.heartbeat;
+    if (config_.use_retrans_channel) policy.retrans_channel = retrans_group();
+    return policy;
+}
+
 void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_index) {
     const GroupId group = config_.group;
 
@@ -228,6 +237,23 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
     const bool dormant_mode = config_.dormant_receivers &&
                               !config_.discover_loggers &&
                               !config_.rotate_site_loggers;
+    // Eager receivers share one policy; under rotation each site's
+    // receivers share one that lists the site's rotating loggers.
+    std::shared_ptr<const ReceiverConfig> policy;
+    if (!dormant_mode && !site.receivers.empty()) {
+        if (config_.rotate_site_loggers) {
+            ReceiverConfig site_policy = receiver_policy();
+            site_policy.rotating_loggers = site.receivers;
+            policy = std::make_shared<const ReceiverConfig>(std::move(site_policy));
+        } else {
+            if (!receiver_policy_)
+                receiver_policy_ = std::make_shared<const ReceiverConfig>(receiver_policy());
+            policy = receiver_policy_;
+        }
+    }
+    NodeId receiver_logger = kNoNode;  // discovery finds one
+    if (!config_.discover_loggers)
+        receiver_logger = local_logger != kNoNode ? local_logger : topology_.primary;
     std::uint32_t receiver_index = 0;
     for (NodeId node : site.receivers) {
         const bool joins_group =
@@ -245,13 +271,7 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
         if (dormant_mode) {
             if (!dormant_template_) {
                 auto tmpl = std::make_shared<ProtocolHost::DormantReceiverTemplate>();
-                ReceiverConfig cfg = config_.receiver_defaults;
-                cfg.group = group;
-                cfg.source = topology_.source;
-                cfg.heartbeat = config_.heartbeat;
-                if (config_.use_retrans_channel)
-                    cfg.retrans_channel = retrans_group();
-                tmpl->config = std::move(cfg);
+                tmpl->config = receiver_policy();
                 tmpl->make_handlers = [this](NodeId self) {
                     AppHandlers h;
                     h.on_data = [this, self](TimePoint at, const DeliverData& d) {
@@ -267,10 +287,8 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
             // One shared watchdog deadline for every dormant receiver in
             // the scenario: start() schedules a single sweep event in place
             // of one armed timer per record (~100 B each at 10^7).
-            host.protocol().add_dormant_receiver(
-                dormant_template_, node,
-                local_logger != kNoNode ? local_logger : topology_.primary,
-                topology_.primary);
+            host.protocol().add_dormant_receiver(dormant_template_, node, receiver_logger,
+                                                 topology_.primary);
             if (joins_group) network_.join(group, node);
             continue;
         }
@@ -291,21 +309,6 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                                        config_.seed * 57 + node.value());
         }
 
-        ReceiverConfig receiver_config = config_.receiver_defaults;
-        receiver_config.self = node;
-        receiver_config.group = group;
-        receiver_config.source = topology_.source;
-        receiver_config.heartbeat = config_.heartbeat;
-        if (config_.discover_loggers) {
-            receiver_config.logger = kNoNode;
-        } else {
-            receiver_config.logger =
-                local_logger != kNoNode ? local_logger : topology_.primary;
-        }
-        receiver_config.fallback_logger = topology_.primary;
-        if (config_.rotate_site_loggers) receiver_config.rotating_loggers = site.receivers;
-        if (config_.use_retrans_channel) receiver_config.retrans_channel = retrans_group();
-
         AppHandlers handlers;
         handlers.on_data = [this, node](TimePoint at, const DeliverData& d) {
             report_delivery(at, node, d);
@@ -314,7 +317,8 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
             report_notice(at, node, n);
         };
         receiver_cores_.emplace_back(
-            node, &host.protocol().add_receiver(std::move(receiver_config), handlers));
+            node, &host.protocol().add_receiver(policy, node, receiver_logger,
+                                                topology_.primary, std::move(handlers)));
         if (joins_group) network_.join(group, node);
     }
 }

@@ -9,17 +9,19 @@
 
 namespace lbrm::sim {
 
-SimHost::SimHost(Network& network, Simulator& simulator, NodeId self)
-    : network_(network), simulator_(simulator), self_(self), protocol_(*this, *this) {
+SimHost::SimHost(Network& network, NodeId self)
+    : network_(network), protocol_(*this, *this), self_(self) {
     protocol_.bind_metrics(network.metrics());
 }
+
+Simulator& SimHost::simulator() const { return network_.simulator(); }
 
 SimHost::~SimHost() { ::operator delete(timers_); }
 
 void SimHost::grow_timers() {
     static_assert(std::is_trivially_copyable_v<TimerEnt>,
                   "raw timer table relies on memcpy relocation");
-    const std::uint32_t cap = timer_cap_ == 0 ? 2 : timer_cap_ * 2;
+    const std::uint32_t cap = timer_cap_ == 0 ? 1 : timer_cap_ * 2;
     auto* fresh = static_cast<TimerEnt*>(::operator new(cap * sizeof(TimerEnt)));
     if (timer_count_ > 0)
         std::memcpy(fresh, timers_, timer_count_ * sizeof(TimerEnt));
@@ -45,8 +47,10 @@ void SimHost::join_group(GroupId group) { network_.join(group, self_); }
 void SimHost::leave_group(GroupId group) { network_.leave(group, self_); }
 
 std::size_t SimHost::find_timer(std::uint32_t tag, TimerId id) const {
-    for (std::size_t i = 0; i < timer_count_; ++i)
-        if (timers_[i].tag == tag && timers_[i].id == id) return i;
+    for (std::size_t i = 0; i < timer_count_; ++i) {
+        const TimerEnt& t = timers_[i];
+        if (t.tag == tag && t.kind == id.kind && t.arg == id.arg) return i;
+    }
     return timer_count_;
 }
 
@@ -61,11 +65,11 @@ std::uint64_t SimHost::schedule_fire(std::uint32_t tag, TimerId id, TimePoint at
     if (id.arg <= 0xFFFFFFFFull && tag < (1u << 24)) {
         const auto arg32 = static_cast<std::uint32_t>(id.arg);
         const std::uint32_t tk = (tag << 8) | static_cast<std::uint32_t>(id.kind);
-        return simulator_.schedule_at(at, [this, arg32, tk] {
+        return simulator().schedule_at(at, [this, arg32, tk] {
             fire(tk >> 8, TimerId{static_cast<TimerKind>(tk & 0xFFu), arg32});
         });
     }
-    return simulator_.schedule_at(at, [this, tag, id] { fire(tag, id); });
+    return simulator().schedule_at(at, [this, tag, id] { fire(tag, id); });
 }
 
 void SimHost::fire(std::uint32_t tag, TimerId id) {
@@ -73,7 +77,7 @@ void SimHost::fire(std::uint32_t tag, TimerId id) {
     const std::size_t i = find_timer(tag, id);
     // The firing host is the actor for whatever the handler schedules,
     // including the re-queued event of a moved deadline.
-    Simulator::ActorScope scope(simulator_,
+    Simulator::ActorScope scope(simulator(),
                                 static_cast<std::uint32_t>(self_.value() - 1));
     TimerEnt& t = timers_[i];
     if (t.deadline > t.fire_at) {
@@ -83,7 +87,7 @@ void SimHost::fire(std::uint32_t tag, TimerId id) {
         return;
     }
     timers_[i] = timers_[--timer_count_];
-    protocol_.on_timer(simulator_.now(), tag, id);
+    protocol_.on_timer(simulator().now(), tag, id);
 }
 
 void SimHost::arm(std::uint32_t core_tag, TimerId id, TimePoint deadline) {
@@ -94,20 +98,20 @@ void SimHost::arm(std::uint32_t core_tag, TimerId id, TimePoint deadline) {
             timers_[i].deadline = deadline;
             return;
         }
-        simulator_.cancel(timers_[i].event);  // earlier: replace the event
+        simulator().cancel(timers_[i].event);  // earlier: replace the event
     } else {
         if (timer_count_ == timer_cap_) grow_timers();
         i = timer_count_++;
     }
     // schedule_at clamps a past deadline to now.
-    timers_[i] = TimerEnt{core_tag, id, schedule_fire(core_tag, id, deadline),
-                          std::max(deadline, simulator_.now()), deadline};
+    timers_[i] = TimerEnt{id.arg, schedule_fire(core_tag, id, deadline),
+                          std::max(deadline, simulator().now()), deadline, core_tag, id.kind};
 }
 
 void SimHost::cancel(std::uint32_t core_tag, TimerId id) {
     const std::size_t i = find_timer(core_tag, id);
     if (i == timer_count_) return;
-    simulator_.cancel(timers_[i].event);
+    simulator().cancel(timers_[i].event);
     timers_[i] = timers_[--timer_count_];
 }
 

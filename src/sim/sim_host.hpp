@@ -10,6 +10,8 @@
 // a 16-byte handle to a block from operator new: most hosts in the big
 // scenarios never arm a timer (watchdogs are deferred until first
 // traffic), and the handle is 8 bytes smaller than an empty std::vector.
+// The first block holds one 40-byte entry, since a woken receiver that
+// sees no loss only ever arms its idle watchdog; it doubles from there.
 //
 // Re-arms are lazy (DESIGN.md "Simulator performance"): each entry keeps
 // the time its queued event fires and the time the timer is really due.
@@ -32,7 +34,7 @@ class Network;
 
 class SimHost final : public NetworkService, public TimerService {
 public:
-    SimHost(Network& network, Simulator& simulator, NodeId self);
+    SimHost(Network& network, NodeId self);
     ~SimHost() override;
 
     SimHost(const SimHost&) = delete;
@@ -57,13 +59,15 @@ public:
 
 private:
     /// One armed timer: (core tag, timer id) -> its queued event, which
-    /// fires at `fire_at`, no later than the timer's `deadline`.
+    /// fires at `fire_at`, no later than the timer's `deadline`.  The
+    /// TimerId is stored flat (arg, kind) so the entry packs into 40 bytes.
     struct TimerEnt {
-        std::uint32_t tag;
-        TimerId id;
+        std::uint64_t arg;
         std::uint64_t event;
         TimePoint fire_at;
         TimePoint deadline;
+        std::uint32_t tag;
+        TimerKind kind;
     };
     [[nodiscard]] std::size_t find_timer(std::uint32_t tag, TimerId id) const;
     /// Queue the event that fires timer (tag, id) at `at`.
@@ -72,16 +76,18 @@ private:
     /// or hand the timer to the core.
     void fire(std::uint32_t tag, TimerId id);
     void grow_timers();
+    /// The network's simulator (derived, not stored: one pointer less per
+    /// host).
+    [[nodiscard]] Simulator& simulator() const;
 
     Network& network_;
-    Simulator& simulator_;
-    NodeId self_;
     ProtocolHost protocol_;
     /// Armed timers, unordered; erased by swap-with-back.  Null until the
     /// first arm.
     TimerEnt* timers_ = nullptr;
     std::uint32_t timer_count_ = 0;
     std::uint32_t timer_cap_ = 0;
+    NodeId self_;
 };
 
 }  // namespace lbrm::sim

@@ -10,10 +10,17 @@
 // 20 ms -- and holds them at 0.3 per delivery, with the constant-memory
 // CountingObserver and with the default RecordingObserver.
 //
+// A second gate bounds what waking a dormant receiver adds to the heap
+// (DESIGN.md "Memory engineering"): one group packet wakes every receiver
+// of a dormant-mode scenario, and the live heap may grow by at most a fixed
+// number of bytes per woken receiver.
+//
 // The binary replaces global operator new, so it cannot share one with
 // another suite.  Under AddressSanitizer, whose runtime owns operator new,
-// the sanitizer's allocation hook does the counting instead.
+// the sanitizer's allocation hooks do the counting instead.
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -40,11 +47,19 @@ namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_bytes{0};
+/// Usable bytes allocated minus usable bytes freed while counting: the
+/// growth of the live heap.
+std::atomic<std::int64_t> g_live{0};
 
 void count(std::size_t n) {
     if (!g_counting.load(std::memory_order_relaxed)) return;
     g_allocs.fetch_add(1, std::memory_order_relaxed);
     g_bytes.fetch_add(n, std::memory_order_relaxed);
+}
+
+void track_live(std::int64_t usable) {
+    if (g_counting.load(std::memory_order_relaxed))
+        g_live.fetch_add(usable, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -54,30 +69,46 @@ void count(std::size_t n) {
 extern "C" int __sanitizer_install_malloc_and_free_hooks(
     void (*malloc_hook)(const volatile void*, std::size_t),
     void (*free_hook)(const volatile void*));
+extern "C" std::size_t __sanitizer_get_allocated_size(const volatile void* p);
 
 namespace {
 [[maybe_unused]] const int g_hooks_installed = __sanitizer_install_malloc_and_free_hooks(
-    [](const volatile void*, std::size_t n) { count(n); }, [](const volatile void*) {});
+    [](const volatile void*, std::size_t n) {
+        count(n);
+        track_live(static_cast<std::int64_t>(n));
+    },
+    [](const volatile void* p) {
+        track_live(-static_cast<std::int64_t>(__sanitizer_get_allocated_size(p)));
+    });
 }  // namespace
 
 #else
 
 void* operator new(std::size_t n) {
     count(n);
-    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+    if (void* p = std::malloc(n == 0 ? 1 : n)) {
+        track_live(static_cast<std::int64_t>(malloc_usable_size(p)));
+        return p;
+    }
     throw std::bad_alloc{};
 }
 
 void* operator new(std::size_t n, std::align_val_t al) {
     count(n);
     const auto a = static_cast<std::size_t>(al);
-    if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+    if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) {
+        track_live(static_cast<std::int64_t>(malloc_usable_size(p)));
+        return p;
+    }
     throw std::bad_alloc{};
 }
 
 // Not inlined: GCC would otherwise see free() on a pointer from operator new
 // and warn (-Wmismatched-new-delete), although this pair is consistent.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+    if (p != nullptr) track_live(-static_cast<std::int64_t>(malloc_usable_size(p)));
+    std::free(p);
+}
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
@@ -170,6 +201,41 @@ TEST(AllocGate, RecordingObserverDeliveriesStayOffTheHeap) {
     const Count c = count_allocations(observer, [&] { return observer->deliveries().size(); });
     EXPECT_GT(c.deliveries, std::uint64_t{kCountedUpdates} * 1000 * 9 / 10);
     EXPECT_LE(c.allocs_per_delivery, kMaxAllocsPerDelivery);
+}
+
+// --- what a wake costs --------------------------------------------------------
+
+// Live heap added per woken receiver, gcc 12 with glibc malloc (usable
+// sizes): 799 bytes while each woken core copied its ReceiverConfig and
+// the first timer block held two entries, 550 since.  The bound leaves
+// ~5% headroom, so either regression fails it: a copied config adds 192
+// bytes, a two-entry first timer block 48 (598 measured).
+constexpr double kMaxHeapBytesPerWokenReceiver = 580;
+
+TEST(AllocGate, WakingADormantReceiverStaysWithinItsHeapBudget) {
+    ScenarioConfig config;
+    config.topology.sites = 100;
+    config.topology.receivers_per_site = 50;
+    config.dormant_receivers = true;
+    config.seed = 5;
+    auto observer = std::make_shared<CountingObserver>();
+    config.observer = observer;
+    DisScenario scenario{config};
+    scenario.start();
+
+    // One group packet wakes every receiver; each delivers it once.
+    g_live = 0;
+    g_counting = true;
+    scenario.send_update(std::size_t{64});
+    scenario.run_for(millis(200));
+    g_counting = false;
+
+    const std::uint64_t woken = observer->deliveries();
+    ASSERT_EQ(woken, 100u * 50u);
+    const double per_wake = static_cast<double>(g_live.load()) / static_cast<double>(woken);
+    std::printf("%llu receivers woken: %.1f heap bytes each\n",
+                static_cast<unsigned long long>(woken), per_wake);
+    EXPECT_LE(per_wake, kMaxHeapBytesPerWokenReceiver);
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "sim/loss_model.hpp"
 #include "sim/network.hpp"
 #include "sim/topology.hpp"
 #include "tests/route_oracle.hpp"
@@ -50,11 +52,11 @@ LinkSet traced_multicast(Network& net, Simulator& sim, NodeId from, McastScope s
 /// oracle paths to every member in scope -- same site (and never leaving
 /// it) for site scope, at most 4 hops for region scope.
 LinkSet oracle_multicast(const Network& net, NodeId from, const std::vector<NodeId>& members,
-                         McastScope scope) {
+                         McastScope scope, const std::set<NodeId>& down = {}) {
     LinkSet links;
     for (const NodeId m : members) {
         if (m == from) continue;
-        const std::vector<NodeId> path = oracle_path(net, from, m);
+        const std::vector<NodeId> path = oracle_path(net, from, m, down);
         bool in_scope = !path.empty();
         if (scope == McastScope::kSite)
             for (const NodeId n : path) in_scope = in_scope && net.site_of(n) == net.site_of(from);
@@ -117,6 +119,155 @@ TEST(RoutingAB, ScopedMulticastAndUnicastTraceIdentical) {
 
 TEST(RoutingAB, RegionalTierTraceIdentical) {
     expect_routes_match_oracle(/*sites_per_region=*/2);
+}
+
+// --- single-cable nodes ------------------------------------------------------
+
+/// Drops nothing and counts its draws.
+class CountingLoss final : public LossModel {
+public:
+    explicit CountingLoss(std::uint64_t& draws) : draws_(draws) {}
+    bool drop(Rng&, TimePoint) override {
+        ++draws_;
+        return false;
+    }
+
+private:
+    std::uint64_t& draws_;
+};
+
+/// The 4-site DIS topology with replicas and a regional tier, plus a
+/// one-node site hanging off the backbone (a single-cable border) and a
+/// separate two-node component (each end's far end has one cable too).
+/// Every non-router is single-cable, and every shortest path is unique.
+struct SingleCableNet {
+    Simulator sim;
+    Network net{sim, 99};
+    DisTopology topo;
+    NodeId stub, pair_a, pair_b;
+    std::vector<NodeId> members;
+    /// Loss draws on each node's cable toward its far end, by node id.
+    std::vector<std::uint64_t> draws;
+
+    SingleCableNet() {
+        DisTopologySpec spec;
+        spec.sites = 4;
+        spec.receivers_per_site = 3;
+        spec.replicas = 2;
+        spec.sites_per_region = 2;
+        topo = make_dis_topology(net, spec);
+        stub = net.add_node(SiteId{900});
+        net.add_link(stub, topo.backbone,
+                     LinkSpec{spec.backbone_delay, spec.backbone_bandwidth_bps,
+                              Duration::zero()});
+        pair_a = net.add_node(SiteId{901});
+        pair_b = net.add_node(SiteId{901});
+        net.add_link(pair_a, pair_b,
+                     LinkSpec{spec.lan_delay, spec.lan_bandwidth_bps, Duration::zero()});
+        members = topo.all_receivers();
+        for (const auto& site : topo.sites) members.push_back(site.secondary);
+        for (const auto& region : topo.regions) members.push_back(region.logger);
+        members.insert(members.end(), topo.replicas.begin(), topo.replicas.end());
+        members.insert(members.end(), {topo.primary, stub, pair_a, pair_b});
+        std::sort(members.begin(), members.end());
+        for (const NodeId m : members) net.join(GroupId{1}, m);
+        draws.assign(net.node_count() + 1, 0);
+    }
+
+    /// Every node with exactly one cable, with the node at its far end.
+    [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> single_cable_nodes() const {
+        std::vector<std::pair<NodeId, NodeId>> out;
+        const auto n = static_cast<std::uint32_t>(net.node_count());
+        for (std::uint32_t a = 1; a <= n; ++a) {
+            std::vector<NodeId> peers;
+            for (std::uint32_t b = 1; b <= n; ++b)
+                if (net.link(NodeId{a}, NodeId{b}) != nullptr) peers.push_back(NodeId{b});
+            if (peers.size() == 1) out.emplace_back(NodeId{a}, peers[0]);
+        }
+        return out;
+    }
+
+    /// Unicasts from every single-cable node to every other node.  Routes
+    /// are the oracle's over the topology as finalize() saw it, with
+    /// `finalize_down` not relaying; a packet dies in the first node it
+    /// reaches that is down now (`finalize_down` or `live_down`).  An
+    /// unreachable destination, or a down sender, puts nothing on the
+    /// cable: no transmit and no loss draw.
+    void expect_unicasts_match_oracle(const std::set<NodeId>& finalize_down,
+                                      const std::set<NodeId>& live_down = {}) {
+        std::set<NodeId> down_now = finalize_down;
+        down_now.insert(live_down.begin(), live_down.end());
+        const auto singles = single_cable_nodes();
+        ASSERT_EQ(singles.size(), 25u);  // every host, the stub and the pair
+        for (const auto& [from, far] : singles) {
+            std::uint64_t& cable_draws = draws[from.value()];
+            net.set_loss(from, far, std::make_unique<CountingLoss>(cable_draws));
+            for (std::uint32_t id = 1; id <= net.node_count(); ++id) {
+                const NodeId to{id};
+                if (to == from) continue;
+                std::vector<NodeId> want = oracle_path(net, from, to, finalize_down);
+                if (down_now.contains(from)) want.clear();
+                for (std::size_t i = 1; i < want.size(); ++i) {
+                    if (down_now.contains(want[i])) {
+                        want.resize(i + 1);
+                        break;
+                    }
+                }
+                if (want.empty()) want.push_back(from);
+                const std::uint64_t before = cable_draws;
+                EXPECT_EQ(traced_unicast(net, sim, from, to, query_from(from)), want)
+                    << from << " -> " << to;
+                EXPECT_EQ(cable_draws - before, want.size() > 1 ? 1u : 0u)
+                    << from << " -> " << to;
+            }
+        }
+    }
+
+    /// A global multicast from every single-cable node crosses exactly the
+    /// oracle's links to every reachable member.
+    void expect_multicasts_match_oracle(const std::set<NodeId>& finalize_down) {
+        for (const auto& [from, far] : single_cable_nodes()) {
+            if (finalize_down.contains(from)) continue;
+            EXPECT_EQ(traced_multicast(net, sim, from, McastScope::kGlobal),
+                      oracle_multicast(net, from, members, McastScope::kGlobal,
+                                       finalize_down))
+                << "multicast from " << from;
+        }
+    }
+};
+
+// A single-cable node routes through its cable and reaches what its far end
+// reaches, with no row of its own: the same next hop its own Dijkstra row
+// would give, on every destination.
+TEST(RoutingAB, SingleCableNodesMatchOracle) {
+    SingleCableNet s;
+    s.net.finalize();
+    const std::size_t rows = s.net.site_rows_built();
+    s.expect_unicasts_match_oracle({});
+    s.expect_multicasts_match_oracle({});
+    EXPECT_EQ(s.net.site_rows_built(), rows);  // every row read was a border's
+}
+
+TEST(RoutingAB, SingleCableNodesBehindRoutersDownAtFinalize) {
+    // A host behind a router that was down at finalize() reaches only the
+    // router; nothing else reaches the host.
+    SingleCableNet s;
+    const std::set<NodeId> down = {s.topo.sites[1].router, s.topo.regions[1].router};
+    for (const NodeId d : down) s.net.set_node_down(d, true);
+    s.net.finalize();
+    s.expect_unicasts_match_oracle(down);
+    s.expect_multicasts_match_oracle(down);
+}
+
+TEST(RoutingAB, SingleCableNodesKeepFinalizeTimeRoutesAfterSetNodeDown) {
+    // Downed after finalize(): routes stand, so a host behind the router
+    // still sends into it and the packet dies there.
+    SingleCableNet s;
+    s.net.finalize();
+    const std::set<NodeId> down = {s.topo.sites[2].router, s.topo.regions[0].router,
+                                   s.topo.replicas[1]};
+    for (const NodeId d : down) s.net.set_node_down(d, true);
+    s.expect_unicasts_match_oracle({}, down);
 }
 
 // --- downed router forcing a backbone detour ---------------------------------

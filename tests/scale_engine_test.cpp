@@ -263,6 +263,11 @@ TEST(FinalizeModes, LazyMaterialisesRowsOnDemand) {
     spec.sites = 8;
     spec.receivers_per_site = 10;
     const DisTopology topo = make_dis_topology(net, spec);
+    // A second LAN cable makes two interior hosts multi-cable: only those
+    // route from rows of their own (single-cable nodes ask their far end).
+    const auto& site = topo.sites[3];
+    net.add_link(site.receivers[0], site.receivers[1],
+                 LinkSpec{spec.lan_delay, spec.lan_bandwidth_bps, Duration::zero()});
     net.finalize();
 
     // Only border rows were built eagerly (one per site router here).
@@ -273,9 +278,9 @@ TEST(FinalizeModes, LazyMaterialisesRowsOnDemand) {
     // Traffic touches rows; the count grows but only where needed.
     const GroupId group{1};
     for (NodeId r : topo.all_receivers()) net.join(group, r);
-    net.multicast(topo.source,
-                  Packet{Header{group, topo.source, topo.source},
-                         DataBody{SeqNum{1}, EpochId{0}, {1}}},
+    const NodeId sender = site.receivers[0];
+    net.multicast(sender,
+                  Packet{Header{group, sender, sender}, DataBody{SeqNum{1}, EpochId{0}, {1}}},
                   McastScope::kGlobal);
     sim.run_for(secs(1.0));
     EXPECT_GT(net.site_rows_built(), after_finalize);

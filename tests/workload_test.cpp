@@ -308,6 +308,62 @@ TEST(WorkloadEngine, StalenessStatisticsArePinned) {
     }
 }
 
+/// One key, updated every `gap`: each item supersedes the one before.
+class OneKeyWorkload final : public Workload {
+public:
+    explicit OneKeyWorkload(Duration gap) : gap_(gap) {}
+    [[nodiscard]] std::string name() const override { return "one-key"; }
+    WorkloadItem next(Rng&) override { return WorkloadItem{gap_, 0, update_++}; }
+    [[nodiscard]] std::vector<std::uint8_t> render(const WorkloadItem& item) const override {
+        return {static_cast<std::uint8_t>(item.update)};
+    }
+
+private:
+    Duration gap_;
+    std::uint32_t update_ = 0;
+};
+
+/// Sends one more update from inside the second delivery of `seq`.  The
+/// configured observer hears each delivery before the added ones, so the
+/// send lands between the engine's first and second delivery of `seq`.
+class SendOnSecondDelivery final : public sim::ScenarioObserver {
+public:
+    void on_delivery(TimePoint, NodeId, const DeliverData& data) override {
+        if (data.seq == seq && ++seen == 2) scenario->send_update(std::size_t{8});
+    }
+    DisScenario* scenario = nullptr;
+    SeqNum seq{1};
+    int seen = 0;
+};
+
+// The engine memoises a delivery's outcome for the next delivery of the
+// same (seq, arrival time), which a site's receivers share.  A send between
+// two such deliveries can supersede the second, so it must drop the memo.
+TEST(WorkloadEngine, SendBetweenDeliveriesOfOneArrivalSupersedesTheSecond) {
+    ScenarioConfig config;
+    config.topology.sites = 1;
+    config.topology.receivers_per_site = 2;
+    auto trigger = std::make_shared<SendOnSecondDelivery>();
+    config.observer = trigger;
+    DisScenario scenario{config};
+    trigger->scenario = &scenario;
+    scenario.start();
+
+    // Two planned items of one key; the triggered send is reported as the
+    // second (on_send maps sends to plan items in order), so it supersedes
+    // seq 1 for every delivery after it.
+    WorkloadEngine engine{scenario, EngineConfig{false, millis(100), secs(1.0), 1}};
+    engine.add_stream(std::make_unique<OneKeyWorkload>(millis(400)));
+    engine.start();
+    ASSERT_EQ(engine.streams()[0].planned, 2u);
+    scenario.run_for(millis(800));  // seq 1 and the triggered seq 2 land
+
+    ASSERT_EQ(trigger->seen, 2);
+    EXPECT_EQ(engine.sends(), 2u);
+    EXPECT_EQ(engine.staleness_samples(), 4u);  // seqs 1 and 2 at both receivers
+    EXPECT_EQ(engine.superseded_deliveries(), 1u);  // the second delivery of seq 1
+}
+
 // --- composing with the chaos engine -----------------------------------------
 
 /// A 4-site x 3-receiver scenario observed by a crash-on-receive chaos
