@@ -11,7 +11,6 @@ std::vector<double> variable_heartbeat_offsets(const HeartbeatConfig& config, do
     std::vector<double> offsets;
     const double h_min = to_seconds(config.h_min);
     const double h_max = to_seconds(config.h_max);
-    const double backoff = config.fixed ? 1.0 : config.backoff;
 
     double interval = h_min;
     double at = 0.0;
@@ -19,7 +18,7 @@ std::vector<double> variable_heartbeat_offsets(const HeartbeatConfig& config, do
         at += interval;
         if (at >= dt) break;  // preempted by the next data packet
         offsets.push_back(at);
-        interval = std::min(interval * backoff, h_max);
+        interval = std::min(interval * config.backoff, h_max);
         if (offsets.size() > 1'000'000) break;  // guard absurd parameters
     }
     return offsets;
@@ -54,7 +53,7 @@ double overhead_ratio(const HeartbeatConfig& config, double dt) {
 
 double overhead_ratio_continuous(const HeartbeatConfig& config, double dt) {
     const double h_min = to_seconds(config.h_min);
-    const double b = config.fixed ? 1.0 : config.backoff;
+    const double b = config.backoff;
     if (dt <= h_min) return 1.0;
     const double fixed = dt / h_min;
     if (b <= 1.0) return 1.0;

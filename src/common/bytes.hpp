@@ -25,7 +25,7 @@
 //   u8, u16, u32, u64, i64, f64      as themselves
 //   bool, u8-backed enums            one byte; a nonzero bool byte reads true
 //   SeqNum, u32 strong ids           u32
-//   TimePoint                        i64 nanosecond ticks
+//   TimePoint, Duration              i64 nanosecond ticks
 //   Payload, std::string             u16 length, then the bytes
 //   std::pair                        first, then second (map entries)
 //
@@ -320,6 +320,7 @@ private:
     void field(bool v) { sink_.u8(v ? 1 : 0); }
     void field(SeqNum s) { sink_.u32(s.value()); }
     void field(TimePoint t) { sink_.i64(t.time_since_epoch().count()); }
+    void field(Duration d) { sink_.i64(d.count()); }
     void field(const Payload& blob) { sink_.blob16(blob); }
     void field(const std::string& s) { sink_.str16(s); }
 
@@ -388,6 +389,7 @@ private:
     void field(bool& v) { if (auto x = r_.u8()) v = *x != 0; }
     void field(SeqNum& s) { if (auto x = r_.u32()) s = SeqNum{*x}; }
     void field(TimePoint& t) { if (auto x = r_.i64()) t = TimePoint{Duration{*x}}; }
+    void field(Duration& d) { if (auto x = r_.i64()) d = Duration{*x}; }
     void field(Payload& blob) { if (auto x = r_.blob16()) blob = std::move(*x); }
     void field(std::string& s) { if (auto x = r_.str16()) s = std::move(*x); }
 

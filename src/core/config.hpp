@@ -46,10 +46,9 @@ struct SimConfig {
 struct HeartbeatConfig {
     Duration h_min = secs(0.25);
     Duration h_max = secs(32.0);
+    /// 1 keeps the interval at h_min: the "fixed heartbeat" baseline of
+    /// Section 2.1.2.
     double backoff = 2.0;
-    /// When true the interval never grows: the "fixed heartbeat" baseline
-    /// of Section 2.1.2 (equivalent to backoff = 1).
-    bool fixed = false;
 };
 
 /// Statistical acknowledgement (Section 2.3).

@@ -74,7 +74,6 @@ public:
         spacing_ = spacing_ == Duration::zero()
                        ? config_.initial_backoff
                        : std::min(config_.max_backoff, 2 * spacing_);
-        ++loss_signals_;
         return spacing_ > before;
     }
 
@@ -110,14 +109,12 @@ public:
     }
 
     [[nodiscard]] bool congested() const { return spacing_ > Duration::zero(); }
-    [[nodiscard]] std::uint64_t loss_signals() const { return loss_signals_; }
     [[nodiscard]] const FlowControlConfig& config() const { return config_; }
 
 private:
     FlowControlConfig config_;
     Duration spacing_ = Duration::zero();
     std::uint32_t streak_ = 0;
-    std::uint64_t loss_signals_ = 0;
 };
 
 }  // namespace lbrm

@@ -15,7 +15,6 @@ void GroupSizeEstimator::on_probe_reply(std::uint32_t round) {
 
 void GroupSizeEstimator::finish_round() {
     if (phase_ == Phase::kDone) return;
-    ++rounds_completed_;
 
     const double round_estimate =
         static_cast<double>(replies_this_round_) / p_;

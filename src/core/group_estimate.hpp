@@ -61,8 +61,6 @@ public:
     /// Force a known size (static configuration / tests).
     void set_estimate(double n);
 
-    [[nodiscard]] std::uint32_t rounds_completed() const { return rounds_completed_; }
-
 private:
     enum class Phase { kEscalating, kRepeating, kDone };
 
@@ -73,7 +71,6 @@ private:
     std::uint32_t replies_this_round_ = 0;
     std::uint32_t repeats_done_ = 0;
     std::vector<double> repeat_estimates_;
-    std::uint32_t rounds_completed_ = 0;
     Ewma smoothed_;
     bool have_estimate_ = false;
 };

@@ -7,8 +7,8 @@
 // lost the packet most needs a gap signal -- thinning out exponentially
 // while the channel stays idle.
 //
-// Setting `fixed = true` (or backoff = 1) degenerates to the fixed-rate
-// heartbeat baseline of Section 2.1.2.
+// Setting backoff = 1 degenerates to the fixed-rate heartbeat baseline of
+// Section 2.1.2.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,6 @@ private:
     void reset_to_min() { current_ = config_.h_min; }
 
     void grow() {
-        if (config_.fixed) return;
         Duration next = scale(current_, config_.backoff);
         current_ = next > config_.h_max ? config_.h_max : next;
     }

@@ -170,7 +170,6 @@ Duration ReceiverCore::gap_after_heartbeat(std::uint32_t index) const {
     // After the heartbeat with index k the sender's interval has been grown
     // k+1 times: h_min * backoff^(k+1), saturating at h_max.
     Duration gap = policy_->heartbeat.h_min;
-    if (policy_->heartbeat.fixed) return gap;
     const std::uint32_t steps = std::min<std::uint32_t>(index + 1, 64);
     for (std::uint32_t i = 0; i < steps; ++i) {
         gap = scale(gap, policy_->heartbeat.backoff);

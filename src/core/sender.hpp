@@ -50,8 +50,6 @@ public:
     [[nodiscard]] SeqNum last_seq() const { return next_seq_.prev(); }
     [[nodiscard]] NodeId current_primary() const { return primary_; }
     [[nodiscard]] bool is_self_primary() const { return primary_ == config_.self; }
-    /// Payload bytes retained pending replica safety.
-    [[nodiscard]] std::size_t retained_bytes() const { return retained_.payload_bytes(); }
     [[nodiscard]] std::size_t retained_count() const { return retained_.size(); }
     /// The retained log itself (entries pending replica safety).
     [[nodiscard]] const LogStore& retained() const { return retained_; }

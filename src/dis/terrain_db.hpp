@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -46,11 +45,6 @@ private:
 /// A participant's replica: apply every delivered LBRM payload.
 class TerrainReplica {
 public:
-    /// Observer invoked on every *effective* state change.
-    using ChangeHook = std::function<void(const TerrainState&, TimePoint)>;
-
-    void set_change_hook(ChangeHook hook) { hook_ = std::move(hook); }
-
     /// Apply one delivered payload.  Returns false for undecodable or
     /// stale (version <= current) updates; both are safely ignored --
     /// receiver-reliable delivery is unordered, so stale versions can
@@ -62,7 +56,6 @@ public:
         if (current.version >= update->version && current.version != 0) return false;
         current = std::move(*update);
         applied_at_[current.id] = now;
-        if (hook_) hook_(current, now);
         return true;
     }
 
@@ -91,7 +84,6 @@ public:
 private:
     std::map<EntityId, TerrainState> entities_;
     std::map<EntityId, TimePoint> applied_at_;
-    ChangeHook hook_;
 };
 
 }  // namespace lbrm::dis

@@ -145,9 +145,7 @@ std::vector<Metrics::Sample> RegistrySnapshot::flatten() const {
     return out;
 }
 
-namespace {
-
-void append_number(std::string& json, double v) {
+void append_json_number(std::string& json, double v) {
     char buf[64];
     if (v == static_cast<double>(static_cast<std::int64_t>(v)))
         std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
@@ -156,8 +154,6 @@ void append_number(std::string& json, double v) {
     json += buf;
 }
 
-}  // namespace
-
 std::string RegistrySnapshot::to_json() const {
     std::string json = "{\"scalars\":{";
     bool first = true;
@@ -165,7 +161,7 @@ std::string RegistrySnapshot::to_json() const {
         if (!first) json += ",";
         first = false;
         json += "\"" + name + "\":";
-        append_number(json, v);
+        append_json_number(json, v);
     }
     json += "},\"histograms\":{";
     first = true;
@@ -175,17 +171,17 @@ std::string RegistrySnapshot::to_json() const {
         json += "\"" + name + "\":{\"bounds\":[";
         for (std::size_t i = 0; i < h.bounds.size(); ++i) {
             if (i) json += ",";
-            append_number(json, h.bounds[i]);
+            append_json_number(json, h.bounds[i]);
         }
         json += "],\"counts\":[";
         for (std::size_t i = 0; i < h.counts.size(); ++i) {
             if (i) json += ",";
-            append_number(json, static_cast<double>(h.counts[i]));
+            append_json_number(json, static_cast<double>(h.counts[i]));
         }
         json += "],\"count\":";
-        append_number(json, static_cast<double>(h.count));
+        append_json_number(json, static_cast<double>(h.count));
         json += ",\"sum\":";
-        append_number(json, h.sum);
+        append_json_number(json, h.sum);
         json += "}";
     }
     json += "}}";
@@ -195,17 +191,11 @@ std::string RegistrySnapshot::to_json() const {
 std::string Metrics::to_json() const {
     std::string json = "{";
     bool first = true;
-    char buf[64];
     for (const Sample& s : snapshot()) {
         if (!first) json += ",";
         first = false;
         json += "\"" + s.name + "\":";
-        if (s.value == static_cast<double>(static_cast<std::int64_t>(s.value)))
-            std::snprintf(buf, sizeof buf, "%lld",
-                          static_cast<long long>(s.value));
-        else
-            std::snprintf(buf, sizeof buf, "%.9g", s.value);
-        json += buf;
+        append_json_number(json, s.value);
     }
     json += "}";
     return json;

@@ -198,6 +198,11 @@ struct RegistrySnapshot {
     [[nodiscard]] std::string to_json() const;
 };
 
+/// Append `v` to `json` as a number: an integral value as an integer,
+/// anything else in %.9g.  Every registry and shard JSON export writes its
+/// numbers through this one rule.
+void append_json_number(std::string& json, double v);
+
 // ---------------------------------------------------------------------------
 // Pre-resolved handle blocks for the protocol cores.  One block per family
 // (not per core instance): a million receivers share one ReceiverMetrics,

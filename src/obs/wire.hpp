@@ -1,20 +1,17 @@
-// Wire codecs for the cross-shard telemetry plane (see DESIGN.md
+// Field lists of the cross-shard telemetry plane (see DESIGN.md
 // "Cross-shard telemetry").
 //
 // Shard children ship their full observability state -- structured registry
 // snapshots with histogram buckets intact, sampler series, completed
-// recovery episodes, wall-time trace spans, and per-window wait profiles --
-// inside the REPORT frame (sim/shard_proc.cpp).  Each payload's layout is
-// one field list in wire.cpp, walked by the same encoder, decoder and
+// recovery episodes, wall-time trace spans -- inside the REPORT frame, as
+// part of sim::ShardReport's field list (sim/shard.hpp).  Each payload's
+// layout is one field list here, walked by the same encoder, decoder and
 // big-endian substrate as the protocol packets (common/bytes.hpp); lists
-// and maps carry u32 counts.  Every decoder is optional-on-failure so a
-// truncated or malformed frame surfaces as std::nullopt, never UB.
+// and maps carry u32 counts.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "obs/episode.hpp"
@@ -32,24 +29,32 @@ struct PortableSpan {
     std::uint64_t dur_ns = 0;
 };
 
-namespace wire {
+void fields(auto& a, MaybeConst<RegistrySnapshot> auto& s) {
+    a(counted<std::uint32_t>(s.scalars), counted<std::uint32_t>(s.histograms));
+}
 
-void encode_registry(ByteWriter& w, const RegistrySnapshot& snap);
-[[nodiscard]] std::optional<RegistrySnapshot> decode_registry(ByteReader& r);
+void fields(auto& a, MaybeConst<RegistrySnapshot::Hist> auto& h) {
+    a(counted<std::uint32_t>(h.bounds));
+    // One count per bound plus the +inf bucket; no count on the wire.
+    a(implied(h.counts, h.bounds.size() + 1), h.count, h.sum);
+}
 
-void encode_sampler(ByteWriter& w, const SamplerSnapshot& snap);
-[[nodiscard]] std::optional<SamplerSnapshot> decode_sampler(ByteReader& r);
+void fields(auto& a, MaybeConst<SamplerSnapshot> auto& s) {
+    a(s.interval_s, counted<std::uint32_t>(s.t));
+    // Every series holds one value per row, so its length is the row count.
+    a(counted<std::uint32_t>(s.series, [&s](auto& w, auto& series) {
+        w(series.name, series.rate, implied(series.values, s.t.size()));
+    }));
+}
 
-void encode_episodes(ByteWriter& w, const std::vector<EpisodeTracker::Record>& recs);
-[[nodiscard]] std::optional<std::vector<EpisodeTracker::Record>> decode_episodes(
-    ByteReader& r);
+/// Any byte reads into the u8-backed kind, tier and reason, so a reader of
+/// records from another process checks their range after the read
+/// (sim::read_report).
+void fields(auto& a, MaybeConst<EpisodeTracker::Record> auto& r) {
+    a(r.node, r.seq, r.opened_s, r.closed_s, r.nacks, r.cold_restarts, r.kind, r.tier,
+      r.reason);
+}
 
-void encode_spans(ByteWriter& w, const std::vector<PortableSpan>& spans);
-[[nodiscard]] std::optional<std::vector<PortableSpan>> decode_spans(ByteReader& r);
+void fields(auto& a, MaybeConst<PortableSpan> auto& s) { a(s.name, s.tid, s.start_ns, s.dur_ns); }
 
-/// u32-count-prefixed list of u64s (per-window wait/splice profiles).
-void encode_u64s(ByteWriter& w, const std::vector<std::uint64_t>& vals);
-[[nodiscard]] std::optional<std::vector<std::uint64_t>> decode_u64s(ByteReader& r);
-
-}  // namespace wire
 }  // namespace lbrm::obs

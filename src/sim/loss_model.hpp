@@ -57,8 +57,6 @@ public:
         return rng.bernoulli(bad_ ? loss_bad_ : loss_good_);
     }
 
-    [[nodiscard]] bool in_bad_state() const { return bad_; }
-
 private:
     double p_gb_, p_bg_, loss_good_, loss_bad_;
     bool bad_ = false;

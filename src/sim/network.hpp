@@ -160,8 +160,6 @@ public:
     /// supplied one).  All "sim.*" rows live here; protocol hosts bind their
     /// "proto.*" / "host.*" rows to it at attach.
     [[nodiscard]] obs::Metrics& metrics() { return *metrics_; }
-    /// Shared ownership, for exporters that outlive the network.
-    [[nodiscard]] std::shared_ptr<obs::Metrics> metrics_ptr() const { return metrics_; }
 
     /// Cached multicast delivery trees currently held (tests use this to
     /// observe cache hits, LRU eviction and invalidation).
@@ -576,8 +574,8 @@ private:
 
     // --- telemetry (observation-only; never read by simulation logic) -----
     /// Resolve every counter handle and register the "sim.*" pull gauges;
-    /// called once from the constructor.  ~Network removes the gauges (the
-    /// registry may outlive this network through metrics_ptr()).
+    /// called once from the constructor.  ~Network removes the gauges (a
+    /// registry SimConfig supplied may outlive this network).
     void register_metrics();
     std::shared_ptr<obs::Metrics> metrics_;
     obs::Counter* unicast_sends_;      ///< sim.unicast_sends

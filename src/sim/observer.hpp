@@ -93,14 +93,13 @@ private:
 /// global tallies only; payload bytes are counted, never stored.
 class CountingObserver final : public ScenarioObserver {
 public:
-    void on_delivery(TimePoint at, NodeId node, const DeliverData& data) override {
+    void on_delivery(TimePoint, NodeId node, const DeliverData& data) override {
         const std::size_t i = node.value() - 1;
         if (per_node_deliveries_.size() <= i) per_node_deliveries_.resize(i + 1, 0);
         ++per_node_deliveries_[i];
         ++deliveries_;
         if (data.recovered) ++recovered_;
         payload_bytes_ += data.payload.size();
-        last_delivery_at_ = at;
     }
     void on_notice(TimePoint, NodeId, const Notice& notice) override {
         const auto k = static_cast<std::size_t>(notice.kind);
@@ -112,7 +111,6 @@ public:
         std::fill(per_node_deliveries_.begin(), per_node_deliveries_.end(), 0u);
         notice_counts_.fill(0);
         deliveries_ = recovered_ = notices_ = sends_ = payload_bytes_ = 0;
-        last_delivery_at_ = TimePoint{};
     }
 
     [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
@@ -120,7 +118,6 @@ public:
     [[nodiscard]] std::uint64_t notices() const { return notices_; }
     [[nodiscard]] std::uint64_t sends() const { return sends_; }
     [[nodiscard]] std::uint64_t payload_bytes() const { return payload_bytes_; }
-    [[nodiscard]] TimePoint last_delivery_at() const { return last_delivery_at_; }
     [[nodiscard]] std::uint64_t notice_count(NoticeKind kind) const {
         const auto k = static_cast<std::size_t>(kind);
         return k < notice_counts_.size() ? notice_counts_[k] : 0;
@@ -146,7 +143,6 @@ private:
     std::uint64_t notices_ = 0;
     std::uint64_t sends_ = 0;
     std::uint64_t payload_bytes_ = 0;
-    TimePoint last_delivery_at_{};
 };
 
 }  // namespace lbrm::sim

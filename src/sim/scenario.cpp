@@ -51,12 +51,6 @@ DisScenario::DisScenario(ScenarioConfig config)
 
     const DisTopologySize size = dis_topology_size(config_.topology);
     hosts_.reserve(size.hosts);
-    // Dormant mode keeps receiver_cores_ empty (receiver() wakes on demand
-    // through ProtocolHost): at 10M nodes the eager index alone would be
-    // 160 MB.
-    if (!config_.dormant_receivers)
-        receiver_cores_.reserve(static_cast<std::size_t>(config_.topology.sites) *
-                                config_.topology.receivers_per_site);
     secondary_cores_.reserve(config_.topology.sites);
 
     wire_source();
@@ -65,18 +59,11 @@ DisScenario::DisScenario(ScenarioConfig config)
             wire_region(topology_.regions[r], r);
     for (std::size_t s = 0; s < topology_.sites.size(); ++s)
         wire_site(topology_.sites[s], s);
-    // Wiring pushes receivers in ascending node order already; sort anyway
-    // so receiver() can binary-search unconditionally.
-    std::sort(receiver_cores_.begin(), receiver_cores_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 void DisScenario::wire_region(const DisTopology::Region& region, std::size_t region_index) {
     network_.join(config_.group, region.logger);
-    if (!owns(region.logger)) {
-        regional_cores_.push_back(nullptr);  // keep region indexing aligned
-        return;
-    }
+    if (!owns(region.logger)) return;
     SimHost& host = network_.attach_host(region.logger);
     hosts_.push_back(&host);
 
@@ -95,8 +82,8 @@ void DisScenario::wire_region(const DisTopology::Region& region, std::size_t reg
     handlers.on_notice = [this, id](TimePoint at, const Notice& n) {
         report_notice(at, id, n);
     };
-    regional_cores_.push_back(&host.protocol().add_logger(
-        std::move(logger_config), config_.seed * 433 + region_index, handlers));
+    host.protocol().add_logger(std::move(logger_config), config_.seed * 433 + region_index,
+                               handlers);
 }
 
 void DisScenario::wire_source() {
@@ -316,9 +303,8 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
         handlers.on_notice = [this, node](TimePoint at, const Notice& n) {
             report_notice(at, node, n);
         };
-        receiver_cores_.emplace_back(
-            node, &host.protocol().add_receiver(policy, node, receiver_logger,
-                                                topology_.primary, std::move(handlers)));
+        host.protocol().add_receiver(policy, node, receiver_logger, topology_.primary,
+                                     std::move(handlers));
         if (joins_group) network_.join(group, node);
     }
 }
@@ -398,17 +384,8 @@ LoggerCore& DisScenario::secondary_logger(std::size_t site) {
     return *core;
 }
 
-LoggerCore& DisScenario::regional_logger(std::size_t region) {
-    return *regional_cores_.at(region);
-}
-
 ReceiverCore& DisScenario::receiver(NodeId node) {
-    const auto it = std::lower_bound(
-        receiver_cores_.begin(), receiver_cores_.end(), node,
-        [](const auto& entry, NodeId id) { return entry.first < id; });
-    if (it != receiver_cores_.end() && it->first == node) return *it->second;
-    // Dormant mode keeps no eager index: ask the host, waking the core if
-    // it has not materialised yet.
+    // The node's host answers, waking a dormant core first.
     if (SimHost* host = network_.host(node))
         if (ReceiverCore* core = host->protocol().receiver_for(node)) return *core;
     throw std::logic_error("scenario: unknown receiver");

@@ -178,7 +178,6 @@ public:
     [[nodiscard]] SenderCore& sender();
     [[nodiscard]] LoggerCore& primary_logger() { return *primary_core_; }
     [[nodiscard]] LoggerCore& secondary_logger(std::size_t site);
-    [[nodiscard]] LoggerCore& regional_logger(std::size_t region);
     /// The receiver core on `node`.  Under dormant_receivers this wakes the
     /// core if it is still dormant (a pure materialisation -- no actions
     /// run, the simulation is unaffected).
@@ -262,10 +261,6 @@ private:
     SenderCore* sender_core_ = nullptr;
     LoggerCore* primary_core_ = nullptr;
     std::vector<LoggerCore*> secondary_cores_;
-    std::vector<LoggerCore*> regional_cores_;
-    /// Sorted by node id (wiring order is ascending; sorted once after
-    /// wiring), looked up by binary search.
-    std::vector<std::pair<NodeId, ReceiverCore*>> receiver_cores_;
     std::vector<SimHost*> hosts_;
     std::vector<std::uint32_t> node_shard_;  ///< empty = unsharded
     /// Shared blueprint for every dormant receiver (null in eager mode).

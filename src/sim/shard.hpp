@@ -18,13 +18,16 @@
 // assert nothing themselves; they expose an order-independent packet-trace
 // digest the tests and benches A/B.
 //
-// Two drivers share the same window protocol:
-//   * run_sharded_inline    -- one thread round-robins the shards (the
-//                              reference implementation of the protocol).
+// Every driver runs the same window loop and hands back one ShardReport per
+// domain, and one fold merges the reports into the ShardResult:
+//   * run_unsharded         -- one domain with no shard view, run in one
+//                              window of run_for: the reference.
+//   * run_sharded_inline    -- one thread round-robins the shards and
+//                              splices their outboxes in memory.
 //   * run_sharded_processes -- fork one child per shard; the coordinator
 //                              routes length-prefixed batch frames over
-//                              socketpairs (transport/frame.hpp) and merges
-//                              the children's digest/metrics reports.
+//                              socketpairs (transport/frame.hpp), and each
+//                              child's REPORT frame carries its ShardReport.
 #pragma once
 
 #include <cstdint>
@@ -85,18 +88,15 @@ struct TraceDigest {
 
 struct ShardRunConfig {
     /// Base scenario every shard instantiates.  site_shard / shard_self are
-    /// filled in per shard; `observer` must be null when `make_observer` is
-    /// set (each shard needs its own instance).
+    /// filled in per shard from ShardPlan::contiguous; `observer` must be
+    /// null when `make_observer` is set (each shard needs its own instance).
     ScenarioConfig scenario;
     std::uint32_t shards = 1;
-    /// Explicit site->shard map; empty = ShardPlan::contiguous.
-    std::vector<std::uint32_t> site_shard;
 
-    /// Simulated time to run after start().
+    /// Simulated time to run after start().  The sync window is always the
+    /// conservative lookahead (the min cut-cable propagation) derived from
+    /// the built topology.
     Duration run_for = secs(1);
-    /// Sync window; zero = derive the conservative lookahead (min cut-cable
-    /// propagation) from the built topology.
-    Duration window = Duration::zero();
 
     /// Per-shard hook, called after construction and before start():
     /// pre-schedule the workload (DisScenario::schedule_update), arm chaos,
@@ -109,9 +109,9 @@ struct ShardRunConfig {
         make_observer;
 
     /// Ship wall-time trace spans in the REPORT frame (process driver: each
-    /// child installs its own TraceRecorder after GO).  Off by default --
-    /// spans are wall-clock data and belong in profiling artifacts, never in
-    /// determinism A/Bs.
+    /// child installs its own TraceRecorder after GO; the span list is empty
+    /// otherwise).  Off by default -- spans are wall-clock data and belong in
+    /// profiling artifacts, never in determinism A/Bs.
     bool collect_trace = false;
 };
 
@@ -125,10 +125,11 @@ struct ShardResult {
     /// Fraction of shard wall time spent blocked on the coordinator pipe
     /// (processes); 0 for inline/single.
     double stall_fraction = 0.0;
+    /// Wall time of the longest domain's window loop.
     double wall_seconds = 0.0;
     /// CPU seconds burned by the busiest shard during the window loop
-    /// (getrusage deltas: per child process, per domain slice for the
-    /// inline driver).  deliveries / cpu_seconds_max_shard is
+    /// (getrusage deltas around each domain's slices of the loop, its share
+    /// of the exchange included).  deliveries / cpu_seconds_max_shard is
     /// the core-count-independent throughput bound -- what the run sustains
     /// once every shard has a core of its own, which wall time on a
     /// timesharing box cannot show.
@@ -170,43 +171,36 @@ struct ShardResult {
 /// hook.  Every sharded run must reproduce its digest bit for bit.
 ShardResult run_unsharded(const ShardRunConfig& cfg);
 ShardResult run_sharded_inline(const ShardRunConfig& cfg);
-ShardResult run_sharded_processes(const ShardRunConfig& cfg);  // shard_proc.cpp
+ShardResult run_sharded_processes(const ShardRunConfig& cfg);
 
-// --- building blocks (shared by the drivers and the tests) ----------------
-
-/// One shard's live state.  Taps and sinks bind to the member addresses, so
-/// a domain must not move after init_shard_domain.
-struct ShardDomain {
-    std::unique_ptr<DisScenario> scenario;
+/// What one shard domain hands back when its run ends.  Every driver builds
+/// one per domain and folds them into its ShardResult; the process driver's
+/// REPORT frame is the kReport byte followed by this field list.
+struct ShardReport {
     TraceDigest digest;
-    /// Boundary-crossing arrivals emitted this window, per target shard.
-    std::vector<std::vector<Network::RemoteEvent>> outbox;
-    std::uint64_t wait_ns = 0;  ///< time blocked on the coordinator pipe
-    std::uint64_t cpu_ns = 0;   ///< CPU consumed inside the window loop
-    /// Per-window deltas of wait_ns (the window-protocol profile).
-    std::vector<std::uint64_t> window_wait_ns;
+    Duration window = Duration::zero();
+    std::uint64_t windows = 0;
+    std::uint64_t wait_ns = 0;      ///< blocked on the coordinator pipe
+    std::uint64_t wall_ns = 0;      ///< wall time of the window loop
+    std::uint64_t cpu_ns = 0;       ///< CPU of this domain's slices of the loop
+    std::uint64_t peak_rss_kb = 0;  ///< the child's getrusage peak; 0 in-process
+    obs::RegistrySnapshot registry;
+    obs::SamplerSnapshot sampler;
+    std::vector<obs::EpisodeTracker::Record> episodes;
+    std::vector<std::uint64_t> window_wait_ns;  ///< per window; sums to wait_ns
+    std::vector<obs::PortableSpan> spans;       ///< empty unless collect_trace
 };
 
-/// Fold one shard's registry snapshot into `r`: the headline counts
-/// (deliveries, remote_emits, remote_drops) read from its sim.* rows, the
-/// flat `counters` map, merged_snapshot and shard_snapshots.
-void add_shard_snapshot(ShardResult& r, obs::RegistrySnapshot snap);
+void fields(auto& a, MaybeConst<ShardReport> auto& r) {
+    a(r.digest.sum, r.digest.packets, r.digest.chained, r.window, r.windows, r.wait_ns,
+      r.wall_ns, r.cpu_ns, r.peak_rss_kb, r.registry, r.sampler,
+      counted<std::uint32_t>(r.episodes), counted<std::uint32_t>(r.window_wait_ns),
+      counted<std::uint32_t>(r.spans));
+}
 
-/// Resolve the site->shard map (explicit or contiguous) for `cfg`.
-[[nodiscard]] std::vector<std::uint32_t> resolve_site_shard(
-    const ShardRunConfig& cfg);
-
-/// Build shard `shard` of `shards` into `dom`: construct the scenario,
-/// install the digest tap and the outbox sink, run the setup hook, start().
-void init_shard_domain(ShardDomain& dom, const ShardRunConfig& cfg,
-                       const std::vector<std::uint32_t>& site_shard,
-                       std::uint32_t shard, std::uint32_t shards);
-
-/// The sync window for `cfg` over a built shard: explicit, or the min
-/// cut-cable propagation; a cut-free plan runs in one window (= run_for).
-/// Throws when the derived lookahead is not positive.
-[[nodiscard]] Duration resolve_window(const ShardRunConfig& cfg,
-                                      DisScenario& scenario);
+/// Read a ShardReport.  nullopt on a short read, and on an episode kind,
+/// tier or reason out of range: the bytes come from another process.
+[[nodiscard]] std::optional<ShardReport> read_report(ByteReader& r);
 
 /// Wire codec for boundary-crossing arrivals (multi-process runner).
 void encode_remote(ByteWriter& w, const Network::RemoteEvent& ev);

@@ -35,10 +35,6 @@ public:
     static constexpr std::uint32_t kSweepActor = 0xFFFFFFFEu;
     static constexpr std::uint32_t kScenarioActor = 0xFFFFFFFFu;
 
-    /// Pre-size the per-actor sequence table (actor = node index).
-    void reserve_actors(std::size_t n) { actor_seq_.reserve(n); }
-    [[nodiscard]] std::uint32_t current_actor() const { return current_actor_; }
-
     /// RAII actor context: Network arrival dispatch, SimHost timer firings
     /// and scenario entry points scope the executing node so everything the
     /// event body schedules is keyed to it (an int save/restore).

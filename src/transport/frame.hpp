@@ -1,6 +1,6 @@
 // Length-prefixed message framing over a byte-stream file descriptor.
 //
-// The sharded multi-process runner (sim/shard_proc.cpp) exchanges
+// The sharded multi-process runner (sim/shard.cpp) exchanges
 // time-window batches between the coordinator and its shard children over
 // AF_UNIX stream socketpairs.  SOCK_STREAM preserves byte order but not
 // message boundaries, so every message travels as a big-endian u32 length

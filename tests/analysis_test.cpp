@@ -132,7 +132,7 @@ TEST(HeartbeatMath, ScenarioRateReproducesSection212) {
 
 TEST(HeartbeatMath, FixedFlagMatchesFixedFormula) {
     HeartbeatConfig config = paper_config();
-    config.fixed = true;
+    config.backoff = 1.0;
     for (double dt : {0.5, 3.0, 120.0})
         EXPECT_EQ(variable_heartbeat_count(config, dt), fixed_heartbeat_count(0.25, dt));
 }

@@ -11,7 +11,7 @@
 //     tests pin it.
 //   * Snapshot merge + wire units: bucket-preserving registry merges (the
 //     histogram loss the flat counter merge suffered), lockstep sampler
-//     merges, and the REPORT-frame codecs with truncation fuzzing.
+//     merges, and the REPORT frame's field lists with truncation fuzzing.
 //   * Scenario level: the accounting invariant (opened == repaired +
 //     abandoned + open) across the full chaos fault matrix (sim/chaos.hpp),
 //     with each class's records and recovery.* rows pinned by digest, and
@@ -41,6 +41,7 @@
 #include "sim/chaos.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
+#include "sim/shard.hpp"
 #include "tests/test_util.hpp"
 #include "tests/wire_fixtures.hpp"
 
@@ -287,85 +288,96 @@ TEST(SamplerSnapshot, MergeSumsLockstepSeries) {
     EXPECT_THROW(a.merge(skewed), std::logic_error);
 }
 
-// --- REPORT-frame wire codecs -----------------------------------------------
+// --- REPORT-frame field lists ----------------------------------------------
 
 TEST(ObsWire, RegistryRoundTripsAndFailsOnTruncation) {
     const obs::RegistrySnapshot snap = test::sample_registry();
     ByteWriter w;
-    obs::wire::encode_registry(w, snap);
+    write_fields(w, snap);
     {
         ByteReader r(w.data());
-        const auto back = obs::wire::decode_registry(r);
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(back->scalars, snap.scalars);
-        EXPECT_EQ(back->histograms.at("proto.lat").bounds,
+        obs::RegistrySnapshot back;
+        ASSERT_TRUE(read_fields(r, back));
+        EXPECT_EQ(back.scalars, snap.scalars);
+        EXPECT_EQ(back.histograms.at("proto.lat").bounds,
                   snap.histograms.at("proto.lat").bounds);
-        EXPECT_EQ(back->histograms.at("proto.lat").counts,
+        EXPECT_EQ(back.histograms.at("proto.lat").counts,
                   snap.histograms.at("proto.lat").counts);
-        EXPECT_DOUBLE_EQ(back->histograms.at("proto.lat").sum, 1.75);
+        EXPECT_DOUBLE_EQ(back.histograms.at("proto.lat").sum, 1.75);
     }
     const auto& full = w.data();
     for (std::size_t keep : {std::size_t{0}, std::size_t{3}, full.size() - 1}) {
         std::vector<std::uint8_t> cut(full.begin(),
                                       full.begin() + static_cast<std::ptrdiff_t>(keep));
         ByteReader r(cut);
-        EXPECT_FALSE(obs::wire::decode_registry(r).has_value()) << "kept " << keep;
+        obs::RegistrySnapshot back;
+        EXPECT_FALSE(read_fields(r, back)) << "kept " << keep;
     }
 }
 
 TEST(ObsWire, SamplerRoundTrips) {
     const obs::SamplerSnapshot snap = test::sample_sampler();
     ByteWriter w;
-    obs::wire::encode_sampler(w, snap);
+    write_fields(w, snap);
     ByteReader r(w.data());
-    const auto back = obs::wire::decode_sampler(r);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->interval_s, snap.interval_s);
-    EXPECT_EQ(back->t, snap.t);
-    ASSERT_EQ(back->series.size(), 2u);
-    EXPECT_EQ(back->series[0].name, "rate.x");
-    EXPECT_TRUE(back->series[0].rate);
-    EXPECT_FALSE(back->series[1].rate);
-    EXPECT_EQ(back->series[1].values, (std::vector<std::uint64_t>{7, 7, 8}));
+    obs::SamplerSnapshot back;
+    ASSERT_TRUE(read_fields(r, back));
+    EXPECT_EQ(back.interval_s, snap.interval_s);
+    EXPECT_EQ(back.t, snap.t);
+    ASSERT_EQ(back.series.size(), 2u);
+    EXPECT_EQ(back.series[0].name, "rate.x");
+    EXPECT_TRUE(back.series[0].rate);
+    EXPECT_FALSE(back.series[1].rate);
+    EXPECT_EQ(back.series[1].values, (std::vector<std::uint64_t>{7, 7, 8}));
 }
 
 TEST(ObsWire, EpisodesRoundTripAndRejectOutOfRangeEnums) {
     const std::vector<EpisodeTracker::Record> eps = test::sample_episodes();
     ByteWriter w;
-    obs::wire::encode_episodes(w, eps);
+    write_fields(w, counted<std::uint32_t>(eps));
     {
         ByteReader r(w.data());
-        const auto back = obs::wire::decode_episodes(r);
-        ASSERT_TRUE(back.has_value());
-        ASSERT_EQ(back->size(), 2u);
-        EXPECT_EQ((*back)[0].node, 7u);
-        EXPECT_EQ((*back)[0].tier, EpisodeTracker::kTierFallback);
-        EXPECT_EQ((*back)[1].kind, EpisodeTracker::Kind::kFetch);
-        EXPECT_EQ((*back)[1].reason, EpisodeTracker::Reason::kAbandoned);
-        EXPECT_DOUBLE_EQ((*back)[1].closed_s, 2.5);
+        std::vector<EpisodeTracker::Record> back;
+        ASSERT_TRUE(read_fields(r, counted<std::uint32_t>(back)));
+        ASSERT_EQ(back.size(), 2u);
+        EXPECT_EQ(back[0].node, 7u);
+        EXPECT_EQ(back[0].tier, EpisodeTracker::kTierFallback);
+        EXPECT_EQ(back[1].kind, EpisodeTracker::Kind::kFetch);
+        EXPECT_EQ(back[1].reason, EpisodeTracker::Reason::kAbandoned);
+        EXPECT_DOUBLE_EQ(back[1].closed_s, 2.5);
     }
-    // A tier past kTierPrimary must fail decode, not produce garbage.
-    std::vector<std::uint8_t> bad = w.data();
-    // tier is the second-to-last byte of each fixed-size record.
-    bad[bad.size() - 2] = 7;
+    // Records arrive inside a shard's REPORT: a tier past kTierPrimary must
+    // fail the report's decode, not produce garbage.
+    sim::ShardReport report;
+    report.episodes = eps;
+    ByteWriter rw;
+    write_fields(rw, report);
+    std::vector<std::uint8_t> bad = rw.data();
+    {
+        ByteReader r(bad);
+        ASSERT_TRUE(sim::read_report(r).has_value());
+    }
+    // tier is the second-to-last byte of each fixed-size record; the last
+    // record is followed by the empty wait and span lists (two u32 counts).
+    bad[bad.size() - 8 - 2] = 7;
     ByteReader r(bad);
-    EXPECT_FALSE(obs::wire::decode_episodes(r).has_value());
+    EXPECT_FALSE(sim::read_report(r).has_value());
 }
 
 TEST(ObsWire, SpansAndU64sRoundTrip) {
+    const std::vector<obs::PortableSpan> spans = test::sample_spans();
+    const std::vector<std::uint64_t> u64s = test::sample_u64s();
     ByteWriter w;
-    obs::wire::encode_spans(w, test::sample_spans());
-    obs::wire::encode_u64s(w, test::sample_u64s());
+    write_fields(w, counted<std::uint32_t>(spans), counted<std::uint32_t>(u64s));
     ByteReader r(w.data());
-    const auto back = obs::wire::decode_spans(r);
-    ASSERT_TRUE(back.has_value());
-    ASSERT_EQ(back->size(), 1u);
-    EXPECT_EQ((*back)[0].name, "event_drain");
-    EXPECT_EQ((*back)[0].tid, 3u);
-    EXPECT_EQ((*back)[0].dur_ns, 250u);
-    const auto u = obs::wire::decode_u64s(r);
-    ASSERT_TRUE(u.has_value());
-    EXPECT_EQ(*u, (std::vector<std::uint64_t>{5, 6, 7}));
+    std::vector<obs::PortableSpan> back;
+    std::vector<std::uint64_t> u;
+    ASSERT_TRUE(read_fields(r, counted<std::uint32_t>(back), counted<std::uint32_t>(u)));
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].name, "event_drain");
+    EXPECT_EQ(back[0].tid, 3u);
+    EXPECT_EQ(back[0].dur_ns, 250u);
+    EXPECT_EQ(u, (std::vector<std::uint64_t>{5, 6, 7}));
 }
 
 // --- scenario level: chaos-matrix accounting --------------------------------

@@ -66,7 +66,7 @@ TEST(Heartbeat, HeartbeatIndexCounts) {
 
 TEST(Heartbeat, FixedModeNeverGrows) {
     HeartbeatConfig c = paper_config();
-    c.fixed = true;
+    c.backoff = 1.0;
     HeartbeatScheduler s{c};
     TimePoint t = s.on_data_sent(at(0.0));
     for (int i = 0; i < 100; ++i) {
@@ -107,7 +107,7 @@ TEST_P(HeartbeatBackoffSweep, VariableNeverSendsMoreThanFixed) {
     HeartbeatConfig variable = paper_config();
     variable.backoff = GetParam();
     HeartbeatConfig fixed = paper_config();
-    fixed.fixed = true;
+    fixed.backoff = 1.0;
 
     for (double dt : {0.1, 0.3, 1.0, 5.0, 30.0, 120.0, 1000.0}) {
         EXPECT_LE(simulate_count(variable, dt), simulate_count(fixed, dt))
@@ -132,7 +132,7 @@ TEST(Heartbeat, DisScenarioSavingsMatchPaperScale) {
     // ~53x heartbeat reduction for backoff 2.
     HeartbeatConfig variable = paper_config();
     HeartbeatConfig fixed = paper_config();
-    fixed.fixed = true;
+    fixed.backoff = 1.0;
     const double ratio = static_cast<double>(simulate_count(fixed, 120.0)) /
                          static_cast<double>(simulate_count(variable, 120.0));
     EXPECT_NEAR(ratio, 53.3, 1.0);

@@ -10,11 +10,13 @@
 // horizon, a lossy cut link whose NACK/retransmission exchange round-trips
 // across the boundary, and a chaos SitePartition whose cut coincides with
 // the shard cut (receiver reliability must survive both partitions at
-// once).  A pinned digest holds the single-process trace itself fixed, and
-// the memory-satellite container SmallVec gets its units here too.
+// once).  A failed process run must leave no child behind.  A pinned digest
+// holds the single-process trace itself fixed, and the memory-satellite
+// container SmallVec gets its units here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -22,6 +24,9 @@
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/small_vec.hpp"
 #include "sim/chaos.hpp"
@@ -209,6 +214,35 @@ TEST(ShardEquivalence, ProcessesMatchBaseline) {
     }
 }
 
+// --- a failed process run leaves no process behind --------------------------
+
+/// True when this process has no child left, running or zombie.
+bool no_children_left() {
+    int status = 0;
+    errno = 0;
+    return ::waitpid(-1, &status, WNOHANG) == -1 && errno == ECHILD;
+}
+
+TEST(ShardFailure, SetupThrowOnOneShardReapsEveryChild) {
+    ShardRunConfig cfg = shard_config(2);
+    cfg.setup = [base = cfg.setup](DisScenario& s, std::uint32_t shard) {
+        if (shard == 1) throw std::runtime_error("setup failed on shard 1");
+        base(s, shard);
+    };
+    EXPECT_THROW((void)run_sharded_processes(cfg), std::runtime_error);
+    EXPECT_TRUE(no_children_left());
+}
+
+TEST(ShardFailure, ChildExitMidRunReapsEveryChild) {
+    ShardRunConfig cfg = shard_config(2);
+    cfg.setup = [base = cfg.setup](DisScenario& s, std::uint32_t shard) {
+        base(s, shard);
+        if (shard == 1) s.simulator().schedule_at(at(0.5), [] { ::_exit(1); });
+    };
+    EXPECT_THROW((void)run_sharded_processes(cfg), std::runtime_error);
+    EXPECT_TRUE(no_children_left());
+}
+
 // --- pinned single-process trace ---------------------------------------------
 
 /// Run `cfg`'s scenario as a plain DisScenario -- default SimConfig, no
@@ -256,7 +290,6 @@ TEST(ShardWindow, EventExactlyAtLookaheadHorizonAndDeadline) {
     // past the deadline and are discarded by baseline and shards alike).
     auto cfg = [](std::uint32_t shards) {
         ShardRunConfig c = shard_config(shards);
-        c.window = millis(5);  // == the derived lookahead, now explicit
         c.run_for = secs(1.0);
         c.setup = [](DisScenario& s, std::uint32_t) {
             s.schedule_update(at(0.005), 64);  // exactly t0 + W
@@ -367,7 +400,6 @@ TEST(ShardChaos, SitePartitionCoincidingWithShardCut) {
     cfg.scenario.topology.receivers_per_site = 2;
     cfg.scenario.topology.tail_delay = millis(5);
     cfg.shards = kShards;
-    cfg.site_shard = {0, 0, 0, 0, 1, 1, 1, 1};
     cfg.run_for = secs(10.0);
     cfg.make_observer = [&recs](std::uint32_t shard) {
         recs[shard] = std::make_shared<RecordingObserver>();

@@ -1,5 +1,6 @@
 // One fixed value of every wire structure: each of the 19 packet types, a
-// cross-shard RemoteEvent, and one of each telemetry REPORT payload.  The
+// cross-shard RemoteEvent, one of each telemetry REPORT payload, and a
+// ShardReport carrying them.  The
 // round-trip suites (packet_test, shard_test, episode_test) and WireLayout
 // (wire_layout_test), which pins their encodings byte for byte, share them.
 #pragma once
@@ -11,6 +12,7 @@
 #include "obs/wire.hpp"
 #include "packet/packet.hpp"
 #include "sim/network.hpp"
+#include "sim/shard.hpp"
 #include "tests/test_util.hpp"
 
 namespace lbrm::test {
@@ -104,5 +106,23 @@ inline std::vector<obs::EpisodeTracker::Record> sample_episodes() {
 inline std::vector<obs::PortableSpan> sample_spans() { return {{"event_drain", 3, 100, 250}}; }
 
 inline std::vector<std::uint64_t> sample_u64s() { return {5, 6, 7}; }
+
+/// A shard's end-of-run report carrying one of each payload above.
+inline sim::ShardReport sample_report() {
+    sim::ShardReport r;
+    r.digest = {0x0123456789abcdefull, 1894, 0xfedcba9876543210ull};
+    r.window = millis(5);
+    r.windows = 240;
+    r.wait_ns = 18;
+    r.wall_ns = 1500;
+    r.cpu_ns = 1200;
+    r.peak_rss_kb = 4096;
+    r.registry = sample_registry();
+    r.sampler = sample_sampler();
+    r.episodes = sample_episodes();
+    r.window_wait_ns = sample_u64s();
+    r.spans = sample_spans();
+    return r;
+}
 
 }  // namespace lbrm::test

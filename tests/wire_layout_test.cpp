@@ -1,13 +1,16 @@
 // Byte-for-byte pins of every wire layout: the 19 packet types, the
-// cross-shard RemoteEvent and the five telemetry REPORT codecs.
+// cross-shard RemoteEvent, the five telemetry field lists and the REPORT
+// frame's ShardReport.
 //
 // Round-trip tests cannot see a symmetric mistake: if two fields of a field
 // list swap places, encode and decode still agree with each other.  These
 // tests compare each fixture's encoding (tests/wire_fixtures.hpp) and its
 // size with literals recorded from the hand-written codecs the field lists
 // replaced, check that decoding the recorded bytes gives the fixture back,
-// and sweep every truncated prefix of the non-packet codecs
-// (PacketRoundTrip.AnyTruncationFailsCleanly sweeps the packets).
+// and sweep every truncated prefix of the non-packet layouts
+// (PacketRoundTrip.AnyTruncationFailsCleanly sweeps the packets).  The
+// ShardReport literal is its own header followed by the telemetry literals
+// above it, in field-list order.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,7 +20,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "obs/wire.hpp"
 #include "packet/packet.hpp"
 #include "sim/shard.hpp"
 #include "tests/wire_fixtures.hpp"
@@ -110,34 +112,59 @@ TEST(WireLayout, EveryPacketTypeMatchesRecordedBytes) {
     }
 }
 
-// --- RemoteEvent and the telemetry REPORT codecs ----------------------------
+// --- RemoteEvent, the telemetry field lists and the REPORT ------------------
 
-template <typename T>
-std::vector<std::uint8_t> encoded(void (*encode)(ByteWriter&, const T&), const T& value) {
+using Wire = std::span<const std::uint8_t>;
+using Bytes = std::vector<std::uint8_t>;
+
+template <typename... Ts>
+Bytes encoded(const Ts&... xs) {
     ByteWriter w;
-    encode(w, value);
+    write_fields(w, xs...);
     return w.take();
 }
 
-/// Decode `wire` and encode the result again; nullopt when decoding fails.
 template <typename T>
-std::optional<std::vector<std::uint8_t>> reencoded(std::optional<T> (*decode)(ByteReader&),
-                                                   void (*encode)(ByteWriter&, const T&),
-                                                   std::span<const std::uint8_t> wire) {
+Bytes encoded_list(const std::vector<T>& list) {
+    return encoded(counted<std::uint32_t>(list));
+}
+
+Bytes encoded_remote(const sim::Network::RemoteEvent& ev) {
+    ByteWriter w;
+    sim::encode_remote(w, ev);
+    return w.take();
+}
+
+template <typename T>
+std::optional<T> read_value(ByteReader& r) {
+    T value;
+    if (!read_fields(r, value)) return std::nullopt;
+    return value;
+}
+
+template <typename T>
+std::optional<std::vector<T>> read_list(ByteReader& r) {
+    std::vector<T> list;
+    if (!read_fields(r, counted<std::uint32_t>(list))) return std::nullopt;
+    return list;
+}
+
+/// Decode `wire` and encode the result again; nullopt when decoding fails.
+template <typename T, typename Encode>
+std::optional<Bytes> reencoded(Wire wire, std::optional<T> (*decode)(ByteReader&),
+                               Encode encode) {
     ByteReader r{wire};
     std::optional<T> value = decode(r);
     if (!value) return std::nullopt;
-    return encoded(encode, *value);
+    return encode(*value);
 }
-
-using Wire = std::span<const std::uint8_t>;
 
 struct CodecLayout {
     const char* name;
     std::size_t size;
     const char* hex;
-    std::vector<std::uint8_t> (*encode_fixture)();
-    std::optional<std::vector<std::uint8_t>> (*reencode)(Wire);
+    Bytes (*encode_fixture)();
+    std::optional<Bytes> (*reencode)(Wire);
 };
 
 const CodecLayout kCodecLayouts[] = {
@@ -145,43 +172,75 @@ const CodecLayout kCodecLayouts[] = {
      "0000000007735940000000110000109201010000000300000000000000000000"
      "00000000000900000002000000050000002a4c42010100000001000000020000"
      "00020000000700000001001000070e151c232a31383f464d545b6269",
-     [] { return encoded(sim::encode_remote, test::sample_remote()); },
-     [](Wire w) { return reencoded(sim::decode_remote, sim::encode_remote, w); }},
+     [] { return encoded_remote(test::sample_remote()); },
+     [](Wire w) { return reencoded(w, sim::decode_remote, encoded_remote); }},
     {"registry", 100,
      "00000001000b70726f746f2e636f756e74401400000000000000000001000970"
      "726f746f2e6c6174000000023fb999999999999a3ff000000000000000000000"
      "000000020000000000000003000000000000000400000000000000093ffc0000"
      "00000000",
-     [] { return encoded(obs::wire::encode_registry, test::sample_registry()); },
+     [] { return encoded(test::sample_registry()); },
      [](Wire w) {
-         return reencoded(obs::wire::decode_registry, obs::wire::encode_registry, w);
+         return reencoded(w, read_value<obs::RegistrySnapshot>, encoded<obs::RegistrySnapshot>);
      }},
     {"sampler", 107,
      "3fa999999999999a000000033fa999999999999a3fb999999999999a3fc33333"
      "33333333000000020006726174652e7801000000000000000100000000000000"
      "02000000000000000300076c6576656c2e790000000000000000070000000000"
      "0000070000000000000008",
-     [] { return encoded(obs::wire::encode_sampler, test::sample_sampler()); },
+     [] { return encoded(test::sample_sampler()); },
      [](Wire w) {
-         return reencoded(obs::wire::decode_sampler, obs::wire::encode_sampler, w);
+         return reencoded(w, read_value<obs::SamplerSnapshot>, encoded<obs::SamplerSnapshot>);
      }},
     {"episodes", 74,
      "00000002000000070000002a3ff00000000000003ff400000000000000000003"
      "00000001000100000000090000002b4000000000000000400400000000000000"
      "00000000000000010201",
-     [] { return encoded(obs::wire::encode_episodes, test::sample_episodes()); },
+     [] { return encoded_list(test::sample_episodes()); },
      [](Wire w) {
-         return reencoded(obs::wire::decode_episodes, obs::wire::encode_episodes, w);
+         using Record = obs::EpisodeTracker::Record;
+         return reencoded(w, read_list<Record>, encoded_list<Record>);
      }},
     {"spans", 37,
      "00000001000b6576656e745f647261696e000000030000000000000064000000"
      "00000000fa",
-     [] { return encoded(obs::wire::encode_spans, test::sample_spans()); },
-     [](Wire w) { return reencoded(obs::wire::decode_spans, obs::wire::encode_spans, w); }},
+     [] { return encoded_list(test::sample_spans()); },
+     [](Wire w) {
+         return reencoded(w, read_list<obs::PortableSpan>, encoded_list<obs::PortableSpan>);
+     }},
     {"u64s", 28,
      "00000003000000000000000500000000000000060000000000000007",
-     [] { return encoded(obs::wire::encode_u64s, test::sample_u64s()); },
-     [](Wire w) { return reencoded(obs::wire::decode_u64s, obs::wire::encode_u64s, w); }},
+     [] { return encoded_list(test::sample_u64s()); },
+     [](Wire w) {
+         return reencoded(w, read_list<std::uint64_t>, encoded_list<std::uint64_t>);
+     }},
+    {"report", 418,
+     // digest sum, packets and chain; window; windows; wait, wall and CPU ns;
+     // peak RSS kB
+     "0123456789abcdef" "0000000000000766" "fedcba9876543210" "00000000004c4b40"
+     "00000000000000f0" "0000000000000012" "00000000000005dc" "00000000000004b0"
+     "0000000000001000"
+     // registry
+     "00000001000b70726f746f2e636f756e74401400000000000000000001000970"
+     "726f746f2e6c6174000000023fb999999999999a3ff000000000000000000000"
+     "000000020000000000000003000000000000000400000000000000093ffc0000"
+     "00000000"
+     // sampler
+     "3fa999999999999a000000033fa999999999999a3fb999999999999a3fc33333"
+     "33333333000000020006726174652e7801000000000000000100000000000000"
+     "02000000000000000300076c6576656c2e790000000000000000070000000000"
+     "0000070000000000000008"
+     // episodes
+     "00000002000000070000002a3ff00000000000003ff400000000000000000003"
+     "00000001000100000000090000002b4000000000000000400400000000000000"
+     "00000000000000010201"
+     // per-window waits (the u64s row)
+     "00000003000000000000000500000000000000060000000000000007"
+     // spans
+     "00000001000b6576656e745f647261696e000000030000000000000064000000"
+     "00000000fa",
+     [] { return encoded(test::sample_report()); },
+     [](Wire w) { return reencoded(w, sim::read_report, encoded<sim::ShardReport>); }},
 };
 
 TEST(WireLayout, RemoteEventAndTelemetryMatchRecordedBytes) {
