@@ -67,21 +67,20 @@ inline std::unique_ptr<SrmDeployment> make_srm_deployment(
         std::make_unique<baseline::SrmSenderCore>(sender_config, seed)));
     net.join(d.group, topo.source);
 
+    auto handlers = std::make_shared<AppHandlers>();
+    SrmDeployment* dp = &d;
+    handlers->on_data = [dp, &net](TimePoint, NodeId r, const DeliverData& data) {
+        dp->deliveries.push_back({r, data.seq, net.simulator().now(), data.recovered});
+    };
+    handlers->on_notice = [dp, &net](TimePoint, NodeId r, const Notice& n) {
+        if (n.kind == NoticeKind::kLossDetected)
+            dp->losses.push_back({r, SeqNum{static_cast<std::uint32_t>(n.arg)},
+                                  net.simulator().now()});
+    };
     for (NodeId r : topo.all_receivers()) {
         baseline::SrmConfig member_config = base;
         member_config.self = r;
         auto& host = net.attach_host(r);
-        AppHandlers handlers;
-        SrmDeployment* dp = &d;
-        handlers.on_data = [dp, r, &net](TimePoint, const DeliverData& data) {
-            dp->deliveries.push_back(
-                {r, data.seq, net.simulator().now(), data.recovered});
-        };
-        handlers.on_notice = [dp, r, &net](TimePoint, const Notice& n) {
-            if (n.kind == NoticeKind::kLossDetected)
-                dp->losses.push_back({r, SeqNum{static_cast<std::uint32_t>(n.arg)},
-                                      net.simulator().now()});
-        };
         d.members[r] = dynamic_cast<baseline::SrmMemberCore*>(&host.protocol().add_core(
             std::make_unique<baseline::SrmMemberCore>(member_config, seed * 7919 + r.value()),
             handlers));

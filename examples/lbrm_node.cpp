@@ -142,8 +142,8 @@ int run(const Options& opts) {
         config.group = opts.group;
         config.source = opts.source;
         config.role = LoggerRole::kPrimary;
-        AppHandlers handlers;
-        handlers.on_notice = [](TimePoint, const Notice& n) {
+        auto handlers = std::make_shared<AppHandlers>();
+        handlers->on_notice = [](TimePoint, NodeId, const Notice& n) {
             std::printf("[logger] notice kind=%d arg=%llu\n", static_cast<int>(n.kind),
                         static_cast<unsigned long long>(n.arg));
         };
@@ -155,15 +155,15 @@ int run(const Options& opts) {
         config.source = opts.source;
         config.logger = opts.logger;
         config.heartbeat = heartbeat;
-        AppHandlers handlers;
-        handlers.on_data = [](TimePoint, const DeliverData& d) {
+        auto handlers = std::make_shared<AppHandlers>();
+        handlers->on_data = [](TimePoint, NodeId, const DeliverData& d) {
             std::printf("[recv] seq %u%s: %.*s\n", d.seq.value(),
                         d.recovered ? " (recovered)" : "",
                         static_cast<int>(d.payload.size()),
                         reinterpret_cast<const char*>(d.payload.data()));
             std::fflush(stdout);
         };
-        handlers.on_notice = [](TimePoint, const Notice& n) {
+        handlers->on_notice = [](TimePoint, NodeId, const Notice& n) {
             if (n.kind == NoticeKind::kFreshnessLost)
                 std::printf("[recv] stream STALE (no heartbeats)\n");
             if (n.kind == NoticeKind::kFreshnessRestored)

@@ -37,6 +37,7 @@ class AckSenderCore final : public CoreBase {
 public:
     explicit AckSenderCore(AckProtocolConfig config);
 
+    [[nodiscard]] NodeId self() const override { return config_.self; }
     Actions start(TimePoint now) override;
     Actions on_packet(TimePoint now, const Packet& packet) override;
     Actions on_timer(TimePoint now, TimerId id) override;
@@ -72,6 +73,7 @@ class AckReceiverCore final : public CoreBase {
 public:
     explicit AckReceiverCore(AckProtocolConfig config);
 
+    [[nodiscard]] NodeId self() const override { return config_.self; }
     Actions start(TimePoint now) override;
     Actions on_packet(TimePoint now, const Packet& packet) override;
     Actions on_timer(TimePoint now, TimerId id) override;

@@ -55,6 +55,7 @@ class SrmSenderCore final : public CoreBase {
 public:
     SrmSenderCore(SrmConfig config, std::uint64_t seed);
 
+    [[nodiscard]] NodeId self() const override { return config_.self; }
     Actions start(TimePoint now) override;
     Actions on_packet(TimePoint now, const Packet& packet) override;
     Actions on_timer(TimePoint now, TimerId id) override;
@@ -85,6 +86,7 @@ class SrmMemberCore final : public CoreBase {
 public:
     SrmMemberCore(SrmConfig config, std::uint64_t seed);
 
+    [[nodiscard]] NodeId self() const override { return config_.self; }
     Actions start(TimePoint now) override;
     Actions on_packet(TimePoint now, const Packet& packet) override;
     Actions on_timer(TimePoint now, TimerId id) override;

@@ -35,6 +35,7 @@
 // stops at the first short read; it never reserves from a count it read.
 #pragma once
 
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -260,6 +261,28 @@ public:
 
 private:
     std::uint64_t h_;
+};
+
+/// A running 64-bit FNV-1a hash that mixes integers least significant byte
+/// first (Fnv1aSink hashes big-endian encodings): the one mixer behind the
+/// routing-table hash, the shard trace digests and the test and bench ones.
+struct Fnv1a {
+    std::uint64_t h = Fnv1aSink::kOffsetBasis;
+
+    /// The low `width` bytes of `v`.
+    void mix(std::uint64_t v, std::size_t width = 8) {
+        for (std::size_t i = 0; i < width; ++i)
+            h = (h ^ ((v >> (8 * i)) & 0xFFu)) * Fnv1aSink::kPrime;
+    }
+    void feed(const void* data, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) mix(static_cast<const std::uint8_t*>(data)[i], 1);
+    }
+    /// Every byte of an integer, enum or double.
+    template <typename T>
+    void feed_value(T v) {
+        if constexpr (std::is_floating_point_v<T>) mix(std::bit_cast<std::uint64_t>(v));
+        else mix(static_cast<std::uint64_t>(v), sizeof v);
+    }
 };
 
 // --- field lists ---------------------------------------------------------------

@@ -3,19 +3,18 @@
 // The first N elements live inline in the object; growth beyond N spills to
 // the heap like an ordinary vector.  Two uses (DESIGN.md "Memory
 // engineering"):
-//   * per-host collections that almost always hold one or two elements -- a
-//     receiver host's armed timers, its dormant-receiver records -- each cost
-//     a separate ~48-byte heap chunk as std::vector, and at 10M hosts those
-//     chunks dominate RSS.  Inline storage folds them into the host's own
-//     arena slot.
+//   * a host's receiver table, which almost always holds one entry: as a
+//     std::vector it would cost a heap chunk of its own per host, and at
+//     10M hosts those chunks dominate RSS.  Inline storage folds it into
+//     the host's own arena slot.
 //   * the action list every core call returns (core/actions.hpp), which
 //     lives in the caller's stack frame, so a live delivery allocates none.
 //
 // Supports non-trivial element types (move-constructed into place,
-// destroyed on erase).  Iterators are raw pointers and follow vector
-// invalidation rules: any growth, and erase/pop_back past the erase point,
-// invalidates them.  Not copyable (nothing in this codebase copies one);
-// movable, including the inline case (elements are moved one by one).
+// destroyed on pop_back).  Iterators are raw pointers and follow vector
+// invalidation rules: any growth invalidates them.  Not copyable (nothing
+// in this codebase copies one); movable, including the inline case
+// (elements are moved one by one).
 #pragma once
 
 #include <cstddef>
@@ -49,7 +48,6 @@ public:
 
     [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] bool empty() const { return size_ == 0; }
-    [[nodiscard]] std::size_t capacity() const { return cap_; }
     /// Whether the elements currently live in the inline buffer (tests).
     [[nodiscard]] bool inline_storage() const { return data() == inline_ptr(); }
 
@@ -68,7 +66,7 @@ public:
 
     template <typename... Args>
     T& emplace_back(Args&&... args) {
-        if (size_ == cap_) grow(std::size_t{cap_} * 2);
+        if (size_ == cap_) grow();
         T* slot = new (data() + size_) T(std::forward<Args>(args)...);
         ++size_;
         return *slot;
@@ -79,21 +77,9 @@ public:
         --size_;
     }
 
-    /// Order-preserving erase (the dormant-record contract: records stay
-    /// ascending by tag).  Returns the iterator past the erased slot.
-    T* erase(T* pos) {
-        for (T* p = pos; p + 1 != end(); ++p) *p = std::move(p[1]);
-        pop_back();
-        return pos;
-    }
-
     void clear() {
         for (std::size_t i = size_; i > 0; --i) data()[i - 1].~T();
         size_ = 0;
-    }
-
-    void reserve(std::size_t want) {
-        if (want > cap_) grow(want);
     }
 
 private:
@@ -106,9 +92,8 @@ private:
     [[nodiscard]] T* data() { return heap_ ? heap_ : inline_ptr(); }
     [[nodiscard]] const T* data() const { return heap_ ? heap_ : inline_ptr(); }
 
-    void grow(std::size_t want) {
-        const auto cap =
-            static_cast<std::uint32_t>(want < 2 * N ? 2 * N : want);
+    void grow() {
+        const std::uint32_t cap = cap_ * 2;
         T* fresh = static_cast<T*>(::operator new(cap * sizeof(T), align()));
         for (std::size_t i = 0; i < size_; ++i) {
             new (fresh + i) T(std::move(data()[i]));

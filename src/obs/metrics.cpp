@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/episode.hpp"
+#include "packet/packet.hpp"
 
 namespace lbrm::obs {
 
@@ -214,16 +215,6 @@ bool Metrics::write_json(const std::string& path) const {
 
 namespace {
 
-/// Wire-type names for the "host.send.<TYPE>" rows, indexed by the
-/// PacketType numeric value.  Must match packet/packet.cpp to_string()
-/// (telemetry_test cross-checks the two).
-constexpr std::array<const char*, 20> kWireTypeNames = {
-    nullptr,          "DATA",           "HEARTBEAT",       "NACK",
-    "RETRANS",        "LOG_STORE",      "LOG_ACK",         "REPLICA_UPDATE",
-    "REPLICA_ACK",    "ACKER_SELECTION", "ACKER_RESPONSE", "ACK",
-    "PROBE_REQUEST",  "PROBE_REPLY",    "DISCOVERY_QUERY", "DISCOVERY_REPLY",
-    "PRIMARY_QUERY",  "PRIMARY_REPLY",  "PROMOTE_REQUEST", "PROMOTE_REPLY"};
-
 template <typename Block>
 const Block& disabled_block() {
     static const Block block = [] {
@@ -309,9 +300,11 @@ const ProtocolMetrics& Metrics::protocol() {
         pm->loss = {&counter("proto.loss.gaps_opened"),
                     &counter("proto.loss.gap_overflows")};
         pm->host.send_by_type[0] = &Counter::sink();
-        for (std::size_t t = 1; t < kWireTypeNames.size(); ++t)
-            pm->host.send_by_type[t] =
-                &counter(std::string("host.send.") + kWireTypeNames[t]);
+        static_assert(std::tuple_size_v<decltype(pm->host.send_by_type)> ==
+                      std::variant_size_v<Body> + 1);
+        for (std::size_t t = 1; t < pm->host.send_by_type.size(); ++t)
+            pm->host.send_by_type[t] = &counter(std::string("host.send.") +
+                                                to_string(static_cast<PacketType>(t)));
         pm->host.timers_armed = &counter("host.timers_armed");
         pm->host.timers_cancelled = &counter("host.timers_cancelled");
         pm->host.notices = &counter("host.notices");

@@ -6,21 +6,18 @@
 // primary logger for one group and as the secondary logger for another") --
 // routes incoming packets to all of them, executes the Actions they return
 // through the driver's NetworkService/TimerService, and forwards
-// DeliverData/Notice actions to application handlers.
+// DeliverData/Notice actions to application handlers, naming the core
+// that reports.
 //
-// Core slots live by value in chunked stable arenas (see
-// common/stable_vector.hpp): attaching a receiver costs amortised-zero
-// allocations instead of one heap node per core, which matters when a
-// million-node scenario attaches a million receiver slots (DESIGN.md
-// "Scale engineering").  The attach methods still hand out references that
-// stay valid for the host's lifetime.  A host carries only what its own
-// node needs (DESIGN.md "Memory engineering"): the sender, logger and
-// generic slots share one block allocated on the first such attach, since
-// nearly every host in a large scenario is receiver-only, and receivers of
-// one group share one immutable ReceiverConfig.
+// Receivers live in one table in attach order, one entry each, inline for
+// the first: a dormant record, or the owner of a live core in a heap block
+// that never moves, so the references the attach methods hand out stay
+// valid for the host's lifetime.  A host carries only what its own node
+// needs (DESIGN.md "Memory engineering"): the sender, logger and generic
+// slots share one block allocated on the first such attach, since nearly
+// every host in a large scenario is receiver-only.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -43,40 +40,40 @@ public:
     ProtocolHost(const ProtocolHost&) = delete;
     ProtocolHost& operator=(const ProtocolHost&) = delete;
 
-    /// Attach cores.  References remain valid for the host's lifetime.
-    SenderCore& add_sender(SenderConfig config, AppHandlers handlers = {});
-    ReceiverCore& add_receiver(ReceiverConfig config, AppHandlers handlers = {});
+    /// Attach cores.  References remain valid for the host's lifetime, and
+    /// any number of cores may share one `handlers` object.
+    SenderCore& add_sender(SenderConfig config, SharedHandlers handlers = nullptr);
+    ReceiverCore& add_receiver(ReceiverConfig config, SharedHandlers handlers = nullptr);
     /// A receiver sharing `policy` with the group's other receivers (see
     /// ReceiverCore's shared-policy constructor).
     ReceiverCore& add_receiver(std::shared_ptr<const ReceiverConfig> policy, NodeId self,
                                NodeId logger, NodeId fallback_logger,
-                               AppHandlers handlers = {});
+                               SharedHandlers handlers = nullptr);
     LoggerCore& add_logger(LoggerConfig config, std::uint64_t rng_seed,
-                           AppHandlers handlers = {});
+                           SharedHandlers handlers = nullptr);
     /// Attach an arbitrary sans-IO core (baseline protocols).
-    CoreBase& add_core(std::unique_ptr<CoreBase> core, AppHandlers handlers = {});
+    CoreBase& add_core(std::unique_ptr<CoreBase> core, SharedHandlers handlers = nullptr);
 
     /// Shared blueprint for dormant receivers: the identity-independent
-    /// config (self/logger/fallback_logger come from each record) plus a
-    /// handler factory invoked only when a core actually wakes.  One
-    /// template is shared by every dormant receiver in a scenario, and a
-    /// woken core keeps `config` as its policy: no copy, no allocation.
+    /// config (self/logger/fallback_logger come from each entry) and the
+    /// handlers they all report through.  A woken core keeps `config` as
+    /// its policy: no copy.
     struct DormantReceiverTemplate {
         ReceiverConfig config;
-        std::function<AppHandlers(NodeId self)> make_handlers;
+        SharedHandlers handlers;
     };
 
-    /// Attach a *dormant* receiver: a ~48-byte record instead of a full
-    /// ReceiverCore slot (DESIGN.md "Memory engineering").  Bit-identical
-    /// to add_receiver() on an idle group member because ReceiverCore's
-    /// constructor is pure, start() with a static logger only arms the
-    /// idle watchdog (served here by the owner's fire_dormant_watchdogs()
-    /// sweep), and on_packet() mutates nothing unless the packet's group
-    /// matches the receiver's group or retransmission channel -- exactly
-    /// the wake predicate.  Requires a statically configured logger
-    /// (discovery would send probes at start); throws
-    /// std::invalid_argument on logger == kNoNode.  Dormant records process
-    /// after live receivers and before loggers on every host entry point.
+    /// Attach a *dormant* receiver: a table entry whose core is built in
+    /// place by the first packet that would change it (DESIGN.md "Memory
+    /// engineering").  Bit-identical to add_receiver() on an idle group
+    /// member because ReceiverCore's constructor is pure, start() with a
+    /// static logger only arms the idle watchdog (served here by the
+    /// owner's fire_dormant_watchdogs() sweep), and on_packet() mutates
+    /// nothing unless the packet's group matches the receiver's group or
+    /// retransmission channel -- exactly the wake predicate.  Requires a
+    /// statically configured logger (discovery would send probes at
+    /// start); throws std::invalid_argument on logger == kNoNode.  Woken
+    /// or not, it runs in attach order on every host entry point.
     void add_dormant_receiver(std::shared_ptr<const DormantReceiverTemplate> tmpl,
                               NodeId self, NodeId logger,
                               NodeId fallback_logger = kNoNode);
@@ -94,14 +91,18 @@ public:
     /// records' deadline; a scenario whose dormant receivers share one
     /// template schedules a single sweep event.  Without a sweep,
     /// freshness-lost notices for never-woken receivers are simply lost.
-    /// Mirrors ReceiverCore::on_timer's kIdle branch, in dormant-record
-    /// order, so a sweep at the shared deadline is trace-identical to the
-    /// idle timers eager cores arm at start().  No-op for woken (erased)
-    /// or stale records.
+    /// Mirrors ReceiverCore::on_timer's kIdle branch, in attach order, so
+    /// a sweep at the shared deadline is trace-identical to the idle
+    /// timers eager cores arm at start().  No-op for woken or stale
+    /// records.
     void fire_dormant_watchdogs(TimePoint now);
 
     /// Receivers still dormant on this host (tests / introspection).
-    [[nodiscard]] std::size_t dormant_count() const { return dormant_.size(); }
+    [[nodiscard]] std::size_t dormant_count() const {
+        std::size_t n = 0;
+        for (const ReceiverEntry& entry : receivers_) n += entry.live ? 0 : 1;
+        return n;
+    }
     /// Live receiver cores woken from dormancy so far (tests).
     [[nodiscard]] std::uint64_t dormant_wakes() const { return dormant_wakes_; }
 
@@ -132,10 +133,6 @@ public:
     /// so its sends/timers/notifications run through the host services.
     void inject(TimePoint now, const CoreBase& core, Actions actions);
 
-    [[nodiscard]] SenderCore* sender() {
-        SenderSlot* slot = sender_slot();
-        return slot != nullptr ? &slot->core : nullptr;
-    }
     [[nodiscard]] std::size_t core_count() const;
 
     /// Bind a metrics registry: resolves the shared protocol handle block
@@ -148,31 +145,20 @@ private:
     // attach order.
     struct SenderSlot {
         SenderCore core;
-        AppHandlers handlers;
-        explicit SenderSlot(SenderConfig c, AppHandlers h)
-            : core(std::move(c)), handlers(std::move(h)) {}
-    };
-    struct ReceiverSlot {
-        std::uint32_t tag;
-        ReceiverCore core;
-        AppHandlers handlers;
-        template <class... CoreArgs>
-        ReceiverSlot(std::uint32_t t, AppHandlers h, CoreArgs&&... core_args)
-            : tag(t), core(std::forward<CoreArgs>(core_args)...), handlers(std::move(h)) {}
+        SharedHandlers handlers;
+        SenderSlot(SenderConfig c, SharedHandlers h) : core(std::move(c)), handlers(std::move(h)) {}
     };
     struct LoggerSlot {
         std::uint32_t tag;
         LoggerCore core;
-        AppHandlers handlers;
-        LoggerSlot(std::uint32_t t, LoggerConfig c, std::uint64_t seed, AppHandlers h)
+        SharedHandlers handlers;
+        LoggerSlot(std::uint32_t t, LoggerConfig c, std::uint64_t seed, SharedHandlers h)
             : tag(t), core(std::move(c), seed), handlers(std::move(h)) {}
     };
     struct GenericSlot {
         std::uint32_t tag;
         std::unique_ptr<CoreBase> core;
-        AppHandlers handlers;
-        GenericSlot(std::uint32_t t, std::unique_ptr<CoreBase> c, AppHandlers h)
-            : tag(t), core(std::move(c)), handlers(std::move(h)) {}
+        SharedHandlers handlers;
     };
 
     /// The slots a receiver-only host never fills, in one block that the
@@ -189,31 +175,33 @@ private:
         return roles_ ? roles_->sender.get() : nullptr;
     }
 
-    /// Dormant receiver: identity + freshness is all the state an idle,
-    /// statically-configured group member accumulates (see
-    /// add_dormant_receiver).  40 bytes vs 296 for a ReceiverSlot.
-    struct DormantReceiver {
+    /// A receiver's core and handlers, in a heap block that never moves.
+    struct LiveReceiver {
+        ReceiverCore core;
+        SharedHandlers handlers;
+        LiveReceiver(std::shared_ptr<const ReceiverConfig> policy, NodeId self, NodeId logger,
+                     NodeId fallback, SharedHandlers h)
+            : core(std::move(policy), self, logger, fallback), handlers(std::move(h)) {}
+    };
+    /// One receiver: dormant while `live` is null, when its ids, freshness
+    /// and template are all the state an idle, statically configured group
+    /// member accumulates (see add_dormant_receiver).
+    struct ReceiverEntry {
         std::uint32_t tag;
         NodeId self;
         NodeId logger;
         NodeId fallback;
         bool fresh = true;
-        std::shared_ptr<const DormantReceiverTemplate> tmpl;
+        std::shared_ptr<const DormantReceiverTemplate> tmpl;  ///< null if attached eager
+        std::unique_ptr<LiveReceiver> live;
     };
 
-    void execute(TimePoint now, std::uint32_t tag, const AppHandlers& handlers,
+    /// `entry`'s live receiver, built in place first if it is dormant.
+    /// Runs no actions.
+    LiveReceiver& awake(ReceiverEntry& entry);
+
+    void execute(TimePoint now, std::uint32_t tag, NodeId self, const SharedHandlers& handlers,
                  Actions&& actions);
-
-    /// Materialise dormant_[i] into receivers_ (erases the record,
-    /// preserving the order of the remaining ones).  Runs no actions.
-    ReceiverSlot& wake_dormant(std::size_t i);
-
-    /// Index of the first dormant record with tag > last_tag, or
-    /// dormant_.size().  dormant_ is ascending by tag (attach order;
-    /// wake_dormant preserves the remaining order), so this implements the
-    /// reentrancy-safe cursor used by on_packet and
-    /// fire_dormant_watchdogs.
-    [[nodiscard]] std::size_t next_dormant_after(std::uint64_t last_tag) const;
 
     NetworkService& network_;
     TimerService& timers_;
@@ -222,12 +210,11 @@ private:
     const obs::ProtocolMetrics* metrics_ = &obs::ProtocolMetrics::disabled();
 
     std::unique_ptr<Roles> roles_;  ///< null on a receiver-only host
-    StableVector<ReceiverSlot> receivers_;
-    /// Inline slot of 1: the dominant population (dormant-receiver sites)
-    /// holds exactly one record per host, which std::vector would put in
-    /// its own ~48-byte malloc chunk -- at 100k+ hosts those chunks are
-    /// the RSS floor (bench/rss_gate.bound).
-    SmallVec<DormantReceiver, 1> dormant_;
+    /// Every receiver in attach (= tag) order, inline for the first:
+    /// nearly every host carries exactly one (bench/rss_gate.bound).  A
+    /// handler may re-enter the host and attach or wake a receiver, so
+    /// loops that run handlers walk the table by index and re-read its size.
+    SmallVec<ReceiverEntry, 1> receivers_;
     std::uint32_t dormant_wakes_ = 0;
     std::uint32_t next_tag_ = 1;
     TimePoint started_at_{};  ///< set by start(); anchors watchdog sweeps

@@ -2,12 +2,13 @@
 //
 // A driver -- the discrete-event simulator or the epoll/UDP reactor --
 // implements these two interfaces; ProtocolHost uses them to execute the
-// Actions emitted by the sans-IO cores.  Cores themselves never see these
-// types.
+// Actions emitted by the sans-IO cores and hands deliveries and notices to
+// AppHandlers.  Cores themselves never see these types.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "core/actions.hpp"
 #include "packet/packet.hpp"
@@ -35,19 +36,24 @@ public:
     virtual void cancel(std::uint32_t core_tag, TimerId id) = 0;
 };
 
-/// Application-side hooks for one attached core.
+/// Application-side hooks, which any number of cores may share: every call
+/// names the reporting core's own node id as `self`.
 struct AppHandlers {
     /// Data delivery (receiver cores).
-    std::function<void(TimePoint, const DeliverData&)> on_data;
+    std::function<void(TimePoint, NodeId self, const DeliverData&)> on_data;
     /// Protocol notifications (any core).
-    std::function<void(TimePoint, const Notice&)> on_notice;
+    std::function<void(TimePoint, NodeId self, const Notice&)> on_notice;
 };
+/// How hosts hold handlers: shared, immutable, null for none.
+using SharedHandlers = std::shared_ptr<const AppHandlers>;
 
 /// Type-erased sans-IO core, for protocols beyond the built-in LBRM trio
 /// (the baseline comparators implement this).
 class CoreBase {
 public:
     virtual ~CoreBase() = default;
+    /// This core's own node id, the `self` its handlers are told.
+    [[nodiscard]] virtual NodeId self() const = 0;
     virtual Actions start(TimePoint now) = 0;
     virtual Actions on_packet(TimePoint now, const Packet& packet) = 0;
     virtual Actions on_timer(TimePoint now, TimerId id) = 0;

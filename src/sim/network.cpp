@@ -531,47 +531,41 @@ Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
 }
 
 std::uint64_t Network::routing_table_hash() {
-    std::uint64_t h = 14695981039346656037ULL;  // FNV-1a 64 offset basis
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFFu;
-            h *= 1099511628211ULL;
-        }
-    };
-    auto mix_link = [&mix](const Link* l) {
-        mix(l != nullptr ? (static_cast<std::uint64_t>(l->from().value()) << 32) |
-                               l->to().value()
-                         : 0);
+    Fnv1a h;
+    auto mix_link = [&h](const Link* l) {
+        h.mix(l != nullptr
+                  ? (static_cast<std::uint64_t>(l->from().value()) << 32) | l->to().value()
+                  : 0);
     };
     for (std::size_t s = 0; s < site_tables_.size(); ++s) {
         SiteTable& t = site_tables_[s];
         const std::size_t m = t.size();
-        mix(m);
-        for (const std::uint32_t v : t.nodes) mix(v);
-        for (const std::uint32_t v : t.borders) mix(v);
+        h.mix(m);
+        for (const std::uint32_t v : t.nodes) h.mix(v);
+        for (const std::uint32_t v : t.borders) h.mix(v);
         for (std::size_t l = 0; l < m; ++l) {
             ensure_row(static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(l));
             const RowCell* row = t.rows[l].get();
             for (std::size_t j = 0; j < m; ++j) {
-                mix(static_cast<std::uint64_t>(row[j].dist));
-                mix(row[j].next);
+                h.mix(static_cast<std::uint64_t>(row[j].dist));
+                h.mix(row[j].next);
                 mix_link(row[j].link);
             }
         }
     }
-    for (const std::uint32_t v : border_nodes_) mix(v);
-    for (const std::uint8_t v : border_down_) mix(v);
+    for (const std::uint32_t v : border_nodes_) h.mix(v);
+    for (const std::uint8_t v : border_down_) h.mix(v);
     // The backbone in row-major order, a field at a time: every distance,
     // then every next node, then every link.
     const auto nb = static_cast<std::uint32_t>(border_nodes_.size());
     for (std::uint32_t b = 0; b < nb; ++b) (void)backbone_row(b);
     for (const auto& row : bb_rows_)
-        for (std::uint32_t j = 0; j < nb; ++j) mix(static_cast<std::uint64_t>(row[j].dist));
+        for (std::uint32_t j = 0; j < nb; ++j) h.mix(static_cast<std::uint64_t>(row[j].dist));
     for (const auto& row : bb_rows_)
-        for (std::uint32_t j = 0; j < nb; ++j) mix(row[j].next);
+        for (std::uint32_t j = 0; j < nb; ++j) h.mix(row[j].next);
     for (const auto& row : bb_rows_)
         for (std::uint32_t j = 0; j < nb; ++j) mix_link(row[j].link);
-    return h;
+    return h.h;
 }
 
 // ---------------------------------------------------------------------------

@@ -53,6 +53,26 @@ DisScenario::DisScenario(ScenarioConfig config)
     hosts_.reserve(size.hosts);
     secondary_cores_.reserve(config_.topology.sites);
 
+    // One handler object serves every core (each call names the core that
+    // reports).  One blueprint serves every receiver: receiver_defaults with
+    // the group, source, heartbeat and retransmission channel filled in;
+    // the ids are per receiver.
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [this](TimePoint at, NodeId self, const DeliverData& d) {
+        report_delivery(at, self, d);
+    };
+    handlers->on_notice = [this](TimePoint at, NodeId self, const Notice& n) {
+        report_notice(at, self, n);
+    };
+    auto blueprint = std::make_shared<ProtocolHost::DormantReceiverTemplate>();
+    blueprint->config = config_.receiver_defaults;
+    blueprint->config.group = config_.group;
+    blueprint->config.source = topology_.source;
+    blueprint->config.heartbeat = config_.heartbeat;
+    if (config_.use_retrans_channel) blueprint->config.retrans_channel = retrans_group();
+    blueprint->handlers = handlers_ = std::move(handlers);
+    receiver_template_ = std::move(blueprint);
+
     wire_source();
     if (config_.use_regional_loggers)
         for (std::size_t r = 0; r < topology_.regions.size(); ++r)
@@ -76,14 +96,8 @@ void DisScenario::wire_region(const DisTopology::Region& region, std::size_t reg
     logger_config.participate_in_acking = false;  // site secondaries handle acking
     // Its clients are site secondaries at other sites: repairs must unicast.
     logger_config.site_multicast_repairs = false;
-
-    AppHandlers handlers;
-    const NodeId id = region.logger;
-    handlers.on_notice = [this, id](TimePoint at, const Notice& n) {
-        report_notice(at, id, n);
-    };
     host.protocol().add_logger(std::move(logger_config), config_.seed * 433 + region_index,
-                               handlers);
+                               handlers_);
 }
 
 void DisScenario::wire_source() {
@@ -112,14 +126,7 @@ void DisScenario::wire_source() {
             sender_config.retrans_channel_copies = config_.retrans_channel_copies;
             sender_config.retrans_channel_first_delay = config_.retrans_channel_first_delay;
         }
-
-        AppHandlers sender_handlers;
-        sender_handlers.on_notice = [this, id = topology_.source](TimePoint at,
-                                                                  const Notice& n) {
-            report_notice(at, id, n);
-        };
-        sender_core_ =
-            &source_host.protocol().add_sender(std::move(sender_config), sender_handlers);
+        sender_core_ = &source_host.protocol().add_sender(std::move(sender_config), handlers_);
     }
 
     // --- primary logger -----------------------------------------------------
@@ -134,15 +141,8 @@ void DisScenario::wire_source() {
         primary_config.role = LoggerRole::kPrimary;
         primary_config.upstream = kNoNode;
         primary_config.replicas = topology_.replicas;
-
-        AppHandlers primary_handlers;
-        primary_handlers.on_notice = [this, id = topology_.primary](TimePoint at,
-                                                                   const Notice& n) {
-            report_notice(at, id, n);
-        };
-        primary_core_ = &primary_host.protocol().add_logger(std::move(primary_config),
-                                                            config_.seed * 7919 + 1,
-                                                            primary_handlers);
+        primary_core_ = &primary_host.protocol().add_logger(
+            std::move(primary_config), config_.seed * 7919 + 1, handlers_);
     }
     // The primary listens to the group stream too (it is reachable by
     // multicast), but its log authority comes from LogStore handoff.
@@ -162,23 +162,9 @@ void DisScenario::wire_source() {
         replica_config.source = topology_.source;
         replica_config.role = LoggerRole::kReplica;
         replica_config.upstream = topology_.primary;
-
-        AppHandlers handlers;
-        handlers.on_notice = [this, replica](TimePoint at, const Notice& n) {
-            report_notice(at, replica, n);
-        };
         host.protocol().add_logger(std::move(replica_config),
-                                   config_.seed * 104729 + replica_salt, handlers);
+                                   config_.seed * 104729 + replica_salt, handlers_);
     }
-}
-
-ReceiverConfig DisScenario::receiver_policy() const {
-    ReceiverConfig policy = config_.receiver_defaults;
-    policy.group = config_.group;
-    policy.source = topology_.source;
-    policy.heartbeat = config_.heartbeat;
-    if (config_.use_retrans_channel) policy.retrans_channel = retrans_group();
-    return policy;
 }
 
 void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_index) {
@@ -203,14 +189,8 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                 if (const auto* region = topology_.region_of_site(site_index))
                     logger_config.upstream = region->logger;
             }
-
-            AppHandlers handlers;
-            const NodeId id = site.secondary;
-            handlers.on_notice = [this, id](TimePoint at, const Notice& n) {
-                report_notice(at, id, n);
-            };
             secondary_cores_.push_back(&host.protocol().add_logger(
-                std::move(logger_config), config_.seed * 31 + site_index, handlers));
+                std::move(logger_config), config_.seed * 31 + site_index, handlers_));
         } else {
             secondary_cores_.push_back(nullptr);  // owned by another shard
         }
@@ -224,19 +204,14 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
     const bool dormant_mode = config_.dormant_receivers &&
                               !config_.discover_loggers &&
                               !config_.rotate_site_loggers;
-    // Eager receivers share one policy; under rotation each site's
-    // receivers share one that lists the site's rotating loggers.
-    std::shared_ptr<const ReceiverConfig> policy;
-    if (!dormant_mode && !site.receivers.empty()) {
-        if (config_.rotate_site_loggers) {
-            ReceiverConfig site_policy = receiver_policy();
-            site_policy.rotating_loggers = site.receivers;
-            policy = std::make_shared<const ReceiverConfig>(std::move(site_policy));
-        } else {
-            if (!receiver_policy_)
-                receiver_policy_ = std::make_shared<const ReceiverConfig>(receiver_policy());
-            policy = receiver_policy_;
-        }
+    // Eager receivers share the blueprint's config; under rotation each
+    // site's receivers share one that lists the site's rotating loggers.
+    std::shared_ptr<const ReceiverConfig> policy(receiver_template_,
+                                                 &receiver_template_->config);
+    if (config_.rotate_site_loggers && !site.receivers.empty()) {
+        ReceiverConfig site_policy = receiver_template_->config;
+        site_policy.rotating_loggers = site.receivers;
+        policy = std::make_shared<const ReceiverConfig>(std::move(site_policy));
     }
     NodeId receiver_logger = kNoNode;  // discovery finds one
     if (!config_.discover_loggers)
@@ -256,26 +231,12 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
         hosts_.push_back(&host);
 
         if (dormant_mode) {
-            if (!dormant_template_) {
-                auto tmpl = std::make_shared<ProtocolHost::DormantReceiverTemplate>();
-                tmpl->config = receiver_policy();
-                tmpl->make_handlers = [this](NodeId self) {
-                    AppHandlers h;
-                    h.on_data = [this, self](TimePoint at, const DeliverData& d) {
-                        report_delivery(at, self, d);
-                    };
-                    h.on_notice = [this, self](TimePoint at, const Notice& n) {
-                        report_notice(at, self, n);
-                    };
-                    return h;
-                };
-                dormant_template_ = std::move(tmpl);
-            }
             // One shared watchdog deadline for every dormant receiver in
             // the scenario: start() schedules a single sweep event in place
             // of one armed timer per record (~100 B each at 10^7).
-            host.protocol().add_dormant_receiver(dormant_template_, node, receiver_logger,
+            host.protocol().add_dormant_receiver(receiver_template_, node, receiver_logger,
                                                  topology_.primary);
+            dormant_attached_ = true;
             if (joins_group) network_.join(group, node);
             continue;
         }
@@ -293,18 +254,11 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
             rotating.participate_in_acking = false;  // dedicated loggers ack
             rotating.answer_discovery = false;
             host.protocol().add_logger(std::move(rotating),
-                                       config_.seed * 57 + node.value());
+                                       config_.seed * 57 + node.value(), handlers_);
         }
 
-        AppHandlers handlers;
-        handlers.on_data = [this, node](TimePoint at, const DeliverData& d) {
-            report_delivery(at, node, d);
-        };
-        handlers.on_notice = [this, node](TimePoint at, const Notice& n) {
-            report_notice(at, node, n);
-        };
         host.protocol().add_receiver(policy, node, receiver_logger, topology_.primary,
-                                     std::move(handlers));
+                                     handlers_);
         if (joins_group) network_.join(group, node);
     }
 }
@@ -319,7 +273,7 @@ void DisScenario::start() {
             simulator_, static_cast<std::uint32_t>(host->id().value() - 1));
         host->protocol().start(now);
     }
-    if (dormant_template_) {
+    if (dormant_attached_) {
         // Dormant idle watchdogs (see fire_dormant_watchdogs): every
         // dormant receiver shares one template, hence one deadline.  One
         // sweep event walks the hosts in start() order, which is exactly
@@ -328,7 +282,7 @@ void DisScenario::start() {
         // actor, and everything a woken receiver schedules is keyed to
         // that receiver's own node.
         const TimePoint deadline =
-            now + ReceiverCore::initial_idle_threshold(dormant_template_->config);
+            now + ReceiverCore::initial_idle_threshold(receiver_template_->config);
         Simulator::ActorScope sweep_scope(simulator_, Simulator::kSweepActor);
         simulator_.schedule_at(deadline, [this] {
             const TimePoint at = simulator_.now();

@@ -244,10 +244,6 @@ public:
 private:
     void wire_source();
     void wire_site(const DisTopology::Site& site, std::size_t site_index);
-    /// The receiver configuration every site shares: receiver_defaults with
-    /// the group, source, heartbeat and retransmission channel filled in.
-    /// Identity (self, logger, fallback) is per receiver and left unset.
-    [[nodiscard]] ReceiverConfig receiver_policy() const;
     void wire_region(const DisTopology::Region& region, std::size_t region_index);
     [[nodiscard]] const RecordingObserver& recorder() const;
 
@@ -263,11 +259,12 @@ private:
     std::vector<LoggerCore*> secondary_cores_;
     std::vector<SimHost*> hosts_;
     std::vector<std::uint32_t> node_shard_;  ///< empty = unsharded
-    /// Shared blueprint for every dormant receiver (null in eager mode).
-    std::shared_ptr<const ProtocolHost::DormantReceiverTemplate> dormant_template_;
-    /// The policy every eager receiver shares, built with the first one
-    /// (rotating loggers differ by site, so rotation builds one per site).
-    std::shared_ptr<const ReceiverConfig> receiver_policy_;
+    SharedHandlers handlers_;  ///< the one handler object every core reports through
+    /// The one receiver blueprint: dormant receivers attach with it, and
+    /// eager ones share its config (rotation builds one per site) and its
+    /// handlers.
+    std::shared_ptr<const ProtocolHost::DormantReceiverTemplate> receiver_template_;
+    bool dormant_attached_ = false;  ///< start() schedules the watchdog sweep
 
     /// Every event goes to observer_ first, then to each of these in order.
     void report_delivery(TimePoint at, NodeId node, const DeliverData& data);

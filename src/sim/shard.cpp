@@ -66,14 +66,6 @@ constexpr std::uint8_t kReport = 3;
 constexpr std::uint8_t kReady = 4;
 constexpr std::uint8_t kGo = 5;
 
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xFFu;
-        h *= Fnv1aSink::kPrime;
-    }
-    return h;
-}
-
 std::uint64_t wall_ns_now() {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -419,16 +411,18 @@ ShardPlan ShardPlan::contiguous(std::size_t sites, std::uint32_t shards) {
 
 void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
                       bool delivered) {
-    std::uint64_t h = kDigestSeed;
-    h = fnv_u64(h, static_cast<std::uint64_t>(at.time_since_epoch().count()));
-    h = fnv_u64(h, link.from().value());
-    h = fnv_u64(h, link.to().value());
-    h = fnv_u64(h, delivered ? 1 : 0);
-    h = fnv_u64(h, encoded_size(packet));
-    h = fnv1a(h, packet);
+    Fnv1a fields{kDigestSeed};
+    fields.mix(static_cast<std::uint64_t>(at.time_since_epoch().count()));
+    fields.mix(link.from().value());
+    fields.mix(link.to().value());
+    fields.mix(delivered ? 1 : 0);
+    fields.mix(encoded_size(packet));
+    const std::uint64_t h = fnv1a(fields.h, packet);
     sum += h;
     ++packets;
-    chained = fnv_u64(chained ^ h, packets);
+    Fnv1a chain{chained ^ h};
+    chain.mix(packets);
+    chained = chain.h;
 }
 
 ShardResult run_unsharded(const ShardRunConfig& cfg) { return run_in_process(cfg, {}); }

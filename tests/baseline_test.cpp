@@ -132,10 +132,10 @@ TEST(SrmIntegration, RecoversLossViaGroupRepair) {
 
     std::map<NodeId, SrmMemberCore*> members;
     std::uint64_t delivered = 0;
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [&delivered](TimePoint, NodeId, const DeliverData&) { ++delivered; };
     for (NodeId r : topo.all_receivers()) {
         auto& host = net.attach_host(r);
-        AppHandlers handlers;
-        handlers.on_data = [&delivered](TimePoint, const DeliverData&) { ++delivered; };
         members[r] = dynamic_cast<SrmMemberCore*>(&host.protocol().add_core(
             std::make_unique<SrmMemberCore>(member_config(r), r.value()), handlers));
         net.join(kGroup, r);

@@ -32,7 +32,6 @@ namespace lbrm::sim {
 namespace {
 
 using lbrm::test::at;
-using lbrm::test::Fnv1a;
 using lbrm::test::count_sent;
 using lbrm::test::find_timer;
 using lbrm::test::notices;
@@ -196,10 +195,10 @@ public:
 
 TEST(DormantSweep, ReentrantWakeDuringSweepNeitherSkipsNorDoubles) {
     // A sweep notice handler that wakes *another* dormant record mid-sweep
-    // mutates the vector being iterated.  The tag-cursor loop must still
-    // visit every record present at entry exactly once and skip the one the
-    // handler woke (it is no longer dormant, so the sweep no longer owns
-    // its watchdog).
+    // changes the table being walked.  The sweep must still visit every
+    // record present at entry exactly once and skip the one the handler
+    // woke (it is no longer dormant, so the sweep no longer owns its
+    // watchdog).
     SinkNetwork net;
     SinkTimers timers;
     ProtocolHost host{net, timers};
@@ -208,16 +207,14 @@ TEST(DormantSweep, ReentrantWakeDuringSweepNeitherSkipsNorDoubles) {
     auto tmpl = std::make_shared<ProtocolHost::DormantReceiverTemplate>();
     tmpl->config.group = kGroup;
     tmpl->config.source = kSource;
-    tmpl->make_handlers = [&host, &seen](NodeId self) {
-        AppHandlers handlers;
-        handlers.on_notice = [&host, &seen, self](TimePoint, const Notice& n) {
-            seen.emplace_back(self.value(), n.kind);
-            if (self == NodeId{11}) {
-                ASSERT_NE(host.receiver_for(NodeId{13}), nullptr);  // reentrant wake
-            }
-        };
-        return handlers;
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_notice = [&host, &seen](TimePoint, NodeId self, const Notice& n) {
+        seen.emplace_back(self.value(), n.kind);
+        if (self == NodeId{11}) {
+            ASSERT_NE(host.receiver_for(NodeId{13}), nullptr);  // reentrant wake
+        }
     };
+    tmpl->handlers = handlers;
 
     for (std::uint32_t node = 10; node <= 13; ++node)
         host.add_dormant_receiver(tmpl, NodeId{node}, kPrimary);

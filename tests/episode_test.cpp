@@ -394,7 +394,7 @@ struct MatrixClass {
 
 /// FNV-1a over every record, field by field (Record has padding bytes).
 std::uint64_t records_digest(const std::vector<EpisodeTracker::Record>& recs) {
-    test::Fnv1a h;
+    Fnv1a h;
     for (const EpisodeTracker::Record& r : recs) {
         h.feed_value(r.node);
         h.feed_value(r.seq);
@@ -412,7 +412,7 @@ std::uint64_t records_digest(const std::vector<EpisodeTracker::Record>& recs) {
 /// FNV-1a over the names and values of the registry's recovery.* rows
 /// (counters, the open gauges and every latency-histogram row).
 std::uint64_t recovery_rows_digest(const obs::Metrics& m) {
-    test::Fnv1a h;
+    Fnv1a h;
     for (const obs::Metrics::Sample& row : m.snapshot()) {
         if (!row.name.starts_with("recovery.")) continue;
         h.feed(row.name.data(), row.name.size());

@@ -444,5 +444,39 @@ TEST(RotatingLoggers, EscalationStillReachesThePrimary) {
     EXPECT_EQ(scenario.delivery_times(SeqNum{2}).size(), 4u);
 }
 
+TEST(RotatingLoggers, SlotOwnerReportsItsSiteRemulticast) {
+    // Rotating loggers report their notices like every other core: when the
+    // whole site misses a packet, the slot owner fetches it upstream and
+    // re-multicasts it to the site, and the observer hears of it from the
+    // owner's node.
+    DisScenario scenario(rotation_config());
+    auto& network = scenario.network();
+    const auto& topo = scenario.topology();
+    const auto& hosts = topo.sites[0].receivers;
+    scenario.start();
+    scenario.send_update(std::size_t{64});
+    scenario.run_for(secs(1.0));
+
+    network.set_loss(topo.backbone, topo.sites[0].router,
+                     std::make_unique<BernoulliLoss>(1.0));
+    scenario.send_update(std::size_t{64});
+    scenario.run_for(millis(50));
+    network.set_loss(topo.backbone, topo.sites[0].router,
+                     std::make_unique<BernoulliLoss>(0.0));
+    scenario.run_for(secs(10.0));
+    ASSERT_EQ(scenario.delivery_times(SeqNum{2}).size(), 4u);
+
+    // The primary may re-multicast too; count the site's own.
+    std::size_t site_remulticasts = 0;
+    for (const NoticeRecord& n : scenario.notices()) {
+        if (n.kind != NoticeKind::kRemulticast || n.arg != 2 ||
+            std::find(hosts.begin(), hosts.end(), n.node) == hosts.end())
+            continue;
+        ++site_remulticasts;
+        EXPECT_EQ(n.node, scenario.receiver(hosts[0]).current_logger(n.at));
+    }
+    EXPECT_EQ(site_remulticasts, 1u);
+}
+
 }  // namespace
 }  // namespace lbrm::sim

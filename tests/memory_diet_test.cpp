@@ -240,6 +240,7 @@ TEST(CableRespec, LossModelResetsFeedTheCounter) {
 struct BigArgCore final : CoreBase {
     TimerId fired{};
     int fires = 0;
+    [[nodiscard]] NodeId self() const override { return NodeId{1}; }
     Actions start(TimePoint now) override {
         Actions actions;
         // arg does not fit in 32 bits: must take the fat-closure fallback.
@@ -275,6 +276,7 @@ TEST(TimerPacking, OversizedArgSurvivesFatPath) {
 /// Records every timer the host hands it; arms nothing itself.
 struct ProbeCore final : CoreBase {
     std::vector<std::pair<TimePoint, TimerId>> fired;
+    [[nodiscard]] NodeId self() const override { return NodeId{1}; }
     Actions start(TimePoint) override { return {}; }
     Actions on_packet(TimePoint, const Packet&) override { return {}; }
     Actions on_timer(TimePoint now, TimerId id) override {

@@ -118,9 +118,9 @@ struct CrossedDeployment {
             config.group = group;
             config.source = source;
             config.logger = site_logger;
-            AppHandlers handlers;
+            auto handlers = std::make_shared<AppHandlers>();
             const std::uint32_t g = group.value();
-            handlers.on_data = [this, self, g](TimePoint, const DeliverData& d) {
+            handlers->on_data = [this, g](TimePoint, NodeId self, const DeliverData& d) {
                 delivered[self][g].push_back(d.seq);
             };
             network.attach_host(self).protocol().add_receiver(config, handlers);

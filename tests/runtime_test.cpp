@@ -1,9 +1,12 @@
 // ProtocolHost tests: action execution against fake driver services, timer
 // keying across cores, packet fan-in to all attached cores, datagram
-// decode-and-dispatch, generic-core attachment and inject().
+// decode-and-dispatch, generic-core attachment and inject(), and the
+// receiver table's attach order whatever woke a receiver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "runtime/protocol_host.hpp"
@@ -103,8 +106,10 @@ TEST(ProtocolHost, PacketsFanInToEveryCore) {
     receiver_config.source = kSource;
     receiver_config.logger = kPrimary;
     std::vector<SeqNum> delivered;
-    AppHandlers handlers;
-    handlers.on_data = [&](TimePoint, const DeliverData& d) { delivered.push_back(d.seq); };
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [&](TimePoint, NodeId, const DeliverData& d) {
+        delivered.push_back(d.seq);
+    };
     host.add_receiver(receiver_config, handlers);
 
     LoggerConfig logger_config;
@@ -179,8 +184,10 @@ TEST(ProtocolHost, DatagramPathDecodesAndDrops) {
     config.source = kSource;
     config.logger = kPrimary;
     std::vector<SeqNum> delivered;
-    AppHandlers handlers;
-    handlers.on_data = [&](TimePoint, const DeliverData& d) { delivered.push_back(d.seq); };
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [&](TimePoint, NodeId, const DeliverData& d) {
+        delivered.push_back(d.seq);
+    };
     host.add_receiver(config, handlers);
     host.start(at(0.0));
 
@@ -203,6 +210,7 @@ public:
     int packets = 0;
     int timers = 0;
 
+    [[nodiscard]] NodeId self() const override { return kReceiver; }
     Actions start(TimePoint) override {
         ++started;
         return {};
@@ -287,6 +295,120 @@ TEST(ProtocolHost, JoinLeaveActionsReachTheDriver) {
     host.on_packet(at(1.1), d3);
     ASSERT_EQ(network.joined.size(), 1u);
     EXPECT_EQ(network.joined[0], GroupId{2});
+}
+
+// --- the receiver table -------------------------------------------------------
+
+/// Logs every timer arm, in order.
+class ArmLog final : public TimerService {
+public:
+    struct Arm {
+        std::uint32_t tag;
+        TimerId id;
+        TimePoint deadline;
+        friend bool operator==(const Arm&, const Arm&) = default;
+        friend void PrintTo(const Arm& a, std::ostream* os) {
+            *os << "{tag " << a.tag << ", kind " << static_cast<int>(a.id.kind) << ", arg "
+                << a.id.arg << ", at " << (a.deadline - time_zero()).count() << "}";
+        }
+    };
+    std::vector<Arm> arms;
+
+    void arm(std::uint32_t tag, TimerId id, TimePoint deadline) override {
+        arms.push_back({tag, id, deadline});
+    }
+    void cancel(std::uint32_t, TimerId) override {}
+
+    /// The log reduced to each timer's last arm, in the order those last
+    /// arms happened: what a dispatch left armed, in the order the cores
+    /// set it.  A wake's own idle-watchdog arm, superseded by the woken
+    /// core's re-arm, drops out.
+    [[nodiscard]] std::vector<Arm> last_arms() const {
+        std::vector<Arm> out;
+        for (std::size_t i = 0; i < arms.size(); ++i) {
+            const auto later = std::find_if(arms.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                                            arms.end(), [&](const Arm& a) {
+                                                return a.tag == arms[i].tag && a.id == arms[i].id;
+                                            });
+            if (later == arms.end()) out.push_back(arms[i]);
+        }
+        return out;
+    }
+};
+
+enum class Wake { kEager, kBeforeFirstPacket, kFromFirstDelivery };
+
+/// What a host with three receivers of one group did with three packets:
+/// every delivery its handler saw, as (self, seq), and per packet the
+/// timers the dispatch left armed (ArmLog::last_arms).
+struct HostRun {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> deliveries;
+    std::vector<std::vector<ArmLog::Arm>> arms;
+};
+
+/// The receivers are eager, or dormant with the third woken by
+/// receiver_for() either after start() or from inside the first
+/// receiver's first delivery.
+HostRun run_three_receivers(Wake wake) {
+    FakeNetwork network;
+    ArmLog timers;
+    ProtocolHost host{network, timers};
+    const NodeId ids[] = {NodeId{10}, NodeId{11}, NodeId{12}};
+    HostRun run;
+
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [&](TimePoint, NodeId self, const DeliverData& d) {
+        run.deliveries.emplace_back(self.value(), d.seq.value());
+        if (wake == Wake::kFromFirstDelivery && self == ids[0]) {
+            ASSERT_NE(host.receiver_for(ids[2]), nullptr);  // reentrant wake
+        }
+    };
+    auto tmpl = std::make_shared<ProtocolHost::DormantReceiverTemplate>();
+    tmpl->config.group = kGroup;
+    tmpl->config.source = kSource;
+    tmpl->handlers = handlers;
+    for (const NodeId id : ids) {
+        if (wake == Wake::kEager)
+            host.add_receiver(std::shared_ptr<const ReceiverConfig>(tmpl, &tmpl->config), id,
+                              kPrimary, kNoNode, handlers);
+        else
+            host.add_dormant_receiver(tmpl, id, kPrimary);
+    }
+    host.start(at(0.0));
+    if (wake == Wake::kBeforeFirstPacket) {
+        EXPECT_NE(host.receiver_for(ids[2]), nullptr);
+    }
+
+    // seq 2 is lost: the third packet opens a gap, so NACK timers arm too.
+    const Packet packets[] = {
+        Packet{Header{kGroup, kSource, kSource}, DataBody{SeqNum{1}, EpochId{0}, payload(4)}},
+        Packet{Header{kGroup, kSource, kSource}, HeartbeatBody{SeqNum{1}, 0}},
+        Packet{Header{kGroup, kSource, kSource}, DataBody{SeqNum{3}, EpochId{0}, payload(4)}}};
+    double t = 1.0;
+    for (const Packet& packet : packets) {
+        timers.arms.clear();
+        host.on_packet(at(t), packet);
+        run.arms.push_back(timers.last_arms());
+        t += 0.1;
+    }
+    EXPECT_EQ(host.dormant_count(), 0u);
+    return run;
+}
+
+TEST(ReceiverTable, EarlyWakeKeepsAttachOrder) {
+    const HostRun eager = run_three_receivers(Wake::kEager);
+    ASSERT_EQ(eager.deliveries.size(), 6u);  // three receivers x two data packets
+    const HostRun woken = run_three_receivers(Wake::kBeforeFirstPacket);
+    EXPECT_EQ(woken.deliveries, eager.deliveries);
+    EXPECT_EQ(woken.arms, eager.arms);
+}
+
+TEST(ReceiverTable, ReentrantWakeSeesThePacketBeingDispatched) {
+    const HostRun eager = run_three_receivers(Wake::kEager);
+    ASSERT_EQ(eager.deliveries.size(), 6u);
+    const HostRun woken = run_three_receivers(Wake::kFromFirstDelivery);
+    EXPECT_EQ(woken.deliveries, eager.deliveries);
+    EXPECT_EQ(woken.arms, eager.arms);
 }
 
 }  // namespace

@@ -111,8 +111,8 @@ TEST(MetricsRegistry, DisabledBlocksPointAtSinks) {
     EXPECT_EQ(obs::HostMetrics::disabled().notices, &obs::Counter::sink());
 }
 
-// The "host.send.<TYPE>" rows are named from a table in metrics.cpp that
-// must stay in sync with packet.cpp's to_string(); this is the cross-check.
+// The "host.send.<TYPE>" rows are named from packet.cpp's to_string(), one
+// per wire type, and the handle block points at exactly those rows.
 TEST(MetricsRegistry, HostSendRowsMatchWireTypeNames) {
     obs::Metrics m;
     const obs::ProtocolMetrics& pm = m.protocol();

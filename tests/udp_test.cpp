@@ -126,8 +126,8 @@ TEST(UdpEndpoint, EndToEndDeliveryOverRealSockets) {
     receiver_config.source = LoopbackDeployment::kSourceId;
     receiver_config.logger = LoopbackDeployment::kPrimaryId;
     std::vector<Payload> delivered;
-    AppHandlers handlers;
-    handlers.on_data = [&](TimePoint, const DeliverData& d) {
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [&](TimePoint, NodeId, const DeliverData& d) {
         delivered.push_back(d.payload);
     };
     net.receiver->protocol().add_receiver(receiver_config, handlers);
@@ -175,8 +175,8 @@ TEST(UdpEndpoint, LostDataRecoveredFromLoggerOverRealSockets) {
     receiver_config.heartbeat.h_min = millis(30);
     std::vector<SeqNum> delivered;
     std::vector<bool> recovered_flags;
-    AppHandlers handlers;
-    handlers.on_data = [&](TimePoint, const DeliverData& d) {
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [&](TimePoint, NodeId, const DeliverData& d) {
         delivered.push_back(d.seq);
         recovered_flags.push_back(d.recovered);
     };

@@ -181,7 +181,7 @@ RunOutput run_scenario(bool use_engine, bool governed, std::uint64_t seed) {
     auto& counting = static_cast<CountingObserver&>(scenario.observer());
 
     RunOutput out;
-    test::Fnv1a trace;
+    Fnv1a trace;
     scenario.network().set_tap([&trace](TimePoint at, const sim::Link& link,
                                         const Packet& packet, bool delivered) {
         const auto t = at.time_since_epoch().count();

@@ -374,21 +374,15 @@ TEST(PinnedTrace, BurstQueueingMatchesRecordedHash) {
     // Order-sensitive FNV-1a chain over every tap, so two same-instant
     // arrivals that swap places change the hash (the PinnedTrace digests in
     // shard_test are order-independent sums).
-    std::uint64_t hash = 14695981039346656037ULL;
-    auto mix = [&hash](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (v >> (8 * i)) & 0xFFu;
-            hash *= 1099511628211ULL;
-        }
-    };
+    Fnv1a hash;
     std::uint64_t packets = 0;
     std::uint64_t same_instant = 0;  // transmits right behind one at the same time
     std::map<const Link*, TimePoint> last_tx;
     scenario.network().set_tap([&](TimePoint t, const Link& l, const Packet& p,
                                    bool delivered) {
-        mix(static_cast<std::uint64_t>(t.time_since_epoch().count()));
-        mix((static_cast<std::uint64_t>(l.from().value()) << 32) | l.to().value());
-        mix((static_cast<std::uint64_t>(p.type()) << 1) | (delivered ? 1u : 0u));
+        hash.mix(static_cast<std::uint64_t>(t.time_since_epoch().count()));
+        hash.mix((static_cast<std::uint64_t>(l.from().value()) << 32) | l.to().value());
+        hash.mix((static_cast<std::uint64_t>(p.type()) << 1) | (delivered ? 1u : 0u));
         ++packets;
         const auto [it, first] = last_tx.try_emplace(&l, t);
         if (!first && it->second == t) ++same_instant;
@@ -407,7 +401,7 @@ TEST(PinnedTrace, BurstQueueingMatchesRecordedHash) {
 
     EXPECT_FALSE(scenario.deliveries().empty());
     EXPECT_GT(same_instant, 0u);  // the scenario still queues behind busy links
-    EXPECT_EQ(hash, 0xf8c25e52b403f746ull);
+    EXPECT_EQ(hash.h, 0xf8c25e52b403f746ull);
     EXPECT_EQ(packets, 2166u);
 }
 
