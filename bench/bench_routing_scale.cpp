@@ -1,37 +1,31 @@
 // Routing-scale bench (perf trajectory, not a paper artifact).
 //
 // Measures the million-node scenario engine (DESIGN.md "Scale
-// engineering"): the hierarchical site/backbone routing tables, whose rows
-// build on first touch after a finalize() that builds only the border rows
-// and the border graph, and a full protocol run -- sender, loggers, a
-// receiver core per host, real multicast traffic -- at a million nodes
-// under the constant-memory CountingObserver.
+// engineering"): the tree router, whose finalize() is one DFS that keeps
+// four 32-bit words per node (DESIGN.md "Tree routing"), and a full
+// protocol run -- sender, loggers, a receiver core per host, real
+// multicast traffic -- at a million nodes under the constant-memory
+// CountingObserver.
 //
 // Scenarios:
 //
 //   routing_100k   -- 1,000 sites x 97 receivers (~100k nodes).  Builds the
-//                     topology and the routing tables and reports the
-//                     make_dis_topology() and finalize() wall times, the
-//                     site-table rows finalize() materialised (the border
-//                     rows; the rest build on first touch), the backbone
-//                     rows the sanity multicasts then built (finalize()
-//                     builds none), routing-table bytes after finalize(),
-//                     bytes per node and peak RSS.  Flat O(n^2)
-//                     matrices at this size would need n^2 x 12 bytes
-//                     (~120 GB), so their footprint is computed analytically
-//                     and reported as the ratio.
+//                     topology and the routing snapshot and reports the
+//                     make_dis_topology() and finalize() wall times,
+//                     routing bytes after finalize(), bytes per node and
+//                     peak RSS.  Flat O(n^2) matrices at this size would
+//                     need n^2 x 12 bytes (~120 GB), so the bench reports
+//                     the ratio to that analytic footprint.  Exits 1 when
+//                     routing holds more than 16 bytes per node, so no
+//                     per-node table can grow back unnoticed.
 //   full_protocol  -- 2,000 sites x 499 receivers (>= 1M nodes) wired as a
 //                     complete DisScenario (CountingObserver), driven with
 //                     real sends + protocol timers; reports build/traffic
-//                     seconds, deliveries, site and backbone rows built,
-//                     peak RSS and RSS bytes per node.
+//                     seconds, deliveries, peak RSS and RSS bytes per node.
 //
-// The headline finalize additionally runs under a TraceRecorder and exports
-// Chrome trace_event JSON (--trace PATH, open in chrome://tracing or
-// Perfetto).  The bench computes span coverage -- the fraction of the
-// outermost "finalize" span accounted for by its phase children
-// (finalize.prep + finalize.routes) -- and fails if it drops below 90%,
-// so the trace stays an honest breakdown rather than decoration.
+// The headline build runs under a TraceRecorder and exports Chrome
+// trace_event JSON (--trace PATH, open in chrome://tracing or Perfetto):
+// the "finalize" span and the tree builds of the sanity multicasts.
 //
 // Usage:
 //   bench_routing_scale [--json PATH] [--timestamp ISO8601] [--trace PATH]
@@ -80,8 +74,6 @@ struct BuildStats {
     double topology_seconds = 0.0;  ///< make_dis_topology() wall time
     double finalize_seconds = 0.0;
     std::size_t nodes = 0;
-    std::size_t rows_built = 0;  ///< site-table rows materialised by finalize()
-    std::size_t backbone_rows = 0;  ///< backbone rows the sanity multicasts built
     std::size_t table_bytes = 0;
     std::uint64_t delivered = 0;
 };
@@ -100,7 +92,6 @@ BuildStats run_build(std::uint32_t sites, std::uint32_t receivers) {
     net.finalize();
     out.finalize_seconds = now_seconds_since(start);
     out.nodes = net.node_count();
-    out.rows_built = net.site_rows_built();
     out.table_bytes = net.routing_table_bytes();
 
     const GroupId group{1};
@@ -113,34 +104,10 @@ BuildStats run_build(std::uint32_t sites, std::uint32_t receivers) {
                                       std::vector<std::uint8_t>(64, 0xEE)}},
                       scope);
     simulator.run_for(secs(5.0));
-    out.backbone_rows = net.backbone_rows_built();
     for (const auto& site : topo.sites)
         for (NodeId r : site.receivers)
             out.delivered += net.link(site.router, r)->stats().packets_of(PacketType::kData);
     return out;
-}
-
-/// Fraction of the outermost "finalize" span covered by its direct phase
-/// children (finalize.prep + finalize.routes).  Those two partition the
-/// finalize body, so anything below ~1.0 is unattributed finalize time.
-double finalize_span_coverage(const obs::TraceRecorder& rec) {
-    const auto spans = rec.spans();
-    const obs::TraceRecorder::Span* finalize = nullptr;
-    for (const auto& s : spans)
-        if (std::strcmp(s.name, "finalize") == 0 &&
-            (finalize == nullptr || s.dur_ns > finalize->dur_ns))
-            finalize = &s;
-    if (finalize == nullptr || finalize->dur_ns == 0) return 0.0;
-    const std::uint64_t end = finalize->start_ns + finalize->dur_ns;
-    std::uint64_t covered = 0;
-    for (const auto& s : spans) {
-        if (std::strcmp(s.name, "finalize.prep") != 0 &&
-            std::strcmp(s.name, "finalize.routes") != 0)
-            continue;
-        if (s.start_ns < finalize->start_ns || s.start_ns + s.dur_ns > end) continue;
-        covered += s.dur_ns;
-    }
-    return static_cast<double>(covered) / static_cast<double>(finalize->dur_ns);
 }
 
 }  // namespace
@@ -199,7 +166,7 @@ int main(int argc, char** argv) {
     std::vector<JsonMetric> metrics;
 
     if (!full_only) {
-        title("Hierarchical routing at scale: " + fmt_int(sites) + " sites x " +
+        title("Tree routing at scale: " + fmt_int(sites) + " sites x " +
               fmt_int(receivers) + " receivers");
         obs::TraceRecorder trace_rec;
         trace_rec.install();
@@ -220,15 +187,16 @@ int main(int argc, char** argv) {
             static_cast<double>(big.nodes) * static_cast<double>(big.nodes) * 12.0;
         const double ratio = flat_bytes / static_cast<double>(big.table_bytes);
         const double rss_mib = static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
+        const double bytes_per_node =
+            static_cast<double>(big.table_bytes) / static_cast<double>(big.nodes);
 
-        Table table({"nodes", "topology s", "finalize s", "rows built", "backbone rows",
-                     "table MiB", "B/node", "flat MiB", "ratio"});
+        Table table({"nodes", "topology s", "finalize s", "table MiB", "B/node", "flat MiB",
+                     "ratio"});
         table.row({fmt_int(big.nodes), fmt(big.topology_seconds, 3),
-                   fmt(big.finalize_seconds, 3), fmt_int(big.rows_built),
-                   fmt_int(big.backbone_rows),
+                   fmt(big.finalize_seconds, 3),
                    fmt(static_cast<double>(big.table_bytes) / (1024.0 * 1024.0), 1),
-                   fmt(static_cast<double>(big.table_bytes) / static_cast<double>(big.nodes), 1),
-                   fmt(flat_bytes / (1024.0 * 1024.0), 0), fmt(ratio, 0) + "x"});
+                   fmt(bytes_per_node, 1), fmt(flat_bytes / (1024.0 * 1024.0), 0),
+                   fmt(ratio, 0) + "x"});
         note("");
         note("delivered sanity: " + fmt_int(big.delivered) + " packets; peak RSS " +
              fmt(rss_mib, 1) + " MiB");
@@ -239,43 +207,34 @@ int main(int argc, char** argv) {
             {"routing_scale", "topology_seconds", big.topology_seconds, timestamp});
         metrics.push_back(
             {"routing_scale", "finalize_seconds_hier", big.finalize_seconds, timestamp});
-        metrics.push_back({"routing_scale", "site_rows_built",
-                           static_cast<double>(big.rows_built), timestamp});
-        metrics.push_back({"routing_scale", "backbone_rows_built",
-                           static_cast<double>(big.backbone_rows), timestamp});
         metrics.push_back({"routing_scale", "routing_table_bytes_hier",
                            static_cast<double>(big.table_bytes), timestamp});
-        metrics.push_back({"routing_scale", "routing_table_bytes_per_node",
-                           static_cast<double>(big.table_bytes) /
-                               static_cast<double>(big.nodes),
-                           timestamp});
         metrics.push_back(
-            {"routing_scale", "routing_table_bytes_flat_computed", flat_bytes, timestamp});
+            {"routing_scale", "routing_table_bytes_per_node", bytes_per_node, timestamp});
         metrics.push_back({"routing_scale", "flat_to_hier_memory_ratio", ratio, timestamp});
         metrics.push_back({"routing_scale", "peak_rss_bytes",
                            static_cast<double>(peak_rss_bytes()), timestamp});
 
         if (obs::kTelemetryEnabled) {
-            const double coverage = finalize_span_coverage(trace_rec);
             const bool wrote = trace_rec.write_chrome_json(trace_path);
-            note("finalize trace: " + fmt_int(trace_rec.spans().size()) + " spans (" +
-                 fmt_int(trace_rec.dropped()) + " dropped), phase coverage " +
-                 fmt(100.0 * coverage, 1) + "%" +
+            note("build trace: " + fmt_int(trace_rec.spans().size()) + " spans (" +
+                 fmt_int(trace_rec.dropped()) + " dropped)" +
                  (wrote ? ", written to " + trace_path : " (trace write FAILED)"));
-            metrics.push_back(
-                {"routing_scale", "finalize_trace_coverage", coverage, timestamp});
-            if (coverage < 0.90) {
-                note("ERROR: finalize phase spans cover < 90% of finalize wall time");
-                return 1;
-            }
         } else {
-            note("finalize trace: telemetry compiled out (LBRM_NO_TELEMETRY); skipped");
+            note("build trace: telemetry compiled out (LBRM_NO_TELEMETRY); skipped");
+        }
+        // Four 32-bit words per node: parent cable end, DFS enter and exit,
+        // liveness segment top.
+        if (bytes_per_node > 16.0) {
+            note("ERROR: routing holds " + fmt(bytes_per_node, 1) +
+                 " B/node, above the tree router's 16");
+            return 1;
         }
     }  // --full-only skips the routing phase
 
     if (!skip_full || full_only) {
         title("Full protocol at scale: " + fmt_int(full_sites) + " sites x " +
-              fmt_int(full_receivers) + " receivers (lazy finalize, counting observer" +
+              fmt_int(full_receivers) + " receivers (counting observer" +
               (full_dormant ? ", dormant receivers" : "") +
               (active_per_site != 0
                    ? ", " + fmt_int(active_per_site) + " active/site"
@@ -306,13 +265,9 @@ int main(int argc, char** argv) {
 
         const std::size_t nodes = scenario.network().node_count();
         const double rss = static_cast<double>(peak_rss_bytes());
-        Table full({"nodes", "build s", "traffic s", "deliveries", "rows built",
-                    "backbone rows", "RSS MiB", "RSS B/node"});
+        Table full({"nodes", "build s", "traffic s", "deliveries", "RSS MiB", "RSS B/node"});
         full.row({fmt_int(nodes), fmt(build_seconds, 1), fmt(traffic_seconds, 1),
-                  fmt_int(counter->deliveries()),
-                  fmt_int(scenario.network().site_rows_built()),
-                  fmt_int(scenario.network().backbone_rows_built()),
-                  fmt(rss / (1024.0 * 1024.0), 0),
+                  fmt_int(counter->deliveries()), fmt(rss / (1024.0 * 1024.0), 0),
                   fmt(rss / static_cast<double>(nodes), 0)});
         const double delivered_pps =
             traffic_seconds > 0.0
@@ -339,9 +294,6 @@ int main(int argc, char** argv) {
             {full_name, "traffic_seconds", traffic_seconds, timestamp});
         metrics.push_back({full_name, "deliveries",
                            static_cast<double>(counter->deliveries()), timestamp});
-        metrics.push_back({full_name, "backbone_rows_built",
-                           static_cast<double>(scenario.network().backbone_rows_built()),
-                           timestamp});
         metrics.push_back(
             {full_name, "delivered_packets_per_sec", delivered_pps, timestamp});
         metrics.push_back({full_name, "peak_rss_bytes", rss, timestamp});

@@ -18,7 +18,7 @@ class Metrics;
 namespace lbrm {
 
 /// Simulator-substrate knobs consumed by sim::Network (see DESIGN.md
-/// "Hierarchical routing").  These tune memory/speed trade-offs of the
+/// "Tree routing").  These tune memory/speed trade-offs of the
 /// simulated internetwork, not protocol behaviour.  The tree-cache bound is
 /// exact: occupancy never changes packet timings, drop decisions or RNG
 /// draw order (routes are a pure function of the last finalize()).

@@ -27,22 +27,16 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
             obs_->gap_overflows->inc();
             gap_start = seq.plus(-max_gap_);
         }
-        for (SeqNum s = gap_start; s < seq; ++s) {
-            if (!missing_.contains(s)) {
-                missing_.emplace(s, Gap{now});
-                obs.newly_missing.push_back(s);
-            }
-        }
+        // An in-order packet opens no gap and allocates nothing.
+        if (!missing_ && (gap_start < seq || is_heartbeat)) missing_ = std::make_unique<Gaps>();
+        for (SeqNum s = gap_start; s < seq; ++s)
+            if (missing_->emplace(s, Gap{now}).second) obs.newly_missing.push_back(s);
         highest_ = seq;
-        if (is_heartbeat) {
-            // The heartbeat proves `seq` itself was transmitted as data but
-            // carries no payload; if we never received the data packet it is
-            // missing as well.
-            if (!missing_.contains(seq)) {
-                missing_.emplace(seq, Gap{now});
-                obs.newly_missing.push_back(seq);
-            }
-        }
+        // The heartbeat proves `seq` itself was transmitted as data but
+        // carries no payload; if we never received the data packet it is
+        // missing as well.
+        if (is_heartbeat && missing_->emplace(seq, Gap{now}).second)
+            obs.newly_missing.push_back(seq);
         obs_->gaps_opened->inc(obs.newly_missing.size());
         return obs;
     }
@@ -50,11 +44,13 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
     // seq <= highest_: retransmission, reordered arrival, or duplicate.
     if (is_heartbeat) return obs;  // heartbeat for an old seq adds nothing new
 
-    if (auto it = missing_.find(seq); it != missing_.end()) {
-        obs.filled = it->second;
-        missing_.erase(it);
-        obs.fills_gap = true;
-        return obs;
+    if (missing_) {
+        if (auto it = missing_->find(seq); it != missing_->end()) {
+            obs.filled = it->second;
+            missing_->erase(it);
+            obs.fills_gap = true;
+            return obs;
+        }
     }
 
     // Not missing: received, abandoned, or older than the first packet.
@@ -64,17 +60,19 @@ LossDetector::Observation LossDetector::observe(TimePoint now, SeqNum seq,
 
 std::vector<SeqNum> LossDetector::missing() const {
     std::vector<SeqNum> out;
-    out.reserve(missing_.size());
+    if (!missing_) return out;
+    out.reserve(missing_->size());
     // Wire order is numeric; walk from the serially oldest entry and wrap.
-    auto start = serial_begin(missing_);
-    for (auto it = start; it != missing_.end(); ++it) out.push_back(it->first);
-    for (auto it = missing_.begin(); it != start; ++it) out.push_back(it->first);
+    auto start = serial_begin(*missing_);
+    for (auto it = start; it != missing_->end(); ++it) out.push_back(it->first);
+    for (auto it = missing_->begin(); it != start; ++it) out.push_back(it->first);
     return out;
 }
 
 std::optional<TimePoint> LossDetector::detected_at(SeqNum seq) const {
-    auto it = missing_.find(seq);
-    if (it == missing_.end()) return std::nullopt;
+    if (!missing_) return std::nullopt;
+    auto it = missing_->find(seq);
+    if (it == missing_->end()) return std::nullopt;
     return it->second.detected_at;
 }
 

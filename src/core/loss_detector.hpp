@@ -21,7 +21,11 @@
 // never stored.  A number at or below `highest_seen()` that is not missing
 // was received, abandoned, or predates the first packet, so data carrying
 // it is a duplicate; nothing above `highest_seen()` can have been received
-// yet.  An in-order packet costs a comparison and no allocation.
+// yet.  An in-order packet costs a comparison and no allocation.  The
+// missing set lives behind a pointer, allocated when the first gap opens
+// and kept from then on: a detector that never sees a gap (nearly every
+// receiver of a large, mostly lossless group) holds 8 bytes for it, not an
+// empty map's 48, and no read of an empty detector allocates.
 //
 // Each missing number has one Gap record: its detection time plus the
 // retry counters of whoever repairs it.  ReceiverCore keeps its per-gap
@@ -34,6 +38,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -85,19 +90,25 @@ public:
     using Gaps = std::map<SeqNum, Gap, SeqNum::WireOrder>;
 
     /// The open gaps, for the owner's retry bookkeeping.  Erasing an entry
-    /// abandons that sequence number.
-    [[nodiscard]] Gaps& gaps() { return missing_; }
+    /// abandons that sequence number; callers never insert.  Before the
+    /// first gap this is one shared empty map, so walking an empty
+    /// detector allocates nothing.
+    [[nodiscard]] Gaps& gaps() { return missing_ ? *missing_ : no_gaps_; }
 
     /// Sequence numbers currently known missing, oldest first.
     [[nodiscard]] std::vector<SeqNum> missing() const;
 
-    [[nodiscard]] bool is_missing(SeqNum seq) const { return missing_.contains(seq); }
+    [[nodiscard]] bool is_missing(SeqNum seq) const {
+        return missing_ && missing_->contains(seq);
+    }
 
     /// When the gap containing `seq` was first detected (for latency stats).
     [[nodiscard]] std::optional<TimePoint> detected_at(SeqNum seq) const;
 
     /// Give up on a sequence number (recovery failed / application declined).
-    void abandon(SeqNum seq) { missing_.erase(seq); }
+    void abandon(SeqNum seq) {
+        if (missing_) missing_->erase(seq);
+    }
 
     /// Highest sequence number proven transmitted, if any packet was seen.
     [[nodiscard]] std::optional<SeqNum> highest_seen() const {
@@ -109,7 +120,7 @@ public:
         return started_ ? std::optional<TimePoint>(last_heard_) : std::nullopt;
     }
 
-    [[nodiscard]] std::size_t missing_count() const { return missing_.size(); }
+    [[nodiscard]] std::size_t missing_count() const { return missing_ ? missing_->size() : 0; }
 
     /// Observations whose gap exceeded `max_gap` and was truncated.
     [[nodiscard]] std::uint64_t gap_overflows() const { return gap_overflows_; }
@@ -128,7 +139,9 @@ private:
     std::int32_t max_gap_ = kDefaultMaxGap;
     std::uint64_t gap_overflows_ = 0;
     const obs::LossDetectorMetrics* obs_ = &obs::LossDetectorMetrics::disabled();
-    Gaps missing_;
+    std::unique_ptr<Gaps> missing_;  ///< null until the first gap opens
+    /// What gaps() hands out before then.  Never written: it stays empty.
+    inline static Gaps no_gaps_;
 };
 
 }  // namespace lbrm

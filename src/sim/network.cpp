@@ -4,6 +4,9 @@
 #include <chrono>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "sim/sim_host.hpp"
@@ -11,16 +14,6 @@
 namespace lbrm::sim {
 
 namespace {
-
-constexpr std::int64_t kInfDist = std::numeric_limits<std::int64_t>::max();
-
-/// Edge weight: propagation + 1 microsecond hop penalty (prefers fewer
-/// hops between equal-latency paths, keeping routes deterministic).  Routes
-/// are the true shortest paths under this metric wherever those are unique
-/// (DESIGN.md "Hierarchical routing", tie-breaking).
-[[nodiscard]] std::int64_t edge_weight(const LinkSpec& spec) {
-    return spec.propagation.count() + 1000;
-}
 
 /// Multicast-tree cache key: (group id, sender id) packed into 64 bits.
 [[nodiscard]] std::uint64_t tree_key(GroupId group, NodeId sender) {
@@ -33,10 +26,10 @@ namespace {
 /// "sim.*" pull-gauge names registered by register_metrics(); ~Network
 /// removes exactly this list (the registry can outlive the network).
 constexpr const char* kSimGaugeNames[] = {
-    "sim.cached_trees",     "sim.tree_cache_bytes",   "sim.site_rows_built",
-    "sim.routing_table_bytes", "sim.drops_queue",     "sim.drops_loss",
-    "sim.link_packets",     "sim.link_bytes",         "sim.queue_pending",
-    "sim.events_processed", "sim.events_scheduled",
+    "sim.cached_trees",     "sim.tree_cache_bytes",   "sim.routing_table_bytes",
+    "sim.drops_queue",      "sim.drops_loss",         "sim.link_packets",
+    "sim.link_bytes",       "sim.queue_pending",      "sim.events_processed",
+    "sim.events_scheduled",
 };
 }  // namespace
 
@@ -72,8 +65,6 @@ void Network::register_metrics() {
                [this] { return static_cast<std::uint64_t>(cached_trees_); });
     m.gauge_fn("sim.tree_cache_bytes",
                [this] { return static_cast<std::uint64_t>(tree_cache_bytes()); });
-    m.gauge_fn("sim.site_rows_built",
-               [this] { return static_cast<std::uint64_t>(site_rows_built()); });
     m.gauge_fn("sim.routing_table_bytes",
                [this] { return static_cast<std::uint64_t>(routing_table_bytes()); });
     m.gauge_fn("sim.drops_queue", [this] { return drop_breakdown().queue; });
@@ -175,10 +166,10 @@ void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
     // A changed edge can invalidate any cached tree, so the tree cache
     // drops immediately -- not just at the next finalize().  In-flight
     // deliveries keep their pinned trees and complete on the pre-change
-    // routes, as before.  The CSR snapshot is *not* rebuilt here: routing
-    // (including rows built from now on) keeps reading the finalize-time
-    // adjacency and weights until the required finalize() -- stale tables,
-    // as in a network whose routing protocol has not reconverged.
+    // routes, as before.  The routing snapshot is *not* rebuilt here:
+    // routing keeps reading the finalize-time tree until the required
+    // finalize() -- stale routes, as in a network whose routing protocol
+    // has not reconverged.
     invalidate_all_trees();
     finalized_ = false;
 }
@@ -194,9 +185,8 @@ void Network::set_node_down(NodeId node, bool down) {
     if ((node_down_[i] != 0) != down) invalidate_all_trees();
     node_down_[i] = down ? 1 : 0;
     // Routes are untouched: they are a pure function of the last finalize()
-    // -- every site-table row (whenever it is built) and hop_toward consult
-    // the route_down_ / border_down_ snapshots, never the live flags -- so
-    // a downed relay blackholes until re-finalize, like an unconverged
+    // -- hop_toward reads the finalize-time snapshot, never the live flags -- so a
+    // downed relay blackholes until re-finalize, like an unconverged
     // routing protocol.  Trees must drop because membership pruning *does*
     // consult liveness at build time.
 }
@@ -231,340 +221,122 @@ const Link* Network::link(NodeId a, NodeId b) const {
 }
 
 // ---------------------------------------------------------------------------
-// Routing: finalize() snapshots what the site/backbone tables are built
-// from; rows build on first touch (DESIGN.md "Hierarchical routing",
-// "Scale engineering").
+// Routing: finalize() snapshots the tree the cables form (DESIGN.md "Tree
+// routing").
 // ---------------------------------------------------------------------------
-
-void Network::build_adjacency() {
-    // Counting sort of the directed links by source node.  Row sizes first,
-    // prefix-summed into row starts.
-    const std::size_t n = node_count();
-    csr_offset_.assign(n + 1, 0);
-    for (const Cable& c : cables_) {
-        ++csr_offset_[index(c.a) + 1];
-        ++csr_offset_[index(c.b) + 1];
-    }
-    for (std::size_t i = 0; i < n; ++i) csr_offset_[i + 1] += csr_offset_[i];
-    csr_to_.resize(csr_offset_[n]);
-    csr_link_.resize(csr_offset_[n]);
-    cable_weight_.resize(cables_.size());
-    // Walking the cables in creation order puts each node's out-edges in
-    // add_link order.  Filling advances csr_offset_[i] from the start of
-    // row i to its end, which is the start of row i + 1, so one shift
-    // restores the row starts afterwards.
-    auto place = [this](std::size_t from, std::size_t to, std::uint32_t e) {
-        const std::uint32_t k = csr_offset_[from]++;
-        csr_to_[k] = static_cast<std::uint32_t>(to);
-        csr_link_[k] = e;
-    };
-    std::uint32_t e = 0;  // cable c's ends are 2c and 2c + 1
-    for (const Cable& c : cables_) {
-        cable_weight_[e >> 1] = edge_weight(c.spec);
-        place(index(c.a), index(c.b), e++);
-        place(index(c.b), index(c.a), e++);
-    }
-    std::copy_backward(csr_offset_.begin(), csr_offset_.end() - 1, csr_offset_.end());
-    csr_offset_[0] = 0;
-}
 
 void Network::finalize() {
     LBRM_TRACE_SPAN("finalize");
-    {
-        LBRM_TRACE_SPAN("finalize.prep");
-        invalidate_all_trees();
-        // Snapshot adjacency and liveness: every table row -- including rows
-        // materialised mid-run -- is a pure function of these, so build
-        // order/time cannot change a route.
-        build_adjacency();
-        route_down_.assign(node_down_.begin(), node_down_.end());
-    }
-    rows_built_ = 0;
-    bb_rows_built_ = 0;
-    {
-        LBRM_TRACE_SPAN("finalize.routes");
-        build_hierarchical_routes();
-    }
+    invalidate_all_trees();
+    build_routes();
     finalized_ = true;
 }
 
-void Network::build_hierarchical_routes() {
-    const std::size_t n = node_count();
-
-    {
-        LBRM_TRACE_SPAN("finalize.site_index");
-        // 1. Group nodes into dense site indices (first-appearance order).
-        site_tables_.clear();
-        node_site_.assign(n, 0);
-        node_local_.assign(n, 0);
-        // Nodes of one site are usually added together, so the hash is
-        // consulted once per run of same-site nodes, not once per node.
-        std::unordered_map<std::uint32_t, std::uint32_t> site_index;
-        std::uint32_t run_key = 0;
-        std::uint32_t run_site = kNoIndex;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t key = node_site_id_[i].value();
-            if (run_site == kNoIndex || key != run_key) {
-                auto [it, inserted] = site_index.emplace(
-                    key, static_cast<std::uint32_t>(site_tables_.size()));
-                if (inserted) site_tables_.emplace_back();
-                run_key = key;
-                run_site = it->second;
-            }
-            SiteTable& table = site_tables_[run_site];
-            node_site_[i] = run_site;
-            node_local_[i] = static_cast<std::uint32_t>(table.nodes.size());
-            table.nodes.push_back(static_cast<std::uint32_t>(i));
-        }
-        // Pre-size every row slot; traffic fills whichever slot it first
-        // touches.
-        for (SiteTable& table : site_tables_) {
-            table.rows.clear();
-            table.rows.resize(table.nodes.size());
-            table.borders.clear();
-        }
-
-        // 2. Border nodes: any node with an inter-site link (ascending index).
-        border_nodes_.clear();
-        node_border_.assign(n, kNoIndex);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::uint32_t k = csr_offset_[i]; k != csr_offset_[i + 1]; ++k) {
-                if (node_site_[csr_to_[k]] != node_site_[i]) {
-                    node_border_[i] = static_cast<std::uint32_t>(border_nodes_.size());
-                    border_nodes_.push_back(static_cast<std::uint32_t>(i));
-                    site_tables_[node_site_[i]].borders.push_back(
-                        static_cast<std::uint32_t>(i));
+void Network::build_routes() {
+    const auto n = static_cast<std::uint32_t>(node_count());
+    parent_end_.assign(n, kNoIndex);
+    enter_.assign(n, kNoIndex);  // kNoIndex = not yet visited
+    exit_.assign(n, 0);
+    top_.assign(n, 0);
+    // Iterative DFS over the cable lists, roots in index order.  `u` walks
+    // its ends from `e`; descending saves (u, e) on `open`.  Any cable
+    // reaching a visited node other than the parent closes a cycle.  A
+    // child whose only cable leads back (every host) closes at once.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> open;
+    std::uint32_t clock = 0;
+    std::uint32_t closing = kNoIndex;  // a cable end that closes a cycle
+    for (std::uint32_t root = 0; root < n && closing == kNoIndex; ++root) {
+        if (enter_[root] != kNoIndex) continue;
+        enter_[root] = clock++;
+        top_[root] = root;
+        std::uint32_t u = root;
+        std::uint32_t e = cable_head_[root];
+        while (true) {
+            while (e != kNoIndex) {
+                const std::uint32_t end = e;
+                e = end_next_[end];
+                if (end == parent_end_[u]) continue;
+                const std::uint32_t v = far_node(end);
+                if (enter_[v] != kNoIndex) {
+                    closing = end;
                     break;
                 }
-            }
-        }
-        // Border projection of the liveness snapshot: hop_toward must see the
-        // state the tables were built under, not later set_node_down
-        // transitions (which only take routing effect at the next finalize).
-        border_down_.assign(border_nodes_.size(), 0);
-        for (std::size_t b = 0; b < border_nodes_.size(); ++b)
-            border_down_[b] = route_down_[border_nodes_[b]];
-    }
-
-    // 3. Border rows only: the border graph needs them.  Every other row
-    //    materialises on first touch (ensure_row).
-    {
-        LBRM_TRACE_SPAN("finalize.site_rows");
-        for (std::size_t s = 0; s < site_tables_.size(); ++s)
-            for (const std::uint32_t gb : site_tables_[s].borders)
-                build_site_row(static_cast<std::uint32_t>(s), node_local_[gb]);
-    }
-
-    // 4. The border graph; backbone rows materialise on first touch
-    //    (backbone_row).
-    build_border_graph();
-}
-
-template <class Relays, class ForEachEdge>
-std::unique_ptr<Network::RowCell[]> Network::dijkstra_row(std::uint32_t src, std::size_t n,
-                                                          Relays relays,
-                                                          ForEachEdge for_each_edge) {
-    auto row = std::make_unique_for_overwrite<RowCell[]>(n);
-    std::fill_n(row.get(), n, RowCell{kInfDist, kNoIndex, nullptr});
-    row[src].dist = 0;
-    auto& pq = scratch_.pq;
-    pq.emplace(0, src);
-    while (!pq.empty()) {
-        const auto [d, u] = pq.top();
-        pq.pop();
-        if (d != row[u].dist) continue;
-        if (u != src && !relays(u)) continue;  // a down node may end a path only
-        for_each_edge(u, [&, d = d, u = u](std::uint32_t v, std::int64_t w,
-                                           std::uint32_t first_node, Link* first_link) {
-            if (d + w >= row[v].dist) return;
-            row[v] = (u == src) ? RowCell{d + w, first_node, first_link}
-                                : RowCell{d + w, row[u].next, row[u].link};
-            pq.emplace(d + w, v);
-        });
-    }
-    return row;
-}
-
-void Network::build_site_row(std::uint32_t site, std::uint32_t src_local) {
-    // Dijkstra over the site's own subgraph against the finalize-time
-    // adjacency + liveness snapshots, never live state, so a row built
-    // mid-run is bit-identical to the same row built at finalize().
-    SiteTable& table = site_tables_[site];
-    table.rows[src_local] = dijkstra_row(
-        src_local, table.size(),
-        [&](std::uint32_t u) { return route_down_[table.nodes[u]] == 0; },
-        [&](std::uint32_t u, auto&& relax) {
-            const std::uint32_t gu = table.nodes[u];
-            for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
-                const std::uint32_t gv = csr_to_[k];
-                if (node_site_[gv] != site) continue;  // intra only
-                const std::uint32_t e = csr_link_[k];
-                relax(node_local_[gv], cable_weight_[e >> 1], gv, &directed_link(e));
-            }
-        });
-    ++rows_built_;
-}
-
-void Network::build_border_graph() {
-    LBRM_TRACE_SPAN("finalize.border_graph");
-    // Edges: real inter-site links, plus one virtual edge per same-site
-    // border pair weighted by the intra-site distance -- so inter-border
-    // travel *through* a site's interior is represented and the composed
-    // metric is exact.  A virtual edge's first physical hop is resolved
-    // through the border rows here, making descent O(1).  Per border, real
-    // links come first in adjacency order and virtual edges follow in
-    // site-border order: the relaxation order backbone rows tie-break on.
-    const std::size_t nb = border_nodes_.size();
-    bg_offset_.assign(nb + 1, 0);
-    bg_edges_.clear();
-    for (std::size_t b = 0; b < nb; ++b) {
-        const std::uint32_t gu = border_nodes_[b];
-        for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
-            const std::uint32_t gv = csr_to_[k];
-            if (node_site_[gv] == node_site_[gu]) continue;
-            // inter-site => gv is a border
-            const std::uint32_t e = csr_link_[k];
-            bg_edges_.push_back(BorderEdge{cable_weight_[e >> 1], node_border_[gv], gv,
-                                           &directed_link(e)});
-        }
-        const SiteTable& table = site_tables_[node_site_[gu]];
-        const RowCell* row = table.rows[node_local_[gu]].get();
-        for (const std::uint32_t gv : table.borders) {
-            if (gv == gu) continue;
-            const RowCell& cell = row[node_local_[gv]];
-            if (cell.dist == kInfDist) continue;
-            bg_edges_.push_back(BorderEdge{cell.dist, node_border_[gv], cell.next, cell.link});
-        }
-        bg_offset_[b + 1] = static_cast<std::uint32_t>(bg_edges_.size());
-    }
-    bb_rows_.clear();
-    bb_rows_.resize(nb);
-}
-
-const Network::RowCell* Network::backbone_row(std::uint32_t b) {
-    if (!bb_rows_[b]) {
-        bb_rows_[b] = dijkstra_row(
-            b, border_nodes_.size(), [this](std::uint32_t u) { return border_down_[u] == 0; },
-            [this](std::uint32_t u, auto&& relax) {
-                for (std::uint32_t k = bg_offset_[u]; k != bg_offset_[u + 1]; ++k) {
-                    const BorderEdge& e = bg_edges_[k];
-                    relax(e.to, e.weight, e.first_node, e.first_link);
+                parent_end_[v] = end ^ 1;
+                enter_[v] = clock++;
+                top_[v] = node_down_[u] != 0 ? v : top_[u];
+                const std::uint32_t first = cable_head_[v];
+                if (first == (end ^ 1) && end_next_[first] == kNoIndex) {
+                    exit_[v] = clock;
+                    continue;
                 }
-            });
-        ++bb_rows_built_;
+                open.emplace_back(u, e);
+                u = v;
+                e = first;
+            }
+            if (closing != kNoIndex) break;
+            exit_[u] = clock;
+            if (open.empty()) break;
+            std::tie(u, e) = open.back();
+            open.pop_back();
+        }
     }
-    return bb_rows_[b].get();
+    if (closing == kNoIndex) return;
+    // Route nothing rather than over half a forest: every node becomes
+    // its own one-node tree.
+    parent_end_.assign(n, kNoIndex);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        enter_[i] = i;
+        exit_[i] = i + 1;
+        top_[i] = i;
+    }
+    const Cable& c = cables_[closing >> 1];
+    throw std::invalid_argument("Network::finalize: cable " + std::to_string(c.a.value()) +
+                                "-" + std::to_string(c.b.value()) +
+                                " closes a cycle; routing needs a tree or forest");
 }
 
 Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
     // No finalized_ check here: the traffic entry points enforce it, and
-    // in-flight deliveries must keep forwarding on the (stale) tables after
-    // a mid-run add_link.
+    // in-flight deliveries must keep forwarding on the (stale) snapshot
+    // after a mid-run add_link.  Liveness comes from top_ alone: the path
+    // is usable iff no node strictly inside it was down at finalize().
     if (from == to) return Hop{};
-    if (const std::uint32_t k = sole_edge(from); k != kNoIndex) {
-        // A single-cable node routes everything through its cable, and
-        // reaches what the far end reaches -- so it never needs a row.
-        const Hop via{csr_to_[k], &directed_link(csr_link_[k])};
-        const bool reaches = to == via.next || (far_end_relays(via.next) &&
-                                                hop_toward(via.next, to).link != nullptr);
-        return reaches ? via : Hop{};
+    if (below(to, from)) {
+        // Descend to the child of `from` on the way to `to`.  The interior
+        // is that child down to `to`'s parent, all up iff `to`'s segment
+        // climbs to the child or higher.
+        std::uint32_t child = to;
+        for (std::uint32_t up = parent(to); up != from; up = parent(up)) child = up;
+        if (enter_[top_[to]] > enter_[child]) return Hop{};
+        return Hop{child, &directed_link(parent_end_[child] ^ 1)};
     }
-    const std::uint32_t su = node_site_[from];
-    const std::uint32_t sv = node_site_[to];
-    SiteTable& stu = site_tables_[su];
-    SiteTable& stv = site_tables_[sv];
-    const std::size_t lu = node_local_[from];
-    const std::size_t lv = node_local_[to];
-
-    ensure_row(su, static_cast<std::uint32_t>(lu));
-    const RowCell* ru = stu.rows[lu].get();
-
-    std::int64_t best = kInfDist;
-    Hop choice;
-
-    // Candidate 1: stay inside the shared site.
-    if (su == sv) {
-        const RowCell& c = ru[lv];
-        if (c.dist < kInfDist) {
-            best = c.dist;
-            choice = Hop{c.next, c.link};
-        }
+    if (below(from, to)) {
+        // `to` is an ancestor.  The interior is from's strict ancestors
+        // below `to`: all up iff from's segment climbs to `to` or higher,
+        // or stops just under `to` because `to` itself was down.
+        const std::uint32_t t = top_[from];
+        if (enter_[t] > enter_[to] && parent(t) != to) return Hop{};
+    } else if (top_[from] != top_[to]) {
+        // The path climbs to the lowest common ancestor and descends: its
+        // interior is all up iff both ends climb to one segment top.  Ends
+        // in different trees never share one.
+        return Hop{};
     }
-
-    // Candidate 2: exit via border b1, cross the backbone, enter via b2.
-    // For same-site pairs this also covers leave-and-return paths, except
-    // through one border b (b1 == b2): b relays (it is alive, or it would
-    // be skipped), so intra(from, b) + intra(b, to) is itself an intra-site
-    // walk and can never beat candidate 1.  Borders down *at the last
-    // finalize* never relay, but may still be the endpoint itself;
-    // liveness comes from the border_down_ snapshot, never the live flags,
-    // so a mid-run set_node_down leaves routing untouched until
-    // re-finalize.  Every row consulted here is `from`'s own (ensured
-    // above), a border row (finalize() builds those eagerly) or b1's
-    // backbone row, fetched only once a pair could beat `best`.
-    for (const std::uint32_t b1 : stu.borders) {
-        if (border_down_[node_border_[b1]] && b1 != from) continue;
-        const std::int64_t du = (b1 == from) ? 0 : ru[node_local_[b1]].dist;
-        if (du == kInfDist || du >= best) continue;
-        const RowCell* bb = nullptr;
-        for (const std::uint32_t b2 : stv.borders) {
-            if (b2 == b1) continue;
-            if (border_down_[node_border_[b2]] && b2 != to) continue;
-            const std::int64_t dv =
-                (b2 == to) ? 0 : stv.rows[node_local_[b2]][lv].dist;
-            if (dv == kInfDist || du + dv >= best) continue;
-            if (bb == nullptr) bb = backbone_row(node_border_[b1]);
-            const RowCell& cell = bb[node_border_[b2]];
-            if (cell.dist == kInfDist) continue;
-            const std::int64_t total = du + cell.dist + dv;
-            if (total >= best) continue;
-            best = total;
-            if (from != b1) {
-                const RowCell& c = ru[node_local_[b1]];
-                choice = Hop{c.next, c.link};
-            } else {
-                choice = Hop{cell.next, cell.link};
-            }
-        }
-    }
-    return choice;
+    return Hop{parent(from), &directed_link(parent_end_[from])};
 }
 
 std::uint64_t Network::routing_table_hash() {
     Fnv1a h;
-    auto mix_link = [&h](const Link* l) {
-        h.mix(l != nullptr
-                  ? (static_cast<std::uint64_t>(l->from().value()) << 32) | l->to().value()
-                  : 0);
-    };
-    for (std::size_t s = 0; s < site_tables_.size(); ++s) {
-        SiteTable& t = site_tables_[s];
-        const std::size_t m = t.size();
-        h.mix(m);
-        for (const std::uint32_t v : t.nodes) h.mix(v);
-        for (const std::uint32_t v : t.borders) h.mix(v);
-        for (std::size_t l = 0; l < m; ++l) {
-            ensure_row(static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(l));
-            const RowCell* row = t.rows[l].get();
-            for (std::size_t j = 0; j < m; ++j) {
-                h.mix(static_cast<std::uint64_t>(row[j].dist));
-                h.mix(row[j].next);
-                mix_link(row[j].link);
-            }
+    const auto n = static_cast<std::uint32_t>(node_count());
+    for (std::uint32_t u = 0; u < n; ++u) {
+        for (std::uint32_t v = 0; v < n; ++v) {
+            const Hop hop = hop_toward(u, v);
+            h.mix(hop.next);
+            h.mix(hop.link != nullptr ? (static_cast<std::uint64_t>(hop.link->from().value())
+                                         << 32) | hop.link->to().value()
+                                      : 0);
         }
     }
-    for (const std::uint32_t v : border_nodes_) h.mix(v);
-    for (const std::uint8_t v : border_down_) h.mix(v);
-    // The backbone in row-major order, a field at a time: every distance,
-    // then every next node, then every link.
-    const auto nb = static_cast<std::uint32_t>(border_nodes_.size());
-    for (std::uint32_t b = 0; b < nb; ++b) (void)backbone_row(b);
-    for (const auto& row : bb_rows_)
-        for (std::uint32_t j = 0; j < nb; ++j) h.mix(static_cast<std::uint64_t>(row[j].dist));
-    for (const auto& row : bb_rows_)
-        for (std::uint32_t j = 0; j < nb; ++j) h.mix(row[j].next);
-    for (const auto& row : bb_rows_)
-        for (std::uint32_t j = 0; j < nb; ++j) mix_link(row[j].link);
     return h.h;
 }
 
@@ -810,7 +582,7 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
     struct Entry {
         std::uint32_t node;
         std::uint8_t member = 0;
-        std::uint32_t parent = kNoIndex;  ///< first parent entry to adopt it
+        std::uint8_t linked = 0;  ///< 1 once the edge from its parent is in
     };
     std::vector<Entry> entries;
     std::vector<std::vector<CachedTree::Child>> kids;  // per entry, insertion order
@@ -836,13 +608,6 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
                                       ? 4u
                                       : std::numeric_limits<std::size_t>::max();
 
-    // A single-cable root's first hop is its cable whatever the member
-    // (hop_toward's single-cable rule), so walks start at the far end and
-    // pay one hop_toward there instead of two.
-    const std::uint32_t root_edge = sole_edge(from_index);
-    const std::uint32_t root_far = root_edge != kNoIndex ? csr_to_[root_edge] : kNoIndex;
-    const bool root_far_relays = root_edge != kNoIndex && far_end_relays(root_far);
-
     std::vector<std::uint32_t> path;
     std::vector<Link*> path_links;
     for (NodeId member : members) {
@@ -850,16 +615,11 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
         if (scope == McastScope::kSite && site_of(member) != sender_site) continue;
 
         // Walk the route hop by hop; collect the node chain and its links.
+        // The snapshot is a forest, so every walk ends.
         const std::uint32_t member_index = static_cast<std::uint32_t>(index(member));
         path.assign(1, from_index);
         path_links.clear();
         std::uint32_t at = from_index;
-        if (root_edge != kNoIndex) {
-            if (member_index != root_far && !root_far_relays) continue;
-            path.push_back(root_far);
-            path_links.push_back(&directed_link(csr_link_[root_edge]));
-            at = root_far;
-        }
         bool reachable = true;
         while (at != member_index) {
             const Hop h = hop_toward(at, member_index);
@@ -870,10 +630,6 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
             path.push_back(h.next);
             path_links.push_back(h.link);
             at = h.next;
-            if (path.size() > n) {
-                reachable = false;  // routing loop guard
-                break;
-            }
         }
         if (!reachable || path.size() - 1 > hop_limit) continue;
         if (scope == McastScope::kSite) {
@@ -886,23 +642,14 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
         entries[slot_of(member_index)].member = 1;
         tree->any_members = true;
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-            const std::uint32_t parent = slot_of(path[i]);
-            const std::uint32_t child = slot_of(path[i + 1]);
-            // O(1) against the child's first parent; only a child already
-            // hanging under a different parent (two members' routes that
-            // diverge and re-join) scans the new parent's children.
-            std::uint32_t& first_parent = entries[child].parent;
-            if (first_parent == parent) continue;
-            auto& siblings = kids[parent];
-            if (first_parent == kNoIndex) {
-                first_parent = parent;
-            } else if (std::find_if(siblings.begin(), siblings.end(),
-                                    [child](const CachedTree::Child& c) {
-                                        return c.entry == child;
-                                    }) != siblings.end()) {
-                continue;
-            }
-            siblings.push_back(CachedTree::Child{child, path_links[i]});
+            const std::uint32_t up = slot_of(path[i]);
+            const std::uint32_t down = slot_of(path[i + 1]);
+            // A tree path is unique, so the edges an earlier member's path
+            // added are a prefix of this one: a child already linked hangs
+            // under this same parent.
+            if (entries[down].linked != 0) continue;
+            entries[down].linked = 1;
+            kids[up].push_back(CachedTree::Child{down, path_links[i]});
         }
     }
 
@@ -1199,26 +946,8 @@ void Network::inject_remote(const RemoteEvent& ev) {
 // ---------------------------------------------------------------------------
 
 std::size_t Network::routing_table_bytes() const {
-    std::size_t total = 0;
-    for (const SiteTable& t : site_tables_) {
-        total += t.nodes.capacity() * sizeof(std::uint32_t) +
-                 t.borders.capacity() * sizeof(std::uint32_t) +
-                 t.rows.capacity() * sizeof(std::unique_ptr<RowCell[]>) +
-                 sizeof(SiteTable);
-        for (const auto& row : t.rows)
-            if (row) total += t.size() * sizeof(RowCell);
-    }
-    total += node_site_.capacity() * sizeof(std::uint32_t) +
-             node_local_.capacity() * sizeof(std::uint32_t) +
-             border_nodes_.capacity() * sizeof(std::uint32_t) +
-             node_border_.capacity() * sizeof(std::uint32_t) +
-             route_down_.capacity() * sizeof(std::uint8_t) +
-             border_down_.capacity() * sizeof(std::uint8_t);
-    total += bg_offset_.capacity() * sizeof(std::uint32_t) +
-             bg_edges_.capacity() * sizeof(BorderEdge) +
-             bb_rows_.capacity() * sizeof(std::unique_ptr<RowCell[]>) +
-             bb_rows_built_ * border_nodes_.size() * sizeof(RowCell);
-    return total;
+    return (parent_end_.capacity() + enter_.capacity() + exit_.capacity() + top_.capacity()) *
+           sizeof(std::uint32_t);
 }
 
 std::uint64_t Network::count_packets(PacketType type,

@@ -1,40 +1,31 @@
 // The simulated internetwork.
 //
-// Owns nodes, directed links, shortest-path routing, multicast group
-// membership and the per-hop packet transport.  Multicast follows a
-// source-rooted shortest-path tree with one copy per tree edge -- so the
-// per-link statistics reflect true multicast economics (one packet on the
-// shared tail circuit, not twenty).  Scoped multicast (Section 2.2.1's
-// TTL-limited repairs and discovery rings) prunes the tree: site scope never
-// leaves the sender's site; region scope is hop-limited.
+// Owns nodes, directed links, tree routing, multicast group membership and
+// the per-hop packet transport.  Multicast follows a source-rooted tree
+// with one copy per tree edge -- so the per-link statistics reflect true
+// multicast economics (one packet on the shared tail circuit, not twenty).
+// Scoped multicast (Section 2.2.1's TTL-limited repairs and discovery
+// rings) prunes the tree: site scope never leaves the sender's site;
+// region scope is hop-limited.
 //
 // Node storage is struct-of-arrays (see DESIGN.md "Scale engineering"): the
-// hot routing fields (site, router flag, liveness) live in dense per-node
-// vectors, adjacency is a CSR snapshot that finalize() counting-sorts
-// straight out of the cables, and the cold protocol endpoints (SimHost)
-// live by value in a chunked arena behind a sparse node -> host pointer
-// table.  Each node also keeps the list of cables that touch it, in add
-// order; link(a, b) walks the two endpoints' lists (DESIGN.md "Cable
-// lists"), so no pair index exists.  Group membership is sorted flat
-// vectors (ascending node id -- the same iteration order std::set gave).
+// hot fields (site, router flag, liveness) live in dense per-node vectors,
+// and the cold protocol endpoints (SimHost) live by value in a chunked
+// arena behind a sparse node -> host pointer table.  Each node also keeps
+// the list of cables that touch it, in add order; link(a, b) walks the two
+// endpoints' lists (DESIGN.md "Cable lists"), so no pair index exists.
+// Group membership is sorted flat vectors (ascending node id -- the same
+// iteration order std::set gave).
 //
-// Routing is hierarchical (see DESIGN.md "Hierarchical routing"), mirroring
-// the paper's two-level site/backbone topology: per-site intra-site
-// shortest-path tables compose with an inter-site backbone table over the
-// border nodes, instead of flat O(n^2) matrices.  Every next hop is
-// composed from those tables on demand: one site row, one backbone cell
-// and one border row per candidate pair.
-//
-// finalize() builds only the border rows and a compact border graph (each
-// border's inter-site links, then its virtual same-site edges); every other
-// site-table row, and every backbone row, materialises on first touch, so
-// memory grows with the rows traffic reads, not with B^2.  A node with one
-// cable (every host of a DIS topology) never builds a row: it routes
-// through that cable and reaches what the far end reaches.  Each row is a
-// pure function of snapshots taken at finalize() -- the adjacency CSR and
-// the cable weights, the liveness flags and the border graph -- so build
-// *time* can never change a route (a lazily built row never sees a
-// post-finalize set_node_down, new cable or cable re-spec).
+// Routing assumes what the paper's internetwork is, and what
+// make_dis_topology builds: a tree, or a forest (DESIGN.md "Tree
+// routing").  finalize() runs one DFS over the cable lists and keeps four
+// 32-bit words per node -- the cable end toward its parent, its [enter,
+// exit) DFS interval and the top of its liveness segment -- and throws on
+// a cycle.  The next hop from u toward v is the child of u whose interval
+// holds v, or else u's parent; a node down at the last finalize() never
+// relays.  Routes read only that snapshot, so a later set_node_down, new
+// cable or re-spec changes no route until the next finalize().
 //
 // Delivery trees are cached per (group, sender, scope) behind an optional
 // LRU bound (SimConfig::tree_cache_capacity) and invalidated on membership
@@ -61,7 +52,6 @@
 #include <list>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -111,17 +101,19 @@ public:
     /// Mark a node dead/alive.  A dead node neither sends nor receives --
     /// models logger crashes for the Section 2.2.3 failover experiments --
     /// and, from the next finalize() on, no longer relays transit traffic
-    /// (so re-finalizing after downing a router routes around it).  Until
-    /// then routes keep forwarding into it and packets die there, exactly
-    /// as a real network blackholes until the routing protocol reconverges:
-    /// routing reads only finalize-time state (every site-table row -- even
-    /// one built after the transition -- reads the route_down_ snapshot;
-    /// backbone rows and hop_toward read border_down_), so a down
-    /// transition never changes routing until the next finalize().
+    /// (so re-finalizing after downing a router cuts the nodes behind it
+    /// off).  Until then routes keep forwarding into it and packets die
+    /// there, exactly as a real network blackholes until the routing
+    /// protocol reconverges: routing reads only the finalize-time snapshot,
+    /// so a down transition never changes routing until the next
+    /// finalize().
     void set_node_down(NodeId node, bool down);
 
-    /// Compute routing tables.  Must be called after the last add_link and
+    /// Snapshot the routes.  Must be called after the last add_link and
     /// before any traffic; adding links later requires calling it again.
+    /// Throws std::invalid_argument naming the cable that closes a cycle
+    /// when the cables do not form a forest; the network then routes
+    /// nothing and stays unfinalized.
     void finalize();
 
     // --- membership -------------------------------------------------------
@@ -178,19 +170,13 @@ public:
     /// Re-bound the tree cache at runtime (evicts LRU down to the new cap).
     void set_tree_cache_capacity(std::size_t capacity);
 
-    /// Bytes held by the routing tables: site/backbone tables (materialised
-    /// rows only) and the border graph.
+    /// Bytes held by the routing snapshot: 16 per node after finalize().
     [[nodiscard]] std::size_t routing_table_bytes() const;
-    /// Site-table rows currently materialised (the border rows after
-    /// finalize(); grows on demand as traffic touches the rest).
-    [[nodiscard]] std::size_t site_rows_built() const { return rows_built_; }
-    /// Backbone rows currently materialised (none after finalize(); grows
-    /// as routes first need an exit border's backbone distances).
-    [[nodiscard]] std::size_t backbone_rows_built() const { return bb_rows_built_; }
 
-    /// FNV-1a digest of the routing tables: every site row (dist, next hop,
-    /// link endpoints), border set and backbone entry.  Materialises every
-    /// row first, so equal hashes mean bit-identical tables.
+    /// FNV-1a digest of every routing answer: for each ordered node pair
+    /// (by index), the next hop and the endpoints of the link reaching it,
+    /// or kNoIndex and 0 when there is none.  Equal hashes mean every
+    /// packet takes the same hops.  O(n^2): for small networks.
     [[nodiscard]] std::uint64_t routing_table_hash();
 
     /// Observation tap invoked for every packet put on any link (after the
@@ -276,34 +262,14 @@ private:
     /// "No node index" sentinel for the routing tables.
     static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
 
-    /// A resolved forwarding step: the next node index on the shortest path
+    /// A resolved forwarding step: the next node index on the tree path
     /// and the link that reaches it.  {kNoIndex, nullptr} = unreachable.
     struct Hop {
         std::uint32_t next = kNoIndex;
         Link* link = nullptr;
     };
 
-    /// One cell of a site or backbone routing row: distance, first hop
-    /// (global node index, so descent never translates) and the link
-    /// reaching it.
-    struct RowCell {
-        std::int64_t dist;
-        std::uint32_t next;
-        Link* link;
-    };
-
-    /// Per-site routing table: all-pairs shortest paths over the site's own
-    /// subgraph, plus the site's border nodes (nodes with at least one
-    /// inter-site link).  Rows are one slab each, so only the rows traffic
-    /// touches ever materialise.
-    struct SiteTable {
-        std::vector<std::uint32_t> nodes;    ///< global node indices, in site order
-        std::vector<std::uint32_t> borders;  ///< global node indices, ascending
-        std::vector<std::unique_ptr<RowCell[]>> rows;  ///< size() slots; null = unbuilt
-        [[nodiscard]] std::size_t size() const { return nodes.size(); }
-    };
-
-    /// A multicast shortest-path tree rooted at one sender, pruned to one
+    /// A multicast delivery tree rooted at one sender, pruned to one
     /// scope.  Stored in CSR form over *tree* entries (not all n nodes), so
     /// a 10-member site-scope tree costs tens of entries, not O(n) vectors.
     /// Immutable once built; shared by all in-flight deliveries that were
@@ -353,32 +319,12 @@ private:
 
     [[nodiscard]] std::size_t index(NodeId id) const { return id.value() - 1; }
 
-    /// Dijkstra scratch reused across row builds: the (distance, vertex)
-    /// frontier, min-first with ties to the lower vertex.
-    struct DijkstraScratch {
-        std::priority_queue<std::pair<std::int64_t, std::uint32_t>,
-                            std::vector<std::pair<std::int64_t, std::uint32_t>>,
-                            std::greater<>>
-            pq;
-    };
-
-    /// One edge of the border graph, with its first physical hop resolved:
-    /// a real inter-site link (the hop is the link itself) or a virtual
-    /// same-site edge (the hop is the first link of the intra-site path).
-    struct BorderEdge {
-        std::int64_t weight;
-        std::uint32_t to;          ///< border index
-        std::uint32_t first_node;  ///< global node index of the first hop
-        Link* first_link;
-    };
-
     // --- routing ---------------------------------------------------------
-    /// Counting-sort the cables into the CSR adjacency snapshot and take
-    /// their weights.  Routing reads only the snapshot, so rows built after a
-    /// post-finalize add_link -- a new cable or a re-spec -- still see the
-    /// finalize-time adjacency (stale-table semantics, as if every row had
-    /// been built at finalize()).
-    void build_adjacency();
+    /// The DFS behind finalize(): fills parent_end_, enter_, exit_ and top_
+    /// from the cable lists, or throws std::invalid_argument naming the
+    /// cable that closes a cycle, after making every node its own
+    /// one-node tree (so nothing routes).
+    void build_routes();
     /// The directed link a -> b as a directed-link index (see cable_head_),
     /// or kNoIndex.
     [[nodiscard]] std::uint32_t find_link(NodeId a, NodeId b) const;
@@ -388,51 +334,23 @@ private:
         return cables_[e >> 1].dir[e & 1];
     }
     /// Node index at the far side of cable end `e`.
-    [[nodiscard]] std::size_t far_node(std::uint32_t e) const {
+    [[nodiscard]] std::uint32_t far_node(std::uint32_t e) const {
         const Cable& c = cables_[e >> 1];
-        return index((e & 1) != 0 ? c.a : c.b);
+        return static_cast<std::uint32_t>(index((e & 1) != 0 ? c.a : c.b));
     }
-    void build_hierarchical_routes();
-    /// One routing row: Dijkstra from vertex `src` over `n` vertices.
-    /// `relays(u)` says whether u may carry transit traffic (the source
-    /// always may); `for_each_edge(u, relax)` calls relax(v, weight,
-    /// first_node, first_link) per out-edge of u, in the order that fixes
-    /// tie-breaking.
-    template <class Relays, class ForEachEdge>
-    [[nodiscard]] std::unique_ptr<RowCell[]> dijkstra_row(std::uint32_t src, std::size_t n,
-                                                          Relays relays,
-                                                          ForEachEdge for_each_edge);
-    /// Build one site-table row (all shortest paths out of local index
-    /// `src_local` within site `site`).  Pure function of the CSR snapshot
-    /// and route_down_; writes only rows[src_local].
-    void build_site_row(std::uint32_t site, std::uint32_t src_local);
-    void ensure_row(std::uint32_t site, std::uint32_t local) {
-        if (!site_tables_[site].rows[local]) build_site_row(site, local);
+    /// Node index `i`'s parent in the snapshot.  Pre: `i` is not a root.
+    [[nodiscard]] std::uint32_t parent(std::uint32_t i) const {
+        return far_node(parent_end_[i]);
     }
-    /// Snapshot the border graph from the CSR and the border rows.
-    void build_border_graph();
-    /// Border `b`'s backbone row (indexed by border), built on first touch
-    /// from the border graph and border_down_ -- never live state.
-    [[nodiscard]] const RowCell* backbone_row(std::uint32_t b);
-
-    /// Next forwarding step from node index `from` toward `to`: the
-    /// intra-site candidate vs the best (exit border, entry border) pair
-    /// through the backbone.  Builds `from`'s site row and an exit
-    /// border's backbone row on first need -- except for a single-cable
-    /// `from`, which answers from its far end and never builds a row of
-    /// its own.
+    /// Whether node index `v` lies strictly inside `u`'s subtree.
+    [[nodiscard]] bool below(std::uint32_t v, std::uint32_t u) const {
+        return enter_[u] < enter_[v] && enter_[v] < exit_[u];
+    }
+    /// Next forwarding step from node index `from` toward `to`, read from
+    /// the finalize-time snapshot: {kNoIndex, nullptr} when `to` lies in
+    /// another tree or a node down at finalize() lies strictly inside the
+    /// path (DESIGN.md "Tree routing").
     [[nodiscard]] Hop hop_toward(std::uint32_t from, std::uint32_t to);
-    /// The CSR index of node `i`'s only out-edge, or kNoIndex unless `i`
-    /// had exactly one cable at finalize().
-    [[nodiscard]] std::uint32_t sole_edge(std::uint32_t i) const {
-        return csr_offset_[i + 1] - csr_offset_[i] == 1 ? csr_offset_[i] : kNoIndex;
-    }
-    /// Whether `far`, the far end of a single-cable node's cable, carries
-    /// that node's traffic beyond itself: it was up at finalize() and has
-    /// another cable (a single one would lead only back).
-    [[nodiscard]] bool far_end_relays(std::uint32_t far) const {
-        return route_down_[far] == 0 && sole_edge(far) == kNoIndex;
-    }
 
     void track(DeliveryBase* d);
     void destroy(DeliveryBase* d);
@@ -480,24 +398,11 @@ private:
     std::vector<SiteId> node_site_id_;
     std::vector<std::uint8_t> node_is_router_;
     /// Live liveness, consulted at delivery time.  Routing reads the
-    /// route_down_ snapshot instead (see set_node_down).
+    /// finalize-time top_ snapshot instead (see set_node_down).
     std::vector<std::uint8_t> node_down_;
 
-    // --- adjacency --------------------------------------------------------
-    /// CSR snapshot: out-edges of node i are [csr_offset_[i], csr_offset_[i+1]),
-    /// in add_link order (Dijkstra's tie-breaking depends on edge
-    /// relaxation order); an edge is its far node and its directed-link
-    /// index.  cable_weight_ holds each cable's routing weight as of the
-    /// snapshot, so a post-finalize re-spec never reaches a row built
-    /// before the next finalize().  build_adjacency() rebuilds all four
-    /// from cables_ at every finalize(): 8 bytes per directed edge plus 8
-    /// per cable.
-    std::vector<std::uint32_t> csr_offset_;
-    std::vector<std::uint32_t> csr_to_;
-    std::vector<std::uint32_t> csr_link_;
-    std::vector<std::int64_t> cable_weight_;
-
-    StableVector<Cable> cables_;  ///< creation order; adjacency points into dir[]
+    // --- cables -----------------------------------------------------------
+    StableVector<Cable> cables_;  ///< creation order; routes and trees point into dir[]
     /// Per-node cable lists for link(a, b), in add order.  Cable c has two
     /// ends, 2c (its `a` node) and 2c + 1 (its `b` node); an end doubles as
     /// the directed-link index of the link leaving it (directed_link()).
@@ -522,31 +427,20 @@ private:
     std::vector<GroupRec> groups_;
     [[nodiscard]] GroupRec* find_group(GroupId group);
 
-    // --- hierarchical routing --------------------------------------------
-    std::vector<SiteTable> site_tables_;
-    std::vector<std::uint32_t> node_site_;   ///< dense site index per node
-    std::vector<std::uint32_t> node_local_;  ///< index within the site
-    std::vector<std::uint32_t> border_nodes_;  ///< global node index per border
-    std::vector<std::uint32_t> node_border_;   ///< border index; kNoIndex = interior
-    /// Liveness snapshot taken at finalize().  Every row build consults
-    /// this, never the live node_down_ flags, so routes stay a pure function
-    /// of the last finalize() no matter when a row materialises.  Live liveness is applied at delivery time instead.
-    std::vector<std::uint8_t> route_down_;
-    /// Border projection of route_down_ (hop_toward's inner loop and the
-    /// backbone row builds).
-    std::vector<std::uint8_t> border_down_;
-    /// Border graph in CSR form: border b's edges are
-    /// [bg_offset_[b], bg_offset_[b + 1]), its inter-site links in
-    /// adjacency order, then its virtual edges in site-border order.
-    std::vector<std::uint32_t> bg_offset_;
-    std::vector<BorderEdge> bg_edges_;
-    /// Backbone rows, one slot per border (null = unbuilt): distance, plus
-    /// the first *physical* hop (node + link) toward each border.
-    std::vector<std::unique_ptr<RowCell[]>> bb_rows_;
-
-    std::size_t rows_built_ = 0;     ///< materialised site-table rows
-    std::size_t bb_rows_built_ = 0;  ///< materialised backbone rows
-    DijkstraScratch scratch_;
+    // --- tree routing (finalize-time snapshot; DESIGN.md "Tree routing") ---
+    /// Per node: the cable end at the node whose cable leads to its DFS
+    /// parent (kNoIndex at a root), so directed_link(e) climbs and
+    /// directed_link(e ^ 1) descends.
+    std::vector<std::uint32_t> parent_end_;
+    /// Per node: its DFS interval [enter, exit); v is in u's subtree iff
+    /// enter_[u] <= enter_[v] < exit_[u].
+    std::vector<std::uint32_t> enter_;
+    std::vector<std::uint32_t> exit_;
+    /// Per node: the top of its liveness segment, the highest
+    /// ancestor-or-self t such that every strict ancestor of the node up
+    /// to t was up at finalize().  The only liveness routing reads, so a
+    /// later set_node_down moves no route.
+    std::vector<std::uint32_t> top_;
 
     // --- multicast tree cache --------------------------------------------
     /// Key packs (group << 32 | sender id); the array is indexed by

@@ -1,11 +1,12 @@
 // Test-only route oracle: a plain Dijkstra over a Network's public topology
-// (node_count(), link(a, b), spec().propagation) under the network's own
-// metric -- propagation plus a 1 microsecond hop penalty.  A node in `down`
-// may end a path but never relays.  Tests compare the hops packets actually
-// take (through the tap) with oracle paths on small topologies whose
-// shortest paths are unique, so the library keeps a single routing scheme.
+// (node_count(), link(a, b), spec().propagation), weighing each cable by
+// its propagation plus a 1 microsecond hop penalty.  A node in `down` may
+// end a path but never relays.  Tests compare the hops packets actually
+// take (through the tap) with oracle paths; on the trees the network
+// routes, every path is the only one, so the weights never decide it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -18,12 +19,26 @@
 
 namespace lbrm::test {
 
-/// Shortest path from `from` to `to` as node ids, both ends included;
-/// empty when `to` is unreachable.
-inline std::vector<NodeId> oracle_path(const sim::Network& net, NodeId from, NodeId to,
-                                       const std::set<NodeId>& down = {}) {
-    constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+/// The network's cables as (neighbour id, weight) lists by node id, each
+/// in ascending neighbour order, read once through link(a, b).
+using OracleAdjacency = std::vector<std::vector<std::pair<std::uint32_t, std::int64_t>>>;
+
+inline OracleAdjacency oracle_adjacency(const sim::Network& net) {
     const std::uint32_t n = static_cast<std::uint32_t>(net.node_count());
+    OracleAdjacency adj(n + 1);
+    for (std::uint32_t u = 1; u <= n; ++u)
+        for (std::uint32_t v = 1; v <= n; ++v)
+            if (const sim::Link* l = net.link(NodeId{u}, NodeId{v}))
+                adj[u].emplace_back(v, l->spec().propagation.count() + 1000);
+    return adj;
+}
+
+/// Shortest paths from `from` to every node, indexed by node id, as node
+/// ids with both ends included; empty where unreachable (and at index 0).
+inline std::vector<std::vector<NodeId>> oracle_paths(const OracleAdjacency& adj, NodeId from,
+                                                     const std::set<NodeId>& down = {}) {
+    constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+    const std::size_t n = adj.size() - 1;
     std::vector<std::int64_t> dist(n + 1, kInf);
     std::vector<NodeId> prev(n + 1, kNoNode);
     using QE = std::pair<std::int64_t, std::uint32_t>;  // (distance, node id)
@@ -35,10 +50,7 @@ inline std::vector<NodeId> oracle_path(const sim::Network& net, NodeId from, Nod
         pq.pop();
         if (d != dist[u]) continue;
         if (NodeId{u} != from && down.contains(NodeId{u})) continue;  // no transit
-        for (std::uint32_t v = 1; v <= n; ++v) {
-            const sim::Link* l = net.link(NodeId{u}, NodeId{v});
-            if (l == nullptr) continue;
-            const std::int64_t w = l->spec().propagation.count() + 1000;
+        for (const auto& [v, w] : adj[u]) {
             if (d + w < dist[v]) {
                 dist[v] = d + w;
                 prev[v] = NodeId{u};
@@ -46,10 +58,22 @@ inline std::vector<NodeId> oracle_path(const sim::Network& net, NodeId from, Nod
             }
         }
     }
-    if (dist[to.value()] == kInf) return {};
-    std::vector<NodeId> path{to};
-    while (path.back() != from) path.push_back(prev[path.back().value()]);
-    return {path.rbegin(), path.rend()};
+    std::vector<std::vector<NodeId>> paths(n + 1);
+    for (std::uint32_t to = 1; to <= n; ++to) {
+        if (dist[to] == kInf) continue;
+        std::vector<NodeId>& path = paths[to];
+        path.push_back(NodeId{to});
+        while (path.back() != from) path.push_back(prev[path.back().value()]);
+        std::reverse(path.begin(), path.end());
+    }
+    return paths;
+}
+
+/// Shortest path from `from` to `to` as node ids, both ends included;
+/// empty when `to` is unreachable.
+inline std::vector<NodeId> oracle_path(const sim::Network& net, NodeId from, NodeId to,
+                                       const std::set<NodeId>& down = {}) {
+    return oracle_paths(oracle_adjacency(net), from, down)[to.value()];
 }
 
 /// The node sequence one unicast actually travels, chained from the tapped
