@@ -1,5 +1,6 @@
-// Sharded-engine bench (DESIGN.md "Sharded execution"): the trace-hash gate
-// CI bench-smoke runs on every push, plus the 10M-node multi-shard record.
+// Sharded-engine and scale bench (DESIGN.md "Sharded execution"): the
+// trace-hash gate CI bench-smoke runs on every push, and the repo's one
+// scale driver.
 //
 // Modes:
 //
@@ -9,38 +10,48 @@
 //                     baseline bit for bit (the tentpole determinism claim)
 //                     and no run counts a remote drop.
 //
-//   --full         -- the scale record: a pre-scheduled update workload on
-//                     the 10M-node memory-diet topology (4,000 sites x
-//                     2,499 dormant receivers, 50 active/site -- the
-//                     full_protocol_10m shape), run once unsharded (a fresh
-//                     single-process baseline with the identical workload)
-//                     and once with the process driver at --shards
-//                     (default 8).
-//                     Rows land in BENCH_simcore.json under --full-name
-//                     with a "shards=N,driver=D" config tag so sharded and
-//                     single-process runs never collide: build/traffic
-//                     seconds, deliveries, wall-clock delivered-pps, the
-//                     busiest shard's CPU seconds plus the CPU-based pps
-//                     (deliveries / cpu_seconds_max_shard -- the throughput
-//                     bound once each shard owns a core; wall pps with
-//                     fewer cores than shards just measures timesharing),
-//                     window count, window stall fraction (time blocked on
-//                     the coordinator pipe), and peak RSS -- per-shard for
-//                     the process driver (each child reports getrusage),
-//                     process-wide for the baseline.
+//   --full         -- the scale run: pre-scheduled updates, 400 ms apart,
+//                     then 500 ms of drain, on the memory-diet topology
+//                     (dormant receivers, --active-per-site of them joined
+//                     per site, CountingObserver; by default 4,000 sites x
+//                     2,499 receivers with 50 active/site, ~10^7 nodes),
+//                     run once with the process driver at --shards
+//                     (default 8) and once unsharded (run_unsharded).
+//                     Rows land under --full-name with a
+//                     "shards=N,driver=D" config tag so sharded and
+//                     single-process runs never collide: node count,
+//                     build/traffic seconds, deliveries, wall-clock
+//                     delivered-pps, the busiest shard's CPU seconds plus
+//                     the CPU-based pps (deliveries / cpu_seconds_max_shard
+//                     -- the throughput bound once each shard owns a core;
+//                     wall pps with fewer cores than shards just measures
+//                     timesharing), window count, window stall fraction
+//                     (time blocked on the coordinator pipe), and peak RSS
+//                     and RSS bytes per node -- summed over the children
+//                     for the process driver (each reports getrusage),
+//                     process-wide for the unsharded run.
+//                     The unsharded run also reports its build: the node
+//                     count read from the built network, topology and
+//                     finalize seconds from the trace spans of the build
+//                     alone (written to TRACE_finalize.json), and routing
+//                     bytes per node -- exit 1 above the tree router's 16,
+//                     so no per-node routing table can grow back unnoticed.
+//                     CI's rss-gate is this run at 1,000 x 97 with 10
+//                     active/site (--skip-processes).
 //
 // The full-mode driver order is deliberate: processes first (the children
 // fork before any simulation state exists, so their per-shard RSS is
-// clean), then the unsharded baseline -- ru_maxrss is monotone per
-// process, so the baseline's peak is its own.
+// clean), then the unsharded run -- ru_maxrss is monotone per process, so
+// its peak is its own.
 //
 // Usage:
 //   bench_shard_scale [--json PATH] [--timestamp ISO8601]
 //                     [--full] [--full-name NAME] [--shards N]
 //                     [--full-sites N] [--full-receivers N]
-//                     [--full-dormant 0|1] [--active-per-site N]
+//                     [--active-per-site N]
 //                     [--updates N] [--update-bytes N]
 //                     [--skip-baseline] [--skip-processes]
+#include <algorithm>
 #include <cstdio>
 #include <chrono>
 #include <cstdlib>
@@ -50,8 +61,10 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "obs/trace.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/shard.hpp"
+#include "sim/topology.hpp"
 
 namespace {
 
@@ -219,7 +232,6 @@ struct FullArgs {
     std::uint32_t shards = 8;
     std::uint32_t sites = 4000;
     std::uint32_t receivers = 2499;
-    bool dormant = true;
     std::uint32_t active_per_site = 50;
     std::uint32_t updates = 3;
     std::size_t update_bytes = 200;
@@ -227,17 +239,18 @@ struct FullArgs {
     bool skip_processes = false;
 };
 
-/// The full_protocol_10m workload, pre-scheduled: sharded runs need the
-/// sends inside the event stream (they must execute on the source's shard,
-/// inside its window), so the baseline uses the same schedule_update calls
-/// -- identical workloads, comparable delivered-pps.  400 ms between
-/// updates lets each tail circuit drain its wave (bench_routing_scale);
-/// 500 ms of drain closes the run.
+/// The scale workload, pre-scheduled: sharded runs need the sends inside
+/// the event stream (they must execute on the source's shard, inside its
+/// window), so the unsharded run uses the same schedule_update calls --
+/// identical workloads, comparable delivered-pps.  400 ms between updates
+/// lets each tail circuit drain its wave before the next one, so peak
+/// memory reflects one in-flight wave, not stacked ones; 500 ms of drain
+/// (heartbeats, stat-acks, idle checks) closes the run.
 ShardRunConfig full_config(const FullArgs& a) {
     ShardRunConfig cfg;
     cfg.scenario.topology.sites = a.sites;
     cfg.scenario.topology.receivers_per_site = a.receivers;
-    cfg.scenario.dormant_receivers = a.dormant;
+    cfg.scenario.dormant_receivers = true;
     cfg.scenario.active_receivers_per_site = a.active_per_site;
     cfg.shards = a.shards;
     cfg.run_for = millis(400) * a.updates + millis(500);
@@ -252,26 +265,36 @@ ShardRunConfig full_config(const FullArgs& a) {
     return cfg;
 }
 
+/// Total seconds of the retained spans called `name`.
+double span_seconds(const obs::TraceRecorder& rec, const char* name) {
+    double s = 0.0;
+    for (const obs::TraceRecorder::Span& sp : rec.spans())
+        if (std::strcmp(sp.name, name) == 0) s += static_cast<double>(sp.dur_ns) * 1e-9;
+    return s;
+}
+
 int run_full(const FullArgs& a, const std::string& json_path,
              const std::string& timestamp) {
-    // Topology arithmetic (make_dis_topology, no regional tier): per site a
-    // router + secondary + receivers, plus source, primary, 2 replicas and
-    // the backbone hub.
-    const double nodes =
-        static_cast<double>(a.sites) * (a.receivers + 2.0) + 5.0;
-
-    title("Full protocol, sharded: " + fmt_int(a.sites) + " sites x " +
-          fmt_int(a.receivers) + " receivers (" + fmt(nodes / 1e6, 1) +
-          "M nodes), " + fmt_int(a.shards) + " shards, " +
-          fmt_int(a.active_per_site) + " active/site");
+    title("Full protocol at scale: " + fmt_int(a.sites) + " sites x " +
+          fmt_int(a.receivers) + " dormant receivers, " +
+          fmt_int(a.active_per_site) + " active/site" +
+          (a.skip_processes ? "" : ", " + fmt_int(a.shards) + " process shards"));
 
     std::vector<JsonMetric> metrics;
     Table table({"driver", "shards", "build s", "traffic s", "cpu s",
                  "deliveries", "pps", "pps/cpu", "windows", "stall",
-                 "RSS MiB"});
+                 "RSS MiB", "RSS B/node"});
 
     double baseline_pps = 0.0;
     bool delivered_nothing = false;
+    // Read off the unsharded run's built network by its setup hook.
+    std::size_t built_nodes = 0;
+    std::size_t routing_bytes = 0;
+    // The unsharded run's build spans (make_dis_topology's "topology",
+    // finalize()'s "finalize").  Its setup hook uninstalls the recorder, so
+    // no traffic span can wrap the ring past finalize: a small ring holds
+    // the build and keeps the RSS reading clean.
+    obs::TraceRecorder build_trace(64);
 
     // Order matters for RSS attribution -- see the header comment.
     struct Run {
@@ -289,8 +312,19 @@ int run_full(const FullArgs& a, const std::string& json_path,
         if (run.skip) continue;
         FullArgs shaped = a;
         shaped.shards = run.shards;
+        ShardRunConfig cfg = full_config(shaped);
+        const bool single = run.run == run_unsharded;
+        if (single) {
+            cfg.setup = [&, workload = cfg.setup](DisScenario& s, std::uint32_t shard) {
+                build_trace.uninstall();
+                built_nodes = s.network().node_count();
+                routing_bytes = s.network().routing_table_bytes();
+                workload(s, shard);
+            };
+            build_trace.install();
+        }
         const auto t0 = std::chrono::steady_clock::now();
-        const ShardResult r = run.run(full_config(shaped));
+        const ShardResult r = run.run(cfg);
         const double total = seconds_since(t0);
         const double build = total > r.wall_seconds ? total - r.wall_seconds : 0.0;
         const double pps = r.wall_seconds > 0.0
@@ -304,6 +338,10 @@ int run_full(const FullArgs& a, const std::string& json_path,
             r.cpu_seconds_max_shard > 0.0
                 ? static_cast<double>(r.deliveries) / r.cpu_seconds_max_shard
                 : 0.0;
+        // The process driver's children build the same topology the
+        // unsharded run reads its count from.
+        const double nodes = static_cast<double>(
+            single ? built_nodes : dis_topology_size(cfg.scenario.topology).nodes);
 
         // Peak RSS: per-shard getrusage from the child reports (processes),
         // the monotone process-wide peak otherwise.
@@ -324,16 +362,17 @@ int run_full(const FullArgs& a, const std::string& json_path,
                    fmt(r.wall_seconds, 1), fmt(r.cpu_seconds_max_shard, 1),
                    fmt_int(r.deliveries), fmt(pps, 0), fmt(pps_cpu, 0),
                    fmt_int(r.windows), fmt(r.stall_fraction, 3),
-                   fmt(rss / (1024.0 * 1024.0), 0)});
+                   fmt(rss / (1024.0 * 1024.0), 0), fmt(rss / nodes, 0)});
         if (!r.peak_rss_kb.empty()) {
             std::string per_shard = "  per-shard RSS MiB:";
-            for (const std::uint64_t kb : r.peak_rss_kb)
-                per_shard +=
-                    " " + fmt(static_cast<double>(kb) / 1024.0, 0);
+            for (const std::uint64_t kb : r.peak_rss_kb) {
+                per_shard += ' ';
+                per_shard += fmt(static_cast<double>(kb) / 1024.0, 0);
+            }
             note(per_shard);
         }
         if (r.deliveries == 0) delivered_nothing = true;
-        if (std::strcmp(run.driver, "single") == 0) baseline_pps = pps;
+        if (single) baseline_pps = pps;
 
         const std::string config = "shards=" + fmt_int(run.shards) +
                                    ",driver=" + run.driver;
@@ -356,11 +395,48 @@ int run_full(const FullArgs& a, const std::string& json_path,
         metrics.push_back({a.name, "peak_rss_bytes", rss, timestamp, config});
         metrics.push_back({a.name, "peak_rss_bytes_max_shard", rss_max_shard,
                            timestamp, config});
+        metrics.push_back({a.name, "rss_bytes_per_node", rss / nodes, timestamp, config});
     }
 
     note("");
     if (baseline_pps > 0.0)
         note("single-process baseline delivered pps: " + fmt(baseline_pps, 0));
+    bool routing_ok = true;
+    if (!a.skip_baseline) {
+        // The build of the unsharded run.  Four 32-bit words of routing per
+        // node: parent cable end, DFS enter and exit, liveness segment top.
+        const double routing_per_node =
+            static_cast<double>(routing_bytes) / static_cast<double>(built_nodes);
+        const double topology_s = span_seconds(build_trace, "topology");
+        const double finalize_s = span_seconds(build_trace, "finalize");
+        const auto span_cell = [](double seconds) {
+            return obs::kTelemetryEnabled ? fmt(seconds, 3) : std::string("-");
+        };
+        Table build({"nodes", "topology s", "finalize s", "routing MiB", "B/node"});
+        build.row({fmt_int(built_nodes), span_cell(topology_s), span_cell(finalize_s),
+                   fmt(static_cast<double>(routing_bytes) / (1024.0 * 1024.0), 1),
+                   fmt(routing_per_node, 1)});
+        const std::string config = "shards=1,driver=single";
+        if (obs::kTelemetryEnabled) {
+            metrics.push_back({a.name, "topology_seconds", topology_s, timestamp, config});
+            metrics.push_back({a.name, "finalize_seconds", finalize_s, timestamp, config});
+            const bool wrote = build_trace.write_chrome_json("TRACE_finalize.json");
+            note("build trace: " + fmt_int(build_trace.spans().size()) + " spans (" +
+                 fmt_int(build_trace.dropped()) + " dropped)" +
+                 (wrote ? ", written to TRACE_finalize.json" : " (trace write FAILED)"));
+        } else {
+            note("build trace: telemetry compiled out (LBRM_NO_TELEMETRY); skipped");
+        }
+        metrics.push_back({a.name, "routing_table_bytes",
+                           static_cast<double>(routing_bytes), timestamp, config});
+        metrics.push_back(
+            {a.name, "routing_table_bytes_per_node", routing_per_node, timestamp, config});
+        if (routing_per_node > 16.0) {
+            note("ERROR: routing holds " + fmt(routing_per_node, 1) +
+                 " B/node, above the tree router's 16");
+            routing_ok = false;
+        }
+    }
     if (delivered_nothing) {
         note("ERROR: a full-protocol run delivered nothing");
         return 1;
@@ -370,7 +446,7 @@ int run_full(const FullArgs& a, const std::string& json_path,
         note("JSON written to " + json_path);
     }
     for (const auto& m : metrics) note(json_metric_line(m));
-    return 0;
+    return routing_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -405,8 +481,6 @@ int main(int argc, char** argv) {
         else if (std::strcmp(argv[i], "--full-receivers") == 0)
             fa.receivers =
                 static_cast<std::uint32_t>(std::atoi(next("--full-receivers", i)));
-        else if (std::strcmp(argv[i], "--full-dormant") == 0)
-            fa.dormant = std::atoi(next("--full-dormant", i)) != 0;
         else if (std::strcmp(argv[i], "--active-per-site") == 0)
             fa.active_per_site =
                 static_cast<std::uint32_t>(std::atoi(next("--active-per-site", i)));

@@ -49,7 +49,7 @@ Actions AckSenderCore::on_packet(TimePoint now, const Packet& packet) {
 Actions AckSenderCore::on_timer(TimePoint now, TimerId id) {
     Actions actions;
     if (id.kind != TimerKind::kAckWait) return actions;
-    const SeqNum seq{static_cast<std::uint32_t>(id.arg)};
+    const SeqNum seq{id.arg};
     auto it = pending_.find(seq);
     if (it == pending_.end()) return actions;
 

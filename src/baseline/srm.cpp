@@ -72,7 +72,7 @@ Actions SrmSenderCore::on_timer(TimePoint now, TimerId id) {
         return actions;
     }
     if (id.kind == TimerKind::kRemcastWindow) {
-        const SeqNum seq{static_cast<std::uint32_t>(id.arg)};
+        const SeqNum seq{id.arg};
         if (repair_armed_.erase(seq) == 0) return actions;
         if (const LogStore::Entry* entry = log_.find(seq)) {
             actions.push_back(SendMulticast{make_packet(RetransmissionBody{
@@ -193,7 +193,7 @@ Actions SrmMemberCore::on_packet(TimePoint now, const Packet& packet) {
 
 Actions SrmMemberCore::on_timer(TimePoint now, TimerId id) {
     Actions actions;
-    const SeqNum seq{static_cast<std::uint32_t>(id.arg)};
+    const SeqNum seq{id.arg};
 
     if (id.kind == TimerKind::kNackDelay) {
         // Our request timer fired: multicast the repair request to everyone.

@@ -46,7 +46,7 @@ enum class TimerKind : std::uint8_t {
 
 struct TimerId {
     TimerKind kind{};
-    std::uint64_t arg = 0;
+    std::uint32_t arg = 0;  ///< a sequence number, or 0
 
     friend constexpr bool operator==(TimerId, TimerId) = default;
     friend constexpr auto operator<=>(TimerId, TimerId) = default;

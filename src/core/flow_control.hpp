@@ -12,13 +12,9 @@
 //     signal: the recommended spacing doubles (multiplicative backoff,
 //     saturating at max_backoff).
 //   * Each completed streak of `recovery_streak` fully-acknowledged packets
-//     is a health signal and eases the spacing one step, per the configured
-//     decrease mode (SpacingDecrease below).  The default halves per streak
-//     and snaps to zero once below 1 ms -- fast recovery toward "no limit",
-//     since LBRM sources are low-rate by design and there is no
-//     steady-state probing like TCP's.  The additive mode subtracts a fixed
-//     step per streak instead (classic AIMD), trading slower recovery for a
-//     smoother sawtooth under sustained congestion.
+//     is a health signal and halves the spacing, snapping to zero once
+//     below 1 ms -- fast recovery toward "no limit", since LBRM sources are
+//     low-rate by design and there is no steady-state probing like TCP's.
 //
 // The governor is advisory: LBRM remains receiver-reliable and never
 // blocks a send.  The application reads recommended_spacing() (or watches
@@ -36,25 +32,13 @@
 
 namespace lbrm {
 
-/// How the governor eases the recommended spacing off after a clean streak.
-enum class SpacingDecrease : std::uint8_t {
-    /// Halve per streak; snap to zero below 1 ms (the historical default).
-    kHalve = 0,
-    /// Subtract additive_step per streak; floor at zero (classic AIMD).
-    kAdditive = 1,
-};
-
 struct FlowControlConfig {
     bool enabled = false;
     /// Spacing applied on the first loss signal (then doubled per signal).
     Duration initial_backoff = millis(250);
     Duration max_backoff = secs(8.0);
-    /// Consecutive fully-acked packets required before easing off one step.
+    /// Consecutive fully-acked packets required before halving the spacing.
     std::uint32_t recovery_streak = 3;
-    /// Decrease policy applied per completed streak.
-    SpacingDecrease decrease = SpacingDecrease::kHalve;
-    /// Step subtracted per streak in kAdditive mode (ignored by kHalve).
-    Duration additive_step = millis(50);
     /// Fractional jitter applied by jittered_spacing(): the advisory spacing
     /// is scaled by a uniform draw from [1, 1 + backoff_jitter).  Zero =
     /// jittered_spacing() returns recommended_spacing() without drawing.
@@ -84,13 +68,8 @@ public:
         if (spacing_ == Duration::zero()) return false;
         if (++streak_ < config_.recovery_streak) return false;
         streak_ = 0;
-        if (config_.decrease == SpacingDecrease::kAdditive) {
-            spacing_ = spacing_ <= config_.additive_step ? Duration::zero()
-                                                         : spacing_ - config_.additive_step;
-        } else {
-            spacing_ = spacing_ / 2;
-            if (spacing_ < millis(1)) spacing_ = Duration::zero();
-        }
+        spacing_ = spacing_ / 2;
+        if (spacing_ < millis(1)) spacing_ = Duration::zero();
         return spacing_ == Duration::zero();
     }
 

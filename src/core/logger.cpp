@@ -423,7 +423,7 @@ Actions LoggerCore::on_timer(TimePoint now, TimerId id) {
             return fire_fetch(now);
 
         case TimerKind::kRemcastWindow:
-            windows_.erase(SeqNum{static_cast<std::uint32_t>(id.arg)});
+            windows_.erase(SeqNum{id.arg});
             return actions;
 
         case TimerKind::kReplicaRetry: {

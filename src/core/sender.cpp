@@ -174,7 +174,7 @@ Actions SenderCore::on_timer(TimePoint now, TimerId id) {
             return actions;
         }
         case TimerKind::kRetxChannel: {
-            const SeqNum seq{static_cast<std::uint32_t>(id.arg)};
+            const SeqNum seq{id.arg};
             auto it = retx_copies_.find(seq);
             if (it == retx_copies_.end()) return actions;
             const LogStore::Entry* entry = retained_.find(seq);

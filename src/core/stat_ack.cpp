@@ -175,7 +175,7 @@ StatAckEngine::Result StatAckEngine::on_timer(TimePoint now, TimerId id) {
         case TimerKind::kEpochRotate:
             return open_epoch(now);
         case TimerKind::kAckWait: {
-            const SeqNum seq{static_cast<std::uint32_t>(id.arg)};
+            const SeqNum seq{id.arg};
             auto it = pending_.find(seq);
             if (it == pending_.end()) return result;
             PendingAck& pending = it->second;

@@ -31,7 +31,7 @@ ReceiverCore& ProtocolHost::add_receiver(std::shared_ptr<const ReceiverConfig> p
     ReceiverCore& core = live->core;
     core.bind_metrics(*metrics_);
     receivers_.push_back(
-        ReceiverEntry{next_tag_++, self, logger, fallback_logger, true, nullptr, std::move(live)});
+        ReceiverEntry{next_tag(), self, logger, fallback_logger, true, nullptr, std::move(live)});
     return core;
 }
 
@@ -40,7 +40,7 @@ LoggerCore& ProtocolHost::add_logger(LoggerConfig config, std::uint64_t rng_seed
     LoggerCore& core =
         roles()
             .loggers
-            .emplace_back(next_tag_++, std::move(config), rng_seed, std::move(handlers))
+            .emplace_back(next_tag(), std::move(config), rng_seed, std::move(handlers))
             .core;
     core.bind_metrics(*metrics_);
     return core;
@@ -57,7 +57,7 @@ void ProtocolHost::bind_metrics(obs::Metrics& metrics) {
 
 CoreBase& ProtocolHost::add_core(std::unique_ptr<CoreBase> core, SharedHandlers handlers) {
     GenericSlot& slot = roles().generics.emplace_back(
-        GenericSlot{next_tag_++, std::move(core), std::move(handlers)});
+        GenericSlot{next_tag(), std::move(core), std::move(handlers)});
     return *slot.core;
 }
 
@@ -69,7 +69,13 @@ void ProtocolHost::add_dormant_receiver(
             "dormant receivers need a statically configured logger "
             "(discovery sends probes at start)");
     receivers_.push_back(
-        ReceiverEntry{next_tag_++, self, logger, fallback_logger, true, std::move(tmpl), nullptr});
+        ReceiverEntry{next_tag(), self, logger, fallback_logger, true, std::move(tmpl), nullptr});
+}
+
+std::uint32_t ProtocolHost::next_tag() {
+    if (next_tag_ == TimerService::kTagLimit)
+        throw std::length_error("ProtocolHost: more cores than timer tags");
+    return next_tag_++;
 }
 
 ProtocolHost::LiveReceiver& ProtocolHost::awake(ReceiverEntry& entry) {

@@ -200,6 +200,10 @@ private:
     /// Runs no actions.
     LiveReceiver& awake(ReceiverEntry& entry);
 
+    /// The next core tag in attach order; throws std::length_error once
+    /// the tags reach TimerService::kTagLimit.
+    std::uint32_t next_tag();
+
     void execute(TimePoint now, std::uint32_t tag, NodeId self, const SharedHandlers& handlers,
                  Actions&& actions);
 

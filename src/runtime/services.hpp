@@ -31,6 +31,10 @@ public:
 /// armed key replaces its deadline.
 class TimerService {
 public:
+    /// Core tags stay below 2^24, so a driver can pack a tag and a
+    /// TimerKind into 32 bits.
+    static constexpr std::uint32_t kTagLimit = 1u << 24;
+
     virtual ~TimerService() = default;
     virtual void arm(std::uint32_t core_tag, TimerId id, TimePoint deadline) = 0;
     virtual void cancel(std::uint32_t core_tag, TimerId id) = 0;

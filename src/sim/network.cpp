@@ -121,7 +121,6 @@ std::size_t Network::deliveries_in_flight() const {
 
 void Network::reserve(std::size_t nodes, std::size_t directed_links) {
     node_site_id_.reserve(nodes);
-    node_is_router_.reserve(nodes);
     node_down_.reserve(nodes);
     node_host_.reserve(nodes);
     cable_head_.reserve(nodes);
@@ -129,9 +128,8 @@ void Network::reserve(std::size_t nodes, std::size_t directed_links) {
     end_next_.reserve(directed_links);  // two cable ends per cable
 }
 
-NodeId Network::add_node(SiteId site, bool is_router) {
+NodeId Network::add_node(SiteId site) {
     node_site_id_.push_back(site);
-    node_is_router_.push_back(is_router ? 1 : 0);
     node_down_.push_back(0);
     cable_head_.push_back(kNoIndex);
     cable_tail_.push_back(kNoIndex);
@@ -866,13 +864,12 @@ void Network::set_shard_view(std::uint32_t self, std::vector<std::uint32_t> node
     remote_sink_ = std::move(sink);
 }
 
-Duration Network::min_cut_propagation(
-    const std::vector<std::uint32_t>& node_shard) const {
+Duration Network::min_cut_propagation() const {
     Duration best = Duration::max();
     for (const Cable& c : cables_) {
         const std::size_t a = index(c.a), b = index(c.b);
-        if (a >= node_shard.size() || b >= node_shard.size()) continue;
-        if (node_shard[a] == node_shard[b]) continue;
+        if (a >= node_shard_.size() || b >= node_shard_.size()) continue;
+        if (node_shard_[a] == node_shard_[b]) continue;
         if (c.spec.propagation < best) best = c.spec.propagation;
     }
     return best;
@@ -896,6 +893,12 @@ void Network::emit_remote_mcast(TreeDelivery* d, std::uint32_t shard, TimePoint 
 }
 
 void Network::inject_remote(const RemoteEvent& ev) {
+    // The event may come from another process: refuse a node index this
+    // network does not have before anything is scheduled.
+    const std::size_t n = node_count();
+    if (ev.kind == RemoteEvent::kUnicast ? ev.to >= n || ev.entry_node >= n
+                                         : ev.tree_root >= n)
+        throw std::out_of_range("Network::inject_remote: node index past the network");
     remote_injects_->inc();
     if (ev.kind == RemoteEvent::kUnicast) {
         auto* d = new UnicastDelivery(*this, ev.packet, ev.to);
@@ -916,11 +919,12 @@ void Network::inject_remote(const RemoteEvent& ev) {
     // state) -- such segments are *dropped*, exactly like packets caught in
     // flight by a routing change, and the receiver-reliable protocol
     // recovers them by NACK.  Fault-free A/B runs never hit this path
-    // (sim.remote_drops stays zero; shard_test asserts it).
+    // (sim.remote_drops stays zero; shard_test asserts it).  The range end
+    // is a 64-bit sum, so no child range can wrap back inside the tree.
     const auto scope = static_cast<McastScope>(ev.scope);
     const std::shared_ptr<const CachedTree> tree =
         resolve_tree(NodeId{ev.tree_root + 1}, ev.packet.header.group, scope);
-    if (!tree || tree->children.size() < ev.entry_begin + ev.entry_count) {
+    if (!tree || tree->children.size() < std::uint64_t{ev.entry_begin} + ev.entry_count) {
         remote_drops_->inc();
         return;
     }

@@ -9,7 +9,7 @@
 // region scope is hop-limited.
 //
 // Node storage is struct-of-arrays (see DESIGN.md "Scale engineering"): the
-// hot fields (site, router flag, liveness) live in dense per-node vectors,
+// hot fields (site, liveness) live in dense per-node vectors,
 // and the cold protocol endpoints (SimHost) live by value in a chunked
 // arena behind a sparse node -> host pointer table.  Each node also keeps
 // the list of cables that touch it, in add order; link(a, b) walks the two
@@ -85,7 +85,7 @@ public:
     void reserve(std::size_t nodes, std::size_t directed_links);
 
     /// Add a node; returns its id (ids are assigned 1, 2, 3, ...).
-    NodeId add_node(SiteId site, bool is_router = false);
+    NodeId add_node(SiteId site);
 
     /// Add a bidirectional cable: two directed links with the same spec.
     /// Re-adding an existing pair re-specs the cable in place (live traffic
@@ -140,9 +140,6 @@ public:
     [[nodiscard]] const Link* link(NodeId a, NodeId b) const;
     [[nodiscard]] SiteId site_of(NodeId node) const {
         return node_site_id_[index(node)];
-    }
-    [[nodiscard]] bool is_router(NodeId node) const {
-        return node_is_router_[index(node)] != 0;
     }
     [[nodiscard]] std::size_t node_count() const { return node_site_id_.size(); }
     [[nodiscard]] std::size_t link_count() const { return cables_.size() * 2; }
@@ -241,11 +238,11 @@ public:
     void set_remote_sink(RemoteSink sink) { remote_sink_ = std::move(sink); }
 
     /// Minimum propagation delay over cables whose endpoints live on
-    /// different shards -- the conservative lookahead of a windowed sharded
-    /// run (every boundary-crossing arrival lands at least this far in the
-    /// future of its transmit).  Duration::max() when no cable is cut.
-    [[nodiscard]] Duration min_cut_propagation(
-        const std::vector<std::uint32_t>& node_shard) const;
+    /// different shards of this network's view -- the conservative
+    /// lookahead of a windowed sharded run (every boundary-crossing arrival
+    /// lands at least this far in the future of its transmit).
+    /// Duration::max() when no cable is cut, or without a view.
+    [[nodiscard]] Duration min_cut_propagation() const;
     [[nodiscard]] bool owns_node(std::size_t i) const {
         return node_shard_.empty() || node_shard_[i] == shard_self_;
     }
@@ -255,7 +252,10 @@ public:
 
     /// Replay a boundary-crossing arrival received from another shard.
     /// Pre: this shard owns the arrival node(s) and the event key was
-    /// reserved on the sending shard.
+    /// reserved on the sending shard.  Throws std::out_of_range, scheduling
+    /// nothing, when a node index is past node_count(); a multicast segment
+    /// whose children lie past the re-resolved tree is dropped and counted
+    /// (sim.remote_drops).
     void inject_remote(const RemoteEvent& ev);
 
 private:
@@ -396,7 +396,6 @@ private:
 
     // --- nodes (struct-of-arrays; hot fields only) ------------------------
     std::vector<SiteId> node_site_id_;
-    std::vector<std::uint8_t> node_is_router_;
     /// Live liveness, consulted at delivery time.  Routing reads the
     /// finalize-time top_ snapshot instead (see set_node_down).
     std::vector<std::uint8_t> node_down_;

@@ -29,9 +29,9 @@ DisScenario::DisScenario(ScenarioConfig config)
         // Node -> shard: the source/primary/replica complex and the
         // backbone hub ride with site 0; regional routers/loggers ride with
         // their region's first site.  Everything else is per-site.
-        node_shard_.assign(network_.node_count(), config_.site_shard[0]);
-        auto assign = [this](NodeId n, std::uint32_t shard) {
-            node_shard_[n.value() - 1] = shard;
+        std::vector<std::uint32_t> node_shard(network_.node_count(), config_.site_shard[0]);
+        auto assign = [&node_shard](NodeId n, std::uint32_t shard) {
+            node_shard[n.value() - 1] = shard;
         };
         for (std::size_t s = 0; s < topology_.sites.size(); ++s) {
             const std::uint32_t shard = config_.site_shard[s];
@@ -46,7 +46,7 @@ DisScenario::DisScenario(ScenarioConfig config)
             assign(region.router, shard);
             assign(region.logger, shard);
         }
-        network_.set_shard_view(config_.shard_self, node_shard_, nullptr);
+        network_.set_shard_view(config_.shard_self, std::move(node_shard), nullptr);
     }
 
     const DisTopologySize size = dis_topology_size(config_.topology);

@@ -190,16 +190,11 @@ public:
     }
 
     // --- sharding --------------------------------------------------------
-    /// Owning shard per node index (empty when unsharded); derived from
-    /// ScenarioConfig::site_shard in the constructor.  The shard runner
-    /// reads this to route cross-shard batches.
-    [[nodiscard]] const std::vector<std::uint32_t>& node_shard() const {
-        return node_shard_;
-    }
-    /// Whether this scenario instance wires (and simulates) `node`.
+    /// Whether this scenario instance wires (and simulates) `node`: the
+    /// network's shard view, which the constructor derives from
+    /// ScenarioConfig::site_shard.
     [[nodiscard]] bool owns(NodeId node) const {
-        return node_shard_.empty() ||
-               node_shard_[node.value() - 1] == config_.shard_self;
+        return network_.owns_node(node.value() - 1);
     }
 
     // --- added observers -------------------------------------------------
@@ -258,7 +253,6 @@ private:
     LoggerCore* primary_core_ = nullptr;
     std::vector<LoggerCore*> secondary_cores_;
     std::vector<SimHost*> hosts_;
-    std::vector<std::uint32_t> node_shard_;  ///< empty = unsharded
     SharedHandlers handlers_;  ///< the one handler object every core reports through
     /// The one receiver blueprint: dormant receivers attach with it, and
     /// eager ones share its config (rotation builds one per site) and its

@@ -136,7 +136,7 @@ void build_domain(ShardDomain& dom, const ShardRunConfig& cfg,
 /// propagation; a cut-free plan runs in one window (= run_for).  Throws when
 /// the lookahead is not positive.
 Duration lookahead(const ShardRunConfig& cfg, DisScenario& scenario) {
-    const Duration w = scenario.network().min_cut_propagation(scenario.node_shard());
+    const Duration w = scenario.network().min_cut_propagation();
     if (w == Duration::max()) return cfg.run_for;
     if (w <= Duration::zero())
         throw std::logic_error("shard: zero-delay cut cable, no lookahead");
@@ -553,6 +553,15 @@ std::optional<Network::RemoteEvent> decode_remote(ByteReader& r) {
     Network::RemoteEvent ev;
     std::uint32_t pkt_len = 0;
     if (!read_fields(r, ev, pkt_len)) return std::nullopt;
+    // The bytes come from another process: refuse a kind or scope outside
+    // its enum, and a multicast segment with no children.
+    if (ev.kind == Network::RemoteEvent::kMulticastRun) {
+        if (ev.scope < static_cast<std::uint8_t>(McastScope::kSite) ||
+            ev.scope > static_cast<std::uint8_t>(McastScope::kGlobal) || ev.entry_count == 0)
+            return std::nullopt;
+    } else if (ev.kind != Network::RemoteEvent::kUnicast) {
+        return std::nullopt;
+    }
     const auto pkt_bytes = r.bytes(pkt_len);
     if (!pkt_bytes) return std::nullopt;
     std::optional<Packet> pkt = decode(*pkt_bytes);

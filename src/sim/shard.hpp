@@ -203,6 +203,8 @@ void fields(auto& a, MaybeConst<ShardReport> auto& r) {
 [[nodiscard]] std::optional<ShardReport> read_report(ByteReader& r);
 
 /// Wire codec for boundary-crossing arrivals (multi-process runner).
+/// decode_remote returns nullopt on a short read, and on a kind or
+/// multicast scope out of range or an empty multicast segment.
 void encode_remote(ByteWriter& w, const Network::RemoteEvent& ev);
 [[nodiscard]] std::optional<Network::RemoteEvent> decode_remote(ByteReader& r);
 

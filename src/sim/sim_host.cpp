@@ -55,21 +55,15 @@ std::size_t SimHost::find_timer(std::uint32_t tag, TimerId id) const {
 }
 
 std::uint64_t SimHost::schedule_fire(std::uint32_t tag, TimerId id, TimePoint at) {
-    // Pack the closure into std::function's 16-byte small buffer when the
-    // timer fits: [this (8) | arg32 (4) | tag24|kind8 (4)].  The naive
-    // [this, core_tag, id] capture is 28 bytes and heap-allocates -- at
-    // 10M armed idle watchdogs that is one malloc per host.  Every shipped
-    // timer has arg < 2^32 (sequence numbers) and tag < 2^24, but the fat
-    // fallback keeps exotic values correct.  The closure's shape cannot
-    // affect simulation order: same schedule call, same deadline.
-    if (id.arg <= 0xFFFFFFFFull && tag < (1u << 24)) {
-        const auto arg32 = static_cast<std::uint32_t>(id.arg);
-        const std::uint32_t tk = (tag << 8) | static_cast<std::uint32_t>(id.kind);
-        return simulator().schedule_at(at, [this, arg32, tk] {
-            fire(tk >> 8, TimerId{static_cast<TimerKind>(tk & 0xFFu), arg32});
-        });
-    }
-    return simulator().schedule_at(at, [this, tag, id] { fire(tag, id); });
+    // Pack the closure into std::function's 16-byte small buffer:
+    // [this (8) | arg (4) | tag24|kind8 (4)] -- tags stay below
+    // TimerService::kTagLimit.  The naive [this, core_tag, id] capture is
+    // 24 bytes and heap-allocates -- at 10M armed idle watchdogs that is
+    // one malloc per host.
+    const std::uint32_t tk = (tag << 8) | static_cast<std::uint32_t>(id.kind);
+    return simulator().schedule_at(at, [this, arg = id.arg, tk] {
+        fire(tk >> 8, TimerId{static_cast<TimerKind>(tk & 0xFFu), arg});
+    });
 }
 
 void SimHost::fire(std::uint32_t tag, TimerId id) {

@@ -62,7 +62,7 @@ private:
     /// fires at `fire_at`, no later than the timer's `deadline`.  The
     /// TimerId is stored flat (arg, kind) so the entry packs into 40 bytes.
     struct TimerEnt {
-        std::uint64_t arg;
+        std::uint32_t arg;
         std::uint64_t event;
         TimePoint fire_at;
         TimePoint deadline;

@@ -1,5 +1,7 @@
 #include "sim/topology.hpp"
 
+#include "obs/trace.hpp"
+
 namespace lbrm::sim {
 
 std::vector<NodeId> DisTopology::all_receivers() const {
@@ -25,7 +27,7 @@ DisTopologySize dis_topology_size(const DisTopologySpec& spec) {
     DisTopologySize size;
     // backbone + source router + source + primary, replicas, region
     // router + logger pairs, then per site: router + secondary? + receivers.
-    size.nodes = 3 + spec.replicas + 2 * region_count +
+    size.nodes = 4 + spec.replicas + 2 * region_count +
                  static_cast<std::size_t>(spec.sites) *
                      (1 + secondaries + spec.receivers_per_site);
     // Every node except the backbone hub adds exactly one cable.
@@ -40,6 +42,7 @@ DisTopologySize dis_topology_size(const DisTopologySpec& spec) {
 }
 
 DisTopology make_dis_topology(Network& network, const DisTopologySpec& spec) {
+    LBRM_TRACE_SPAN("topology");
     DisTopology topo;
 
     // Pre-size node and link storage so 100k-node benches do not pay
@@ -54,9 +57,9 @@ DisTopology make_dis_topology(Network& network, const DisTopologySpec& spec) {
 
     // Site id 0 is the source site; receiver sites are 1..N.
     const SiteId source_site{0};
-    topo.backbone = network.add_node(SiteId{0xFFFF}, /*is_router=*/true);
+    topo.backbone = network.add_node(SiteId{0xFFFF});
 
-    topo.source_router = network.add_node(source_site, /*is_router=*/true);
+    topo.source_router = network.add_node(source_site);
     network.add_link(topo.source_router, topo.backbone, backbone_link);
 
     topo.source = network.add_node(source_site);
@@ -82,7 +85,7 @@ DisTopology make_dis_topology(Network& network, const DisTopologySpec& spec) {
         for (std::uint32_t r = 0; r < region_count; ++r) {
             DisTopology::Region region;
             const SiteId region_site{0x8000u + r};
-            region.router = network.add_node(region_site, /*is_router=*/true);
+            region.router = network.add_node(region_site);
             network.add_link(region.router, topo.backbone, backbone_link);
             region.logger = network.add_node(region_site);
             network.add_link(region.logger, region.router, region_link);
@@ -93,7 +96,7 @@ DisTopology make_dis_topology(Network& network, const DisTopologySpec& spec) {
     for (std::uint32_t s = 0; s < spec.sites; ++s) {
         DisTopology::Site site;
         site.id = SiteId{s + 1};
-        site.router = network.add_node(site.id, /*is_router=*/true);
+        site.router = network.add_node(site.id);
         // The tail circuit is the bottleneck between the site and the WAN
         // (or its region's router when the regional tier exists).
         if (spec.sites_per_region > 0) {

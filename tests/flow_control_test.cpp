@@ -80,54 +80,6 @@ TEST(FlowController, FullRecoveryClearsAndReports) {
     EXPECT_EQ(flow.recommended_spacing(), Duration::zero());
 }
 
-TEST(FlowController, AdditiveDecreaseStepsDownLinearly) {
-    FlowControlConfig c = enabled_config();
-    c.decrease = SpacingDecrease::kAdditive;
-    c.additive_step = millis(100);
-    FlowController flow{c};
-    flow.on_loss_signal();
-    flow.on_loss_signal();  // 500 ms
-    ASSERT_EQ(flow.recommended_spacing(), millis(500));
-
-    // One completed streak of 3 subtracts one step (not a halving).
-    flow.on_clean_packet();
-    flow.on_clean_packet();
-    EXPECT_FALSE(flow.on_clean_packet());
-    EXPECT_EQ(flow.recommended_spacing(), millis(400));
-
-    // Streak counting restarts after each step.
-    flow.on_clean_packet();
-    flow.on_clean_packet();
-    EXPECT_EQ(flow.recommended_spacing(), millis(400));
-    EXPECT_FALSE(flow.on_clean_packet());
-    EXPECT_EQ(flow.recommended_spacing(), millis(300));
-}
-
-TEST(FlowController, AdditiveDecreaseFloorsAtZeroAndClears) {
-    FlowControlConfig c = enabled_config();
-    c.decrease = SpacingDecrease::kAdditive;
-    c.additive_step = millis(200);
-    c.recovery_streak = 1;
-    FlowController flow{c};
-    flow.on_loss_signal();  // 250 ms
-    EXPECT_FALSE(flow.on_clean_packet());  // 50 ms left
-    EXPECT_EQ(flow.recommended_spacing(), millis(50));
-    // Remainder below one step: next streak clears instead of going negative.
-    EXPECT_TRUE(flow.on_clean_packet());
-    EXPECT_EQ(flow.recommended_spacing(), Duration::zero());
-    EXPECT_FALSE(flow.congested());
-}
-
-TEST(FlowController, AdditiveModeStillBacksOffMultiplicatively) {
-    // AIMD: only the decrease is additive; losses still double.
-    FlowControlConfig c = enabled_config();
-    c.decrease = SpacingDecrease::kAdditive;
-    FlowController flow{c};
-    flow.on_loss_signal();
-    flow.on_loss_signal();
-    EXPECT_EQ(flow.recommended_spacing(), millis(500));
-}
-
 TEST(FlowController, JitteredSpacingStaysInsideTheConfiguredBand) {
     FlowControlConfig c = enabled_config();
     c.backoff_jitter = 0.5;

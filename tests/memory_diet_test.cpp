@@ -12,11 +12,10 @@
 //  - Shared-cable split: the reverse direction of a one-way loaded cable
 //    keeps zero stats without cold state; Cable::respec() loss resets feed
 //    the network.respec_loss_resets counter.
-//  - SimHost timer packing: oversized timer args survive the fat-closure
-//    fallback intact.
 //  - SimHost lazy re-arm: moving an armed timer later costs no event-queue
 //    traffic and still fires the core exactly once, at the last deadline;
-//    earlier re-arms and cancels behave as before, on both closure shapes.
+//    earlier re-arms and cancels behave as before, up to the largest
+//    timer arg.
 //  - SimHost timer table: one host can hold more than 2^15 armed timers.
 //  - Shared payloads: the source's retained entry, every logger's log entry
 //    and every delivery record of one update point at one buffer, repairs
@@ -212,7 +211,7 @@ TEST(CableColdState, ReverseDirectionKeepsZeroStats) {
 TEST(CableRespec, LossModelResetsFeedTheCounter) {
     Simulator simulator;
     Network net{simulator, 7};
-    const NodeId a = net.add_node(SiteId{1}, true);
+    const NodeId a = net.add_node(SiteId{1});
     const NodeId b = net.add_node(SiteId{1});
     const LinkSpec spec{millis(1), 1e6, Duration::zero()};
     net.add_link(a, b, spec);
@@ -233,42 +232,6 @@ TEST(CableRespec, LossModelResetsFeedTheCounter) {
     net.set_loss(b, a, std::make_unique<BernoulliLoss>(0.5));
     net.add_link(a, b, spec);
     EXPECT_EQ(net.metrics().value("network.respec_loss_resets"), 3u);
-}
-
-// --- SimHost timer-closure packing ----------------------------------------
-
-struct BigArgCore final : CoreBase {
-    TimerId fired{};
-    int fires = 0;
-    [[nodiscard]] NodeId self() const override { return NodeId{1}; }
-    Actions start(TimePoint now) override {
-        Actions actions;
-        // arg does not fit in 32 bits: must take the fat-closure fallback.
-        actions.push_back(
-            StartTimer{{TimerKind::kIdle, std::uint64_t{1} << 40}, now + millis(10)});
-        return actions;
-    }
-    Actions on_packet(TimePoint, const Packet&) override { return {}; }
-    Actions on_timer(TimePoint, TimerId id) override {
-        fired = id;
-        ++fires;
-        return {};
-    }
-};
-
-TEST(TimerPacking, OversizedArgSurvivesFatPath) {
-    Simulator simulator;
-    Network net{simulator, 1};
-    const NodeId node = net.add_node(SiteId{1});
-    SimHost& host = net.attach_host(node);
-    auto core = std::make_unique<BigArgCore>();
-    BigArgCore* raw = core.get();
-    host.protocol().add_core(std::move(core));
-    host.protocol().start(simulator.now());
-    simulator.run_for(secs(1.0));
-    EXPECT_EQ(raw->fires, 1);
-    EXPECT_EQ(raw->fired.kind, TimerKind::kIdle);
-    EXPECT_EQ(raw->fired.arg, std::uint64_t{1} << 40);
 }
 
 // --- SimHost lazy timer re-arm --------------------------------------------
@@ -312,11 +275,11 @@ struct ProbeHost {
     }
 };
 
-/// Packed closure (arg < 2^32) and the fat fallback (arg >= 2^32).
-constexpr std::uint64_t kTimerArgs[] = {7, std::uint64_t{1} << 40};
+/// A small timer arg and the largest one the packed closure carries.
+constexpr std::uint32_t kTimerArgs[] = {7, 0xFFFFFFFFu};
 
 TEST(LazyRearm, LaterRearmsFireOnceAtLastDeadline) {
-    for (const std::uint64_t arg : kTimerArgs) {
+    for (const std::uint32_t arg : kTimerArgs) {
         SCOPED_TRACE(arg);
         ProbeHost p;
         const TimerId id{TimerKind::kIdle, arg};
@@ -343,7 +306,7 @@ TEST(LazyRearm, LaterRearmsFireOnceAtLastDeadline) {
 }
 
 TEST(LazyRearm, EarlierRearmFiresAtEarlierDeadline) {
-    for (const std::uint64_t arg : kTimerArgs) {
+    for (const std::uint32_t arg : kTimerArgs) {
         SCOPED_TRACE(arg);
         const TimerId id{TimerKind::kNackRetry, arg};
         {
@@ -383,7 +346,7 @@ TEST(LazyRearm, EarlierRearmFiresAtEarlierDeadline) {
 }
 
 TEST(LazyRearm, CancelAfterLazyMoveNeverReachesCore) {
-    for (const std::uint64_t arg : kTimerArgs) {
+    for (const std::uint32_t arg : kTimerArgs) {
         SCOPED_TRACE(arg);
         const TimerId id{TimerKind::kRetxLinger, arg};
         {
@@ -466,12 +429,12 @@ TEST(TimerTable, HostHoldsMoreThan32768ArmedTimers) {
     // firing finds its entry at the front of the table (erase is
     // swap-with-back) and the test stays fast under sanitizers.
     ProbeHost p;
-    constexpr std::uint64_t kTimers = 33'000;
-    const auto deadline = [](std::uint64_t seq) {
+    constexpr std::uint32_t kTimers = 33'000;
+    const auto deadline = [](std::uint32_t seq) {
         return at(0.5) + micros(seq == 0 ? 0 : static_cast<std::int64_t>(kTimers - seq));
     };
     Actions actions;
-    for (std::uint64_t seq = 0; seq < kTimers; ++seq)
+    for (std::uint32_t seq = 0; seq < kTimers; ++seq)
         actions.push_back(StartTimer{{TimerKind::kAckWait, seq}, deadline(seq)});
     p.host->protocol().inject(p.simulator.now(), *p.core, std::move(actions));
     p.simulator.run_for(secs(1.0));

@@ -41,9 +41,9 @@ struct CrossedDeployment {
         const LinkSpec lan{micros(500), 10e6, Duration::zero()};
         const LinkSpec wan{millis(10), 45e6, Duration::zero()};
 
-        backbone = network.add_node(SiteId{0}, true);
-        router1 = network.add_node(SiteId{1}, true);
-        router2 = network.add_node(SiteId{2}, true);
+        backbone = network.add_node(SiteId{0});
+        router1 = network.add_node(SiteId{1});
+        router2 = network.add_node(SiteId{2});
         network.add_link(router1, backbone, wan);
         network.add_link(router2, backbone, wan);
 

@@ -71,7 +71,7 @@ void hammer(Core& core, std::uint64_t seed, int packets = 20000) {
         // Also fire arbitrary timers occasionally.
         if (i % 17 == 0) {
             const TimerId id{static_cast<TimerKind>(1 + (i % 16)),
-                             static_cast<std::uint64_t>(i % 64)};
+                             static_cast<std::uint32_t>(i % 64)};
             core.on_timer(t, id);
         }
     }

@@ -303,7 +303,7 @@ struct RandomTree {
                         Duration::zero()};
     }
     NodeId router(SiteId site) {
-        return routers.emplace_back(net.add_node(site, /*is_router=*/true));
+        return routers.emplace_back(net.add_node(site));
     }
     /// A new node on `at` (a cable in a random orientation).
     NodeId hang(NodeId at, SiteId site, bool is_router = false) {
@@ -492,10 +492,10 @@ struct CorridorNet {
     CorridorNet() : net(sim, 7) {
         a_host = net.add_node(SiteId{1});
         a_peer = net.add_node(SiteId{1});
-        a_r = net.add_node(SiteId{1}, /*is_router=*/true);
+        a_r = net.add_node(SiteId{1});
         b_host = net.add_node(SiteId{2});
         b_peer = net.add_node(SiteId{2});
-        b_r = net.add_node(SiteId{2}, /*is_router=*/true);
+        b_r = net.add_node(SiteId{2});
         const LinkSpec fast{millis(1), 0.0, Duration::zero()};
         net.add_link(a_host, a_r, fast);
         net.add_link(a_peer, a_r, fast);
@@ -613,8 +613,7 @@ struct LateCableNet {
     /// Add the nodes up to id `last`, then cables [begin, end).
     void grow(std::uint32_t last, std::size_t begin, std::size_t end) {
         for (auto id = static_cast<std::uint32_t>(net.node_count()) + 1; id <= last; ++id)
-            net.add_node(SiteId{kSite[id]},
-                         id == kR1 || id == kR2 || id == kR3 || id == kBb || id == kR4);
+            net.add_node(SiteId{kSite[id]});
         for (std::size_t i = begin; i < end; ++i)
             net.add_link(NodeId{kCables[i].first}, NodeId{kCables[i].second}, LinkSpec{});
     }

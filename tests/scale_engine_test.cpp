@@ -145,7 +145,7 @@ TEST(NetworkLink, RandomTopologiesMatchMapOracle) {
             else connect(at, leaf);
         };
 
-        const NodeId hub = nodes.emplace_back(net.add_node(SiteId{0}, true));
+        const NodeId hub = nodes.emplace_back(net.add_node(SiteId{0}));
         auto check = [&] {
             ASSERT_EQ(net.link_count(), oracle.size());
             for (const auto& [pair, l] : oracle) {
@@ -173,7 +173,7 @@ TEST(NetworkLink, RandomTopologiesMatchMapOracle) {
 
         // Sites: a router on the hub, hosts on the router.
         for (std::uint32_t s = 1; s <= 20; ++s) {
-            const NodeId router = nodes.emplace_back(net.add_node(SiteId{s}, true));
+            const NodeId router = nodes.emplace_back(net.add_node(SiteId{s}));
             connect(router, hub);
             const auto hosts = rng.uniform_int(40, 100);
             for (std::uint64_t h = 0; h < hosts; ++h)
@@ -225,13 +225,36 @@ TEST(NetworkLink, SiteAndRouterFlagsSurviveSoAStorage) {
     Simulator sim;
     Network net{sim, 1};
     const NodeId host = net.add_node(SiteId{7});
-    const NodeId router = net.add_node(SiteId{7}, /*is_router=*/true);
+    const NodeId router = net.add_node(SiteId{9});
     EXPECT_EQ(net.site_of(host), SiteId{7});
-    EXPECT_FALSE(net.is_router(host));
-    EXPECT_TRUE(net.is_router(router));
+    EXPECT_EQ(net.site_of(router), SiteId{9});
     EXPECT_EQ(net.node_count(), 2u);
     net.add_link(host, router, LinkSpec{});
     EXPECT_EQ(net.link_count(), 2u);  // one cable = two directed links
+}
+
+TEST(DisTopologySize, MatchesTheBuiltNetwork) {
+    // make_dis_topology reserves from dis_topology_size, so an undercount
+    // regrows every per-node vector at the last node.
+    struct Shape {
+        std::uint32_t sites, receivers, replicas, sites_per_region;
+        bool secondaries;
+    };
+    for (const Shape& shape : {Shape{20, 5, 1, 0, true}, Shape{7, 3, 2, 3, true},
+                               Shape{4, 0, 0, 0, false}, Shape{1, 9, 3, 1, false}}) {
+        DisTopologySpec spec;
+        spec.sites = shape.sites;
+        spec.receivers_per_site = shape.receivers;
+        spec.replicas = shape.replicas;
+        spec.sites_per_region = shape.sites_per_region;
+        spec.secondary_logger_per_site = shape.secondaries;
+        Simulator sim;
+        Network net{sim, 1};
+        (void)make_dis_topology(net, spec);
+        const DisTopologySize size = dis_topology_size(spec);
+        EXPECT_EQ(size.nodes, net.node_count()) << shape.sites << " sites";
+        EXPECT_EQ(size.directed_links, net.link_count()) << shape.sites << " sites";
+    }
 }
 
 // --- routing snapshot ---------------------------------------------------------
@@ -269,9 +292,9 @@ TEST(FinalizeModes, LazyRowsUseFinalizeTimeLivenessSnapshot) {
     Network net{sim, 7};
     const NodeId a_host = net.add_node(SiteId{1});
     const NodeId a_relay = net.add_node(SiteId{1});
-    const NodeId a_r = net.add_node(SiteId{1}, true);
+    const NodeId a_r = net.add_node(SiteId{1});
     const NodeId b_host = net.add_node(SiteId{2});
-    const NodeId b_r = net.add_node(SiteId{2}, true);
+    const NodeId b_r = net.add_node(SiteId{2});
     const LinkSpec fast{millis(1), 0.0, Duration::zero()};
     net.add_link(a_host, a_relay, fast);
     net.add_link(a_relay, a_r, fast);
@@ -304,9 +327,9 @@ TEST(FinalizeModes, LazyBackboneRowsUseFinalizeTimeLivenessSnapshot) {
     Simulator sim;
     Network net{sim, 7};
     const NodeId a_host = net.add_node(SiteId{1});
-    const NodeId a_r = net.add_node(SiteId{1}, true);
-    const NodeId t1 = net.add_node(SiteId{2}, true);
-    const NodeId c_r = net.add_node(SiteId{4}, true);
+    const NodeId a_r = net.add_node(SiteId{1});
+    const NodeId t1 = net.add_node(SiteId{2});
+    const NodeId c_r = net.add_node(SiteId{4});
     const NodeId c_host = net.add_node(SiteId{4});
     const LinkSpec fast{millis(1), 0.0, Duration::zero()};
     net.add_link(a_host, a_r, fast);
@@ -336,9 +359,9 @@ TEST(FinalizeModes, LazyBackboneRowsUseFinalizeTimeBorderGraph) {
     Simulator sim;
     Network net{sim, 7};
     const NodeId a_host = net.add_node(SiteId{1});
-    const NodeId a_r = net.add_node(SiteId{1}, true);
-    const NodeId t1 = net.add_node(SiteId{2}, true);
-    const NodeId c_r = net.add_node(SiteId{4}, true);
+    const NodeId a_r = net.add_node(SiteId{1});
+    const NodeId t1 = net.add_node(SiteId{2});
+    const NodeId c_r = net.add_node(SiteId{4});
     const NodeId c_host = net.add_node(SiteId{4});
     const NodeId d_host = net.add_node(SiteId{5});
     const LinkSpec fast{millis(1), 0.0, Duration::zero()};

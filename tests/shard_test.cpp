@@ -146,6 +146,85 @@ TEST(RemoteCodec, TruncationFailsCleanly) {
     }
 }
 
+TEST(RemoteCodec, KindOrMulticastFieldOutOfRangeDecodesToNullopt) {
+    // The bytes come from another shard process: a kind or scope outside
+    // its enum, or a multicast segment with no children, is refused.
+    const auto decoded = [](Network::RemoteEvent ev) {
+        ByteWriter w;
+        encode_remote(w, ev);
+        ByteReader r(w.data());
+        return decode_remote(r);
+    };
+    const Network::RemoteEvent good = sample_remote();
+    ASSERT_TRUE(decoded(good).has_value());
+    Network::RemoteEvent ev = good;
+    ev.kind = 7;
+    EXPECT_FALSE(decoded(ev).has_value()) << "kind 7";
+    for (const std::uint8_t scope : {std::uint8_t{0}, std::uint8_t{4}, std::uint8_t{9}}) {
+        ev = good;
+        ev.scope = scope;
+        EXPECT_FALSE(decoded(ev).has_value()) << "scope " << int{scope};
+    }
+    ev = good;
+    ev.entry_count = 0;
+    EXPECT_FALSE(decoded(ev).has_value()) << "empty segment";
+    // A unicast arrival carries no scope: its scope byte is not checked.
+    ev = good;
+    ev.kind = Network::RemoteEvent::kUnicast;
+    ev.scope = 9;
+    EXPECT_TRUE(decoded(ev).has_value());
+}
+
+/// Two hosts on one cable, both in group 1, finalized: the smallest network
+/// an injected arrival can name nodes of.
+struct InjectNet {
+    Simulator simulator;
+    Network net{simulator, 1};
+    InjectNet() {
+        const NodeId a = net.add_node(SiteId{1});
+        const NodeId b = net.add_node(SiteId{1});
+        net.add_link(a, b, LinkSpec{millis(1), 0.0, Duration::zero()});
+        net.finalize();
+        net.join(GroupId{1}, a);
+        net.join(GroupId{1}, b);
+    }
+    [[nodiscard]] std::uint64_t injects() { return net.metrics().value("sim.remote_injects"); }
+};
+
+TEST(RemoteCodec, InjectNamingNodeCountThrowsAndSchedulesNothing) {
+    InjectNet n;
+    const auto past = static_cast<std::uint32_t>(n.net.node_count());
+    Network::RemoteEvent unicast = sample_remote();
+    unicast.kind = Network::RemoteEvent::kUnicast;
+    unicast.to = 1;
+    unicast.entry_node = 1;
+    for (std::uint32_t Network::RemoteEvent::*field :
+         {&Network::RemoteEvent::to, &Network::RemoteEvent::entry_node}) {
+        Network::RemoteEvent ev = unicast;
+        ev.*field = past;
+        EXPECT_THROW(n.net.inject_remote(ev), std::out_of_range);
+    }
+    Network::RemoteEvent mcast = sample_remote();
+    mcast.tree_root = past;
+    EXPECT_THROW(n.net.inject_remote(mcast), std::out_of_range);
+    EXPECT_EQ(n.simulator.pending(), 0u);
+    EXPECT_EQ(n.injects(), 0u);
+}
+
+TEST(RemoteCodec, EntryRangeWrappingPastTheTreeIsDropped) {
+    // entry_begin + entry_count wraps to 1 in 32 bits, inside the root's
+    // one child; the 64-bit range end lies past it, so nothing is scheduled.
+    InjectNet n;
+    Network::RemoteEvent ev = sample_remote();
+    ev.scope = static_cast<std::uint8_t>(McastScope::kGlobal);
+    ev.tree_root = 0;
+    ev.entry_begin = 0xFFFFFFFFu;
+    ev.entry_count = 2;
+    n.net.inject_remote(ev);
+    EXPECT_EQ(n.simulator.pending(), 0u);
+    EXPECT_EQ(n.net.metrics().value("sim.remote_drops"), 1u);
+}
+
 // --- A/B equivalence: the tentpole determinism claim ------------------------
 
 /// 20-site scenario with a pre-scheduled workload.  tail_delay doubles as
