@@ -20,16 +20,21 @@
 //                     Rows land under --full-name with a
 //                     "shards=N,driver=D" config tag so sharded and
 //                     single-process runs never collide: node count,
-//                     build/traffic seconds, deliveries, wall-clock
-//                     delivered-pps, the busiest shard's CPU seconds plus
-//                     the CPU-based pps (deliveries / cpu_seconds_max_shard
-//                     -- the throughput bound once each shard owns a core;
-//                     wall pps with fewer cores than shards just measures
+//                     build/traffic seconds, application deliveries
+//                     (proto.receiver.delivered) and packets handed to
+//                     hosts (host_deliveries), wall-clock delivered-pps,
+//                     the busiest shard's CPU seconds plus the CPU-based
+//                     pps (deliveries / cpu_seconds_max_shard -- the
+//                     throughput bound once each shard owns a core; wall
+//                     pps with fewer cores than shards just measures
 //                     timesharing), window count, window stall fraction
 //                     (time blocked on the coordinator pipe), and peak RSS
 //                     and RSS bytes per node -- summed over the children
 //                     for the process driver (each reports getrusage),
-//                     process-wide for the unsharded run.
+//                     process-wide for the unsharded run.  Delivery rows
+//                     need the registry, so an LBRM_NO_TELEMETRY build
+//                     writes none; a run that puts no packet on a link
+//                     exits 1 in any build.
 //                     The unsharded run also reports its build: the node
 //                     count read from the built network, topology and
 //                     finalize seconds from the trace spans of the build
@@ -285,8 +290,13 @@ int run_full(const FullArgs& a, const std::string& json_path,
                  "deliveries", "pps", "pps/cpu", "windows", "stall",
                  "RSS MiB", "RSS B/node"});
 
+    // Cells read from the registry or the trace spans, which an
+    // LBRM_NO_TELEMETRY build does not keep.
+    const auto telemetry_cell = [](std::string cell) {
+        return obs::kTelemetryEnabled ? cell : std::string("-");
+    };
     double baseline_pps = 0.0;
-    bool delivered_nothing = false;
+    bool moved_nothing = false;
     // Read off the unsharded run's built network by its setup hook.
     std::size_t built_nodes = 0;
     std::size_t routing_bytes = 0;
@@ -327,17 +337,17 @@ int run_full(const FullArgs& a, const std::string& json_path,
         const ShardResult r = run.run(cfg);
         const double total = seconds_since(t0);
         const double build = total > r.wall_seconds ? total - r.wall_seconds : 0.0;
-        const double pps = r.wall_seconds > 0.0
-                               ? static_cast<double>(r.deliveries) / r.wall_seconds
-                               : 0.0;
+        // Application data deliveries, the unit of the full_protocol*
+        // trajectory rows; the registry reads zero under LBRM_NO_TELEMETRY.
+        const auto app = r.counters.find("proto.receiver.delivered");
+        const double deliveries = app == r.counters.end() ? 0.0 : app->second;
+        const double pps = r.wall_seconds > 0.0 ? deliveries / r.wall_seconds : 0.0;
         // Core-count-independent throughput: deliveries over the busiest
         // shard's CPU seconds -- the rate the fleet sustains once every
         // shard owns a core, which wall-clock pps on a timesharing box
         // cannot show (8 shards on 1 core serialise).
         const double pps_cpu =
-            r.cpu_seconds_max_shard > 0.0
-                ? static_cast<double>(r.deliveries) / r.cpu_seconds_max_shard
-                : 0.0;
+            r.cpu_seconds_max_shard > 0.0 ? deliveries / r.cpu_seconds_max_shard : 0.0;
         // The process driver's children build the same topology the
         // unsharded run reads its count from.
         const double nodes = static_cast<double>(
@@ -360,7 +370,8 @@ int run_full(const FullArgs& a, const std::string& json_path,
 
         table.row({run.driver, fmt_int(run.shards), fmt(build, 1),
                    fmt(r.wall_seconds, 1), fmt(r.cpu_seconds_max_shard, 1),
-                   fmt_int(r.deliveries), fmt(pps, 0), fmt(pps_cpu, 0),
+                   telemetry_cell(fmt_int(static_cast<std::uint64_t>(deliveries))),
+                   telemetry_cell(fmt(pps, 0)), telemetry_cell(fmt(pps_cpu, 0)),
                    fmt_int(r.windows), fmt(r.stall_fraction, 3),
                    fmt(rss / (1024.0 * 1024.0), 0), fmt(rss / nodes, 0)});
         if (!r.peak_rss_kb.empty()) {
@@ -371,7 +382,8 @@ int run_full(const FullArgs& a, const std::string& json_path,
             }
             note(per_shard);
         }
-        if (r.deliveries == 0) delivered_nothing = true;
+        // Liveness from the packet trace, which every build keeps.
+        if (r.digest.packets == 0) moved_nothing = true;
         if (single) baseline_pps = pps;
 
         const std::string config = "shards=" + fmt_int(run.shards) +
@@ -380,14 +392,17 @@ int run_full(const FullArgs& a, const std::string& json_path,
         metrics.push_back({a.name, "build_seconds", build, timestamp, config});
         metrics.push_back(
             {a.name, "traffic_seconds", r.wall_seconds, timestamp, config});
-        metrics.push_back({a.name, "deliveries",
-                           static_cast<double>(r.deliveries), timestamp, config});
-        metrics.push_back(
-            {a.name, "delivered_packets_per_sec", pps, timestamp, config});
+        if (obs::kTelemetryEnabled) {
+            metrics.push_back({a.name, "deliveries", deliveries, timestamp, config});
+            metrics.push_back({a.name, "host_deliveries",
+                               static_cast<double>(r.deliveries), timestamp, config});
+            metrics.push_back(
+                {a.name, "delivered_packets_per_sec", pps, timestamp, config});
+            metrics.push_back(
+                {a.name, "delivered_pps_shard_cpu", pps_cpu, timestamp, config});
+        }
         metrics.push_back({a.name, "cpu_seconds_max_shard",
                            r.cpu_seconds_max_shard, timestamp, config});
-        metrics.push_back(
-            {a.name, "delivered_pps_shard_cpu", pps_cpu, timestamp, config});
         metrics.push_back({a.name, "windows", static_cast<double>(r.windows),
                            timestamp, config});
         metrics.push_back({a.name, "window_stall_fraction", r.stall_fraction,
@@ -409,11 +424,9 @@ int run_full(const FullArgs& a, const std::string& json_path,
             static_cast<double>(routing_bytes) / static_cast<double>(built_nodes);
         const double topology_s = span_seconds(build_trace, "topology");
         const double finalize_s = span_seconds(build_trace, "finalize");
-        const auto span_cell = [](double seconds) {
-            return obs::kTelemetryEnabled ? fmt(seconds, 3) : std::string("-");
-        };
         Table build({"nodes", "topology s", "finalize s", "routing MiB", "B/node"});
-        build.row({fmt_int(built_nodes), span_cell(topology_s), span_cell(finalize_s),
+        build.row({fmt_int(built_nodes), telemetry_cell(fmt(topology_s, 3)),
+                   telemetry_cell(fmt(finalize_s, 3)),
                    fmt(static_cast<double>(routing_bytes) / (1024.0 * 1024.0), 1),
                    fmt(routing_per_node, 1)});
         const std::string config = "shards=1,driver=single";
@@ -437,8 +450,8 @@ int run_full(const FullArgs& a, const std::string& json_path,
             routing_ok = false;
         }
     }
-    if (delivered_nothing) {
-        note("ERROR: a full-protocol run delivered nothing");
+    if (moved_nothing) {
+        note("ERROR: a full-protocol run put no packet on a link");
         return 1;
     }
     if (!json_path.empty()) {

@@ -26,8 +26,10 @@
 //     lost in flight.  Loss is rolled *after* bandwidth accounting so lossy
 //     tail circuits show their true congestion.
 //
-// A link holds no arrivals: the network layer schedules every arrival,
-// queued or not, as its own event (see DESIGN.md "Queued arrivals").
+// A link holds no arrivals: transmit() returns the arrival time, and the
+// network layer schedules the arrival, queued or not, in the same kind of
+// event (see DESIGN.md "Queued arrivals").  A cable's spec is set once, by
+// Network::add_link.
 //
 // Loss rolls draw from a per-direction RNG stream seeded by (stream seed,
 // from, to), so a link's drop pattern depends only on its own traffic --
@@ -153,11 +155,6 @@ public:
     std::optional<TimePoint> transmit(std::uint64_t stream_seed, TimePoint now,
                                       std::size_t bytes, PacketType type);
 
-    /// True when a packet handed over at `now` would queue behind earlier
-    /// traffic -- the condition under which a multicast child gets its own
-    /// arrival event instead of joining a same-instant delivery run.
-    [[nodiscard]] bool busy(TimePoint now) const { return busy_until_ > now; }
-
     [[nodiscard]] NodeId from() const;
     [[nodiscard]] NodeId to() const;
     [[nodiscard]] const LinkSpec& spec() const;
@@ -190,10 +187,10 @@ private:
 };
 
 /// One bidirectional cable: endpoints, the shared spec, and the two
-/// directed links in place.  Network::add_link always installs both
-/// directions with one spec and respec() re-provisions both, so sharing
-/// the spec is exact.  Non-movable: the directed links point back at their
-/// cable (they live in a StableVector, which never moves elements).
+/// directed links in place.  Network::add_link installs both directions
+/// with one spec and never changes it, so sharing the spec is exact.
+/// Non-movable: the directed links point back at their cable (they live in
+/// a StableVector, which never moves elements).
 struct Cable {
     Cable(NodeId a_, NodeId b_, const LinkSpec& spec_) : a(a_), b(b_), spec(spec_) {
         dir[0].cable_ = this;  // a -> b
@@ -201,28 +198,6 @@ struct Cable {
     }
     Cable(const Cable&) = delete;
     Cable& operator=(const Cable&) = delete;
-
-    /// Re-spec this cable in place (Network::add_link over an existing
-    /// pair).  Live traffic state survives -- the busy horizons belong to
-    /// packets already handed to the wire, whose arrival events must
-    /// complete exactly as scheduled -- and accumulated stats are kept (it
-    /// is the same cable, re-provisioned).  CAUTION: any installed loss
-    /// model resets to NoLoss, as for a newly added link; lossy-rewire
-    /// scenarios must call Network::set_loss again afterwards.  Returns how
-    /// many directions had a loss model discarded (0..2) -- Network feeds
-    /// the count into the `network.respec_loss_resets` counter so such
-    /// scenarios can detect the silent reset.
-    unsigned respec(const LinkSpec& new_spec) {
-        spec = new_spec;
-        unsigned resets = 0;
-        for (Link& l : dir) {
-            if (l.has_loss_model()) {
-                l.cold_->loss.reset();
-                ++resets;
-            }
-        }
-        return resets;
-    }
 
     NodeId a;
     NodeId b;

@@ -53,7 +53,6 @@ void Network::register_metrics() {
     tree_cache_hits_ = &m.counter("sim.tree_cache_hits");
     tree_builds_ = &m.counter("sim.tree_builds");
     batched_runs_ = &m.counter("sim.batched_delivery_runs");
-    respec_loss_resets_ = &m.counter("network.respec_loss_resets");
     remote_emits_ = &m.counter("sim.remote_emits");
     remote_injects_ = &m.counter("sim.remote_injects");
     remote_drops_ = &m.counter("sim.remote_drops");
@@ -140,34 +139,28 @@ NodeId Network::add_node(SiteId site) {
 void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
     if (index(a) >= node_count() || index(b) >= node_count() || a == b)
         throw std::invalid_argument("Network::add_link: bad endpoints");
-    if (Link* existing = link(a, b)) {
-        // Cables are always installed in pairs, so a->b existing means the
-        // whole cable exists: re-spec it in place.  Any installed loss
-        // model silently resets to NoLoss (Cable::respec documents this);
-        // surface the resets through network.respec_loss_resets so
-        // lossy-rewire scenarios can detect them.
-        const unsigned resets = existing->cable().respec(spec);
-        if (resets != 0) respec_loss_resets_->inc(resets);
-    } else {
-        // Append the cable's two ends to their nodes' lists (add order).
-        auto append = [this](std::size_t node, std::uint32_t e) {
-            end_next_.push_back(kNoIndex);
-            std::uint32_t& tail = cable_tail_[node];
-            (tail == kNoIndex ? cable_head_[node] : end_next_[tail]) = e;
-            tail = e;
-        };
-        const auto end = static_cast<std::uint32_t>(2 * cables_.size());
-        cables_.emplace_back(a, b, spec);
-        append(index(a), end);
-        append(index(b), end + 1);
-    }
-    // A changed edge can invalidate any cached tree, so the tree cache
-    // drops immediately -- not just at the next finalize().  In-flight
-    // deliveries keep their pinned trees and complete on the pre-change
-    // routes, as before.  The routing snapshot is *not* rebuilt here:
-    // routing keeps reading the finalize-time tree until the required
-    // finalize() -- stale routes, as in a network whose routing protocol
-    // has not reconverged.
+    // A cable is specified once: either orientation of an existing pair is
+    // refused before anything changes.
+    if (find_link(a, b) != kNoIndex)
+        throw std::invalid_argument("Network::add_link: cable " + std::to_string(a.value()) +
+                                    "-" + std::to_string(b.value()) + " exists");
+    // Append the cable's two ends to their nodes' lists (add order).
+    auto append = [this](std::size_t node, std::uint32_t e) {
+        end_next_.push_back(kNoIndex);
+        std::uint32_t& tail = cable_tail_[node];
+        (tail == kNoIndex ? cable_head_[node] : end_next_[tail]) = e;
+        tail = e;
+    };
+    const auto end = static_cast<std::uint32_t>(2 * cables_.size());
+    cables_.emplace_back(a, b, spec);
+    append(index(a), end);
+    append(index(b), end + 1);
+    // A new edge can invalidate any cached tree, so the tree cache drops
+    // immediately -- not just at the next finalize().  In-flight deliveries
+    // keep their pinned trees and complete on the pre-change routes.  The
+    // routing snapshot is *not* rebuilt here: routing keeps reading the
+    // finalize-time tree until the required finalize() -- stale routes, as
+    // in a network whose routing protocol has not reconverged.
     invalidate_all_trees();
     finalized_ = false;
 }
@@ -476,9 +469,8 @@ void Network::unicast(NodeId from, NodeId to, const Packet& packet) {
     auto* d = new UnicastDelivery(*this, packet, static_cast<std::uint32_t>(index(to)));
     track(d);
     if (from == to) {  // local delivery without touching the network
-        simulator_.schedule_in(Duration::zero(), [d, at = d->to] {
-            dispatch_arrival(d, at, ArrivalKind::kUnicast);
-        });
+        simulator_.schedule_in(Duration::zero(),
+                               [d, at = d->to] { d->net.unicast_arrive(d, at); });
         return;
     }
     forward_unicast(d, static_cast<std::uint32_t>(index(from)));
@@ -524,10 +516,11 @@ void Network::forward_unicast(UnicastDelivery* d, std::uint32_t at) {
         destroy(d);
         return;
     }
-    schedule_arrival(*arrival, d, h.next, ArrivalKind::kUnicast);
+    simulator_.schedule_at(*arrival, [d, at = h.next] { d->net.unicast_arrive(d, at); });
 }
 
 void Network::unicast_arrive(UnicastDelivery* d, std::uint32_t at) {
+    Simulator::ActorScope scope(simulator_, at);
     if (node_down_[at] != 0) {
         destroy(d);
         return;
@@ -555,7 +548,7 @@ struct Network::TreeDelivery final : DeliveryBase {
     std::size_t bytes;
     PacketType type;
     McastScope scope;           ///< carried so remote segments can re-resolve
-    std::uint32_t pending = 1;  ///< outstanding events + the sending frame
+    std::uint32_t pending = 1;  ///< children yet to arrive + the sending frame
 };
 
 std::shared_ptr<const Network::CachedTree> Network::build_tree(
@@ -716,35 +709,21 @@ void Network::multicast(NodeId from, const Packet& packet, McastScope scope) {
 void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
     const CachedTree::Node& node = d->tree->nodes[at];
     // Per-(site, packet) delivery batching: consecutive children whose
-    // copies all arrive at the same instant on idle links (the common case:
-    // a site router fanning one packet out to its LAN receivers over
-    // identical, idle links) share ONE event that replays the run in child
-    // order, instead of one event each.  Bit-identity argument: the
-    // per-child events would receive consecutive tiebreaks with nothing
-    // interleaved (only this loop consumes tiebreaks, and busy/dropped
-    // children flush the run first), so they would pop back to back at the
-    // same instant; multicast_arrive_run processes the same children in the
-    // same order at that instant.  Consuming one tiebreak instead of k
-    // preserves every relative (time, seq) order, because tiebreaks are
-    // compared only between equal timestamps and stay monotone.
+    // copies arrive at one instant -- whether their links were idle or
+    // queued -- share ONE event that replays them in child order (DESIGN.md
+    // "Per-(site,packet) delivery batching").  Per-child events would take
+    // keys this actor draws back to back, and a key is actor << 32 | seq,
+    // so no other actor's key can fall between them: they would pop back to
+    // back at that instant, in child order, which is what multicast_arrive
+    // does with the run.  Only an event a child's arrival schedules for its
+    // own instant could come between; it is that child's node's, keyed and
+    // transmitting there, and no later child of the run touches that node.
+    // Keys are compared only between equal timestamps and stay monotone per
+    // actor, so one key per run in place of several keeps every relative
+    // order.
     std::uint32_t run_begin = 0;
     std::uint32_t run_len = 0;
     TimePoint run_at = time_zero();
-    auto schedule_segment = [&](TimePoint at, std::uint64_t key, std::uint32_t c0,
-                                std::uint32_t n) {
-        // One contiguous stretch of a run owned by this shard: holds one
-        // pending reference per child, fires at the run's shared key.
-        d->pending += n;
-        if (n == 1) {
-            const std::uint32_t hop = d->tree->children[c0].entry;
-            simulator_.schedule_at_key(
-                at, key, [d, hop] { dispatch_arrival(d, hop, ArrivalKind::kMulticast); });
-        } else {
-            batched_runs_->inc();
-            simulator_.schedule_at_key(
-                at, key, [d, c0, n] { d->net.multicast_arrive_run(d, c0, n); });
-        }
-    };
     auto flush_run = [&] {
         if (run_len == 0) return;
         // Runs form ownership-blind (so the key stream matches the
@@ -765,36 +744,26 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
                    shard_of_node(d->tree->nodes[d->tree->children[seg_end].entry]
                                      .node) == shard)
                 ++seg_end;
-            if (shard == shard_self_ || node_shard_.empty())
-                schedule_segment(run_at, key, seg, seg_end - seg);
-            else
-                emit_remote_mcast(d, shard, run_at, key, seg, seg_end - seg);
+            const std::uint32_t n = seg_end - seg;
+            if (shard == shard_self_ || node_shard_.empty()) {
+                // One pending reference per child of the segment.
+                d->pending += n;
+                if (n > 1) batched_runs_->inc();
+                simulator_.schedule_at_key(
+                    run_at, key, [d, seg, n] { d->net.multicast_arrive(d, seg, n); });
+            } else {
+                emit_remote_mcast(d, shard, run_at, key, seg, n);
+            }
             seg = seg_end;
         }
         run_len = 0;
     };
     for (std::uint32_t c = node.child_begin; c != node.child_end; ++c) {
         const CachedTree::Child& child = d->tree->children[c];
-        const bool busy = child.link->busy(simulator_.now());
         auto arrival = child.link->transmit(seed_, simulator_.now(), d->bytes, d->type);
         if (tap_) tap_(simulator_.now(), *child.link, d->packet, arrival.has_value());
         if (!arrival) {
             flush_run();  // a dropped child splits the contiguous run
-            continue;
-        }
-        if (busy) {
-            // A busy link splits the run: the child gets its own event,
-            // which draws the next key, so the run is emitted first to keep
-            // key consumption in child order.
-            flush_run();
-            const std::uint32_t target = d->tree->nodes[child.entry].node;
-            if (!owns_node(target)) {
-                emit_remote_mcast(d, shard_of_node(target), *arrival,
-                                  simulator_.reserve_tiebreak(), c, 1);
-                continue;
-            }
-            ++d->pending;
-            schedule_arrival(*arrival, d, child.entry, ArrivalKind::kMulticast);
             continue;
         }
         if (run_len != 0 && *arrival == run_at) {
@@ -809,48 +778,25 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
     flush_run();
 }
 
-void Network::multicast_arrive_run(TreeDelivery* d, std::uint32_t child_begin,
-                                   std::uint32_t count) {
+void Network::multicast_arrive(TreeDelivery* d, std::uint32_t child_begin,
+                               std::uint32_t count) {
     // Each child in the run holds one `pending` reference, so `d` (and the
-    // tree it pins) outlives every iteration.
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t entry = d->tree->children[child_begin + i].entry;
-        Simulator::ActorScope scope(simulator_, d->tree->nodes[entry].node);
-        multicast_arrive(d, entry);
+    // tree it pins) outlives every iteration.  The arriving node is the
+    // actor for everything its arrival schedules.
+    for (std::uint32_t c = child_begin; c != child_begin + count; ++c) {
+        const std::uint32_t entry = d->tree->children[c].entry;
+        const CachedTree::Node& node = d->tree->nodes[entry];
+        Simulator::ActorScope scope(simulator_, node.node);
+        if (node_down_[node.node] == 0) {
+            if (node.member) deliver_local(NodeId{node.node + 1}, d->packet);
+            multicast_step(d, entry);
+        }
+        unref(d);
     }
-}
-
-void Network::multicast_arrive(TreeDelivery* d, std::uint32_t at) {
-    const CachedTree::Node& node = d->tree->nodes[at];
-    if (node_down_[node.node] == 0) {
-        if (node.member) deliver_local(NodeId{node.node + 1}, d->packet);
-        multicast_step(d, at);
-    }
-    unref(d);
 }
 
 void Network::unref(TreeDelivery* d) {
     if (--d->pending == 0) destroy(d);
-}
-
-void Network::schedule_arrival(TimePoint arrival, DeliveryBase* d, std::uint32_t hop,
-                               ArrivalKind kind) {
-    simulator_.schedule_at(arrival, [d, hop, kind] { dispatch_arrival(d, hop, kind); });
-}
-
-// Defined here, after both delivery types are complete.  The ActorScope
-// makes the arriving node the actor for everything the arrival handler
-// schedules.
-void Network::dispatch_arrival(DeliveryBase* d, std::uint32_t hop, ArrivalKind kind) {
-    if (kind == ArrivalKind::kMulticast) {
-        auto* td = static_cast<TreeDelivery*>(d);
-        Simulator::ActorScope scope(td->net.simulator_, td->tree->nodes[hop].node);
-        td->net.multicast_arrive(td, hop);
-    } else {
-        auto* ud = static_cast<UnicastDelivery*>(d);
-        Simulator::ActorScope scope(ud->net.simulator_, hop);
-        ud->net.unicast_arrive(ud, hop);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -905,7 +851,7 @@ void Network::inject_remote(const RemoteEvent& ev) {
         d->hops_left = ev.hops_left;
         track(d);
         simulator_.schedule_at_key(ev.at, ev.key, [d, at = ev.entry_node] {
-            dispatch_arrival(d, at, ArrivalKind::kUnicast);
+            d->net.unicast_arrive(d, at);
         });
         return;
     }
@@ -931,18 +877,9 @@ void Network::inject_remote(const RemoteEvent& ev) {
     auto* d = new TreeDelivery(*this, tree, ev.packet, scope);
     track(d);
     d->pending = ev.entry_count;  // no sending frame: one reference per child
-    if (ev.entry_count == 1) {
-        const std::uint32_t hop = tree->children[ev.entry_begin].entry;
-        simulator_.schedule_at_key(ev.at, ev.key, [d, hop] {
-            dispatch_arrival(d, hop, ArrivalKind::kMulticast);
-        });
-    } else {
-        simulator_.schedule_at_key(
-            ev.at, ev.key,
-            [d, c0 = ev.entry_begin, n = ev.entry_count] {
-                d->net.multicast_arrive_run(d, c0, n);
-            });
-    }
+    simulator_.schedule_at_key(ev.at, ev.key, [d, c0 = ev.entry_begin, n = ev.entry_count] {
+        d->net.multicast_arrive(d, c0, n);
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -24,17 +24,18 @@
 // exit) DFS interval and the top of its liveness segment -- and throws on
 // a cycle.  The next hop from u toward v is the child of u whose interval
 // holds v, or else u's parent; a node down at the last finalize() never
-// relays.  Routes read only that snapshot, so a later set_node_down, new
-// cable or re-spec changes no route until the next finalize().
+// relays.  Routes read only that snapshot, so a later set_node_down or new
+// cable changes no route until the next finalize().  A cable is specified
+// once: add_link over an existing pair throws.
 //
 // Delivery trees are cached per (group, sender, scope) behind an optional
 // LRU bound (SimConfig::tree_cache_capacity) and invalidated on membership
 // or topology change; per-send state is a single heap record (DESIGN.md
 // "Delivery records"), whose event closures fit std::function's
-// small-buffer size.  Same-time multicast
-// fan-out to idle links shares one event per contiguous run of tree
-// children; an arrival queued behind a busy link is an ordinary one-shot
-// event (DESIGN.md "Queued arrivals").
+// small-buffer size.  Every multicast arrival is one event carrying a run:
+// the consecutive tree children whose copies arrive at one instant, idle
+// link or queued (DESIGN.md "Queued arrivals"); every unicast arrival is
+// one event at the arriving node.
 //
 // Ordering is shard-invariant (DESIGN.md "Sharded execution"): events
 // tie-break by (actor, per-actor sequence) and every lossy link rolls from
@@ -88,11 +89,10 @@ public:
     NodeId add_node(SiteId site);
 
     /// Add a bidirectional cable: two directed links with the same spec.
-    /// Re-adding an existing pair re-specs the cable in place (live traffic
-    /// state survives, installed loss models reset -- see Cable::respec;
-    /// the resets feed the `network.respec_loss_resets` counter) and, like a new
-    /// link, drops every cached tree -- a changed edge may invalidate any
-    /// of them -- and requires finalize() before new traffic.
+    /// Drops every cached tree -- a new edge may invalidate any of them --
+    /// and requires finalize() before new traffic.  Throws
+    /// std::invalid_argument, changing nothing, on bad endpoints or when
+    /// the cable exists in either orientation.
     void add_link(NodeId a, NodeId b, const LinkSpec& spec);
 
     /// Replace the loss model of the directed link a -> b.
@@ -273,7 +273,8 @@ private:
     /// scope.  Stored in CSR form over *tree* entries (not all n nodes), so
     /// a 10-member site-scope tree costs tens of entries, not O(n) vectors.
     /// Immutable once built; shared by all in-flight deliveries that were
-    /// started while it was current.  Arrival events carry the entry index.
+    /// started while it was current.  Arrival events carry a range of
+    /// child indices.
     struct CachedTree {
         struct Node {
             std::uint32_t node;         ///< global node index
@@ -298,7 +299,8 @@ private:
     /// Base for in-flight per-send delivery state.  Deliveries are owned by
     /// the network through an intrusive list so ~Network reclaims whatever
     /// the event queue never ran; event closures hold only a raw pointer
-    /// (+ a hop index), keeping them inside std::function's small buffer.
+    /// and up to two indices, keeping them inside std::function's small
+    /// buffer.
     struct DeliveryBase {
         explicit DeliveryBase(Network& n) : net(n) {}
         Network& net;
@@ -308,14 +310,6 @@ private:
     };
     struct UnicastDelivery;
     struct TreeDelivery;
-
-    /// What an in-flight arrival is: enough to resume the delivery from a
-    /// (delivery, hop, kind) triple, which keeps the one-shot event closure
-    /// inside std::function's small buffer.  For unicast `hop` is the
-    /// arriving node index; for multicast it is the arriving CachedTree
-    /// entry index.
-    enum class ArrivalKind : std::uint8_t { kUnicast = 0, kMulticast = 1 };
-    static void dispatch_arrival(DeliveryBase* d, std::uint32_t hop, ArrivalKind kind);
 
     [[nodiscard]] std::size_t index(NodeId id) const { return id.value() - 1; }
 
@@ -357,13 +351,8 @@ private:
 
     void deliver_local(NodeId node, const Packet& packet);
 
-    /// Schedule the arrival of `d` at hop `hop` for time `arrival`: one
-    /// one-shot event, whether or not the packet queued behind earlier
-    /// traffic.
-    void schedule_arrival(TimePoint arrival, DeliveryBase* d, std::uint32_t hop,
-                          ArrivalKind kind);
-
     void forward_unicast(UnicastDelivery* d, std::uint32_t at);
+    /// The unicast arrival event at node index `at`, scoped to that node.
     void unicast_arrive(UnicastDelivery* d, std::uint32_t at);
 
     [[nodiscard]] std::shared_ptr<const CachedTree> build_tree(
@@ -378,12 +367,10 @@ private:
     void invalidate_all_trees();
     void enforce_tree_cache_bound();
     void multicast_step(TreeDelivery* d, std::uint32_t at);
-    void multicast_arrive(TreeDelivery* d, std::uint32_t at);
-    /// Resume a batched run: the `count` consecutive tree children starting
-    /// at `child_begin` all arrive now; process them in child order, exactly
-    /// as the per-child events would have popped back to back.
-    void multicast_arrive_run(TreeDelivery* d, std::uint32_t child_begin,
-                              std::uint32_t count);
+    /// The multicast arrival event: the `count` consecutive tree children
+    /// starting at `child_begin` all arrive now; each, in child order and
+    /// scoped to its node, delivers locally and forwards.
+    void multicast_arrive(TreeDelivery* d, std::uint32_t child_begin, std::uint32_t count);
     void unref(TreeDelivery* d);
 
     /// Hand a multicast segment owned by another shard to the runner.
@@ -478,7 +465,6 @@ private:
     obs::Counter* tree_builds_;            ///< sim.tree_builds
     std::uint64_t tree_build_ns_ = 0;      ///< wall time; kept out of the registry
     obs::Counter* batched_runs_;       ///< sim.batched_delivery_runs (>=2 children)
-    obs::Counter* respec_loss_resets_; ///< network.respec_loss_resets
     obs::Counter* remote_emits_;       ///< sim.remote_emits (boundary crossings out)
     obs::Counter* remote_injects_;     ///< sim.remote_injects (boundary crossings in)
     obs::Counter* remote_drops_;       ///< sim.remote_drops (stale-tree segments)

@@ -277,6 +277,18 @@ ShardResult run_in_process(const ShardRunConfig& cfg,
     return fold(std::move(reports), std::move(splice_ns));
 }
 
+/// The site-to-shard map of a sharded run, checked before any domain is
+/// built or forked.  A receiver's JoinGroup/LeaveGroup on the
+/// retransmission channel changes membership only in its own shard, which
+/// another shard would learn a window late at best, so that channel is
+/// refused past one shard.
+std::vector<std::uint32_t> site_map(const ShardRunConfig& cfg) {
+    if (cfg.scenario.use_retrans_channel && cfg.shards > 1)
+        throw std::invalid_argument(
+            "shard: use_retrans_channel needs a single shard (joins are shard-local)");
+    return ShardPlan::contiguous(cfg.scenario.topology.sites, cfg.shards).site_shard;
+}
+
 // ---------------------------------------------------------------------------
 // Multi-process driver
 // ---------------------------------------------------------------------------
@@ -428,14 +440,12 @@ void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
 ShardResult run_unsharded(const ShardRunConfig& cfg) { return run_in_process(cfg, {}); }
 
 ShardResult run_sharded_inline(const ShardRunConfig& cfg) {
-    return run_in_process(
-        cfg, ShardPlan::contiguous(cfg.scenario.topology.sites, cfg.shards).site_shard);
+    return run_in_process(cfg, site_map(cfg));
 }
 
 ShardResult run_sharded_processes(const ShardRunConfig& cfg) {
     const std::uint32_t n = cfg.shards;
-    const std::vector<std::uint32_t> site_shard =
-        ShardPlan::contiguous(cfg.scenario.topology.sites, n).site_shard;
+    const std::vector<std::uint32_t> site_shard = site_map(cfg);
 
     Children kids;
     for (std::uint32_t s = 0; s < n; ++s) {

@@ -168,7 +168,10 @@ struct ShardResult {
 [[nodiscard]] std::string shard_observability_json(const ShardResult& r);
 
 /// The A/B baseline: one unsharded scenario run with the same workload
-/// hook.  Every sharded run must reproduce its digest bit for bit.
+/// hook.  Every sharded run must reproduce its digest bit for bit.  The
+/// sharded drivers throw std::invalid_argument, before building or forking
+/// anything, when `use_retrans_channel` is set with more than one shard:
+/// that channel's joins change membership in one shard only.
 ShardResult run_unsharded(const ShardRunConfig& cfg);
 ShardResult run_sharded_inline(const ShardRunConfig& cfg);
 ShardResult run_sharded_processes(const ShardRunConfig& cfg);

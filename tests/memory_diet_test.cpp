@@ -10,8 +10,7 @@
 //    including the idle watchdog firing while still dormant and the NACK
 //    recovery behavior after waking.
 //  - Shared-cable split: the reverse direction of a one-way loaded cable
-//    keeps zero stats without cold state; Cable::respec() loss resets feed
-//    the network.respec_loss_resets counter.
+//    keeps zero stats without cold state.
 //  - SimHost lazy re-arm: moving an armed timer later costs no event-queue
 //    traffic and still fires the core exactly once, at the last deadline;
 //    earlier re-arms and cancels behave as before, up to the largest
@@ -206,32 +205,6 @@ TEST(CableColdState, ReverseDirectionKeepsZeroStats) {
     EXPECT_EQ(cable.dir[1].stats().packets, 0u);
     EXPECT_EQ(cable.dir[1].stats().bytes, 0u);
     EXPECT_FALSE(cable.dir[1].has_loss_model());
-}
-
-TEST(CableRespec, LossModelResetsFeedTheCounter) {
-    Simulator simulator;
-    Network net{simulator, 7};
-    const NodeId a = net.add_node(SiteId{1});
-    const NodeId b = net.add_node(SiteId{1});
-    const LinkSpec spec{millis(1), 1e6, Duration::zero()};
-    net.add_link(a, b, spec);
-
-    // Respec with no loss models installed: nothing to reset.
-    net.add_link(a, b, spec);
-    EXPECT_EQ(net.metrics().value("network.respec_loss_resets"), 0u);
-
-    // One direction armed: respec silently drops that model -- the counter
-    // is the audit trail (see Cable::respec in sim/link.hpp).
-    net.set_loss(a, b, std::make_unique<BernoulliLoss>(0.5));
-    net.add_link(a, b, spec);
-    EXPECT_EQ(net.metrics().value("network.respec_loss_resets"), 1u);
-    EXPECT_FALSE(net.link(a, b)->has_loss_model());
-
-    // Both directions armed: one respec counts two resets.
-    net.set_loss(a, b, std::make_unique<BernoulliLoss>(0.5));
-    net.set_loss(b, a, std::make_unique<BernoulliLoss>(0.5));
-    net.add_link(a, b, spec);
-    EXPECT_EQ(net.metrics().value("network.respec_loss_resets"), 3u);
 }
 
 // --- SimHost lazy timer re-arm --------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -89,9 +90,9 @@ TEST(NetworkLink, MissingSelfAndOutOfRangePairsReturnNull) {
 }
 
 /// link(a, b) against a std::map oracle of every directed link, on seeded
-/// random multi-site trees: a hub of degree > 1,000, duplicate add_link
-/// calls in either orientation (re-specs), cables added after finalize(),
-/// lookups before and after finalize(), absent pairs and ids out of range.
+/// random multi-site trees: a hub of degree > 1,000, cables added in either
+/// orientation and after finalize(), lookups before and after finalize(),
+/// absent pairs and ids out of range.
 /// A pair must resolve to the Link* its cable got when it was added, for
 /// the network's lifetime.
 TEST(NetworkLink, RandomTopologiesMatchMapOracle) {
@@ -102,40 +103,15 @@ TEST(NetworkLink, RandomTopologiesMatchMapOracle) {
         Network net{sim, seed};
         std::map<std::pair<std::uint32_t, std::uint32_t>, Link*> oracle;
         std::vector<NodeId> nodes;
-        std::uint64_t expected_resets = 0;
 
         auto random_node = [&] { return nodes[rng.uniform_int(0, nodes.size() - 1)]; };
-        auto random_link = [&] {
-            auto it = oracle.begin();
-            std::advance(it, static_cast<long>(rng.uniform_int(0, oracle.size() - 1)));
-            return it;
-        };
-        // Adds the cable a-b, or re-specs it when it exists; true if new.
+        // Adds the cable a-b and records both directions.
         auto connect = [&](NodeId a, NodeId b) {
             const LinkSpec spec{micros(static_cast<std::int64_t>(rng.uniform_int(10, 5000))),
                                 0.0, Duration::zero()};
-            const auto it = oracle.find({a.value(), b.value()});
-            if (it == oracle.end()) {
-                net.add_link(a, b, spec);
-                oracle[{a.value(), b.value()}] = net.link(a, b);
-                oracle[{b.value(), a.value()}] = net.link(b, a);
-                return true;
-            }
-            // Re-spec in place: same links, stats kept, loss models reset.
-            Link* ab = it->second;
-            Link* ba = oracle.at({b.value(), a.value()});
-            const std::uint64_t packets = ab->stats().packets;
-            const std::uint64_t bytes = ab->stats().bytes;
-            expected_resets += (ab->has_loss_model() ? 1 : 0) + (ba->has_loss_model() ? 1 : 0);
             net.add_link(a, b, spec);
-            EXPECT_EQ(net.link(a, b), ab);
-            EXPECT_EQ(net.link(b, a), ba);
-            EXPECT_EQ(ab->spec().propagation, spec.propagation);
-            EXPECT_EQ(ab->stats().packets, packets);
-            EXPECT_EQ(ab->stats().bytes, bytes);
-            EXPECT_FALSE(ab->has_loss_model());
-            EXPECT_FALSE(ba->has_loss_model());
-            return false;
+            oracle[{a.value(), b.value()}] = net.link(a, b);
+            oracle[{b.value(), a.value()}] = net.link(b, a);
         };
         // A new node on `at`'s site hung off `at` (either orientation), so
         // the cables stay a tree.
@@ -185,40 +161,55 @@ TEST(NetworkLink, RandomTopologiesMatchMapOracle) {
         for (int i = 0; i < 3'000; ++i) sprout(random_node());
         check();
 
-        // Load and arm some links, then re-add existing cables in either
-        // orientation.
-        for (int i = 0; i < 300; ++i) {
-            Link* l = random_link()->second;
-            (void)l->transmit(seed, sim.now(), 100, PacketType::kData);
-            if (i % 2 == 0) net.set_loss(l->from(), l->to(), std::make_unique<BernoulliLoss>(0.1));
-        }
-        for (int i = 0; i < 500; ++i) {
-            const auto [a, b] = random_link()->first;
-            EXPECT_FALSE(i % 2 == 0 ? connect(NodeId{a}, NodeId{b}) : connect(NodeId{b}, NodeId{a}));
-        }
-        if constexpr (obs::kTelemetryEnabled) {
-            EXPECT_EQ(net.metrics().value("network.respec_loss_resets"), expected_resets);
-        }
-        EXPECT_GT(expected_resets, 0u);
-        check();
-
         net.finalize();
         check();
 
         // Cables and nodes added after finalize() are found at once: new
-        // leaves (a third of them on the hub) and re-specs.
-        for (int i = 0; i < 200; ++i) {
-            if (i % 5 == 0) {
-                const auto [a, b] = random_link()->first;
-                EXPECT_FALSE(connect(NodeId{a}, NodeId{b}));
-            } else {
-                sprout(i % 3 == 0 ? hub : random_node());
-            }
-        }
+        // leaves, a third of them on the hub.
+        for (int i = 0; i < 160; ++i) sprout(i % 3 == 0 ? hub : random_node());
         check();
         net.finalize();
         check();
     }
+}
+
+/// A cable is specified once: add_link over an existing pair throws in
+/// either orientation, before and after finalize(), and changes nothing --
+/// not the cable's spec, stats or loss models, nor the finalized routes.
+TEST(NetworkLink, AddLinkOverAnExistingPairThrowsAndChangesNothing) {
+    Simulator sim;
+    Network net{sim, 9};
+    const NodeId a = net.add_node(SiteId{1});
+    const NodeId b = net.add_node(SiteId{1});
+    const LinkSpec spec{millis(2), 1e6, millis(50)};
+    net.add_link(a, b, spec);
+    Link* ab = net.link(a, b);
+    Link* ba = net.link(b, a);
+    ASSERT_TRUE(ab->transmit(9, sim.now(), 100, PacketType::kData).has_value());
+    net.set_loss(a, b, std::make_unique<BernoulliLoss>(0.0));
+    const LinkSpec other{millis(7), 0.0, Duration::zero()};
+
+    auto refused_unchanged = [&] {
+        for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}})
+            EXPECT_THROW(net.add_link(x, y, other), std::invalid_argument);
+        EXPECT_EQ(net.link_count(), 2u);
+        EXPECT_EQ(net.link(a, b), ab);
+        EXPECT_EQ(net.link(b, a), ba);
+        EXPECT_EQ(ab->spec().propagation, spec.propagation);
+        EXPECT_EQ(ab->spec().bandwidth_bps, spec.bandwidth_bps);
+        EXPECT_EQ(ab->spec().max_queue_delay, spec.max_queue_delay);
+        EXPECT_EQ(ab->stats().packets, 1u);
+        EXPECT_EQ(ab->stats().bytes, 100u);
+        EXPECT_TRUE(ab->has_loss_model());
+        EXPECT_FALSE(ba->has_loss_model());
+    };
+    refused_unchanged();
+    net.finalize();
+    refused_unchanged();
+    // Still finalized: traffic needs no second finalize().
+    net.unicast(a, b, Packet{Header{GroupId{1}, a, a}, DataBody{SeqNum{1}, EpochId{0}, {1}}});
+    sim.run_to_completion();
+    EXPECT_EQ(ab->stats().packets, 2u);
 }
 
 TEST(NetworkLink, SiteAndRouterFlagsSurviveSoAStorage) {
@@ -392,35 +383,6 @@ TEST(FinalizeModes, LazyBackboneRowsUseFinalizeTimeBorderGraph) {
               (std::vector<NodeId>{a_host, a_r, t1, d_host}));
     EXPECT_EQ(lbrm::test::oracle_path(net, a_host, d_host),
               (std::vector<NodeId>{a_host, a_r, t1, d_host}));
-}
-
-TEST(FinalizeModes, LazyRowsUseFinalizeTimeLinkWeights) {
-    // Two identical finalized 2-site networks; one re-specs a LAN cable.
-    // A tree has one path per pair, so no weight can move a route: the
-    // answers stay equal before and after the re-finalize.
-    DisTopologySpec spec;
-    spec.sites = 2;
-    spec.receivers_per_site = 4;
-    Simulator sim_a;
-    Simulator sim_b;
-    Network untouched{sim_a, 5};
-    Network respecced{sim_b, 5};
-    (void)make_dis_topology(untouched, spec);
-    const DisTopology topo = make_dis_topology(respecced, spec);
-    untouched.finalize();
-    respecced.finalize();
-
-    const NodeId host = topo.sites[1].receivers[2];
-    const NodeId router = topo.sites[1].router;
-    const Link* lan = respecced.link(host, router);
-    respecced.add_link(host, router,
-                       LinkSpec{spec.lan_delay * 7, spec.lan_bandwidth_bps, Duration::zero()});
-    EXPECT_EQ(respecced.link(host, router), lan);  // re-spec in place
-    EXPECT_EQ(respecced.routing_table_hash(), untouched.routing_table_hash());
-
-    respecced.finalize();
-    EXPECT_EQ(respecced.routing_table_hash(), untouched.routing_table_hash());
-    EXPECT_EQ(lan->spec().propagation, spec.lan_delay * 7);
 }
 
 // --- observer A/B ------------------------------------------------------------

@@ -319,6 +319,48 @@ TEST(ShardFailure, ChildExitMidRunReapsEveryChild) {
     EXPECT_TRUE(no_children_left());
 }
 
+// --- the retransmission channel runs on one shard only ----------------------
+
+/// shard_config with the Section 7 retransmission channel, whose JoinGroup
+/// and LeaveGroup change membership only in the joining receiver's shard.
+ShardRunConfig retrans_channel_config(std::uint32_t shards) {
+    ShardRunConfig cfg = shard_config(shards);
+    cfg.scenario.use_retrans_channel = true;
+    return cfg;
+}
+
+TEST(ShardRetransChannel, InlineDriverRefusesItPastOneShard) {
+    int setups = 0;
+    ShardRunConfig cfg = retrans_channel_config(2);
+    cfg.setup = [&setups, base = cfg.setup](DisScenario& s, std::uint32_t shard) {
+        ++setups;
+        base(s, shard);
+    };
+    EXPECT_THROW((void)run_sharded_inline(cfg), std::invalid_argument);
+    EXPECT_EQ(setups, 0);  // refused before any domain was built
+    // One shard holds every membership, so it still runs.
+    cfg.shards = 1;
+    EXPECT_TRUE(run_sharded_inline(cfg).digest.same(run_unsharded(cfg).digest));
+}
+
+TEST(ShardRetransChannel, ProcessDriverRefusesItBeforeForking) {
+    // Any process that builds a domain writes one byte to the pipe.
+    int built[2];
+    ASSERT_EQ(::pipe(built), 0);
+    ShardRunConfig cfg = retrans_channel_config(2);
+    cfg.setup = [fd = built[1], base = cfg.setup](DisScenario& s, std::uint32_t shard) {
+        const char byte = 1;
+        EXPECT_EQ(::write(fd, &byte, 1), 1);
+        base(s, shard);
+    };
+    EXPECT_THROW((void)run_sharded_processes(cfg), std::invalid_argument);
+    ::close(built[1]);
+    char byte = 0;
+    EXPECT_EQ(::read(built[0], &byte, 1), 0);  // end of file: nothing was built
+    ::close(built[0]);
+    EXPECT_TRUE(no_children_left());
+}
+
 // --- pinned single-process trace ---------------------------------------------
 
 /// Run `cfg`'s scenario as a plain DisScenario -- default SimConfig, no

@@ -551,19 +551,22 @@ TEST(NetworkTreeCache, InvalidationStillClearsBoundedCache) {
 TEST(NetworkTreeCache, AddLinkMidRunDropsTreesAndPathsBeforeRefinalize) {
     Fixture f;
     f.send(1);
-    EXPECT_GE(f.net.cached_tree_count(), 1u);
-    // Re-adding an EXISTING pair with a new spec must invalidate cached
-    // trees immediately -- the regression was an add_link that only
-    // flipped finalized_, leaving stale trees serving the old edge until
-    // some unrelated invalidation.
-    f.net.add_link(f.topo.sites[0].router, f.topo.sites[0].receivers[0],
-                   LinkSpec{millis(5), 0.0, Duration::zero()});
+    ASSERT_EQ(f.net.cached_tree_count(), 1u);
+    // A new cable must invalidate cached trees immediately -- the
+    // regression was an add_link that only flipped finalized_, leaving
+    // stale trees serving the old edges until some unrelated invalidation.
+    const NodeId router = f.topo.sites[0].router;
+    const NodeId late = f.net.add_node(f.net.site_of(router));
+    ASSERT_EQ(f.net.cached_tree_count(), 1u);  // a lone node changes no tree
+    f.net.add_link(router, late, LinkSpec{millis(5), 0.0, Duration::zero()});
     EXPECT_EQ(f.net.cached_tree_count(), 0u);
     f.net.finalize();
+    f.net.join(f.group, late);
     f.send(2);
     for (NodeId r : f.topo.all_receivers()) EXPECT_EQ(f.copies_to(r), 2u);
-    // The respec'd LAN link now adds 5 ms: the slow receiver's copy arrives
-    // later than its site peers' but still arrives.
+    // The new member's 5 ms LAN cable delays its copy behind its site
+    // peers', but the copy arrives.
+    EXPECT_EQ(f.net.link(router, late)->stats().packets_of(PacketType::kData), 1u);
 }
 
 }  // namespace cache_test

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "core/log_store.hpp"
 #include "core/loss_detector.hpp"
@@ -301,6 +302,7 @@ namespace lbrm::sim {
 namespace {
 
 using lbrm::test::at;
+using lbrm::test::payload;
 
 const LinkSpec kT1{millis(1), 1e6, Duration::zero()};  // 1000 B = 8 ms serialization
 
@@ -326,7 +328,12 @@ TEST(LinkAccounting, LostPacketStillBurnsWireTime) {
     auto c = link.transmit(seed, at(0.0), 1000, PacketType::kData);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(*c, at(0.0) + 3 * millis(8) + millis(1));
-    EXPECT_TRUE(link.busy(at(0.020)));
+
+    // Packet D, handed over at 20 ms, still waits for the wire to free at
+    // 24 ms: it arrives at 24 + 8 + 1 = 33 ms.
+    auto d = link.transmit(seed, at(0.020), 1000, PacketType::kData);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(*d, at(0.0) + millis(33));
 }
 
 TEST(LinkAccounting, QueueDropNeverConsultsLossModel) {
@@ -391,8 +398,9 @@ TEST(PinnedTrace, BurstQueueingMatchesRecordedHash) {
 
     scenario.start();
     // Bursts of back-to-back sends force queueing on every tail circuit:
-    // each queued arrival is its own event under the key drawn at
-    // transmit, and must pop exactly where the recorded trace has it.
+    // each queued arrival rides the run event of the children arriving at
+    // its instant, under the key drawn at transmit, and must pop exactly
+    // where the recorded trace has it.
     for (int burst = 0; burst < 4; ++burst) {
         for (int i = 0; i < 12; ++i) scenario.send_update(std::size_t{400});
         scenario.run_for(millis(250));
@@ -403,6 +411,60 @@ TEST(PinnedTrace, BurstQueueingMatchesRecordedHash) {
     EXPECT_GT(same_instant, 0u);  // the scenario still queues behind busy links
     EXPECT_EQ(hash.h, 0xf8c25e52b403f746ull);
     EXPECT_EQ(packets, 2166u);
+}
+
+TEST(QueuedArrivals, SecondMulticastQueuedOnEveryTailArrivesInOneRun) {
+    // Two multicasts sent at one instant over the Figure 1 internetwork.
+    // The source LAN spaces them by its serialization time, shorter than a
+    // T1 tail's, so at the backbone the second finds all four tails busy
+    // and queues on each until the same instant.  Its four copies must
+    // arrive in one run event, in child order, as the first's do.
+    Simulator sim;
+    Network net{sim, 3};
+    DisTopologySpec spec;
+    spec.sites = 4;
+    spec.receivers_per_site = 3;
+    const DisTopology topo = make_dis_topology(net, spec);
+    net.finalize();
+    const GroupId group{1};
+    for (NodeId r : topo.all_receivers()) net.join(group, r);
+
+    Fnv1a hash;  // order-sensitive, as in BurstQueueingMatchesRecordedHash
+    std::map<const Link*, std::vector<TimePoint>> tail_tx;
+    net.set_tap([&](TimePoint t, const Link& l, const Packet& p, bool delivered) {
+        hash.mix(static_cast<std::uint64_t>(t.time_since_epoch().count()));
+        hash.mix((static_cast<std::uint64_t>(l.from().value()) << 32) | l.to().value());
+        hash.mix((static_cast<std::uint64_t>(p.type()) << 1) | (delivered ? 1u : 0u));
+        if (l.from() == topo.backbone) tail_tx[&l].push_back(t);
+    });
+    for (std::uint32_t seq = 1; seq <= 2; ++seq)
+        net.multicast(topo.source,
+                      Packet{Header{group, topo.source, topo.source},
+                             DataBody{SeqNum{seq}, EpochId{0}, payload(1000)}},
+                      McastScope::kGlobal);
+    sim.run_to_completion();
+
+    // Each tail took the second packet before it had serialized the first.
+    const Duration tail_serialization = secs(8.0 * 1000 / spec.tail_bandwidth_bps);
+    ASSERT_EQ(tail_tx.size(), 4u);
+    for (const auto& [tail, sent] : tail_tx) {
+        ASSERT_EQ(sent.size(), 2u);
+        EXPECT_LT(sent[1] - sent[0], tail_serialization);
+    }
+    for (const DisTopology::Site& site : topo.sites)
+        for (NodeId r : site.receivers)
+            EXPECT_EQ(net.link(site.router, r)->stats().packets_of(PacketType::kData), 2u);
+    // Per packet: one arrival each at the source router and the backbone,
+    // one run at the four site routers and one run at each site's three
+    // receivers.
+    EXPECT_EQ(sim.events_processed(), 14u);
+    if constexpr (obs::kTelemetryEnabled) {
+        EXPECT_EQ(net.metrics().value("sim.batched_delivery_runs"), 10u);
+    }
+    EXPECT_EQ(net.deliveries_in_flight(), 0u);
+    // The transmit order is the one recorded when each queued child took
+    // an event of its own (17 events, 9 runs).
+    EXPECT_EQ(hash.h, 0x491722d6b61f56ebull);
 }
 
 // --- end-to-end wraparound integration -----------------------------------
