@@ -128,6 +128,7 @@ int run(const Options& opts) {
     heartbeat.h_min = secs(opts.h_min);
     heartbeat.h_max = secs(opts.h_max);
 
+    SenderCore* sender = nullptr;
     if (opts.role == "sender") {
         SenderConfig config;
         config.self = opts.id;
@@ -135,7 +136,7 @@ int run(const Options& opts) {
         config.primary_logger = opts.primary;
         config.heartbeat = heartbeat;
         config.stat_ack.enabled = false;  // point-to-point demo scale
-        endpoint.protocol().add_sender(config);
+        sender = &endpoint.protocol().add_sender(config);
     } else if (opts.role == "logger") {
         LoggerConfig config;
         config.self = opts.id;
@@ -194,8 +195,9 @@ int run(const Options& opts) {
             if (std::cin.rdbuf()->in_avail() > 0 || isatty(STDIN_FILENO) == 0) {
                 if (!std::getline(std::cin, line)) break;
                 if (line.empty()) continue;
-                endpoint.protocol().send(
-                    reactor.now(), std::vector<std::uint8_t>(line.begin(), line.end()));
+                const std::vector<std::uint8_t> bytes(line.begin(), line.end());
+                const TimePoint now = reactor.now();
+                endpoint.protocol().inject(now, *sender, sender->send(now, bytes));
                 std::printf("[send] %s\n", line.c_str());
                 std::fflush(stdout);
             }

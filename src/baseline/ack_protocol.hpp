@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "core/actions.hpp"
+#include "core/core_base.hpp"
 #include "core/log_store.hpp"
 #include "core/loss_detector.hpp"
-#include "runtime/services.hpp"
 
 namespace lbrm::baseline {
 

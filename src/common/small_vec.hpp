@@ -3,7 +3,7 @@
 // The first N elements live inline in the object; growth beyond N spills to
 // the heap like an ordinary vector.  Two uses (DESIGN.md "Memory
 // engineering"):
-//   * a host's receiver table, which almost always holds one entry: as a
+//   * a host's table of cores, which almost always holds one entry: as a
 //     std::vector it would cost a heap chunk of its own per host, and at
 //     10M hosts those chunks dominate RSS.  Inline storage folds it into
 //     the host's own arena slot.

@@ -1,7 +1,7 @@
 // StableVector: a chunked, append-only sequence with stable element
 // addresses -- push never moves existing elements, so references handed out
 // by emplace_back remain valid for the container's lifetime (the guarantee
-// ProtocolHost documents for its core slots, and Network for its hosts).
+// Network documents for its hosts and cables).
 //
 // Chunks double in size (1, 2, 4, 8, ...), so a container holding a single
 // element costs one exact-size allocation -- unlike std::deque, whose empty
@@ -9,7 +9,7 @@
 // elements cost only ~20 allocations.  Chunk 0's pointer lives in the
 // container itself and the table of later chunks is allocated with the
 // second element, so an empty container is 24 bytes and a one-element one
-// (a receiver host's core slot) costs its chunk alone.  Elements need not
+// costs its chunk alone.  Elements need not
 // be movable or copyable.  Index math: chunk c covers indices
 // [2^c - 1, 2^(c+1) - 1).
 #pragma once

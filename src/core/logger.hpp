@@ -28,20 +28,22 @@
 #include "common/rng.hpp"
 #include "core/actions.hpp"
 #include "core/config.hpp"
+#include "core/core_base.hpp"
 #include "core/log_store.hpp"
 #include "core/loss_detector.hpp"
 #include "obs/episode.hpp"
 
 namespace lbrm {
 
-class LoggerCore {
+class LoggerCore final : public CoreBase {
 public:
     /// `rng_seed` drives the probabilistic acker/probe volunteering only.
     LoggerCore(LoggerConfig config, std::uint64_t rng_seed);
 
-    Actions start(TimePoint now);
-    Actions on_packet(TimePoint now, const Packet& packet);
-    Actions on_timer(TimePoint now, TimerId id);
+    [[nodiscard]] NodeId self() const override { return config_.self; }
+    Actions start(TimePoint now) override;
+    Actions on_packet(TimePoint now, const Packet& packet) override;
+    Actions on_timer(TimePoint now, TimerId id) override;
 
     // --- observability -------------------------------------------------
     [[nodiscard]] LoggerRole role() const { return role_; }
@@ -62,7 +64,7 @@ public:
 
     /// Bind the family-aggregate telemetry block (obs/metrics.hpp); the
     /// per-instance accessors above are unaffected.
-    void bind_metrics(const obs::ProtocolMetrics& pm) {
+    void bind_metrics(const obs::ProtocolMetrics& pm) override {
         obs_ = &pm.logger;
         episodes_ = pm.episodes;
         detector_.bind_metrics(pm.loss);

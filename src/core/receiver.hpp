@@ -21,12 +21,13 @@
 
 #include "core/actions.hpp"
 #include "core/config.hpp"
+#include "core/core_base.hpp"
 #include "core/loss_detector.hpp"
 #include "obs/episode.hpp"
 
 namespace lbrm {
 
-class ReceiverCore {
+class ReceiverCore final : public CoreBase {
 public:
     /// A receiver with a policy of its own: `config` moves into one heap
     /// block that only this core holds.
@@ -38,10 +39,10 @@ public:
                  NodeId fallback_logger);
 
     /// Arm the freshness watchdog and start logger discovery if needed.
-    Actions start(TimePoint now);
+    Actions start(TimePoint now) override;
 
-    Actions on_packet(TimePoint now, const Packet& packet);
-    Actions on_timer(TimePoint now, TimerId id);
+    Actions on_packet(TimePoint now, const Packet& packet) override;
+    Actions on_timer(TimePoint now, TimerId id) override;
 
     // --- observability -------------------------------------------------
     [[nodiscard]] NodeId current_logger() const;
@@ -55,14 +56,14 @@ public:
     [[nodiscard]] std::uint64_t nacks_sent() const { return nacks_sent_; }
     [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
     [[nodiscard]] std::uint64_t recovery_failures() const { return recovery_failures_; }
-    [[nodiscard]] NodeId self() const { return self_; }
+    [[nodiscard]] NodeId self() const override { return self_; }
     /// This receiver's full configuration: the shared policy with its own
     /// ids.
     [[nodiscard]] ReceiverConfig config() const;
 
     /// Bind the family-aggregate telemetry block (obs/metrics.hpp); the
     /// per-instance accessors above are unaffected.
-    void bind_metrics(const obs::ProtocolMetrics& pm) {
+    void bind_metrics(const obs::ProtocolMetrics& pm) override {
         obs_ = &pm.receiver;
         episodes_ = pm.episodes;
         detector_.bind_metrics(pm.loss);

@@ -24,6 +24,7 @@
 
 #include "core/actions.hpp"
 #include "core/config.hpp"
+#include "core/core_base.hpp"
 #include "core/flow_control.hpp"
 #include "core/heartbeat.hpp"
 #include "core/log_store.hpp"
@@ -32,19 +33,20 @@
 
 namespace lbrm {
 
-class SenderCore {
+class SenderCore final : public CoreBase {
 public:
     explicit SenderCore(SenderConfig config);
 
+    [[nodiscard]] NodeId self() const override { return config_.self; }
     /// Arm heartbeats, begin group-size probing / first epoch.
-    Actions start(TimePoint now);
+    Actions start(TimePoint now) override;
 
     /// Multicast one application payload.  Copies `bytes` once into the
     /// buffer every packet and log entry of this update shares.
     Actions send(TimePoint now, std::span<const std::uint8_t> bytes);
 
-    Actions on_packet(TimePoint now, const Packet& packet);
-    Actions on_timer(TimePoint now, TimerId id);
+    Actions on_packet(TimePoint now, const Packet& packet) override;
+    Actions on_timer(TimePoint now, TimerId id) override;
 
     // --- observability -------------------------------------------------
     [[nodiscard]] SeqNum last_seq() const { return next_seq_.prev(); }
@@ -68,7 +70,7 @@ public:
 
     /// Bind the family-aggregate telemetry block (obs/metrics.hpp); the
     /// per-instance accessors above are unaffected.
-    void bind_metrics(const obs::ProtocolMetrics& pm);
+    void bind_metrics(const obs::ProtocolMetrics& pm) override;
 
 private:
     [[nodiscard]] Packet make_packet(Body body) const {

@@ -4,16 +4,24 @@
 
 namespace lbrm {
 
-ProtocolHost::Roles& ProtocolHost::roles() {
-    if (!roles_) roles_ = std::make_unique<Roles>();
-    return *roles_;
+void ProtocolHost::append(Entry entry) {
+    if (cores_.size() == TimerService::kTagLimit)
+        throw std::length_error("ProtocolHost: more cores than timer tags");
+    cores_.push_back(std::move(entry));
+}
+
+template <typename Core>
+Core& ProtocolHost::attach(std::unique_ptr<Core> core, SharedHandlers handlers) {
+    Core& attached = *core;
+    attached.bind_metrics(*metrics_);
+    append(Entry{.core = std::move(core),
+                 .handlers = std::move(handlers),
+                 .self = attached.self()});
+    return attached;
 }
 
 SenderCore& ProtocolHost::add_sender(SenderConfig config, SharedHandlers handlers) {
-    auto& slot = roles().sender =
-        std::make_unique<SenderSlot>(std::move(config), std::move(handlers));
-    slot->core.bind_metrics(*metrics_);
-    return slot->core;
+    return attach(std::make_unique<SenderCore>(std::move(config)), std::move(handlers));
 }
 
 ReceiverCore& ProtocolHost::add_receiver(ReceiverConfig config, SharedHandlers handlers) {
@@ -26,39 +34,25 @@ ReceiverCore& ProtocolHost::add_receiver(ReceiverConfig config, SharedHandlers h
 ReceiverCore& ProtocolHost::add_receiver(std::shared_ptr<const ReceiverConfig> policy,
                                          NodeId self, NodeId logger, NodeId fallback_logger,
                                          SharedHandlers handlers) {
-    auto live = std::make_unique<LiveReceiver>(std::move(policy), self, logger, fallback_logger,
-                                               std::move(handlers));
-    ReceiverCore& core = live->core;
-    core.bind_metrics(*metrics_);
-    receivers_.push_back(
-        ReceiverEntry{next_tag(), self, logger, fallback_logger, true, nullptr, std::move(live)});
-    return core;
+    return attach(
+        std::make_unique<ReceiverCore>(std::move(policy), self, logger, fallback_logger),
+        std::move(handlers));
 }
 
 LoggerCore& ProtocolHost::add_logger(LoggerConfig config, std::uint64_t rng_seed,
                                      SharedHandlers handlers) {
-    LoggerCore& core =
-        roles()
-            .loggers
-            .emplace_back(next_tag(), std::move(config), rng_seed, std::move(handlers))
-            .core;
-    core.bind_metrics(*metrics_);
-    return core;
+    return attach(std::make_unique<LoggerCore>(std::move(config), rng_seed),
+                  std::move(handlers));
+}
+
+CoreBase& ProtocolHost::add_core(std::unique_ptr<CoreBase> core, SharedHandlers handlers) {
+    return attach(std::move(core), std::move(handlers));
 }
 
 void ProtocolHost::bind_metrics(obs::Metrics& metrics) {
     metrics_ = &metrics.protocol();
-    for (ReceiverEntry& entry : receivers_)
-        if (entry.live) entry.live->core.bind_metrics(*metrics_);
-    if (!roles_) return;
-    if (SenderSlot* sender = sender_slot()) sender->core.bind_metrics(*metrics_);
-    for (auto& slot : roles_->loggers) slot.core.bind_metrics(*metrics_);
-}
-
-CoreBase& ProtocolHost::add_core(std::unique_ptr<CoreBase> core, SharedHandlers handlers) {
-    GenericSlot& slot = roles().generics.emplace_back(
-        GenericSlot{next_tag(), std::move(core), std::move(handlers)});
-    return *slot.core;
+    for (Entry& entry : cores_)
+        if (entry.core) entry.core->bind_metrics(*metrics_);
 }
 
 void ProtocolHost::add_dormant_receiver(
@@ -68,25 +62,23 @@ void ProtocolHost::add_dormant_receiver(
         throw std::invalid_argument(
             "dormant receivers need a statically configured logger "
             "(discovery sends probes at start)");
-    receivers_.push_back(
-        ReceiverEntry{next_tag(), self, logger, fallback_logger, true, std::move(tmpl), nullptr});
+    SharedHandlers handlers = tmpl->handlers;
+    append(Entry{.handlers = std::move(handlers),
+                 .tmpl = std::move(tmpl),
+                 .self = self,
+                 .logger = logger,
+                 .fallback = fallback_logger});
 }
 
-std::uint32_t ProtocolHost::next_tag() {
-    if (next_tag_ == TimerService::kTagLimit)
-        throw std::length_error("ProtocolHost: more cores than timer tags");
-    return next_tag_++;
-}
-
-ProtocolHost::LiveReceiver& ProtocolHost::awake(ReceiverEntry& entry) {
-    if (entry.live) return *entry.live;
+ReceiverCore& ProtocolHost::awake(std::uint32_t tag) {
+    Entry& entry = cores_[tag];
     const DormantReceiverTemplate& tmpl = *entry.tmpl;
     // The core's policy aliases the template's config: it shares the
     // template's ownership, so the wake copies no configuration.
-    entry.live = std::make_unique<LiveReceiver>(
+    auto built = std::make_unique<ReceiverCore>(
         std::shared_ptr<const ReceiverConfig>(entry.tmpl, &tmpl.config), entry.self,
-        entry.logger, entry.fallback, tmpl.handlers);
-    ReceiverCore& core = entry.live->core;
+        entry.logger, entry.fallback);
+    ReceiverCore& core = *built;
     // The constructor is pure; restore the two flags start() would have set
     // (a fired idle watchdog is recorded in entry.fresh).
     core.restore_started(entry.fresh);
@@ -100,24 +92,29 @@ ProtocolHost::LiveReceiver& ProtocolHost::awake(ReceiverEntry& entry) {
         // diverge from an eager core, whose start()-armed timer still
         // fires.  Stale (!fresh) entries carry no pending watchdog: the
         // eager equivalent already fired it, with no re-arm.
-        timers_.arm(entry.tag, {TimerKind::kIdle, 0},
+        timers_.arm(tag, {TimerKind::kIdle, 0},
                     started_at_ + ReceiverCore::initial_idle_threshold(tmpl.config));
     }
     core.bind_metrics(*metrics_);
+    entry.core = std::move(built);
     ++dormant_wakes_;
-    return *entry.live;
+    return core;
 }
 
 ReceiverCore* ProtocolHost::receiver_for(NodeId self) {
-    for (ReceiverEntry& entry : receivers_)
-        if (entry.self == self) return &awake(entry).core;
+    for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
+        const Entry& entry = cores_[tag];
+        if (entry.self != self) continue;
+        if (!entry.core) return &awake(tag);
+        if (auto* receiver = dynamic_cast<ReceiverCore*>(entry.core.get())) return receiver;
+    }
     return nullptr;
 }
 
 void ProtocolHost::fire_dormant_watchdogs(TimePoint now) {
-    for (std::size_t i = 0; i < receivers_.size(); ++i) {
-        ReceiverEntry& entry = receivers_[i];
-        if (entry.live || !entry.fresh ||
+    for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
+        Entry& entry = cores_[tag];
+        if (entry.core || !entry.fresh ||
             started_at_ + ReceiverCore::initial_idle_threshold(entry.tmpl->config) > now)
             continue;
         // Mirror ReceiverCore::on_timer's kIdle branch: flip freshness,
@@ -127,47 +124,32 @@ void ProtocolHost::fire_dormant_watchdogs(TimePoint now) {
         entry.fresh = false;
         Actions actions;
         actions.emplace_back(Notice{NoticeKind::kFreshnessLost, 0});
-        execute(now, entry.tag, entry.self, entry.tmpl->handlers, std::move(actions));
+        execute(now, tag, entry.self, entry.handlers.get(), std::move(actions));
     }
-}
-
-std::size_t ProtocolHost::core_count() const {
-    std::size_t count = receivers_.size();
-    if (roles_)
-        count += (sender_slot() ? 1u : 0u) + roles_->loggers.size() +
-                 roles_->generics.size();
-    return count;
 }
 
 void ProtocolHost::start(TimePoint now) {
-    if (SenderSlot* sender = sender_slot())
-        execute(now, 0, sender->core.config().self, sender->handlers, sender->core.start(now));
     // Dormant entries arm nothing: their idle watchdogs fire from the
     // owner's sweep (fire_dormant_watchdogs), anchored at this instant.
-    for (std::size_t i = 0; i < receivers_.size(); ++i) {
-        if (LiveReceiver* live = receivers_[i].live.get())
-            execute(now, receivers_[i].tag, live->core.self(), live->handlers,
-                    live->core.start(now));
-    }
+    // Set first, so a receiver a handler wakes behind the loop arms its
+    // own watchdog.
     started_at_ = now;
     started_ = true;
-    if (!roles_) return;
-    for (auto& slot : roles_->loggers)
-        execute(now, slot.tag, slot.core.config().self, slot.handlers, slot.core.start(now));
-    for (auto& slot : roles_->generics)
-        execute(now, slot.tag, slot.core->self(), slot.handlers, slot.core->start(now));
+    for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
+        const Entry& entry = cores_[tag];
+        if (CoreBase* core = entry.core.get())
+            execute(now, tag, entry.self, entry.handlers.get(), core->start(now));
+    }
 }
 
 void ProtocolHost::on_packet(TimePoint now, const Packet& packet) {
     // Every core sees every packet; each filters by group and type.  This
     // mirrors a host process demultiplexing one socket to its protocol
     // entities.
-    if (SenderSlot* sender = sender_slot())
-        execute(now, 0, sender->core.config().self, sender->handlers,
-                sender->core.on_packet(now, packet));
-    for (std::size_t i = 0; i < receivers_.size(); ++i) {
-        ReceiverEntry& entry = receivers_[i];
-        if (!entry.live) {
+    for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
+        const Entry& entry = cores_[tag];
+        CoreBase* core = entry.core.get();
+        if (core == nullptr) {
             // A live idle core mutates nothing on a packet unless its group
             // or retransmission channel matches (ReceiverCore::on_packet's
             // filter) -- so matching packets wake the core, everything
@@ -177,19 +159,10 @@ void ProtocolHost::on_packet(TimePoint now, const Packet& packet) {
                                (cfg.retrans_channel != kNoGroup &&
                                 packet.header.group == cfg.retrans_channel);
             if (!wakes) continue;
-            awake(entry);
+            core = &awake(tag);
         }
-        LiveReceiver& live = *entry.live;
-        execute(now, entry.tag, live.core.self(), live.handlers, live.core.on_packet(now, packet));
+        execute(now, tag, entry.self, entry.handlers.get(), core->on_packet(now, packet));
     }
-    // Re-read roles_ after the cores ran: an observer callback may have
-    // attached a logger or generic core.
-    if (!roles_) return;
-    for (auto& slot : roles_->loggers)
-        execute(now, slot.tag, slot.core.config().self, slot.handlers,
-                slot.core.on_packet(now, packet));
-    for (auto& slot : roles_->generics)
-        execute(now, slot.tag, slot.core->self(), slot.handlers, slot.core->on_packet(now, packet));
 }
 
 void ProtocolHost::on_datagram(TimePoint now, std::span<const std::uint8_t> datagram) {
@@ -197,49 +170,24 @@ void ProtocolHost::on_datagram(TimePoint now, std::span<const std::uint8_t> data
 }
 
 void ProtocolHost::on_timer(TimePoint now, std::uint32_t core_tag, TimerId id) {
-    if (core_tag == 0) {
-        if (SenderSlot* sender = sender_slot())
-            execute(now, 0, sender->core.config().self, sender->handlers,
-                    sender->core.on_timer(now, id));
-        return;
-    }
-    for (ReceiverEntry& entry : receivers_) {
-        if (entry.tag != core_tag) continue;
-        // Dormant entries arm no timers.
-        if (LiveReceiver* live = entry.live.get())
-            execute(now, core_tag, live->core.self(), live->handlers, live->core.on_timer(now, id));
-        return;
-    }
-    if (!roles_) return;
-    for (auto& slot : roles_->loggers) {
-        if (slot.tag != core_tag) continue;
-        execute(now, slot.tag, slot.core.config().self, slot.handlers, slot.core.on_timer(now, id));
-        return;
-    }
-    for (auto& slot : roles_->generics) {
-        if (slot.tag != core_tag) continue;
-        execute(now, slot.tag, slot.core->self(), slot.handlers, slot.core->on_timer(now, id));
-        return;
-    }
-}
-
-void ProtocolHost::send(TimePoint now, std::span<const std::uint8_t> payload) {
-    if (SenderSlot* sender = sender_slot())
-        execute(now, 0, sender->core.config().self, sender->handlers,
-                sender->core.send(now, payload));
+    if (core_tag >= cores_.size()) return;
+    const Entry& entry = cores_[core_tag];
+    // Dormant entries arm no timers.
+    if (CoreBase* core = entry.core.get())
+        execute(now, core_tag, entry.self, entry.handlers.get(), core->on_timer(now, id));
 }
 
 void ProtocolHost::inject(TimePoint now, const CoreBase& core, Actions actions) {
-    if (!roles_) return;
-    for (auto& slot : roles_->generics) {
-        if (slot.core.get() != &core) continue;
-        execute(now, slot.tag, core.self(), slot.handlers, std::move(actions));
+    for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
+        const Entry& entry = cores_[tag];
+        if (entry.core.get() != &core) continue;
+        execute(now, tag, entry.self, entry.handlers.get(), std::move(actions));
         return;
     }
 }
 
 void ProtocolHost::execute(TimePoint now, std::uint32_t tag, NodeId self,
-                           const SharedHandlers& handlers, Actions&& actions) {
+                           const AppHandlers* handlers, Actions&& actions) {
     const obs::HostMetrics& host = metrics_->host;
     for (Action& action : actions) {
         if (auto* send = std::get_if<SendUnicast>(&action)) {

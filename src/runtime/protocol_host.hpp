@@ -9,21 +9,20 @@
 // DeliverData/Notice actions to application handlers, naming the core
 // that reports.
 //
-// Receivers live in one table in attach order, one entry each, inline for
-// the first: a dormant record, or the owner of a live core in a heap block
-// that never moves, so the references the attach methods hand out stay
-// valid for the host's lifetime.  A host carries only what its own node
-// needs (DESIGN.md "Memory engineering"): the sender, logger and generic
-// slots share one block allocated on the first such attach, since nearly
-// every host in a large scenario is receiver-only.
+// Every core, whatever its kind, is one entry of one table in attach
+// order, and its index there is its timer tag.  The table is inline for
+// the first entry, since nearly every host in a large scenario carries one
+// core (DESIGN.md "Memory engineering"); each core lives in a heap block
+// of its own that never moves, so the references the attach methods hand
+// out stay valid for the host's lifetime.  A dormant receiver is an entry
+// whose core is not built yet.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "common/small_vec.hpp"
-#include "common/stable_vector.hpp"
+#include "core/core_base.hpp"
 #include "core/logger.hpp"
 #include "core/receiver.hpp"
 #include "core/sender.hpp"
@@ -40,8 +39,10 @@ public:
     ProtocolHost(const ProtocolHost&) = delete;
     ProtocolHost& operator=(const ProtocolHost&) = delete;
 
-    /// Attach cores.  References remain valid for the host's lifetime, and
-    /// any number of cores may share one `handlers` object.
+    /// Attach cores, each at the end of the table.  References remain
+    /// valid for the host's lifetime, and any number of cores may share one
+    /// `handlers` object.  Throws std::length_error once the table holds
+    /// TimerService::kTagLimit cores.
     SenderCore& add_sender(SenderConfig config, SharedHandlers handlers = nullptr);
     ReceiverCore& add_receiver(ReceiverConfig config, SharedHandlers handlers = nullptr);
     /// A receiver sharing `policy` with the group's other receivers (see
@@ -51,7 +52,7 @@ public:
                                SharedHandlers handlers = nullptr);
     LoggerCore& add_logger(LoggerConfig config, std::uint64_t rng_seed,
                            SharedHandlers handlers = nullptr);
-    /// Attach an arbitrary sans-IO core (baseline protocols).
+    /// Attach any other sans-IO core (the baseline protocols).
     CoreBase& add_core(std::unique_ptr<CoreBase> core, SharedHandlers handlers = nullptr);
 
     /// Shared blueprint for dormant receivers: the identity-independent
@@ -100,7 +101,7 @@ public:
     /// Receivers still dormant on this host (tests / introspection).
     [[nodiscard]] std::size_t dormant_count() const {
         std::size_t n = 0;
-        for (const ReceiverEntry& entry : receivers_) n += entry.live ? 0 : 1;
+        for (const Entry& entry : cores_) n += entry.core ? 0 : 1;
         return n;
     }
     /// Live receiver cores woken from dormancy so far (tests).
@@ -112,99 +113,64 @@ public:
     /// receiver.
     [[nodiscard]] ReceiverCore* receiver_for(NodeId self);
 
-    /// Start every attached core (arms initial timers, begins probing...).
+    /// Start every attached core, in attach order (arms initial timers,
+    /// begins probing...).
     void start(TimePoint now);
 
     /// Driver entry: a decoded packet arrived addressed to (or multicast
-    /// reaching) this host.
+    /// reaching) this host.  Every core sees it, in attach order.
     void on_packet(TimePoint now, const Packet& packet);
 
     /// Driver entry: raw datagram; silently drops undecodable input.
     void on_datagram(TimePoint now, std::span<const std::uint8_t> datagram);
 
-    /// Driver entry: the timer (core_tag, id) fired.
+    /// Driver entry: the timer (core_tag, id) fired.  A tag past the
+    /// table is ignored.
     void on_timer(TimePoint now, std::uint32_t core_tag, TimerId id);
 
-    /// Application entry: multicast a payload through the sender core.
-    void send(TimePoint now, std::span<const std::uint8_t> payload);
-
-    /// Application entry for generic cores: execute `actions` produced by a
-    /// direct call on an attached core (e.g. a baseline sender's send()),
-    /// so its sends/timers/notifications run through the host services.
+    /// Application entry: execute `actions` produced by a direct call on
+    /// an attached core (a sender's send(), say), so its sends, timers and
+    /// notifications run through the host services under its tag.  Actions
+    /// of a core this host does not hold are dropped.
     void inject(TimePoint now, const CoreBase& core, Actions actions);
 
-    [[nodiscard]] std::size_t core_count() const;
+    [[nodiscard]] std::size_t core_count() const { return cores_.size(); }
 
     /// Bind a metrics registry: resolves the shared protocol handle block
     /// plus host-level send/timer counters, and binds every core attached so
-    /// far.  Cores attached later are bound at attach time.  Idempotent.
+    /// far.  Cores attached or woken later are bound then.  Idempotent.
     void bind_metrics(obs::Metrics& metrics);
 
 private:
-    // Tagged slots: tag 0 = sender; receivers and loggers get tags 1..N in
-    // attach order.
-    struct SenderSlot {
-        SenderCore core;
-        SharedHandlers handlers;
-        SenderSlot(SenderConfig c, SharedHandlers h) : core(std::move(c)), handlers(std::move(h)) {}
-    };
-    struct LoggerSlot {
-        std::uint32_t tag;
-        LoggerCore core;
-        SharedHandlers handlers;
-        LoggerSlot(std::uint32_t t, LoggerConfig c, std::uint64_t seed, SharedHandlers h)
-            : tag(t), core(std::move(c), seed), handlers(std::move(h)) {}
-    };
-    struct GenericSlot {
-        std::uint32_t tag;
-        std::unique_ptr<CoreBase> core;
-        SharedHandlers handlers;
-    };
-
-    /// The slots a receiver-only host never fills, in one block that the
-    /// first add_sender, add_logger or add_core allocates.  At most one
-    /// host in a scenario carries a sender, so it stays behind its own
-    /// pointer here too.
-    struct Roles {
-        std::unique_ptr<SenderSlot> sender;
-        StableVector<LoggerSlot> loggers;
-        StableVector<GenericSlot> generics;
-    };
-    Roles& roles();
-    [[nodiscard]] SenderSlot* sender_slot() const {
-        return roles_ ? roles_->sender.get() : nullptr;
-    }
-
-    /// A receiver's core and handlers, in a heap block that never moves.
-    struct LiveReceiver {
-        ReceiverCore core;
-        SharedHandlers handlers;
-        LiveReceiver(std::shared_ptr<const ReceiverConfig> policy, NodeId self, NodeId logger,
-                     NodeId fallback, SharedHandlers h)
-            : core(std::move(policy), self, logger, fallback), handlers(std::move(h)) {}
-    };
-    /// One receiver: dormant while `live` is null, when its ids, freshness
-    /// and template are all the state an idle, statically configured group
-    /// member accumulates (see add_dormant_receiver).
-    struct ReceiverEntry {
-        std::uint32_t tag;
-        NodeId self;
-        NodeId logger;
-        NodeId fallback;
+    /// One core, and the node id it reports as (a core's id never
+    /// changes, so dispatch reads it here).  A dormant receiver has no core
+    /// yet: its ids, freshness and template are all the state an idle,
+    /// statically configured group member accumulates (see
+    /// add_dormant_receiver), and they go unread once the core is built.
+    struct Entry {
+        std::unique_ptr<CoreBase> core = nullptr;  ///< null while dormant
+        SharedHandlers handlers = nullptr;
+        std::shared_ptr<const DormantReceiverTemplate> tmpl = nullptr;  ///< dormant receivers only
+        NodeId self = kNoNode;
+        NodeId logger = kNoNode;
+        NodeId fallback = kNoNode;
         bool fresh = true;
-        std::shared_ptr<const DormantReceiverTemplate> tmpl;  ///< null if attached eager
-        std::unique_ptr<LiveReceiver> live;
     };
 
-    /// `entry`'s live receiver, built in place first if it is dormant.
-    /// Runs no actions.
-    LiveReceiver& awake(ReceiverEntry& entry);
+    /// Append `core` to the table, bound to the host's metrics.
+    template <typename Core>
+    Core& attach(std::unique_ptr<Core> core, SharedHandlers handlers);
+    /// Append `entry`; throws std::length_error once the tags reach
+    /// TimerService::kTagLimit.
+    void append(Entry entry);
 
-    /// The next core tag in attach order; throws std::length_error once
-    /// the tags reach TimerService::kTagLimit.
-    std::uint32_t next_tag();
+    /// Build the dormant receiver at `tag` in place.  Runs no actions.
+    ReceiverCore& awake(std::uint32_t tag);
 
-    void execute(TimePoint now, std::uint32_t tag, NodeId self, const SharedHandlers& handlers,
+    /// Run `actions` for the core at `tag`.  A handler may re-enter the
+    /// host and attach a core, moving the table, so nothing passed here
+    /// points into an entry.
+    void execute(TimePoint now, std::uint32_t tag, NodeId self, const AppHandlers* handlers,
                  Actions&& actions);
 
     NetworkService& network_;
@@ -213,17 +179,15 @@ private:
     /// `host` member.
     const obs::ProtocolMetrics* metrics_ = &obs::ProtocolMetrics::disabled();
 
-    std::unique_ptr<Roles> roles_;  ///< null on a receiver-only host
-    /// Every receiver in attach (= tag) order, inline for the first:
-    /// nearly every host carries exactly one (bench/rss_gate.bound).  A
-    /// handler may re-enter the host and attach or wake a receiver, so
-    /// loops that run handlers walk the table by index and re-read its size.
-    SmallVec<ReceiverEntry, 1> receivers_;
+    /// Every core in attach (= tag) order, inline for the first: nearly
+    /// every host carries exactly one (bench/rss_gate.bound).  A handler
+    /// may re-enter the host and attach or wake a core, so loops that run
+    /// handlers walk the table by index and re-read its size.
+    SmallVec<Entry, 1> cores_;
     std::uint32_t dormant_wakes_ = 0;
-    std::uint32_t next_tag_ = 1;
+    bool started_ = false;    ///< start() has begun (earlier wakes skip the
+                              ///< watchdog arm: start() arms it)
     TimePoint started_at_{};  ///< set by start(); anchors watchdog sweeps
-    bool started_ = false;    ///< start() ran (pre-start wakes skip the
-                              ///< watchdog arm: start() handles it)
 };
 
 }  // namespace lbrm

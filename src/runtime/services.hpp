@@ -1,9 +1,10 @@
-// Driver-side service interfaces.
+// Driver-side service interfaces and application hooks.
 //
 // A driver -- the discrete-event simulator or the epoll/UDP reactor --
-// implements these two interfaces; ProtocolHost uses them to execute the
-// Actions emitted by the sans-IO cores and hands deliveries and notices to
-// AppHandlers.  Cores themselves never see these types.
+// implements NetworkService and TimerService; ProtocolHost uses them to
+// execute the Actions its cores (core/core_base.hpp) emit, and hands
+// deliveries and notices to AppHandlers.  Cores themselves never see these
+// types.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,9 @@ public:
 };
 
 /// Arms and cancels timers on behalf of one host.  Keys are (core tag,
-/// TimerId) pairs so independent cores on one host never collide; arming an
-/// armed key replaces its deadline.
+/// TimerId) pairs, a core's tag being its index in the host's table of
+/// cores, so independent cores on one host never collide; arming an armed
+/// key replaces its deadline.
 class TimerService {
 public:
     /// Core tags stay below 2^24, so a driver can pack a tag and a
@@ -50,17 +52,5 @@ struct AppHandlers {
 };
 /// How hosts hold handlers: shared, immutable, null for none.
 using SharedHandlers = std::shared_ptr<const AppHandlers>;
-
-/// Type-erased sans-IO core, for protocols beyond the built-in LBRM trio
-/// (the baseline comparators implement this).
-class CoreBase {
-public:
-    virtual ~CoreBase() = default;
-    /// This core's own node id, the `self` its handlers are told.
-    [[nodiscard]] virtual NodeId self() const = 0;
-    virtual Actions start(TimePoint now) = 0;
-    virtual Actions on_packet(TimePoint now, const Packet& packet) = 0;
-    virtual Actions on_timer(TimePoint now, TimerId id) = 0;
-};
 
 }  // namespace lbrm

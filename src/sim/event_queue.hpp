@@ -34,14 +34,7 @@ public:
     /// Enqueue `fn` to run at absolute time `at`; returns a cancellable id.
     /// Ids are never zero, so 0 can serve as callers' "no event" sentinel.
     std::uint64_t schedule(TimePoint at, Callback fn) {
-        const std::uint32_t slot = acquire_slot();
-        Slot& s = slots_[slot];
-        s.fn = std::move(fn);
-        s.cancelled = false;
-        ++scheduled_;
-        heap_.push_back(Entry{at, next_seq_++, slot});
-        sift_up(heap_.size() - 1);
-        return make_id(s.generation, slot);
+        return schedule_key(at, next_seq_++, std::move(fn));
     }
 
     /// Enqueue `fn` at `at` with an explicit tiebreak instead of the global

@@ -5,6 +5,21 @@
 
 namespace lbrm::sim {
 
+namespace {
+
+/// `defaults` (which carry the group, its source and the stream anchor) as
+/// the `role` logger on `self`, fetching from `upstream`.
+LoggerConfig logger_config(const LoggerConfig& defaults, NodeId self, LoggerRole role,
+                           NodeId upstream) {
+    LoggerConfig config = defaults;
+    config.self = self;
+    config.role = role;
+    config.upstream = upstream;
+    return config;
+}
+
+}  // namespace
+
 DisScenario::DisScenario(ScenarioConfig config)
     : config_(std::move(config)), simulator_(),
       network_(simulator_, config_.seed, config_.sim),
@@ -14,8 +29,11 @@ DisScenario::DisScenario(ScenarioConfig config)
       topology_(make_dis_topology(network_, config_.topology)),
       sampler_(network_.metrics()) {
     network_.finalize();
-    // Every logger copy made below inherits the stream's sequence anchor
-    // and the re-multicast threshold, whatever role it plays.
+    // Every logger copy made below inherits the group, its source, the
+    // stream's sequence anchor and the re-multicast threshold, whatever
+    // role it plays.
+    config_.logger_defaults.group = config_.group;
+    config_.logger_defaults.source = topology_.source;
     config_.logger_defaults.initial_seq = config_.initial_seq;
     config_.logger_defaults.remulticast_request_threshold =
         config_.remulticast_request_threshold;
@@ -87,16 +105,13 @@ void DisScenario::wire_region(const DisTopology::Region& region, std::size_t reg
     SimHost& host = network_.attach_host(region.logger);
     hosts_.push_back(&host);
 
-    LoggerConfig logger_config = config_.logger_defaults;
-    logger_config.self = region.logger;
-    logger_config.group = config_.group;
-    logger_config.source = topology_.source;
-    logger_config.role = LoggerRole::kSecondary;  // the recursion: same role, higher tier
-    logger_config.upstream = topology_.primary;
-    logger_config.participate_in_acking = false;  // site secondaries handle acking
+    // The recursion: the same role as a site secondary, one tier higher.
+    LoggerConfig regional = logger_config(config_.logger_defaults, region.logger,
+                                          LoggerRole::kSecondary, topology_.primary);
+    regional.participate_in_acking = false;  // site secondaries handle acking
     // Its clients are site secondaries at other sites: repairs must unicast.
-    logger_config.site_multicast_repairs = false;
-    host.protocol().add_logger(std::move(logger_config), config_.seed * 433 + region_index,
+    regional.site_multicast_repairs = false;
+    host.protocol().add_logger(std::move(regional), config_.seed * 433 + region_index,
                                handlers_);
 }
 
@@ -134,12 +149,8 @@ void DisScenario::wire_source() {
         SimHost& primary_host = network_.attach_host(topology_.primary);
         hosts_.push_back(&primary_host);
 
-        LoggerConfig primary_config = config_.logger_defaults;
-        primary_config.self = topology_.primary;
-        primary_config.group = group;
-        primary_config.source = topology_.source;
-        primary_config.role = LoggerRole::kPrimary;
-        primary_config.upstream = kNoNode;
+        LoggerConfig primary_config = logger_config(config_.logger_defaults, topology_.primary,
+                                                    LoggerRole::kPrimary, kNoNode);
         primary_config.replicas = topology_.replicas;
         primary_core_ = &primary_host.protocol().add_logger(
             std::move(primary_config), config_.seed * 7919 + 1, handlers_);
@@ -156,13 +167,8 @@ void DisScenario::wire_source() {
         SimHost& host = network_.attach_host(replica);
         hosts_.push_back(&host);
 
-        LoggerConfig replica_config = config_.logger_defaults;
-        replica_config.self = replica;
-        replica_config.group = group;
-        replica_config.source = topology_.source;
-        replica_config.role = LoggerRole::kReplica;
-        replica_config.upstream = topology_.primary;
-        host.protocol().add_logger(std::move(replica_config),
+        host.protocol().add_logger(logger_config(config_.logger_defaults, replica,
+                                                 LoggerRole::kReplica, topology_.primary),
                                    config_.seed * 104729 + replica_salt, handlers_);
     }
 }
@@ -178,19 +184,16 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
             SimHost& host = network_.attach_host(site.secondary);
             hosts_.push_back(&host);
 
-            LoggerConfig logger_config = config_.logger_defaults;
-            logger_config.self = site.secondary;
-            logger_config.group = group;
-            logger_config.source = topology_.source;
-            logger_config.role = LoggerRole::kSecondary;
-            logger_config.upstream = topology_.primary;
+            NodeId upstream = topology_.primary;
             if (config_.use_regional_loggers) {
                 // Three-level hierarchy: the site fetches from its region.
                 if (const auto* region = topology_.region_of_site(site_index))
-                    logger_config.upstream = region->logger;
+                    upstream = region->logger;
             }
             secondary_cores_.push_back(&host.protocol().add_logger(
-                std::move(logger_config), config_.seed * 31 + site_index, handlers_));
+                logger_config(config_.logger_defaults, site.secondary, LoggerRole::kSecondary,
+                              upstream),
+                config_.seed * 31 + site_index, handlers_));
         } else {
             secondary_cores_.push_back(nullptr);  // owned by another shard
         }
@@ -241,24 +244,20 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
             continue;
         }
 
+        host.protocol().add_receiver(policy, node, receiver_logger, topology_.primary,
+                                     handlers_);
         if (config_.rotate_site_loggers) {
             // Rotating-logger mode (Section 2.2.1 alternative): this host
             // also runs a secondary logger that passively logs the stream
-            // and serves NACKs whenever the rotation points here.
-            LoggerConfig rotating = config_.logger_defaults;
-            rotating.self = node;
-            rotating.group = group;
-            rotating.source = topology_.source;
-            rotating.role = LoggerRole::kSecondary;
-            rotating.upstream = topology_.primary;
+            // and serves NACKs whenever the rotation points here.  Attached
+            // after the receiver, so the receiver sees each packet first.
+            LoggerConfig rotating = logger_config(config_.logger_defaults, node,
+                                                  LoggerRole::kSecondary, topology_.primary);
             rotating.participate_in_acking = false;  // dedicated loggers ack
             rotating.answer_discovery = false;
             host.protocol().add_logger(std::move(rotating),
                                        config_.seed * 57 + node.value(), handlers_);
         }
-
-        host.protocol().add_receiver(policy, node, receiver_logger, topology_.primary,
-                                     handlers_);
         if (joins_group) network_.join(group, node);
     }
 }
@@ -301,8 +300,10 @@ void DisScenario::send_update(std::vector<std::uint8_t> payload) {
         throw std::logic_error("scenario: this shard does not own the source");
     Simulator::ActorScope scope(
         simulator_, static_cast<std::uint32_t>(topology_.source.value() - 1));
-    host->protocol().send(simulator_.now(), payload);
-    report_send(simulator_.now(), sender().last_seq());
+    const TimePoint now = simulator_.now();
+    host->protocol().inject(now, *sender_core_, sender_core_->send(now, payload));
+    ++updates_sent_;
+    report_send(now, sender_core_->last_seq());
 }
 
 void DisScenario::schedule_update(TimePoint at, std::size_t size) {
@@ -320,8 +321,10 @@ void DisScenario::schedule_update(TimePoint at, std::vector<std::uint8_t> payloa
 }
 
 void DisScenario::send_update(std::size_t size) {
+    // Salted by the scenario's own count, so the bytes do not depend on
+    // which observer is installed.
     std::vector<std::uint8_t> payload(size);
-    const std::size_t salt = recorder_ != nullptr ? recorder_->sends().size() : 0;
+    const std::uint64_t salt = updates_sent_;
     for (std::size_t i = 0; i < size; ++i)
         payload[i] = static_cast<std::uint8_t>(i * 31 + salt);
     send_update(std::move(payload));

@@ -259,6 +259,7 @@ private:
     /// handlers.
     std::shared_ptr<const ProtocolHost::DormantReceiverTemplate> receiver_template_;
     bool dormant_attached_ = false;  ///< start() schedules the watchdog sweep
+    std::uint64_t updates_sent_ = 0;  ///< send_update() calls; salts sized payloads
 
     /// Every event goes to observer_ first, then to each of these in order.
     void report_delivery(TimePoint at, NodeId node, const DeliverData& data);

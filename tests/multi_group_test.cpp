@@ -36,6 +36,7 @@ struct CrossedDeployment {
 
     std::map<NodeId, std::map<std::uint32_t, std::vector<SeqNum>>> delivered;
     // delivered[node][group] -> seqs
+    std::map<NodeId, SenderCore*> senders;
 
     CrossedDeployment() {
         const LinkSpec lan{micros(500), 10e6, Duration::zero()};
@@ -95,7 +96,7 @@ struct CrossedDeployment {
         config.group = group;
         config.primary_logger = primary;
         config.stat_ack.enabled = false;
-        network.attach_host(self).protocol().add_sender(config);
+        senders[self] = &network.attach_host(self).protocol().add_sender(config);
     }
 
     void wire_logger(NodeId self, GroupId group, NodeId source, LoggerRole role,
@@ -131,7 +132,9 @@ struct CrossedDeployment {
     void start_host(NodeId n) { network.host(n)->protocol().start(simulator.now()); }
 
     void send(NodeId source, std::uint8_t salt) {
-        network.host(source)->protocol().send(simulator.now(), payload(32, salt));
+        SenderCore& sender = *senders.at(source);
+        network.host(source)->protocol().inject(simulator.now(), sender,
+                                                sender.send(simulator.now(), payload(32, salt)));
     }
 };
 

@@ -1,7 +1,8 @@
 // ProtocolHost tests: action execution against fake driver services, timer
 // keying across cores, packet fan-in to all attached cores, datagram
-// decode-and-dispatch, generic-core attachment and inject(), and the
-// receiver table's attach order whatever woke a receiver.
+// decode-and-dispatch, generic-core attachment and inject(), the one table
+// of cores (attach order, tags as indices, growth mid-dispatch), and its
+// receivers' attach order whatever woke them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,13 +81,13 @@ TEST(ProtocolHost, SenderActionsReachTheDriver) {
     config.group = kGroup;
     config.primary_logger = kPrimary;
     config.stat_ack.enabled = false;
-    host.add_sender(config);
+    SenderCore& sender = host.add_sender(config);
     host.start(at(0.0));
 
-    // start() armed the heartbeat under the sender's tag (0).
+    // start() armed the heartbeat under the sender's tag: its index, 0.
     EXPECT_TRUE(timers.armed.contains({0, {TimerKind::kHeartbeat, 0}}));
 
-    host.send(at(1.0), payload(32));
+    host.inject(at(1.0), sender, sender.send(at(1.0), payload(32)));
     EXPECT_EQ(network.count(PacketType::kData), 1u);
     EXPECT_EQ(network.count(PacketType::kLogStore), 1u);
     EXPECT_TRUE(timers.armed.contains({0, {TimerKind::kLogStoreRetry, 0}}));
@@ -297,7 +298,7 @@ TEST(ProtocolHost, JoinLeaveActionsReachTheDriver) {
     EXPECT_EQ(network.joined[0], GroupId{2});
 }
 
-// --- the receiver table -------------------------------------------------------
+// --- the one table of cores -------------------------------------------------
 
 /// Logs every timer arm, in order.
 class ArmLog final : public TimerService {
@@ -335,6 +336,200 @@ public:
         return out;
     }
 };
+
+/// A generic core that arms one timer on start() and on every packet, so
+/// the driver's log shows when the host reached it; counts its timers.
+class ProbeCore final : public CoreBase {
+public:
+    static constexpr TimerId kProbe{TimerKind::kHeartbeat, 7};
+    int timers = 0;
+
+    [[nodiscard]] NodeId self() const override { return kReceiver; }
+    Actions start(TimePoint now) override { return arm(now); }
+    Actions on_packet(TimePoint now, const Packet&) override { return arm(now); }
+    Actions on_timer(TimePoint, TimerId) override {
+        ++timers;
+        return {};
+    }
+
+private:
+    static Actions arm(TimePoint now) {
+        Actions actions;
+        actions.push_back(StartTimer{kProbe, now + secs(1.0)});
+        return actions;
+    }
+};
+
+constexpr NodeId kUpstream{5};
+
+LoggerConfig secondary_logger_config() {
+    LoggerConfig config;
+    config.self = kReceiver;
+    config.group = kGroup;
+    config.source = kSource;
+    config.role = LoggerRole::kSecondary;
+    config.upstream = kUpstream;
+    return config;
+}
+
+Packet data_packet(std::uint32_t seq) {
+    return Packet{Header{kGroup, kSource, kSource},
+                  DataBody{SeqNum{seq}, EpochId{0}, payload(4)}};
+}
+
+/// One core of each kind on one host, attached receiver, sender, logger,
+/// generic: tags 0 to 3.
+struct OneOfEach {
+    ReceiverCore* receiver;
+    SenderCore* sender;
+    LoggerCore* logger;
+    ProbeCore* probe;
+};
+
+OneOfEach attach_one_of_each(ProtocolHost& host) {
+    ReceiverConfig receiver_config;
+    receiver_config.self = kReceiver;
+    receiver_config.group = kGroup;
+    receiver_config.source = kSource;
+    receiver_config.logger = kPrimary;
+    SenderConfig sender_config;
+    sender_config.self = kSource;
+    sender_config.group = kGroup;
+    sender_config.primary_logger = kPrimary;
+    sender_config.stat_ack.enabled = false;
+    auto probe = std::make_unique<ProbeCore>();
+    OneOfEach cores{};
+    cores.receiver = &host.add_receiver(receiver_config);
+    cores.sender = &host.add_sender(sender_config);
+    cores.logger = &host.add_logger(secondary_logger_config(), 7);
+    cores.probe = probe.get();
+    host.add_core(std::move(probe));
+    return cores;
+}
+
+/// The (tag, kind) of every arm, in order.
+std::vector<std::pair<std::uint32_t, TimerKind>> tags_and_kinds(
+    const std::vector<ArmLog::Arm>& arms) {
+    std::vector<std::pair<std::uint32_t, TimerKind>> out;
+    for (const ArmLog::Arm& a : arms) out.emplace_back(a.tag, a.id.kind);
+    return out;
+}
+
+TEST(CoreTable, StartAndPacketsRunInAttachOrder) {
+    FakeNetwork network;
+    ArmLog timers;
+    ProtocolHost host{network, timers};
+    attach_one_of_each(host);
+    using Arms = std::vector<std::pair<std::uint32_t, TimerKind>>;
+
+    // The receiver arms its idle watchdog, then the sender its first
+    // heartbeat; the logger's start() arms nothing; the probe comes last.
+    host.start(at(0.0));
+    EXPECT_EQ(tags_and_kinds(timers.arms), (Arms{{0, TimerKind::kIdle},
+                                                 {1, TimerKind::kHeartbeat},
+                                                 {3, TimerKind::kHeartbeat}}));
+
+    // After seq 1, seq 3 opens a gap at the receiver and at the logger,
+    // which each arm a NACK delay; the sender ignores data.
+    host.on_packet(at(1.0), data_packet(1));
+    timers.arms.clear();
+    host.on_packet(at(1.1), data_packet(3));
+    EXPECT_EQ(tags_and_kinds(timers.arms), (Arms{{0, TimerKind::kIdle},
+                                                 {0, TimerKind::kNackDelay},
+                                                 {2, TimerKind::kNackDelay},
+                                                 {3, TimerKind::kHeartbeat}}));
+}
+
+TEST(CoreTable, TimerTagIndexesTheTable) {
+    FakeNetwork network;
+    FakeTimers timers;
+    ProtocolHost host{network, timers};
+    const OneOfEach cores = attach_one_of_each(host);
+    host.start(at(0.0));
+    host.on_packet(at(1.0), data_packet(1));
+    host.on_packet(at(1.1), data_packet(3));
+    ASSERT_TRUE(timers.armed.contains({0, {TimerKind::kNackDelay, 0}}));
+    ASSERT_TRUE(timers.armed.contains({2, {TimerKind::kNackDelay, 0}}));
+
+    // The same timer id under two tags: each reaches its own core only.
+    host.on_timer(at(1.2), 2, {TimerKind::kNackDelay, 0});
+    EXPECT_EQ(cores.logger->upstream_fetches(), 1u);
+    EXPECT_EQ(cores.receiver->nacks_sent(), 0u);
+    host.on_timer(at(1.2), 0, {TimerKind::kNackDelay, 0});
+    EXPECT_EQ(cores.receiver->nacks_sent(), 1u);
+    EXPECT_EQ(cores.logger->upstream_fetches(), 1u);
+
+    host.on_timer(at(1.25), 1, {TimerKind::kHeartbeat, 0});
+    EXPECT_EQ(cores.sender->heartbeats_sent(), 1u);
+    host.on_timer(at(2.0), 3, ProbeCore::kProbe);
+    EXPECT_EQ(cores.probe->timers, 1);
+
+    // A tag past the table reaches no core.
+    const std::size_t sent = network.sent.size();
+    host.on_timer(at(3.0), 4, {TimerKind::kHeartbeat, 0});
+    host.on_timer(at(3.0), TimerService::kTagLimit - 1, ProbeCore::kProbe);
+    EXPECT_EQ(network.sent.size(), sent);
+    EXPECT_EQ(cores.sender->heartbeats_sent(), 1u);
+    EXPECT_EQ(cores.probe->timers, 1);
+}
+
+TEST(CoreTable, AttachFromAHandlerGrowsTheTableMidDispatch) {
+    // Two receivers fill the table's first heap block; the first delivery
+    // attaches a logger, a third entry, so the table moves to a new block
+    // while the host is still dispatching from the old one.
+    FakeNetwork network;
+    ArmLog timers;
+    ProtocolHost host{network, timers};
+    LoggerCore* logger = nullptr;
+    std::vector<ProbeCore*> probes;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> deliveries;
+    auto handlers = std::make_shared<AppHandlers>();
+    handlers->on_data = [&](TimePoint, NodeId self, const DeliverData& d) {
+        deliveries.emplace_back(self.value(), d.seq.value());
+        if (logger == nullptr) logger = &host.add_logger(secondary_logger_config(), 7);
+    };
+    handlers->on_notice = [&](TimePoint, NodeId, const Notice& n) {
+        if (n.kind != NoticeKind::kLossDetected || !probes.empty()) return;
+        for (int i = 0; i < 2; ++i) {
+            auto probe = std::make_unique<ProbeCore>();
+            probes.push_back(probe.get());
+            host.add_core(std::move(probe));
+        }
+    };
+    auto policy = std::make_shared<ReceiverConfig>();
+    policy->group = kGroup;
+    policy->source = kSource;
+    for (const NodeId id : {NodeId{10}, NodeId{11}})
+        host.add_receiver(policy, id, kPrimary, kNoNode, handlers);
+    host.start(at(0.0));
+
+    timers.arms.clear();
+    host.on_packet(at(1.0), data_packet(1));
+    ASSERT_NE(logger, nullptr);
+    EXPECT_EQ(host.core_count(), 3u);
+    // The second receiver still ran, under its own tag, and the logger,
+    // attached behind the dispatch, saw the packet too.
+    EXPECT_EQ(deliveries,
+              (std::vector<std::pair<std::uint32_t, std::uint32_t>>{{10, 1}, {11, 1}}));
+    EXPECT_EQ(tags_and_kinds(timers.arms),
+              (std::vector<std::pair<std::uint32_t, TimerKind>>{{0, TimerKind::kIdle},
+                                                                {1, TimerKind::kIdle}}));
+    EXPECT_TRUE(logger->store().contains(SeqNum{1}));
+
+    // seq 3 opens a gap.  The first receiver's loss notice attaches two
+    // probes, and the fifth entry moves the table again; its delivery of
+    // seq 3 comes later in the same action list and still reaches the
+    // handler.
+    deliveries.clear();
+    host.on_packet(at(1.1), data_packet(3));
+    ASSERT_EQ(probes.size(), 2u);
+    EXPECT_EQ(host.core_count(), 5u);
+    EXPECT_EQ(deliveries,
+              (std::vector<std::pair<std::uint32_t, std::uint32_t>>{{10, 3}, {11, 3}}));
+    EXPECT_TRUE(logger->store().contains(SeqNum{3}));
+}
+
+// --- the receiver table -------------------------------------------------------
 
 enum class Wake { kEager, kBeforeFirstPacket, kFromFirstDelivery };
 

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/stable_vector.hpp"
 #include "sim/loss_model.hpp"
@@ -402,18 +403,35 @@ TEST(Observers, CountingMatchesRecordingAndLeavesSimBitIdentical) {
     DisScenario recorded{observer_scenario_config(nullptr)};  // default recorder
     DisScenario counted{observer_scenario_config(counting)};
 
-    for (DisScenario* s : {&recorded, &counted}) {
+    // Sized updates: the scenario fills in their bytes, which must not
+    // depend on the observer either.
+    Fnv1a recorded_trace;
+    Fnv1a counted_trace;
+    for (auto [s, trace] : {std::pair{&recorded, &recorded_trace},
+                            std::pair{&counted, &counted_trace}}) {
+        s->network().set_tap([trace](TimePoint at, const Link& link, const Packet& packet,
+                                     bool delivered) {
+            trace->feed_value(at.time_since_epoch().count());
+            trace->feed_value(link.from().value());
+            trace->feed_value(link.to().value());
+            trace->feed_value(static_cast<std::uint8_t>(delivered));
+            const std::vector<std::uint8_t> bytes = encode(packet);
+            trace->feed(bytes.data(), bytes.size());
+        });
         s->start();
         for (int i = 0; i < 5; ++i) {
-            s->send_update(std::vector<std::uint8_t>{1, 2, 3, 4});
+            s->send_update(std::size_t{64});
             s->run_for(millis(40));
         }
         s->run_for(secs(5.0));
+        s->network().set_tap(nullptr);
     }
 
-    // The observer must not perturb the simulation itself.
+    // The observer must not perturb the simulation itself: the same
+    // events, and the same packets on every link, byte for byte.
     EXPECT_EQ(recorded.simulator().events_processed(),
               counted.simulator().events_processed());
+    EXPECT_EQ(recorded_trace.h, counted_trace.h);
 
     // Tallies agree with the full records.
     EXPECT_EQ(counting->deliveries(), recorded.deliveries().size());

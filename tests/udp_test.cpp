@@ -111,7 +111,7 @@ TEST(UdpEndpoint, EndToEndDeliveryOverRealSockets) {
     sender_config.group = LoopbackDeployment::kGroup;
     sender_config.primary_logger = LoopbackDeployment::kPrimaryId;
     sender_config.stat_ack.enabled = false;
-    net.source->protocol().add_sender(sender_config);
+    SenderCore& sender = net.source->protocol().add_sender(sender_config);
 
     LoggerConfig logger_config;
     logger_config.self = LoopbackDeployment::kPrimaryId;
@@ -138,7 +138,8 @@ TEST(UdpEndpoint, EndToEndDeliveryOverRealSockets) {
     net.receiver->protocol().start(now);
 
     const std::vector<std::uint8_t> message{'h', 'i', '!', 0x00, 0xFF};
-    net.source->protocol().send(net.reactor.now(), message);
+    const TimePoint sent_at = net.reactor.now();
+    net.source->protocol().inject(sent_at, sender, sender.send(sent_at, message));
     net.pump_for(millis(200));
 
     ASSERT_EQ(delivered.size(), 1u);
@@ -157,8 +158,7 @@ TEST(UdpEndpoint, LostDataRecoveredFromLoggerOverRealSockets) {
     sender_config.stat_ack.enabled = false;
     // Fast heartbeats so the gap is revealed quickly in real time.
     sender_config.heartbeat.h_min = millis(30);
-    auto& sender = net.source->protocol().add_sender(sender_config);
-    (void)sender;
+    SenderCore& sender = net.source->protocol().add_sender(sender_config);
 
     LoggerConfig logger_config;
     logger_config.self = LoopbackDeployment::kPrimaryId;
@@ -188,14 +188,18 @@ TEST(UdpEndpoint, LostDataRecoveredFromLoggerOverRealSockets) {
     net.receiver->protocol().start(now);
 
     // Packet 1 delivered normally.
-    net.source->protocol().send(net.reactor.now(), std::vector<std::uint8_t>{1});
+    const TimePoint first_at = net.reactor.now();
+    net.source->protocol().inject(first_at, sender,
+                                  sender.send(first_at, std::vector<std::uint8_t>{1}));
     net.pump_for(millis(100));
 
     // "Lose" packet 2 at the receiver: remove the receiver from the
     // source's directory so the fan-out multicast misses it, while the
     // LogStore to the primary still goes through.
     net.source->add_peer(LoopbackDeployment::kReceiverId, SockAddr::loopback(1));
-    net.source->protocol().send(net.reactor.now(), std::vector<std::uint8_t>{2});
+    const TimePoint second_at = net.reactor.now();
+    net.source->protocol().inject(second_at, sender,
+                                  sender.send(second_at, std::vector<std::uint8_t>{2}));
     net.pump_for(millis(50));
     net.source->add_peer(LoopbackDeployment::kReceiverId, net.receiver->unicast_addr());
 
