@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/trace_hash.hpp"
 #include "common/rng.hpp"
 #include "obs/episode.hpp"
 #include "obs/metrics.hpp"
@@ -210,7 +211,7 @@ std::vector<ClassSpec> fault_classes(const Options& opt) {
          [](ScenarioConfig& config) {
              // Section 2.2.1 alternative: every receiver host doubles as a
              // secondary and NACK targets rotate each second.
-             config.rotate_site_loggers = true;
+             config.site_logging = SiteLogging::kRotating;
              config.receiver_defaults.rotation_slot = secs(1.0);
          },
          [](const DisScenario&) {
@@ -230,14 +231,7 @@ std::uint64_t fault_free_hash(const Options& opt, bool with_idle_engine) {
     add_feed_loss(scenario, opt.loss);
 
     Fnv1a hash;
-    scenario.network().set_tap([&](TimePoint at, const Link& link,
-                                   const Packet& packet, bool delivered) {
-        hash.feed_value(at.time_since_epoch().count());
-        hash.feed_value(link.from().value());
-        hash.feed_value(link.to().value());
-        hash.feed_value(static_cast<std::uint8_t>(delivered));
-        hash.h = fnv1a(hash.h, packet);
-    });
+    hash_trace(scenario.network(), hash);
 
     std::unique_ptr<ChaosEngine> engine;
     if (with_idle_engine) engine = std::make_unique<ChaosEngine>(scenario, ChaosSchedule{});

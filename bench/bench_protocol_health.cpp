@@ -25,6 +25,7 @@
 #include <string>
 
 #include "bench/bench_util.hpp"
+#include "bench/trace_hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "sim/loss_model.hpp"
@@ -87,14 +88,7 @@ int main(int argc, char** argv) {
         net.set_loss(topo.backbone, site.router, std::make_unique<BernoulliLoss>(loss));
 
     Fnv1a trace_hash;
-    net.set_tap([&](TimePoint at, const Link& link, const Packet& packet,
-                    bool delivered) {
-        trace_hash.feed_value(at.time_since_epoch().count());
-        trace_hash.feed_value(link.from().value());
-        trace_hash.feed_value(link.to().value());
-        trace_hash.feed_value(static_cast<std::uint8_t>(delivered));
-        trace_hash.h = fnv1a(trace_hash.h, packet);
-    });
+    hash_trace(net, trace_hash);
 
     const auto wall0 = std::chrono::steady_clock::now();
     scenario.start();

@@ -27,7 +27,7 @@ Result run(bool distributed, bool whole_group_loss) {
     config.topology.sites = 50;
     config.topology.receivers_per_site = 20;
     config.stat_ack.enabled = false;  // isolate the NACK path
-    config.use_secondary_loggers = distributed;
+    config.site_logging = distributed ? SiteLogging::kDedicated : SiteLogging::kCentralized;
     DisScenario scenario(config);
     auto& network = scenario.network();
     const auto& topo = scenario.topology();

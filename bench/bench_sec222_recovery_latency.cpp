@@ -80,7 +80,8 @@ Result run(const Variant& variant, int trials) {
         config.topology.sites = 3;
         config.topology.receivers_per_site = 4;
         config.stat_ack.enabled = false;
-        config.use_secondary_loggers = variant.distributed;
+        config.site_logging =
+            variant.distributed ? SiteLogging::kDedicated : SiteLogging::kCentralized;
         config.seed = 1000 + static_cast<std::uint64_t>(trial);
         // Keep the deliberate reorder-wait before NACKing small: this bench
         // isolates the logging-hierarchy RTT, not the batching delay.

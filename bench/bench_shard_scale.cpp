@@ -153,7 +153,7 @@ int run_gate(const std::string& json_path, const std::string& timestamp) {
     // artifact lands in SHARD_observability.json for CI shape validation.
     auto lossy = [](std::uint32_t shards) {
         ShardRunConfig cfg = gate_config(shards);
-        cfg.scenario.use_secondary_loggers = false;
+        cfg.scenario.site_logging = SiteLogging::kCentralized;
         cfg.run_for = secs(3.0);
         auto base_setup = cfg.setup;
         cfg.setup = [base_setup](DisScenario& s, std::uint32_t shard) {

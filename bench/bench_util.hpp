@@ -1,5 +1,5 @@
 // Small helpers shared by the reproduction benches: formatting and peak
-// RSS (trace hashes use Fnv1a from common/bytes.hpp).  Each bench binary
+// RSS (the packet-trace hash lives in trace_hash.hpp).  Each bench binary
 // prints the paper artifact it regenerates (figure series or table rows)
 // in a fixed-width layout plus a machine-readable CSV block.
 #pragma once

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/trace_hash.hpp"
 #include "obs/metrics.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/observer.hpp"
@@ -128,15 +129,7 @@ RunResult run_one(const BenchOpts& o, const std::string& kind, Mode mode,
     const DisTopology& topo = scenario.topology();
 
     Fnv1a trace;
-    if (o.trace_hash)
-        net.set_tap([&](TimePoint at, const Link& link, const Packet& packet,
-                        bool delivered) {
-            trace.feed_value(at.time_since_epoch().count());
-            trace.feed_value(link.from().value());
-            trace.feed_value(link.to().value());
-            trace.feed_value(static_cast<std::uint8_t>(delivered));
-            trace.h = fnv1a(trace.h, packet);
-        });
+    if (o.trace_hash) hash_trace(net, trace);
 
     // Anchor phase: one loss-free warm-up update so every receiver sees
     // seq 1 and pins its contiguity anchor before congestion starts.

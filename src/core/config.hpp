@@ -3,17 +3,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/seqnum.hpp"
 #include "common/time.hpp"
 #include "core/flow_control.hpp"
-
-namespace lbrm::obs {
-class Metrics;
-}
 
 namespace lbrm {
 
@@ -33,12 +28,6 @@ struct SimConfig {
     /// mode.  The field remains for source compatibility and will be
     /// removed; nothing in the library reads it.
     bool shard_ordering = false;
-
-    /// Telemetry registry shared with the network (obs/metrics.hpp).  Null =
-    /// the Network creates a private one; pass a registry to share it across
-    /// networks or to read it after the network is gone.  Telemetry is
-    /// observation-only and never alters simulation behaviour.
-    std::shared_ptr<obs::Metrics> metrics;
 };
 
 /// Variable-heartbeat parameters (Section 2.1).  The defaults are the
@@ -62,9 +51,6 @@ struct StatAckConfig {
     double alpha = 0.125;
     /// Initial t_wait before any ACK has been observed.
     Duration initial_t_wait = millis(100);
-    /// Floor/ceiling keeping the estimator sane under pathological ACK loss.
-    Duration min_t_wait = millis(1);
-    Duration max_t_wait = secs(5.0);
     /// Start a new epoch (fresh Acker Selection Packet) this often.
     Duration epoch_interval = secs(30.0);
     /// Re-multicast when the missing designated ackers represent at least
@@ -147,14 +133,11 @@ struct ReceiverConfig {
     /// With the variable heartbeat this acts as the *floor* of the idle
     /// watchdog: after a heartbeat with index k the receiver knows the next
     /// transmission is due within h_min * backoff^(k+1) (capped at h_max),
-    /// so the watchdog waits max(max_idle, idle_safety * expected_gap).
+    /// so the watchdog waits max(max_idle, kIdleSafety * expected_gap).
     Duration max_idle = secs(0.25);
     /// The sender's heartbeat schedule (protocol constants shared by all
     /// group members) -- used to compute the expected next-packet time.
     HeartbeatConfig heartbeat;
-    /// Multiplier on the expected inter-packet gap before declaring the
-    /// stream stale; 2.0 mirrors the paper's 2 x t_burst detection bound.
-    double idle_safety = 2.0;
     /// Widest sequence gap one packet may open in the loss detector; 0 =
     /// LossDetector::kDefaultMaxGap.  Bounds the damage of a corrupted or
     /// far-future sequence number (see loss_detector.hpp).
@@ -178,19 +161,14 @@ struct ReceiverConfig {
     Duration recovery_cold_retry = secs(1.0);
     std::uint32_t recovery_cold_cycles = 4;
 
-    /// Expanding-ring discovery (Section 2.2.1): per-ring response window.
-    Duration discovery_interval = millis(250);
-    std::uint32_t discovery_max_rounds = 6;
-
     /// Section 7 extension: recover by subscribing to the sender's
     /// retransmission channel instead of NACKing.  kNoGroup disables it
     /// (standard NACK recovery).  If the channel has not repaired the gap
     /// within `retrans_channel_window` the receiver falls back to NACKs;
-    /// after the last gap fills it lingers `retrans_channel_linger` before
+    /// after the last gap fills it lingers kRetransChannelLinger before
     /// unsubscribing.
     GroupId retrans_channel = kNoGroup;
     Duration retrans_channel_window = millis(500);
-    Duration retrans_channel_linger = millis(250);
 
     /// Section 2.2.1 alternative: "distributed logging at each site by
     /// rotating the role of log server among the local hosts in order to
@@ -243,10 +221,9 @@ struct LoggerConfig {
     std::int32_t max_detector_gap = 0;
 
     /// Secondary re-multicasts a repair (site scope) instead of unicasting
-    /// when at least this many local NACKs arrive for one seq inside the
-    /// counting window, or when the secondary itself missed the packet.
+    /// when at least this many local NACKs arrive for one seq inside
+    /// kRemulticastWindow, or when the secondary itself missed the packet.
     std::uint32_t remulticast_request_threshold = 3;
-    Duration remulticast_window = millis(30);
 
     /// Whether scoped-multicast repairs can reach this logger's clients.
     /// True for a site secondary (its receivers share its LAN); false for a
@@ -260,8 +237,7 @@ struct LoggerConfig {
     /// chance to re-multicast the packet" (t_wait - h_min after the first
     /// heartbeat); deployments tune this to that quantity.
     Duration fetch_delay = millis(20);
-    /// Secondary->primary fetch retry behaviour.
-    Duration fetch_retry = millis(200);
+    /// Secondary->primary fetch attempts per budget, kFetchRetry apart.
     std::uint32_t fetch_max_retries = 5;
 
     /// When a full fetch attempt budget goes unanswered, the upstream may
@@ -269,13 +245,9 @@ struct LoggerConfig {
     /// hold the packet yet (the source's LogStore handoff is itself
     /// retried).  Rather than declaring the packet dead, re-learn the
     /// current primary from the source (PrimaryQuery) and restart the
-    /// budget after this pause.  fetch_cold_cycles bounds the restarts --
-    /// 0 restores the old exhaust-once-then-abandon behaviour.
-    Duration fetch_cold_retry = secs(1.0);
+    /// budget after kFetchColdRetry.  fetch_cold_cycles bounds the
+    /// restarts -- 0 restores the old exhaust-once-then-abandon behaviour.
     std::uint32_t fetch_cold_cycles = 4;
-
-    /// Primary->replica update retransmit interval.
-    Duration replica_retry = millis(100);
 
     /// Whether this logger answers expanding-ring discovery queries.
     bool answer_discovery = true;

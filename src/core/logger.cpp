@@ -6,6 +6,21 @@
 
 namespace lbrm {
 
+namespace {
+
+/// Counting window for local NACKs of one seq: remulticast_request_threshold
+/// requests inside it turn a unicast repair into a site re-multicast.
+constexpr Duration kRemulticastWindow = millis(30);
+/// Secondary->primary fetch retry interval.
+constexpr Duration kFetchRetry = millis(200);
+/// Pause before a parked fetch restarts its attempt budget, and the least
+/// spacing between PrimaryQuery calls that re-learn the upstream.
+constexpr Duration kFetchColdRetry = secs(1.0);
+/// Primary->replica update retransmit interval.
+constexpr Duration kReplicaRetry = millis(100);
+
+}  // namespace
+
 LoggerCore::LoggerCore(LoggerConfig config, std::uint64_t rng_seed)
     : config_(std::move(config)), role_(config_.role), rng_(rng_seed),
       store_(config_.retention), contiguous_(config_.initial_seq.prev()),
@@ -248,7 +263,7 @@ void LoggerCore::serve_one(TimePoint now, NodeId from, SeqNum seq, Actions& acti
     RequestWindow& window = windows_[seq];
     if (window.count == 0)
         actions.emplace_back(StartTimer{{TimerKind::kRemcastWindow, seq.value()},
-                                     now + config_.remulticast_window});
+                                     now + kRemulticastWindow});
     ++window.count;
 
     if (window.multicast_served) return;  // repair already on the wire
@@ -337,16 +352,16 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
             // the source below who the primary is *now*.
             ++state.cold_cycles;
             state.attempts = 0;
-            state.cold_until = now + config_.fetch_cold_retry;
+            state.cold_until = now + kFetchColdRetry;
             episodes_->fetch_cold_restart();
             budget_exhausted = true;
         }
-        // Pace per sequence: a request fired less than fetch_retry ago is
+        // Pace per sequence: a request fired less than kFetchRetry ago is
         // still outstanding -- re-asking now would just double the NACK load
         // the hierarchy exists to reduce.  Parked sequences wait out their
         // cold pause first.
         if (now >= state.cold_until &&
-            (state.attempts == 0 || now - state.last_request >= config_.fetch_retry)) {
+            (state.attempts == 0 || now - state.last_request >= kFetchRetry)) {
             ++state.attempts;
             ++state.requests;
             state.last_request = now;
@@ -359,7 +374,7 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
     if (upstream_ == kNoNode) return actions;
     if (budget_exhausted &&
         (!primary_query_sent_ ||
-         now - last_primary_query_ >= config_.fetch_cold_retry)) {
+         now - last_primary_query_ >= kFetchColdRetry)) {
         primary_query_sent_ = true;
         last_primary_query_ = now;
         actions.emplace_back(
@@ -372,7 +387,7 @@ Actions LoggerCore::fire_fetch(TimePoint now) {
     }
     if (!fetch_pending_.empty())
         actions.emplace_back(
-            StartTimer{{TimerKind::kNackRetry, 0}, now + config_.fetch_retry});
+            StartTimer{{TimerKind::kNackRetry, 0}, now + kFetchRetry});
     return actions;
 }
 
@@ -403,7 +418,7 @@ void LoggerCore::fan_out_to_replicas(const LogStore::Entry& entry, Actions& acti
     if (!replica_retry_armed_) {
         replica_retry_armed_ = true;
         actions.emplace_back(StartTimer{{TimerKind::kReplicaRetry, 0},
-                                     TimePoint{entry.stored_at + config_.replica_retry}});
+                                     TimePoint{entry.stored_at + kReplicaRetry}});
     }
 }
 
@@ -446,7 +461,7 @@ Actions LoggerCore::on_timer(TimePoint now, TimerId id) {
             if (outstanding) {
                 replica_retry_armed_ = true;
                 actions.emplace_back(StartTimer{{TimerKind::kReplicaRetry, 0},
-                                             now + config_.replica_retry});
+                                             now + kReplicaRetry});
             }
             return actions;
         }

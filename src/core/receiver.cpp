@@ -4,6 +4,17 @@
 
 namespace lbrm {
 
+namespace {
+
+/// Expanding-ring discovery (Section 2.2.1): the response window of each
+/// ring, and the rings tried before falling back to the static chain.
+constexpr Duration kDiscoveryInterval = millis(250);
+constexpr std::uint32_t kDiscoveryMaxRounds = 6;
+/// Time on the retransmission channel after the last gap fills.
+constexpr Duration kRetransChannelLinger = millis(250);
+
+}  // namespace
+
 ReceiverCore::ReceiverCore(ReceiverConfig config)
     : ReceiverCore(std::make_shared<const ReceiverConfig>(std::move(config))) {}
 
@@ -179,7 +190,7 @@ Duration ReceiverCore::gap_after_heartbeat(std::uint32_t index) const {
 }
 
 Duration ReceiverCore::idle_threshold(Duration expected_gap) const {
-    const Duration scaled = scale(expected_gap, policy_->idle_safety);
+    const Duration scaled = scale(expected_gap, kIdleSafety);
     return scaled > policy_->max_idle ? scaled : policy_->max_idle;
 }
 
@@ -224,7 +235,7 @@ void ReceiverCore::recovery_complete(TimePoint now, Actions& actions) {
     if (!retx_joined_) return;
     actions.emplace_back(CancelTimer{{TimerKind::kRetxFallback, 0}});
     actions.emplace_back(StartTimer{{TimerKind::kRetxLinger, 0},
-                                 now + policy_->retrans_channel_linger});
+                                 now + kRetransChannelLinger});
 }
 
 void ReceiverCore::schedule_nack(TimePoint now, Actions& actions) {
@@ -387,7 +398,7 @@ void ReceiverCore::close_episode(TimePoint now, SeqNum seq, const LossDetector::
 Actions ReceiverCore::discovery_round(TimePoint now) {
     Actions actions;
     if (!discovering_) return actions;
-    if (discovery_round_ >= policy_->discovery_max_rounds) {
+    if (discovery_round_ >= kDiscoveryMaxRounds) {
         // Give up: fall back to the static chain (fallback logger / source).
         discovering_ = false;
         if (fallback_ != kNoNode) {
@@ -411,7 +422,7 @@ Actions ReceiverCore::discovery_round(TimePoint now) {
     actions.emplace_back(SendMulticast{
         make_packet(DiscoveryQueryBody{ttl, discovery_nonce_}), scope});
     actions.emplace_back(StartTimer{{TimerKind::kDiscovery, 0},
-                                 now + policy_->discovery_interval});
+                                 now + kDiscoveryInterval});
     return actions;
 }
 

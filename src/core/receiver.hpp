@@ -29,6 +29,10 @@ namespace lbrm {
 
 class ReceiverCore final : public CoreBase {
 public:
+    /// Multiplier on the expected inter-packet gap before declaring the
+    /// stream stale; 2.0 mirrors the paper's 2 x t_burst detection bound.
+    static constexpr double kIdleSafety = 2.0;
+
     /// A receiver with a policy of its own: `config` moves into one heap
     /// block that only this core holds.
     explicit ReceiverCore(ReceiverConfig config);
@@ -74,7 +78,7 @@ public:
     /// exposed so a dormant record can schedule the identical timer
     /// without materialising the core.
     [[nodiscard]] static Duration initial_idle_threshold(const ReceiverConfig& config) {
-        const Duration scaled = scale(config.heartbeat.h_min, config.idle_safety);
+        const Duration scaled = scale(config.heartbeat.h_min, kIdleSafety);
         return scaled > config.max_idle ? scaled : config.max_idle;
     }
 

@@ -4,13 +4,22 @@
 
 namespace lbrm {
 
+namespace {
+
+/// Floor and ceiling on t_wait, keeping the estimator sane under
+/// pathological ACK loss.
+constexpr Duration kMinTWait = millis(1);
+constexpr Duration kMaxTWait = secs(5.0);
+
+}  // namespace
+
 StatAckEngine::StatAckEngine(NodeId self, GroupId group, const StatAckConfig& config)
     : self_(self), group_(group), config_(config), estimator_(config),
       t_wait_ewma_(config.alpha, to_seconds(config.initial_t_wait)) {}
 
 Duration StatAckEngine::t_wait() const {
     Duration d = secs(t_wait_ewma_.value());
-    return std::clamp(d, config_.min_t_wait, config_.max_t_wait);
+    return std::clamp(d, kMinTWait, kMaxTWait);
 }
 
 double StatAckEngine::n_sl() const { return estimator_.estimate().value_or(0.0); }

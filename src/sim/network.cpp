@@ -22,31 +22,18 @@ namespace {
 
 }  // namespace
 
-namespace {
-/// "sim.*" pull-gauge names registered by register_metrics(); ~Network
-/// removes exactly this list (the registry can outlive the network).
-constexpr const char* kSimGaugeNames[] = {
-    "sim.cached_trees",     "sim.tree_cache_bytes",   "sim.routing_table_bytes",
-    "sim.drops_queue",      "sim.drops_loss",         "sim.link_packets",
-    "sim.link_bytes",       "sim.queue_pending",      "sim.events_processed",
-    "sim.events_scheduled",
-};
-}  // namespace
-
 Network::Network(Simulator& simulator, std::uint64_t seed, SimConfig config)
     : simulator_(simulator), seed_(seed),
-      tree_cache_capacity_(config.tree_cache_capacity),
-      metrics_(config.metrics ? config.metrics : std::make_shared<obs::Metrics>()) {
+      tree_cache_capacity_(config.tree_cache_capacity) {
     register_metrics();
 }
 
 Network::~Network() {
     while (deliveries_ != nullptr) destroy(deliveries_);
-    for (const char* name : kSimGaugeNames) metrics_->remove_gauge_fn(name);
 }
 
 void Network::register_metrics() {
-    obs::Metrics& m = *metrics_;
+    obs::Metrics& m = metrics_;
     unicast_sends_ = &m.counter("sim.unicast_sends");
     multicast_sends_ = &m.counter("sim.multicast_sends");
     deliveries_made_ = &m.counter("sim.deliveries");
@@ -58,8 +45,7 @@ void Network::register_metrics() {
     remote_drops_ = &m.counter("sim.remote_drops");
 
     // Pull gauges: evaluated at snapshot time only, so none of these touch
-    // the hot path.  When several networks share one registry the most
-    // recently constructed network's gauges win (find-or-create semantics).
+    // the hot path.
     m.gauge_fn("sim.cached_trees",
                [this] { return static_cast<std::uint64_t>(cached_trees_); });
     m.gauge_fn("sim.tree_cache_bytes",

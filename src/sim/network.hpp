@@ -125,6 +125,9 @@ public:
     /// The reference stays valid for the network's lifetime.
     SimHost& attach_host(NodeId node);
     [[nodiscard]] SimHost* host(NodeId node);
+    /// Every attached host, in attach order.
+    [[nodiscard]] StableVector<SimHost>& hosts() { return host_arena_; }
+    [[nodiscard]] const StableVector<SimHost>& hosts() const { return host_arena_; }
 
     // --- traffic ------------------------------------------------------------
     void unicast(NodeId from, NodeId to, const Packet& packet);
@@ -145,10 +148,9 @@ public:
     [[nodiscard]] std::size_t link_count() const { return cables_.size() * 2; }
     [[nodiscard]] Simulator& simulator() { return simulator_; }
 
-    /// The telemetry registry (created by the network unless SimConfig
-    /// supplied one).  All "sim.*" rows live here; protocol hosts bind their
-    /// "proto.*" / "host.*" rows to it at attach.
-    [[nodiscard]] obs::Metrics& metrics() { return *metrics_; }
+    /// The network's own telemetry registry.  All "sim.*" rows live here;
+    /// protocol hosts bind their "proto.*" / "host.*" rows to it at attach.
+    [[nodiscard]] obs::Metrics& metrics() { return metrics_; }
 
     /// Cached multicast delivery trees currently held (tests use this to
     /// observe cache hits, LRU eviction and invalidation).
@@ -400,6 +402,7 @@ private:
     std::vector<std::uint32_t> end_next_;
 
     // --- hosts (cold; sparse side table over a by-value arena) ------------
+    obs::Metrics metrics_;  ///< outlives the hosts, whose cores hold handles into it
     StableVector<SimHost> host_arena_;
     std::vector<SimHost*> node_host_;
 
@@ -454,10 +457,8 @@ private:
 
     // --- telemetry (observation-only; never read by simulation logic) -----
     /// Resolve every counter handle and register the "sim.*" pull gauges;
-    /// called once from the constructor.  ~Network removes the gauges (a
-    /// registry SimConfig supplied may outlive this network).
+    /// called once from the constructor.
     void register_metrics();
-    std::shared_ptr<obs::Metrics> metrics_;
     obs::Counter* unicast_sends_;      ///< sim.unicast_sends
     obs::Counter* multicast_sends_;    ///< sim.multicast_sends
     obs::Counter* deliveries_made_;    ///< sim.deliveries (deliver_local hits)

@@ -67,8 +67,6 @@ DisScenario::DisScenario(ScenarioConfig config)
         network_.set_shard_view(config_.shard_self, std::move(node_shard), nullptr);
     }
 
-    const DisTopologySize size = dis_topology_size(config_.topology);
-    hosts_.reserve(size.hosts);
     secondary_cores_.reserve(config_.topology.sites);
 
     // One handler object serves every core (each call names the core that
@@ -103,7 +101,6 @@ void DisScenario::wire_region(const DisTopology::Region& region, std::size_t reg
     network_.join(config_.group, region.logger);
     if (!owns(region.logger)) return;
     SimHost& host = network_.attach_host(region.logger);
-    hosts_.push_back(&host);
 
     // The recursion: the same role as a site secondary, one tier higher.
     LoggerConfig regional = logger_config(config_.logger_defaults, region.logger,
@@ -124,7 +121,6 @@ void DisScenario::wire_source() {
     // --- sender -----------------------------------------------------------
     if (owns(topology_.source)) {
         SimHost& source_host = network_.attach_host(topology_.source);
-        hosts_.push_back(&source_host);
 
         SenderConfig sender_config;
         sender_config.self = topology_.source;
@@ -147,7 +143,6 @@ void DisScenario::wire_source() {
     // --- primary logger -----------------------------------------------------
     if (owns(topology_.primary)) {
         SimHost& primary_host = network_.attach_host(topology_.primary);
-        hosts_.push_back(&primary_host);
 
         LoggerConfig primary_config = logger_config(config_.logger_defaults, topology_.primary,
                                                     LoggerRole::kPrimary, kNoNode);
@@ -165,7 +160,6 @@ void DisScenario::wire_source() {
         const std::uint64_t replica_salt = salt++;
         if (!owns(replica)) continue;
         SimHost& host = network_.attach_host(replica);
-        hosts_.push_back(&host);
 
         host.protocol().add_logger(logger_config(config_.logger_defaults, replica,
                                                  LoggerRole::kReplica, topology_.primary),
@@ -175,14 +169,16 @@ void DisScenario::wire_source() {
 
 void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_index) {
     const GroupId group = config_.group;
+    const SiteLogging mode = config_.site_logging;
 
-    NodeId local_logger = kNoNode;
-    if (config_.use_secondary_loggers && site.secondary != kNoNode) {
-        network_.join(group, site.secondary);
-        local_logger = site.secondary;
-        if (owns(site.secondary)) {
-            SimHost& host = network_.attach_host(site.secondary);
-            hosts_.push_back(&host);
+    // Every mode but the centralized one runs the site's dedicated
+    // secondary; rotation keeps it as the receivers' configured logger.
+    const NodeId local_logger = mode != SiteLogging::kCentralized ? site.secondary : kNoNode;
+    LoggerCore* secondary = nullptr;  // stays null on another shard's site
+    if (local_logger != kNoNode) {
+        network_.join(group, local_logger);
+        if (owns(local_logger)) {
+            SimHost& host = network_.attach_host(local_logger);
 
             NodeId upstream = topology_.primary;
             if (config_.use_regional_loggers) {
@@ -190,35 +186,40 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
                 if (const auto* region = topology_.region_of_site(site_index))
                     upstream = region->logger;
             }
-            secondary_cores_.push_back(&host.protocol().add_logger(
-                logger_config(config_.logger_defaults, site.secondary, LoggerRole::kSecondary,
+            secondary = &host.protocol().add_logger(
+                logger_config(config_.logger_defaults, local_logger, LoggerRole::kSecondary,
                               upstream),
-                config_.seed * 31 + site_index, handlers_));
-        } else {
-            secondary_cores_.push_back(nullptr);  // owned by another shard
+                config_.seed * 31 + site_index, handlers_);
         }
-    } else {
-        secondary_cores_.push_back(nullptr);
     }
+    secondary_cores_.push_back(secondary);
 
-    // Dormancy needs a statically known logger at attach time: discovery
-    // would multicast probes at start() and rotation runs a co-located
-    // logger core, so both fall back to eager wiring.
-    const bool dormant_mode = config_.dormant_receivers &&
-                              !config_.discover_loggers &&
-                              !config_.rotate_site_loggers;
-    // Eager receivers share the blueprint's config; under rotation each
-    // site's receivers share one that lists the site's rotating loggers.
+    // Eager receivers share the blueprint's config and NACK the site logger,
+    // or the primary when there is none.  Dormancy needs that logger known
+    // at attach time, so the modes that find or rotate it run live cores.
     std::shared_ptr<const ReceiverConfig> policy(receiver_template_,
                                                  &receiver_template_->config);
-    if (config_.rotate_site_loggers && !site.receivers.empty()) {
-        ReceiverConfig site_policy = receiver_template_->config;
-        site_policy.rotating_loggers = site.receivers;
-        policy = std::make_shared<const ReceiverConfig>(std::move(site_policy));
+    NodeId receiver_logger = local_logger != kNoNode ? local_logger : topology_.primary;
+    bool dormant_mode = config_.dormant_receivers;
+    switch (mode) {
+        case SiteLogging::kDedicated:
+        case SiteLogging::kCentralized:
+            break;
+        case SiteLogging::kDiscovered:
+            // Discovery finds a logger by multicasting probes at start().
+            receiver_logger = kNoNode;
+            dormant_mode = false;
+            break;
+        case SiteLogging::kRotating: {
+            // The site's receivers share one policy that lists the site's
+            // rotating loggers, each run beside a receiver below.
+            ReceiverConfig site_policy = receiver_template_->config;
+            site_policy.rotating_loggers = site.receivers;
+            policy = std::make_shared<const ReceiverConfig>(std::move(site_policy));
+            dormant_mode = false;
+            break;
+        }
     }
-    NodeId receiver_logger = kNoNode;  // discovery finds one
-    if (!config_.discover_loggers)
-        receiver_logger = local_logger != kNoNode ? local_logger : topology_.primary;
     std::uint32_t receiver_index = 0;
     for (NodeId node : site.receivers) {
         const bool joins_group =
@@ -231,7 +232,6 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
             continue;
         }
         SimHost& host = network_.attach_host(node);
-        hosts_.push_back(&host);
 
         if (dormant_mode) {
             // One shared watchdog deadline for every dormant receiver in
@@ -246,7 +246,7 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
 
         host.protocol().add_receiver(policy, node, receiver_logger, topology_.primary,
                                      handlers_);
-        if (config_.rotate_site_loggers) {
+        if (mode == SiteLogging::kRotating) {
             // Rotating-logger mode (Section 2.2.1 alternative): this host
             // also runs a secondary logger that passively logs the stream
             // and serves NACKs whenever the rotation points here.  Attached
@@ -264,13 +264,13 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
 
 void DisScenario::start() {
     const TimePoint now = simulator_.now();
-    for (SimHost* host : hosts_) {
+    for (SimHost& host : network_.hosts()) {
         // Each host's startup (timer arms, probe sends) is keyed to the
         // host itself -- scenario-level iteration order must not leak into
         // event keys, or per-shard host subsets would diverge.
         Simulator::ActorScope scope(
-            simulator_, static_cast<std::uint32_t>(host->id().value() - 1));
-        host->protocol().start(now);
+            simulator_, static_cast<std::uint32_t>(host.id().value() - 1));
+        host.protocol().start(now);
     }
     if (dormant_attached_) {
         // Dormant idle watchdogs (see fire_dormant_watchdogs): every
@@ -285,10 +285,10 @@ void DisScenario::start() {
         Simulator::ActorScope sweep_scope(simulator_, Simulator::kSweepActor);
         simulator_.schedule_at(deadline, [this] {
             const TimePoint at = simulator_.now();
-            for (SimHost* host : hosts_) {
+            for (SimHost& host : network_.hosts()) {
                 Simulator::ActorScope scope(
-                    simulator_, static_cast<std::uint32_t>(host->id().value() - 1));
-                host->protocol().fire_dormant_watchdogs(at);
+                    simulator_, static_cast<std::uint32_t>(host.id().value() - 1));
+                host.protocol().fire_dormant_watchdogs(at);
             }
         });
     }
@@ -350,7 +350,7 @@ ReceiverCore& DisScenario::receiver(NodeId node) {
 
 std::size_t DisScenario::dormant_receiver_count() const {
     std::size_t n = 0;
-    for (const SimHost* host : hosts_) n += host->protocol().dormant_count();
+    for (const SimHost& host : network_.hosts()) n += host.protocol().dormant_count();
     return n;
 }
 

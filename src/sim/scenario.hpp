@@ -26,14 +26,32 @@
 
 namespace lbrm::sim {
 
+/// How a site logs the stream and where its receivers send NACKs: the
+/// alternatives of Section 2.2.1.
+enum class SiteLogging : std::uint8_t {
+    /// One dedicated secondary logger per site, statically configured as
+    /// its receivers' logger (distributed logging, Section 2.2).
+    kDedicated,
+    /// No site logger: every receiver NACKs the primary directly (the
+    /// centralized baseline of Figure 7a).
+    kCentralized,
+    /// The dedicated secondary runs, but receivers find their logger by
+    /// expanding-ring multicast instead of static configuration.
+    kDiscovered,
+    /// The dedicated secondary runs, and every receiver host doubles as a
+    /// secondary logger: receivers rotate their NACK target among the
+    /// site's hosts each `receiver_defaults.rotation_slot` ("rotating the
+    /// role of log server among the local hosts").
+    kRotating,
+};
+
 struct ScenarioConfig {
     DisTopologySpec topology;
     GroupId group{1};
     std::uint64_t seed = 42;
 
-    /// Simulator-substrate knobs (the delivery-tree cache bound, a shared
-    /// telemetry registry).  Purely a memory/speed trade-off: results are
-    /// identical for every setting.
+    /// Simulator-substrate knobs (the delivery-tree cache bound).  Purely
+    /// a memory/speed trade-off: results are identical for every setting.
     SimConfig sim;
 
     /// Where scenario events go.  Null = a private RecordingObserver (the
@@ -55,14 +73,8 @@ struct ScenarioConfig {
     /// exercise wraparound end to end.
     SeqNum initial_seq{1};
 
-    /// Point receivers at their site's secondary logger (distributed
-    /// logging, Section 2.2).  When false every receiver NACKs the primary
-    /// directly (the centralized baseline of Figure 7a).
-    bool use_secondary_loggers = true;
-
-    /// Let receivers discover their logger via expanding-ring multicast
-    /// instead of static configuration (Section 2.2.1).
-    bool discover_loggers = false;
+    /// How every site logs the stream (see SiteLogging).
+    SiteLogging site_logging = SiteLogging::kDedicated;
 
     /// Re-multicast threshold for every logger: requests for one packet
     /// within a window before a repair is multicast instead of unicast.
@@ -78,12 +90,6 @@ struct ScenarioConfig {
     std::uint32_t retrans_channel_copies = 3;
     Duration retrans_channel_first_delay = millis(40);
 
-    /// Section 2.2.1 alternative: instead of one dedicated secondary per
-    /// site, every receiver host doubles as a secondary logger and receivers
-    /// rotate their NACK target among them each
-    /// `receiver_defaults.rotation_slot`.
-    bool rotate_site_loggers = false;
-
     /// Section 7 extension: when the topology has a regional tier
     /// (topology.sites_per_region > 0), run a logging server per region:
     /// site secondaries fetch from their regional logger, which fetches
@@ -95,8 +101,7 @@ struct ScenarioConfig {
     /// their first group packet.  Bit-identical to eager cores (the wake
     /// rules live in ProtocolHost::add_dormant_receiver; memory_diet_test
     /// A/Bs the two modes) but requires statically configured loggers, so
-    /// the flag is ignored when discover_loggers or rotate_site_loggers is
-    /// set.
+    /// it applies under SiteLogging::kDedicated and kCentralized only.
     bool dormant_receivers = false;
 
     /// 0 = every receiver joins the multicast group (the default).  N > 0 =
@@ -252,7 +257,6 @@ private:
     SenderCore* sender_core_ = nullptr;
     LoggerCore* primary_core_ = nullptr;
     std::vector<LoggerCore*> secondary_cores_;
-    std::vector<SimHost*> hosts_;
     SharedHandlers handlers_;  ///< the one handler object every core reports through
     /// The one receiver blueprint: dormant receivers attach with it, and
     /// eager ones share its config (rotation builds one per site) and its

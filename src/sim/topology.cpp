@@ -32,12 +32,6 @@ DisTopologySize dis_topology_size(const DisTopologySpec& spec) {
                      (1 + secondaries + spec.receivers_per_site);
     // Every node except the backbone hub adds exactly one cable.
     size.directed_links = 2 * (size.nodes - 1);
-    // Endpoints the scenario may attach: source + primary, replicas,
-    // regional loggers, site secondaries and receivers (routers and the
-    // hub carry no protocol host).
-    size.hosts = 2 + spec.replicas + region_count +
-                 static_cast<std::size_t>(spec.sites) *
-                     (secondaries + spec.receivers_per_site);
     return size;
 }
 
@@ -50,35 +44,30 @@ DisTopology make_dis_topology(Network& network, const DisTopologySpec& spec) {
     const DisTopologySize size = dis_topology_size(spec);
     network.reserve(size.nodes, size.directed_links);
 
-    const LinkSpec lan{spec.lan_delay, spec.lan_bandwidth_bps, Duration::zero()};
-    const LinkSpec tail{spec.tail_delay, spec.tail_bandwidth_bps, spec.tail_queue_limit};
-    const LinkSpec backbone_link{spec.backbone_delay, spec.backbone_bandwidth_bps,
-                                 Duration::zero()};
+    const LinkSpec tail{spec.tail_delay, kTailBandwidthBps, spec.tail_queue_limit};
 
     // Site id 0 is the source site; receiver sites are 1..N.
     const SiteId source_site{0};
     topo.backbone = network.add_node(SiteId{0xFFFF});
 
     topo.source_router = network.add_node(source_site);
-    network.add_link(topo.source_router, topo.backbone, backbone_link);
+    network.add_link(topo.source_router, topo.backbone, kBackboneLink);
 
     topo.source = network.add_node(source_site);
-    network.add_link(topo.source, topo.source_router, lan);
+    network.add_link(topo.source, topo.source_router, kLanLink);
 
     topo.primary = network.add_node(source_site);
-    network.add_link(topo.primary, topo.source_router, lan);
+    network.add_link(topo.primary, topo.source_router, kLanLink);
 
     for (std::uint32_t r = 0; r < spec.replicas; ++r) {
         const NodeId replica = network.add_node(source_site);
-        network.add_link(replica, topo.source_router, lan);
+        network.add_link(replica, topo.source_router, kLanLink);
         topo.replicas.push_back(replica);
     }
 
     // Optional regional tier (Section 7 multi-level logging hierarchy):
     // region routers sit between the sites' tail circuits and the backbone,
     // each with a regional logging server attached.
-    const LinkSpec region_link{spec.region_delay, spec.region_bandwidth_bps,
-                               Duration::zero()};
     if (spec.sites_per_region > 0) {
         const std::uint32_t region_count =
             (spec.sites + spec.sites_per_region - 1) / spec.sites_per_region;
@@ -86,9 +75,9 @@ DisTopology make_dis_topology(Network& network, const DisTopologySpec& spec) {
             DisTopology::Region region;
             const SiteId region_site{0x8000u + r};
             region.router = network.add_node(region_site);
-            network.add_link(region.router, topo.backbone, backbone_link);
+            network.add_link(region.router, topo.backbone, kBackboneLink);
             region.logger = network.add_node(region_site);
-            network.add_link(region.logger, region.router, region_link);
+            network.add_link(region.logger, region.router, kRegionLink);
             topo.regions.push_back(std::move(region));
         }
     }
@@ -110,13 +99,13 @@ DisTopology make_dis_topology(Network& network, const DisTopologySpec& spec) {
         site.secondary = kNoNode;
         if (spec.secondary_logger_per_site) {
             site.secondary = network.add_node(site.id);
-            network.add_link(site.secondary, site.router, lan);
+            network.add_link(site.secondary, site.router, kLanLink);
         }
 
         site.receivers.reserve(spec.receivers_per_site);
         for (std::uint32_t h = 0; h < spec.receivers_per_site; ++h) {
             const NodeId receiver = network.add_node(site.id);
-            network.add_link(receiver, site.router, lan);
+            network.add_link(receiver, site.router, kLanLink);
             site.receivers.push_back(receiver);
         }
         topo.sites.push_back(std::move(site));

@@ -16,23 +16,25 @@
 
 namespace lbrm::sim {
 
+// Figure 1's links.  One way, LAN hop 0.5 ms, tail 1 ms and backbone 38 ms
+// give the intra-site RTT of ~3-4 ms and the cross-WAN RTT of ~80 ms the
+// authors measured with ping (Section 2.2.2).
+/// Site LAN: 10 Mb/s Ethernet (Section 3).
+inline constexpr LinkSpec kLanLink{micros(500), 10e6, Duration::zero()};
+/// T3 backbone; also the cable from a region router to the hub.
+inline constexpr LinkSpec kBackboneLink{millis(38), 45e6, Duration::zero()};
+/// T1 tail circuit (Figure 1): the bottleneck between a site and the WAN.
+inline constexpr double kTailBandwidthBps = 1.544e6;
+/// Metro-distance link from a region router to its regional logger.
+inline constexpr LinkSpec kRegionLink{millis(5), 10e6, Duration::zero()};
+
 struct DisTopologySpec {
     std::uint32_t sites = 50;            ///< receiver sites (Section 2.2.2)
     std::uint32_t receivers_per_site = 20;
     bool secondary_logger_per_site = true;
     std::uint32_t replicas = 1;          ///< primary-log replicas (Section 2.2.3)
 
-    // Latency budget (one way): LAN hop 0.5 ms, tail 1 ms, backbone 38 ms
-    // => intra-site RTT ~3-4 ms, cross-WAN RTT ~80 ms, as measured by the
-    // authors with ping.
-    Duration lan_delay = micros(500);
-    Duration tail_delay = millis(1);
-    Duration backbone_delay = millis(38);
-
-    double lan_bandwidth_bps = 10e6;      ///< 10 Mb/s Ethernet (Section 3)
-    double tail_bandwidth_bps = 1.544e6;  ///< T1 tail circuit (Figure 1)
-    double backbone_bandwidth_bps = 45e6; ///< T3 backbone
-
+    Duration tail_delay = millis(1);  ///< one way, over each tail circuit
     /// Drop-tail bound on queueing delay at the tail circuits.
     Duration tail_queue_limit = millis(200);
 
@@ -41,9 +43,6 @@ struct DisTopologySpec {
     /// each region gets a router between its sites' tail circuits and the
     /// backbone, plus a regional logging server.  0 = flat topology.
     std::uint32_t sites_per_region = 0;
-    /// Metro-distance link: region router <-> backbone and regional logger.
-    Duration region_delay = millis(5);
-    double region_bandwidth_bps = 10e6;
 };
 
 /// The constructed topology, with every interesting node named.
@@ -78,12 +77,11 @@ struct DisTopology {
 };
 
 /// Exact sizes of the topology a spec will build, computed without building
-/// it -- Network::reserve and DisScenario pre-size their storage from this,
-/// so million-node construction never pays vector regrowth.
+/// it -- make_dis_topology pre-sizes the network's node and link storage
+/// from this, so million-node construction never pays vector regrowth.
 struct DisTopologySize {
     std::size_t nodes = 0;
     std::size_t directed_links = 0;  ///< two per cable
-    std::size_t hosts = 0;  ///< protocol endpoints DisScenario may attach
 };
 [[nodiscard]] DisTopologySize dis_topology_size(const DisTopologySpec& spec);
 

@@ -4,8 +4,17 @@
 
 namespace lbrm::workload {
 
+namespace {
+
+/// Zipf skew over symbols (rank 0 hottest).
+constexpr double kZipfS = 1.1;
+/// Minimum payload bytes per tick (padded; real feeds are small).
+constexpr std::size_t kPayloadSize = 48;
+
+}  // namespace
+
 StockTickerWorkload::StockTickerWorkload(StockTickerConfig config)
-    : config_(config), zipf_(config_.symbols, config_.zipf_s),
+    : config_(config), zipf_(config_.symbols, kZipfS),
       updates_per_key_(config_.symbols, 0) {}
 
 WorkloadItem StockTickerWorkload::next(Rng& rng) {
@@ -34,7 +43,7 @@ std::vector<std::uint8_t> StockTickerWorkload::render(const WorkloadItem& item) 
                                 static_cast<unsigned long long>(cents / 100),
                                 static_cast<unsigned long long>(cents % 100));
     std::vector<std::uint8_t> payload(buf, buf + n);
-    while (payload.size() < config_.payload_size)
+    while (payload.size() < kPayloadSize)
         payload.push_back(static_cast<std::uint8_t>('.'));
     return payload;
 }

@@ -15,8 +15,6 @@ namespace lbrm::workload {
 
 struct StockTickerConfig {
     std::uint32_t symbols = 500;
-    /// Zipf skew over symbols (rank 0 hottest).
-    double zipf_s = 1.1;
     /// Mean exponential gap between updates outside bursts.
     Duration mean_gap = millis(10);
     /// Per-draw probability that a fan-in burst starts.
@@ -24,8 +22,6 @@ struct StockTickerConfig {
     /// Updates per burst, spaced burst_gap apart.
     std::uint32_t burst_length = 12;
     Duration burst_gap = millis(1);
-    /// Minimum payload bytes per tick (padded; real feeds are small).
-    std::size_t payload_size = 48;
 };
 
 class StockTickerWorkload final : public Workload {

@@ -5,8 +5,15 @@
 
 namespace lbrm::workload {
 
+namespace {
+
+/// Zipf skew over page popularity (rank 0 hottest).
+constexpr double kZipfS = 0.9;
+
+}  // namespace
+
 WwwInvalidationWorkload::WwwInvalidationWorkload(WwwInvalidationConfig config)
-    : config_(std::move(config)), zipf_(config_.pages, config_.zipf_s),
+    : config_(std::move(config)), zipf_(config_.pages, kZipfS),
       updates_per_key_(config_.pages, 0) {}
 
 WorkloadItem WwwInvalidationWorkload::next(Rng& rng) {

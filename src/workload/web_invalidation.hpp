@@ -24,8 +24,6 @@ struct FlashCrowd {
 
 struct WwwInvalidationConfig {
     std::uint32_t pages = 2000;
-    /// Zipf skew over page popularity (rank 0 hottest).
-    double zipf_s = 0.9;
     /// Mean exponential gap between invalidations outside crowds.
     Duration mean_gap = millis(20);
     std::vector<FlashCrowd> flash_crowds;

@@ -675,7 +675,7 @@ TEST(ChaosRotation, BlackoutUnderLoggerRotationStaysReliable) {
     // rotated loggers must fetch what they missed from the primary before
     // they can serve their peers.
     ScenarioConfig config = chaos_config();
-    config.rotate_site_loggers = true;
+    config.site_logging = SiteLogging::kRotating;
     config.receiver_defaults.rotation_slot = secs(1.0);
     ChaosSchedule schedule;
     schedule.events.push_back(SiteBlackout{1, secs(1.3), millis(700)});

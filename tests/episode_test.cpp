@@ -472,7 +472,7 @@ TEST(EpisodeChaosMatrix, AccountingBalancesAcrossEveryFaultClass) {
         config.topology.replicas = 2;
         config.seed = 77;
         if (cls.rotate) {
-            config.rotate_site_loggers = true;
+            config.site_logging = SiteLogging::kRotating;
             config.receiver_defaults.rotation_slot = secs(1.0);
         }
         DisScenario scenario{config};

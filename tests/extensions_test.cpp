@@ -339,7 +339,7 @@ ScenarioConfig rotation_config() {
     config.topology.receivers_per_site = 4;
     config.topology.secondary_logger_per_site = false;  // no dedicated logger
     config.stat_ack.enabled = false;
-    config.rotate_site_loggers = true;
+    config.site_logging = SiteLogging::kRotating;
     config.receiver_defaults.rotation_slot = secs(2.0);
     return config;
 }

@@ -3,6 +3,11 @@
 // heartbeat-driven detection.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "bench/trace_hash.hpp"
+#include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
 
 namespace lbrm::sim {
@@ -145,6 +150,75 @@ TEST(IntegrationBasic, ReceiverDefaultsSetTheFreshnessBound) {
         EXPECT_EQ(scenario.notice_count(NoticeKind::kFreshnessLost), 0u);
         scenario.run_for(secs(0.2));
         EXPECT_EQ(scenario.notice_count(NoticeKind::kFreshnessLost), 12u);
+    }
+}
+
+// Each site-logging mode wires what its Section 2.2.1 alternative needs,
+// and nothing else: the packet-trace hash (bench/trace_hash.hpp's recipe)
+// of one lossy run and the core count of every host the topology names,
+// pinned per mode.  The literals were recorded from the boolean flags the
+// modes replaced (use_secondary_loggers, discover_loggers,
+// rotate_site_loggers), one combination per mode.  Dormant receivers are
+// asked for throughout, so a mode that wrongly went dormant, or wrongly
+// stayed live, fails too.
+TEST(ScenarioWiring, EachSiteLoggingModeKeepsItsTrace) {
+    struct Expected {
+        SiteLogging mode;
+        const char* name;
+        std::size_t dormant;
+        /// Source, primary, replica, then per site its secondary and receivers.
+        std::vector<std::size_t> cores;
+        std::uint64_t trace_hash;
+    };
+    const std::vector<Expected> expected = {
+        {SiteLogging::kDedicated, "dedicated", 9,
+         {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0x29ac4f7b9195d637ull},
+        {SiteLogging::kCentralized, "centralized", 9,
+         {1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1}, 0x25aaa97adba3829aull},
+        {SiteLogging::kDiscovered, "discovered", 0,
+         {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0x8628c3f56297f211ull},
+        {SiteLogging::kRotating, "rotating", 0,
+         {1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2}, 0xa393ba271c97f7e9ull},
+    };
+    for (const Expected& want : expected) {
+        SCOPED_TRACE(want.name);
+        ScenarioConfig config;
+        config.topology.sites = 3;
+        config.topology.receivers_per_site = 3;
+        config.seed = 5;
+        config.site_logging = want.mode;
+        config.dormant_receivers = true;
+        config.receiver_defaults.rotation_slot = secs(1.0);
+        DisScenario scenario{config};
+        const DisTopology& topo = scenario.topology();
+        Network& net = scenario.network();
+        for (const auto& site : topo.sites)
+            net.set_loss(topo.backbone, site.router, std::make_unique<BernoulliLoss>(0.2));
+        Fnv1a hash;
+        bench::hash_trace(net, hash);
+
+        std::vector<NodeId> nodes{topo.source, topo.primary};
+        nodes.insert(nodes.end(), topo.replicas.begin(), topo.replicas.end());
+        for (const auto& site : topo.sites) {
+            nodes.push_back(site.secondary);
+            nodes.insert(nodes.end(), site.receivers.begin(), site.receivers.end());
+        }
+        std::vector<std::size_t> cores;
+        for (NodeId node : nodes) {
+            const SimHost* host = net.host(node);
+            cores.push_back(host == nullptr ? 0 : host->protocol().core_count());
+        }
+        EXPECT_EQ(cores, want.cores);
+        EXPECT_EQ(scenario.dormant_receiver_count(), want.dormant);
+
+        scenario.start();
+        for (int i = 0; i < 12; ++i) {
+            scenario.send_update(200);
+            scenario.run_for(millis(50));
+        }
+        scenario.run_for(secs(3.0));
+        EXPECT_EQ(scenario.deliveries().size(), 9u * 12u);  // every receiver, every update
+        EXPECT_EQ(hash.h, want.trace_hash);
     }
 }
 

@@ -106,7 +106,7 @@ TEST(IntegrationFailover, SourceSurvivesTotalReplicaLoss) {
 
 TEST(IntegrationDiscovery, ReceiversFindTheirSiteLogger) {
     ScenarioConfig config = failover_config();
-    config.discover_loggers = true;  // no static logger configuration
+    config.site_logging = SiteLogging::kDiscovered;  // no static logger configuration
     DisScenario scenario(config);
     scenario.start();
     scenario.run_for(secs(2.0));
@@ -124,7 +124,7 @@ TEST(IntegrationDiscovery, ReceiversFindTheirSiteLogger) {
 
 TEST(IntegrationDiscovery, RecoveryWorksWithDiscoveredLoggers) {
     ScenarioConfig config = failover_config();
-    config.discover_loggers = true;
+    config.site_logging = SiteLogging::kDiscovered;
     DisScenario scenario(config);
     auto& network = scenario.network();
     const auto& topo = scenario.topology();

@@ -73,7 +73,7 @@ TEST(Hardening, DiscoveryFallsBackWhenSecondaryIsDead) {
     ScenarioConfig config;
     config.topology.sites = 2;
     config.topology.receivers_per_site = 2;
-    config.discover_loggers = true;
+    config.site_logging = SiteLogging::kDiscovered;
     config.stat_ack.enabled = false;
     DisScenario scenario(config);
     auto& network = scenario.network();

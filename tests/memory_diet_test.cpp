@@ -188,7 +188,7 @@ TEST(DormantReceivers, WakeOnAccessIsPureAndIdempotent) {
 
 TEST(DormantReceivers, DiscoveryModeFallsBackToEagerWiring) {
     ScenarioConfig config = dormant_config(true);
-    config.discover_loggers = true;  // discovery probes need live cores
+    config.site_logging = SiteLogging::kDiscovered;  // discovery probes need live cores
     DisScenario scenario{config};
     EXPECT_EQ(scenario.dormant_receiver_count(), 0u);
 }

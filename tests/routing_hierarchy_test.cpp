@@ -175,13 +175,10 @@ struct SingleCableNet {
         spec.sites_per_region = 2;
         topo = make_dis_topology(net, spec);
         stub = net.add_node(SiteId{900});
-        net.add_link(stub, topo.backbone,
-                     LinkSpec{spec.backbone_delay, spec.backbone_bandwidth_bps,
-                              Duration::zero()});
+        net.add_link(stub, topo.backbone, kBackboneLink);
         pair_a = net.add_node(SiteId{901});
         pair_b = net.add_node(SiteId{901});
-        net.add_link(pair_a, pair_b,
-                     LinkSpec{spec.lan_delay, spec.lan_bandwidth_bps, Duration::zero()});
+        net.add_link(pair_a, pair_b, kLanLink);
         members = topo.all_receivers();
         for (const auto& site : topo.sites) members.push_back(site.secondary);
         for (const auto& region : topo.regions) members.push_back(region.logger);

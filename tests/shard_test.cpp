@@ -435,7 +435,7 @@ TEST(ShardRecovery, CrossShardNackRetransmissionRoundTrip) {
     // trace-identical to the baseline.
     auto cfg = [](std::uint32_t shards) {
         ShardRunConfig c = shard_config(shards);
-        c.scenario.use_secondary_loggers = false;
+        c.scenario.site_logging = SiteLogging::kCentralized;
         c.run_for = secs(3.0);
         auto base_setup = c.setup;
         c.setup = [base_setup](DisScenario& s, std::uint32_t shard) {
@@ -563,7 +563,7 @@ TEST(ShardChaos, SitePartitionCoincidingWithShardCut) {
 /// not answer "what was the recovery-latency distribution".
 ShardRunConfig telemetry_config(std::uint32_t shards) {
     ShardRunConfig cfg = shard_config(shards);
-    cfg.scenario.use_secondary_loggers = false;
+    cfg.scenario.site_logging = SiteLogging::kCentralized;
     cfg.run_for = secs(3.0);
     auto base_setup = cfg.setup;
     cfg.setup = [base_setup](DisScenario& s, std::uint32_t shard) {

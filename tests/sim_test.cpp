@@ -221,16 +221,61 @@ TEST(Topology, DisTopologyShape) {
 }
 
 TEST(Topology, PaperLatencyBudget) {
-    // Receiver -> local secondary RTT ~3-4 ms; receiver -> primary ~80 ms,
-    // matching the paper's Section 2.2.2 ping measurements.
-    const DisTopologySpec spec;
-    const Duration local_one_way = spec.lan_delay + spec.lan_delay;  // host->rtr->sec
-    EXPECT_GE(2 * local_one_way, millis(2));
-    EXPECT_LE(2 * local_one_way, millis(4));
+    // Every cable make_dis_topology lays, flat and with a regional tier,
+    // read back off the built network and compared with Figure 1: 10 Mb/s
+    // Ethernet LANs, T1 tail circuits, a T3 backbone, metro region links.
+    for (const std::uint32_t sites_per_region : {0u, 2u}) {
+        SCOPED_TRACE(sites_per_region > 0 ? "regional" : "flat");
+        Simulator sim;
+        Network net{sim, 1};
+        DisTopologySpec spec;
+        spec.sites = 2;
+        spec.receivers_per_site = 1;
+        spec.sites_per_region = sites_per_region;
+        const DisTopology topo = make_dis_topology(net, spec);
+        const auto cable = [&net](NodeId a, NodeId b) {
+            const Link* link = net.link(a, b);
+            if (link == nullptr) ADD_FAILURE() << "no cable " << a.value() << "-" << b.value();
+            return link != nullptr ? link->spec() : LinkSpec{Duration::zero(), 0.0};
+        };
+        const auto expect_cable = [&cable](NodeId a, NodeId b, Duration propagation,
+                                           double bps, Duration queue_limit) {
+            const LinkSpec built = cable(a, b);
+            EXPECT_EQ(built.propagation, propagation) << a.value() << "-" << b.value();
+            EXPECT_EQ(built.bandwidth_bps, bps) << a.value() << "-" << b.value();
+            EXPECT_EQ(built.max_queue_delay, queue_limit) << a.value() << "-" << b.value();
+        };
+        const Duration unlimited = Duration::zero();
+        for (NodeId host : {topo.source, topo.primary, topo.replicas.at(0)})
+            expect_cable(host, topo.source_router, micros(500), 10e6, unlimited);
+        expect_cable(topo.source_router, topo.backbone, millis(38), 45e6, unlimited);
+        ASSERT_EQ(topo.regions.size(), sites_per_region > 0 ? 1u : 0u);
+        for (const DisTopology::Region& region : topo.regions) {
+            expect_cable(region.router, topo.backbone, millis(38), 45e6, unlimited);
+            expect_cable(region.logger, region.router, millis(5), 10e6, unlimited);
+        }
+        for (const DisTopology::Site& site : topo.sites) {
+            const NodeId uplink = topo.regions.empty() ? topo.backbone : topo.regions[0].router;
+            expect_cable(site.router, uplink, millis(1), 1.544e6, millis(200));
+            expect_cable(site.secondary, site.router, micros(500), 10e6, unlimited);
+            expect_cable(site.receivers.at(0), site.router, micros(500), 10e6, unlimited);
+        }
+        if (!topo.regions.empty()) continue;
 
-    const Duration remote_one_way =
-        spec.lan_delay + spec.tail_delay + spec.backbone_delay + spec.lan_delay;
-    EXPECT_NEAR(to_seconds(2 * remote_one_way), 0.080, 0.005);
+        // Receiver -> local secondary RTT ~3-4 ms; receiver -> primary
+        // ~80 ms, matching the paper's Section 2.2.2 ping measurements.
+        const DisTopology::Site& site = topo.sites[0];
+        const NodeId receiver = site.receivers[0];
+        const Duration local_one_way = cable(receiver, site.router).propagation +
+                                       cable(site.router, site.secondary).propagation;
+        EXPECT_GE(2 * local_one_way, millis(2));
+        EXPECT_LE(2 * local_one_way, millis(4));
+        const Duration remote_one_way = cable(receiver, site.router).propagation +
+                                        cable(site.router, topo.backbone).propagation +
+                                        cable(topo.backbone, topo.source_router).propagation +
+                                        cable(topo.source_router, topo.primary).propagation;
+        EXPECT_NEAR(to_seconds(2 * remote_one_way), 0.080, 0.005);
+    }
 }
 
 TEST(Network, UnicastDeliversThroughRouters) {

@@ -445,7 +445,7 @@ TEST(QueuedArrivals, SecondMulticastQueuedOnEveryTailArrivesInOneRun) {
     sim.run_to_completion();
 
     // Each tail took the second packet before it had serialized the first.
-    const Duration tail_serialization = secs(8.0 * 1000 / spec.tail_bandwidth_bps);
+    const Duration tail_serialization = secs(8.0 * 1000 / kTailBandwidthBps);
     ASSERT_EQ(tail_tx.size(), 4u);
     for (const auto& [tail, sent] : tail_tx) {
         ASSERT_EQ(sent.size(), 2u);
