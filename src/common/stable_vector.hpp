@@ -1,7 +1,7 @@
 // StableVector: a chunked, append-only sequence with stable element
 // addresses -- push never moves existing elements, so references handed out
 // by emplace_back remain valid for the container's lifetime (the guarantee
-// Network documents for its hosts and cables).
+// Network documents for its hosts and link records).
 //
 // Chunks double in size (1, 2, 4, 8, ...), so a container holding a single
 // element costs one exact-size allocation -- unlike std::deque, whose empty

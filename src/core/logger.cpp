@@ -83,7 +83,10 @@ Actions LoggerCore::on_packet(TimePoint now, const Packet& packet) {
     }
 
     if (const auto* ra = std::get_if<ReplicaAckBody>(&packet.body)) {
-        if (role_ == LoggerRole::kPrimary) {
+        // Only a configured replica's ack makes data replica-safe (2.2.3).
+        if (role_ == LoggerRole::kPrimary &&
+            std::find(config_.replicas.begin(), config_.replicas.end(), from) !=
+                config_.replicas.end()) {
             SeqNum& acked = replica_acked_[from];
             if (ra->cumulative_seq > acked) acked = ra->cumulative_seq;
             // Let the source release buffers as replicas catch up.

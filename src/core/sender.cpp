@@ -130,8 +130,12 @@ Actions SenderCore::on_packet(TimePoint now, const Packet& packet) {
     Actions actions;
     if (packet.header.group != config_.group) return actions;
 
-    if (const auto* ack = std::get_if<LogAckBody>(&packet.body))
+    // Only the current primary speaks for the log (a replaced one's late
+    // LogAck included): a LogAck from any other node releases nothing.
+    if (const auto* ack = std::get_if<LogAckBody>(&packet.body)) {
+        if (packet.header.sender != primary_) return actions;
         return handle_log_ack(now, *ack);
+    }
 
     if (const auto* nack = std::get_if<NackBody>(&packet.body))
         return handle_nack(now, packet.header.sender, *nack);

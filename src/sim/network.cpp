@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -52,20 +53,12 @@ void Network::register_metrics() {
                [this] { return static_cast<std::uint64_t>(tree_cache_bytes()); });
     m.gauge_fn("sim.routing_table_bytes",
                [this] { return static_cast<std::uint64_t>(routing_table_bytes()); });
-    m.gauge_fn("sim.drops_queue", [this] { return drop_breakdown().queue; });
-    m.gauge_fn("sim.drops_loss", [this] { return drop_breakdown().loss; });
+    m.gauge_fn("sim.drops_queue", [this] { return drops_queue_; });
+    m.gauge_fn("sim.drops_loss", [this] { return drops_loss_; });
     m.gauge_fn("sim.link_packets", [this] {
-        std::uint64_t total = 0;
-        for (const Cable& c : cables_)
-            for (const Link& l : c.dir) total += l.stats().packets;
-        return total;
+        return std::accumulate(type_packets_.begin(), type_packets_.end(), std::uint64_t{0});
     });
-    m.gauge_fn("sim.link_bytes", [this] {
-        std::uint64_t total = 0;
-        for (const Cable& c : cables_)
-            for (const Link& l : c.dir) total += l.stats().bytes;
-        return total;
-    });
+    m.gauge_fn("sim.link_bytes", [this] { return link_bytes_; });
     m.gauge_fn("sim.queue_pending",
                [this] { return static_cast<std::uint64_t>(simulator_.pending()); });
     m.gauge_fn("sim.events_processed",
@@ -75,14 +68,7 @@ void Network::register_metrics() {
 }
 
 Network::DropBreakdown Network::drop_breakdown() const {
-    DropBreakdown out;
-    for (const Cable& c : cables_) {
-        for (const Link& l : c.dir) {
-            out.queue += l.stats().drops_queue;
-            out.loss += l.stats().drops_loss;
-        }
-    }
-    return out;
+    return DropBreakdown{drops_queue_, drops_loss_};
 }
 
 void Network::track(DeliveryBase* d) {
@@ -110,7 +96,10 @@ void Network::reserve(std::size_t nodes, std::size_t directed_links) {
     node_host_.reserve(nodes);
     cable_head_.reserve(nodes);
     cable_tail_.reserve(nodes);
-    end_next_.reserve(directed_links);  // two cable ends per cable
+    end_node_.reserve(directed_links);  // one direction leaves each cable end
+    end_link_.reserve(directed_links);
+    end_next_.reserve(directed_links);
+    cable_spec_.reserve(directed_links / 2);
 }
 
 NodeId Network::add_node(SiteId site) {
@@ -130,15 +119,24 @@ void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
     if (find_link(a, b) != kNoIndex)
         throw std::invalid_argument("Network::add_link: cable " + std::to_string(a.value()) +
                                     "-" + std::to_string(b.value()) + " exists");
+    // Figure 1's few link classes repeat: a cable stores its spec's row.
+    auto row = std::find(specs_.begin(), specs_.end(), spec);
+    if (row == specs_.end()) {
+        if (specs_.size() > 0xFFFF)
+            throw std::length_error("Network::add_link: more than 65536 distinct specs");
+        row = specs_.insert(row, spec);
+    }
+    cable_spec_.push_back(static_cast<std::uint16_t>(row - specs_.begin()));
     // Append the cable's two ends to their nodes' lists (add order).
     auto append = [this](std::size_t node, std::uint32_t e) {
+        end_node_.push_back(static_cast<std::uint32_t>(node));
+        end_link_.push_back(kNoIndex);
         end_next_.push_back(kNoIndex);
         std::uint32_t& tail = cable_tail_[node];
         (tail == kNoIndex ? cable_head_[node] : end_next_[tail]) = e;
         tail = e;
     };
-    const auto end = static_cast<std::uint32_t>(2 * cables_.size());
-    cables_.emplace_back(a, b, spec);
+    const auto end = static_cast<std::uint32_t>(end_node_.size());
     append(index(a), end);
     append(index(b), end + 1);
     // A new edge can invalidate any cached tree, so the tree cache drops
@@ -189,12 +187,36 @@ std::uint32_t Network::find_link(NodeId a, NodeId b) const {
 
 Link* Network::link(NodeId a, NodeId b) {
     const std::uint32_t e = find_link(a, b);
-    return e == kNoIndex ? nullptr : &directed_link(e);
+    return e == kNoIndex ? nullptr : &link_at(e);
 }
 
-const Link* Network::link(NodeId a, NodeId b) const {
-    const std::uint32_t e = find_link(a, b);
-    return e == kNoIndex ? nullptr : &directed_link(e);
+void Link::spill(std::uint8_t tag) {
+    Rare& r = rare();
+    if (!r.spilled) {
+        for (std::size_t i = 0; i < type_tags_.size(); ++i)
+            r.spill[type_tags_[i]] += type_counts_[i];  // a free slot adds 0 to slot 0
+        r.spilled = true;
+    }
+    ++r.spill[tag];
+}
+
+bool Link::lost(TimePoint now) {
+    // Seed the stream only when a roll actually happens: lossless links
+    // never allocate a per-link Rng (~2.5 kB of mt19937_64 state).
+    Rare& r = *rare_;
+    if (!r.loss_rng)
+        r.loss_rng = std::make_unique<Rng>(splitmix64(
+            net_->seed_ ^
+            splitmix64((static_cast<std::uint64_t>(from().value()) << 32) | to().value())));
+    if (!r.loss->drop(*r.loss_rng, now)) return false;
+    ++r.drops_loss;
+    return true;
+}
+
+Link& Network::make_link(std::uint32_t e) {
+    Link& l = links_.emplace_back(*this, e);  // strong guarantee: index it only once made
+    end_link_[e] = static_cast<std::uint32_t>(links_.size() - 1);
+    return l;
 }
 
 // ---------------------------------------------------------------------------
@@ -266,9 +288,9 @@ void Network::build_routes() {
         exit_[i] = i + 1;
         top_[i] = i;
     }
-    const Cable& c = cables_[closing >> 1];
-    throw std::invalid_argument("Network::finalize: cable " + std::to_string(c.a.value()) +
-                                "-" + std::to_string(c.b.value()) +
+    const std::uint32_t a = closing & ~1u;  // the closing cable's `a` end
+    throw std::invalid_argument("Network::finalize: cable " + std::to_string(end_node_[a] + 1) +
+                                "-" + std::to_string(far_node(a) + 1) +
                                 " closes a cycle; routing needs a tree or forest");
 }
 
@@ -285,7 +307,7 @@ Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
         std::uint32_t child = to;
         for (std::uint32_t up = parent(to); up != from; up = parent(up)) child = up;
         if (enter_[top_[to]] > enter_[child]) return Hop{};
-        return Hop{child, &directed_link(parent_end_[child] ^ 1)};
+        return Hop{child, parent_end_[child] ^ 1};
     }
     if (below(from, to)) {
         // `to` is an ancestor.  The interior is from's strict ancestors
@@ -299,7 +321,7 @@ Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
         // in different trees never share one.
         return Hop{};
     }
-    return Hop{parent(from), &directed_link(parent_end_[from])};
+    return Hop{parent(from), parent_end_[from]};
 }
 
 std::uint64_t Network::routing_table_hash() {
@@ -309,8 +331,8 @@ std::uint64_t Network::routing_table_hash() {
         for (std::uint32_t v = 0; v < n; ++v) {
             const Hop hop = hop_toward(u, v);
             h.mix(hop.next);
-            h.mix(hop.link != nullptr ? (static_cast<std::uint64_t>(hop.link->from().value())
-                                         << 32) | hop.link->to().value()
+            h.mix(hop.end != kNoIndex ? (std::uint64_t{end_node_[hop.end] + 1} << 32) |
+                                            (far_node(hop.end) + 1)
                                       : 0);
         }
     }
@@ -473,12 +495,11 @@ void Network::forward_unicast(UnicastDelivery* d, std::uint32_t at) {
     }
     --d->hops_left;
     const Hop h = hop_toward(at, d->to);
-    if (h.link == nullptr) {  // unreachable
+    if (h.end == kNoIndex) {  // unreachable
         destroy(d);
         return;
     }
-    auto arrival = h.link->transmit(seed_, simulator_.now(), d->bytes, d->type);
-    if (tap_) tap_(simulator_.now(), *h.link, d->packet, arrival.has_value());
+    const std::optional<TimePoint> arrival = transmit(h.end, d->packet, d->bytes, d->type);
     if (!arrival) {
         destroy(d);
         return;
@@ -586,7 +607,7 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
                                       : std::numeric_limits<std::size_t>::max();
 
     std::vector<std::uint32_t> path;
-    std::vector<Link*> path_links;
+    std::vector<std::uint32_t> path_ends;
     for (NodeId member : members) {
         if (member == from || node_down_[index(member)] != 0) continue;
         if (scope == McastScope::kSite && site_of(member) != sender_site) continue;
@@ -595,7 +616,7 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
         // The snapshot is a forest, so every walk ends.
         const std::uint32_t member_index = static_cast<std::uint32_t>(index(member));
         path.assign(1, from_index);
-        path_links.clear();
+        path_ends.clear();
         std::uint32_t at = from_index;
         bool reachable = true;
         while (at != member_index) {
@@ -605,7 +626,7 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
                 break;
             }
             path.push_back(h.next);
-            path_links.push_back(h.link);
+            path_ends.push_back(h.end);
             at = h.next;
         }
         if (!reachable || path.size() - 1 > hop_limit) continue;
@@ -626,7 +647,7 @@ std::shared_ptr<const Network::CachedTree> Network::build_tree(
             // under this same parent.
             if (entries[down].linked != 0) continue;
             entries[down].linked = 1;
-            kids[up].push_back(CachedTree::Child{down, path_links[i]});
+            kids[up].push_back(CachedTree::Child{down, path_ends[i]});
         }
     }
 
@@ -745,9 +766,8 @@ void Network::multicast_step(TreeDelivery* d, std::uint32_t at) {
         run_len = 0;
     };
     for (std::uint32_t c = node.child_begin; c != node.child_end; ++c) {
-        const CachedTree::Child& child = d->tree->children[c];
-        auto arrival = child.link->transmit(seed_, simulator_.now(), d->bytes, d->type);
-        if (tap_) tap_(simulator_.now(), *child.link, d->packet, arrival.has_value());
+        const std::optional<TimePoint> arrival =
+            transmit(d->tree->children[c].end, d->packet, d->bytes, d->type);
         if (!arrival) {
             flush_run();  // a dropped child splits the contiguous run
             continue;
@@ -798,11 +818,11 @@ void Network::set_shard_view(std::uint32_t self, std::vector<std::uint32_t> node
 
 Duration Network::min_cut_propagation() const {
     Duration best = Duration::max();
-    for (const Cable& c : cables_) {
-        const std::size_t a = index(c.a), b = index(c.b);
+    for (std::size_t c = 0; c < cable_spec_.size(); ++c) {
+        const std::uint32_t a = end_node_[2 * c], b = end_node_[2 * c + 1];
         if (a >= node_shard_.size() || b >= node_shard_.size()) continue;
         if (node_shard_[a] == node_shard_[b]) continue;
-        if (c.spec.propagation < best) best = c.spec.propagation;
+        best = std::min(best, specs_[cable_spec_[c]].propagation);
     }
     return best;
 }
@@ -879,16 +899,18 @@ std::size_t Network::routing_table_bytes() const {
 
 std::uint64_t Network::count_packets(PacketType type,
                                      const std::function<bool(const Link&)>& pred) const {
+    if (!pred) return type_packets_[static_cast<std::uint8_t>(type)];
+    // A direction without a record has carried nothing.
     std::uint64_t total = 0;
-    for (const Cable& c : cables_)
-        for (const Link& l : c.dir)
-            if (!pred || pred(l)) total += l.stats().packets_of(type);
+    for (const Link& l : links_)
+        if (pred(l)) total += l.stats().packets_of(type);
     return total;
 }
 
 void Network::reset_link_stats() {
-    for (Cable& c : cables_)
-        for (Link& l : c.dir) l.reset_stats();
+    for (Link& l : links_) l.reset_stats();
+    type_packets_ = {};
+    link_bytes_ = drops_queue_ = drops_loss_ = 0;
 }
 
 }  // namespace lbrm::sim

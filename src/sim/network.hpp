@@ -11,8 +11,10 @@
 // Node storage is struct-of-arrays (see DESIGN.md "Scale engineering"): the
 // hot fields (site, liveness) live in dense per-node vectors,
 // and the cold protocol endpoints (SimHost) live by value in a chunked
-// arena behind a sparse node -> host pointer table.  Each node also keeps
-// the list of cables that touch it, in add order; link(a, b) walks the two
+// arena behind a sparse node -> host pointer table.  Cables are rows of
+// flat arrays indexed by cable end, and a direction's state is a Link
+// record made on first use (link.hpp).  Each node keeps the list
+// of cables that touch it, in add order; link(a, b) walks the two
 // endpoints' lists (DESIGN.md "Cable lists"), so no pair index exists.
 // Group membership is sorted flat vectors (ascending node id -- the same
 // iteration order std::set gave).
@@ -82,7 +84,7 @@ public:
     ~Network();
 
     // --- construction ----------------------------------------------------
-    /// Pre-size internal storage for a known topology (large benches).
+    /// Pre-size every per-node and per-cable-end array for a known topology.
     void reserve(std::size_t nodes, std::size_t directed_links);
 
     /// Add a node; returns its id (ids are assigned 1, 2, 3, ...).
@@ -92,7 +94,8 @@ public:
     /// Drops every cached tree -- a new edge may invalidate any of them --
     /// and requires finalize() before new traffic.  Throws
     /// std::invalid_argument, changing nothing, on bad endpoints or when
-    /// the cable exists in either orientation.
+    /// the cable exists in either orientation, and std::length_error past
+    /// 65,536 distinct specs.
     void add_link(NodeId a, NodeId b, const LinkSpec& spec);
 
     /// Replace the loss model of the directed link a -> b.
@@ -138,14 +141,17 @@ public:
     /// pairs and out-of-range ids).  Walks a's and b's cable lists in
     /// lockstep: O(min degree), one step for a host's LAN cable or a
     /// site's tail circuit.  Cables added after finalize() are found at
-    /// once.
+    /// once.  A direction's first lookup makes its record, whose address is
+    /// then fixed; that changes no count or route, so a const lookup may too.
     [[nodiscard]] Link* link(NodeId a, NodeId b);
-    [[nodiscard]] const Link* link(NodeId a, NodeId b) const;
+    [[nodiscard]] const Link* link(NodeId a, NodeId b) const {
+        return const_cast<Network*>(this)->link(a, b);
+    }
     [[nodiscard]] SiteId site_of(NodeId node) const {
         return node_site_id_[index(node)];
     }
     [[nodiscard]] std::size_t node_count() const { return node_site_id_.size(); }
-    [[nodiscard]] std::size_t link_count() const { return cables_.size() * 2; }
+    [[nodiscard]] std::size_t link_count() const { return end_node_.size(); }
     [[nodiscard]] Simulator& simulator() { return simulator_; }
 
     /// The network's own telemetry registry.  All "sim.*" rows live here;
@@ -183,12 +189,12 @@ public:
     using Tap = std::function<void(TimePoint, const Link&, const Packet&, bool delivered)>;
     void set_tap(Tap tap) { tap_ = std::move(tap); }
 
-    /// Sum of a statistic across all links, filtered by a predicate.
+    /// Packets of `type` on the links `pred` accepts (null: the network total).
     [[nodiscard]] std::uint64_t count_packets(
         PacketType type, const std::function<bool(const Link&)>& pred) const;
 
     /// Network-wide drop totals split by cause: queue overflow (kQueue) vs
-    /// the link loss model (kLoss).  Summed over every link's LinkStats.
+    /// the link loss model (kLoss), counted by every transmit.
     struct DropBreakdown {
         std::uint64_t queue = 0;
         std::uint64_t loss = 0;
@@ -196,6 +202,7 @@ public:
     };
     [[nodiscard]] DropBreakdown drop_breakdown() const;
 
+    /// Zero every link's tallies and the network-wide link totals.
     void reset_link_stats();
 
     /// Per-send delivery records still in flight (a walk of the intrusive
@@ -261,14 +268,15 @@ public:
     void inject_remote(const RemoteEvent& ev);
 
 private:
+    friend class Link;  // reads the cable rows, counts into the link totals
     /// "No node index" sentinel for the routing tables.
     static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
 
     /// A resolved forwarding step: the next node index on the tree path
-    /// and the link that reaches it.  {kNoIndex, nullptr} = unreachable.
+    /// and the cable end its link leaves from; both kNoIndex = unreachable.
     struct Hop {
         std::uint32_t next = kNoIndex;
-        Link* link = nullptr;
+        std::uint32_t end = kNoIndex;
     };
 
     /// A multicast delivery tree rooted at one sender, pruned to one
@@ -286,7 +294,7 @@ private:
         };
         struct Child {
             std::uint32_t entry;  ///< child's index into `nodes`
-            Link* link;
+            std::uint32_t end;    ///< the cable end its link leaves from
         };
         std::vector<Node> nodes;  ///< entry 0 = the sender (root)
         std::vector<Child> children;
@@ -321,19 +329,24 @@ private:
     /// cable that closes a cycle, after making every node its own
     /// one-node tree (so nothing routes).
     void build_routes();
-    /// The directed link a -> b as a directed-link index (see cable_head_),
-    /// or kNoIndex.
+    /// The directed link a -> b as the cable end it leaves from, or kNoIndex.
     [[nodiscard]] std::uint32_t find_link(NodeId a, NodeId b) const;
-    /// The directed link with index `e` (see cable_head_).
-    [[nodiscard]] Link& directed_link(std::uint32_t e) { return cables_[e >> 1].dir[e & 1]; }
-    [[nodiscard]] const Link& directed_link(std::uint32_t e) const {
-        return cables_[e >> 1].dir[e & 1];
+    /// The record of the direction leaving cable end `e`, made on first use.
+    [[nodiscard]] Link& link_at(std::uint32_t e) {
+        const std::uint32_t record = end_link_[e];
+        return record != kNoIndex ? links_[record] : make_link(e);
+    }
+    [[nodiscard]] Link& make_link(std::uint32_t e);
+    /// Transmit on cable end `e`'s direction at now; the tap sees the outcome.
+    std::optional<TimePoint> transmit(std::uint32_t e, const Packet& packet, std::size_t bytes,
+                                      PacketType type) {
+        Link& l = link_at(e);
+        const std::optional<TimePoint> arrival = l.transmit(simulator_.now(), bytes, type);
+        if (tap_) tap_(simulator_.now(), l, packet, arrival.has_value());
+        return arrival;
     }
     /// Node index at the far side of cable end `e`.
-    [[nodiscard]] std::uint32_t far_node(std::uint32_t e) const {
-        const Cable& c = cables_[e >> 1];
-        return static_cast<std::uint32_t>(index((e & 1) != 0 ? c.a : c.b));
-    }
+    [[nodiscard]] std::uint32_t far_node(std::uint32_t e) const { return end_node_[e ^ 1]; }
     /// Node index `i`'s parent in the snapshot.  Pre: `i` is not a root.
     [[nodiscard]] std::uint32_t parent(std::uint32_t i) const {
         return far_node(parent_end_[i]);
@@ -389,14 +402,23 @@ private:
     /// finalize-time top_ snapshot instead (see set_node_down).
     std::vector<std::uint8_t> node_down_;
 
-    // --- cables -----------------------------------------------------------
-    StableVector<Cable> cables_;  ///< creation order; routes and trees point into dir[]
-    /// Per-node cable lists for link(a, b), in add order.  Cable c has two
-    /// ends, 2c (its `a` node) and 2c + 1 (its `b` node); an end doubles as
-    /// the directed-link index of the link leaving it (directed_link()).
-    /// Node i's ends run from cable_head_[i] along end_next_ to
-    /// cable_tail_[i]; kNoIndex ends a list.  Nothing is rebuilt at
-    /// finalize(): 8 bytes per node plus 8 per cable, always current.
+    // --- cables (rows of per-end arrays, in add order) --------------------
+    /// Cable c has two ends, 2c (its `a` node) and 2c + 1 (its `b` node);
+    /// an end doubles as the index of the direction leaving it.
+    std::vector<std::uint32_t> end_node_;  ///< node index at each end
+    std::vector<std::uint16_t> cable_spec_;  ///< per cable: its row of specs_
+    std::vector<LinkSpec> specs_;  ///< the distinct specs, in first-use order
+    /// Per end: its direction's record in links_, kNoIndex until made.
+    std::vector<std::uint32_t> end_link_;
+    StableVector<Link> links_;  ///< direction records; addresses never move
+    /// Network-wide link totals, counted by every transmit beside each
+    /// record's own tallies and zeroed by reset_link_stats().
+    std::array<std::uint64_t, kPacketTypeSlots> type_packets_{};
+    std::uint64_t link_bytes_ = 0, drops_queue_ = 0, drops_loss_ = 0;
+    /// Per-node cable lists for link(a, b), in add order.  Node i's ends
+    /// run from cable_head_[i] along end_next_ to cable_tail_[i]; kNoIndex
+    /// ends a list.  Nothing is rebuilt at finalize(): 8 bytes per node
+    /// plus 8 per cable, always current.
     std::vector<std::uint32_t> cable_head_;
     std::vector<std::uint32_t> cable_tail_;
     std::vector<std::uint32_t> end_next_;
@@ -418,8 +440,7 @@ private:
 
     // --- tree routing (finalize-time snapshot; DESIGN.md "Tree routing") ---
     /// Per node: the cable end at the node whose cable leads to its DFS
-    /// parent (kNoIndex at a root), so directed_link(e) climbs and
-    /// directed_link(e ^ 1) descends.
+    /// parent (kNoIndex at a root), so end e climbs and e ^ 1 descends.
     std::vector<std::uint32_t> parent_end_;
     /// Per node: its DFS interval [enter, exit); v is in u's subtree iff
     /// enter_[u] <= enter_[v] < exit_[u].
@@ -479,5 +500,35 @@ private:
     std::vector<std::uint32_t> node_shard_;
     RemoteSink remote_sink_;
 };
+
+inline NodeId Link::from() const { return NodeId{net_->end_node_[end_] + 1}; }
+inline NodeId Link::to() const { return NodeId{net_->far_node(end_) + 1}; }
+inline LinkSpec Link::spec() const { return net_->specs_[net_->cable_spec_[end_ >> 1]]; }
+
+inline std::optional<TimePoint> Link::transmit(TimePoint now, std::size_t bytes, PacketType type) {
+    Network& net = *net_;
+    const LinkSpec s = spec();
+    TimePoint depart = now;
+    if (s.bandwidth_bps > 0.0) {
+        const Duration serialization = secs(static_cast<double>(bytes) * 8.0 / s.bandwidth_bps);
+        const TimePoint start = busy_until_ > now ? busy_until_ : now;
+        if (s.max_queue_delay != Duration::zero() && start - now > s.max_queue_delay) {
+            ++net.drops_queue_;
+            return std::nullopt;  // never entered the wire: no loss roll
+        }
+        depart = start + serialization;
+        busy_until_ = depart;  // lost packets still burn wire time
+    }
+
+    if (has_loss_model() && lost(now)) {
+        ++net.drops_loss_;
+        return std::nullopt;
+    }
+
+    ++net.type_packets_[static_cast<std::uint8_t>(type)];
+    net.link_bytes_ += bytes;
+    count(type);
+    return depart + s.propagation;
+}
 
 }  // namespace lbrm::sim

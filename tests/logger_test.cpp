@@ -99,6 +99,23 @@ TEST(PrimaryLogger, ReplicaAckAdvancesReplicaSeq) {
     EXPECT_EQ(std::get<LogAckBody>(acks[0].packet.body).replica_seq, SeqNum{1});
 }
 
+TEST(PrimaryLogger, ReplicaAckFromANonReplicaIsIgnored) {
+    // Section 2.2.3: the source may discard what a replica holds.  A
+    // ReplicaAck from node 99, which is no configured replica, must not
+    // reach the source as replica coverage.
+    LoggerCore logger{primary_config(), 1};
+    for (std::uint32_t s = 1; s <= 5; ++s) logger.on_packet(at(1.0), log_store(SeqNum{s}));
+    auto actions = logger.on_packet(at(1.1), from(NodeId{99}, ReplicaAckBody{SeqNum{5}}));
+    for (const auto& ack : sent_of_type(actions, PacketType::kLogAck))
+        EXPECT_NE(std::get<LogAckBody>(ack.packet.body).replica_seq, SeqNum{5});
+
+    // The configured replica's own ack is what counts.
+    actions = logger.on_packet(at(1.2), from(kReplica, ReplicaAckBody{SeqNum{2}}));
+    const auto acks = sent_of_type(actions, PacketType::kLogAck);
+    ASSERT_EQ(acks.size(), 1u);
+    EXPECT_EQ(std::get<LogAckBody>(acks[0].packet.body).replica_seq, SeqNum{2});
+}
+
 TEST(PrimaryLogger, DuplicateLogStoreIsIdempotent) {
     LoggerCore logger{primary_config(), 1};
     logger.on_packet(at(1.0), log_store(SeqNum{1}));

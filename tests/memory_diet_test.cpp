@@ -9,8 +9,8 @@
 //    group packet mid-lossy-run, bit-identical to always-allocated cores --
 //    including the idle watchdog firing while still dormant and the NACK
 //    recovery behavior after waking.
-//  - Shared-cable split: the reverse direction of a one-way loaded cable
-//    keeps zero stats without cold state.
+//  - Cable rows: the reverse direction of a one-way loaded cable reads
+//    zero stats and no loss model.
 //  - SimHost lazy re-arm: moving an armed timer later costs no event-queue
 //    traffic and still fires the core exactly once, at the last deadline;
 //    earlier re-arms and cancels behave as before, up to the largest
@@ -29,9 +29,9 @@
 #include <utility>
 #include <vector>
 
-#include "sim/link.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
+#include "tests/one_cable.hpp"
 #include "tests/test_util.hpp"
 
 namespace lbrm::sim {
@@ -193,18 +193,18 @@ TEST(DormantReceivers, DiscoveryModeFallsBackToEagerWiring) {
     EXPECT_EQ(scenario.dormant_receiver_count(), 0u);
 }
 
-// --- shared-cable split ---------------------------------------------------
+// --- cable rows ----------------------------------------------------------
 
 TEST(CableColdState, ReverseDirectionKeepsZeroStats) {
-    Cable cable{NodeId{1}, NodeId{2}, LinkSpec{millis(1), 1e6, Duration::zero()}};
     const std::uint64_t seed = 1;
-    ASSERT_TRUE(cable.dir[0].transmit(seed, at(0.0), 500, PacketType::kData));
-    EXPECT_EQ(cable.dir[0].stats().packets, 1u);
-    // The reverse direction never carried traffic: its stats read as zero
-    // through the shared kZeroStats block (no cold state was allocated).
-    EXPECT_EQ(cable.dir[1].stats().packets, 0u);
-    EXPECT_EQ(cable.dir[1].stats().bytes, 0u);
-    EXPECT_FALSE(cable.dir[1].has_loss_model());
+    test::OneCable cable{LinkSpec{millis(1), 1e6, Duration::zero()}, seed};
+    ASSERT_TRUE(cable.forward().transmit(at(0.0), 500, PacketType::kData));
+    EXPECT_EQ(cable.forward().stats().packets, 1u);
+    // The reverse direction never carried traffic: its stats read as zero,
+    // and the one cable's byte total is the forward packet's alone.
+    EXPECT_EQ(cable.reverse().stats().packets, 0u);
+    EXPECT_EQ(cable.net.metrics().value("sim.link_bytes"), 500u);
+    EXPECT_FALSE(cable.reverse().has_loss_model());
 }
 
 // --- SimHost lazy timer re-arm --------------------------------------------

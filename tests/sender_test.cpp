@@ -82,6 +82,21 @@ TEST(Sender, RetainsUntilReplicaAck) {
     EXPECT_EQ(sender.retained_count(), 0u);
 }
 
+TEST(Sender, LogAckFromANonPrimaryReleasesNothing) {
+    // Only the current primary speaks for the log: a LogAck claiming
+    // replica coverage from any other node releases no retained copy.
+    SenderCore sender{base_config()};
+    sender.start(at(0.0));
+    sender.send(at(1.0), payload(100));
+    sender.on_packet(at(1.01), from(NodeId{99}, LogAckBody{SeqNum{1}, SeqNum{1}, true}));
+    EXPECT_EQ(sender.retained_count(), 1u);
+    sender.on_packet(at(1.02), from(kReplicaA, LogAckBody{SeqNum{1}, SeqNum{1}, true}));
+    EXPECT_EQ(sender.retained_count(), 1u);
+
+    sender.on_packet(at(1.05), from(kPrimary, LogAckBody{SeqNum{1}, SeqNum{1}, true}));
+    EXPECT_EQ(sender.retained_count(), 0u);
+}
+
 TEST(Sender, UnreplicatedPrimaryAckReleasesBuffer) {
     SenderConfig c = base_config();
     c.replicas.clear();

@@ -9,6 +9,7 @@
 #include "sim/sim_host.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
+#include "tests/one_cable.hpp"
 #include "tests/test_util.hpp"
 
 namespace lbrm::sim {
@@ -116,54 +117,56 @@ TEST(Simulator, PastSchedulingClampsToNow) {
 // --- link ---------------------------------------------------------------------
 
 TEST(Link, PropagationOnlyForInfiniteBandwidth) {
-    Cable cable{NodeId{1}, NodeId{2}, LinkSpec{millis(10), 0.0, Duration::zero()}};
-    Link& link = cable.dir[0];
     const std::uint64_t seed = 1;
-    auto arrival = link.transmit(seed, at(1.0), 1000, PacketType::kData);
+    test::OneCable cable{LinkSpec{millis(10), 0.0, Duration::zero()}, seed};
+    Link& link = cable.forward();
+    auto arrival = link.transmit(at(1.0), 1000, PacketType::kData);
     ASSERT_TRUE(arrival.has_value());
     EXPECT_EQ(*arrival, at(1.0) + millis(10));
 }
 
 TEST(Link, SerializationDelayFromBandwidth) {
     // 1000 bytes at 1 Mb/s = 8 ms serialization + 1 ms propagation.
-    Cable cable{NodeId{1}, NodeId{2}, LinkSpec{millis(1), 1e6, Duration::zero()}};
-    Link& link = cable.dir[0];
     const std::uint64_t seed = 1;
-    auto arrival = link.transmit(seed, at(0.0), 1000, PacketType::kData);
+    test::OneCable cable{LinkSpec{millis(1), 1e6, Duration::zero()}, seed};
+    Link& link = cable.forward();
+    auto arrival = link.transmit(at(0.0), 1000, PacketType::kData);
     ASSERT_TRUE(arrival.has_value());
     EXPECT_EQ(*arrival, at(0.009));
 }
 
 TEST(Link, FifoQueueingAccumulates) {
-    Cable cable{NodeId{1}, NodeId{2}, LinkSpec{Duration::zero(), 1e6, Duration::zero()}};
-    Link& link = cable.dir[0];
     const std::uint64_t seed = 1;
-    auto first = link.transmit(seed, at(0.0), 1000, PacketType::kData);
-    auto second = link.transmit(seed, at(0.0), 1000, PacketType::kData);
+    test::OneCable cable{LinkSpec{Duration::zero(), 1e6, Duration::zero()}, seed};
+    Link& link = cable.forward();
+    auto first = link.transmit(at(0.0), 1000, PacketType::kData);
+    auto second = link.transmit(at(0.0), 1000, PacketType::kData);
     EXPECT_EQ(*first, at(0.008));
     EXPECT_EQ(*second, at(0.016));  // waited behind the first
 }
 
 TEST(Link, DropTailWhenQueueDelayExceeded) {
-    Cable cable{NodeId{1}, NodeId{2}, LinkSpec{Duration::zero(), 1e6, millis(10)}};
-    Link& link = cable.dir[0];
     const std::uint64_t seed = 1;
+    test::OneCable cable{LinkSpec{Duration::zero(), 1e6, millis(10)}, seed};
+    Link& link = cable.forward();
     // Each packet occupies 8 ms of line time; the third would wait 16 ms.
-    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_FALSE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_EQ(link.stats().drops_queue, 1u);
+    EXPECT_TRUE(link.transmit(at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_TRUE(link.transmit(at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_FALSE(link.transmit(at(0.0), 1000, PacketType::kData).has_value());
+    // Queue drops are counted network-wide; this network is one cable.
+    EXPECT_EQ(cable.net.drop_breakdown().queue, 1u);
 }
 
 TEST(Link, StatsCountByType) {
-    Cable cable{NodeId{1}, NodeId{2}, LinkSpec{}};
-    Link& link = cable.dir[0];
     const std::uint64_t seed = 1;
-    link.transmit(seed, at(0.0), 100, PacketType::kData);
-    link.transmit(seed, at(0.1), 50, PacketType::kNack);
-    link.transmit(seed, at(0.2), 50, PacketType::kNack);
+    test::OneCable cable{LinkSpec{}, seed};
+    Link& link = cable.forward();
+    link.transmit(at(0.0), 100, PacketType::kData);
+    link.transmit(at(0.1), 50, PacketType::kNack);
+    link.transmit(at(0.2), 50, PacketType::kNack);
     EXPECT_EQ(link.stats().packets, 3u);
-    EXPECT_EQ(link.stats().bytes, 200u);
+    // Bytes are counted network-wide; this network is one cable.
+    EXPECT_EQ(cable.net.metrics().value("sim.link_bytes"), 200u);
     EXPECT_EQ(link.stats().packets_of(PacketType::kNack), 2u);
     EXPECT_EQ(link.stats().packets_of(PacketType::kData), 1u);
 }

@@ -401,4 +401,52 @@ TEST(NetworkHealth, DropBreakdownSeparatesLossFromQueueOverflow) {
     EXPECT_EQ(scenario.metrics().value("sim.drops_queue"), drops.queue);
 }
 
+/// The network's link totals on a lossy 20 x 50 run whose bursts overflow
+/// the tail queues, so both drop kinds occur.  The literals were recorded
+/// when every direction was an object of its own and each total a walk
+/// over all of them; they hold however the links are stored.  After
+/// reset_link_stats() one tail circuit counts a second burst from zero.
+TEST(NetworkHealth, LinkTotalsMatchRecordedValues) {
+    ScenarioConfig config;
+    config.topology.sites = 20;
+    config.topology.receivers_per_site = 50;
+    config.topology.tail_queue_limit = millis(5);
+    DisScenario scenario{config};
+    Network& net = scenario.network();
+    const DisTopology& topo = scenario.topology();
+    for (const auto& site : topo.sites)
+        net.set_loss(topo.backbone, site.router, std::make_unique<BernoulliLoss>(0.05));
+    scenario.start();
+    for (int i = 0; i < 30; ++i) scenario.send_update(400);
+    scenario.run_for(secs(3.0));
+
+    if constexpr (obs::kTelemetryEnabled) {
+        EXPECT_EQ(scenario.metrics().value("sim.link_packets"), 111597u);
+        EXPECT_EQ(scenario.metrics().value("sim.link_bytes"), 35496085u);
+    }
+    const Network::DropBreakdown drops = net.drop_breakdown();
+    EXPECT_EQ(drops.queue, 1484u);
+    EXPECT_EQ(drops.loss, 87u);
+    EXPECT_EQ(net.count_packets(PacketType::kData, nullptr), 12154u);
+    EXPECT_EQ(net.count_packets(PacketType::kHeartbeat, nullptr), 1985u);
+    EXPECT_EQ(net.count_packets(PacketType::kNack, nullptr), 19238u);
+    EXPECT_EQ(net.count_packets(PacketType::kRetransmission, nullptr), 67883u);
+    EXPECT_EQ(net.count_packets(PacketType::kData, [](const Link&) { return true; }), 12154u);
+
+    net.reset_link_stats();
+    for (int i = 0; i < 20; ++i) scenario.send_update(400);
+    scenario.run_for(secs(2.0));
+    const auto& down = net.link(topo.backbone, topo.sites[3].router)->stats();
+    EXPECT_EQ(down.packets, 76u);
+    EXPECT_EQ(down.drops_loss, 3u);
+    EXPECT_EQ(down.packets_of(PacketType::kData), 15u);
+    EXPECT_EQ(down.packets_of(PacketType::kHeartbeat), 3u);
+    EXPECT_EQ(down.packets_of(PacketType::kRetransmission), 58u);
+    const auto& up = net.link(topo.sites[3].router, topo.backbone)->stats();
+    EXPECT_EQ(up.packets, 88u);
+    EXPECT_EQ(up.packets_of(PacketType::kNack), 68u);
+    EXPECT_EQ(net.drop_breakdown().queue, 1314u);
+    EXPECT_EQ(net.drop_breakdown().loss, 83u);
+}
+
 }  // namespace

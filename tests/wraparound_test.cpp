@@ -20,9 +20,9 @@
 #include "core/loss_detector.hpp"
 #include "core/sender.hpp"
 #include "core/stat_ack.hpp"
-#include "sim/link.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
+#include "tests/one_cable.hpp"
 #include "tests/test_util.hpp"
 
 namespace lbrm {
@@ -309,29 +309,29 @@ const LinkSpec kT1{millis(1), 1e6, Duration::zero()};  // 1000 B = 8 ms serializ
 // --- Link accounting order ------------------------------------------------
 
 TEST(LinkAccounting, LostPacketStillBurnsWireTime) {
-    Cable cable{NodeId{1}, NodeId{2}, kT1};
-    Link& link = cable.dir[0];
     const std::uint64_t seed = 1;
+    test::OneCable cable{kT1, seed};
+    Link& link = cable.forward();
 
-    auto a = link.transmit(seed, at(0.0), 1000, PacketType::kData);
+    auto a = link.transmit(at(0.0), 1000, PacketType::kData);
     ASSERT_TRUE(a.has_value());
     EXPECT_EQ(*a, at(0.0) + millis(8) + millis(1));
 
     // Packet B is lost in flight -- but it was serialized first, so it
     // occupies its slot of the busy horizon.
     link.set_loss_model(std::make_unique<BernoulliLoss>(1.0));
-    EXPECT_FALSE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_FALSE(link.transmit(at(0.0), 1000, PacketType::kData).has_value());
     EXPECT_EQ(link.stats().drops_loss, 1u);
 
     // Packet C queues behind BOTH predecessors, including the lost one.
     link.set_loss_model(std::make_unique<NoLoss>());
-    auto c = link.transmit(seed, at(0.0), 1000, PacketType::kData);
+    auto c = link.transmit(at(0.0), 1000, PacketType::kData);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(*c, at(0.0) + 3 * millis(8) + millis(1));
 
     // Packet D, handed over at 20 ms, still waits for the wire to free at
     // 24 ms: it arrives at 24 + 8 + 1 = 33 ms.
-    auto d = link.transmit(seed, at(0.020), 1000, PacketType::kData);
+    auto d = link.transmit(at(0.020), 1000, PacketType::kData);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(*d, at(0.0) + millis(33));
 }
@@ -348,21 +348,21 @@ TEST(LinkAccounting, QueueDropNeverConsultsLossModel) {
 
     LinkSpec spec = kT1;
     spec.max_queue_delay = millis(10);  // fits one 8 ms packet in queue, not two
-    Cable cable{NodeId{1}, NodeId{2}, spec};
-    Link& link = cable.dir[0];
+    const std::uint64_t seed = 1;
+    test::OneCable cable{spec, seed};
+    Link& link = cable.forward();
     int rolls = 0;
     link.set_loss_model(std::make_unique<CountingLoss>(rolls));
-    const std::uint64_t seed = 1;
 
-    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_TRUE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_TRUE(link.transmit(at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_TRUE(link.transmit(at(0.0), 1000, PacketType::kData).has_value());
     EXPECT_EQ(rolls, 2);
 
     // Third packet would queue 16 ms > 10 ms: dropped at the tail without
     // ever reaching the wire, so the loss model must not be rolled (RNG
     // draw order stays identical whether or not the queue overflows).
-    EXPECT_FALSE(link.transmit(seed, at(0.0), 1000, PacketType::kData).has_value());
-    EXPECT_EQ(link.stats().drops_queue, 1u);
+    EXPECT_FALSE(link.transmit(at(0.0), 1000, PacketType::kData).has_value());
+    EXPECT_EQ(cable.net.drop_breakdown().queue, 1u);  // one cable: the network total
     EXPECT_EQ(rolls, 2);
 }
 
