@@ -22,12 +22,8 @@
 //                     single-process runs never collide: node count,
 //                     build/traffic seconds, application deliveries
 //                     (proto.receiver.delivered) and packets handed to
-//                     hosts (host_deliveries), wall-clock delivered-pps,
-//                     the busiest shard's CPU seconds plus the CPU-based
-//                     pps (deliveries / cpu_seconds_max_shard -- the
-//                     throughput bound once each shard owns a core; wall
-//                     pps with fewer cores than shards just measures
-//                     timesharing), window count, window stall fraction
+//                     hosts (host_deliveries), the busiest shard's CPU
+//                     seconds, window count, window stall fraction
 //                     (time blocked on the coordinator pipe), and peak RSS
 //                     and RSS bytes per node -- summed over the children
 //                     for the process driver (each reports getrusage),
@@ -247,7 +243,7 @@ struct FullArgs {
 /// The scale workload, pre-scheduled: sharded runs need the sends inside
 /// the event stream (they must execute on the source's shard, inside its
 /// window), so the unsharded run uses the same schedule_update calls --
-/// identical workloads, comparable delivered-pps.  400 ms between updates
+/// identical workloads, comparable rows.  400 ms between updates
 /// lets each tail circuit drain its wave before the next one, so peak
 /// memory reflects one in-flight wave, not stacked ones; 500 ms of drain
 /// (heartbeats, stat-acks, idle checks) closes the run.
@@ -287,15 +283,13 @@ int run_full(const FullArgs& a, const std::string& json_path,
 
     std::vector<JsonMetric> metrics;
     Table table({"driver", "shards", "build s", "traffic s", "cpu s",
-                 "deliveries", "pps", "pps/cpu", "windows", "stall",
-                 "RSS MiB", "RSS B/node"});
+                 "deliveries", "windows", "stall", "RSS MiB", "RSS B/node"});
 
     // Cells read from the registry or the trace spans, which an
     // LBRM_NO_TELEMETRY build does not keep.
     const auto telemetry_cell = [](std::string cell) {
         return obs::kTelemetryEnabled ? cell : std::string("-");
     };
-    double baseline_pps = 0.0;
     bool moved_nothing = false;
     // Read off the unsharded run's built network by its setup hook.
     std::size_t built_nodes = 0;
@@ -341,13 +335,6 @@ int run_full(const FullArgs& a, const std::string& json_path,
         // trajectory rows; the registry reads zero under LBRM_NO_TELEMETRY.
         const auto app = r.counters.find("proto.receiver.delivered");
         const double deliveries = app == r.counters.end() ? 0.0 : app->second;
-        const double pps = r.wall_seconds > 0.0 ? deliveries / r.wall_seconds : 0.0;
-        // Core-count-independent throughput: deliveries over the busiest
-        // shard's CPU seconds -- the rate the fleet sustains once every
-        // shard owns a core, which wall-clock pps on a timesharing box
-        // cannot show (8 shards on 1 core serialise).
-        const double pps_cpu =
-            r.cpu_seconds_max_shard > 0.0 ? deliveries / r.cpu_seconds_max_shard : 0.0;
         // The process driver's children build the same topology the
         // unsharded run reads its count from.
         const double nodes = static_cast<double>(
@@ -371,7 +358,6 @@ int run_full(const FullArgs& a, const std::string& json_path,
         table.row({run.driver, fmt_int(run.shards), fmt(build, 1),
                    fmt(r.wall_seconds, 1), fmt(r.cpu_seconds_max_shard, 1),
                    telemetry_cell(fmt_int(static_cast<std::uint64_t>(deliveries))),
-                   telemetry_cell(fmt(pps, 0)), telemetry_cell(fmt(pps_cpu, 0)),
                    fmt_int(r.windows), fmt(r.stall_fraction, 3),
                    fmt(rss / (1024.0 * 1024.0), 0), fmt(rss / nodes, 0)});
         if (!r.peak_rss_kb.empty()) {
@@ -384,7 +370,6 @@ int run_full(const FullArgs& a, const std::string& json_path,
         }
         // Liveness from the packet trace, which every build keeps.
         if (r.digest.packets == 0) moved_nothing = true;
-        if (single) baseline_pps = pps;
 
         const std::string config = "shards=" + fmt_int(run.shards) +
                                    ",driver=" + run.driver;
@@ -396,10 +381,6 @@ int run_full(const FullArgs& a, const std::string& json_path,
             metrics.push_back({a.name, "deliveries", deliveries, timestamp, config});
             metrics.push_back({a.name, "host_deliveries",
                                static_cast<double>(r.deliveries), timestamp, config});
-            metrics.push_back(
-                {a.name, "delivered_packets_per_sec", pps, timestamp, config});
-            metrics.push_back(
-                {a.name, "delivered_pps_shard_cpu", pps_cpu, timestamp, config});
         }
         metrics.push_back({a.name, "cpu_seconds_max_shard",
                            r.cpu_seconds_max_shard, timestamp, config});
@@ -414,8 +395,6 @@ int run_full(const FullArgs& a, const std::string& json_path,
     }
 
     note("");
-    if (baseline_pps > 0.0)
-        note("single-process baseline delivered pps: " + fmt(baseline_pps, 0));
     bool routing_ok = true;
     if (!a.skip_baseline) {
         // The build of the unsharded run.  Four 32-bit words of routing per

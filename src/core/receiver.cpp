@@ -23,8 +23,8 @@ ReceiverCore::ReceiverCore(const std::shared_ptr<const ReceiverConfig>& owned)
 
 ReceiverCore::ReceiverCore(std::shared_ptr<const ReceiverConfig> policy, NodeId self,
                            NodeId logger, NodeId fallback_logger)
-    : self_(self), configured_logger_(logger), fallback_(fallback_logger),
-      policy_(std::move(policy)), detector_(policy_->max_detector_gap), logger_(logger),
+    : self_(self), configured_logger_(logger), fallback_(fallback_logger), logger_(logger),
+      policy_(std::move(policy)), detector_(policy_->max_detector_gap),
       expected_gap_(policy_->heartbeat.h_min),
       jitter_state_(0x9E3779B97F4A7C15ull ^ self.value()) {}
 
@@ -160,7 +160,7 @@ void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, const Payload& payl
 
     if (obs.duplicate) {
         ++duplicates_;
-        obs_->duplicates->inc();
+        metrics_->receiver.duplicates->inc();
         return;
     }
 
@@ -173,7 +173,7 @@ void ReceiverCore::accept_payload(TimePoint now, SeqNum seq, const Payload& payl
     }
 
     ++delivered_;
-    obs_->delivered->inc();
+    metrics_->receiver.delivered->inc();
     actions.emplace_back(DeliverData{seq, payload, recovered || obs.fills_gap});
 }
 
@@ -214,7 +214,7 @@ void ReceiverCore::begin_recovery(TimePoint now, const std::vector<SeqNum>& newl
         if (level_ != RecoveryLevel::kLocal)
             detector_.gaps().find(s)->second.tier = static_cast<std::uint8_t>(level_);
     }
-    episodes_->open(newly_missing.size());
+    metrics_->episodes->open(newly_missing.size());
     if (policy_->retrans_channel == kNoGroup) {
         schedule_nack(now, actions);
         return;
@@ -257,9 +257,9 @@ Actions ReceiverCore::fire_nack(TimePoint now) {
         nack.missing.push_back(seq);
         ++gap.nacks;
     }
-    episodes_->nack(nack.missing.size());
+    metrics_->episodes->nack(nack.missing.size());
     ++nacks_sent_;
-    obs_->nacks_sent->inc();
+    metrics_->receiver.nacks_sent->inc();
     actions.emplace_back(SendUnicast{current_logger(now), make_packet(std::move(nack))});
     actions.emplace_back(
         StartTimer{{TimerKind::kNackRetry, 0}, now + policy_->nack_retry});
@@ -327,7 +327,7 @@ Actions ReceiverCore::escalate(TimePoint now) {
                     gap.attempts = 0;
                     gap.tier = std::max(gap.tier, obs::EpisodeTracker::kTierFallback);
                 }
-                episodes_->escalate(detector_.missing_count());
+                metrics_->episodes->escalate(detector_.missing_count());
                 actions.emplace_back(
                     Notice{NoticeKind::kLoggerChanged, fallback_.value()});
                 append(actions, fire_nack(now));
@@ -339,7 +339,7 @@ Actions ReceiverCore::escalate(TimePoint now) {
             level_ = RecoveryLevel::kPrimary;
             for (auto& [seq, gap] : detector_.gaps())
                 gap.tier = obs::EpisodeTracker::kTierPrimary;
-            episodes_->escalate(detector_.missing_count());
+            metrics_->episodes->escalate(detector_.missing_count());
             primary_query_outstanding_ = true;
             actions.emplace_back(
                 SendUnicast{policy_->source, make_packet(PrimaryQueryBody{})});
@@ -360,7 +360,7 @@ Actions ReceiverCore::escalate(TimePoint now) {
                 if (gap.cold_cycles < policy_->recovery_cold_cycles) {
                     ++gap.cold_cycles;
                     gap.attempts = 0;
-                    episodes_->cold_restart();
+                    metrics_->episodes->cold_restart();
                     parked = true;
                     ++it;
                 } else {
@@ -384,7 +384,7 @@ Actions ReceiverCore::escalate(TimePoint now) {
 
 void ReceiverCore::close_episode(TimePoint now, SeqNum seq, const LossDetector::Gap& gap,
                                  obs::EpisodeTracker::Reason reason) const {
-    episodes_->close({.node = self_.value(),
+    metrics_->episodes->close({.node = self_.value(),
                       .seq = seq.value(),
                       .opened_s = to_seconds(gap.detected_at),
                       .closed_s = to_seconds(now),

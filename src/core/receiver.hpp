@@ -68,8 +68,7 @@ public:
     /// Bind the family-aggregate telemetry block (obs/metrics.hpp); the
     /// per-instance accessors above are unaffected.
     void bind_metrics(const obs::ProtocolMetrics& pm) override {
-        obs_ = &pm.receiver;
-        episodes_ = pm.episodes;
+        metrics_ = &pm;
         detector_.bind_metrics(pm.loss);
     }
 
@@ -134,12 +133,14 @@ private:
     /// keeping the core free of hidden RNG state.
     [[nodiscard]] Duration nack_jitter();
 
+    // Ordered so that the core carries no padding (DESIGN.md "Memory engineering").
     /// Identity: the only configuration that differs between the
     /// receivers of one group (the configured logger is kept for config();
-    /// logger_ below is the cached, live one).
+    /// logger_ is the cached, live one: kNoNode = unknown).
     NodeId self_;
     NodeId configured_logger_;
     NodeId fallback_;
+    NodeId logger_;
     /// Everything else, immutable and shared: a scenario's receivers, or a
     /// dormant template's woken ones, hold one object between them.
     std::shared_ptr<const ReceiverConfig> policy_;
@@ -148,26 +149,13 @@ private:
     /// open recovery episode (LossDetector::Gap).
     LossDetector detector_;
 
-    NodeId logger_;  ///< cached logging-server address (kNoNode = unknown)
-    RecoveryLevel level_ = RecoveryLevel::kLocal;
-    bool primary_query_outstanding_ = false;
-
-    bool nack_timer_armed_ = false;
-
-    bool fresh_ = true;
-    bool started_ = false;
-
     /// Expected silence until the next live transmission; grows with the
     /// sender's backoff.  Tracked explicitly (not just from heartbeat
     /// indices) so data-carrying heartbeats -- duplicates of the last data
     /// packet, Section 7 -- keep the watchdog calibrated too.
     Duration expected_gap_;
 
-    /// Section 7 retransmission channel: currently subscribed?
-    bool retx_joined_ = false;
-
     // Discovery state
-    bool discovering_ = false;
     std::uint32_t discovery_round_ = 0;
     std::uint32_t discovery_nonce_ = 0;
 
@@ -178,11 +166,19 @@ private:
     std::uint64_t nacks_sent_ = 0;
     std::uint64_t duplicates_ = 0;
     std::uint64_t recovery_failures_ = 0;
-    const obs::ReceiverMetrics* obs_ = &obs::ReceiverMetrics::disabled();
-    /// Per-loss lifecycle tracer (obs/episode.hpp).  It holds no per-loss
-    /// state: each step bumps its counters, and a gap's record closes the
-    /// episode when the gap is filled or abandoned.
-    obs::EpisodeTracker* episodes_ = &obs::EpisodeTracker::disabled();
+    /// The bound telemetry block: the receiver counters, and `episodes`,
+    /// the per-loss lifecycle tracer (obs/episode.hpp), whose per-loss
+    /// state lives in the gap records.
+    const obs::ProtocolMetrics* metrics_ = &obs::ProtocolMetrics::disabled();
+
+    RecoveryLevel level_ = RecoveryLevel::kLocal;
+    bool primary_query_outstanding_ = false;
+    bool nack_timer_armed_ = false;
+    bool fresh_ = true;
+    bool started_ = false;
+    /// Section 7 retransmission channel: currently subscribed?
+    bool retx_joined_ = false;
+    bool discovering_ = false;
 };
 
 }  // namespace lbrm

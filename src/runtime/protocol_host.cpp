@@ -51,9 +51,26 @@ CoreBase& ProtocolHost::add_core(std::unique_ptr<CoreBase> core, SharedHandlers 
 
 void ProtocolHost::bind_metrics(obs::Metrics& metrics) {
     metrics_ = &metrics.protocol();
-    for (Entry& entry : cores_)
-        if (entry.core) entry.core->bind_metrics(*metrics_);
+    for (Entry& entry : cores_) entry.core->bind_metrics(*metrics_);
 }
+
+/// A dormant entry's block: its record, its freshness and the idle
+/// deadline start() anchored.  The host routes it no packet or timer.
+struct ProtocolHost::Dormant final : CoreBase {
+    Dormant(DormantRecord r, NodeId id) : record(std::move(r)), id(id) {}
+    [[nodiscard]] NodeId self() const override { return id; }
+    Actions start(TimePoint now) override {
+        idle_deadline = now + ReceiverCore::initial_idle_threshold(record.tmpl->config);
+        return {};
+    }
+    Actions on_packet(TimePoint, const Packet&) override { return {}; }
+    Actions on_timer(TimePoint, TimerId) override { return {}; }
+
+    DormantRecord record;
+    NodeId id;
+    bool fresh = true;
+    std::optional<TimePoint> idle_deadline;
+};
 
 void ProtocolHost::add_dormant_receiver(
     std::shared_ptr<const DormantReceiverTemplate> tmpl, NodeId self, NodeId logger,
@@ -63,40 +80,42 @@ void ProtocolHost::add_dormant_receiver(
             "dormant receivers need a statically configured logger "
             "(discovery sends probes at start)");
     SharedHandlers handlers = tmpl->handlers;
-    append(Entry{.handlers = std::move(handlers),
-                 .tmpl = std::move(tmpl),
+    append(Entry{.core = std::make_unique<Dormant>(
+                     DormantRecord{std::move(tmpl), logger, fallback_logger}, self),
+                 .handlers = std::move(handlers),
                  .self = self,
-                 .logger = logger,
-                 .fallback = fallback_logger});
+                 .dormant = true});
 }
 
-ReceiverCore& ProtocolHost::awake(std::uint32_t tag) {
-    Entry& entry = cores_[tag];
-    const DormantReceiverTemplate& tmpl = *entry.tmpl;
+ReceiverCore& ProtocolHost::wake(std::uint32_t tag) {
+    const auto& dormant = static_cast<const Dormant&>(*cores_[tag].core);
+    return wake(tag, dormant.id, dormant.record, dormant.fresh, dormant.idle_deadline);
+}
+
+ReceiverCore& ProtocolHost::wake(std::uint32_t tag, NodeId self, const DormantRecord& record,
+                                 bool fresh, std::optional<TimePoint> idle_deadline) {
+    const DormantReceiverTemplate& tmpl = *record.tmpl;
     // The core's policy aliases the template's config: it shares the
     // template's ownership, so the wake copies no configuration.
     auto built = std::make_unique<ReceiverCore>(
-        std::shared_ptr<const ReceiverConfig>(entry.tmpl, &tmpl.config), entry.self,
-        entry.logger, entry.fallback);
+        std::shared_ptr<const ReceiverConfig>(record.tmpl, &tmpl.config), self, record.logger,
+        record.fallback);
     ReceiverCore& core = *built;
     // The constructor is pure; restore the two flags start() would have set
-    // (a fired idle watchdog is recorded in entry.fresh).
-    core.restore_started(entry.fresh);
-    if (started_ && entry.fresh) {
-        // No timer was ever armed for this entry's idle watchdog, and once
-        // the core is live the sweep no longer covers it.  If the wake
-        // packet carries stream activity the core's on_packet re-arms kIdle
-        // anyway (replacing this); but a wake by a packet the receiver
-        // *ignores* (a stat-ack probe, say) would otherwise leave a fresh
-        // core with no watchdog at all -- its freshness-lost would silently
-        // diverge from an eager core, whose start()-armed timer still
-        // fires.  Stale (!fresh) entries carry no pending watchdog: the
-        // eager equivalent already fired it, with no re-arm.
-        timers_.arm(tag, {TimerKind::kIdle, 0},
-                    started_at_ + ReceiverCore::initial_idle_threshold(tmpl.config));
+    // (a fired idle watchdog is recorded in `fresh`).
+    core.restore_started(fresh);
+    if (idle_deadline && fresh) {
+        // The sweep no longer covers a live core.  A stream packet re-arms
+        // kIdle anyway, but a wake by a packet the core *ignores* (a
+        // stat-ack probe, say) would otherwise leave it no watchdog, unlike
+        // an eager core.  A stale receiver's watchdog already fired.
+        timers_.arm(tag, {TimerKind::kIdle, 0}, *idle_deadline);
     }
     core.bind_metrics(*metrics_);
+    if (tag == cores_.size()) append(Entry{.handlers = tmpl.handlers, .self = self});
+    Entry& entry = cores_[tag];  // frees a Dormant block `record` may point into
     entry.core = std::move(built);
+    entry.dormant = false;
     ++dormant_wakes_;
     return core;
 }
@@ -105,40 +124,35 @@ ReceiverCore* ProtocolHost::receiver_for(NodeId self) {
     for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
         const Entry& entry = cores_[tag];
         if (entry.self != self) continue;
-        if (!entry.core) return &awake(tag);
+        if (entry.dormant) return &wake(tag);
         if (auto* receiver = dynamic_cast<ReceiverCore*>(entry.core.get())) return receiver;
     }
     return nullptr;
 }
 
+void ProtocolHost::lose_freshness(TimePoint now, NodeId self, const obs::ProtocolMetrics& metrics,
+                                  const AppHandlers* handlers) {
+    metrics.host.notices->inc();
+    if (handlers != nullptr && handlers->on_notice)
+        handlers->on_notice(now, self, Notice{NoticeKind::kFreshnessLost, 0});
+}
+
 void ProtocolHost::fire_dormant_watchdogs(TimePoint now) {
     for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
-        Entry& entry = cores_[tag];
-        if (entry.core || !entry.fresh ||
-            started_at_ + ReceiverCore::initial_idle_threshold(entry.tmpl->config) > now)
-            continue;
-        // Mirror ReceiverCore::on_timer's kIdle branch: flip freshness,
-        // notify, no re-arm.  The entry stays dormant -- losing freshness
-        // accumulates no other state.  Flip before executing so a
-        // reentrant sweep never double-fires this entry.
-        entry.fresh = false;
-        Actions actions;
-        actions.emplace_back(Notice{NoticeKind::kFreshnessLost, 0});
-        execute(now, tag, entry.self, entry.handlers.get(), std::move(actions));
+        const Entry& entry = cores_[tag];
+        if (!entry.dormant) continue;
+        auto& dormant = static_cast<Dormant&>(*entry.core);
+        if (!dormant.fresh || !dormant.idle_deadline || *dormant.idle_deadline > now) continue;
+        dormant.fresh = false;  // first, so a reentrant sweep never fires it twice
+        lose_freshness(now, entry.self, *metrics_, entry.handlers.get());
     }
 }
 
 void ProtocolHost::start(TimePoint now) {
-    // Dormant entries arm nothing: their idle watchdogs fire from the
-    // owner's sweep (fire_dormant_watchdogs), anchored at this instant.
-    // Set first, so a receiver a handler wakes behind the loop arms its
-    // own watchdog.
-    started_at_ = now;
-    started_ = true;
+    // A dormant entry's start() only anchors its watchdog for the sweep.
     for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
         const Entry& entry = cores_[tag];
-        if (CoreBase* core = entry.core.get())
-            execute(now, tag, entry.self, entry.handlers.get(), core->start(now));
+        execute(now, tag, entry.self, entry.handlers.get(), entry.core->start(now));
     }
 }
 
@@ -149,17 +163,9 @@ void ProtocolHost::on_packet(TimePoint now, const Packet& packet) {
     for (std::uint32_t tag = 0; tag < cores_.size(); ++tag) {
         const Entry& entry = cores_[tag];
         CoreBase* core = entry.core.get();
-        if (core == nullptr) {
-            // A live idle core mutates nothing on a packet unless its group
-            // or retransmission channel matches (ReceiverCore::on_packet's
-            // filter) -- so matching packets wake the core, everything
-            // else is a no-op.
-            const ReceiverConfig& cfg = entry.tmpl->config;
-            const bool wakes = packet.header.group == cfg.group ||
-                               (cfg.retrans_channel != kNoGroup &&
-                                packet.header.group == cfg.retrans_channel);
-            if (!wakes) continue;
-            core = &awake(tag);
+        if (entry.dormant) {
+            if (!wakes(static_cast<const Dormant&>(*core).record.tmpl->config, packet)) continue;
+            core = &wake(tag);
         }
         execute(now, tag, entry.self, entry.handlers.get(), core->on_packet(now, packet));
     }
@@ -172,9 +178,7 @@ void ProtocolHost::on_datagram(TimePoint now, std::span<const std::uint8_t> data
 void ProtocolHost::on_timer(TimePoint now, std::uint32_t core_tag, TimerId id) {
     if (core_tag >= cores_.size()) return;
     const Entry& entry = cores_[core_tag];
-    // Dormant entries arm no timers.
-    if (CoreBase* core = entry.core.get())
-        execute(now, core_tag, entry.self, entry.handlers.get(), core->on_timer(now, id));
+    execute(now, core_tag, entry.self, entry.handlers.get(), entry.core->on_timer(now, id));
 }
 
 void ProtocolHost::inject(TimePoint now, const CoreBase& core, Actions actions) {

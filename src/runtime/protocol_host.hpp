@@ -9,16 +9,18 @@
 // DeliverData/Notice actions to application handlers, naming the core
 // that reports.
 //
-// Every core, whatever its kind, is one entry of one table in attach
-// order, and its index there is its timer tag.  The table is inline for
-// the first entry, since nearly every host in a large scenario carries one
-// core (DESIGN.md "Memory engineering"); each core lives in a heap block
-// of its own that never moves, so the references the attach methods hand
-// out stay valid for the host's lifetime.  A dormant receiver is an entry
-// whose core is not built yet.
+// Every core, whatever its kind, is one 32-byte entry of one table in
+// attach order, and its index there is its timer tag.  The table is inline
+// for the first entry, since nearly every host in a large scenario carries
+// one core (DESIGN.md "Memory engineering"); each core lives in a heap
+// block of its own that never moves, so the references the attach methods
+// hand out stay valid for the host's lifetime.  A dormant receiver is an
+// entry whose block holds its dormant state until a packet wakes it.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "common/small_vec.hpp"
@@ -64,20 +66,45 @@ public:
         SharedHandlers handlers;
     };
 
+    /// What a site's dormant receivers share: the template, their loggers.
+    struct DormantRecord {
+        std::shared_ptr<const DormantReceiverTemplate> tmpl;
+        NodeId logger = kNoNode;
+        NodeId fallback = kNoNode;
+    };
+
+    /// The wake predicate: an idle core acts only on its group's and retrans channel's packets.
+    [[nodiscard]] static bool wakes(const ReceiverConfig& config, const Packet& packet) {
+        return packet.header.group == config.group ||
+               (config.retrans_channel != kNoGroup &&
+                packet.header.group == config.retrans_channel);
+    }
+
     /// Attach a *dormant* receiver: a table entry whose core is built in
-    /// place by the first packet that would change it (DESIGN.md "Memory
+    /// place by the first packet that wakes it (DESIGN.md "Memory
     /// engineering").  Bit-identical to add_receiver() on an idle group
     /// member because ReceiverCore's constructor is pure, start() with a
     /// static logger only arms the idle watchdog (served here by the
     /// owner's fire_dormant_watchdogs() sweep), and on_packet() mutates
-    /// nothing unless the packet's group matches the receiver's group or
-    /// retransmission channel -- exactly the wake predicate.  Requires a
-    /// statically configured logger (discovery would send probes at
-    /// start); throws std::invalid_argument on logger == kNoNode.  Woken
-    /// or not, it runs in attach order on every host entry point.
+    /// nothing for a packet that does not wake it.  Requires a statically
+    /// configured logger (discovery would send probes at start); throws
+    /// std::invalid_argument on logger == kNoNode.  Attach it before
+    /// start(), which anchors its watchdog.  Woken or not, it runs in
+    /// attach order on every host entry point.
     void add_dormant_receiver(std::shared_ptr<const DormantReceiverTemplate> tmpl,
                               NodeId self, NodeId logger,
                               NodeId fallback_logger = kNoNode);
+
+    /// Append the receiver that sim::Network::wake wakes (see wake()).
+    ReceiverCore& add_woken_receiver(NodeId self, const DormantRecord& record, bool fresh,
+                                     std::optional<TimePoint> idle_deadline) {
+        return wake(static_cast<std::uint32_t>(cores_.size()), self, record, fresh, idle_deadline);
+    }
+
+    /// A dormant receiver's idle watchdog, ReceiverCore::on_timer's kIdle
+    /// branch without the core: the notice path of both sweeps.
+    static void lose_freshness(TimePoint now, NodeId self, const obs::ProtocolMetrics& metrics,
+                               const AppHandlers* handlers);
 
     /// Has no effect: the sweep is the only dormant-watchdog mode (start()
     /// arms no timer for a dormant record; see fire_dormant_watchdogs).
@@ -85,24 +112,20 @@ public:
     void defer_dormant_watchdogs() {}
 
     /// Dormant-watchdog sweep: fire the freshness-lost notice for every
-    /// still-dormant record whose idle deadline (start time + the
+    /// still-dormant entry whose idle deadline (start time + the
     /// template's initial_idle_threshold) has passed.  start() arms no
-    /// per-record timer -- at 10^7 dormant receivers those would dominate
-    /// RSS -- so the owner must call this on every host at (or after) the
-    /// records' deadline; a scenario whose dormant receivers share one
-    /// template schedules a single sweep event.  Without a sweep,
-    /// freshness-lost notices for never-woken receivers are simply lost.
-    /// Mirrors ReceiverCore::on_timer's kIdle branch, in attach order, so
-    /// a sweep at the shared deadline is trace-identical to the idle
-    /// timers eager cores arm at start().  No-op for woken or stale
-    /// records.
+    /// per-entry timer -- at 10^7 dormant receivers those would dominate
+    /// RSS -- so the owner must call this at (or after) the entries'
+    /// deadline; without a sweep, freshness-lost notices for never-woken
+    /// receivers are simply lost.  Mirrors ReceiverCore::on_timer's kIdle
+    /// branch, in attach order, so a sweep at the shared deadline is
+    /// trace-identical to the idle timers eager cores arm at start().
+    /// No-op for woken or stale entries.
     void fire_dormant_watchdogs(TimePoint now);
 
     /// Receivers still dormant on this host (tests / introspection).
     [[nodiscard]] std::size_t dormant_count() const {
-        std::size_t n = 0;
-        for (const Entry& entry : cores_) n += entry.core ? 0 : 1;
-        return n;
+        return std::count_if(cores_.begin(), cores_.end(), [](const auto& e) { return e.dormant; });
     }
     /// Live receiver cores woken from dormancy so far (tests).
     [[nodiscard]] std::uint64_t dormant_wakes() const { return dormant_wakes_; }
@@ -142,19 +165,16 @@ public:
     void bind_metrics(obs::Metrics& metrics);
 
 private:
+    struct Dormant;
+
     /// One core, and the node id it reports as (a core's id never
-    /// changes, so dispatch reads it here).  A dormant receiver has no core
-    /// yet: its ids, freshness and template are all the state an idle,
-    /// statically configured group member accumulates (see
-    /// add_dormant_receiver), and they go unread once the core is built.
+    /// changes, so dispatch reads it here).  A dormant receiver's core is
+    /// a Dormant block until its wake.
     struct Entry {
-        std::unique_ptr<CoreBase> core = nullptr;  ///< null while dormant
+        std::unique_ptr<CoreBase> core = nullptr;
         SharedHandlers handlers = nullptr;
-        std::shared_ptr<const DormantReceiverTemplate> tmpl = nullptr;  ///< dormant receivers only
         NodeId self = kNoNode;
-        NodeId logger = kNoNode;
-        NodeId fallback = kNoNode;
-        bool fresh = true;
+        bool dormant = false;  ///< `core` is a Dormant block
     };
 
     /// Append `core` to the table, bound to the host's metrics.
@@ -164,8 +184,13 @@ private:
     /// TimerService::kTagLimit.
     void append(Entry entry);
 
-    /// Build the dormant receiver at `tag` in place.  Runs no actions.
-    ReceiverCore& awake(std::uint32_t tag);
+    /// The one wake routine: build `self`'s receiver into entry `tag`
+    /// (appended past the table), restore the flags start() sets, arm the
+    /// idle watchdog at `idle_deadline` (once started) while `fresh`, and
+    /// count the wake.  Runs no actions.
+    ReceiverCore& wake(std::uint32_t tag, NodeId self, const DormantRecord& record, bool fresh,
+                       std::optional<TimePoint> idle_deadline);
+    ReceiverCore& wake(std::uint32_t tag);  ///< the dormant entry at `tag`, in place
 
     /// Run `actions` for the core at `tag`.  A handler may re-enter the
     /// host and attach a core, moving the table, so nothing passed here
@@ -185,9 +210,6 @@ private:
     /// handlers walk the table by index and re-read its size.
     SmallVec<Entry, 1> cores_;
     std::uint32_t dormant_wakes_ = 0;
-    bool started_ = false;    ///< start() has begun (earlier wakes skip the
-                              ///< watchdog arm: start() arms it)
-    TimePoint started_at_{};  ///< set by start(); anchors watchdog sweeps
 };
 
 }  // namespace lbrm

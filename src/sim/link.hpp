@@ -100,7 +100,7 @@ public:
     [[nodiscard]] LinkStats stats() const {
         LinkStats s;
         if (spilled()) {
-            s.by_type = rare_->spill;
+            s.by_type = *rare_->spill;
         } else {
             for (std::size_t i = 0; i < type_tags_.size(); ++i)
                 s.by_type[type_tags_[i]] += type_counts_[i];  // empty slots add 0 to slot 0
@@ -116,37 +116,39 @@ private:
     Link(Network& net, std::uint32_t end) : net_(&net), end_(end) {}
 
     /// What few directions need: a loss model and its RNG stream (seeded
-    /// on the first roll), the drops it made, and every per-type tally
-    /// once a fifth distinct type or a full 32-bit slot spills them here.
+    /// on the first roll), the drops it made, and, in a block of its own
+    /// once a fifth distinct type or a full 32-bit slot spills them, every
+    /// per-type tally.
     struct Rare {
         std::unique_ptr<LossModel> loss;
         std::unique_ptr<Rng> loss_rng;
         std::uint64_t drops_loss = 0;
-        bool spilled = false;
-        std::array<std::uint64_t, kPacketTypeSlots> spill{};
+        std::unique_ptr<std::array<std::uint64_t, kPacketTypeSlots>> spill = nullptr;
     };
     [[nodiscard]] Rare& rare() {
         if (!rare_) rare_ = std::make_unique<Rare>();
         return *rare_;
     }
-    [[nodiscard]] bool spilled() const { return rare_ && rare_->spilled; }
+    [[nodiscard]] bool spilled() const { return rare_ && rare_->spill; }
 
     /// Tallies live in four inline (tag, count) slots, filled in order;
     /// tag 0 marks a free slot.
     void count(PacketType type) {
         const auto tag = static_cast<std::uint8_t>(type);
-        if (!spilled()) {
-            for (std::size_t i = 0; i < type_tags_.size(); ++i) {
-                if (type_tags_[i] == 0) type_tags_[i] = tag;
-                if (type_tags_[i] != tag) continue;
-                if (type_counts_[i] == UINT32_MAX) break;  // spill before it wraps
-                ++type_counts_[i];
-                return;
-            }
+        if (spilled()) {
+            ++(*rare_->spill)[tag];
+            return;
+        }
+        for (std::size_t i = 0; i < type_tags_.size(); ++i) {
+            if (type_tags_[i] == 0) type_tags_[i] = tag;
+            if (type_tags_[i] != tag) continue;
+            if (type_counts_[i] == UINT32_MAX) break;  // spill before it wraps
+            ++type_counts_[i];
+            return;
         }
         spill(tag);
     }
-    /// Count `tag` in the spilled tallies, moving the inline ones there first.
+    /// Move the inline tallies to the spilled ones, then count `tag` there.
     void spill(std::uint8_t tag);
     /// Roll the loss model once, from the stream seeded on the first roll;
     /// true (and a loss drop counted) when the packet is lost.

@@ -191,13 +191,10 @@ Link* Network::link(NodeId a, NodeId b) {
 }
 
 void Link::spill(std::uint8_t tag) {
-    Rare& r = rare();
-    if (!r.spilled) {
-        for (std::size_t i = 0; i < type_tags_.size(); ++i)
-            r.spill[type_tags_[i]] += type_counts_[i];  // a free slot adds 0 to slot 0
-        r.spilled = true;
-    }
-    ++r.spill[tag];
+    auto& spilled = *(rare().spill = std::make_unique<decltype(Rare::spill)::element_type>());
+    for (std::size_t i = 0; i < type_tags_.size(); ++i)
+        spilled[type_tags_[i]] += type_counts_[i];  // a free slot adds 0 to slot 0
+    ++spilled[tag];
 }
 
 bool Link::lost(TimePoint now) {
@@ -443,14 +440,50 @@ SimHost* Network::host(NodeId node) {
     return i < node_host_.size() ? node_host_[i] : nullptr;
 }
 
+void Network::add_dormant_receiver(NodeId node, const ProtocolHost::DormantRecord& record) {
+    const std::uint32_t site = site_of(node).value();
+    if (dormant_sites_.size() <= site) dormant_sites_.resize(site + 1);
+    dormant_sites_[site] = record;
+    dormant_.resize(node_count());
+    fresh_.resize(node_count());
+    dormant_[index(node)] = fresh_[index(node)] = true;
+}
+
+SimHost& Network::wake(NodeId node) {
+    const std::size_t i = index(node);
+    dormant_[i] = false;
+    SimHost& host = attach_host(node);
+    host.protocol().add_woken_receiver(node, dormant_record(i), fresh_[i], dormant_deadline_);
+    return host;
+}
+
+void Network::start_dormant(TimePoint now) {
+    if (dormant_sites_.empty()) return;  // else the highest site has a record
+    dormant_deadline_ =
+        now + ReceiverCore::initial_idle_threshold(dormant_sites_.back().tmpl->config);
+    Simulator::ActorScope sweep(simulator_, Simulator::kSweepActor);
+    simulator_.schedule_at(*dormant_deadline_, [this] {
+        for (std::uint32_t i = 0; i < dormant_.size(); ++i) {
+            if (!dormant_[i] || !fresh_[i]) continue;
+            fresh_[i] = false;  // first, so a reentrant sweep never fires it twice
+            Simulator::ActorScope scope(simulator_, i);
+            ProtocolHost::lose_freshness(simulator_.now(), NodeId{i + 1}, metrics_.protocol(),
+                                         dormant_record(i).tmpl->handlers.get());
+        }
+    });
+}
+
 void Network::deliver_local(NodeId node, const Packet& packet) {
     const std::size_t i = index(node);
     if (node_down_[i] != 0) return;
     SimHost* h = i < node_host_.size() ? node_host_[i] : nullptr;
-    if (h != nullptr) {
-        deliveries_made_->inc();
-        h->deliver(simulator_.now(), packet);
+    if (h == nullptr && !dormant(node)) return;
+    deliveries_made_->inc();
+    if (h == nullptr) {
+        if (!ProtocolHost::wakes(dormant_record(i).tmpl->config, packet)) return;
+        h = &wake(node);
     }
+    h->deliver(simulator_.now(), packet);
 }
 
 // ---------------------------------------------------------------------------

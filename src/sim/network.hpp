@@ -46,9 +46,10 @@
 //
 // Protocol endpoints attach as SimHost objects (see sim_host.hpp); the
 // network delivers decoded packets to them and provides their timers via
-// the shared Simulator.
+// the shared Simulator; a dormant receiver has none until a packet wakes it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -64,12 +65,9 @@
 #include "core/config.hpp"
 #include "obs/metrics.hpp"
 #include "packet/packet.hpp"
+#include "runtime/protocol_host.hpp"
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
-
-namespace lbrm {
-class ProtocolHost;
-}
 
 namespace lbrm::sim {
 
@@ -131,6 +129,27 @@ public:
     /// Every attached host, in attach order.
     [[nodiscard]] StableVector<SimHost>& hosts() { return host_arena_; }
     [[nodiscard]] const StableVector<SimHost>& hosts() const { return host_arena_; }
+
+    // --- dormant receivers (DESIGN.md "Memory engineering") ----------------
+    /// Keep host-less `node` as a dormant receiver: two bits, and `record`
+    /// (naming a logger), which its site's receivers share.  A packet
+    /// reaching it counts in sim.deliveries, as at a host; the first that
+    /// ProtocolHost::wakes() accepts wakes it.
+    void add_dormant_receiver(NodeId node, const ProtocolHost::DormantRecord& record);
+    [[nodiscard]] bool dormant(NodeId node) const {
+        return index(node) < dormant_.size() && dormant_[index(node)];
+    }
+    [[nodiscard]] std::size_t dormant_count() const {
+        return static_cast<std::size_t>(std::count(dormant_.begin(), dormant_.end(), true));
+    }
+    /// Attach the dormant `node`'s host and build its receiver there
+    /// (ProtocolHost::add_woken_receiver); runs no actions.
+    SimHost& wake(NodeId node);
+    /// Start the dormant receivers at `now`, as start() starts eager cores:
+    /// one event, keyed to the sweep actor, fires their idle watchdogs at
+    /// their shared deadline (one template), in node order -- site by site,
+    /// as make_dis_topology numbers receivers.
+    void start_dormant(TimePoint now);
 
     // --- traffic ------------------------------------------------------------
     void unicast(NodeId from, NodeId to, const Packet& packet);
@@ -427,6 +446,16 @@ private:
     obs::Metrics metrics_;  ///< outlives the hosts, whose cores hold handles into it
     StableVector<SimHost> host_arena_;
     std::vector<SimHost*> node_host_;
+
+    // --- dormant receivers (no host: two bits a node, one record a site) --
+    std::vector<bool> dormant_;  ///< per node index; sized at the first add
+    std::vector<bool> fresh_;    ///< no idle watchdog has fired yet
+    /// Indexed by site id (make_dis_topology numbers sites from 1).
+    std::vector<ProtocolHost::DormantRecord> dormant_sites_;
+    [[nodiscard]] const ProtocolHost::DormantRecord& dormant_record(std::size_t i) const {
+        return dormant_sites_[node_site_id_[i].value()];
+    }
+    std::optional<TimePoint> dormant_deadline_;  ///< the idle deadline start_dormant() set
 
     // --- membership -------------------------------------------------------
     /// Sorted by group id; members sorted ascending (== the iteration order

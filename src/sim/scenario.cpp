@@ -231,19 +231,16 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
             if (joins_group) network_.join(group, node);
             continue;
         }
-        SimHost& host = network_.attach_host(node);
-
         if (dormant_mode) {
-            // One shared watchdog deadline for every dormant receiver in
-            // the scenario: start() schedules a single sweep event in place
-            // of one armed timer per record (~100 B each at 10^7).
-            host.protocol().add_dormant_receiver(receiver_template_, node, receiver_logger,
-                                                 topology_.primary);
-            dormant_attached_ = true;
+            // No host until a packet wakes it, and no armed timer: one
+            // sweep event serves every dormant receiver's watchdog.
+            network_.add_dormant_receiver(node, {receiver_template_, receiver_logger,
+                                                 topology_.primary});
             if (joins_group) network_.join(group, node);
             continue;
         }
 
+        SimHost& host = network_.attach_host(node);
         host.protocol().add_receiver(policy, node, receiver_logger, topology_.primary,
                                      handlers_);
         if (mode == SiteLogging::kRotating) {
@@ -264,6 +261,9 @@ void DisScenario::wire_site(const DisTopology::Site& site, std::size_t site_inde
 
 void DisScenario::start() {
     const TimePoint now = simulator_.now();
+    // One template, hence one idle deadline and one sweep (in the order
+    // eager cores' idle timers fire); first, so later wakes count as started.
+    network_.start_dormant(now);
     for (SimHost& host : network_.hosts()) {
         // Each host's startup (timer arms, probe sends) is keyed to the
         // host itself -- scenario-level iteration order must not leak into
@@ -271,26 +271,6 @@ void DisScenario::start() {
         Simulator::ActorScope scope(
             simulator_, static_cast<std::uint32_t>(host.id().value() - 1));
         host.protocol().start(now);
-    }
-    if (dormant_attached_) {
-        // Dormant idle watchdogs (see fire_dormant_watchdogs): every
-        // dormant receiver shares one template, hence one deadline.  One
-        // sweep event walks the hosts in start() order, which is exactly
-        // the order eager cores' start()-armed idle timers fire in.  The sweep
-        // is scenario machinery: it draws its key from the reserved sweep
-        // actor, and everything a woken receiver schedules is keyed to
-        // that receiver's own node.
-        const TimePoint deadline =
-            now + ReceiverCore::initial_idle_threshold(receiver_template_->config);
-        Simulator::ActorScope sweep_scope(simulator_, Simulator::kSweepActor);
-        simulator_.schedule_at(deadline, [this] {
-            const TimePoint at = simulator_.now();
-            for (SimHost& host : network_.hosts()) {
-                Simulator::ActorScope scope(
-                    simulator_, static_cast<std::uint32_t>(host.id().value() - 1));
-                host.protocol().fire_dormant_watchdogs(at);
-            }
-        });
     }
 }
 
@@ -342,17 +322,13 @@ LoggerCore& DisScenario::secondary_logger(std::size_t site) {
 }
 
 ReceiverCore& DisScenario::receiver(NodeId node) {
-    // The node's host answers, waking a dormant core first.
-    if (SimHost* host = network_.host(node))
+    // The node's host answers, attached and woken first for a dormant one.
+    if (SimHost* host = network_.dormant(node) ? &network_.wake(node) : network_.host(node))
         if (ReceiverCore* core = host->protocol().receiver_for(node)) return *core;
     throw std::logic_error("scenario: unknown receiver");
 }
 
-std::size_t DisScenario::dormant_receiver_count() const {
-    std::size_t n = 0;
-    for (const SimHost& host : network_.hosts()) n += host.protocol().dormant_count();
-    return n;
-}
+std::size_t DisScenario::dormant_receiver_count() const { return network_.dormant_count(); }
 
 const RecordingObserver& DisScenario::recorder() const {
     if (recorder_ == nullptr)

@@ -96,9 +96,9 @@ struct ScenarioConfig {
     /// from the primary -- a three-level hierarchy.
     bool use_regional_loggers = false;
 
-    /// Memory diet (DESIGN.md "Memory engineering"): attach receivers as
-    /// dormant ~48-byte records that materialise into full ReceiverCores on
-    /// their first group packet.  Bit-identical to eager cores (the wake
+    /// Memory diet (DESIGN.md "Memory engineering"): keep receivers as two
+    /// bits each, with no host, until their first group packet builds a
+    /// host and a ReceiverCore.  Bit-identical to eager cores (the wake
     /// rules live in ProtocolHost::add_dormant_receiver; memory_diet_test
     /// A/Bs the two modes) but requires statically configured loggers, so
     /// it applies under SiteLogging::kDedicated and kCentralized only.
@@ -262,7 +262,6 @@ private:
     /// eager ones share its config (rotation builds one per site) and its
     /// handlers.
     std::shared_ptr<const ProtocolHost::DormantReceiverTemplate> receiver_template_;
-    bool dormant_attached_ = false;  ///< start() schedules the watchdog sweep
     std::uint64_t updates_sent_ = 0;  ///< send_update() calls; salts sized payloads
 
     /// Every event goes to observer_ first, then to each of these in order.

@@ -2,14 +2,13 @@
 //
 // Implements the driver services (NetworkService via Network transport,
 // TimerService via the Simulator's event queue) and owns the ProtocolHost
-// carrying the actual cores -- by value: a host is one arena slot, not a
-// chain of heap nodes (DESIGN.md "Scale engineering").  Armed timers live
-// in a small flat table instead of a std::map: a host arms a handful of
-// timers (heartbeat, ack, retransmit...), so linear scans beat tree nodes
-// on both memory and locality at million-host scale.  The table itself is
-// a 16-byte handle to a block from operator new: most hosts in the big
-// scenarios never arm a timer (watchdogs are deferred until first
-// traffic), and the handle is 8 bytes smaller than an empty std::vector.
+// carrying the actual cores -- by value: a host is one 128-byte arena slot,
+// not a chain of heap nodes (DESIGN.md "Scale engineering"), and a dormant
+// receiver has none until its wake.  Armed timers live in a small flat
+// table instead of a std::map: a host arms a handful of timers (heartbeat,
+// ack, retransmit...), so linear scans beat tree nodes on both memory and
+// locality at million-host scale.  The table itself is a 16-byte handle to
+// a block from operator new, 8 bytes smaller than an empty std::vector.
 // The first block holds one 40-byte entry, since a woken receiver that
 // sees no loss only ever arms its idle watchdog; it doubles from there.
 //

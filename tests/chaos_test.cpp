@@ -239,6 +239,61 @@ TEST(DormantSweep, ReentrantWakeDuringSweepNeitherSkipsNorDoubles) {
     EXPECT_EQ(seen.size(), 3u);
 }
 
+TEST(DormantSweep, ReentrantWakeOfAHostlessReceiverNeitherSkipsNorDoubles) {
+    // The scenario twin: dormant receivers hold no host, and the network's
+    // one sweep walks their bits.  A notice handler that wakes a later,
+    // host-less receiver mid-sweep attaches its host; the sweep must skip
+    // it (its live core now owns the watchdog, which fires at once, since
+    // the deadline has come) and fire every other receiver exactly once.
+    ScenarioConfig config;
+    config.topology.sites = 3;
+    config.topology.receivers_per_site = 3;
+    config.dormant_receivers = true;
+    DisScenario scenario{config};
+    const DisTopology& topo = scenario.topology();
+    for (const auto& site : topo.sites)  // no packet wakes anyone before the sweep
+        scenario.network().set_loss(topo.backbone, site.router,
+                                    std::make_unique<BernoulliLoss>(1.0));
+    const NodeId first = topo.sites[0].receivers[0];
+    const NodeId woken = topo.sites[2].receivers[1];
+    struct Waker final : ScenarioObserver {
+        DisScenario* scenario = nullptr;
+        NodeId from, target;
+        void on_notice(TimePoint, NodeId node, const Notice& n) override {
+            if (node == from && n.kind == NoticeKind::kFreshnessLost) {
+                EXPECT_TRUE(scenario->receiver(target).fresh());  // reentrant wake
+            }
+        }
+    } waker;
+    waker.scenario = &scenario;
+    waker.from = first;
+    waker.target = woken;
+    scenario.add_observer(&waker);
+    ASSERT_EQ(scenario.network().host(woken), nullptr);  // host-less until its wake
+    scenario.start();
+    scenario.run_for(secs(1.0));
+    scenario.remove_observer(&waker);
+
+    std::vector<std::uint32_t> expected;
+    for (const auto& site : topo.sites)
+        for (NodeId n : site.receivers)
+            if (n != woken) expected.push_back(n.value());
+    expected.push_back(woken.value());  // its own watchdog, after the sweep
+    std::vector<std::uint32_t> fired;
+    TimePoint first_at{};
+    for (const auto& n : scenario.notices()) {
+        if (n.kind != NoticeKind::kFreshnessLost) continue;
+        if (fired.empty()) first_at = n.at;
+        EXPECT_EQ(n.at, first_at);  // all at the one deadline
+        fired.push_back(n.node.value());
+    }
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(scenario.dormant_receiver_count(), 8u);
+    ASSERT_NE(scenario.network().host(woken), nullptr);
+    EXPECT_EQ(scenario.network().host(woken)->protocol().dormant_wakes(), 1u);
+    EXPECT_FALSE(scenario.receiver(woken).fresh());
+}
+
 // --- schedule generation (unit) --------------------------------------------
 
 TEST(ChaosSchedule, CorrelatedBlackoutsAreSeedDeterministicAndBounded) {

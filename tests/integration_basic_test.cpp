@@ -166,15 +166,17 @@ TEST(ScenarioWiring, EachSiteLoggingModeKeepsItsTrace) {
         SiteLogging mode;
         const char* name;
         std::size_t dormant;
-        /// Source, primary, replica, then per site its secondary and receivers.
+        /// Source, primary, replica, then per site its secondary and
+        /// receivers; 0 where the node has no host (a dormant receiver
+        /// before its first packet).
         std::vector<std::size_t> cores;
         std::uint64_t trace_hash;
     };
     const std::vector<Expected> expected = {
         {SiteLogging::kDedicated, "dedicated", 9,
-         {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0x29ac4f7b9195d637ull},
+         {1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0}, 0x29ac4f7b9195d637ull},
         {SiteLogging::kCentralized, "centralized", 9,
-         {1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1}, 0x25aaa97adba3829aull},
+         {1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0x25aaa97adba3829aull},
         {SiteLogging::kDiscovered, "discovered", 0,
          {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0x8628c3f56297f211ull},
         {SiteLogging::kRotating, "rotating", 0,

@@ -5,10 +5,10 @@
 //  - Per-(site,packet) delivery batching fires on a LAN fan-out, and every
 //    delivery record is destroyed once its burst drains (the bit-identity
 //    of both is held by the pinned trace digest in shard_test.cpp).
-//  - Dormant receivers: attached as ~48-byte records, woken by their first
-//    group packet mid-lossy-run, bit-identical to always-allocated cores --
-//    including the idle watchdog firing while still dormant and the NACK
-//    recovery behavior after waking.
+//  - Dormant receivers: kept as two bits a node without a host, woken by
+//    their first group packet mid-lossy-run, bit-identical to
+//    always-allocated cores -- including the idle watchdog firing while
+//    still dormant and the NACK recovery behavior after waking.
 //  - Cable rows: the reverse direction of a one-way loaded cable reads
 //    zero stats and no loss model.
 //  - SimHost lazy re-arm: moving an armed timer later costs no event-queue
@@ -31,6 +31,7 @@
 
 #include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
+#include "sim/shard.hpp"
 #include "tests/one_cable.hpp"
 #include "tests/test_util.hpp"
 
@@ -38,6 +39,11 @@ namespace lbrm::sim {
 namespace {
 
 using lbrm::test::at;
+
+// What a woken receiver costs: its host (every host's size) and its core's
+// block, a 176-byte malloc chunk (DESIGN.md "Memory engineering").
+static_assert(sizeof(SimHost) <= 128);
+static_assert(sizeof(ReceiverCore) <= 168);
 
 // --- lossy full-protocol A/B harness -------------------------------------
 
@@ -184,6 +190,56 @@ TEST(DormantReceivers, WakeOnAccessIsPureAndIdempotent) {
         EXPECT_EQ(&core, &s.receiver(node));  // idempotent: same core back
     });
     EXPECT_EQ(untouched, poked);
+}
+
+TEST(DormantReceivers, NeverWokenReceiversHoldNoHost) {
+    DisScenario scenario{dormant_config(true)};
+    const DisTopology& topo = scenario.topology();
+    Network& net = scenario.network();
+    // Hosts for the source, the primary, the replicas and the secondaries
+    // only; each receiver is two bits.
+    std::vector<NodeId> expected{topo.source, topo.primary};
+    expected.insert(expected.end(), topo.replicas.begin(), topo.replicas.end());
+    for (const auto& site : topo.sites) expected.push_back(site.secondary);
+    const auto hosted = [&net] {
+        std::vector<NodeId> ids;
+        for (const SimHost& host : net.hosts()) ids.push_back(host.id());
+        return ids;
+    };
+    EXPECT_EQ(hosted(), expected);
+    for (const NodeId n : topo.all_receivers()) {
+        EXPECT_EQ(net.host(n), nullptr);
+        EXPECT_TRUE(net.dormant(n));
+    }
+
+    // One wake makes exactly one host, holding the one woken receiver.
+    const NodeId woken = topo.sites[1].receivers[2];
+    (void)scenario.receiver(woken);
+    expected.push_back(woken);
+    EXPECT_EQ(hosted(), expected);
+    ASSERT_NE(net.host(woken), nullptr);
+    EXPECT_EQ(net.host(woken)->protocol().dormant_wakes(), 1u);
+    EXPECT_EQ(net.host(woken)->protocol().core_count(), 1u);
+    EXPECT_FALSE(net.dormant(woken));
+    EXPECT_EQ(scenario.dormant_receiver_count(), 23u);
+
+    // A 2-shard inline run keeps bits only for the nodes each shard owns.
+    ShardRunConfig cfg;
+    cfg.scenario = dormant_config(true);
+    cfg.shards = 2;
+    cfg.run_for = millis(10);
+    std::vector<std::size_t> dormant(2, 0);
+    cfg.setup = [&dormant](DisScenario& s, std::uint32_t shard) {
+        for (const NodeId n : s.topology().all_receivers()) {
+            EXPECT_EQ(s.network().dormant(n), s.owns(n)) << "node " << n << " shard " << shard;
+            EXPECT_EQ(s.network().host(n), nullptr);
+        }
+        dormant[shard] = s.dormant_receiver_count();
+    };
+    (void)run_sharded_inline(cfg);
+    EXPECT_GT(dormant[0], 0u);
+    EXPECT_GT(dormant[1], 0u);
+    EXPECT_EQ(dormant[0] + dormant[1], 24u);
 }
 
 TEST(DormantReceivers, DiscoveryModeFallsBackToEagerWiring) {
