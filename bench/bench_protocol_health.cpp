@@ -1,12 +1,14 @@
 // Protocol-health telemetry bench (observability, not a paper artifact).
 //
-// Drives the ISSUE-1 reference topology (20 sites x 50 receivers) with
-// random loss on the site feeds, samples the metrics registry every 100 ms
-// of sim time through DisScenario::start_sampling, and exports the
-// resulting curves -- delivered pps, heartbeat bandwidth, NACK/repair rate,
-// drop breakdown -- as BENCH_protocol_health.json (the sampler's own JSON
-// schema; the protocol-health counterpart to the paper's Figures 4/5/8).
-// Headline totals also land in BENCH_simcore.json for the perf trajectory.
+// Drives the 20 sites x 50 receivers reference topology with random loss on
+// the site feeds, samples the metrics registry every 100 ms of sim time
+// through DisScenario::start_sampling, and writes the run artifact
+// (sim::observability_json, the run as one shard) to OBS_protocol_health.json:
+// its sampler section holds the curves -- delivered pps, heartbeat
+// bandwidth, NACK/repair rate, drop breakdown -- the protocol-health
+// counterpart to the paper's Figures 4/5/8.  Two runs with the same
+// arguments write the same bytes up to its `wall` section.  Headline totals
+// also land in BENCH_simcore.json for the perf trajectory.
 //
 // --hash-only mode prints one line -- an FNV-1a hash over the complete
 // link-level packet trace (time, link endpoints, outcome, encoded bytes)
@@ -15,7 +17,7 @@
 // including live sampling, must never feed back into protocol behavior.
 //
 // Usage:
-//   bench_protocol_health [--json PATH] [--health-json PATH]
+//   bench_protocol_health [--json PATH] [--obs-json PATH]
 //                         [--timestamp ISO8601] [--updates N] [--loss P]
 //                         [--interval-ms N] [--hash-only]
 #include <chrono>
@@ -27,9 +29,9 @@
 #include "bench/bench_util.hpp"
 #include "bench/trace_hash.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
+#include "sim/shard.hpp"
 #include "sim/topology.hpp"
 
 namespace {
@@ -50,7 +52,7 @@ ScenarioConfig health_config() {
 
 int main(int argc, char** argv) {
     std::string json_path = "BENCH_simcore.json";
-    std::string health_path = "BENCH_protocol_health.json";
+    std::string obs_path = "OBS_protocol_health.json";
     std::string timestamp = "unspecified";
     std::uint64_t updates = 200;
     double loss = 0.02;
@@ -65,8 +67,8 @@ int main(int argc, char** argv) {
             return argv[++i];
         };
         if (std::strcmp(argv[i], "--json") == 0) json_path = next("--json");
-        else if (std::strcmp(argv[i], "--health-json") == 0)
-            health_path = next("--health-json");
+        else if (std::strcmp(argv[i], "--obs-json") == 0)
+            obs_path = next("--obs-json");
         else if (std::strcmp(argv[i], "--timestamp") == 0) timestamp = next("--timestamp");
         else if (std::strcmp(argv[i], "--updates") == 0)
             updates = static_cast<std::uint64_t>(std::atoll(next("--updates")));
@@ -142,11 +144,13 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    if (!scenario.sampler().write_json(health_path)) {
-        note("ERROR: could not write " + health_path);
+    ShardResult run = scenario_result(scenario);
+    run.wall_seconds = wall_seconds;
+    if (!write_file(obs_path, observability_json(run))) {
+        note("ERROR: could not write " + obs_path);
         return 1;
     }
-    note("health series written to " + health_path);
+    note("health series written to " + obs_path);
 
     std::vector<JsonMetric> metrics;
     metrics.push_back({"protocol_health", "delivered",

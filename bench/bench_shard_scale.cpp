@@ -34,7 +34,8 @@
 //                     The unsharded run also reports its build: the node
 //                     count read from the built network, topology and
 //                     finalize seconds from the trace spans of the build
-//                     alone (written to TRACE_finalize.json), and routing
+//                     alone (the `wall.trace` of its run artifact,
+//                     OBS_shard_full.json), and routing
 //                     bytes per node -- exit 1 above the tree router's 16,
 //                     so no per-node routing table can grow back unnoticed.
 //                     CI's rss-gate is this run at 1,000 x 97 with 10
@@ -142,11 +143,11 @@ int run_gate(const std::string& json_path, const std::string& timestamp) {
             : "GATE FAILED: a sharded run diverged from the baseline trace");
 
     // --- cross-shard telemetry gate (DESIGN.md "Cross-shard telemetry") --
-    // A *lossy* 2-shard processes run vs the monolith: the merged registry
-    // snapshot must agree scalar-for-scalar and histogram-bucket-for-bucket
-    // (the structure the old flat counter merge lost), and the episode
-    // accounting must balance from the merged scalars alone.  The merged
-    // artifact lands in SHARD_observability.json for CI shape validation.
+    // A *lossy* 2-shard processes run vs the monolith: the merged telemetry
+    // must meet telemetry_mismatches' rule (scalars, histogram buckets and
+    // the episode-record multiset), and the episode accounting must balance
+    // from the merged scalars alone.  The run artifact lands in
+    // OBS_shard_gate.json for bench/check_artifacts.py.
     auto lossy = [](std::uint32_t shards) {
         ShardRunConfig cfg = gate_config(shards);
         cfg.scenario.site_logging = SiteLogging::kCentralized;
@@ -166,38 +167,17 @@ int run_gate(const std::string& json_path, const std::string& timestamp) {
     obs_cfg.collect_trace = true;
     const ShardResult sharded = run_sharded_processes(obs_cfg);
     bool obs_ok = sharded.digest.same(mono.digest);
-    const auto comparable = [](const std::string& name) {
-        return name.rfind("proto.", 0) == 0 || name.rfind("host.", 0) == 0 ||
-               name.rfind("recovery.", 0) == 0 || name == "sim.deliveries";
-    };
-    for (const auto& [name, value] : mono.merged_snapshot.scalars) {
-        if (!comparable(name)) continue;
-        const auto it = sharded.merged_snapshot.scalars.find(name);
-        if (it == sharded.merged_snapshot.scalars.end() || it->second != value) {
-            note("telemetry gate: scalar mismatch on " + name);
-            obs_ok = false;
-        }
-    }
-    for (const auto& [name, h] : mono.merged_snapshot.histograms) {
-        if (!comparable(name)) continue;
-        const auto it = sharded.merged_snapshot.histograms.find(name);
-        if (it == sharded.merged_snapshot.histograms.end() ||
-            it->second.bounds != h.bounds || it->second.counts != h.counts) {
-            note("telemetry gate: histogram bucket mismatch on " + name);
-            obs_ok = false;
-        }
+    for (const std::string& name : telemetry_mismatches(mono, sharded)) {
+        note("telemetry gate: mismatch on " + name);
+        obs_ok = false;
     }
     if (obs::kTelemetryEnabled) {
-        const auto& s = sharded.merged_snapshot.scalars;
-        const auto val = [&s](const char* k) {
-            const auto it = s.find(k);
-            return it == s.end() ? 0.0 : it->second;
-        };
-        const double opened = val("recovery.episodes_opened");
+        const obs::RegistrySnapshot& s = sharded.merged_snapshot;
+        const double opened = s.scalar("recovery.episodes_opened");
         if (opened <= 0.0 ||
-            opened != val("recovery.episodes_repaired") +
-                          val("recovery.episodes_abandoned") +
-                          val("recovery.episodes_open")) {
+            opened != s.scalar("recovery.episodes_repaired") +
+                          s.scalar("recovery.episodes_abandoned") +
+                          s.scalar("recovery.episodes_open")) {
             note("telemetry gate: episode accounting unbalanced across shards");
             obs_ok = false;
         }
@@ -208,14 +188,10 @@ int run_gate(const std::string& json_path, const std::string& timestamp) {
             obs_ok = false;
         }
     }
-    if (std::FILE* f = std::fopen("SHARD_observability.json", "w")) {
-        const std::string artifact = shard_observability_json(sharded);
-        std::fwrite(artifact.data(), 1, artifact.size(), f);
-        std::fclose(f);
-        note("merged observability artifact written to SHARD_observability.json");
-    } else {
-        note("warning: could not write SHARD_observability.json");
-    }
+    if (write_file("OBS_shard_gate.json", observability_json(sharded)))
+        note("merged observability artifact written to OBS_shard_gate.json");
+    else
+        note("warning: could not write OBS_shard_gate.json");
     note(obs_ok ? "telemetry gate OK: merged 2-shard snapshot equals the monolith"
                 : "TELEMETRY GATE FAILED: merged snapshot diverged from the monolith");
     metrics.push_back({"shard_gate_20site", "merged_snapshot_equal",
@@ -297,8 +273,10 @@ int run_full(const FullArgs& a, const std::string& json_path,
     // The unsharded run's build spans (make_dis_topology's "topology",
     // finalize()'s "finalize").  Its setup hook uninstalls the recorder, so
     // no traffic span can wrap the ring past finalize: a small ring holds
-    // the build and keeps the RSS reading clean.
+    // the build and keeps the RSS reading clean.  The spans go into the
+    // `wall.trace` of the unsharded run's artifact.
     obs::TraceRecorder build_trace(64);
+    ShardResult single_run;
 
     // Order matters for RSS attribution -- see the header comment.
     struct Run {
@@ -328,7 +306,7 @@ int run_full(const FullArgs& a, const std::string& json_path,
             build_trace.install();
         }
         const auto t0 = std::chrono::steady_clock::now();
-        const ShardResult r = run.run(cfg);
+        ShardResult r = run.run(cfg);
         const double total = seconds_since(t0);
         const double build = total > r.wall_seconds ? total - r.wall_seconds : 0.0;
         // Application data deliveries, the unit of the full_protocol*
@@ -392,6 +370,7 @@ int run_full(const FullArgs& a, const std::string& json_path,
         metrics.push_back({a.name, "peak_rss_bytes_max_shard", rss_max_shard,
                            timestamp, config});
         metrics.push_back({a.name, "rss_bytes_per_node", rss / nodes, timestamp, config});
+        if (single) single_run = std::move(r);
     }
 
     note("");
@@ -412,10 +391,11 @@ int run_full(const FullArgs& a, const std::string& json_path,
         if (obs::kTelemetryEnabled) {
             metrics.push_back({a.name, "topology_seconds", topology_s, timestamp, config});
             metrics.push_back({a.name, "finalize_seconds", finalize_s, timestamp, config});
-            const bool wrote = build_trace.write_chrome_json("TRACE_finalize.json");
+            single_run.shard_spans = {portable_spans(build_trace)};
+            const bool wrote = write_file("OBS_shard_full.json", observability_json(single_run));
             note("build trace: " + fmt_int(build_trace.spans().size()) + " spans (" +
                  fmt_int(build_trace.dropped()) + " dropped)" +
-                 (wrote ? ", written to TRACE_finalize.json" : " (trace write FAILED)"));
+                 (wrote ? ", written to OBS_shard_full.json" : " (trace write FAILED)"));
         } else {
             note("build trace: telemetry compiled out (LBRM_NO_TELEMETRY); skipped");
         }

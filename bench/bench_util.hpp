@@ -73,6 +73,15 @@ inline std::string fmt_int(std::uint64_t v) {
     return buf;
 }
 
+/// Write `text` to `path`, replacing it (a run artifact,
+/// sim::observability_json); false when the file cannot be written.
+inline bool write_file(const std::string& path, const std::string& text) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) return false;
+    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && ok;
+}
+
 // --- machine-readable bench output ------------------------------------------
 //
 // Perf-tracking benches (bench_simcore_throughput and future ones) record

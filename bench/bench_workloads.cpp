@@ -15,9 +15,10 @@
 // Per (workload, governor) row into BENCH_simcore.json: goodput, p50/p99
 // per-key staleness, Jain fairness over streams, NACK overhead per send,
 // deferrals, and lost_forever (exits 1 unless 0 -- receiver reliability is
-// not negotiable under congestion).  The governed ticker run's sampler
-// series (spacing, slowdown notices, workload rates) lands in
-// BENCH_workloads_health.json.
+// not negotiable under congestion).  The governed ticker run's artifact
+// (sim::observability_json, the run as one shard; its sampler section holds
+// the spacing, slowdown-notice and workload-rate series) lands in
+// OBS_workloads.json.
 //
 // --gate mode is the CI determinism check (same pattern as the chaos
 // gate): for both workloads, a run with *no engine at all* -- the plan
@@ -29,7 +30,7 @@
 //   bench_workloads [--sites N] [--receivers N] [--streams N]
 //                   [--horizon-s S] [--mean-gap-ms N] [--loss P] [--seed N]
 //                   [--settle-s S] [--interval-ms N] [--json PATH]
-//                   [--health-json PATH] [--timestamp TS] [--gate]
+//                   [--obs-json PATH] [--timestamp TS] [--gate]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +44,7 @@
 #include "sim/loss_model.hpp"
 #include "sim/observer.hpp"
 #include "sim/scenario.hpp"
+#include "sim/shard.hpp"
 #include "workload/engine.hpp"
 #include "workload/stock_ticker.hpp"
 #include "workload/web_invalidation.hpp"
@@ -111,7 +113,7 @@ struct RunResult {
 };
 
 RunResult run_one(const BenchOpts& o, const std::string& kind, Mode mode,
-                  const std::string& health_path = "") {
+                  const std::string& obs_path = "") {
     ScenarioConfig config;
     config.topology.sites = o.sites;
     config.topology.receivers_per_site = o.receivers;
@@ -231,8 +233,9 @@ RunResult run_one(const BenchOpts& o, const std::string& kind, Mode mode,
             std::exit(1);
         }
     }
-    if (!health_path.empty() && !scenario.sampler().write_json(health_path)) {
-        std::printf("ERROR: could not write %s\n", health_path.c_str());
+    if (!obs_path.empty() &&
+        !write_file(obs_path, observability_json(scenario_result(scenario)))) {
+        std::printf("ERROR: could not write %s\n", obs_path.c_str());
         std::exit(1);
     }
     return r;
@@ -276,7 +279,7 @@ int run_gate(BenchOpts o) {
 int main(int argc, char** argv) {
     BenchOpts o;
     std::string json_path = "BENCH_simcore.json";
-    std::string health_path = "BENCH_workloads_health.json";
+    std::string obs_path = "OBS_workloads.json";
     std::string timestamp = "unspecified";
     bool gate = false;
     for (int i = 1; i < argc; ++i) {
@@ -306,8 +309,8 @@ int main(int argc, char** argv) {
         else if (std::strcmp(argv[i], "--interval-ms") == 0)
             o.interval_ms = static_cast<std::uint64_t>(std::atoll(next("--interval-ms")));
         else if (std::strcmp(argv[i], "--json") == 0) json_path = next("--json");
-        else if (std::strcmp(argv[i], "--health-json") == 0)
-            health_path = next("--health-json");
+        else if (std::strcmp(argv[i], "--obs-json") == 0)
+            obs_path = next("--obs-json");
         else if (std::strcmp(argv[i], "--timestamp") == 0) timestamp = next("--timestamp");
         else if (std::strcmp(argv[i], "--gate") == 0) gate = true;
     }
@@ -329,9 +332,8 @@ int main(int argc, char** argv) {
                      "p99_stale_ms", "fairness", "nack/send", "lost"});
         for (const Mode mode : {Mode::kEngineOff, Mode::kEngineOn}) {
             const bool on = mode == Mode::kEngineOn;
-            const std::string health =
-                on && kind == "ticker" ? health_path : std::string();
-            const RunResult r = run_one(o, kind, mode, health);
+            const RunResult r =
+                run_one(o, kind, mode, on && kind == "ticker" ? obs_path : std::string());
             const double nack_per_send =
                 r.sends > 0 ? static_cast<double>(r.nacks) / static_cast<double>(r.sends)
                             : 0.0;
@@ -363,7 +365,7 @@ int main(int argc, char** argv) {
         return rc;
     }
     write_bench_json(json_path, rows);
-    note("JSON written to " + json_path + "; health series to " + health_path);
+    note("JSON written to " + json_path + "; health series to " + obs_path);
     for (const auto& m : rows) note(json_metric_line(m));
     return 0;
 }

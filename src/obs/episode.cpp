@@ -101,13 +101,4 @@ void append_episode_span(std::string& out, const EpisodeTracker::Record& rec,
     out += buf;
 }
 
-std::string EpisodeTracker::to_chrome_json(std::uint32_t pid) const {
-    std::string out = "{\"traceEvents\":[";
-    bool first = true;
-    std::uint64_t id = 0;
-    for (const Record& rec : records_) append_episode_span(out, rec, id++, pid, first);
-    out += "]}";
-    return out;
-}
-
 }  // namespace lbrm::obs

@@ -31,10 +31,12 @@
 //   * fixed-bucket latency histograms keyed by the highest escalation tier
 //     the episode reached ("recovery.latency_s.{local,fallback,primary}"),
 //   * "recovery.*" registry counters + pull gauges (sampler-ready), and
-//   * bounded per-episode records, exportable as Chrome-trace async spans
-//     (sim-time microseconds; one track per shard in merged exports).
+//   * bounded per-episode records, which the run artifact
+//     (sim::observability_json) writes as Chrome-trace async spans
+//     (sim-time microseconds; one track per shard).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -68,6 +70,9 @@ public:
         Kind kind = Kind::kRecovery;
         std::uint8_t tier = kTierLocal;  ///< highest escalation tier reached
         Reason reason = Reason::kRepaired;
+
+        /// Field by field, in declaration order (sorts a record multiset).
+        friend auto operator<=>(const Record&, const Record&) = default;
     };
 
     /// Registers the "recovery.*" instruments in `metrics`.  The tracker
@@ -125,10 +130,6 @@ public:
     [[nodiscard]] std::uint64_t records_dropped() const { return count(c_records_dropped_); }
     void set_record_capacity(std::size_t cap) { record_capacity_ = cap; }
 
-    /// Chrome trace_event async spans ("ph":"b"/"e", sim-time microseconds),
-    /// one process track `pid`.  Open in chrome://tracing or Perfetto.
-    [[nodiscard]] std::string to_chrome_json(std::uint32_t pid = 0) const;
-
 private:
     EpisodeTracker();  ///< the disabled() instance: sink handles, enabled_=false
 
@@ -160,9 +161,9 @@ private:
     Histogram* h_fetch_latency_;
 };
 
-/// Append one episode's "b"/"e" async-span pair to a traceEvents array body
-/// (shared by EpisodeTracker::to_chrome_json and the merged cross-shard
-/// artifact, which lays shards out as separate pid tracks).
+/// Append one episode's "b"/"e" async-span pair (sim-time microseconds) to a
+/// traceEvents array body: the run artifact's `episode_trace` section, which
+/// lays shards out as separate pid tracks.
 void append_episode_span(std::string& out, const EpisodeTracker::Record& rec,
                          std::uint64_t id, std::uint32_t pid, bool& first);
 

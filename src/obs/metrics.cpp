@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -127,6 +126,11 @@ void RegistrySnapshot::merge(const RegistrySnapshot& other) {
     }
 }
 
+double RegistrySnapshot::scalar(const std::string& name) const {
+    const auto it = scalars.find(name);
+    return it == scalars.end() ? 0.0 : it->second;
+}
+
 std::vector<Metrics::Sample> RegistrySnapshot::flatten() const {
     std::vector<Metrics::Sample> out;
     out.reserve(scalars.size() + histograms.size() * 4);
@@ -187,26 +191,6 @@ std::string RegistrySnapshot::to_json() const {
     }
     json += "}}";
     return json;
-}
-
-std::string Metrics::to_json() const {
-    std::string json = "{";
-    bool first = true;
-    for (const Sample& s : snapshot()) {
-        if (!first) json += ",";
-        first = false;
-        json += "\"" + s.name + "\":";
-        append_json_number(json, s.value);
-    }
-    json += "}";
-    return json;
-}
-
-bool Metrics::write_json(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) return false;
-    out << to_json() << "\n";
-    return bool(out);
 }
 
 // ---------------------------------------------------------------------------

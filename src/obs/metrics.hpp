@@ -150,11 +150,6 @@ public:
     /// merged result equals the monolith's snapshot() when runs agree.
     [[nodiscard]] RegistrySnapshot export_snapshot() const;
 
-    /// One JSON object, keys sorted: {"name": value, ...}.  Deterministic:
-    /// identical runs serialize to identical bytes.
-    [[nodiscard]] std::string to_json() const;
-    bool write_json(const std::string& path) const;
-
     /// The shared protocol-core handle block (resolved once, then cached).
     [[nodiscard]] const ProtocolMetrics& protocol();
 
@@ -187,6 +182,8 @@ struct RegistrySnapshot {
     std::map<std::string, Hist> histograms;
 
     [[nodiscard]] bool empty() const { return scalars.empty() && histograms.empty(); }
+    /// The scalar row `name`; 0 when the snapshot has none.
+    [[nodiscard]] double scalar(const std::string& name) const;
     /// Element-wise sum.  Adopts `other` wholesale when this is empty; throws
     /// std::logic_error on histogram bound mismatch (shards must agree on
     /// instrument layout -- a mismatch means a protocol bug, not data).
@@ -194,13 +191,14 @@ struct RegistrySnapshot {
     /// Identical rows (names, expansion, order) to Metrics::snapshot().
     [[nodiscard]] std::vector<Metrics::Sample> flatten() const;
     /// {"scalars":{...},"histograms":{name:{"bounds":[..],"counts":[..],
-    /// "count":N,"sum":S}}}, keys sorted; deterministic bytes.
+    /// "count":N,"sum":S}}}, keys sorted; deterministic bytes.  The
+    /// `snapshot` section of the run artifact (sim::observability_json).
     [[nodiscard]] std::string to_json() const;
 };
 
 /// Append `v` to `json` as a number: an integral value as an integer,
-/// anything else in %.9g.  Every registry and shard JSON export writes its
-/// numbers through this one rule.
+/// anything else in %.9g.  The registry snapshot and the run artifact's own
+/// counts and wall-clock figures write their numbers through this one rule.
 void append_json_number(std::string& json, double v);
 
 // ---------------------------------------------------------------------------

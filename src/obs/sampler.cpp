@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -97,15 +96,6 @@ std::string SamplerSnapshot::to_json() const {
     }
     json += "}}";
     return json;
-}
-
-std::string Sampler::to_json() const { return export_snapshot().to_json(); }
-
-bool Sampler::write_json(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) return false;
-    out << to_json() << "\n";
-    return bool(out);
 }
 
 }  // namespace lbrm::obs

@@ -42,6 +42,8 @@ struct SamplerSnapshot {
     /// Adopts `other` wholesale when this is empty; otherwise element-wise
     /// sum.  Throws std::logic_error when rows/series layouts disagree.
     void merge(const SamplerSnapshot& other);
+    /// {"interval_s":..,"t":[..],"series":{"name":{"kind":"rate","values":[..]}}}:
+    /// the `sampler` section of the run artifact (sim::observability_json).
     [[nodiscard]] std::string to_json() const;
 };
 
@@ -69,10 +71,6 @@ public:
 
     /// Detached copy for cross-shard shipping/merging.
     [[nodiscard]] SamplerSnapshot export_snapshot() const;
-
-    /// {"interval_s":..,"t":[..],"series":{"name":{"kind":"rate","values":[..]}}}
-    [[nodiscard]] std::string to_json() const;
-    bool write_json(const std::string& path) const;
 
 private:
     struct Series {

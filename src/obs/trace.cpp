@@ -1,8 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 namespace lbrm::obs {
 
@@ -93,33 +91,6 @@ std::uint64_t TraceRecorder::dropped() const {
     for (const auto& ring : rings_)
         if (ring->count > ring->buf.size()) total += ring->count - ring->buf.size();
     return total;
-}
-
-std::string TraceRecorder::to_chrome_json() const {
-    std::string json = "{\"traceEvents\":[";
-    char buf[128];
-    bool first = true;
-    for (const Span& s : spans()) {
-        if (!first) json += ",";
-        first = false;
-        json += "{\"name\":\"";
-        json += s.name;
-        std::snprintf(buf, sizeof buf,
-                      "\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-                      "\"ts\":%.3f,\"dur\":%.3f}",
-                      s.tid, static_cast<double>(s.start_ns) / 1000.0,
-                      static_cast<double>(s.dur_ns) / 1000.0);
-        json += buf;
-    }
-    json += "],\"displayTimeUnit\":\"ms\"}";
-    return json;
-}
-
-bool TraceRecorder::write_chrome_json(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) return false;
-    out << to_chrome_json() << "\n";
-    return bool(out);
 }
 
 }  // namespace lbrm::obs

@@ -2,8 +2,9 @@
 //
 // Spans measure *wall* time of simulator machinery -- finalize site builds,
 // tree builds, event-loop drains, log-store recoveries -- so a million-node
-// finalize can be opened in chrome://tracing or Perfetto (the export is
-// Chrome `trace_event` JSON).  Each thread writes into its own bounded ring
+// finalize can be opened in chrome://tracing or Perfetto (the run artifact,
+// sim::observability_json, writes them as Chrome `trace_event` JSON in its
+// `wall.trace` section).  Each thread writes into its own bounded ring
 // buffer: recording is two steady_clock reads plus one ring store, with no
 // locking after the thread's first span.  When the ring wraps the oldest
 // spans are overwritten and the loss is counted, never silently.
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace lbrm::obs {
@@ -56,11 +56,6 @@ public:
     [[nodiscard]] std::vector<Span> spans() const;
     /// Spans lost to ring wraparound, across all threads.
     [[nodiscard]] std::uint64_t dropped() const;
-
-    /// Chrome trace_event JSON: {"traceEvents":[{"ph":"X",...}]}.  Open in
-    /// chrome://tracing or https://ui.perfetto.dev.
-    [[nodiscard]] std::string to_chrome_json() const;
-    bool write_chrome_json(const std::string& path) const;
 
 private:
     struct Ring {

@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <numeric>
@@ -124,10 +125,6 @@ void build_domain(ShardDomain& dom, const ShardRunConfig& cfg,
     net.set_remote_sink([ob = &dom.outbox](Network::RemoteEvent&& ev) {
         (*ob)[ev.target_shard].push_back(std::move(ev));
     });
-    // Surface the window-stall series (time blocked on the coordinator
-    // pipe) to the sampler: add_level on "shard.barrier_wait_ns".
-    dom.scenario->metrics().gauge_fn("shard.barrier_wait_ns",
-                                     [w = &dom.window_wait_ns] { return sum(*w); });
     if (cfg.setup) cfg.setup(*dom.scenario, shard);
     dom.scenario->start();
 }
@@ -182,21 +179,29 @@ Loop run_windows(std::span<ShardDomain> doms, Duration window, Duration run_for,
     return loop;
 }
 
-/// The report of a finished domain.  Peak RSS and trace spans belong to a
-/// process, not a domain, so the process driver's child adds them.
-ShardReport make_report(ShardDomain& dom, Duration window, const Loop& loop) {
-    obs::Metrics& m = dom.scenario->metrics();
+/// What a finished scenario reports of itself: its registry, sampler and
+/// episode records.
+ShardReport scenario_report(DisScenario& scenario) {
+    obs::Metrics& m = scenario.metrics();
     (void)m.episodes();  // materialise the recovery.* rows on every shard alike
     ShardReport rep;
+    rep.registry = m.export_snapshot();
+    rep.sampler = scenario.sampler().export_snapshot();
+    rep.episodes = m.episodes().records();
+    return rep;
+}
+
+/// The report of a finished domain: its scenario's, plus the digest and the
+/// window loop's figures.  Peak RSS and trace spans belong to a process, not
+/// a domain, so the process driver's child adds them.
+ShardReport make_report(ShardDomain& dom, Duration window, const Loop& loop) {
+    ShardReport rep = scenario_report(*dom.scenario);
     rep.digest = dom.digest;
     rep.window = window;
     rep.windows = loop.windows;
     rep.wait_ns = sum(dom.window_wait_ns);
     rep.wall_ns = loop.wall_ns;
     rep.cpu_ns = dom.cpu_ns;
-    rep.registry = m.export_snapshot();
-    rep.sampler = dom.scenario->sampler().export_snapshot();
-    rep.episodes = m.episodes().records();
     rep.window_wait_ns = dom.window_wait_ns;
     return rep;
 }
@@ -231,14 +236,9 @@ ShardResult fold(std::vector<ShardReport> reports, std::vector<std::uint64_t> sp
     if (reports.size() == 1) r.digest.chained = reports.front().digest.chained;
     if (wall_ns > 0)
         r.stall_fraction = static_cast<double>(wait_ns) / static_cast<double>(wall_ns);
-    const auto scalar = [&r](const char* name) {
-        const auto it = r.merged_snapshot.scalars.find(name);
-        return it == r.merged_snapshot.scalars.end() ? 0
-                                                     : static_cast<std::uint64_t>(it->second);
-    };
-    r.deliveries = scalar("sim.deliveries");
-    r.remote_emits = scalar("sim.remote_emits");
-    r.remote_drops = scalar("sim.remote_drops");
+    r.deliveries = static_cast<std::uint64_t>(r.merged_snapshot.scalar("sim.deliveries"));
+    r.remote_emits = static_cast<std::uint64_t>(r.merged_snapshot.scalar("sim.remote_emits"));
+    r.remote_drops = static_cast<std::uint64_t>(r.merged_snapshot.scalar("sim.remote_drops"));
     for (const obs::Metrics::Sample& s : r.merged_snapshot.flatten()) r.counters[s.name] += s.value;
     return r;
 }
@@ -362,8 +362,7 @@ void exchange_frames(ShardDomain& dom, int fd) {
         rep.peak_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);  // kB on Linux
         if (recorder != nullptr) {
             recorder->uninstall();
-            for (const obs::TraceRecorder::Span& sp : recorder->spans())
-                rep.spans.push_back({sp.name, sp.tid, sp.start_ns, sp.dur_ns});
+            rep.spans = portable_spans(*recorder);
         }
         ByteWriter w;
         w.u8(kReport);
@@ -438,6 +437,19 @@ void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
 }
 
 ShardResult run_unsharded(const ShardRunConfig& cfg) { return run_in_process(cfg, {}); }
+
+std::vector<obs::PortableSpan> portable_spans(const obs::TraceRecorder& rec) {
+    std::vector<obs::PortableSpan> out;
+    for (const obs::TraceRecorder::Span& sp : rec.spans())
+        out.push_back({sp.name, sp.tid, sp.start_ns, sp.dur_ns});
+    return out;
+}
+
+ShardResult scenario_result(DisScenario& scenario) {
+    std::vector<ShardReport> reports;
+    reports.push_back(scenario_report(scenario));
+    return fold(std::move(reports), {});
+}
 
 ShardResult run_sharded_inline(const ShardRunConfig& cfg) {
     return run_in_process(cfg, site_map(cfg));
@@ -581,7 +593,7 @@ std::optional<Network::RemoteEvent> decode_remote(ByteReader& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Merged observability artifact
+// The run artifact and the merged-telemetry rule
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -595,38 +607,42 @@ void append_u64_array(std::string& json, const std::vector<std::uint64_t>& vals)
     json += "]";
 }
 
+/// Every completed episode record across the shards, sorted on all fields.
+std::vector<obs::EpisodeTracker::Record> sorted_episodes(const ShardResult& r) {
+    std::vector<obs::EpisodeTracker::Record> out;
+    for (const auto& shard : r.shard_episodes) out.insert(out.end(), shard.begin(), shard.end());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 }  // namespace
 
-std::string shard_observability_json(const ShardResult& r) {
+std::string observability_json(const ShardResult& r) {
     using obs::append_json_number;
-    const auto scalar = [&](const char* name) {
-        auto it = r.merged_snapshot.scalars.find(name);
-        return it != r.merged_snapshot.scalars.end() ? it->second : 0.0;
-    };
-
+    const obs::RegistrySnapshot& snap = r.merged_snapshot;
     std::string json = "{\"shards\":";
     append_json_number(json, static_cast<double>(r.shard_snapshots.size()));
-    json += ",\"snapshot\":" + r.merged_snapshot.to_json();
+    json += ",\"snapshot\":" + snap.to_json();
     json += ",\"sampler\":" + r.sampler.to_json();
 
     // Episode accounting, straight from the merged counters so the artifact
     // is self-auditing: opened == repaired + abandoned + open must hold.
     json += ",\"episodes\":{\"opened\":";
-    append_json_number(json, scalar("recovery.episodes_opened"));
+    append_json_number(json, snap.scalar("recovery.episodes_opened"));
     json += ",\"repaired\":";
-    append_json_number(json, scalar("recovery.episodes_repaired"));
+    append_json_number(json, snap.scalar("recovery.episodes_repaired"));
     json += ",\"abandoned\":";
-    append_json_number(json, scalar("recovery.episodes_abandoned"));
+    append_json_number(json, snap.scalar("recovery.episodes_abandoned"));
     json += ",\"open\":";
-    append_json_number(json, scalar("recovery.episodes_open"));
+    append_json_number(json, snap.scalar("recovery.episodes_open"));
     json += ",\"fetch_opened\":";
-    append_json_number(json, scalar("recovery.fetch_opened"));
+    append_json_number(json, snap.scalar("recovery.fetch_opened"));
     json += ",\"fetch_served\":";
-    append_json_number(json, scalar("recovery.fetch_served"));
+    append_json_number(json, snap.scalar("recovery.fetch_served"));
     json += ",\"fetch_abandoned\":";
-    append_json_number(json, scalar("recovery.fetch_abandoned"));
+    append_json_number(json, snap.scalar("recovery.fetch_abandoned"));
     json += ",\"fetch_open\":";
-    append_json_number(json, scalar("recovery.fetch_open"));
+    append_json_number(json, snap.scalar("recovery.fetch_open"));
     json += ",\"records_per_shard\":[";
     std::uint64_t total_records = 0;
     for (std::size_t s = 0; s < r.shard_episodes.size(); ++s) {
@@ -638,16 +654,27 @@ std::string shard_observability_json(const ShardResult& r) {
     append_json_number(json, static_cast<double>(total_records));
     json += "}";
 
-    // Window-protocol profile.  splice/wait are wall-clock by nature --
-    // consumers comparing artifacts across runs must ignore this section.
-    json += ",\"window_protocol\":{\"window_s\":";
+    // Sim-time episode spans, one Perfetto pid track per shard.
+    json += ",\"episode_trace\":{\"traceEvents\":[";
+    bool first = true;
+    std::uint64_t id = 0;
+    for (std::size_t s = 0; s < r.shard_episodes.size(); ++s)
+        for (const obs::EpisodeTracker::Record& rec : r.shard_episodes[s])
+            obs::append_episode_span(json, rec, id++, static_cast<std::uint32_t>(s), first);
+    json += "]}";
+
+    json += ",\"window\":{\"window_s\":";
     append_json_number(json, to_seconds(r.window));
     json += ",\"windows\":";
     append_json_number(json, static_cast<double>(r.windows));
+    json += "}";
+
+    // Last, every wall-clock number: the only bytes two runs of one config
+    // may disagree on.
+    json += ",\"wall\":{\"wall_seconds\":";
+    append_json_number(json, r.wall_seconds);
     json += ",\"stall_fraction\":";
     append_json_number(json, r.stall_fraction);
-    json += ",\"wall_seconds\":";
-    append_json_number(json, r.wall_seconds);
     json += ",\"splice_ns\":";
     append_u64_array(json, r.window_splice_ns);
     json += ",\"shard_wait_ns\":[";
@@ -655,20 +682,7 @@ std::string shard_observability_json(const ShardResult& r) {
         if (s) json += ",";
         append_u64_array(json, r.shard_window_wait_ns[s]);
     }
-    json += "]}";
-
-    // Sim-time episode spans, one Perfetto pid track per shard.
-    json += ",\"episode_trace\":{\"traceEvents\":[";
-    bool first = true;
-    std::uint64_t id = 0;
-    for (std::size_t s = 0; s < r.shard_episodes.size(); ++s)
-        for (const obs::EpisodeTracker::Record& rec : r.shard_episodes[s])
-            obs::append_episode_span(json, rec, id++,
-                                     static_cast<std::uint32_t>(s), first);
-    json += "]}";
-
-    // Wall-time spans from the children's trace rings (collect_trace only).
-    json += ",\"trace\":{\"traceEvents\":[";
+    json += "],\"trace\":{\"traceEvents\":[";
     first = true;
     char buf[128];
     for (std::size_t s = 0; s < r.shard_spans.size(); ++s) {
@@ -683,8 +697,41 @@ std::string shard_observability_json(const ShardResult& r) {
             json += buf;
         }
     }
-    json += "]}}";
+    json += "]}}}";
     return json;
+}
+
+bool telemetry_comparable(const std::string& name) {
+    return name.rfind("proto.", 0) == 0 || name.rfind("host.", 0) == 0 ||
+           name.rfind("recovery.", 0) == 0 || name == "sim.deliveries";
+}
+
+std::vector<std::string> telemetry_mismatches(const ShardResult& mono,
+                                              const ShardResult& sharded) {
+    const obs::RegistrySnapshot& want = mono.merged_snapshot;
+    const obs::RegistrySnapshot& got = sharded.merged_snapshot;
+    std::vector<std::string> out;
+    for (const auto& [name, value] : want.scalars) {
+        if (!telemetry_comparable(name)) continue;
+        const auto it = got.scalars.find(name);
+        if (it == got.scalars.end() || it->second != value) out.push_back(name);
+    }
+    for (const auto& [name, value] : got.scalars)
+        if (telemetry_comparable(name) && !want.scalars.contains(name)) out.push_back(name);
+    // Bounds and bucket counts are integer sums of shard-invariant
+    // observations, so they are exact; only `sum` may wobble in the last
+    // float bits, because the shards add their partial sums in another order.
+    for (const auto& [name, h] : want.histograms) {
+        if (!telemetry_comparable(name)) continue;
+        const auto it = got.histograms.find(name);
+        if (it == got.histograms.end() || it->second.bounds != h.bounds ||
+            it->second.counts != h.counts || it->second.count != h.count ||
+            std::abs(it->second.sum - h.sum) > 1e-9 * (1.0 + std::abs(h.sum)))
+            out.push_back(name);
+    }
+    if (got.histograms.size() != want.histograms.size()) out.push_back("histogram set");
+    if (sorted_episodes(mono) != sorted_episodes(sharded)) out.push_back("episode records");
+    return out;
 }
 
 }  // namespace lbrm::sim

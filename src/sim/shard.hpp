@@ -41,6 +41,7 @@
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "obs/episode.hpp"
+#include "obs/trace.hpp"
 #include "obs/wire.hpp"
 #include "sim/scenario.hpp"
 
@@ -110,8 +111,8 @@ struct ShardRunConfig {
 
     /// Ship wall-time trace spans in the REPORT frame (process driver: each
     /// child installs its own TraceRecorder after GO; the span list is empty
-    /// otherwise).  Off by default -- spans are wall-clock data and belong in
-    /// profiling artifacts, never in determinism A/Bs.
+    /// otherwise).  Off by default -- spans are wall-clock data, so they land
+    /// in the run artifact's `wall` section, never in a determinism A/B.
     bool collect_trace = false;
 };
 
@@ -161,11 +162,33 @@ struct ShardResult {
     std::vector<std::uint64_t> window_splice_ns;
 };
 
-/// The single coherent observability artifact for a sharded run: merged
-/// registry snapshot + sampler series + episode accounting and spans (one
-/// Perfetto pid track per shard) + the window-protocol profile.  JSON,
-/// deterministic except the explicitly wall-clock fields.
-[[nodiscard]] std::string shard_observability_json(const ShardResult& r);
+/// The run artifact, the one observability export (DESIGN.md "Cross-shard
+/// telemetry", "One artifact"): one JSON object with the sections `shards`,
+/// `snapshot`, `sampler`, `episodes`, `episode_trace`, `window` and, last,
+/// `wall`, which holds every wall-clock number, so two runs of one config
+/// write the same bytes up to `,"wall":`.
+[[nodiscard]] std::string observability_json(const ShardResult& r);
+
+/// The spans `rec` retains, in the owning form a ShardReport and a
+/// ShardResult carry them.
+[[nodiscard]] std::vector<obs::PortableSpan> portable_spans(const obs::TraceRecorder& rec);
+
+/// A scenario driven by hand (its own run_for calls) as a one-shard result,
+/// through the report and fold run_unsharded applies after its window loop:
+/// no digest and no windows, and wall_seconds 0 unless the caller sets it.
+[[nodiscard]] ShardResult scenario_result(DisScenario& scenario);
+
+/// Whether a registry row or sampler series sums across shards to the
+/// monolith's: the protocol, host and episode rows and sim.deliveries.  The
+/// cross-shard plumbing counts (sim.remote_*) differ by design.
+[[nodiscard]] bool telemetry_comparable(const std::string& name);
+
+/// The rule a sharded run's merged telemetry meets against the monolith's
+/// (DESIGN.md "Cross-shard telemetry", "Equality claim").  Returns what
+/// differs -- row names, "histogram set", "episode records" -- and nothing
+/// when the runs agree.
+[[nodiscard]] std::vector<std::string> telemetry_mismatches(const ShardResult& mono,
+                                                            const ShardResult& sharded);
 
 /// The A/B baseline: one unsharded scenario run with the same workload
 /// hook.  Every sharded run must reproduce its digest bit for bit.  The

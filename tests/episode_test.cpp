@@ -214,8 +214,11 @@ TEST(EpisodeTracker, ChromeJsonEmitsAsyncSpanPairs) {
     EpisodeTracker t{m};
     t.open();
     t.close(closed(7, 3, 1.0, 1.5, EpisodeTracker::kTierFallback));
-    const std::string json = t.to_chrome_json(/*pid=*/2);
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    // The records as shard 2's track of the run artifact's episode_trace.
+    sim::ShardResult run;
+    run.shard_episodes = {{}, {}, t.records()};
+    const std::string json = sim::observability_json(run);
+    EXPECT_NE(json.find("\"episode_trace\":{\"traceEvents\":["), std::string::npos);
     if constexpr (obs::kTelemetryEnabled) {
         EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
         EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
@@ -573,12 +576,10 @@ TEST(EpisodeDeterminism, IdenticalRunsProduceByteIdenticalSnapshots) {
     DisScenario b{lossy_config()};
     drive(a, /*observe=*/true);
     drive(b, /*observe=*/true);
-    // Registry (recovery.* rows included), sampler and the episode span
-    // export must all be byte-identical across identical runs.
-    EXPECT_EQ(a.metrics().to_json(), b.metrics().to_json());
-    EXPECT_EQ(a.sampler().to_json(), b.sampler().to_json());
-    EXPECT_EQ(a.metrics().episodes().to_chrome_json(),
-              b.metrics().episodes().to_chrome_json());
+    // The run artifact -- registry (recovery.* rows included), sampler and
+    // episode spans -- must be byte-identical outside its wall section.
+    EXPECT_EQ(test::outside_wall(sim::observability_json(sim::scenario_result(a))),
+              test::outside_wall(sim::observability_json(sim::scenario_result(b))));
     if constexpr (obs::kTelemetryEnabled) {
         EXPECT_GT(a.metrics().episodes().opened(), 0u);
         EXPECT_FALSE(a.metrics().episodes().records().empty());

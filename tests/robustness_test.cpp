@@ -90,6 +90,28 @@ TEST(Robustness, SenderSurvivesArbitraryPackets) {
     // Still functional afterwards.
     auto actions = sender.send(at(100.0), payload(16));
     EXPECT_EQ(test::count_sent(actions, PacketType::kData), 1u);
+
+    // The release rule under random input: with no timer fired, nothing from
+    // a node that is neither the primary nor a replica releases a retained
+    // copy, and one LogAck from the primary then releases every one.
+    SenderCore guarded{config};
+    guarded.start(time_zero());
+    for (int i = 0; i < 10; ++i) guarded.send(at(0.1 + 0.01 * i), payload(16));
+    ASSERT_EQ(guarded.retained_count(), 10u);
+    std::mt19937 gen{11};
+    TimePoint t = at(1.0);
+    for (int fed = 0; fed < 20000;) {
+        const Packet p = random_packet(gen);
+        if (p.header.sender == kPrimary || p.header.sender == config.replicas[0]) continue;
+        t = t + micros(100);
+        guarded.on_packet(t, p);
+        ++fed;
+    }
+    EXPECT_EQ(guarded.retained_count(), 10u);
+    guarded.on_packet(t + micros(100),
+                      Packet{Header{kGroup, kSource, kPrimary},
+                             LogAckBody{SeqNum{10}, SeqNum{10}, true}});
+    EXPECT_EQ(guarded.retained_count(), 0u);
 }
 
 TEST(Robustness, ReceiverSurvivesArbitraryPackets) {

@@ -19,7 +19,9 @@
 #include "packet/packet.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/scenario.hpp"
+#include "sim/shard.hpp"
 #include "sim/topology.hpp"
+#include "tests/test_util.hpp"
 
 namespace {
 
@@ -83,8 +85,8 @@ TEST(MetricsRegistry, SnapshotIsSortedAndJsonDeterministic) {
     EXPECT_EQ(snap[0].name, "a.first");
     EXPECT_EQ(snap[1].name, "m.middle");
     EXPECT_EQ(snap[2].name, "z.last");
-    const std::string j = m.to_json();
-    EXPECT_EQ(j, m.to_json());  // stable across calls
+    const std::string j = m.export_snapshot().to_json();
+    EXPECT_EQ(j, m.export_snapshot().to_json());  // stable across calls
     EXPECT_NE(j.find("\"m.middle\":5"), std::string::npos);
 }
 
@@ -163,7 +165,7 @@ TEST(Sampler, RatesAreDeltasAndLevelsAreSampled) {
     }
     EXPECT_EQ(sampler.series("unknown"), nullptr);
 
-    const std::string json = sampler.to_json();
+    const std::string json = sampler.export_snapshot().to_json();
     EXPECT_NE(json.find("\"interval_s\":1"), std::string::npos);
     EXPECT_NE(json.find("\"events\""), std::string::npos);
     EXPECT_NE(json.find("\"kind\":\"rate\""), std::string::npos);
@@ -192,9 +194,13 @@ TEST(TraceRecorder, RecordsScopedSpansAndExportsChromeJson) {
         EXPECT_GE(spans[0].start_ns + spans[0].dur_ns,
                   spans[1].start_ns + spans[1].dur_ns);
         EXPECT_EQ(rec.dropped(), 0u);
-        const std::string json = rec.to_chrome_json();
-        EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-        EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
+        // The spans export as the Chrome trace in the run artifact's wall.
+        sim::ShardResult run;
+        run.shard_spans = {sim::portable_spans(rec)};
+        const std::string json = sim::observability_json(run);
+        const std::string wall = json.substr(json.find(",\"wall\":"));
+        EXPECT_NE(wall.find("\"trace\":{\"traceEvents\":["), std::string::npos);
+        EXPECT_NE(wall.find("\"name\":\"inner\""), std::string::npos);
         EXPECT_EQ(json.find("after_uninstall"), std::string::npos);
     }
 }
@@ -259,8 +265,10 @@ TEST(TelemetryDeterminism, IdenticalRunsProduceIdenticalSnapshots) {
     DisScenario b{small_lossy_config()};
     run_health_scenario(a, /*observe=*/true);
     run_health_scenario(b, /*observe=*/true);
-    EXPECT_EQ(a.metrics().to_json(), b.metrics().to_json());
-    EXPECT_EQ(a.sampler().to_json(), b.sampler().to_json());
+    // The run artifact (registry snapshot and sampler included) is
+    // byte-identical outside its wall section.
+    EXPECT_EQ(test::outside_wall(observability_json(scenario_result(a))),
+              test::outside_wall(observability_json(scenario_result(b))));
     if constexpr (obs::kTelemetryEnabled) {
         EXPECT_GT(a.metrics().value("proto.receiver.delivered"), 0u);
         EXPECT_GT(a.metrics().value("proto.receiver.nacks_sent"), 0u);

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/actions.hpp"
@@ -85,5 +86,11 @@ inline std::vector<std::uint8_t> payload(std::size_t n, std::uint8_t salt = 0) {
 }
 
 inline TimePoint at(double seconds) { return time_zero() + secs(seconds); }
+
+/// A run artifact (sim::observability_json) up to its `wall` section: the
+/// bytes two runs of one config must share.
+inline std::string outside_wall(const std::string& artifact) {
+    return artifact.substr(0, artifact.find(",\"wall\":"));
+}
 
 }  // namespace lbrm::test

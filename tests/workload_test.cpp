@@ -19,6 +19,7 @@
 #include "sim/loss_model.hpp"
 #include "sim/observer.hpp"
 #include "sim/scenario.hpp"
+#include "sim/shard.hpp"
 #include "tests/test_util.hpp"
 #include "workload/engine.hpp"
 #include "workload/stock_ticker.hpp"
@@ -162,7 +163,7 @@ struct RunOutput {
     double fairness = 0.0;
     double p50 = 0.0;
     double p99 = 0.0;
-    std::string sampler_json;
+    std::string artifact;  ///< the run artifact outside its wall section
 };
 
 /// One small lossy scenario run: 2 streams over 6 sites.  use_engine=false
@@ -244,7 +245,8 @@ RunOutput run_scenario(bool use_engine, bool governed, std::uint64_t seed) {
     out.trace = trace.h;
     out.deliveries = counting.deliveries();
     out.sends = counting.sends();
-    out.sampler_json = scenario.sampler().to_json();
+    out.artifact =
+        test::outside_wall(sim::observability_json(sim::scenario_result(scenario)));
     if (use_engine) {
         out.deferrals = engine.deferrals();
         out.stale_samples = engine.staleness_samples();
@@ -263,7 +265,7 @@ TEST(WorkloadEngineDeterminism, RepeatedRunsAreByteIdentical) {
         ASSERT_GT(a.sends, 1u);
         EXPECT_EQ(a.trace, b.trace) << "governed=" << governed;
         EXPECT_EQ(a.deliveries, b.deliveries) << "governed=" << governed;
-        EXPECT_EQ(a.sampler_json, b.sampler_json) << "governed=" << governed;
+        EXPECT_EQ(a.artifact, b.artifact) << "governed=" << governed;
         EXPECT_EQ(a.deferrals, b.deferrals) << "governed=" << governed;
     }
 }
